@@ -1,12 +1,10 @@
 package finbench
 
 import (
+	"context"
 	"fmt"
 
-	"finbench/internal/blackscholes"
-	"finbench/internal/layout"
 	"finbench/internal/perf"
-	"finbench/internal/vec"
 )
 
 // OptLevel selects the optimization level of the batch pricing engines,
@@ -69,32 +67,7 @@ func (b *Batch) Len() int { return len(b.Spots) }
 // data layout and instruction mix exactly as the paper's Fig. 4 variants
 // do (and as the wall-clock benchmarks demonstrate).
 func PriceBatch(b *Batch, m Market, level OptLevel) error {
-	if b.Len() == 0 {
-		return nil
-	}
-	mkt := m.internal()
-	switch level {
-	case LevelBasic:
-		aos := layout.NewAOS(b.Len())
-		for i := 0; i < b.Len(); i++ {
-			aos.Set(i, b.Spots[i], b.Strikes[i], b.Expiries[i])
-		}
-		blackscholes.Basic(aos, mkt, vec.MaxWidth, nil)
-		for i := 0; i < b.Len(); i++ {
-			b.Calls[i] = aos.Call(i)
-			b.Puts[i] = aos.Put(i)
-		}
-	case LevelIntermediate, LevelAdvanced:
-		soa := &layout.SOA{S: b.Spots, X: b.Strikes, T: b.Expiries, Call: b.Calls, Put: b.Puts}
-		if level == LevelIntermediate {
-			blackscholes.Intermediate(soa, mkt, vec.MaxWidth, nil)
-		} else {
-			blackscholes.Advanced(soa, mkt, vec.MaxWidth, nil)
-		}
-	default:
-		return fmt.Errorf("finbench: unknown optimization level %v", level)
-	}
-	return nil
+	return PriceBatchCtx(context.Background(), b, m, level)
 }
 
 // OperationMix is the dynamic operation profile of a batch run, usable
@@ -106,28 +79,6 @@ type OperationMix = perf.Counts
 // KNC); used by the modelling harness and exposed for custom experiments.
 func ProfileBatch(b *Batch, m Market, level OptLevel, width int) (OperationMix, error) {
 	var c perf.Counts
-	mkt := m.internal()
-	switch level {
-	case LevelBasic:
-		aos := layout.NewAOS(b.Len())
-		for i := 0; i < b.Len(); i++ {
-			aos.Set(i, b.Spots[i], b.Strikes[i], b.Expiries[i])
-		}
-		blackscholes.Basic(aos, mkt, width, &c)
-		// Copy the prices back so every level leaves the batch in the same
-		// state (the SOA levels write through b.Calls/b.Puts directly).
-		for i := 0; i < b.Len(); i++ {
-			b.Calls[i] = aos.Call(i)
-			b.Puts[i] = aos.Put(i)
-		}
-	case LevelIntermediate:
-		soa := &layout.SOA{S: b.Spots, X: b.Strikes, T: b.Expiries, Call: b.Calls, Put: b.Puts}
-		blackscholes.Intermediate(soa, mkt, width, &c)
-	case LevelAdvanced:
-		soa := &layout.SOA{S: b.Spots, X: b.Strikes, T: b.Expiries, Call: b.Calls, Put: b.Puts}
-		blackscholes.Advanced(soa, mkt, width, &c)
-	default:
-		return c, fmt.Errorf("finbench: unknown optimization level %v", level)
-	}
-	return c, nil
+	err := priceBatch(context.Background(), b, m, level, width, &c)
+	return c, err
 }

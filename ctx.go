@@ -10,23 +10,23 @@ import (
 	"finbench/internal/cranknicolson"
 	"finbench/internal/layout"
 	"finbench/internal/montecarlo"
+	"finbench/internal/perf"
 	"finbench/internal/vec"
 	"finbench/internal/workload"
 )
 
-// Cancellable entry points. PriceCtx and PriceBatchCtx are Price and
-// PriceBatch with deadline/cancellation propagation: the context's done
-// signal reaches the kernel loops (Monte Carlo path chunks, Crank-Nicolson
-// time steps, lattice level blocks, closed-form option blocks), so a
-// pricing request whose deadline has passed stops consuming CPU within a
-// bounded amount of work instead of running to completion. A context that
-// carries no cancellation signal (context.Background, context.TODO) takes
-// exactly the plain code path and costs nothing extra.
-//
-// An uncancelled PriceCtx/PriceBatchCtx run is bit-identical to the plain
-// call: the ctx variants check a done channel between work blocks but
-// never change decomposition, iteration order, or arithmetic. On a
-// non-nil error any outputs are partial and must be discarded.
+// Cancellable entry points. PriceCtx and PriceBatchCtx are the one
+// implementation behind Price and PriceBatch, with deadline/cancellation
+// propagation: the context's done signal reaches the kernel loops (Monte
+// Carlo path chunks, Crank-Nicolson time steps, lattice level blocks,
+// closed-form option blocks), so a pricing request whose deadline has
+// passed stops consuming CPU within a bounded amount of work instead of
+// running to completion. The checks sit between work blocks and never
+// change decomposition, iteration order, or arithmetic, and a context that
+// carries no cancellation signal (context.Background, context.TODO) skips
+// them, so the plain names are one-line delegates and results are
+// bit-identical through either. On a non-nil error any outputs are partial
+// and must be discarded.
 
 // PriceCtx is Price with cancellation. It returns ctx.Err() (wrapped) if
 // the context is cancelled before or during pricing.
@@ -102,17 +102,19 @@ func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Confi
 		steps := c.BinomialSteps
 		switch {
 		case o.Style == American && o.Type == Put:
-			// The American-put trinomial walk has no ctx variant yet; its
-			// runtime matches the European walk, so check once up front and
-			// accept the bounded overrun.
-			return Result{Price: binomial.PriceAmericanPutTrinomial(o.Spot, o.Strike, o.Expiry, steps, mkt), Method: TrinomialTree}, nil
+			v, err := binomial.PriceAmericanPutTrinomialCtx(ctx, o.Spot, o.Strike, o.Expiry, steps, mkt)
+			if err != nil {
+				return Result{}, err
+			}
+			return Result{Price: v, Method: TrinomialTree}, nil
 		case o.Type == Call:
+			// American call on a non-dividend asset = European call.
 			v, err := binomial.PriceTrinomialCtx(ctx, o.Spot, o.Strike, o.Expiry, steps, mkt)
 			if err != nil {
 				return Result{}, err
 			}
 			return Result{Price: v, Method: TrinomialTree}, nil
-		default:
+		default: // European put via parity
 			call, err := binomial.PriceTrinomialCtx(ctx, o.Spot, o.Strike, o.Expiry, steps, mkt)
 			if err != nil {
 				return Result{}, err
@@ -146,6 +148,13 @@ func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Confi
 // blocks inside the kernels. On a non-nil error the batch outputs are
 // partial and must be discarded.
 func PriceBatchCtx(ctx context.Context, b *Batch, m Market, level OptLevel) error {
+	return priceBatch(ctx, b, m, level, vec.MaxWidth, nil)
+}
+
+// priceBatch is the one closed-form batch body behind PriceBatch,
+// PriceBatchCtx and ProfileBatch: width is the SIMD width of the vector
+// levels and a non-nil c records the operation mix.
+func priceBatch(ctx context.Context, b *Batch, m Market, level OptLevel, width int, c *perf.Counts) error {
 	if b.Len() == 0 {
 		return ctx.Err()
 	}
@@ -156,9 +165,11 @@ func PriceBatchCtx(ctx context.Context, b *Batch, m Market, level OptLevel) erro
 		for i := 0; i < b.Len(); i++ {
 			aos.Set(i, b.Spots[i], b.Strikes[i], b.Expiries[i])
 		}
-		if err := blackscholes.BasicCtx(ctx, aos, mkt, vec.MaxWidth, nil); err != nil {
+		if err := blackscholes.BasicCtx(ctx, aos, mkt, width, c); err != nil {
 			return err
 		}
+		// Copy the prices back so every level leaves the batch in the same
+		// state (the SOA levels write through b.Calls/b.Puts directly).
 		for i := 0; i < b.Len(); i++ {
 			b.Calls[i] = aos.Call(i)
 			b.Puts[i] = aos.Put(i)
@@ -172,9 +183,9 @@ func PriceBatchCtx(ctx context.Context, b *Batch, m Market, level OptLevel) erro
 		*soa = layout.SOA{S: b.Spots, X: b.Strikes, T: b.Expiries, Call: b.Calls, Put: b.Puts}
 		var err error
 		if level == LevelIntermediate {
-			err = blackscholes.IntermediateCtx(ctx, soa, mkt, vec.MaxWidth, nil)
+			err = blackscholes.IntermediateCtx(ctx, soa, mkt, width, c)
 		} else {
-			err = blackscholes.AdvancedCtx(ctx, soa, mkt, vec.MaxWidth, nil)
+			err = blackscholes.AdvancedCtx(ctx, soa, mkt, width, c)
 		}
 		*soa = layout.SOA{} // drop the slice references before pooling
 		soaPool.Put(soa)

@@ -3,6 +3,7 @@ package finbench
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -23,6 +24,7 @@ func testOptions() []struct {
 		{"cn-euro-put", Option{Type: Put, Spot: 100, Strike: 100, Expiry: 0.75}, FiniteDifference},
 		{"cn-amer-put", Option{Type: Put, Style: American, Spot: 90, Strike: 100, Expiry: 1}, FiniteDifference},
 		{"trinomial-call", Option{Type: Call, Spot: 100, Strike: 100, Expiry: 0.5}, TrinomialTree},
+		{"trinomial-amer-put", Option{Type: Put, Style: American, Spot: 100, Strike: 110, Expiry: 1}, TrinomialTree},
 		{"mc-call", Option{Type: Call, Spot: 100, Strike: 100, Expiry: 0.25}, MonteCarlo},
 	}
 }
@@ -55,6 +57,45 @@ func TestPriceCtxAlreadyCancelled(t *testing.T) {
 	for _, tc := range testOptions() {
 		if _, err := PriceCtx(ctx, tc.o, mkt, tc.method, &Config{MCPaths: 16384}); err == nil {
 			t.Errorf("%s: PriceCtx with cancelled ctx returned nil error", tc.name)
+		}
+	}
+}
+
+// cancelOnDone is a context that reports no error until a kernel asks for
+// its Done channel, and is cancelled from that moment on: every upfront
+// Err check passes, so only a loop that polls the channel notices.
+type cancelOnDone struct {
+	context.Context
+	ch   chan struct{}
+	once sync.Once
+}
+
+func (c *cancelOnDone) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.ch) })
+	return c.ch
+}
+
+func (c *cancelOnDone) Err() error {
+	select {
+	case <-c.ch:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestPriceCtxCancelledMidRun pins that every iterative method honours a
+// cancellation that arrives after pricing has started (a single
+// closed-form evaluation has only the upfront check).
+func TestPriceCtxCancelledMidRun(t *testing.T) {
+	mkt := Market{Rate: 0.02, Volatility: 0.3}
+	for _, tc := range testOptions() {
+		if tc.method == ClosedForm {
+			continue
+		}
+		ctx := &cancelOnDone{Context: context.Background(), ch: make(chan struct{})}
+		if _, err := PriceCtx(ctx, tc.o, mkt, tc.method, &Config{MCPaths: 16384}); err != context.Canceled {
+			t.Errorf("%s: PriceCtx cancelled mid-run returned %v, want context.Canceled", tc.name, err)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package finbench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
-	"finbench/internal/binomial"
 	"finbench/internal/montecarlo"
 )
 
@@ -16,23 +16,7 @@ import (
 // alternative lattice method of the paper's taxonomy (Fig. 1). It supports
 // every type/style combination.
 func PriceTrinomial(o Option, m Market, steps int) (Result, error) {
-	if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
-		return Result{}, ErrInvalidOption
-	}
-	if steps <= 0 {
-		steps = 1024
-	}
-	mkt := m.internal()
-	switch {
-	case o.Style == American && o.Type == Put:
-		return Result{Price: binomial.PriceAmericanPutTrinomial(o.Spot, o.Strike, o.Expiry, steps, mkt), Method: TrinomialTree}, nil
-	case o.Type == Call:
-		// American call on a non-dividend asset = European call.
-		return Result{Price: binomial.PriceTrinomial(o.Spot, o.Strike, o.Expiry, steps, mkt), Method: TrinomialTree}, nil
-	default: // European put via parity
-		call := binomial.PriceTrinomial(o.Spot, o.Strike, o.Expiry, steps, mkt)
-		return Result{Price: call - o.Spot + o.Strike*discount(m, o.Expiry), Method: TrinomialTree}, nil
-	}
+	return PriceCtx(context.Background(), o, m, TrinomialTree, &Config{BinomialSteps: steps})
 }
 
 // PriceAmericanPutLSMC values an American put by Longstaff-Schwartz

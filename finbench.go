@@ -28,14 +28,12 @@
 package finbench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
-	"finbench/internal/binomial"
 	"finbench/internal/blackscholes"
-	"finbench/internal/cranknicolson"
 	"finbench/internal/mathx"
-	"finbench/internal/montecarlo"
 	"finbench/internal/workload"
 )
 
@@ -198,73 +196,7 @@ var (
 // Price values the option with the given method. A nil cfg uses the
 // paper's default experiment parameters.
 func Price(o Option, m Market, method Method, cfg *Config) (Result, error) {
-	if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
-		return Result{}, ErrInvalidOption
-	}
-	c := cfg.withDefaults()
-	mkt := m.internal()
-	switch method {
-	case ClosedForm:
-		if o.Style == American {
-			return Result{}, fmt.Errorf("%w: closed form is European-only", ErrMethodStyle)
-		}
-		call, put := blackscholes.PriceScalar(o.Spot, o.Strike, o.Expiry, mkt)
-		return Result{Price: pick(o.Type, call, put), Method: method}, nil
-
-	case BinomialTree:
-		if o.Style == American {
-			if o.Type == Call {
-				// An American call on a non-dividend asset is never
-				// exercised early; it equals the European call.
-				return Result{Price: binomial.PriceScalar(o.Spot, o.Strike, o.Expiry, c.BinomialSteps, mkt), Method: method}, nil
-			}
-			return Result{Price: binomial.PriceAmericanPutScalar(o.Spot, o.Strike, o.Expiry, c.BinomialSteps, mkt), Method: method}, nil
-		}
-		call := binomial.PriceScalar(o.Spot, o.Strike, o.Expiry, c.BinomialSteps, mkt)
-		if o.Type == Call {
-			return Result{Price: call, Method: method}, nil
-		}
-		// European put from the tree call via parity.
-		put := call - o.Spot + o.Strike*discount(m, o.Expiry)
-		return Result{Price: put, Method: method}, nil
-
-	case FiniteDifference:
-		if o.Type == Call && o.Style == American {
-			// No-dividend American call = European call; use the lattice's
-			// European put plus parity for consistency with the solver.
-			put := cranknicolson.PriceEuropeanPut(o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt)
-			return Result{Price: put + o.Spot - o.Strike*discount(m, o.Expiry), Method: method}, nil
-		}
-		if o.Style == American {
-			return Result{Price: cranknicolson.PriceAmericanPut(o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt), Method: method}, nil
-		}
-		put := cranknicolson.PriceEuropeanPut(o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt)
-		if o.Type == Put {
-			return Result{Price: put, Method: method}, nil
-		}
-		return Result{Price: put + o.Spot - o.Strike*discount(m, o.Expiry), Method: method}, nil
-
-	case TrinomialTree:
-		return PriceTrinomial(o, m, c.BinomialSteps)
-
-	case MonteCarlo:
-		if o.Style == American {
-			return Result{}, fmt.Errorf("%w: Monte Carlo engine is European-only", ErrMethodStyle)
-		}
-		b := &workload.MCBatch{
-			S: []float64{o.Spot}, X: []float64{o.Strike}, T: []float64{o.Expiry},
-			Price: make([]float64, 1), StdErr: make([]float64, 1),
-		}
-		montecarlo.VectorizedComputeRNG(b, c.MCPaths, c.Seed, mkt, 8, 2, nil)
-		price := b.Price[0]
-		if o.Type == Put {
-			price = price - o.Spot + o.Strike*discount(m, o.Expiry)
-		}
-		return Result{Price: price, StdErr: b.StdErr[0], Method: method}, nil
-
-	default:
-		return Result{}, fmt.Errorf("finbench: unknown method %v", method)
-	}
+	return PriceCtx(context.Background(), o, m, method, cfg)
 }
 
 func pick(t OptionType, call, put float64) float64 {

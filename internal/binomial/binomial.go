@@ -63,31 +63,22 @@ func leaf(s, x float64, p Params, j int) float64 {
 	return v
 }
 
+// ctxLevelBlock is how many tree levels the lattice walks reduce between
+// context checks: fine enough that a deep tree stops within tens of
+// microseconds, coarse enough that the check never shows in profiles.
+const ctxLevelBlock = 128
+
 // PriceScalar prices one European call via the reference backward
 // induction (Lis. 2).
 func PriceScalar(s, x, t float64, steps int, mkt workload.MarketParams) float64 {
-	p := NewParams(t, steps, mkt)
-	call := make([]float64, steps+1)
-	for j := 0; j <= steps; j++ {
-		call[j] = leaf(s, x, p, j)
-	}
-	reduceScalar(call, p)
-	return call[0]
+	// Background cannot be cancelled, so the walk cannot fail.
+	v, _ := PriceScalarCtx(context.Background(), s, x, t, steps, mkt)
+	return v
 }
 
-// ctxLevelBlock is how many tree levels the cancellable variants reduce
-// between context checks: fine enough that a deep tree stops within tens
-// of microseconds, coarse enough that the check never shows in profiles.
-const ctxLevelBlock = 128
-
 // PriceScalarCtx is PriceScalar with cancellation checked every
-// ctxLevelBlock tree levels. An uncancelled run is bit-identical to
-// PriceScalar (the reduction is the same loop in the same order).
+// ctxLevelBlock tree levels.
 func PriceScalarCtx(cx context.Context, s, x, t float64, steps int, mkt workload.MarketParams) (float64, error) {
-	done := cx.Done()
-	if done == nil {
-		return PriceScalar(s, x, t, steps, mkt), nil
-	}
 	if err := cx.Err(); err != nil {
 		return 0, err
 	}
@@ -96,25 +87,17 @@ func PriceScalarCtx(cx context.Context, s, x, t float64, steps int, mkt workload
 	for j := 0; j <= steps; j++ {
 		call[j] = leaf(s, x, p, j)
 	}
-	if !reduceScalarDone(call, p, done) {
+	if !reduceScalar(call, p, cx.Done()) {
 		return 0, cx.Err()
 	}
 	return call[0], nil
 }
 
-// reduceScalar is the Lis. 2 kernel: the in-place ascending-j update.
-func reduceScalar(call []float64, p Params) {
-	n := len(call) - 1
-	for i := n; i > 0; i-- {
-		for j := 0; j <= i-1; j++ {
-			call[j] = p.PuByDf*call[j+1] + p.PdByDf*call[j]
-		}
-	}
-}
-
-// reduceScalarDone is reduceScalar with a cancellation check every
-// ctxLevelBlock levels; returns false if abandoned mid-reduction.
-func reduceScalarDone(call []float64, p Params, done <-chan struct{}) bool {
+// reduceScalar is the Lis. 2 kernel, the in-place ascending-j update,
+// with a cancellation check every ctxLevelBlock levels; it returns false
+// if abandoned mid-reduction. It stays its own function: inlined into
+// PriceScalarCtx the two-flop inner loop compiles ~12% slower.
+func reduceScalar(call []float64, p Params, done <-chan struct{}) bool {
 	n := len(call) - 1
 	for i := n; i > 0; i-- {
 		if (n-i)%ctxLevelBlock == 0 {
@@ -135,30 +118,17 @@ func reduceScalarDone(call []float64, p Params, done <-chan struct{}) bool {
 // applying the early-exercise maximum at every node (Sec. II-B). It is the
 // cross-validation oracle for the Crank-Nicolson kernel.
 func PriceAmericanPutScalar(s, x, t float64, steps int, mkt workload.MarketParams) float64 {
-	v, _ := americanPutScalarDone(s, x, t, steps, mkt, nil)
+	v, _ := PriceAmericanPutScalarCtx(context.Background(), s, x, t, steps, mkt)
 	return v
 }
 
 // PriceAmericanPutScalarCtx is PriceAmericanPutScalar with cancellation
 // checked every ctxLevelBlock tree levels.
 func PriceAmericanPutScalarCtx(cx context.Context, s, x, t float64, steps int, mkt workload.MarketParams) (float64, error) {
-	done := cx.Done()
-	if done == nil {
-		return PriceAmericanPutScalar(s, x, t, steps, mkt), nil
-	}
 	if err := cx.Err(); err != nil {
 		return 0, err
 	}
-	v, ok := americanPutScalarDone(s, x, t, steps, mkt, done)
-	if !ok {
-		return 0, cx.Err()
-	}
-	return v, nil
-}
-
-// americanPutScalarDone is the shared American-put induction; a nil done
-// skips the per-level-block checks.
-func americanPutScalarDone(s, x, t float64, steps int, mkt workload.MarketParams, done <-chan struct{}) (float64, bool) {
+	done := cx.Done()
 	p := NewParams(t, steps, mkt)
 	val := make([]float64, steps+1)
 	for j := 0; j <= steps; j++ {
@@ -169,10 +139,10 @@ func americanPutScalarDone(s, x, t float64, steps int, mkt workload.MarketParams
 		val[j] = v
 	}
 	for i := steps; i > 0; i-- {
-		if done != nil && (steps-i)%ctxLevelBlock == 0 {
+		if (steps-i)%ctxLevelBlock == 0 {
 			select {
-			case <-done:
-				return 0, false
+			case <-done: // nil, so never ready, when cx cannot be cancelled
+				return 0, cx.Err()
 			default:
 			}
 		}
@@ -187,7 +157,7 @@ func americanPutScalarDone(s, x, t float64, steps int, mkt workload.MarketParams
 			}
 		}
 	}
-	return val[0], true
+	return val[0], nil
 }
 
 // RefScalar prices the batch with the scalar reference, recording the
@@ -195,7 +165,7 @@ func americanPutScalarDone(s, x, t float64, steps int, mkt workload.MarketParams
 // (the paper's compute bound).
 func RefScalar(a layout.AOS, steps int, mkt workload.MarketParams, c *perf.Counts) {
 	n := a.Len()
-	runParallel(n, c, func(lo, hi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), n, 1, c, func(lo, hi int, c *perf.Counts) {
 		for i := lo; i < hi; i++ {
 			price := PriceScalar(a.S(i), a.X(i), a.T(i), steps, mkt)
 			a.SetResult(i, price, 0)
@@ -218,7 +188,7 @@ func RefScalar(a layout.AOS, steps int, mkt workload.MarketParams, c *perf.Count
 // vector load and each row end leaves a scalar remainder (Sec. IV-B1).
 func Basic(a layout.AOS, steps int, mkt workload.MarketParams, width int, c *perf.Counts) {
 	n := a.Len()
-	runParallel(n, c, func(lo, hi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), n, 1, c, func(lo, hi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
 		call := make([]float64, steps+1+vec.MaxWidth)
 		for o := lo; o < hi; o++ {
@@ -306,7 +276,7 @@ func newBatch(ctx vec.Ctx, a layout.AOS, base, steps int, mkt workload.MarketPar
 // per-group working set grows by the vector width (Sec. III-B).
 func Intermediate(a layout.AOS, steps int, mkt workload.MarketParams, width int, c *perf.Counts) {
 	groups := (a.Len() + width - 1) / width
-	runParallel(groups, c, func(glo, ghi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), groups, 1, c, func(glo, ghi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
 		for g := glo; g < ghi; g++ {
 			b := newBatch(ctx, a, g*width, steps, mkt, c)
@@ -320,7 +290,7 @@ func Intermediate(a layout.AOS, steps int, mkt workload.MarketParams, width int,
 					storeVec(ctx, b.call, j, res)
 				}
 			}
-			writeResults(a, g*width, b.call[0])
+			writeResults(a, g*width, width, b.call[0])
 		}
 	})
 	finish(c, a.Len())
@@ -342,9 +312,12 @@ func storeVec(ctx vec.Ctx, arr []vec.Vec, j int, v vec.Vec) {
 	arr[j] = v
 }
 
-func writeResults(a layout.AOS, base int, v vec.Vec) {
+// writeResults stores the batch's `width` live lanes, skipping the padded
+// lanes of a final partial group. Lanes at and beyond width are never
+// computed and belong to the next group's options.
+func writeResults(a layout.AOS, base, width int, v vec.Vec) {
 	n := a.Len()
-	for l := 0; l < vec.MaxWidth; l++ {
+	for l := 0; l < width; l++ {
 		if base+l >= n {
 			break
 		}
@@ -369,7 +342,7 @@ func Advanced(a layout.AOS, steps int, mkt workload.MarketParams, width, tile in
 		panic("binomial: steps must be a multiple of the tile size")
 	}
 	groups := (a.Len() + width - 1) / width
-	runParallel(groups, c, func(glo, ghi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), groups, 1, c, func(glo, ghi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
 		tileBuf := make([]vec.Vec, tile)
 		for g := glo; g < ghi; g++ {
@@ -404,7 +377,7 @@ func Advanced(a layout.AOS, steps int, mkt workload.MarketParams, width, tile in
 					storeVec(ctx, b.call, i-tile, m1)
 				}
 			}
-			writeResults(a, g*width, b.call[0])
+			writeResults(a, g*width, width, b.call[0])
 		}
 	})
 	finish(c, a.Len())
@@ -417,19 +390,6 @@ func finish(c *perf.Counts, n int) {
 		c.AddBytes(uint64(24*n), uint64(8*n))
 		c.Items += uint64(n)
 	}
-}
-
-// runParallel mirrors the pattern used by every kernel package: static
-// parallel split with per-worker counters merged in worker order by the
-// parallel substrate (lock-free on the worker path).
-func runParallel(n int, c *perf.Counts, run func(lo, hi int, c *perf.Counts)) {
-	if c == nil {
-		parallel.For(n, func(lo, hi int) { run(lo, hi, nil) })
-		return
-	}
-	parallel.ForIndexedMerged(n, c, func(_, lo, hi int, local *perf.Counts) {
-		run(lo, hi, local)
-	})
 }
 
 // TreeGreeks holds price and sensitivities extracted from a single tree
@@ -530,7 +490,7 @@ func AdvancedTwoLevel(a layout.AOS, steps int, mkt workload.MarketParams, width,
 		panic("binomial: steps%cacheTile and cacheTile%regTile must be 0")
 	}
 	groups := (a.Len() + width - 1) / width
-	runParallel(groups, c, func(glo, ghi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), groups, 1, c, func(glo, ghi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
 		cbuf := make([]vec.Vec, cacheTile) // cache-resident wavefront
 		tileBuf := make([]vec.Vec, regTile)
@@ -551,7 +511,7 @@ func AdvancedTwoLevel(a layout.AOS, steps int, mkt workload.MarketParams, width,
 					storeVec(ctx, b.call, i-cacheTile, m1)
 				}
 			}
-			writeResults(a, g*width, b.call[0])
+			writeResults(a, g*width, width, b.call[0])
 		}
 	})
 	finish(c, a.Len())

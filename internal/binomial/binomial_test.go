@@ -2,6 +2,7 @@ package binomial
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -366,5 +367,46 @@ func BenchmarkTwoLevel8192(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AdvancedTwoLevel(a, 8192, mkt, 8, 512, 16, true, nil)
+	}
+}
+
+// Outputs and operation counts of every batch variant must not depend on
+// the worker count (GOMAXPROCS is what the decomposition reads): groups
+// and options are whole work items, and a group writes only its own lanes.
+func TestWorkerCountInvariant(t *testing.T) {
+	const steps = 64
+	variants := map[string]func(a layout.AOS, width int, c *perf.Counts){
+		"RefScalar":    func(a layout.AOS, _ int, c *perf.Counts) { RefScalar(a, steps, mkt, c) },
+		"Basic":        func(a layout.AOS, w int, c *perf.Counts) { Basic(a, steps, mkt, w, c) },
+		"Intermediate": func(a layout.AOS, w int, c *perf.Counts) { Intermediate(a, steps, mkt, w, c) },
+		"Advanced":     func(a layout.AOS, w int, c *perf.Counts) { Advanced(a, steps, mkt, w, 8, false, c) },
+		"TwoLevel":     func(a layout.AOS, w int, c *perf.Counts) { AdvancedTwoLevel(a, steps, mkt, w, 32, 8, true, c) },
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, run := range variants {
+		for _, width := range []int{4, 8} {
+			for _, n := range []int{40, 37} { // a multiple of the width, and not
+				runtime.GOMAXPROCS(1)
+				ref := batch(n)
+				var want perf.Counts
+				run(ref, width, &want)
+				wantP := prices(ref)
+				for w := 2; w <= 8; w++ {
+					runtime.GOMAXPROCS(w)
+					b := batch(n)
+					var got perf.Counts
+					run(b, width, &got)
+					if got != want {
+						t.Errorf("%s width %d n %d: counts at %d workers differ from 1 worker", name, width, n, w)
+					}
+					gotP := prices(b)
+					for i, p := range wantP {
+						if gotP[i] != p {
+							t.Fatalf("%s width %d n %d option %d at %d workers: %.17g != %.17g", name, width, n, i, w, gotP[i], p)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -46,30 +46,17 @@ func NewTriParams(t float64, steps int, mkt workload.MarketParams) TriParams {
 
 // PriceTrinomial prices a European call on the trinomial lattice.
 func PriceTrinomial(s, x, t float64, steps int, mkt workload.MarketParams) float64 {
-	v, _ := priceTrinomialDone(s, x, t, steps, mkt, nil)
+	v, _ := PriceTrinomialCtx(context.Background(), s, x, t, steps, mkt)
 	return v
 }
 
 // PriceTrinomialCtx is PriceTrinomial with cancellation checked every
 // ctxLevelBlock lattice levels.
 func PriceTrinomialCtx(cx context.Context, s, x, t float64, steps int, mkt workload.MarketParams) (float64, error) {
-	done := cx.Done()
-	if done == nil {
-		return PriceTrinomial(s, x, t, steps, mkt), nil
-	}
 	if err := cx.Err(); err != nil {
 		return 0, err
 	}
-	v, ok := priceTrinomialDone(s, x, t, steps, mkt, done)
-	if !ok {
-		return 0, cx.Err()
-	}
-	return v, nil
-}
-
-// priceTrinomialDone is the shared backward induction; a nil done skips
-// the per-level-block cancellation checks.
-func priceTrinomialDone(s, x, t float64, steps int, mkt workload.MarketParams, done <-chan struct{}) (float64, bool) {
+	done := cx.Done()
 	p := NewTriParams(t, steps, mkt)
 	// 2*steps+1 terminal nodes; node j has price S e^{(j-steps) logU}.
 	n := 2*steps + 1
@@ -82,10 +69,10 @@ func priceTrinomialDone(s, x, t float64, steps int, mkt workload.MarketParams, d
 		val[j] = v
 	}
 	for level := steps - 1; level >= 0; level-- {
-		if done != nil && (steps-1-level)%ctxLevelBlock == 0 {
+		if (steps-1-level)%ctxLevelBlock == 0 {
 			select {
-			case <-done:
-				return 0, false
+			case <-done: // nil, so never ready, when cx cannot be cancelled
+				return 0, cx.Err()
 			default:
 			}
 		}
@@ -94,12 +81,23 @@ func priceTrinomialDone(s, x, t float64, steps int, mkt workload.MarketParams, d
 			val[j] = p.Df * (p.Pd*val[j] + p.Pm*val[j+1] + p.Pu*val[j+2])
 		}
 	}
-	return val[0], true
+	return val[0], nil
 }
 
 // PriceAmericanPutTrinomial prices an American put on the same lattice
 // with the early-exercise maximum at every node.
 func PriceAmericanPutTrinomial(s, x, t float64, steps int, mkt workload.MarketParams) float64 {
+	v, _ := PriceAmericanPutTrinomialCtx(context.Background(), s, x, t, steps, mkt)
+	return v
+}
+
+// PriceAmericanPutTrinomialCtx is PriceAmericanPutTrinomial with
+// cancellation checked every ctxLevelBlock lattice levels.
+func PriceAmericanPutTrinomialCtx(cx context.Context, s, x, t float64, steps int, mkt workload.MarketParams) (float64, error) {
+	if err := cx.Err(); err != nil {
+		return 0, err
+	}
+	done := cx.Done()
 	p := NewTriParams(t, steps, mkt)
 	n := 2*steps + 1
 	val := make([]float64, n)
@@ -111,6 +109,13 @@ func PriceAmericanPutTrinomial(s, x, t float64, steps int, mkt workload.MarketPa
 		val[j] = v
 	}
 	for level := steps - 1; level >= 0; level-- {
+		if (steps-1-level)%ctxLevelBlock == 0 {
+			select {
+			case <-done:
+				return 0, cx.Err()
+			default:
+			}
+		}
 		m := 2*level + 1
 		for j := 0; j < m; j++ {
 			cont := p.Df * (p.Pd*val[j] + p.Pm*val[j+1] + p.Pu*val[j+2])
@@ -122,5 +127,5 @@ func PriceAmericanPutTrinomial(s, x, t float64, steps int, mkt workload.MarketPa
 			}
 		}
 	}
-	return val[0]
+	return val[0], nil
 }

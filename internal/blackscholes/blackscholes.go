@@ -138,7 +138,7 @@ func BasicCtx(cx context.Context, a layout.AOS, mkt workload.MarketParams, width
 			}
 		}
 	}
-	if err := runParallelCtx(cx, n, c, run); err != nil {
+	if err := parallel.Region(cx, n, width, c, run); err != nil {
 		return err
 	}
 	if c != nil {
@@ -163,11 +163,14 @@ func IntermediateCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParam
 	n := s.Len()
 	r, sig := mkt.R, mkt.Sigma
 	sig22 := sig * sig / 2
+	// Region-invariant constants are broadcast (and counted) once, outside
+	// the region, so the op mix does not grow with the chunk count.
+	pre := vec.New(width, c)
+	half := pre.Broadcast(0.5)
+	one := pre.Broadcast(1)
+	invSqrt2 := pre.Broadcast(mathx.InvSqrt2)
 	run := func(lo, hi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
-		half := ctx.Broadcast(0.5)
-		one := ctx.Broadcast(1)
-		invSqrt2 := ctx.Broadcast(mathx.InvSqrt2)
 		for blo := lo; blo < hi; blo += ctxBlock {
 			bhi := blo + ctxBlock
 			if bhi > hi {
@@ -206,7 +209,7 @@ func IntermediateCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParam
 			}
 		}
 	}
-	if err := runParallelCtx(cx, n, c, run); err != nil {
+	if err := parallel.Region(cx, n, width, c, run); err != nil {
 		return err
 	}
 	if c != nil {
@@ -296,7 +299,7 @@ func AdvancedCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParams, w
 		vmlScratchPool.Put(sc)
 		return nil
 	}
-	run := func(lo, hi int, c *perf.Counts) {
+	run := func(lo, hi int, _ *perf.Counts) {
 		// Per-worker scratch (cache-resident intermediates), pooled so a
 		// steady request stream prices without per-call slice allocations.
 		sc := vmlScratchPool.Get().(*vmlScratch)
@@ -315,54 +318,40 @@ func AdvancedCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParams, w
 			}
 			advancedChunk(s, base, m, r, sig, sig22, sc)
 		}
-		if c != nil {
-			// VML mix per option (vector-instruction counts per `width`
-			// options): the transcendentals, one divide, and the extra
-			// loads/stores of streaming intermediates through cache.
-			un := uint64(hi - lo)
-			uw := uint64(width)
-			// VML's long-array transcendentals amortize the per-call setup
-			// of the SVML kernels (~15%), the reason "using the Intel VML
-			// is more efficient on SNB-EP" (Sec. IV-A3); the extra
-			// intermediate-array traffic below is what cancels the benefit
-			// on KNC.
-			disc := func(n uint64) uint64 { return n * 17 / 20 }
-			c.Add(perf.OpLog, disc(un))
-			c.Add(perf.OpSqrt, disc(un))
-			c.Add(perf.OpExp, disc(un))
-			c.Add(perf.OpErf, disc(2*un))
-			vecIters := un / uw
-			c.Add(perf.OpVecDiv, 2*vecIters)
-			c.Add(perf.OpVecMul, 10*vecIters)
-			c.Add(perf.OpVecAdd, 7*vecIters)
-			c.Add(perf.OpVecFMA, 2*vecIters)
-			// Intermediate arrays are re-loaded/stored by each VML pass:
-			// ~12 extra vector loads and ~8 stores per vector of options.
-			c.Add(perf.OpVecLoad, 12*vecIters)
-			c.Add(perf.OpVecStore, 8*vecIters)
-			if c.Width == 0 {
-				c.Width = width
-			}
-		}
 	}
-	if err := runParallelCtx(cx, n, c, run); err != nil {
+	if err := parallel.Region(cx, n, width, nil, run); err != nil {
 		return err
 	}
 	if c != nil {
+		// VML mix per option (vector-instruction counts per `width`
+		// options): the transcendentals, one divide, and the extra
+		// loads/stores of streaming intermediates through cache. The mix is
+		// analytic, so it is charged once for the whole batch.
+		un := uint64(n)
+		// VML's long-array transcendentals amortize the per-call setup
+		// of the SVML kernels (~15%), the reason "using the Intel VML
+		// is more efficient on SNB-EP" (Sec. IV-A3); the extra
+		// intermediate-array traffic below is what cancels the benefit
+		// on KNC.
+		disc := func(n uint64) uint64 { return n * 17 / 20 }
+		c.Add(perf.OpLog, disc(un))
+		c.Add(perf.OpSqrt, disc(un))
+		c.Add(perf.OpExp, disc(un))
+		c.Add(perf.OpErf, disc(2*un))
+		vecIters := un / uint64(width)
+		c.Add(perf.OpVecDiv, 2*vecIters)
+		c.Add(perf.OpVecMul, 10*vecIters)
+		c.Add(perf.OpVecAdd, 7*vecIters)
+		c.Add(perf.OpVecFMA, 2*vecIters)
+		// Intermediate arrays are re-loaded/stored by each VML pass:
+		// ~12 extra vector loads and ~8 stores per vector of options.
+		c.Add(perf.OpVecLoad, 12*vecIters)
+		c.Add(perf.OpVecStore, 8*vecIters)
+		if c.Width == 0 {
+			c.Width = width
+		}
 		c.AddBytes(uint64(24*n), uint64(16*n))
-		c.Items += uint64(n)
+		c.Items += un
 	}
 	return nil
-}
-
-// runParallelCtx splits [0,n) across cancellable workers, giving each a
-// private counter merged at the end (counter-free runs go straight
-// through). A Background context takes the same path as the plain loops.
-func runParallelCtx(cx context.Context, n int, c *perf.Counts, run func(lo, hi int, c *perf.Counts)) error {
-	if c == nil {
-		return parallel.ForCtx(cx, n, func(lo, hi int) { run(lo, hi, nil) })
-	}
-	return parallel.ForIndexedMergedCtx(cx, n, c, func(_, lo, hi int, local *perf.Counts) {
-		run(lo, hi, local)
-	})
 }

@@ -370,33 +370,63 @@ func BenchmarkGreeksBatchW8(b *testing.B) {
 	}
 }
 
-// Operation counts must be independent of the worker count (per-worker
-// counters merge additively; the work split cannot change the mix).
-func TestCountsWorkerInvariant(t *testing.T) {
-	s := workload.DefaultOptionGen.GenerateSOA(layout.PadTo(4096, 8))
-	var c1 perf.Counts
-	Intermediate(s, mkt, 8, &c1)
-
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	var c4 perf.Counts
-	Intermediate(s, mkt, 8, &c4)
-
-	// Per-worker loop setup (the three invariant broadcasts) legitimately
-	// scales with the worker count; everything else must match exactly.
-	for op := 0; op < perf.NumOps; op++ {
-		if perf.Op(op) == perf.OpVecMisc {
-			d := int64(c4.N[op]) - int64(c1.N[op])
-			if d < 0 || d > 64 {
-				t.Fatalf("misc setup drift too large: %d vs %d", c1.N[op], c4.N[op])
-			}
-			continue
-		}
-		if c1.N[op] != c4.N[op] {
-			t.Fatalf("op %v depends on worker count: %d vs %d", perf.Op(op), c1.N[op], c4.N[op])
-		}
+// Outputs and operation counts must not depend on the worker count: chunk
+// seams sit on multiples of the SIMD width, so every vector group — and
+// the single scalar remainder at the end of the batch — is the same one
+// the single-worker run sees. GOMAXPROCS is what the decomposition reads.
+func TestWorkerCountInvariant(t *testing.T) {
+	type result struct {
+		c   perf.Counts
+		out [][]float64
 	}
-	if c1.Items != c4.Items || c1.BytesRead != c4.BytesRead || c1.BytesWritten != c4.BytesWritten {
-		t.Fatal("items/traffic depend on worker count")
+	variants := map[string]func(n, width int) result{
+		"Basic": func(n, width int) (r result) {
+			a := genBatch(n)
+			Basic(a, mkt, width, &r.c)
+			r.out = [][]float64{a.Data}
+			return r
+		},
+		"Intermediate": func(n, width int) (r result) {
+			s := workload.DefaultOptionGen.GenerateSOA(n)
+			Intermediate(s, mkt, width, &r.c)
+			r.out = [][]float64{s.Call, s.Put}
+			return r
+		},
+		"Advanced": func(n, width int) (r result) {
+			s := workload.DefaultOptionGen.GenerateSOA(n)
+			Advanced(s, mkt, width, &r.c)
+			r.out = [][]float64{s.Call, s.Put}
+			return r
+		},
+		"GreeksBatch": func(n, width int) (r result) {
+			s := workload.DefaultOptionGen.GenerateSOA(n)
+			g := NewGreeksSOA(n)
+			GreeksBatch(s, g, mkt, width, &r.c)
+			r.out = [][]float64{g.DeltaCall, g.DeltaPut, g.Gamma, g.Vega}
+			return r
+		},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, run := range variants {
+		for _, width := range []int{4, 8} {
+			for _, n := range []int{4096, 4099} { // a multiple of the width, and not
+				runtime.GOMAXPROCS(1)
+				want := run(n, width)
+				for w := 2; w <= 8; w++ {
+					runtime.GOMAXPROCS(w)
+					got := run(n, width)
+					if got.c != want.c {
+						t.Errorf("%s width %d n %d: counts at %d workers differ from 1 worker:\n%+v\n%+v", name, width, n, w, got.c, want.c)
+					}
+					for k := range want.out {
+						for i := range want.out[k] {
+							if got.out[k][i] != want.out[k][i] {
+								t.Fatalf("%s width %d n %d: output %d[%d] at %d workers = %v, want %v", name, width, n, k, i, w, got.out[k][i], want.out[k][i])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package blackscholes
 
 import (
+	"context"
+
 	"finbench/internal/layout"
 	"finbench/internal/mathx"
 	"finbench/internal/parallel"
@@ -35,12 +37,14 @@ func GreeksBatch(s *layout.SOA, out *GreeksSOA, mkt workload.MarketParams, width
 	n := s.Len()
 	r, sig := mkt.R, mkt.Sigma
 	sig22 := sig * sig / 2
+	// Region-invariant constants: broadcast (and counted) once.
+	pre := vec.New(width, c)
+	one := pre.Broadcast(1)
+	half := pre.Broadcast(0.5)
+	invSqrt2 := pre.Broadcast(mathx.InvSqrt2)
+	invSqrt2Pi := pre.Broadcast(mathx.InvSqrt2Pi)
 	run := func(lo, hi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
-		one := ctx.Broadcast(1)
-		half := ctx.Broadcast(0.5)
-		invSqrt2 := ctx.Broadcast(mathx.InvSqrt2)
-		invSqrt2Pi := ctx.Broadcast(mathx.InvSqrt2Pi)
 		i := lo
 		for ; i+width <= hi; i += width {
 			sp := ctx.Load(s.S, i)
@@ -66,12 +70,9 @@ func GreeksBatch(s *layout.SOA, out *GreeksSOA, mkt workload.MarketParams, width
 			out.Vega[i] = g.Vega
 		}
 	}
-	if c == nil {
-		parallel.For(n, func(lo, hi int) { run(lo, hi, nil) })
-	} else {
-		parallel.ForIndexedMerged(n, c, func(_, lo, hi int, local *perf.Counts) {
-			run(lo, hi, local)
-		})
+	// Background cannot be cancelled, so the region cannot fail.
+	_ = parallel.Region(context.Background(), n, width, c, run)
+	if c != nil {
 		c.AddBytes(uint64(24*n), uint64(32*n))
 		c.Items += uint64(n)
 	}

@@ -117,7 +117,7 @@ func (b *Bridge) buildScalarInto(z, src, dst, out []float64) {
 // traffic of streaming z in and the paths out.
 func (b *Bridge) RefScalar(z []float64, out []float64, sims int, c *perf.Counts) {
 	plen := b.PathLen()
-	runParallel(sims, c, func(lo, hi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), sims, 1, c, func(lo, hi int, c *perf.Counts) {
 		src := make([]float64, plen)
 		dst := make([]float64, plen)
 		for s := lo; s < hi; s++ {
@@ -191,21 +191,17 @@ func (b *Bridge) AdvancedInterleavedCtx(cx context.Context, seed uint64, out []f
 // point p across lanes) while still cache-resident, eliminating the
 // write-back traffic too. out may be nil.
 func (b *Bridge) AdvancedC2C(seed uint64, sims, width int, c *perf.Counts, consume func(group int, paths []vec.Vec)) {
-	b.interleaved(seed, nil, sims, width, c, consume)
+	_ = b.interleavedCtx(context.Background(), seed, nil, sims, width, c, consume)
 	if c != nil {
 		c.Items += uint64(sims)
 	}
-}
-
-func (b *Bridge) interleaved(seed uint64, out []float64, sims, width int, c *perf.Counts, consume func(int, []vec.Vec)) {
-	_ = b.interleavedCtx(context.Background(), seed, out, sims, width, c, consume)
 }
 
 func (b *Bridge) interleavedCtx(cx context.Context, seed uint64, out []float64, sims, width int, c *perf.Counts, consume func(int, []vec.Vec)) error {
 	done := cx.Done()
 	groups := (sims + width - 1) / width
 	perGroup := b.Steps * width
-	return runParallelCtx(cx, groups, c, func(glo, ghi int, c *perf.Counts) {
+	return parallel.Region(cx, groups, 1, c, func(glo, ghi int, c *perf.Counts) {
 		// Per-worker stream; chunked generation into a cache-resident
 		// buffer. RNG work is deliberately not charged (see package doc).
 		stream := rng.NewStream(glo, seed)
@@ -249,7 +245,7 @@ func (b *Bridge) interleavedCtx(cx context.Context, seed uint64, out []float64, 
 func (b *Bridge) vectorRun(out []float64, sims, width int, c *perf.Counts, load func(group, consumed int, ctx vec.Ctx) vec.Vec) {
 	groups := (sims + width - 1) / width
 	plen := b.PathLen()
-	runParallel(groups, c, func(glo, ghi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), groups, 1, c, func(glo, ghi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
 		scratch := make([]vec.Vec, plen)
 		outv := make([]vec.Vec, plen)
@@ -334,24 +330,4 @@ func RandomsScalar(stream *rng.Stream, sims, steps int) []float64 {
 	z := make([]float64, sims*steps)
 	stream.NormalICDF(z)
 	return z
-}
-
-func runParallel(n int, c *perf.Counts, run func(lo, hi int, c *perf.Counts)) {
-	if c == nil {
-		parallel.For(n, func(lo, hi int) { run(lo, hi, nil) })
-		return
-	}
-	parallel.ForIndexedMerged(n, c, func(_, lo, hi int, local *perf.Counts) {
-		run(lo, hi, local)
-	})
-}
-
-// runParallelCtx is runParallel over the cancellable parallel regions.
-func runParallelCtx(cx context.Context, n int, c *perf.Counts, run func(lo, hi int, c *perf.Counts)) error {
-	if c == nil {
-		return parallel.ForCtx(cx, n, func(lo, hi int) { run(lo, hi, nil) })
-	}
-	return parallel.ForIndexedMergedCtx(cx, n, c, func(_, lo, hi int, local *perf.Counts) {
-		run(lo, hi, local)
-	})
 }

@@ -2,6 +2,7 @@ package brownian
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"finbench/internal/machine"
@@ -296,5 +297,62 @@ func BenchmarkAdvancedC2C64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.AdvancedC2C(1, sims, 8, nil, nil)
+	}
+}
+
+// Operation counts of every variant must not depend on the worker count
+// (GOMAXPROCS is what the decomposition reads). The streamed variants
+// build each path from its own slice of the pre-generated normals, so
+// their outputs are invariant too. The interleaved variants key each
+// chunk's stream on the chunk's first group by design, so their paths
+// legitimately change with the split: for them only the counts are
+// asserted.
+func TestWorkerCountInvariant(t *testing.T) {
+	b := New(5, 1)
+	plen := b.PathLen()
+	variants := map[string]struct {
+		run        func(out []float64, sims, width int, c *perf.Counts)
+		countsOnly bool
+	}{
+		"RefScalar": {run: func(out []float64, sims, _ int, c *perf.Counts) {
+			b.RefScalar(RandomsScalar(rng.NewStream(0, 99), sims, b.Steps), out, sims, c)
+		}},
+		"Intermediate": {run: func(out []float64, sims, width int, c *perf.Counts) {
+			b.Intermediate(RandomsBlocked(rng.NewStream(0, 99), sims, b.Steps, width), out, sims, width, c)
+		}},
+		"Interleaved": {countsOnly: true, run: func(out []float64, sims, width int, c *perf.Counts) {
+			b.AdvancedInterleaved(123, out, sims, width, c)
+		}},
+		"C2C": {countsOnly: true, run: func(_ []float64, sims, width int, c *perf.Counts) {
+			b.AdvancedC2C(123, sims, width, c, func(int, []vec.Vec) {})
+		}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, v := range variants {
+		for _, width := range []int{4, 8} {
+			for _, sims := range []int{64, 61} { // a multiple of the width, and not
+				runtime.GOMAXPROCS(1)
+				ref := make([]float64, sims*plen)
+				var want perf.Counts
+				v.run(ref, sims, width, &want)
+				for w := 2; w <= 8; w++ {
+					runtime.GOMAXPROCS(w)
+					out := make([]float64, sims*plen)
+					var got perf.Counts
+					v.run(out, sims, width, &got)
+					if got != want {
+						t.Errorf("%s width %d sims %d: counts at %d workers differ from 1 worker", name, width, sims, w)
+					}
+					if v.countsOnly {
+						continue
+					}
+					for i := range ref {
+						if out[i] != ref[i] {
+							t.Fatalf("%s width %d sims %d: path value %d at %d workers = %g, want %g", name, width, sims, i, w, out[i], ref[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cranknicolson
 
 import (
+	"context"
 	"sync"
 
 	"finbench/internal/layout"
@@ -80,9 +81,7 @@ func Run(level Level, a layout.AOS, jpoints, nsteps, width int, mkt workload.Mar
 		// grain-1 tail chunks balance the irregular solves.
 		parallel.ForGuided(n, 1, func(lo, hi int) { run(lo, hi, nil) })
 	} else {
-		parallel.ForIndexedMerged(n, c, func(_, lo, hi int, local *perf.Counts) {
-			run(lo, hi, local)
-		})
+		_ = parallel.Region(context.Background(), n, 1, c, run)
 		// Grid state fits in L2 (Sec. IV-E2); DRAM traffic is the option
 		// parameters in and one price out.
 		c.AddBytes(uint64(24*n), uint64(8*n))

@@ -212,15 +212,15 @@ func (s *Solver) gsorScalar(b, u, g []float64, omega float64, c *perf.Counts) in
 // SolveScalar runs the full reference time loop (Lis. 6) and returns the
 // final u grid and the total GSOR sweep count.
 func (s *Solver) SolveScalar(c *perf.Counts) ([]float64, int) {
-	return s.solve(c, func(b, u, g []float64, omega float64, c *perf.Counts) int {
-		return s.gsorScalar(b, u, g, omega, c)
-	})
+	// Background cannot be cancelled, so the solve cannot fail.
+	u, total, _ := s.SolveScalarCtx(context.Background(), c)
+	return u, total
 }
 
 // SolveScalarCtx is SolveScalar with cancellation checked once per time
 // step (each step is an explicit half-step plus a full PSOR solve, the
 // natural chunk of this kernel). On cancellation it returns a nil grid and
-// ctx.Err(); an uncancelled run is bit-identical to SolveScalar.
+// ctx.Err().
 func (s *Solver) SolveScalarCtx(cx context.Context, c *perf.Counts) ([]float64, int, error) {
 	u, total, ok := s.solveDone(c, cx.Done(), func(b, u, g []float64, omega float64, c *perf.Counts) int {
 		return s.gsorScalar(b, u, g, omega, c)
@@ -231,16 +231,10 @@ func (s *Solver) SolveScalarCtx(cx context.Context, c *perf.Counts) ([]float64, 
 	return u, total, nil
 }
 
-// solve is the shared Lis. 6 driver: init, time loop with explicit step,
-// GSOR solve, and omega adaptation.
-func (s *Solver) solve(c *perf.Counts, gsor func(b, u, g []float64, omega float64, c *perf.Counts) int) ([]float64, int) {
-	u, total, _ := s.solveDone(c, nil, gsor)
-	return u, total
-}
-
-// solveDone is solve with an optional cancellation channel checked before
-// every time step; a nil done skips the checks entirely. Returns ok=false
-// if the loop was abandoned mid-solve.
+// solveDone is the shared Lis. 6 driver: init, time loop with explicit
+// step, GSOR solve, and omega adaptation. The cancellation channel is
+// checked before every time step (a nil done skips the checks entirely);
+// ok=false means the loop was abandoned mid-solve.
 func (s *Solver) solveDone(c *perf.Counts, done <-chan struct{}, gsor func(b, u, g []float64, omega float64, c *perf.Counts) int) ([]float64, int, bool) {
 	u := make([]float64, s.J+1)
 	b := make([]float64, s.J+1)
@@ -295,34 +289,32 @@ func (s *Solver) Price(u []float64, spot, strike float64) float64 {
 
 // PriceAmericanPut prices one American put with the scalar reference.
 func PriceAmericanPut(spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) float64 {
-	s := NewSolver(t, jpoints, nsteps, DefaultAlpha, mkt)
-	u, _ := s.SolveScalar(nil)
-	return s.Price(u, spot, strike)
+	v, _ := pricePutCtx(context.Background(), true, spot, strike, t, jpoints, nsteps, mkt)
+	return v
 }
 
 // PriceAmericanPutCtx is PriceAmericanPut with per-time-step cancellation.
 func PriceAmericanPutCtx(cx context.Context, spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) (float64, error) {
-	s := NewSolver(t, jpoints, nsteps, DefaultAlpha, mkt)
-	u, _, err := s.SolveScalarCtx(cx, nil)
-	if err != nil {
-		return 0, err
-	}
-	return s.Price(u, spot, strike), nil
+	return pricePutCtx(cx, true, spot, strike, t, jpoints, nsteps, mkt)
 }
 
 // PriceEuropeanPut prices a European put on the same lattice (validation
 // against the closed form).
 func PriceEuropeanPut(spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) float64 {
-	s := NewSolver(t, jpoints, nsteps, DefaultAlpha, mkt)
-	s.American = false
-	u, _ := s.SolveScalar(nil)
-	return s.Price(u, spot, strike)
+	v, _ := pricePutCtx(context.Background(), false, spot, strike, t, jpoints, nsteps, mkt)
+	return v
 }
 
 // PriceEuropeanPutCtx is PriceEuropeanPut with per-time-step cancellation.
 func PriceEuropeanPutCtx(cx context.Context, spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) (float64, error) {
+	return pricePutCtx(cx, false, spot, strike, t, jpoints, nsteps, mkt)
+}
+
+// pricePutCtx prices one put with the scalar reference solve; american
+// selects the projected (obstacle) solve.
+func pricePutCtx(cx context.Context, american bool, spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) (float64, error) {
 	s := NewSolver(t, jpoints, nsteps, DefaultAlpha, mkt)
-	s.American = false
+	s.American = american
 	u, _, err := s.SolveScalarCtx(cx, nil)
 	if err != nil {
 		return 0, err

@@ -2,6 +2,7 @@ package cranknicolson
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"finbench/internal/binomial"
@@ -303,5 +304,42 @@ func TestRannacherPriceNeutralAtPaperAlpha(t *testing.T) {
 	rann := math.Abs(price(4) - want)
 	if rann > plain*2+1e-4 {
 		t.Fatalf("Rannacher degraded price error: %g vs %g", rann, plain)
+	}
+}
+
+// Batch outputs, sweep totals and operation counts must not depend on the
+// worker count (GOMAXPROCS is what the decomposition reads): options are
+// whole work items on both the counted static path and the uncounted
+// guided path.
+func TestWorkerCountInvariant(t *testing.T) {
+	g := workload.OptionGen{SMin: 80, SMax: 120, XMin: 90, XMax: 110, TMin: 0.5, TMax: 1.5, Seed: 7}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, level := range []Level{LevelRef, LevelIntermediate, LevelAdvanced} {
+		for _, width := range []int{4, 8} {
+			for _, n := range []int{8, 5} { // a multiple of the width, and not
+				runtime.GOMAXPROCS(1)
+				ref := g.GenerateAOS(n)
+				var want perf.Counts
+				wantSweeps := Run(level, ref, 64, 20, width, mkt, &want)
+				for w := 2; w <= 8; w++ {
+					runtime.GOMAXPROCS(w)
+					counted, plain := g.GenerateAOS(n), g.GenerateAOS(n)
+					var got perf.Counts
+					if sweeps := Run(level, counted, 64, 20, width, mkt, &got); sweeps != wantSweeps {
+						t.Errorf("%v width %d n %d: %d sweeps at %d workers, want %d", level, width, n, sweeps, w, wantSweeps)
+					}
+					if got != want {
+						t.Errorf("%v width %d n %d: counts at %d workers differ from 1 worker", level, width, n, w)
+					}
+					Run(level, plain, 64, 20, width, mkt, nil)
+					for i := 0; i < n; i++ {
+						if counted.Put(i) != ref.Put(i) || plain.Put(i) != ref.Put(i) {
+							t.Fatalf("%v width %d n %d option %d at %d workers: %.17g / %.17g, want %.17g",
+								level, width, n, i, w, counted.Put(i), plain.Put(i), ref.Put(i))
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -200,10 +200,11 @@ func (s *Solver) gsorWavefront(st storage, omega float64, width int, c *perf.Cou
 // SolveWavefront runs the time loop with the wavefront GSOR over flat
 // storage (the Intermediate variant: manual SIMD, gather-bound accesses).
 func (s *Solver) SolveWavefront(width int, c *perf.Counts) ([]float64, int) {
-	return s.solve(c, func(b, u, g []float64, omega float64, c *perf.Counts) int {
+	u, total, _ := s.solveDone(c, nil, func(b, u, g []float64, omega float64, c *perf.Counts) int {
 		st := &flatStorage{u: u, b: b, g: g}
 		return s.gsorWavefront(st, omega, width, c)
 	})
+	return u, total
 }
 
 // SolveWavefrontSplit runs the time loop with the wavefront GSOR over the
@@ -211,7 +212,7 @@ func (s *Solver) SolveWavefront(width int, c *perf.Counts) ([]float64, int) {
 // rearrangement cost.
 func (s *Solver) SolveWavefrontSplit(width int, c *perf.Counts) ([]float64, int) {
 	var split *splitStorage
-	return s.solve(c, func(b, u, g []float64, omega float64, c *perf.Counts) int {
+	u, total, _ := s.solveDone(c, nil, func(b, u, g []float64, omega float64, c *perf.Counts) int {
 		if split == nil {
 			split = newSplitStorage(s.J)
 		}
@@ -220,4 +221,5 @@ func (s *Solver) SolveWavefrontSplit(width int, c *perf.Counts) ([]float64, int)
 		split.drain(u, c)
 		return loops
 	})
+	return u, total
 }

@@ -49,25 +49,14 @@ const (
 
 // concurrentClosureFuncs maps package path to the entry points whose
 // closure argument executes concurrently (or re-executes, for Retry).
-// ForIndexed is included: its worker id makes the per-worker pattern
-// *possible*, but capturing one shared stream in its closure is exactly
-// as racy as in For.
 var concurrentClosureFuncs = map[string]map[string]bool{
 	parallelPkgPath: {
-		"For":              true,
-		"ForWorkers":       true,
-		"ForDynamic":       true,
-		"ForGuided":        true,
-		"ForIndexed":       true,
-		"ForIndexedMerged": true,
-		"Run":              true,
-		"Reduce":           true,
-		"ReduceFloat64":    true,
-		// Cancellable variants (the serving path): the closure contract is
-		// identical, so a captured stream races exactly the same way.
-		"ForCtx":              true,
-		"ForDynamicCtx":       true,
-		"ForIndexedMergedCtx": true,
+		// Every loop entry point of the package; Region is the counted,
+		// cancellable form the kernels (and so the serving path) call.
+		"For":           true,
+		"ForGuided":     true,
+		"ReduceFloat64": true,
+		"Region":        true,
 	},
 	resiliencePkgPath: {
 		// Hedge legs run concurrently; Retry re-executes the op and its
@@ -100,7 +89,7 @@ var concurrentClosureFuncs = map[string]map[string]bool{
 // closureHints is the per-package fix suggestion appended to the
 // diagnostic.
 var closureHints = map[string]string{
-	parallelPkgPath:   "derive a per-worker stream inside the closure (e.g. rng.NewStream(worker, seed) with parallel.ForIndexed)",
+	parallelPkgPath:   "derive a per-chunk stream inside the closure (e.g. rng.NewStream(lo, seed), keyed on the chunk start the closure receives)",
 	resiliencePkgPath: "derive a per-attempt stream inside the closure (hedge legs run concurrently, and a retried attempt must not continue a prior attempt's sequence)",
 	pricecachePkgPath: "derive the stream inside the compute closure from the cache key's seed (a re-dispatched compute must reproduce the leader's bytes, or the cache fans out divergent responses)",
 	scenarioPkgPath:   "derive a per-partition stream inside the closure from the partition's cells (e.g. rng.NewStream(0, rng.DeriveSeed(seed, cellIndex))); partitions evaluate concurrently and must merge to deterministic bytes",

@@ -27,9 +27,9 @@ func BadSharedStream(dst []float64, seed uint64) {
 	})
 }
 
-// BadSharedRand captures a *math/rand.Rand across ForWorkers goroutines.
+// BadSharedRand captures a *math/rand.Rand across ForGuided goroutines.
 func BadSharedRand(dst []float64, r *rand.Rand) {
-	parallel.ForWorkers(len(dst), 4, func(lo, hi int) {
+	parallel.ForGuided(len(dst), 4, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = r.Float64() // seeded violation
 		}
@@ -39,8 +39,8 @@ func BadSharedRand(dst []float64, r *rand.Rand) {
 // GoodPerWorker derives an independent stream inside the closure — the
 // paper's one-stream-per-thread design. Not flagged.
 func GoodPerWorker(dst []float64, seed uint64) {
-	parallel.ForIndexed(len(dst), func(worker, lo, hi int) {
-		stream := rng.NewStream(worker, seed)
+	parallel.For(len(dst), func(lo, hi int) {
+		stream := rng.NewStream(lo, seed)
 		stream.Uniform(dst[lo:hi])
 	})
 }
@@ -63,18 +63,18 @@ func IgnoredShared(dst []float64, seed uint64, draw func(*rng.Stream, []float64)
 // BadSharedStreamCtx captures one stream in a closure handed to a
 // cancellable loop — the coalescer-flush shape: a server goroutine builds
 // a mega-batch, grabs a stream for it, and prices under a deadline. The
-// ctx variants run the closure on exactly as many goroutines as For does.
+// region runs the closure on exactly as many goroutines as For does.
 func BadSharedStreamCtx(ctx context.Context, dst []float64, seed uint64) error {
 	stream := rng.NewStream(0, seed)
-	return parallel.ForCtx(ctx, len(dst), func(lo, hi int) {
+	return parallel.Region(ctx, len(dst), 1, nil, func(lo, hi int, _ *perf.Counts) {
 		stream.Uniform(dst[lo:hi]) // seeded violation
 	})
 }
 
 // BadSharedRandMergedCtx captures a *math/rand.Rand across the
-// counter-merging cancellable loop.
+// counter-merging cancellable region.
 func BadSharedRandMergedCtx(ctx context.Context, dst []float64, r *rand.Rand, c *perf.Counts) error {
-	return parallel.ForIndexedMergedCtx(ctx, len(dst), c, func(worker, lo, hi int, local *perf.Counts) {
+	return parallel.Region(ctx, len(dst), 8, c, func(lo, hi int, local *perf.Counts) {
 		for i := lo; i < hi; i++ {
 			dst[i] = r.Float64() // seeded violation
 		}
@@ -84,8 +84,8 @@ func BadSharedRandMergedCtx(ctx context.Context, dst []float64, r *rand.Rand, c 
 // GoodPerWorkerCtx derives the stream inside the cancellable closure. Not
 // flagged.
 func GoodPerWorkerCtx(ctx context.Context, dst []float64, seed uint64, c *perf.Counts) error {
-	return parallel.ForIndexedMergedCtx(ctx, len(dst), c, func(worker, lo, hi int, local *perf.Counts) {
-		stream := rng.NewStream(worker, seed)
+	return parallel.Region(ctx, len(dst), 8, c, func(lo, hi int, local *perf.Counts) {
+		stream := rng.NewStream(lo, seed)
 		stream.Uniform(dst[lo:hi])
 	})
 }

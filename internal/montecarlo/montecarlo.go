@@ -76,7 +76,7 @@ func PriceScalarStream(s, x, t float64, z []float64, mkt workload.MarketParams) 
 // the standard error.
 func RefScalar(s *workload.MCBatch, z []float64, mkt workload.MarketParams, c *perf.Counts) {
 	n := len(s.S)
-	runParallel(n, c, func(lo, hi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), n, 1, c, func(lo, hi int, c *perf.Counts) {
 		for i := lo; i < hi; i++ {
 			res := PriceScalarStream(s.S[i], s.X[i], s.T[i], z, mkt)
 			s.Price[i] = res.Price
@@ -109,7 +109,7 @@ func Vectorized(s *workload.MCBatch, z []float64, mkt workload.MarketParams, wid
 		unroll = 1
 	}
 	n := len(s.S)
-	runParallel(n, c, func(lo, hi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), n, 1, c, func(lo, hi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
 		for i := lo; i < hi; i++ {
 			v0, v1 := pathLoopStream(ctx, s.S[i], s.X[i], s.T[i], z, mkt, unroll)
@@ -189,7 +189,7 @@ func VectorizedComputeRNG(s *workload.MCBatch, npath int, seed uint64, mkt workl
 func VectorizedComputeRNGCtx(cx context.Context, s *workload.MCBatch, npath int, seed uint64, mkt workload.MarketParams, width, unroll int, c *perf.Counts) error {
 	done := cx.Done()
 	n := len(s.S)
-	err := runParallelCtx(cx, n, c, func(lo, hi int, c *perf.Counts) {
+	err := parallel.Region(cx, n, 1, c, func(lo, hi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
 		stream := rng.NewStream(lo, seed)
 		stream.C = c
@@ -236,7 +236,7 @@ func VectorizedComputeRNGCtx(cx context.Context, s *workload.MCBatch, npath int,
 // extension beyond the paper's kernel, used by the ablation benchmarks.
 func Antithetic(s *workload.MCBatch, z []float64, mkt workload.MarketParams, width int, c *perf.Counts) {
 	n := len(s.S)
-	runParallel(n, c, func(lo, hi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), n, 1, c, func(lo, hi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
 		for i := lo; i < hi; i++ {
 			t := s.T[i]
@@ -268,26 +268,4 @@ func Antithetic(s *workload.MCBatch, z []float64, mkt workload.MarketParams, wid
 		c.AddBytes(uint64(len(z))*8, uint64(16*n))
 		c.Items += uint64(n)
 	}
-}
-
-func runParallel(n int, c *perf.Counts, run func(lo, hi int, c *perf.Counts)) {
-	if c == nil {
-		parallel.For(n, func(lo, hi int) { run(lo, hi, nil) })
-		return
-	}
-	parallel.ForIndexedMerged(n, c, func(_, lo, hi int, local *perf.Counts) {
-		run(lo, hi, local)
-	})
-}
-
-// runParallelCtx is runParallel over the cancellable parallel regions:
-// worker chunks skip when cx is already done, and the kernel's own finer
-// checkpoints handle mid-chunk expiry.
-func runParallelCtx(cx context.Context, n int, c *perf.Counts, run func(lo, hi int, c *perf.Counts)) error {
-	if c == nil {
-		return parallel.ForCtx(cx, n, func(lo, hi int) { run(lo, hi, nil) })
-	}
-	return parallel.ForIndexedMergedCtx(cx, n, c, func(_, lo, hi int, local *perf.Counts) {
-		run(lo, hi, local)
-	})
 }

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"finbench/internal/blackscholes"
@@ -162,5 +163,58 @@ func BenchmarkVectorizedComputeRNG(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		VectorizedComputeRNG(bt, 1<<14, 1, mkt, 8, 2, nil)
+	}
+}
+
+// Operation counts of every batch variant must not depend on the worker
+// count (GOMAXPROCS is what the decomposition reads). The streamed
+// variants price each option from the shared normals, so their outputs
+// are invariant too. VectorizedComputeRNG keys each chunk's stream on the
+// chunk start by design, so a multi-option batch draws different normals
+// under a different split: for it only the counts are asserted, plus the
+// single-option batch (the served shape, always one chunk), which must be
+// bit-identical at every worker count.
+func TestWorkerCountInvariant(t *testing.T) {
+	z := normals(1024+5, 3)
+	const rngPaths = 3000
+	variants := map[string]struct {
+		run        func(b *workload.MCBatch, width int, c *perf.Counts)
+		countsOnly bool
+	}{
+		"RefScalar":  {run: func(b *workload.MCBatch, _ int, c *perf.Counts) { RefScalar(b, z, mkt, c) }},
+		"Vectorized": {run: func(b *workload.MCBatch, w int, c *perf.Counts) { Vectorized(b, z, mkt, w, 2, c) }},
+		"Antithetic": {run: func(b *workload.MCBatch, w int, c *perf.Counts) { Antithetic(b, z, mkt, w, c) }},
+		"ComputeRNG": {countsOnly: true, run: func(b *workload.MCBatch, w int, c *perf.Counts) {
+			VectorizedComputeRNG(b, rngPaths, 7, mkt, w, 2, c)
+		}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, v := range variants {
+		for _, width := range []int{4, 8} {
+			for _, n := range []int{16, 13, 1} { // a multiple of the width, not, and the served shape
+				runtime.GOMAXPROCS(1)
+				ref := batch(n)
+				var want perf.Counts
+				v.run(ref, width, &want)
+				for w := 2; w <= 8; w++ {
+					runtime.GOMAXPROCS(w)
+					b := batch(n)
+					var got perf.Counts
+					v.run(b, width, &got)
+					if got != want {
+						t.Errorf("%s width %d n %d: counts at %d workers differ from 1 worker", name, width, n, w)
+					}
+					if v.countsOnly && n > 1 {
+						continue
+					}
+					for i := range ref.Price {
+						if b.Price[i] != ref.Price[i] || b.StdErr[i] != ref.StdErr[i] {
+							t.Fatalf("%s width %d n %d option %d at %d workers: %.17g±%.17g, want %.17g±%.17g",
+								name, width, n, i, w, b.Price[i], b.StdErr[i], ref.Price[i], ref.StdErr[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }

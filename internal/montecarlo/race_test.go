@@ -44,7 +44,7 @@ func TestRaceConcurrentBatchPricing(t *testing.T) {
 }
 
 // TestRaceCountsMerge exercises the mutex-guarded perf.Counts merge path
-// (runParallel with a non-nil counter) concurrently: each goroutine owns
+// (parallel.Region with a non-nil counter) concurrently: each goroutine owns
 // its counter, while the kernel's internal workers merge into it.
 func TestRaceCountsMerge(t *testing.T) {
 	z := normals(1<<10, 5)

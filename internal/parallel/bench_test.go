@@ -1,8 +1,11 @@
 package parallel
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
+
+	"finbench/internal/perf"
 )
 
 // The small-batch benchmarks time the dispatch overhead of one parallel
@@ -36,20 +39,11 @@ func BenchmarkForSmall64(b *testing.B)   { benchFor(b, 64) }
 func BenchmarkForSmall512(b *testing.B)  { benchFor(b, 512) }
 func BenchmarkForSmall4096(b *testing.B) { benchFor(b, 4096) }
 
-func BenchmarkForDynamicSmall512(b *testing.B) {
+func BenchmarkRegionSmall512(b *testing.B) {
 	b.ReportAllocs()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		ForDynamic(512, 16, func(lo, hi int) {
-			_ = tinyWork(lo, hi)
-		})
-	}
-	benchSink.Add(1)
-}
-
-func BenchmarkForIndexedSmall512(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ForIndexed(512, func(_, lo, hi int) {
+		_ = Region(ctx, 512, 8, nil, func(lo, hi int, _ *perf.Counts) {
 			_ = tinyWork(lo, hi)
 		})
 	}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,13 +11,18 @@ import (
 	"finbench/internal/perf"
 )
 
-// coverage records which indices fn visited and detects overlap.
-func coverage(t *testing.T, n int, launch func(fn func(lo, hi int))) {
+// coverage records which indices fn visited, detects overlap, and checks
+// that every chunk seam is a multiple of align (a chunk may end off-seam
+// only at n).
+func coverage(t *testing.T, n, align int, launch func(fn func(lo, hi int))) {
 	t.Helper()
 	visits := make([]int32, n)
 	launch(func(lo, hi int) {
 		if lo < 0 || hi > n || lo > hi {
 			t.Errorf("bad range [%d,%d)", lo, hi)
+		}
+		if lo%align != 0 || (hi != n && hi%align != 0) {
+			t.Errorf("range [%d,%d) of %d has a seam off the align=%d grid", lo, hi, n, align)
 		}
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&visits[i], 1)
@@ -31,51 +37,41 @@ func coverage(t *testing.T, n int, launch func(fn func(lo, hi int))) {
 
 func TestForCoversExactlyOnce(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 1000, 1001} {
-		coverage(t, n, func(fn func(lo, hi int)) { For(n, fn) })
+		coverage(t, n, 1, func(fn func(lo, hi int)) { For(n, fn) })
 	}
 }
 
-func TestForWorkersCoversExactlyOnce(t *testing.T) {
-	for _, w := range []int{1, 2, 3, 16, 100} {
-		coverage(t, 97, func(fn func(lo, hi int)) { ForWorkers(97, w, fn) })
+// The one static decomposition: for every worker count and alignment the
+// chunks cover [0,n) exactly once and every seam is a multiple of align.
+func TestStaticCoversExactlyOnceOnAlignedSeams(t *testing.T) {
+	for _, align := range []int{1, 4, 8} {
+		for _, w := range []int{1, 2, 3, 5, 8, 16, 100} {
+			for _, n := range []int{1, 7, 8, 64, 97, 1000, 1001} {
+				coverage(t, n, align, func(fn func(lo, hi int)) {
+					static(n, w, align, func(_, lo, hi int) { fn(lo, hi) })
+				})
+			}
+		}
 	}
 }
 
-func TestForDynamicCoversExactlyOnce(t *testing.T) {
-	for _, grain := range []int{1, 3, 10, 97, 200} {
-		coverage(t, 97, func(fn func(lo, hi int)) { ForDynamic(97, grain, fn) })
-	}
-}
-
-func TestForDynamicZeroGrain(t *testing.T) {
-	coverage(t, 10, func(fn func(lo, hi int)) { ForDynamic(10, 0, fn) })
-}
-
-func TestForIndexedCoversExactlyOnce(t *testing.T) {
-	coverage(t, 131, func(fn func(lo, hi int)) {
-		ForIndexed(131, func(_, lo, hi int) { fn(lo, hi) })
-	})
-}
-
-func TestForIndexedWorkerIdsDense(t *testing.T) {
+func TestStaticSlotIdsDense(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]bool{}
-	ForIndexed(1000, func(worker, lo, hi int) {
+	static(1000, 4, 1, func(slot, lo, hi int) {
 		mu.Lock()
-		if seen[worker] {
-			mu.Unlock()
-			t.Errorf("worker id %d reused", worker)
-			return
+		defer mu.Unlock()
+		if seen[slot] {
+			t.Errorf("slot id %d reused", slot)
 		}
-		seen[worker] = true
-		mu.Unlock()
+		seen[slot] = true
 	})
-	if len(seen) == 0 {
-		t.Fatal("no workers ran")
+	if len(seen) != 4 {
+		t.Fatalf("%d slots ran, want 4", len(seen))
 	}
 	for id := range seen {
 		if id < 0 || id >= len(seen) {
-			t.Fatalf("worker id %d not dense in [0,%d)", id, len(seen))
+			t.Fatalf("slot id %d not dense in [0,%d)", id, len(seen))
 		}
 	}
 }
@@ -84,8 +80,9 @@ func TestForEdgeCases(t *testing.T) {
 	For(0, func(lo, hi int) { t.Error("called for n=0") })
 	For(-5, func(lo, hi int) { t.Error("called for n<0") })
 	For(10, nil) // must not panic
-	ForDynamic(0, 4, func(lo, hi int) { t.Error("called for n=0") })
-	ForIndexed(0, func(w, lo, hi int) { t.Error("called for n=0") })
+	if err := Region(context.Background(), 0, 8, nil, func(lo, hi int, _ *perf.Counts) { t.Error("called for n=0") }); err != nil {
+		t.Fatalf("empty Region = %v", err)
+	}
 }
 
 func TestReduceFloat64Sum(t *testing.T) {
@@ -165,31 +162,6 @@ func withProcs(t *testing.T, n int, f func()) {
 	f()
 }
 
-func TestForDynamicMultiWorker(t *testing.T) {
-	withProcs(t, 4, func() {
-		coverage(t, 1000, func(fn func(lo, hi int)) { ForDynamic(1000, 7, fn) })
-		coverage(t, 10, func(fn func(lo, hi int)) { ForDynamic(10, 3, fn) })
-	})
-}
-
-func TestForIndexedMultiWorker(t *testing.T) {
-	withProcs(t, 4, func() {
-		coverage(t, 1000, func(fn func(lo, hi int)) {
-			ForIndexed(1000, func(_, lo, hi int) { fn(lo, hi) })
-		})
-		var mu sync.Mutex
-		ids := map[int]bool{}
-		ForIndexed(1000, func(worker, lo, hi int) {
-			mu.Lock()
-			ids[worker] = true
-			mu.Unlock()
-		})
-		if len(ids) < 2 {
-			t.Fatalf("expected multiple workers, got %d", len(ids))
-		}
-	})
-}
-
 func TestReduceFloat64MultiWorker(t *testing.T) {
 	withProcs(t, 4, func() {
 		n := 100000
@@ -209,15 +181,15 @@ func TestReduceFloat64MultiWorker(t *testing.T) {
 
 func TestForMultiWorker(t *testing.T) {
 	withProcs(t, 8, func() {
-		coverage(t, 999, func(fn func(lo, hi int)) { For(999, fn) })
+		coverage(t, 999, 1, func(fn func(lo, hi int)) { For(999, fn) })
 	})
 }
 
-func TestRunSlotsExactlyOnce(t *testing.T) {
+func TestPoolRunSlotsExactlyOnce(t *testing.T) {
 	withProcs(t, 4, func() {
-		for _, slots := range []int{1, 2, 3, 7, 64} {
+		for _, slots := range []int{2, 3, 7, 64} {
 			visits := make([]int32, slots)
-			Run(slots, func(slot int) {
+			defaultPool.run(slots, func(slot int) {
 				atomic.AddInt32(&visits[slot], 1)
 			})
 			for s, v := range visits {
@@ -229,18 +201,12 @@ func TestRunSlotsExactlyOnce(t *testing.T) {
 	})
 }
 
-func TestRunEdgeCases(t *testing.T) {
-	Run(0, func(int) { t.Error("called for slots=0") })
-	Run(-3, func(int) { t.Error("called for slots<0") })
-	Run(4, nil) // must not panic
-}
-
 // Slots may exceed the worker pool: excess tasks queue and still all run.
-func TestRunMoreSlotsThanWorkers(t *testing.T) {
+func TestPoolRunMoreSlotsThanWorkers(t *testing.T) {
 	withProcs(t, 2, func() {
 		const slots = 50
 		var ran int32
-		Run(slots, func(int) { atomic.AddInt32(&ran, 1) })
+		defaultPool.run(slots, func(int) { atomic.AddInt32(&ran, 1) })
 		if ran != slots {
 			t.Fatalf("ran %d of %d slots", ran, slots)
 		}
@@ -249,15 +215,15 @@ func TestRunMoreSlotsThanWorkers(t *testing.T) {
 
 func TestForGuidedCoversExactlyOnce(t *testing.T) {
 	for _, grain := range []int{1, 3, 10, 97, 200} {
-		coverage(t, 97, func(fn func(lo, hi int)) { ForGuided(97, grain, fn) })
+		coverage(t, 97, 1, func(fn func(lo, hi int)) { ForGuided(97, grain, fn) })
 	}
-	coverage(t, 10, func(fn func(lo, hi int)) { ForGuided(10, 0, fn) })
+	coverage(t, 10, 1, func(fn func(lo, hi int)) { ForGuided(10, 0, fn) })
 }
 
 func TestForGuidedMultiWorker(t *testing.T) {
 	withProcs(t, 4, func() {
-		coverage(t, 1000, func(fn func(lo, hi int)) { ForGuided(1000, 4, fn) })
-		coverage(t, 5, func(fn func(lo, hi int)) { ForGuided(5, 2, fn) })
+		coverage(t, 1000, 1, func(fn func(lo, hi int)) { ForGuided(1000, 4, fn) })
+		coverage(t, 5, 1, func(fn func(lo, hi int)) { ForGuided(5, 2, fn) })
 		ForGuided(0, 1, func(lo, hi int) { t.Error("called for n=0") })
 	})
 }
@@ -279,43 +245,14 @@ func TestForGuidedChunksShrink(t *testing.T) {
 	})
 }
 
-func TestForDynamicAutoGrain(t *testing.T) {
-	// grain <= 0 selects the heuristic; coverage must be unaffected.
-	coverage(t, 10, func(fn func(lo, hi int)) { ForDynamic(10, 0, fn) })
-	coverage(t, 5000, func(fn func(lo, hi int)) { ForDynamic(5000, -1, fn) })
-	withProcs(t, 4, func() {
-		coverage(t, 5000, func(fn func(lo, hi int)) { ForDynamic(5000, 0, fn) })
-	})
-	// The heuristic targets ~8 chunks per worker within [1, 4096].
-	for _, tc := range []struct{ n, workers, want int }{
-		{10, 4, 1},
-		{3200, 4, 100},
-		{1 << 22, 4, 4096},
-		{64, 1, 8},
-	} {
-		if got := autoGrain(tc.n, tc.workers); got != tc.want {
-			t.Errorf("autoGrain(%d, %d) = %d, want %d", tc.n, tc.workers, got, tc.want)
-		}
-	}
-}
-
-// ForDynamic with grain larger than n must still run everything (in one
-// chunk) without touching the pool.
-func TestForDynamicGrainExceedsN(t *testing.T) {
-	withProcs(t, 4, func() {
-		coverage(t, 5, func(fn func(lo, hi int)) { ForDynamic(5, 10, fn) })
-	})
-}
-
 // n smaller than the worker count: every loop form must clamp and cover.
 func TestSmallNManyWorkers(t *testing.T) {
 	withProcs(t, 8, func() {
 		for n := 1; n <= 3; n++ {
-			coverage(t, n, func(fn func(lo, hi int)) { For(n, fn) })
-			coverage(t, n, func(fn func(lo, hi int)) { ForDynamic(n, 1, fn) })
-			coverage(t, n, func(fn func(lo, hi int)) { ForGuided(n, 1, fn) })
-			coverage(t, n, func(fn func(lo, hi int)) {
-				ForIndexed(n, func(_, lo, hi int) { fn(lo, hi) })
+			coverage(t, n, 1, func(fn func(lo, hi int)) { For(n, fn) })
+			coverage(t, n, 1, func(fn func(lo, hi int)) { ForGuided(n, 1, fn) })
+			coverage(t, n, 8, func(fn func(lo, hi int)) {
+				_ = Region(context.Background(), n, 8, nil, func(lo, hi int, _ *perf.Counts) { fn(lo, hi) })
 			})
 		}
 	})
@@ -345,7 +282,7 @@ func TestNestedForNoDeadlock(t *testing.T) {
 func TestNestedMixedSchedules(t *testing.T) {
 	withProcs(t, 4, func() {
 		var total int64
-		ForDynamic(8, 1, func(olo, ohi int) {
+		_ = Region(context.Background(), 8, 1, nil, func(olo, ohi int, _ *perf.Counts) {
 			for o := olo; o < ohi; o++ {
 				ForGuided(32, 2, func(lo, hi int) {
 					got := ReduceFloat64(hi-lo, func(a, b int) float64 { return float64(b - a) })
@@ -359,37 +296,79 @@ func TestNestedMixedSchedules(t *testing.T) {
 	})
 }
 
-func TestForIndexedMergedCountsAndCoverage(t *testing.T) {
+func TestRegionCountsAndCoverage(t *testing.T) {
 	withProcs(t, 4, func() {
-		var c perf.Counts
-		coverage(t, 1000, func(fn func(lo, hi int)) {
-			ForIndexedMerged(1000, &c, func(worker, lo, hi int, local *perf.Counts) {
-				if local == nil {
-					t.Error("nil local counts with non-nil c")
-					return
+		for _, align := range []int{1, 4, 8} {
+			var c perf.Counts
+			coverage(t, 1001, align, func(fn func(lo, hi int)) {
+				err := Region(context.Background(), 1001, align, &c, func(lo, hi int, local *perf.Counts) {
+					if local == nil {
+						t.Error("nil local counts with non-nil c")
+						return
+					}
+					local.Add(perf.OpScalar, uint64(hi-lo))
+					local.Items += uint64(hi - lo)
+					fn(lo, hi)
+				})
+				if err != nil {
+					t.Errorf("Region(Background) = %v, want nil", err)
 				}
-				local.Add(perf.OpScalar, uint64(hi-lo))
-				local.Items += uint64(hi - lo)
-				fn(lo, hi)
 			})
-		})
-		if got := c.Get(perf.OpScalar); got != 1000 {
-			t.Fatalf("merged OpScalar = %d, want 1000", got)
-		}
-		if c.Items != 1000 {
-			t.Fatalf("merged Items = %d, want 1000", c.Items)
+			if got := c.Get(perf.OpScalar); got != 1001 {
+				t.Fatalf("merged OpScalar = %d, want 1001", got)
+			}
+			if c.Items != 1001 {
+				t.Fatalf("merged Items = %d, want 1001", c.Items)
+			}
 		}
 	})
 }
 
-func TestForIndexedMergedNilCounts(t *testing.T) {
-	coverage(t, 100, func(fn func(lo, hi int)) {
-		ForIndexedMerged(100, nil, func(_, lo, hi int, local *perf.Counts) {
+func TestRegionNilCounts(t *testing.T) {
+	coverage(t, 100, 1, func(fn func(lo, hi int)) {
+		_ = Region(context.Background(), 100, 1, nil, func(lo, hi int, local *perf.Counts) {
 			if local != nil {
 				t.Error("expected nil local counts for nil c")
 			}
 			fn(lo, hi)
 		})
+	})
+}
+
+func TestRegionAlreadyCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var c perf.Counts
+	err := Region(ctx, 1<<12, 1, &c, func(lo, hi int, local *perf.Counts) {
+		local.Add(perf.OpScalar, uint64(hi-lo))
+	})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := c.Get(perf.OpScalar); got != 0 {
+		t.Fatalf("cancelled region still counted %d items", got)
+	}
+}
+
+// A region cancelled while it runs reports the cancellation even though
+// chunks already started run to completion; every chunk that starts after
+// the cancel is skipped, so the run is partial.
+func TestRegionCancelledMidway(t *testing.T) {
+	withProcs(t, 4, func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		const n = 1 << 12
+		var ran atomic.Int64
+		err := Region(ctx, n, 1, nil, func(lo, hi int, _ *perf.Counts) {
+			cancel()
+			ran.Add(int64(hi - lo))
+		})
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if got := ran.Load(); got == 0 || got > n {
+			t.Fatalf("ran %d of %d items", got, n)
+		}
 	})
 }
 
@@ -418,7 +397,7 @@ func TestSchedCountersBalance(t *testing.T) {
 
 func TestSchedCountersSerial(t *testing.T) {
 	before := Sched()
-	ForWorkers(100, 1, func(lo, hi int) {})
+	static(100, 1, 1, func(_, lo, hi int) {})
 	d := Sched().Delta(before)
 	if d.Serial == 0 {
 		t.Fatal("single-worker region not counted as serial")

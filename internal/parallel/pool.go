@@ -77,13 +77,9 @@ func newPool() *pool {
 }
 
 // run executes fn(slot) for every slot in [0, slots), returning when all
-// slots have completed. Slot 0 runs on the calling goroutine.
+// slots have completed. Slot 0 runs on the calling goroutine. static is
+// the only caller and runs a single chunk inline, so slots >= 2 here.
 func (p *pool) run(slots int, fn func(slot int)) {
-	if slots <= 1 {
-		p.serial.Add(1)
-		fn(0)
-		return
-	}
 	j := &job{run: fn, done: make(chan struct{})}
 	j.pending.Store(int64(slots))
 	p.jobs.Add(1)

@@ -6,11 +6,13 @@ package parallel
 // the same invariant the finlint rngshare pass enforces statically.
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"finbench/internal/perf"
 	"finbench/internal/rng"
 )
 
@@ -22,8 +24,8 @@ func TestRacePerWorkerStreams(t *testing.T) {
 	const n = 1 << 14
 	dst := make([]float64, n)
 	for round := 0; round < 8; round++ {
-		ForIndexed(n, func(worker, lo, hi int) {
-			stream := rng.NewStream(worker, 42)
+		For(n, func(lo, hi int) {
+			stream := rng.NewStream(lo, 42) // keyed on the chunk start, as the kernels do
 			stream.NormalICDF(dst[lo:hi])
 		})
 	}
@@ -46,17 +48,9 @@ func TestRacePerWorkerStreamsDeterministic(t *testing.T) {
 	const n, workers = 1 << 12, 4
 	run := func() []float64 {
 		dst := make([]float64, n)
-		chunk := (n + workers - 1) / workers
-		ForWorkers(workers, workers, func(lo, hi int) {
-			for w := lo; w < hi; w++ {
-				base := w * chunk
-				end := base + chunk
-				if end > n {
-					end = n
-				}
-				stream := rng.NewStream(w, 7)
-				stream.Uniform(dst[base:end])
-			}
+		static(n, workers, 1, func(slot, lo, hi int) {
+			stream := rng.NewStream(slot, 7)
+			stream.Uniform(dst[lo:hi])
 		})
 		return dst
 	}
@@ -87,16 +81,18 @@ func TestRacePoolStress(t *testing.T) {
 				case 0:
 					For(300, func(lo, hi int) { atomic.AddInt64(&total, int64(hi-lo)) })
 				case 1:
-					ForDynamic(300, 7, func(lo, hi int) { atomic.AddInt64(&total, int64(hi-lo)) })
+					_ = Region(context.Background(), 300, 8, nil, func(lo, hi int, _ *perf.Counts) {
+						atomic.AddInt64(&total, int64(hi-lo))
+					})
 				case 2:
 					ForGuided(300, 3, func(lo, hi int) { atomic.AddInt64(&total, int64(hi-lo)) })
 				case 3:
 					// Nested: an outer region whose tasks open inner regions.
 					For(4, func(olo, ohi int) {
 						for o := olo; o < ohi; o++ {
-							ForIndexed(75, func(_, lo, hi int) {
-								atomic.AddInt64(&total, int64(hi-lo))
-							})
+							atomic.AddInt64(&total, int64(ReduceFloat64(75, func(lo, hi int) float64 {
+								return float64(hi - lo)
+							})))
 						}
 					})
 				}
@@ -114,14 +110,13 @@ func TestRacePoolStress(t *testing.T) {
 	}
 }
 
-// TestRaceDynamicSharedAccumulator hammers ForDynamic's shared work
-// counter while workers merge partial sums under a mutex — the accumulate
-// pattern the kernels use for perf.Counts merging.
-func TestRaceDynamicSharedAccumulator(t *testing.T) {
+// TestRaceGuidedSharedAccumulator hammers ForGuided's shared handout
+// counter while workers merge partial sums under a mutex.
+func TestRaceGuidedSharedAccumulator(t *testing.T) {
 	const n = 1 << 15
 	var mu sync.Mutex
 	var total float64
-	ForDynamic(n, 64, func(lo, hi int) {
+	ForGuided(n, 64, func(lo, hi int) {
 		var local float64
 		for i := lo; i < hi; i++ {
 			local += float64(i)

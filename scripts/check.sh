@@ -70,6 +70,9 @@ else
 	echo "==> race detector on concurrency-heavy packages"
 	go test -race -count=1 -timeout 15m \
 		./internal/parallel \
+		./internal/binomial \
+		./internal/blackscholes \
+		./internal/cranknicolson \
 		./internal/montecarlo \
 		./internal/brownian \
 		./internal/rng \
