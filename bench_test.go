@@ -11,6 +11,7 @@ package finbench_test
 // produced by `go run ./cmd/finbench run` (or TestModelExperiments below).
 
 import (
+	"context"
 	"testing"
 
 	"finbench"
@@ -218,6 +219,41 @@ func BenchmarkBatchAPILevels(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mopts/s")
+		})
+	}
+}
+
+// --- The served heavy kernels (what serve.priceHeavy runs per request) ---
+
+// BenchmarkPriceHeavy times finbench.PriceRequestCtx at default sizes on
+// the request shapes heavy_mix sends: one American put per lattice method,
+// and Monte Carlo requests of one and of four European calls (ns/op is
+// per request; the x4 row shows the normals being generated once).
+func BenchmarkPriceHeavy(b *testing.B) {
+	mkt := finbench.Market{Rate: 0.02, Volatility: 0.3}
+	put := finbench.Option{Type: finbench.Put, Style: finbench.American, Spot: 100, Strike: 110, Expiry: 1.5}
+	calls := []finbench.Option{
+		{Spot: 100, Strike: 100, Expiry: 1}, {Spot: 90, Strike: 100, Expiry: 0.5},
+		{Spot: 110, Strike: 100, Expiry: 2}, {Spot: 100, Strike: 120, Expiry: 1.5},
+	}
+	for _, bc := range []struct {
+		name   string
+		method finbench.Method
+		opts   []finbench.Option
+	}{
+		{"binomial-amer-put", finbench.BinomialTree, []finbench.Option{put}},
+		{"trinomial-amer-put", finbench.TrinomialTree, []finbench.Option{put}},
+		{"crank-nicolson", finbench.FiniteDifference, []finbench.Option{put}},
+		{"monte-carlo-x1", finbench.MonteCarlo, calls[:1]},
+		{"monte-carlo-x4", finbench.MonteCarlo, calls},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := finbench.PriceRequestCtx(context.Background(), bc.opts, mkt, bc.method, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

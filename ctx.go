@@ -123,25 +123,84 @@ func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Confi
 		}
 
 	case MonteCarlo:
-		if o.Style == American {
-			return Result{}, fmt.Errorf("%w: Monte Carlo engine is European-only", ErrMethodStyle)
-		}
-		b := &workload.MCBatch{
-			S: []float64{o.Spot}, X: []float64{o.Strike}, T: []float64{o.Expiry},
-			Price: make([]float64, 1), StdErr: make([]float64, 1),
-		}
-		if err := montecarlo.VectorizedComputeRNGCtx(ctx, b, c.MCPaths, c.Seed, mkt, 8, 2, nil); err != nil {
+		// The k = 1 call of the request path: one host kernel either way.
+		var out [1]Result
+		if err := priceMonteCarlo(ctx, []Option{o}, m, c, out[:]); err != nil {
 			return Result{}, err
 		}
-		price := b.Price[0]
-		if o.Type == Put {
-			price = price - o.Spot + o.Strike*discount(m, o.Expiry)
-		}
-		return Result{Price: price, StdErr: b.StdErr[0], Method: method}, nil
+		return out[0], nil
 
 	default:
 		return Result{}, fmt.Errorf("finbench: unknown method %v", method)
 	}
+}
+
+// PriceRequestCtx prices the options of one request under a single method
+// and configuration. By contract out[i] is bit-identical to
+// PriceCtx(ctx, opts[i], m, method, cfg), and the error is the one the
+// first failing option would return; what the request form adds is that
+// work the options share is done once. For Monte Carlo that is the whole
+// normal stream: every option of a request runs on stream (0, seed), so
+// the normals are generated once per request instead of once per option.
+// The lattice methods share nothing and are priced option by option. A
+// request is still one attempt: never split across workers, never merged
+// with another request.
+func PriceRequestCtx(ctx context.Context, opts []Option, m Market, method Method, cfg *Config) ([]Result, error) {
+	if len(opts) == 0 {
+		return nil, ctx.Err()
+	}
+	out := make([]Result, len(opts))
+	if method == MonteCarlo {
+		if err := priceMonteCarlo(ctx, opts, m, cfg.withDefaults(), out); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	for i := range opts {
+		res, err := PriceCtx(ctx, opts[i], m, method, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
+// priceMonteCarlo is the Monte Carlo body behind PriceCtx (one option)
+// and PriceRequestCtx (a request's options): European calls priced on
+// the shared stream, puts recovered by parity. It validates option by
+// option in PriceCtx's order, so the first failing option decides the
+// error. c is the resolved configuration.
+func priceMonteCarlo(ctx context.Context, opts []Option, m Market, c Config, out []Result) error {
+	n := len(opts)
+	cols := make([]float64, 5*n)
+	b := &workload.MCBatch{
+		S: cols[:n], X: cols[n : 2*n], T: cols[2*n : 3*n],
+		Price: cols[3*n : 4*n], StdErr: cols[4*n:],
+	}
+	for i, o := range opts {
+		if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
+			return ErrInvalidOption
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if o.Style == American {
+			return fmt.Errorf("%w: Monte Carlo engine is European-only", ErrMethodStyle)
+		}
+		b.S[i], b.X[i], b.T[i] = o.Spot, o.Strike, o.Expiry
+	}
+	if err := montecarlo.SharedStreamCtx(ctx, b, c.MCPaths, c.Seed, m.internal()); err != nil {
+		return err
+	}
+	for i, o := range opts {
+		price := b.Price[i]
+		if o.Type == Put {
+			price = price - o.Spot + o.Strike*discount(m, o.Expiry)
+		}
+		out[i] = Result{Price: price, StdErr: b.StdErr[i], Method: MonteCarlo}
+	}
+	return nil
 }
 
 // PriceBatchCtx is PriceBatch with cancellation checked between option

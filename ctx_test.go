@@ -97,6 +97,58 @@ func TestPriceCtxCancelledMidRun(t *testing.T) {
 		if _, err := PriceCtx(ctx, tc.o, mkt, tc.method, &Config{MCPaths: 16384}); err != context.Canceled {
 			t.Errorf("%s: PriceCtx cancelled mid-run returned %v, want context.Canceled", tc.name, err)
 		}
+		// The request-level entry stops at the same checkpoint: within the
+		// first option's first RNGChunk / level block / time step.
+		ctx = &cancelOnDone{Context: context.Background(), ch: make(chan struct{})}
+		if _, err := PriceRequestCtx(ctx, []Option{tc.o, tc.o}, mkt, tc.method, &Config{MCPaths: 16384}); err != context.Canceled {
+			t.Errorf("%s: PriceRequestCtx cancelled mid-run returned %v, want context.Canceled", tc.name, err)
+		}
+	}
+}
+
+// TestPriceRequestCtxBitMatchesPriceCtx pins the request-level contract:
+// out[i] is PriceCtx(opts[i]) bit for bit, for every method, whatever
+// else is in the request — for Monte Carlo that means each option is
+// priced as if alone on stream (0, seed) although the request generates
+// the normals once.
+func TestPriceRequestCtxBitMatchesPriceCtx(t *testing.T) {
+	mkt := Market{Rate: 0.02, Volatility: 0.3}
+	cfg := &Config{MCPaths: 5000, BinomialSteps: 255, GridPoints: 64, TimeSteps: 100, Seed: 9}
+	euro := []Option{
+		{Type: Call, Spot: 100, Strike: 105, Expiry: 0.5},
+		{Type: Put, Spot: 100, Strike: 95, Expiry: 1},
+		{Type: Put, Spot: 80, Strike: 100, Expiry: 0.25},
+		{Type: Call, Spot: 120, Strike: 100, Expiry: 2},
+	}
+	amer := append([]Option(nil), euro...)
+	for i := range amer {
+		amer[i].Style = American
+	}
+	for _, method := range []Method{ClosedForm, BinomialTree, FiniteDifference, MonteCarlo, TrinomialTree} {
+		for _, opts := range [][]Option{euro, amer} {
+			got, err := PriceRequestCtx(context.Background(), opts, mkt, method, cfg)
+			var werr error // the first failing option decides the request's error
+			for i, o := range opts {
+				var want Result
+				if want, werr = PriceCtx(context.Background(), o, mkt, method, cfg); werr != nil {
+					break
+				}
+				if err == nil && got[i] != want {
+					t.Errorf("%v option %d: request %+v, alone %+v (must be bit-identical)", method, i, got[i], want)
+				}
+			}
+			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+				t.Errorf("%v: request error %v, per-option error %v", method, err, werr)
+			}
+		}
+	}
+	// One American contract in position 2 fails a Monte Carlo request with
+	// the error that option returns alone.
+	mixed := append([]Option(nil), euro...)
+	mixed[2].Style = American
+	_, werr := PriceCtx(context.Background(), mixed[2], mkt, MonteCarlo, cfg)
+	if _, err := PriceRequestCtx(context.Background(), mixed, mkt, MonteCarlo, cfg); err == nil || err.Error() != werr.Error() {
+		t.Errorf("mixed request error %v, want %v", err, werr)
 	}
 }
 

@@ -15,9 +15,13 @@
 //
 // All variants price European options under the Cox-Ross-Rubinstein
 // parameterization and compute identical arithmetic per tree node, so
-// results agree bitwise across variants (verified by tests). An American
-// put variant of the scalar reference exists for cross-validation against
-// Crank-Nicolson.
+// results agree bitwise across variants (verified by tests).
+//
+// The American put (PriceAmericanPutScalarCtx, and its trinomial twin in
+// trinomial.go) is the host path finbench.Price and the server run: plain
+// slices, a precomputed early-exercise ladder instead of an exponential
+// per node, and a two-level tiled reduction. It records no op mix; it is
+// pinned bit for bit against the per-node listing in oracle_test.go.
 package binomial // finlint:hot — allocation-free loops enforced by internal/lint
 
 import (
@@ -123,41 +127,140 @@ func PriceAmericanPutScalar(s, x, t float64, steps int, mkt workload.MarketParam
 }
 
 // PriceAmericanPutScalarCtx is PriceAmericanPutScalar with cancellation
-// checked every ctxLevelBlock tree levels.
+// checked every ctxLevelBlock tree levels: the paper's 3 flops per node
+// plus the exercise compare, and 2N+1 exponentials per option.
 func PriceAmericanPutScalarCtx(cx context.Context, s, x, t float64, steps int, mkt workload.MarketParams) (float64, error) {
 	if err := cx.Err(); err != nil {
 		return 0, err
 	}
-	done := cx.Done()
-	p := NewParams(t, steps, mkt)
-	val := make([]float64, steps+1)
-	for j := 0; j <= steps; j++ {
-		v := x - s*mathx.Exp(p.VDt*float64(2*j-steps))
+	v, _, _, ok := americanPut(cx.Done(), s, x, NewParams(t, steps, mkt))
+	if !ok {
+		return 0, cx.Err()
+	}
+	return v, nil
+}
+
+// treeTile is how many tree levels one pass of americanPut reduces: the
+// register tiling of Lis. 3 over plain slices, with the intermediate
+// level held in locals so each value is loaded and stored once per
+// treeTile levels. The depth is fixed by measurement, not a parameter
+// (EXPERIMENTS.md, "Served heavy kernels"): per 1024-step option on the
+// development host, depth 1 costs 0.85-1.2 ms, depth 2 0.45 ms, depth 3
+// the same within noise for half as much code again, and at depth 4 the
+// Go compiler spills the tile and the walk slows to 0.76-0.96 ms.
+const treeTile = 2
+
+// exerciseLadder fills buf (2N+1 values) with the early-exercise value
+// x - S e^{k vDt} for every k in [-N, N], split by parity so that each
+// tree level reads one contiguous run: node j of level L sits at
+// k = 2j-L, which is entry j + (N-L)/2 of half (N-L)&1. Half 0 holds
+// k = -N, -N+2, ..., N (the leaves' spots), half 1 holds k = -N+1, ...,
+// N-1. Each entry is the expression the per-node listing evaluates, so
+// the walk's values are bit-identical to it with 2N+1 exponentials
+// instead of N(N+1)/2.
+func exerciseLadder(buf []float64, s, x float64, p Params) [2][]float64 {
+	n := p.Steps
+	lad := [2][]float64{buf[:n+1], buf[n+1 : 2*n+1]}
+	for k := -n; k <= n; k++ {
+		lad[(k+n)&1][(k+n)>>1] = x - s*mathx.Exp(p.VDt*float64(k))
+	}
+	return lad
+}
+
+// americanPut is the American-put backward induction shared by the
+// pricing and Greeks entry points. It returns the root value and the
+// depth-1 and depth-2 levels (captured only when the walk computes them,
+// i.e. for trees deeper than the level itself); ok is false if done
+// fired, which is polled every ctxLevelBlock levels.
+func americanPut(done <-chan struct{}, s, x float64, p Params) (price float64, lvl1, lvl2 [3]float64, ok bool) {
+	n := p.Steps
+	buf := make([]float64, 3*n+2) // the ladder, then the level being reduced
+	lad := exerciseLadder(buf, s, x, p)
+	val := buf[2*n+1:]
+	for j, v := range lad[0] {
 		if v < 0 {
 			v = 0
 		}
 		val[j] = v
 	}
-	for i := steps; i > 0; i-- {
-		if (steps-i)%ctxLevelBlock == 0 {
-			select {
-			case <-done: // nil, so never ready, when cx cannot be cancelled
-				return 0, cx.Err()
-			default:
-			}
+	// level returns the exercise values of tree level l, nodes 0..l.
+	level := func(l int) []float64 { return lad[(n-l)&1][(n-l)>>1:][:l+1] }
+	for i := n; i > 0; {
+		select {
+		case <-done: // nil, so never ready, when the walk cannot be cancelled
+			return 0, lvl1, lvl2, false
+		default:
 		}
-		for j := 0; j <= i-1; j++ {
-			cont := p.PuByDf*val[j+1] + p.PdByDf*val[j]
-			// Early exercise: spot at node (i-1, j) is S e^{(2j-(i-1)) vDt}.
-			ex := x - s*mathx.Exp(p.VDt*float64(2*j-(i-1)))
-			if ex > cont {
-				val[j] = ex
-			} else {
-				val[j] = cont
+		stop := i - ctxLevelBlock
+		if stop < 0 {
+			stop = 0
+		}
+		// Tiled passes take level i to level i-treeTile, and leave levels
+		// 2 and 1 to the single-level tail below, which captures them.
+		for ; i-treeTile >= stop && i-treeTile > 2; i -= treeTile {
+			reduceTwoLevels(val[:i+1], level(i-1), level(i-2), p)
+		}
+		for ; i > stop; i-- {
+			reduceLevel(val[:i+1], level(i-1), p)
+			switch i - 1 {
+			case 2:
+				copy(lvl2[:], val[:3])
+			case 1:
+				copy(lvl1[:2], val[:2])
 			}
 		}
 	}
-	return val[0], nil
+	return val[0], lvl1, lvl2, true
+}
+
+// reduceLevel takes val from tree level i = len(val)-1 to level i-1 in
+// place: the continuation value of Lis. 2 against the early-exercise
+// value ex[j]. Like reduceScalar it stays its own function so the inner
+// loop's few live values are all the register allocator sees.
+func reduceLevel(val, ex []float64, p Params) {
+	pu, pd := p.PuByDf, p.PdByDf
+	in := val[1:][:len(ex)]
+	lo := val[0]
+	for j, e := range ex {
+		hi := in[j]
+		cont := pu*hi + pd*lo
+		if e > cont {
+			cont = e
+		}
+		val[j] = cont
+		lo = hi
+	}
+}
+
+// reduceTwoLevels takes val from level i = len(val)-1 to level i-2 in
+// place (treeTile = 2): node j of level i-1 lives only in the locals
+// a0/a1 between being formed from val[j], val[j+1] and being consumed by
+// nodes j-1 and j of level i-2, so val is read once and written once per
+// two levels. exA and exB are the exercise values of levels i-1 and i-2.
+// Every node is the same expression reduceLevel evaluates.
+func reduceTwoLevels(val, exA, exB []float64, p Params) {
+	pu, pd := p.PuByDf, p.PdByDf
+	in := val[2:][:len(exB)]
+	out := val[:len(exB)]
+	v1 := val[1]
+	a0 := pu*v1 + pd*val[0]
+	if e := exA[0]; e > a0 {
+		a0 = e
+	}
+	exA = exA[1:][:len(exB)]
+	for j, eb := range exB {
+		v2 := in[j]
+		a1 := pu*v2 + pd*v1
+		if e := exA[j]; e > a1 {
+			a1 = e
+		}
+		b := pu*a1 + pd*a0
+		if eb > b {
+			b = eb
+		}
+		out[j] = b
+		v1, a0 = v2, a1
+	}
 }
 
 // RefScalar prices the batch with the scalar reference, recording the
@@ -414,34 +517,8 @@ func GreeksScalar(s, x, t float64, steps int, mkt workload.MarketParams) TreeGre
 // GreeksAmericanPut is GreeksScalar for the American put.
 func GreeksAmericanPut(s, x, t float64, steps int, mkt workload.MarketParams) TreeGreeks {
 	p := NewParams(t, steps, mkt)
-	val := make([]float64, steps+1)
-	for j := 0; j <= steps; j++ {
-		v := x - s*mathx.Exp(p.VDt*float64(2*j-steps))
-		if v < 0 {
-			v = 0
-		}
-		val[j] = v
-	}
-	n := steps
-	var lvl2, lvl1 [3]float64
-	for i := n; i > 0; i-- {
-		for j := 0; j <= i-1; j++ {
-			cont := p.PuByDf*val[j+1] + p.PdByDf*val[j]
-			ex := x - s*mathx.Exp(p.VDt*float64(2*j-(i-1)))
-			if ex > cont {
-				val[j] = ex
-			} else {
-				val[j] = cont
-			}
-		}
-		if i-1 == 2 {
-			copy(lvl2[:], val[:3])
-		}
-		if i-1 == 1 {
-			copy(lvl1[:2], val[:2])
-		}
-	}
-	return assembleGreeks(val[0], lvl1, lvl2, s, p)
+	price, lvl1, lvl2, _ := americanPut(nil, s, x, p)
+	return assembleGreeks(price, lvl1, lvl2, s, p)
 }
 
 // reduceWithGreeks runs the Lis. 2 reduction, capturing levels 2 and 1.

@@ -99,10 +99,17 @@ func PriceAmericanPutTrinomialCtx(cx context.Context, s, x, t float64, steps int
 	}
 	done := cx.Done()
 	p := NewTriParams(t, steps, mkt)
+	// Exercise ladder: node j of level L sits at S e^{(j-L) logU}, so the
+	// 2N+1 values x - S e^{k logU}, k in [-N, N] (entry k+N), cover every
+	// node of the lattice and level L reads the contiguous run starting
+	// at entry N-L. Each entry is the per-node expression, bit for bit.
 	n := 2*steps + 1
-	val := make([]float64, n)
-	for j := 0; j < n; j++ {
-		v := x - s*mathx.Exp(float64(j-steps)*p.logU)
+	buf := make([]float64, 2*n)
+	lad, val := buf[:n], buf[n:]
+	for j := range lad {
+		lad[j] = x - s*mathx.Exp(float64(j-steps)*p.logU)
+	}
+	for j, v := range lad {
 		if v < 0 {
 			v = 0
 		}
@@ -117,14 +124,14 @@ func PriceAmericanPutTrinomialCtx(cx context.Context, s, x, t float64, steps int
 			}
 		}
 		m := 2*level + 1
-		for j := 0; j < m; j++ {
-			cont := p.Df * (p.Pd*val[j] + p.Pm*val[j+1] + p.Pu*val[j+2])
-			ex := x - s*mathx.Exp(float64(j-level)*p.logU)
-			if ex > cont {
-				val[j] = ex
-			} else {
-				val[j] = cont
+		ex := lad[steps-level:][:m]
+		in := val[:m+2]
+		for j, e := range ex {
+			cont := p.Df * (p.Pd*in[j] + p.Pm*in[j+1] + p.Pu*in[j+2])
+			if e > cont {
+				cont = e
 			}
+			val[j] = cont
 		}
 	}
 	return val[0], nil

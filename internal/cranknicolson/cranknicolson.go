@@ -118,14 +118,27 @@ func (s *Solver) x(j int) float64 { return s.XMin + float64(j)*s.Dx }
 
 // Payoff is the transformed American-put obstacle
 // g(x,tau) = e^{(k+1)^2 tau/4} max(e^{(k-1)x/2} - e^{(k+1)x/2}, 0)
-// (u_payoff of Lis. 6).
+// (u_payoff of Lis. 6). It is separable, and the solve exploits that:
+// the space factor is tabulated once per solve and the time factor once
+// per step, so no grid point pays an exponential.
 func (s *Solver) Payoff(x, tau float64) float64 {
+	return s.timeFactor(tau) * s.spaceFactor(x)
+}
+
+// spaceFactor is the obstacle's x-dependence, max(e^{(k-1)x/2} - e^{(k+1)x/2}, 0).
+func (s *Solver) spaceFactor(x float64) float64 {
 	k := s.K2R
 	v := mathx.Exp((k-1)*x/2) - mathx.Exp((k+1)*x/2)
 	if v < 0 {
 		v = 0
 	}
-	return mathx.Exp((k+1)*(k+1)*tau/4) * v
+	return v
+}
+
+// timeFactor is the obstacle's tau-dependence, e^{(k+1)^2 tau/4}.
+func (s *Solver) timeFactor(tau float64) float64 {
+	k := s.K2R
+	return mathx.Exp((k + 1) * (k + 1) * tau / 4)
 }
 
 // euroLeftBC is the exact left boundary of the European put in transformed
@@ -136,24 +149,30 @@ func (s *Solver) euroLeftBC(tau float64) float64 {
 }
 
 // explicitStep fills G with the obstacle at tau and B with the explicit
-// half-step, then applies boundary conditions to U and G.
-func (s *Solver) explicitStep(u, b, g []float64, tau float64, c *perf.Counts) {
+// half-step, then applies boundary conditions to U and G. h is the
+// tabulated space factor, h[j] = spaceFactor(x_j), so G[j] is the product
+// Payoff forms. The counted mix stays that of the reference listing,
+// which calls u_payoff at every point (Lis. 6): it describes the
+// modelled machine's code, not this host loop.
+func (s *Solver) explicitStep(u, b, g, h []float64, tau float64, c *perf.Counts) {
 	ae := s.alphaExplicit()
 	alpha1 := 1 - ae
 	alpha2 := ae / 2
-	for j := 1; j < s.J; j++ {
-		g[j] = s.Payoff(s.x(j), tau)
+	tf := s.timeFactor(tau)
+	jmax := s.J
+	for j := 1; j < jmax; j++ {
+		g[j] = tf * h[j]
 		b[j] = alpha1*u[j] + alpha2*(u[j+1]+u[j-1])
 	}
 	if s.American {
-		g[0] = s.Payoff(s.XMin, tau)
+		g[0] = tf * h[0]
 	} else {
 		g[0] = s.euroLeftBC(tau)
 	}
-	g[s.J] = s.Payoff(s.x(s.J), tau) // zero-side boundary
+	g[jmax] = tf * h[jmax] // zero-side boundary
 	u[0] = g[0]
-	u[s.J] = g[s.J]
-	b[0], b[s.J] = g[0], g[s.J]
+	u[jmax] = g[jmax]
+	b[0], b[jmax] = g[0], g[jmax]
 	if c != nil {
 		nj := uint64(s.J - 1)
 		c.Add(perf.OpExp, nj*3) // two spatial + one time factor per point
@@ -164,7 +183,8 @@ func (s *Solver) explicitStep(u, b, g []float64, tau float64, c *perf.Counts) {
 }
 
 // relax performs the projected relaxation at one point and returns the new
-// value: shared by every variant so numerics agree.
+// value. The wavefront triangles call it; gsorScalar and the wavefront's
+// vector body spell out the same expressions, so numerics agree.
 func (s *Solver) relax(uj, ujm1, ujp1, bj, gj, omega, coeff, alpha2 float64) float64 {
 	y := coeff * (bj + alpha2*(ujm1+ujp1))
 	un := uj + omega*(y-uj)
@@ -175,20 +195,33 @@ func (s *Solver) relax(uj, ujm1, ujp1, bj, gj, omega, coeff, alpha2 float64) flo
 }
 
 // gsorScalar runs scalar PSOR sweeps until convergence; returns the sweep
-// count (Lis. 7).
+// count (Lis. 7). The sweep is relax at every interior point with the
+// loop invariants (grid size, the American flag) read once and u[j-1]
+// carried in a local: the stores to u could alias the Solver, so read
+// through s they would be reloaded at every point of the Gauss-Seidel
+// chain.
 func (s *Solver) gsorScalar(b, u, g []float64, omega float64, c *perf.Counts) int {
 	ai := s.alphaImplicit()
 	coeff := 1 / (1 + ai)
 	alpha2 := ai / 2
+	jmax, american := s.J, s.American
+	b, g = b[:jmax], g[:jmax]
 	loops := 0
 	for {
 		loops++
 		var errSum float64
-		for j := 1; j < s.J; j++ {
-			un := s.relax(u[j], u[j-1], u[j+1], b[j], g[j], omega, coeff, alpha2)
-			d := un - u[j]
+		um1 := u[0]
+		for j := 1; j < jmax; j++ {
+			uj := u[j]
+			y := coeff * (b[j] + alpha2*(um1+u[j+1]))
+			un := uj + omega*(y-uj)
+			if gj := g[j]; american && gj > un {
+				un = gj
+			}
+			d := un - uj
 			errSum += d * d
 			u[j] = un
+			um1 = un
 		}
 		if c != nil {
 			nj := uint64(s.J - 1)
@@ -236,11 +269,16 @@ func (s *Solver) SolveScalarCtx(cx context.Context, c *perf.Counts) ([]float64, 
 // checked before every time step (a nil done skips the checks entirely);
 // ok=false means the loop was abandoned mid-solve.
 func (s *Solver) solveDone(c *perf.Counts, done <-chan struct{}, gsor func(b, u, g []float64, omega float64, c *perf.Counts) int) ([]float64, int, bool) {
-	u := make([]float64, s.J+1)
-	b := make([]float64, s.J+1)
-	g := make([]float64, s.J+1)
-	for j := 0; j <= s.J; j++ {
-		u[j] = s.Payoff(s.x(j), 0)
+	np := s.J + 1
+	u := make([]float64, np)
+	// One scratch array for the solve's private grids: the explicit
+	// half-step b, the obstacle g, and g's space factor h.
+	scratch := make([]float64, 3*np)
+	b, g, h := scratch[:np], scratch[np:2*np], scratch[2*np:]
+	tf0 := s.timeFactor(0)
+	for j := range h {
+		h[j] = s.spaceFactor(s.x(j))
+		u[j] = tf0 * h[j]
 	}
 	omega := 1.0
 	const domega = 0.05
@@ -256,7 +294,7 @@ func (s *Solver) solveDone(c *perf.Counts, done <-chan struct{}, gsor func(b, u,
 			}
 		}
 		tau := float64(n) * s.DTau
-		s.explicitStep(u, b, g, tau, c)
+		s.explicitStep(u, b, g, h, tau, c)
 		loops := gsor(b, u, g, omega, c)
 		total += loops
 		if loops > oldloops && omega < 1.9 {

@@ -17,7 +17,8 @@
 // Variants: RefScalar (the naive loop), Vectorized (inner-loop SIMD with
 // lane accumulators and unrolling — the paper reaches peak with basic
 // pragmas here), and antithetic variates as a variance-reduction
-// extension.
+// extension. Those run on the software vector ISA to record op mixes;
+// SharedStreamCtx is the host path finbench.Price and the server run.
 package montecarlo // finlint:hot — allocation-free loops enforced by internal/lint
 
 import (
@@ -228,6 +229,103 @@ func VectorizedComputeRNGCtx(cx context.Context, s *workload.MCBatch, npath int,
 		c.Items += uint64(n)
 	}
 	return nil
+}
+
+// The host path: SharedStreamCtx is what finbench.PriceCtx and the server
+// call. It consumes the normals with plain scalar arithmetic; the
+// vec-based variants above exist to produce the Table II op mixes.
+// hostWidth and hostUnroll fix the accumulator layout whose summation
+// order defines the served bits: VectorizedComputeRNGCtx(..., 8, 2, nil).
+const (
+	hostWidth  = 8
+	hostUnroll = 2
+	hostLanes  = hostWidth * hostUnroll
+)
+
+// SharedStreamCtx prices the options of one request, each bit for bit as
+// if it were alone in a VectorizedComputeRNGCtx(cx, ·, npath, seed, mkt,
+// hostWidth, hostUnroll, nil) batch — that is, alone on stream (0, seed).
+// Since every option would draw the same normals, each RNGChunk is
+// generated once and every option's path loop runs over it (the paper's
+// stream mode, Sec. IV-D1: "the same set of numbers is used for all
+// options"), so a k-option request pays for npath normals, not k*npath.
+// It is serial and its results depend only on (option, npath, seed, mkt):
+// never on k, the worker count, or the other options. cx is checked once
+// per chunk; on a non-nil return the outputs are partial and must be
+// discarded.
+func SharedStreamCtx(cx context.Context, s *workload.MCBatch, npath int, seed uint64, mkt workload.MarketParams) error {
+	done := cx.Done()
+	n := len(s.S)
+	stream := rng.NewStream(0, seed)
+	buf := make([]float64, RNGChunk)
+	// sums[2i] and sums[2i+1] are option i's payoff sum and sum of squares.
+	sums := make([]float64, 2*n)
+	for remaining := npath; remaining > 0; {
+		if done != nil {
+			select {
+			case <-done:
+				return cx.Err()
+			default:
+			}
+		}
+		m := RNGChunk
+		if m > remaining {
+			m = remaining
+		}
+		z := buf[:m]
+		stream.NormalICDF(z)
+		for i := 0; i < n; i++ {
+			a0, a1 := pathSums(s.S[i], s.X[i], s.T[i], z, mkt)
+			sums[2*i] += a0
+			sums[2*i+1] += a1
+		}
+		remaining -= m
+	}
+	for i := 0; i < n; i++ {
+		res := estimate(sums[2*i], sums[2*i+1], npath, s.T[i], mkt)
+		s.Price[i] = res.Price
+		s.StdErr[i] = res.StdErr
+	}
+	return nil
+}
+
+// pathSums is pathLoopStream at width hostWidth, unroll hostUnroll,
+// without the vector ISA: accumulator p mod hostLanes takes path p
+// of every full block, the lanes are summed in ReduceAdd's order (lanes
+// ascending within a vector, vectors ascending), and the scalar tail
+// follows. Every expression keeps the shape of its vec counterpart
+// (a*b + c for FMA, acc + x for Add) so the sums agree bit for bit. The
+// payoff clamp is the branchless max builtin — the branch is taken on
+// about half the paths of an at-the-money option and mispredicts. It
+// differs from vec.Max only in returning +0 for a payoff of -0, which
+// s*e - x cannot produce for x > 0 and which would add identically.
+func pathSums(s, x, t float64, z []float64, mkt workload.MarketParams) (v0, v1 float64) {
+	vrt := mathx.Sqrt(t) * mkt.Sigma
+	mut := t * (mkt.R - mkt.Sigma*mkt.Sigma/2)
+	var acc0, acc1 [hostLanes]float64
+	p := 0
+	for ; p+hostLanes <= len(z); p += hostLanes {
+		for l, r := range (*[hostLanes]float64)(z[p:]) {
+			res := max(s*mathx.Exp(vrt*r+mut)-x, 0)
+			acc0[l] = acc0[l] + res
+			acc1[l] = res*res + acc1[l]
+		}
+	}
+	for u := 0; u < hostLanes; u += hostWidth {
+		var r0, r1 float64
+		for l := u; l < u+hostWidth; l++ {
+			r0 += acc0[l]
+			r1 += acc1[l]
+		}
+		v0 += r0
+		v1 += r1
+	}
+	for _, r := range z[p:] {
+		res := max(s*mathx.Exp(vrt*r+mut)-x, 0)
+		v0 += res
+		v1 += res * res
+	}
+	return v0, v1
 }
 
 // Antithetic prices the batch with antithetic variates: each normal z is

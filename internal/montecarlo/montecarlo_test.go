@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -172,8 +173,9 @@ func BenchmarkVectorizedComputeRNG(b *testing.B) {
 // are invariant too. VectorizedComputeRNG keys each chunk's stream on the
 // chunk start by design, so a multi-option batch draws different normals
 // under a different split: for it only the counts are asserted, plus the
-// single-option batch (the served shape, always one chunk), which must be
-// bit-identical at every worker count.
+// single-option batch (always one chunk), which must be bit-identical at
+// every worker count. SharedStreamCtx — the served shape — is serial by
+// construction, so every option of every batch size must be.
 func TestWorkerCountInvariant(t *testing.T) {
 	z := normals(1024+5, 3)
 	const rngPaths = 3000
@@ -187,11 +189,16 @@ func TestWorkerCountInvariant(t *testing.T) {
 		"ComputeRNG": {countsOnly: true, run: func(b *workload.MCBatch, w int, c *perf.Counts) {
 			VectorizedComputeRNG(b, rngPaths, 7, mkt, w, 2, c)
 		}},
+		"SharedStream": {run: func(b *workload.MCBatch, _ int, _ *perf.Counts) {
+			if err := SharedStreamCtx(context.Background(), b, rngPaths, 7, mkt); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for name, v := range variants {
 		for _, width := range []int{4, 8} {
-			for _, n := range []int{16, 13, 1} { // a multiple of the width, not, and the served shape
+			for _, n := range []int{16, 13, 1} { // a multiple of the width, not, and a single option
 				runtime.GOMAXPROCS(1)
 				ref := batch(n)
 				var want perf.Counts

@@ -592,20 +592,28 @@ func fillInputs(spots, strikes, expiries []float64, req *PriceRequest) {
 	}
 }
 
-// priceHeavy prices per option through the cancellable scalar kernels.
-// These methods are never coalesced: Monte Carlo results depend on the
-// batch decomposition (per-worker RNG streams), and the lattice kernels
-// gain nothing from batching across requests.
+// priceHeavy prices the request's options through finbench.PriceRequestCtx,
+// the cancellable host kernels: every result is bit-identical to a
+// per-option finbench.PriceCtx. A Monte Carlo request generates its
+// normal stream once for all of its options (each is priced as if alone
+// on stream (0, seed)); the lattice methods are priced option by option.
+// These methods are never coalesced, split or retried: Monte Carlo is one
+// attempt on one stream, and the lattice kernels gain nothing from
+// batching across requests.
 func (s *Server) priceHeavy(ctx context.Context, req *PriceRequest, method finbench.Method, cfg finbench.Config, resp *PriceResponse) error {
 	resp.Engine = "scalar"
-	resp.SizedResults(len(req.Options))
-	for i := range req.Options {
-		res, err := finbench.PriceCtx(ctx, req.Options[i].ToOption(), s.cfg.Market, method, &cfg)
-		if err != nil {
-			return err
-		}
-		resp.Results[i].Price = res.Price
-		resp.Results[i].StdErr = res.StdErr
+	opts := make([]finbench.Option, len(req.Options))
+	for i := range opts {
+		opts[i] = req.Options[i].ToOption()
+	}
+	res, err := finbench.PriceRequestCtx(ctx, opts, s.cfg.Market, method, &cfg)
+	if err != nil {
+		return err
+	}
+	resp.SizedResults(len(res))
+	for i := range res {
+		resp.Results[i].Price = res[i].Price
+		resp.Results[i].StdErr = res[i].StdErr
 	}
 	return nil
 }

@@ -620,3 +620,52 @@ func TestHistQuantiles(t *testing.T) {
 		t.Errorf("count = %d", snap.Count)
 	}
 }
+
+// TestMonteCarloRequestSharesStream pins the request-level Monte Carlo
+// path: a 4-option mixed call/put request generates its normals once,
+// and its reply must equal, field for field, four 1-option replies and
+// the library's per-option result — each option priced as if alone on
+// stream (0, seed).
+func TestMonteCarloRequestSharesStream(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := &PriceRequest{Method: "monte-carlo", Options: []WireOption{
+		{Type: "call", Spot: 100, Strike: 100, Expiry: 0.5},
+		{Type: "put", Spot: 100, Strike: 110, Expiry: 1},
+		{Type: "put", Spot: 80, Strike: 75, Expiry: 0.25},
+		{Spot: 120, Strike: 100, Expiry: 2},
+	}, Config: WireConfig{MCPaths: 5000, Seed: 42}}
+	resp, body := postJSON(t, ts.URL+"/price", req)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	whole := decodePrice(t, body)
+	if whole.Engine != "scalar" || len(whole.Results) != len(req.Options) {
+		t.Fatalf("engine %q, %d results", whole.Engine, len(whole.Results))
+	}
+	verifyAgainstLibrary(t, s.cfg.Market, req, whole)
+	for i := range req.Options {
+		one := &PriceRequest{Method: req.Method, Options: req.Options[i : i+1], Config: req.Config}
+		resp, body := postJSON(t, ts.URL+"/price", one)
+		if resp.StatusCode != 200 {
+			t.Fatalf("option %d alone: status %d: %s", i, resp.StatusCode, body)
+		}
+		alone := decodePrice(t, body)
+		if alone.Results[0] != whole.Results[i] {
+			t.Errorf("option %d: alone %+v, in the request %+v", i, alone.Results[0], whole.Results[i])
+		}
+		if alone.Method != whole.Method || alone.Engine != whole.Engine || alone.Config != whole.Config {
+			t.Errorf("option %d: echoes differ: %+v vs %+v", i, alone, whole)
+		}
+	}
+
+	// An American contract in position 2 fails the whole request at
+	// decode, before any path is drawn (the body is the parent's).
+	bad := *req
+	bad.Options = append([]WireOption(nil), req.Options...)
+	bad.Options[2].Style = "american"
+	resp, body = postJSON(t, ts.URL+"/price", &bad)
+	const want = `{"error":"option 2: method monte-carlo is European-only"}` + "\n"
+	if resp.StatusCode != http.StatusBadRequest || string(body) != want {
+		t.Errorf("american in position 2: status %d body %q, want 400 %q", resp.StatusCode, body, want)
+	}
+}

@@ -3,7 +3,7 @@
 #
 # Runs, in order: go vet, go build, the benchreg performance gate (a
 # fresh short-mode snapshot checked against the committed baseline
-# BENCH_0.json; see README "Continuous benchmarking"), the tier-1 test
+# BENCH_1.json; see README "Continuous benchmarking"), the tier-1 test
 # suite, the race detector over the concurrency-heavy packages, the fuzz
 # seed corpora, the finserve e2e smoke gate (scripts/e2e_smoke.sh; see
 # README "Serving"), the chaos smoke gate (scripts/chaos_smoke.sh; the
@@ -14,7 +14,7 @@
 # detmap, leakcheck and interprocedural hotalloc; see README "Static
 # analysis & CI gate") with its self-test. The benchreg gate also
 # enforces the allocs/op budget on serve-path rows (gate_allocs records
-# in BENCH_0.json): a new per-request allocation fails the check even
+# in BENCH_1.json): a new per-request allocation fails the check even
 # when its wall-clock cost hides inside timing noise.
 #
 # Usage: ./scripts/check.sh
@@ -48,11 +48,12 @@ go build ./...
 # The allocs/op rule needs no such slack: allocation counts are
 # deterministic per binary, so the tool's default (+10% and half an
 # allocation on gated rows) applies as-is.
-# Refresh the baseline with:  go run ./cmd/benchreg run -short -o BENCH_0.json
+# Add the next snapshot with:  go run ./cmd/benchreg run -short -o BENCH_<n+1>.json
+# and repoint this gate and the two workflows at it (earlier files stay in history).
 echo "==> benchreg gate: short snapshot vs committed baseline"
 go build -o "$TOOL_DIR/benchreg" ./cmd/benchreg
 bench_gate() {
-	"$TOOL_DIR/benchreg" check -baseline BENCH_0.json -short \
+	"$TOOL_DIR/benchreg" check -baseline BENCH_1.json -short \
 		-max-slowdown 0.35 -mad-factor 4
 }
 if ! bench_gate; then
