@@ -117,7 +117,6 @@ func runServe(args []string) int {
 		admitWait    = fs.Duration("admit-wait", 0, "max admission wait before 503 (0 = default)")
 		rate         = fs.Float64("rate", 0, "request-rate limit per second (0 = off)")
 		burst        = fs.Float64("burst", 0, "rate-limiter burst")
-		window       = fs.Duration("coalesce-window", 0, "coalescing window (0 = default)")
 		maxBatch     = fs.Int("coalesce-max-batch", 0, "flush threshold in options (0 = default)")
 		profileEvery = fs.Int("profile-every", 0, "sample op mix every Nth flush (0 = default, <0 = off)")
 		maxOptions   = fs.Int("max-options", 0, "max options per request (0 = default)")
@@ -159,7 +158,6 @@ func runServe(args []string) int {
 		AdmitWait:        *admitWait,
 		Rate:             *rate,
 		Burst:            *burst,
-		CoalesceWindow:   *window,
 		CoalesceMaxBatch: *maxBatch,
 		ProfileEvery:     *profileEvery,
 		MaxOptions:       *maxOptions,

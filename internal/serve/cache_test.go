@@ -141,14 +141,21 @@ func TestCacheConfigChangeRekeys(t *testing.T) {
 }
 
 // TestCacheCollapse: identical concurrent requests while a slow leader
-// computes must collapse onto one computation — with a widened coalescing
-// window the leader's compute dwells long enough for the burst to pile
-// onto the flight.
+// computes must collapse onto one computation. The leader is made to
+// dwell deterministically: the test holds every admission unit, so the
+// leader parks in adm.acquire until the whole burst has piled onto its
+// flight. (The cache counts a collapse only once the flight lands, so
+// the wait is on the handlers having entered and the leader having
+// parked; a straggler still decoding when the flight lands is served as a
+// hit, which is the cache's contract and is allowed for below.)
 func TestCacheCollapse(t *testing.T) {
 	cfg := cacheConfig()
-	cfg.CoalesceMaxBatch = 0 // default: use the coalescer...
-	cfg.CoalesceWindow = 50 * time.Millisecond
+	cfg.AdmitWait = time.Minute
 	s, ts := newTestServer(t, cfg)
+	held, ok := s.adm.acquire(s.cfg.MaxUnits, 0)
+	if !ok {
+		t.Fatal("could not pre-acquire the admission budget")
+	}
 
 	req := priceBody(3)
 	const n = 8
@@ -164,11 +171,15 @@ func TestCacheCollapse(t *testing.T) {
 			}
 		}(i)
 	}
+	for s.stats.priceRequests.Load() != n || s.adm.queued() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	s.adm.release(held)
 	wg.Wait()
 
 	st := s.cache.Snapshot()
-	if st.Collapsed == 0 {
-		t.Fatalf("no collapse under concurrent identical burst: %+v", st)
+	if st.Collapsed == 0 || st.Collapsed+st.Hits != n-1 {
+		t.Fatalf("burst of %d: %d collapsed + %d hits, want %d in all and a collapse: %+v", n, st.Collapsed, st.Hits, n-1, st)
 	}
 	if st.Misses != 1 {
 		t.Fatalf("burst ran %d computations, want 1: %+v", st.Misses, st)

@@ -1,10 +1,13 @@
 // Package coalesce merges small concurrent closed-form pricing requests
 // into SOA mega-batches. Throughput of the Advanced Black-Scholes engine
 // grows with batch size (amortized VML chunks, one parallel region per
-// batch instead of one per request), so the server trades a bounded
-// coalescing delay — first ticket arms a window timer; the batch flushes
-// at the timer or as soon as a size threshold is reached — for a much
-// larger effective batch.
+// batch instead of one per request), and batching is natural (group
+// commit), never bought with a wait: a ticket that finds no flush running
+// prices itself at once on its own goroutine; tickets that arrive while a
+// flush runs queue behind it, and when it ends the queue is handed, as one
+// batch, to its first ticket, whose goroutine prices it and passes the
+// flusher role on in turn. A size threshold bounds the queue: the ticket
+// that fills it prices it at once, beside the running flush.
 //
 // Correctness rests on composition independence: the LevelAdvanced engine
 // is purely elementwise, so pricing a request inside a mega-batch is
@@ -22,6 +25,7 @@ import (
 	"time"
 
 	"finbench"
+	"finbench/internal/serve/deadline"
 )
 
 // Ticket is one request's slice of a future mega-batch. The caller fills
@@ -47,7 +51,10 @@ type Ticket struct {
 	// Err is the flush error (context cancellation), if any.
 	Err error
 
+	// done wakes the ticket's goroutine: to flush lead, the batch it heads,
+	// as the new flusher; with lead nil, because the ticket is complete.
 	done chan struct{}
+	lead *ticketList
 }
 
 // Stats is a snapshot of the coalescer's counters.
@@ -63,18 +70,18 @@ type Stats struct {
 // Coalescer accumulates tickets and flushes them as one batch.
 type Coalescer struct {
 	mkt      finbench.Market
-	window   time.Duration
 	maxBatch int
 	// profileEvery samples the op mix of every Nth flush via
 	// finbench.ProfileBatch (0 disables).
 	profileEvery uint64
 
-	mu         sync.Mutex
-	pending    []*Ticket
-	pendingN   int
-	timer      *time.Timer
-	timerArmed bool
-	closed     bool
+	mu       sync.Mutex
+	pending  *ticketList // nil when nothing is queued
+	pendingN int
+	// flushing is the flusher role. Tickets are pending only while some
+	// goroutine holds it, so none waits on anything but a running flush.
+	flushing bool
+	closed   bool
 
 	flushes, solo, coalesced, batched atomic.Uint64
 
@@ -82,23 +89,22 @@ type Coalescer struct {
 	prof   finbench.OperationMix
 }
 
-// New builds a coalescer pricing against mkt. window is the maximum time
-// the first ticket of a batch waits; maxBatch flushes early once that many
-// options are pending. profileEvery samples the op mix of every Nth flush
-// (0 disables sampling).
+// New builds a coalescer pricing against mkt. maxBatch bounds the queue:
+// the ticket that brings it to that many options prices it at once.
+// profileEvery samples the op mix of every Nth flush (0 disables). window
+// is ignored: it stays only until the frozen benchmark/ package, which
+// passes it, can be corrected (ROADMAP, benchmark-correction item).
 func New(mkt finbench.Market, window time.Duration, maxBatch int, profileEvery int) *Coalescer {
-	c := &Coalescer{mkt: mkt, window: window, maxBatch: maxBatch}
+	c := &Coalescer{mkt: mkt, maxBatch: maxBatch}
 	if profileEvery > 0 {
 		c.profileEvery = uint64(profileEvery)
 	}
-	c.timer = time.AfterFunc(time.Hour, c.onTimer)
-	c.timer.Stop()
 	return c
 }
 
 // Price submits the ticket and blocks until its batch is flushed. It
-// returns the ticket's error (nil on success). Concurrent callers are
-// merged into the same batch when they arrive within the window.
+// returns the ticket's error (nil on success). Callers that arrive while
+// a flush is running are merged into one batch behind it.
 func (c *Coalescer) Price(t *Ticket) error {
 	if t.done == nil {
 		t.done = make(chan struct{}, 1)
@@ -110,58 +116,49 @@ func (c *Coalescer) Price(t *Ticket) error {
 		return t.Err
 	}
 	if c.pending == nil {
-		c.pending = getTicketSlice()
+		c.pending = ticketListPool.Get().(*ticketList)
 	}
-	c.pending = append(c.pending, t)
+	c.pending.tickets = append(c.pending.tickets, t)
 	c.pendingN += len(t.Spots)
-	if c.pendingN >= c.maxBatch {
-		// A threshold flush supersedes the window: disarm the timer so the
-		// next batch's first ticket re-arms a full window instead of
-		// inheriting this batch's near-expired one.
-		if c.timerArmed {
-			c.timerArmed = false
-			c.timer.Stop()
-		}
+	// Flush here and now when there is nobody to queue behind (taking the
+	// flusher role), or when this ticket fills the queue (pricing it beside
+	// the flusher, who keeps the role).
+	takesRole := !c.flushing
+	if takesRole || c.pendingN >= c.maxBatch {
+		c.flushing = true
 		batch := c.takeLocked()
 		c.mu.Unlock()
-		// The submitter whose ticket crossed the threshold prices the
-		// batch on its own goroutine (no handoff latency).
-		c.flush(batch)
+		c.flush(batch, takesRole)
 	} else {
-		if !c.timerArmed {
-			c.timerArmed = true
-			c.timer.Reset(c.window)
-		}
 		c.mu.Unlock()
 	}
-	<-t.done
-	return t.Err
-}
-
-// Flush prices whatever is pending immediately (drain path).
-func (c *Coalescer) Flush() {
-	c.mu.Lock()
-	batch := c.takeLocked()
-	c.mu.Unlock()
-	if len(batch) > 0 {
-		c.flush(batch)
+	for {
+		<-t.done
+		batch := t.lead
+		if batch == nil {
+			return t.Err
+		}
+		t.lead = nil
+		c.flush(batch, true)
 	}
 }
 
-// Close stops the timer and fails all pending tickets. The coalescer
-// accepts no further tickets.
+// Close fails all queued tickets with context.Canceled. The coalescer
+// accepts no further tickets; flushes already running complete.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
 	c.closed = true
-	c.timerArmed = false
-	c.timer.Stop()
 	batch := c.takeLocked()
 	c.mu.Unlock()
-	for _, t := range batch {
+	if batch == nil {
+		return
+	}
+	for _, t := range batch.tickets {
 		t.Err = context.Canceled
 		// finlint:ignore hotalloc struct{}{} is zero-size; a send of it never heap-allocates
 		t.done <- struct{}{}
 	}
+	putTicketList(batch)
 }
 
 // Snapshot returns the current counters.
@@ -182,30 +179,35 @@ func (c *Coalescer) OpMix() finbench.OperationMix {
 	return out
 }
 
-func (c *Coalescer) onTimer() {
-	c.mu.Lock()
-	c.timerArmed = false
-	batch := c.takeLocked()
-	c.mu.Unlock()
-	if len(batch) > 0 {
-		c.flush(batch)
-	}
-}
-
-// takeLocked detaches the pending batch. Caller holds c.mu.
-func (c *Coalescer) takeLocked() []*Ticket {
+// takeLocked detaches the pending batch (nil if none). Caller holds c.mu.
+func (c *Coalescer) takeLocked() *ticketList {
 	batch := c.pending
 	c.pending = nil
 	c.pendingN = 0
 	return batch
 }
 
-// flush prices the batch as one SOA mega-batch and distributes results.
-func (c *Coalescer) flush(batch []*Ticket) {
+// handOff ends a flusher's turn: whatever queued behind its flush goes,
+// with the role, to that batch's first ticket; nothing queued clears it.
+func (c *Coalescer) handOff() {
+	c.mu.Lock()
+	next := c.takeLocked()
+	c.flushing = next != nil
+	c.mu.Unlock()
+	if next != nil {
+		next.tickets[0].lead = next
+		next.tickets[0].done <- struct{}{}
+	}
+}
+
+// flush prices the batch as one SOA mega-batch and distributes results;
+// the flusher (holdsRole) then hands the queue on.
+func (c *Coalescer) flush(batch *ticketList, holdsRole bool) {
+	tickets := batch.tickets
 	n := 0
 	var latest time.Time
 	bounded := true
-	for _, t := range batch {
+	for _, t := range tickets {
 		n += len(t.Spots)
 		if t.Deadline.IsZero() {
 			bounded = false
@@ -215,7 +217,7 @@ func (c *Coalescer) flush(batch []*Ticket) {
 	}
 	mega := GetBatch(n)
 	lo := 0
-	for _, t := range batch {
+	for _, t := range tickets {
 		copy(mega.Spots[lo:], t.Spots)
 		copy(mega.Strikes[lo:], t.Strikes)
 		copy(mega.Expiries[lo:], t.Expiries)
@@ -226,31 +228,27 @@ func (c *Coalescer) flush(batch []*Ticket) {
 	// exact, not collateral damage. Tickets with earlier deadlines are
 	// re-checked individually at distribution time below.
 	ctx := context.Background()
-	var cancel context.CancelFunc
+	var dl *deadline.Ctx
 	if bounded {
-		ctx, cancel = context.WithDeadline(ctx, latest)
+		dl = deadline.Acquire(ctx, latest)
+		ctx = dl
 	}
 	err := finbench.PriceBatchCtx(ctx, mega, c.mkt, finbench.LevelAdvanced)
-	if cancel != nil {
-		cancel()
+	if dl != nil {
+		dl.Release()
 	}
 
 	flushIdx := c.flushes.Add(1)
 	c.batched.Add(uint64(n))
-	if len(batch) == 1 {
+	if len(tickets) == 1 {
 		c.solo.Add(1)
 	} else {
-		c.coalesced.Add(uint64(len(batch)))
-	}
-	// 1%c.profileEvery (not a literal 1) so profileEvery=1 samples every
-	// flush: flushIdx%1 is always 0, never 1.
-	if err == nil && c.profileEvery > 0 && flushIdx%c.profileEvery == 1%c.profileEvery {
-		c.profile(mega)
+		c.coalesced.Add(uint64(len(tickets)))
 	}
 
 	now := time.Now()
 	lo = 0
-	for _, t := range batch {
+	for _, t := range tickets {
 		hi := lo + len(t.Spots)
 		switch {
 		case err != nil:
@@ -266,14 +264,23 @@ func (c *Coalescer) flush(batch []*Ticket) {
 			copy(t.Calls, mega.Calls[lo:hi])
 			copy(t.Puts, mega.Puts[lo:hi])
 			t.BatchN = n
-			t.Coalesced = len(batch) > 1
+			t.Coalesced = len(tickets) > 1
 		}
 		lo = hi
 		// finlint:ignore hotalloc struct{}{} is zero-size; a send of it never heap-allocates
 		t.done <- struct{}{}
 	}
+	if holdsRole {
+		c.handOff()
+	}
+	// Sampled last, so the doubled work delays only this goroutine's reply.
+	// 1%c.profileEvery (not a literal 1) so profileEvery=1 samples every
+	// flush: flushIdx%1 is always 0, never 1.
+	if err == nil && c.profileEvery > 0 && flushIdx%c.profileEvery == 1%c.profileEvery {
+		c.profile(mega)
+	}
 	PutBatch(mega)
-	putTicketSlice(batch)
+	putTicketList(batch)
 }
 
 // profile re-prices the flushed batch with counters on (bit-identical

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,67 +45,154 @@ func priceDirect(t *testing.T, tk *Ticket) (calls, puts []float64) {
 	return b.Calls, b.Puts
 }
 
-func TestCoalescerMergesConcurrentTickets(t *testing.T) {
-	c := New(testMkt, 20*time.Millisecond, 1<<20, 0)
-	defer c.Close()
+// holdRole takes the flusher role as a running flush would, so tickets
+// submitted next queue behind it deterministically — no clock involved.
+func holdRole(c *Coalescer) {
+	c.mu.Lock()
+	c.flushing = true
+	c.mu.Unlock()
+}
 
-	const clients = 8
-	tickets := make([]*Ticket, clients)
-	for i := range tickets {
-		tickets[i] = mkTicket(rand.New(rand.NewSource(int64(i)+1)), 16+i)
+// state reads the flusher role and the queue length under the lock.
+func state(c *Coalescer) (flushing bool, queued int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pending != nil {
+		queued = len(c.pending.tickets)
 	}
+	return c.flushing, queued
+}
+
+// submitBehind starts one Price per ticket and returns once all of them
+// are queued (in slice order) behind the held role. The returned func
+// waits for every Price to return and reports their errors.
+func submitBehind(c *Coalescer, tickets []*Ticket) (wait func() []error) {
+	errs := make([]error, len(tickets))
 	var wg sync.WaitGroup
-	errs := make([]error, clients)
 	for i := range tickets {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			errs[i] = c.Price(tickets[i])
 		}(i)
+		for _, queued := state(c); queued != i+1; _, queued = state(c) {
+			runtime.Gosched()
+		}
 	}
-	wg.Wait()
-	for i, err := range errs {
+	return func() []error { wg.Wait(); return errs }
+}
+
+func checkBitEqualDirect(t *testing.T, name string, tk *Ticket) {
+	t.Helper()
+	wantCalls, wantPuts := priceDirect(t, tk)
+	for j := range wantCalls {
+		if tk.Calls[j] != wantCalls[j] || tk.Puts[j] != wantPuts[j] {
+			t.Fatalf("%s option %d: coalesced (%v,%v) != direct (%v,%v)",
+				name, j, tk.Calls[j], tk.Puts[j], wantCalls[j], wantPuts[j])
+		}
+	}
+}
+
+// TestLoneTicketFlushesAtOnce: a ticket that finds no flush in progress is
+// priced on its own goroutine, now. The hour-long window is the one New
+// ignores; behind a window timer this test hangs.
+func TestLoneTicketFlushesAtOnce(t *testing.T) {
+	c := New(testMkt, time.Hour, 1<<20, 0)
+	defer c.Close()
+	tk := mkTicket(rand.New(rand.NewSource(1)), 16)
+	if err := c.Price(tk); err != nil {
+		t.Fatal(err)
+	}
+	if tk.BatchN != 16 || tk.Coalesced {
+		t.Errorf("BatchN=%d Coalesced=%v, want solo 16", tk.BatchN, tk.Coalesced)
+	}
+	checkBitEqualDirect(t, "lone ticket", tk)
+	if snap := c.Snapshot(); snap.Flushes != 1 || snap.SoloFlushes != 1 {
+		t.Errorf("flushes = %d, solo = %d, want 1 and 1", snap.Flushes, snap.SoloFlushes)
+	}
+	if flushing, queued := state(c); flushing || queued != 0 {
+		t.Error("flusher role or queue left behind by a lone ticket")
+	}
+}
+
+// TestCoalescerMergesConcurrentTickets: tickets that arrive while a flush
+// runs ride one batch, handed to the first of them when that flush ends —
+// whose own ticket is priced in the batch it leads.
+func TestCoalescerMergesConcurrentTickets(t *testing.T) {
+	c := New(testMkt, 0, 1<<20, 0)
+	defer c.Close()
+
+	const clients = 8
+	tickets := make([]*Ticket, clients)
+	total := 0
+	for i := range tickets {
+		tickets[i] = mkTicket(rand.New(rand.NewSource(int64(i)+1)), 16+i)
+		total += 16 + i
+	}
+	holdRole(c)
+	wait := submitBehind(c, tickets)
+	c.handOff() // the held flush ends
+	for i, err := range wait() {
 		if err != nil {
 			t.Fatalf("ticket %d: %v", i, err)
 		}
 	}
-	anyCoalesced := false
 	for i, tk := range tickets {
-		anyCoalesced = anyCoalesced || tk.Coalesced
-		wantCalls, wantPuts := priceDirect(t, tk)
-		for j := range wantCalls {
-			if tk.Calls[j] != wantCalls[j] || tk.Puts[j] != wantPuts[j] {
-				t.Fatalf("ticket %d option %d: coalesced (%v,%v) != direct (%v,%v)",
-					i, j, tk.Calls[j], tk.Puts[j], wantCalls[j], wantPuts[j])
-			}
+		if !tk.Coalesced || tk.BatchN != total {
+			t.Errorf("ticket %d: Coalesced=%v BatchN=%d, want true and %d", i, tk.Coalesced, tk.BatchN, total)
 		}
+		checkBitEqualDirect(t, "merged ticket", tk)
 	}
-	if !anyCoalesced {
-		t.Error("no ticket coalesced despite 8 concurrent submitters in a 20ms window")
+	want := Stats{Flushes: 1, CoalescedTickets: clients, BatchedOptions: uint64(total)}
+	if snap := c.Snapshot(); snap != want {
+		t.Errorf("counters = %+v, want %+v", snap, want)
 	}
-	snap := c.Snapshot()
-	if snap.Flushes == 0 || snap.BatchedOptions == 0 {
-		t.Errorf("counters not advancing: %+v", snap)
+	if flushing, queued := state(c); flushing || queued != 0 {
+		t.Error("the handed-on leader did not clear the role after an empty hand-off")
 	}
 }
 
+// TestCoalescerThresholdFlushesInline: the ticket that fills the queue
+// prices it on its own goroutine beside the running flush, whose flusher
+// keeps the role.
 func TestCoalescerThresholdFlushesInline(t *testing.T) {
-	c := New(testMkt, time.Hour, 32, 0) // timer would never fire
+	c := New(testMkt, 0, 32, 0)
 	defer c.Close()
+	holdRole(c)
+	queued := []*Ticket{mkTicket(rand.New(rand.NewSource(8)), 8)}
+	wait := submitBehind(c, queued)
 	tk := mkTicket(rand.New(rand.NewSource(9)), 40)
+	if err := c.Price(tk); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait()[0]; err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*Ticket{queued[0], tk} {
+		if got.BatchN != 48 || !got.Coalesced {
+			t.Errorf("BatchN=%d Coalesced=%v, want 48 coalesced", got.BatchN, got.Coalesced)
+		}
+		checkBitEqualDirect(t, "threshold ticket", got)
+	}
+	if held, _ := state(c); !held {
+		t.Error("a threshold flush released a role it did not hold")
+	}
+	c.handOff()
+
+	// With no flush running the same ticket is simply a lone one.
 	if err := c.Price(tk); err != nil {
 		t.Fatal(err)
 	}
 	if tk.BatchN != 40 || tk.Coalesced {
 		t.Errorf("BatchN=%d Coalesced=%v, want solo 40", tk.BatchN, tk.Coalesced)
 	}
-	if snap := c.Snapshot(); snap.SoloFlushes != 1 {
-		t.Errorf("solo flushes = %d, want 1", snap.SoloFlushes)
+	if snap := c.Snapshot(); snap.Flushes != 2 || snap.SoloFlushes != 1 {
+		t.Errorf("flushes = %d, solo = %d, want 2 and 1", snap.Flushes, snap.SoloFlushes)
 	}
 }
 
 func TestCoalescerExpiredDeadlineFailsBatch(t *testing.T) {
-	c := New(testMkt, time.Millisecond, 1<<20, 0)
+	c := New(testMkt, 0, 1<<20, 0)
 	defer c.Close()
 	tk := mkTicket(rand.New(rand.NewSource(3)), 8)
 	tk.Deadline = time.Now().Add(-time.Second)
@@ -114,75 +203,32 @@ func TestCoalescerExpiredDeadlineFailsBatch(t *testing.T) {
 }
 
 func TestCoalescerCloseFailsPending(t *testing.T) {
-	c := New(testMkt, time.Hour, 1<<20, 0)
-	tk := mkTicket(rand.New(rand.NewSource(4)), 4)
-	errCh := make(chan error, 1)
-	go func() { errCh <- c.Price(tk) }()
-	// Wait until the ticket is pending, then close underneath it.
-	for {
-		c.mu.Lock()
-		n := len(c.pending)
-		c.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	c := New(testMkt, 0, 1<<20, 0)
+	holdRole(c)
+	tickets := []*Ticket{
+		mkTicket(rand.New(rand.NewSource(4)), 4),
+		mkTicket(rand.New(rand.NewSource(5)), 4),
 	}
+	wait := submitBehind(c, tickets)
 	c.Close()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want canceled", err)
+	for i, err := range wait() {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("queued ticket %d: err = %v, want canceled", i, err)
+		}
 	}
-	if err := c.Price(mkTicket(rand.New(rand.NewSource(5)), 2)); !errors.Is(err, context.Canceled) {
+	if err := c.Price(mkTicket(rand.New(rand.NewSource(6)), 2)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("post-close submit: %v, want canceled", err)
 	}
-}
-
-// TestThresholdFlushDisarmsWindowTimer: a threshold flush must stop the
-// window timer it supersedes, or the next batch inherits a stale,
-// near-expired timer and flushes with an arbitrarily short window.
-func TestThresholdFlushDisarmsWindowTimer(t *testing.T) {
-	const window = 240 * time.Millisecond
-	c := New(testMkt, window, 4, 0)
-	defer c.Close()
-
-	// Ticket A arms the window timer; ticket B crosses the threshold and
-	// flushes both inline. The timer must be disarmed by that flush.
-	errA := make(chan error, 1)
-	a := mkTicket(rand.New(rand.NewSource(11)), 1)
-	go func() { errA <- c.Price(a) }()
-	for {
-		c.mu.Lock()
-		armed := c.timerArmed
-		c.mu.Unlock()
-		if armed {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := c.Price(mkTicket(rand.New(rand.NewSource(12)), 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errA; err != nil {
-		t.Fatal(err)
-	}
-
-	// Submit ticket C deep into what remains of the stale window. With the
-	// timer properly disarmed it gets a full window of its own; with the
-	// stale timer it would flush when the leftover window expires.
-	time.Sleep(window / 2)
-	start := time.Now()
-	if err := c.Price(mkTicket(rand.New(rand.NewSource(13)), 1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := time.Since(start); got < 3*window/4 {
-		t.Errorf("post-threshold ticket flushed after %v; want a full window (~%v) — stale timer not disarmed", got, window)
+	c.handOff() // the flush Close ran beside ends with nothing to hand on
+	if snap := c.Snapshot(); snap.Flushes != 0 {
+		t.Errorf("flushes = %d after Close failed every ticket, want 0", snap.Flushes)
 	}
 }
 
 // TestProfileEveryOneSamplesEveryFlush pins the profileEvery=1 fix:
 // flushIdx%1 is always 0, so the old `== 1` comparison never sampled.
 func TestProfileEveryOneSamplesEveryFlush(t *testing.T) {
-	c := New(testMkt, time.Hour, 1, 1) // every ticket threshold-flushes alone
+	c := New(testMkt, 0, 1, 1) // sequential tickets: every one flushes alone
 	defer c.Close()
 	var prev uint64
 	for i := 0; i < 3; i++ {
@@ -201,65 +247,29 @@ func TestProfileEveryOneSamplesEveryFlush(t *testing.T) {
 // expired while riding a flush bounded by a later deadline must fail with
 // DeadlineExceeded, not receive a 200-grade result after its deadline.
 func TestPerTicketDeadlineCheckedAtDistribution(t *testing.T) {
-	c := New(testMkt, 60*time.Millisecond, 1<<20, 0)
+	c := New(testMkt, 0, 1<<20, 0)
 	defer c.Close()
 
 	short := mkTicket(rand.New(rand.NewSource(31)), 4)
-	short.Deadline = time.Now().Add(5 * time.Millisecond)
+	short.Deadline = time.Now().Add(-time.Millisecond)
 	long := mkTicket(rand.New(rand.NewSource(32)), 4)
 	long.Deadline = time.Now().Add(10 * time.Second)
 
-	var wg sync.WaitGroup
-	var errShort, errLong error
-	wg.Add(2)
-	go func() { defer wg.Done(); errShort = c.Price(short) }()
-	go func() { defer wg.Done(); errLong = c.Price(long) }()
-	wg.Wait()
+	holdRole(c)
+	wait := submitBehind(c, []*Ticket{short, long})
+	c.handOff()
+	errs := wait()
 
-	if !errors.Is(errShort, context.DeadlineExceeded) {
-		t.Errorf("short-deadline ticket: err = %v, want DeadlineExceeded", errShort)
+	if !errors.Is(errs[0], context.DeadlineExceeded) {
+		t.Errorf("short-deadline ticket: err = %v, want DeadlineExceeded", errs[0])
 	}
-	if errLong != nil {
-		t.Fatalf("long-deadline ticket: %v", errLong)
+	if errs[1] != nil {
+		t.Fatalf("long-deadline ticket: %v", errs[1])
 	}
-	wantCalls, wantPuts := priceDirect(t, long)
-	for j := range wantCalls {
-		if long.Calls[j] != wantCalls[j] || long.Puts[j] != wantPuts[j] {
-			t.Fatalf("long ticket option %d: (%v,%v) != direct (%v,%v)",
-				j, long.Calls[j], long.Puts[j], wantCalls[j], wantPuts[j])
-		}
+	if !long.Coalesced || long.BatchN != 8 {
+		t.Errorf("long ticket: Coalesced=%v BatchN=%d, want it to have shared the flush", long.Coalesced, long.BatchN)
 	}
-}
-
-// TestCloseStopsTimer pins that Close really stops the window timer its
-// doc comment claims it stops.
-func TestCloseStopsTimer(t *testing.T) {
-	c := New(testMkt, time.Hour, 1<<20, 0)
-	tk := mkTicket(rand.New(rand.NewSource(41)), 2)
-	errCh := make(chan error, 1)
-	go func() { errCh <- c.Price(tk) }()
-	for {
-		c.mu.Lock()
-		armed := c.timerArmed
-		c.mu.Unlock()
-		if armed {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	c.Close()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("pending ticket after Close: err = %v, want canceled", err)
-	}
-	if c.timer.Stop() {
-		t.Error("window timer still armed after Close")
-	}
-	c.mu.Lock()
-	armed := c.timerArmed
-	c.mu.Unlock()
-	if armed {
-		t.Error("timerArmed still set after Close")
-	}
+	checkBitEqualDirect(t, "long ticket", long)
 }
 
 // TestBatchTicketPools pins the freelist contract: pooled batches and
@@ -283,7 +293,7 @@ func TestBatchTicketPools(t *testing.T) {
 
 	// A pooled ticket priced through the coalescer keeps its results after
 	// the flush's mega-batch scratch is recycled into later flushes.
-	c := New(testMkt, time.Hour, 1, 0)
+	c := New(testMkt, 0, 1, 0)
 	defer c.Close()
 	rng := rand.New(rand.NewSource(51))
 	first := GetTicket(8)
@@ -308,18 +318,21 @@ func TestBatchTicketPools(t *testing.T) {
 	PutTicket(first)
 }
 
-// TestCoalescerStress hammers Price/Flush/Snapshot/OpMix concurrently; its
-// real assertions come from the race detector (this package is in the
-// check.sh race list) plus per-ticket bit-verification.
+// TestCoalescerStress hammers Price/Snapshot/OpMix concurrently with a
+// queue bound small enough that role hand-offs and threshold flushes
+// interleave. Every ticket is bit-verified, and the counters must account
+// for every ticket and option exactly once; the race detector (check.sh
+// runs this package under -race at -cpu 1,2,4,8) does the rest.
 func TestCoalescerStress(t *testing.T) {
-	c := New(testMkt, 500*time.Microsecond, 512, 4)
+	c := New(testMkt, 0, 96, 4)
 	defer c.Close()
 
 	const (
 		workers = 8
-		rounds  = 30
+		rounds  = 200
 	)
 	var wg sync.WaitGroup
+	var completions, options atomic.Uint64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -331,9 +344,11 @@ func TestCoalescerStress(t *testing.T) {
 					t.Errorf("worker %d round %d: %v", w, r, err)
 					return
 				}
-				wantCalls, _ := priceDirect(t, tk)
+				completions.Add(1)
+				options.Add(uint64(len(tk.Spots)))
+				wantCalls, wantPuts := priceDirect(t, tk)
 				for j := range wantCalls {
-					if tk.Calls[j] != wantCalls[j] {
+					if tk.Calls[j] != wantCalls[j] || tk.Puts[j] != wantPuts[j] {
 						t.Errorf("worker %d round %d option %d mismatch", w, r, j)
 						return
 					}
@@ -348,10 +363,9 @@ func TestCoalescerStress(t *testing.T) {
 			case <-done:
 				return
 			default:
-				c.Flush()
 				_ = c.Snapshot()
 				_ = c.OpMix()
-				time.Sleep(200 * time.Microsecond)
+				runtime.Gosched()
 			}
 		}
 	}()
@@ -359,10 +373,16 @@ func TestCoalescerStress(t *testing.T) {
 	close(done)
 
 	snap := c.Snapshot()
-	if snap.Flushes == 0 {
-		t.Error("no flushes recorded")
+	if got := completions.Load(); got != workers*rounds {
+		t.Errorf("completions = %d, want %d (tickets in == completions out)", got, workers*rounds)
 	}
-	if got := snap.SoloFlushes + snap.CoalescedTickets; got == 0 {
-		t.Errorf("ticket accounting empty: %+v", snap)
+	if got := snap.SoloFlushes + snap.CoalescedTickets; got != workers*rounds {
+		t.Errorf("tickets flushed = %d, want %d: %+v", got, workers*rounds, snap)
+	}
+	if snap.BatchedOptions != options.Load() {
+		t.Errorf("BatchedOptions = %d, want %d", snap.BatchedOptions, options.Load())
+	}
+	if flushing, queued := state(c); flushing || queued != 0 {
+		t.Error("flusher role or queue left behind after every Price returned")
 	}
 }

@@ -116,20 +116,18 @@ func sizedFloats(s []float64, n int) []float64 {
 	return make([]float64, n, 1<<sizeClass(n))
 }
 
-// ticketSlicePool recycles the pending-ticket slices so arming a fresh
-// batch does not allocate.
-var ticketSlicePool = sync.Pool{
-	New: func() any { s := make([]*Ticket, 0, 16); return &s },
+// ticketList is a batch of tickets, queued or being flushed; pooling the
+// pointer the slice travels behind makes recycling allocation-free.
+type ticketList struct{ tickets []*Ticket }
+
+var ticketListPool = sync.Pool{
+	New: func() any { return &ticketList{tickets: make([]*Ticket, 0, 16)} },
 }
 
-func getTicketSlice() []*Ticket {
-	return *ticketSlicePool.Get().(*[]*Ticket)
-}
-
-func putTicketSlice(s []*Ticket) {
-	for i := range s {
-		s[i] = nil
+func putTicketList(l *ticketList) {
+	for i := range l.tickets {
+		l.tickets[i] = nil
 	}
-	s = s[:0]
-	ticketSlicePool.Put(&s)
+	l.tickets = l.tickets[:0]
+	ticketListPool.Put(l)
 }

@@ -87,6 +87,20 @@ func TestPriceHandlerAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestPriceHandlerAllocsCoalescedSteadyState gates the path interactive
+// users actually take: default CoalesceMaxBatch, so the request goes
+// through the coalescer (ticket, queue, flush, pooled flush deadline).
+func TestPriceHandlerAllocsCoalescedSteadyState(t *testing.T) {
+	s := New(Config{ProfileEvery: -1})
+	defer s.Close()
+	if got := allocsPerRequest(t, s.Handler(), "/price", "application/json", onePriceBody()); got != 0 {
+		t.Errorf("/price JSON through the coalescer: %.2f allocs/request, want 0", got)
+	}
+	if snap := s.co.Snapshot(); snap.Flushes == 0 {
+		t.Error("no flush recorded: the request bypassed the coalescer")
+	}
+}
+
 func TestPriceHandlerAllocsColumnarSteadyState(t *testing.T) {
 	s := New(Config{CoalesceMaxBatch: 1, ProfileEvery: -1})
 	defer s.Close()

@@ -46,11 +46,10 @@ type Config struct {
 	// (requests/second); Rate 0 disables it.
 	Rate, Burst float64
 
-	// CoalesceWindow is the longest the first request of a batch waits
-	// for company (default 250us); CoalesceMaxBatch flushes early at that
-	// many pending options (default 16384). Requests at least
-	// CoalesceMaxBatch options large bypass the coalescer.
-	CoalesceWindow   time.Duration
+	// CoalesceMaxBatch bounds the coalescer's queue: closed-form requests
+	// that arrive while a flush runs merge into one batch behind it (an
+	// idle coalescer prices a request at once), flushed early at this many
+	// options (default 16384). Requests that large bypass the coalescer.
 	CoalesceMaxBatch int
 
 	// ProfileEvery samples the op mix of every Nth coalesced flush
@@ -105,9 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.AdmitWait <= 0 {
 		c.AdmitWait = 2 * time.Millisecond
 	}
-	if c.CoalesceWindow <= 0 {
-		c.CoalesceWindow = 250 * time.Microsecond
-	}
 	if c.CoalesceMaxBatch <= 0 {
 		c.CoalesceMaxBatch = 16384
 	}
@@ -155,7 +151,7 @@ type Server struct {
 }
 
 // New builds a server. Call Close when done (stops the degrade ticker and
-// the coalescer timer).
+// fails whatever is queued in the coalescer).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -163,7 +159,7 @@ func New(cfg Config) *Server {
 		stats: newStats(),
 		adm:   newAdmission(cfg.MaxUnits),
 		deg:   newDegrader(cfg.Degrade),
-		co:    coalesce.New(cfg.Market, cfg.CoalesceWindow, cfg.CoalesceMaxBatch, cfg.ProfileEvery),
+		co:    coalesce.New(cfg.Market, 0, cfg.CoalesceMaxBatch, cfg.ProfileEvery),
 		rate:  newBucket(cfg.Rate, cfg.Burst),
 	}
 	if cfg.CacheBytes > 0 {
@@ -210,7 +206,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // afterwards to wait for in-flight work.
 func (s *Server) StartDrain() {
 	s.draining.Store(true)
-	s.co.Flush()
 	if s.hub != nil {
 		// Shut the hub down NOW, not at Close: closing every subscriber's
 		// Gone channel is what makes the open SSE handlers send goodbye
@@ -221,8 +216,8 @@ func (s *Server) StartDrain() {
 }
 
 // Drain puts the server into draining mode (new work is refused with
-// 503), flushes the coalescer, and waits until in-flight work reaches
-// zero or ctx expires. Returns nil when fully drained.
+// 503) and waits until in-flight work reaches zero or ctx expires.
+// Returns nil when fully drained.
 func (s *Server) Drain(ctx context.Context) error {
 	s.StartDrain()
 	tick := time.NewTicker(5 * time.Millisecond)

@@ -82,7 +82,6 @@ else
 		./internal/fault \
 		./internal/scenario \
 		./internal/serve \
-		./internal/serve/coalesce \
 		./internal/serve/pricecache \
 		./internal/serve/wire \
 		./internal/serve/loadgen \
@@ -90,6 +89,9 @@ else
 		./internal/serve/stream \
 		./internal/serve/stream/ticker \
 		./internal/serve/deadline
+	# The coalescer's flusher-role hand-off runs on request goroutines, so
+	# worker count is a test dimension for it as for the kernels.
+	go test -race -count=1 -cpu 1,2,4,8 ./internal/serve/coalesce
 
 	echo "==> fuzz seed corpora"
 	go test -run='^Fuzz' -count=1 -timeout 10m \

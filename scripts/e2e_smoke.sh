@@ -13,8 +13,8 @@
 #   phase 4  admission saturation: a tiny work budget must shed with 503
 #            and nothing else (no 5xx other than 503)
 #   phase 5  rate limiting: a tiny token bucket must answer 429
-#   phase 6  pricing cache: a concurrent identical burst must collapse
-#            onto one singleflight leader, and a Zipf-skewed pool must
+#   phase 6  pricing cache: a concurrent identical burst must run one
+#            computation (collapse or hit), and a Zipf-skewed pool must
 #            clear a hit-rate floor with every 200 — cold or cached —
 #            still bit-matching the library (-verify with the cache on)
 #   phase 7  router-tier cache: same hit-rate + bit-identity contract
@@ -140,15 +140,24 @@ boot -rate 2 -burst 2
 	fail "phase 5 (rate limit)"
 stop_drain 5000
 
-echo "==> e2e phase 6: pricing cache (singleflight collapse + Zipf hit-rate floor)"
-# A widened coalesce window makes the cache-miss leader dwell in the
-# coalescer, so the identical concurrent requests demonstrably park on
-# its flight instead of racing it to completion.
-boot -cache-bytes 67108864 -coalesce-window 10ms
+echo "==> e2e phase 6: pricing cache (one computation per identical burst + Zipf hit-rate floor)"
+# 64 identical requests from 8 clients must run exactly one computation:
+# every other reply is a collapse onto the leader's flight or a hit on
+# what it stored, and loadgen counts both as hits (63/64 = 0.984). Which
+# of the two a reply was is timing: nothing in the server makes a leader
+# dwell any more (the coalescer prices a lone ticket at once), and a
+# dwell bought with request size — a leader busy for milliseconds on a
+# 16K..256K-option body — collapsed at least once in only 15/50, 23/50,
+# 11/20 and 14/20 runs at 16384, 32768, 131072 and 262144 options,
+# because the followers spend longer decoding than the leader spends
+# pricing. So -assert-min-collapsed is not asserted here; that waiters
+# do park on a flight is pinned deterministically by TestCacheCollapse
+# (internal/serve) and TestSingleflightCollapse (pricecache).
+boot -cache-bytes 67108864
 "$BIN" loadgen -url "$URL" -requests 64 -concurrency 8 \
 	-mix "closed-form=1" -options 8 -zipf 0 -zipf-pool 1 \
-	-assert-codes 200 -min-count 200:64 -assert-min-collapsed 1 ||
-	fail "phase 6a (singleflight collapse on an identical burst)"
+	-assert-codes 200 -min-count 200:64 -assert-min-hit-rate 0.98 ||
+	fail "phase 6a (one computation for an identical burst)"
 # Zipf-skewed pool: misses are bounded by the pool size, so the floor is
 # guaranteed by construction (300 requests, <=64 cold misses); -verify
 # recomputes every 200 — cold or cache-served — against the library.
