@@ -120,7 +120,8 @@ const breakerType = "(*" + resiliencePkgPath + ".Breaker)"
 
 // coalescePkgPath and wirePkgPath are the serving tier's pooled-object
 // packages: the request coalescer's ticket/batch freelists and the wire
-// codec's request/response/buffer freelists.
+// codec's request/response/buffer freelists (pricecache's contract
+// freelist is the third).
 const (
 	coalescePkgPath = "finbench/internal/serve/coalesce"
 	wirePkgPath     = "finbench/internal/serve/wire"
@@ -135,9 +136,10 @@ const (
 // one object per request, which is exactly what the freelists exist to
 // prevent.
 var pooledGetPut = map[string]string{
-	coalescePkgPath + ".GetTicket":     coalescePkgPath + ".PutTicket",
-	coalescePkgPath + ".GetBatch":      coalescePkgPath + ".PutBatch",
-	wirePkgPath + ".GetBuffer":         wirePkgPath + ".PutBuffer",
-	wirePkgPath + ".GetPriceResponse":  wirePkgPath + ".PutPriceResponse",
-	wirePkgPath + ".GetGreeksResponse": wirePkgPath + ".PutGreeksResponse",
+	coalescePkgPath + ".GetTicket":      coalescePkgPath + ".PutTicket",
+	coalescePkgPath + ".GetBatch":       coalescePkgPath + ".PutBatch",
+	wirePkgPath + ".GetBuffer":          wirePkgPath + ".PutBuffer",
+	wirePkgPath + ".GetPriceResponse":   wirePkgPath + ".PutPriceResponse",
+	wirePkgPath + ".GetGreeksResponse":  wirePkgPath + ".PutGreeksResponse",
+	pricecachePkgPath + ".GetContracts": pricecachePkgPath + ".PutContracts",
 }

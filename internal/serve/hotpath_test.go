@@ -101,6 +101,22 @@ func TestPriceHandlerAllocsCoalescedSteadyState(t *testing.T) {
 	}
 }
 
+// TestPriceHandlerAllocsCacheHit pins a replica-tier cache hit: the
+// deadline is the pooled deadline.Ctx (no per-request runtime timer) and
+// the key is built in a pooled contract slice, so what remains is the two
+// header values (X-Finserve-Cache and Content-Type).
+func TestPriceHandlerAllocsCacheHit(t *testing.T) {
+	s := New(Config{CacheBytes: 1 << 20, ProfileEvery: -1})
+	defer s.Close()
+	got := allocsPerRequest(t, s.Handler(), "/price", "application/json", onePriceBody())
+	if snap := s.cache.Snapshot(); snap.Misses != 1 || snap.Hits == 0 {
+		t.Fatalf("harness did not exercise the hit path: %+v", snap)
+	}
+	if got > 2 {
+		t.Errorf("/price cache hit: %.2f allocs/request, want <= 2", got)
+	}
+}
+
 func TestPriceHandlerAllocsColumnarSteadyState(t *testing.T) {
 	s := New(Config{CoalesceMaxBatch: 1, ProfileEvery: -1})
 	defer s.Close()

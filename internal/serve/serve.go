@@ -424,7 +424,9 @@ var errShed = errors.New("work budget exhausted")
 // Hits and collapsed waiters never touch the admission budget — the
 // cache's whole throughput win. The deadline context is established
 // before Do so a waiter parked on a slow leader still honors its own
-// deadline.
+// deadline. It is the pooled deadline.Ctx, as in handlePrice: Do runs the
+// leader's compute synchronously and a waiter only selects on ctx.Done,
+// so nothing holds ctx once Do returns and Release cannot race a user.
 func (s *Server) servePriceCached(w http.ResponseWriter, r *http.Request, start time.Time, req *PriceRequest, cfg finbench.Config) {
 	defer wire.PutRequest(req)
 	budget := s.cfg.MaxDeadline
@@ -433,8 +435,8 @@ func (s *Server) servePriceCached(w http.ResponseWriter, r *http.Request, start 
 			budget = d
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
+	ctx := deadline.Acquire(r.Context(), time.Now().Add(budget))
+	defer ctx.Release()
 
 	body, outcome, err := s.cache.Do(ctx, s.cacheKey(req, cfg), func(ctx context.Context) ([]byte, bool, error) {
 		return s.computeCacheable(ctx, req, cfg)
@@ -494,15 +496,15 @@ func (s *Server) computeCacheable(ctx context.Context, req *PriceRequest, cfg fi
 // resolved effective config, so any effective-config or market change
 // re-keys every entry — invalidation by construction.
 func (s *Server) cacheKey(req *PriceRequest, cfg finbench.Config) pricecache.Key {
-	contracts := make([]pricecache.Contract, len(req.Options))
+	contracts := pricecache.GetContracts(len(req.Options))
 	for i := range req.Options {
 		o := &req.Options[i]
-		contracts[i] = pricecache.Contract{
+		(*contracts)[i] = pricecache.Contract{
 			Type: o.Type, Style: o.Style,
 			Spot: o.Spot, Strike: o.Strike, Expiry: o.Expiry,
 		}
 	}
-	return pricecache.Digest(finbench.ClosedForm.String(),
+	key := pricecache.Digest(finbench.ClosedForm.String(),
 		s.cfg.Market.Rate, s.cfg.Market.Volatility,
 		pricecache.Params{
 			BinomialSteps: cfg.BinomialSteps,
@@ -510,7 +512,9 @@ func (s *Server) cacheKey(req *PriceRequest, cfg finbench.Config) pricecache.Key
 			TimeSteps:     cfg.TimeSteps,
 			MCPaths:       cfg.MCPaths,
 			Seed:          cfg.Seed,
-		}, contracts)
+		}, *contracts)
+	pricecache.PutContracts(contracts)
+	return key
 }
 
 // priceClosedForm prices via the SOA batch engine: small requests go

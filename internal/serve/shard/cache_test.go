@@ -167,29 +167,36 @@ func TestRouterCacheDegradedUncacheable(t *testing.T) {
 	}
 }
 
+// bodyKey is the router's cache key for a JSON /price body: the one wire
+// decode sniffPrice runs with the cache on.
+func bodyKey(body []byte) (pricecache.Key, bool) {
+	_, _, key, ok := sniffPrice(body, true)
+	return key, ok
+}
+
 // TestRouterCacheKeyCanonicalization: the router key builder inherits
 // the digest equivalences and excludes transport fields (deadline_ms).
 func TestRouterCacheKeyCanonicalization(t *testing.T) {
-	a, okA := routerCacheKey([]byte(`{"options":[{"spot":100,"strike":95,"expiry":1}]}`))
-	b, okB := routerCacheKey([]byte(`{"method":"closed-form","options":[{"type":"call","style":"european","spot":100,"strike":95,"expiry":1}]}`))
+	a, okA := bodyKey([]byte(`{"options":[{"spot":100,"strike":95,"expiry":1}]}`))
+	b, okB := bodyKey([]byte(`{"method":"closed-form","options":[{"type":"call","style":"european","spot":100,"strike":95,"expiry":1}]}`))
 	if !okA || !okB || a != b {
 		t.Fatal("canonically equal bodies keyed differently")
 	}
-	c, okC := routerCacheKey([]byte(`{"options":[{"spot":100,"strike":95,"expiry":1}],"deadline_ms":250}`))
+	c, okC := bodyKey([]byte(`{"options":[{"spot":100,"strike":95,"expiry":1}],"deadline_ms":250}`))
 	if !okC || a != c {
 		t.Fatal("deadline_ms must not affect the content address")
 	}
-	d, okD := routerCacheKey([]byte(`{"options":[{"type":"put","spot":100,"strike":95,"expiry":1}]}`))
+	d, okD := bodyKey([]byte(`{"options":[{"type":"put","spot":100,"strike":95,"expiry":1}]}`))
 	if !okD || a == d {
 		t.Fatal("put keyed same as call")
 	}
-	if _, ok := routerCacheKey([]byte(`{"method":"monte-carlo","options":[{"spot":100,"strike":95,"expiry":1}]}`)); ok {
+	if _, ok := bodyKey([]byte(`{"method":"monte-carlo","options":[{"spot":100,"strike":95,"expiry":1}]}`)); ok {
 		t.Fatal("monte-carlo body classified cacheable")
 	}
-	if _, ok := routerCacheKey([]byte(`{"method":"trinomial-tree","options":[{"spot":100,"strike":95,"expiry":1}]}`)); ok {
+	if _, ok := bodyKey([]byte(`{"method":"trinomial-tree","options":[{"spot":100,"strike":95,"expiry":1}]}`)); ok {
 		t.Fatal("lattice body classified cacheable")
 	}
-	if _, ok := routerCacheKey([]byte(`garbage`)); ok {
+	if _, ok := bodyKey([]byte(`garbage`)); ok {
 		t.Fatal("undecodable body classified cacheable")
 	}
 }

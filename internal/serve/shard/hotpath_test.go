@@ -1,0 +1,226 @@
+package shard
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"finbench/internal/serve"
+	"finbench/internal/serve/pricecache"
+	"finbench/internal/serve/wire"
+)
+
+// replayBody is a rewindable io.ReadCloser over a fixed byte slice.
+type replayBody struct {
+	b []byte
+	i int
+}
+
+func (r *replayBody) Read(p []byte) (int, error) {
+	if r.i >= len(r.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b[r.i:])
+	r.i += n
+	return n, nil
+}
+
+func (r *replayBody) Close() error { return nil }
+
+// nullRecorder is a reusable http.ResponseWriter that drops the body.
+type nullRecorder struct {
+	header http.Header
+	code   int
+}
+
+func (r *nullRecorder) Header() http.Header         { return r.header }
+func (r *nullRecorder) Write(p []byte) (int, error) { return len(p), nil }
+func (r *nullRecorder) WriteHeader(c int)           { r.code = c }
+
+// TestRouterCacheHitAllocBytes bounds what a router cache hit allocates:
+// the sized body read (len(body), rounded up by the allocator) plus at
+// most 16 KiB for everything else. The body is decoded once into a
+// pooled request, keyed from a pooled contract slice on a stack-buffered
+// digest, and answered from stored bytes — no ReadAll doubling, no
+// encoding/json scan state, no per-request contract slice.
+func TestRouterCacheHitAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	urls, _, _ := newBackends(t, 1)
+	router := newRouter(t, Config{Backends: urls, CacheBytes: 8 << 20, HealthInterval: time.Hour})
+	for _, n := range []int{16, 1024} {
+		body := priceBody("", n)
+		rb := &replayBody{b: body}
+		req := httptest.NewRequest(http.MethodPost, "/price", rb)
+		req.Header.Set("Content-Type", "application/json")
+		req.ContentLength = int64(len(body))
+		rec := &nullRecorder{header: make(http.Header)}
+		call := func() {
+			rb.i = 0
+			rec.code = 0
+			router.ServeHTTP(rec, req)
+		}
+		for i := 0; i < 8; i++ { // the first call leads and stores; the rest warm the pools
+			call()
+			if rec.code != http.StatusOK {
+				t.Fatalf("%d options: warm-up status %d", n, rec.code)
+			}
+		}
+		if got := rec.header.Get(pricecache.Header); got != "hit" {
+			t.Fatalf("%d options: %s = %q after warm-up, want hit", n, pricecache.Header, got)
+		}
+
+		const runs = 64
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		perReq := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%d options: %d-byte body, %d B allocated per hit", n, len(body), perReq)
+		if limit := uint64(len(body)) + 16<<10; perReq > limit {
+			t.Errorf("%d options (%d-byte body): router cache hit allocates %d B/request, want <= %d",
+				n, len(body), perReq, limit)
+		}
+	}
+}
+
+// wideBody is a closed-form /price body with full-precision terms, the
+// ~90 bytes per option a real client (and the benchmark) sends.
+func wideBody(n int) []byte {
+	var b strings.Builder
+	b.WriteString(`{"options":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		typ := "call"
+		if i%3 == 0 {
+			typ = "put"
+		}
+		fmt.Fprintf(&b, `{"type":%q,"spot":%v,"strike":%v,"expiry":%v}`,
+			typ, 80+float64(i%97)*0.4137251983, 100-float64(i%31)*0.7312096457, 0.05+float64(i%53)*0.0371190263)
+	}
+	b.WriteString(`]}`)
+	return []byte(b.String())
+}
+
+// BenchmarkRoutedPriceRead splits the router's per-request read path at
+// 1024 options into the pieces the one-decode change replaced, old
+// (the oracle listings) beside new.
+func BenchmarkRoutedPriceRead(b *testing.B) {
+	body := wideBody(1024)
+	resp := &wire.PriceResponse{Method: "closed-form", Engine: "batch-advanced", BatchOptions: 1024}
+	resp.SizedResults(1024)
+	for i := range resp.Results {
+		resp.Results[i].Price = 1 + float64(i)*0.318309886183
+	}
+	reply, _ := wire.AppendPriceResponse(nil, resp)
+	for _, bc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"sniff/encoding-json", func() { oracleSniff(body) }},
+		{"key/second-decode", func() { oracleRouterCacheKey(body) }},
+		{"sniff+key/one-decode", func() { sniffPrice(body, true) }},
+		{"cacheable200/unmarshal", func() { oracleCacheable200(reply) }},
+		{"cacheable200/scan", func() { cacheable200(reply) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.fn()
+			}
+		})
+	}
+}
+
+// BenchmarkRouterCacheHitLoopback is one router cache hit over loopback
+// HTTP at 1024 options: client encode-free POST, router read + key +
+// lookup + write, client read.
+func BenchmarkRouterCacheHitLoopback(b *testing.B) {
+	backend := serve.New(serve.Config{})
+	defer backend.Close()
+	bs := httptest.NewServer(backend.Handler())
+	defer bs.Close()
+	router, err := New(Config{Backends: []string{bs.URL}, CacheBytes: 8 << 20, HealthInterval: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	router.Start()
+	defer router.Close()
+	front := httptest.NewServer(router)
+	defer front.Close()
+
+	body := wideBody(1024)
+	post := func() {
+		resp, err := http.Post(front.URL+"/price", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	post()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
+// TestPickTieGoesToFirstRoutableReplica pins the pick's tie-break: among
+// equally scored replicas the first routable one in replica order wins
+// (a strict < over the replica list). With at most one request in flight
+// every replica scores 0, so replica 0 serves nearly all of a low-
+// concurrency workload — shard.replica_balance reads well below 1 on the
+// cached benchmark by design, not by accident.
+func TestPickTieGoesToFirstRoutableReplica(t *testing.T) {
+	r, err := New(Config{Backends: []string{"http://a.invalid", "http://b.invalid", "http://c.invalid"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	pickOne := func() *replica {
+		st := &reqState{excluded: map[*replica]bool{}, inUse: map[*replica]int{}}
+		rep := r.pick(st)
+		if rep != nil {
+			rep.breaker.Success()
+		}
+		return rep
+	}
+
+	if got := pickOne(); got != r.replicas[0] {
+		t.Fatalf("all idle: picked %v, want replica 0", got.url)
+	}
+	// Equal nonzero load: still replica order.
+	for _, rep := range r.replicas {
+		rep.loadUnits.Store(5)
+	}
+	if got := pickOne(); got != r.replicas[0] {
+		t.Fatalf("equal load: picked %v, want replica 0", got.url)
+	}
+	// The first routable replica wins when replica 0 is out.
+	r.replicas[0].healthy.Store(false)
+	if got := pickOne(); got != r.replicas[1] {
+		t.Fatalf("replica 0 unhealthy: picked %v, want replica 1", got.url)
+	}
+	// A strictly lower score beats replica order.
+	r.replicas[0].healthy.Store(true)
+	r.replicas[2].loadUnits.Store(4)
+	if got := pickOne(); got != r.replicas[2] {
+		t.Fatalf("replica 2 least loaded: picked %v, want replica 2", got.url)
+	}
+}

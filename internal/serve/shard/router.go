@@ -277,7 +277,7 @@ var errNoReplica = errors.New("no routable replica")
 // router-level content cache first.
 func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 	r.requests.Add(1)
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxProxyBody))
+	body, err := readBody(req.Body, req.ContentLength)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
@@ -290,22 +290,20 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 		ctype = wire.ColumnarContentType
 	}
 
-	// Sniff the method and deadline. A body that does not decode is
-	// still forwarded (the backend owns validation and answers 400).
-	// Columnar frames are closed-form by construction and carry their
-	// deadline in the header.
-	var monteCarlo bool
+	// Read the method and deadline (and, for /price, the cache key). A
+	// body that does not decode is still forwarded (the backend owns
+	// validation and answers 400). Columnar frames are closed-form by
+	// construction and carry their deadline in the header.
+	var monteCarlo, cacheable bool
 	var deadlineMS int64
-	if ctype == wire.ColumnarContentType {
+	var key pricecache.Key
+	switch {
+	case ctype == wire.ColumnarContentType:
 		deadlineMS, _ = wire.SniffColumnarDeadline(body)
-	} else {
-		var sniff struct {
-			Method     string `json:"method"`
-			DeadlineMS int64  `json:"deadline_ms"`
-		}
-		_ = json.Unmarshal(body, &sniff)
-		monteCarlo = sniff.Method == "monte-carlo"
-		deadlineMS = sniff.DeadlineMS
+	case req.URL.Path == "/price":
+		monteCarlo, deadlineMS, key, cacheable = sniffPrice(body, r.cache != nil)
+	default:
+		monteCarlo, deadlineMS = sniffJSON(body)
 	}
 
 	ctx := req.Context()
@@ -313,14 +311,18 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 		// The deadline travels in the body and the backend enforces it;
 		// mirroring it here bounds retries and backoff waits too. It is
 		// established before any cache wait, so a waiter parked on a
-		// slow singleflight leader still honors its own deadline.
+		// slow singleflight leader still honors its own deadline. Unlike
+		// the replicas this is not the pooled deadline.Ctx: hedge legs
+		// are not joined (resilience.Hedge) and can still hold ctx after
+		// the handler returns, so a released-and-reused Ctx would cancel
+		// or extend an unrelated request's leg.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
 		defer cancel()
 	}
 
 	if r.cache != nil && req.URL.Path == "/price" && ctype != wire.ColumnarContentType {
-		if key, ok := routerCacheKey(body); ok {
+		if cacheable {
 			r.routeCached(ctx, w, req.Method, body, key)
 			return
 		}
@@ -464,43 +466,96 @@ func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, method 
 	}
 }
 
-// routerCacheKey canonicalizes a /price body into a content address, or
-// reports it non-cacheable. The router keys on the request as sent
-// (market and config resolution happen on the replicas; fleet
+// readBody reads a request or response body with exactly the semantics
+// of io.ReadAll(io.LimitReader(r, maxProxyBody)) — same bytes, same
+// truncation at the limit, same error — but a declared length in
+// (0, maxProxyBody] pre-sizes the slice, so a known-length body costs one
+// allocation instead of ReadAll's doubling. The slice is allocated, never
+// pooled: resilience.Hedge does not join its losing legs, which can still
+// be reading the request body after the handler has returned.
+func readBody(r io.Reader, contentLength int64) ([]byte, error) {
+	lr := io.LimitReader(r, maxProxyBody)
+	if contentLength <= 0 || contentLength > maxProxyBody {
+		return io.ReadAll(lr)
+	}
+	// bytes.MinRead spare bytes give the read that reports EOF room, so a
+	// body of exactly the declared length never grows the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, contentLength+bytes.MinRead))
+	_, err := buf.ReadFrom(lr)
+	return buf.Bytes(), err
+}
+
+// sniffPrice decodes a JSON /price body once, with the wire codec, and
+// reads from that one decode everything routing needs: the Monte Carlo
+// bit, the deadline, and — when keyed (the router cache is on) — the
+// content key, with cacheable false for a body that bypasses the cache.
+// The pooled request is released before it returns. Only a body the codec
+// rejects (the backend will answer it 400) takes sniffJSON, so routing of
+// such bodies is byte-for-byte the encoding/json behavior; accepted
+// bodies agree with it by construction (same keys, reference semantics —
+// FuzzRouteSniff pins both against the listing in oracle_test.go).
+func sniffPrice(body []byte, keyed bool) (monteCarlo bool, deadlineMS int64, key pricecache.Key, cacheable bool) {
+	req, _, err := serve.DecodeRequest(body)
+	if err != nil {
+		monteCarlo, deadlineMS = sniffJSON(body)
+		return monteCarlo, deadlineMS, pricecache.Key{}, false
+	}
+	defer serve.PutRequest(req)
+	if keyed {
+		key, cacheable = routerCacheKey(req)
+	}
+	return req.Method == "monte-carlo", req.DeadlineMS, key, cacheable
+}
+
+// sniffJSON reads method and deadline_ms with encoding/json: the /greeks
+// sniff, and the /price fallback for bodies the wire codec rejects.
+func sniffJSON(body []byte) (monteCarlo bool, deadlineMS int64) {
+	var sniff struct {
+		Method     string `json:"method"`
+		DeadlineMS int64  `json:"deadline_ms"`
+	}
+	_ = json.Unmarshal(body, &sniff)
+	return sniff.Method == "monte-carlo", sniff.DeadlineMS
+}
+
+// routerCacheKey canonicalizes a decoded /price request into a content
+// address, or reports it non-cacheable. The router keys on the request as
+// sent (market and config resolution happen on the replicas; fleet
 // homogeneity — see Config.CacheBytes — makes every replica's answer
 // identical for identical requests). Only closed-form is cacheable: the
 // same composition-independence rule as the replica tier.
-func routerCacheKey(body []byte) (pricecache.Key, bool) {
-	req, _, err := serve.DecodeRequest(body)
-	if err != nil {
-		return pricecache.Key{}, false
-	}
-	defer serve.PutRequest(req)
+func routerCacheKey(req *serve.PriceRequest) (pricecache.Key, bool) {
 	// Columnar bodies bypass: their 200 bytes are not the cached JSON.
 	if (req.Method != "" && req.Method != "closed-form") || req.Columnar != nil {
 		return pricecache.Key{}, false
 	}
-	contracts := make([]pricecache.Contract, len(req.Options))
+	contracts := pricecache.GetContracts(len(req.Options))
 	for i := range req.Options {
 		o := &req.Options[i]
-		contracts[i] = pricecache.Contract{
+		(*contracts)[i] = pricecache.Contract{
 			Type: o.Type, Style: o.Style,
 			Spot: o.Spot, Strike: o.Strike, Expiry: o.Expiry,
 		}
 	}
-	return pricecache.Digest("closed-form", 0, 0, pricecache.Params{
+	key := pricecache.Digest("closed-form", 0, 0, pricecache.Params{
 		BinomialSteps: req.Config.BinomialSteps,
 		GridPoints:    req.Config.GridPoints,
 		TimeSteps:     req.Config.TimeSteps,
 		MCPaths:       req.Config.MCPaths,
 		Seed:          req.Config.Seed,
-	}, contracts), true
+	}, *contracts)
+	pricecache.PutContracts(contracts)
+	return key, true
 }
 
 // cacheable200 rejects 200s that are not pure functions of the request:
 // a degraded response reflects the serving replica's overload state, not
-// the contract batch.
+// the contract batch. The wire scan answers for every body a replica
+// writes; anything outside its subset is decided by encoding/json.
 func cacheable200(body []byte) bool {
+	if degraded, ok := wire.SniffDegraded(body); ok {
+		return !degraded
+	}
 	var sniff struct {
 		Degraded bool `json:"degraded"`
 	}
@@ -569,7 +624,7 @@ func (r *Router) attemptOnce(ctx context.Context, method, path, ctype string, bo
 	if err != nil {
 		return nil, r.replicaFailed(ctx, st, rep, fmt.Errorf("replica %s: %w", rep.url, err))
 	}
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	respBody, err := readBody(resp.Body, resp.ContentLength)
 	_ = resp.Body.Close() // the read error above is the signal that matters
 	if err != nil {
 		// Connection reset or truncated mid-body.

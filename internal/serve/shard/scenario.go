@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -32,7 +31,7 @@ import (
 func (r *Router) routeScenario(w http.ResponseWriter, req *http.Request) {
 	r.requests.Add(1)
 	r.scenarioRequests.Add(1)
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxProxyBody))
+	body, err := readBody(req.Body, req.ContentLength)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
