@@ -81,6 +81,22 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "run 'finserve <subcommand> -h' for flags")
 }
 
+// Connection-level timeouts shared by both tiers. A client that stalls
+// mid-header is cut off after readHeaderTimeout instead of holding a
+// goroutine and a connection forever; an idle keep-alive connection is
+// closed after idleTimeout. There is deliberately no read or write
+// timeout: request deadlines are the protocol's job, and /stream replies
+// are long-lived.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the http.Server for either tier.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // runFault prints the deterministic decision digest of a fault spec.
 func runFault(args []string) int {
 	fs := flag.NewFlagSet("finserve fault", flag.ExitOnError)
@@ -187,7 +203,7 @@ func runServe(args []string) int {
 		fmt.Fprintf(os.Stderr, "finserve: %v\n", err)
 		return 1
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer("", s.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(fault.NewListener(ln, inj)) }()
 	fmt.Fprintf(os.Stderr, "finserve: listening on %s\n", ln.Addr())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -107,7 +106,7 @@ func runRoute(args []string) int {
 	router.Start()
 	defer router.Close()
 
-	hs := &http.Server{Addr: *addr, Handler: router}
+	hs := newHTTPServer(*addr, router)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "route: listening on %s fronting %d replicas\n", *addr, len(urls))

@@ -151,114 +151,3 @@ func AmericanGreeks(o Option, m Market, steps int) (delta, gamma float64, err er
 	}
 	return (up - dn) / (2 * h), (up - 2*mid + dn) / (h * h), nil
 }
-
-// BarrierCall is a European down-and-out call: it expires worthless if the
-// underlying touches the barrier before expiry.
-type BarrierCall struct {
-	Spot, Strike, Expiry float64
-	// Barrier is the knock-out level, 0 < Barrier <= min(Spot, Strike).
-	Barrier float64
-	// Monitoring is the number of MC monitoring intervals (power-of-two
-	// not required; default 64).
-	Monitoring int
-}
-
-// PriceBarrierClosedForm values the continuously-monitored down-and-out
-// call with the Merton reflection formula.
-func PriceBarrierClosedForm(b BarrierCall, m Market) (Result, error) {
-	p, err := montecarlo.DownOutCallClosedForm(montecarlo.DownOutCall{
-		S: b.Spot, X: b.Strike, H: b.Barrier, T: b.Expiry, Steps: max1(b.Monitoring),
-	}, m.internal())
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Price: p, Method: ClosedForm}, nil
-}
-
-// PriceBarrierMC values the down-and-out call by Monte Carlo. corrected
-// selects the Brownian-bridge crossing correction (continuous monitoring);
-// without it the estimator reflects discrete monitoring at the given
-// frequency and is biased high relative to the closed form.
-func PriceBarrierMC(b BarrierCall, m Market, paths int, seed uint64, corrected bool) (Result, error) {
-	if paths <= 0 {
-		paths = 1 << 16
-	}
-	res, err := montecarlo.DownOutCallMC(montecarlo.DownOutCall{
-		S: b.Spot, X: b.Strike, H: b.Barrier, T: b.Expiry, Steps: max1(b.Monitoring),
-	}, paths, seed, corrected, m.internal())
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Price: res.Price, StdErr: res.StdErr, Method: MonteCarlo}, nil
-}
-
-func max1(n int) int {
-	if n <= 0 {
-		return 64
-	}
-	return n
-}
-
-// JumpDiffusion holds Merton (1976) jump parameters: jumps arrive at rate
-// Lambda per year with lognormal sizes (log-size mean Mu, stddev Delta).
-type JumpDiffusion struct {
-	Lambda, Mu, Delta float64
-}
-
-// PriceJumpDiffusionCall values a European call under Merton
-// jump-diffusion by the closed-form Poisson-weighted Black-Scholes series.
-func PriceJumpDiffusionCall(o Option, m Market, j JumpDiffusion) (Result, error) {
-	if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
-		return Result{}, ErrInvalidOption
-	}
-	p, err := montecarlo.MertonCallClosedForm(o.Spot, o.Strike, o.Expiry,
-		montecarlo.JumpParams{Lambda: j.Lambda, Mu: j.Mu, Delta: j.Delta}, m.internal())
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Price: p, Method: ClosedForm}, nil
-}
-
-// PriceJumpDiffusionCallMC values the same call by simulation (validates
-// the series; useful when extending to payoffs without a closed form).
-func PriceJumpDiffusionCallMC(o Option, m Market, j JumpDiffusion, paths int, seed uint64) (Result, error) {
-	if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
-		return Result{}, ErrInvalidOption
-	}
-	if paths <= 0 {
-		paths = 1 << 16
-	}
-	res, err := montecarlo.MertonCallMC(o.Spot, o.Strike, o.Expiry,
-		montecarlo.JumpParams{Lambda: j.Lambda, Mu: j.Mu, Delta: j.Delta}, paths, seed, m.internal())
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Price: res.Price, StdErr: res.StdErr, Method: MonteCarlo}, nil
-}
-
-// StochasticVol holds Heston (1993) variance dynamics (see
-// internal/montecarlo: CIR variance, correlation Rho with the asset).
-type StochasticVol struct {
-	V0, Kappa, ThetaV, SigmaV, Rho float64
-}
-
-// PriceHestonCallMC values a European call under Heston stochastic
-// volatility by full-truncation Euler Monte Carlo.
-func PriceHestonCallMC(o Option, m Market, sv StochasticVol, paths, steps int, seed uint64) (Result, error) {
-	if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 {
-		return Result{}, ErrInvalidOption
-	}
-	if paths <= 0 {
-		paths = 1 << 16
-	}
-	if steps <= 0 {
-		steps = 64
-	}
-	res, err := montecarlo.HestonCallMC(o.Spot, o.Strike, o.Expiry,
-		montecarlo.HestonParams{V0: sv.V0, Kappa: sv.Kappa, ThetaV: sv.ThetaV, SigmaV: sv.SigmaV, Rho: sv.Rho},
-		paths, steps, seed, m.internal())
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Price: res.Price, StdErr: res.StdErr, Method: MonteCarlo}, nil
-}

@@ -130,60 +130,3 @@ func TestAmericanGreeks(t *testing.T) {
 		t.Fatal("European accepted by American bumping")
 	}
 }
-
-func TestPriceBarrierPublic(t *testing.T) {
-	b := BarrierCall{Spot: 100, Strike: 100, Expiry: 1, Barrier: 85}
-	cf, err := PriceBarrierClosedForm(b, tMkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := PriceBarrierMC(b, tMkt, 1<<16, 3, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mc.Price-cf.Price) > 4*mc.StdErr+0.03 {
-		t.Fatalf("barrier MC %g +- %g vs closed form %g", mc.Price, mc.StdErr, cf.Price)
-	}
-	vanilla, _ := Price(Option{Type: Call, Style: European, Spot: 100, Strike: 100, Expiry: 1}, tMkt, ClosedForm, nil)
-	if cf.Price >= vanilla.Price {
-		t.Fatalf("knock-out %g not below vanilla %g", cf.Price, vanilla.Price)
-	}
-	bad := b
-	bad.Barrier = 150
-	if _, err := PriceBarrierClosedForm(bad, tMkt); err == nil {
-		t.Fatal("barrier above spot accepted")
-	}
-}
-
-func TestPublicJumpDiffusion(t *testing.T) {
-	j := JumpDiffusion{Lambda: 0.5, Mu: -0.1, Delta: 0.15}
-	cf, err := PriceJumpDiffusionCall(tOpt, tMkt, j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := PriceJumpDiffusionCallMC(tOpt, tMkt, j, 1<<16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mc.Price-cf.Price) > 4*mc.StdErr+0.02 {
-		t.Fatalf("jump MC %g +- %g vs series %g", mc.Price, mc.StdErr, cf.Price)
-	}
-	if _, err := PriceJumpDiffusionCall(Option{}, tMkt, j); !errors.Is(err, ErrInvalidOption) {
-		t.Fatal("invalid option accepted")
-	}
-}
-
-func TestPublicHeston(t *testing.T) {
-	sv := StochasticVol{V0: 0.04, Kappa: 2, ThetaV: 0.05, SigmaV: 0.3, Rho: -0.5}
-	res, err := PriceHestonCallMC(tOpt, tMkt, sv, 1<<14, 32, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Price <= 0 || res.Price >= tOpt.Spot {
-		t.Fatalf("Heston price %g implausible", res.Price)
-	}
-	bad := StochasticVol{Rho: 5}
-	if _, err := PriceHestonCallMC(tOpt, tMkt, bad, 10, 4, 1); err == nil {
-		t.Fatal("bad rho accepted")
-	}
-}

@@ -263,20 +263,6 @@ func TestPathSimulatorValidation(t *testing.T) {
 	}
 }
 
-func TestSimulateTerminalMoments(t *testing.T) {
-	ps, _ := NewPathSimulator(64, 2, 3)
-	term := ps.SimulateTerminal(50000, 100, tMkt)
-	var mean float64
-	for _, s := range term {
-		mean += s
-	}
-	mean /= float64(len(term))
-	want := 100 * math.Exp(tMkt.Rate*2)
-	if math.Abs(mean-want)/want > 0.02 {
-		t.Fatalf("terminal mean %g, want %g", mean, want)
-	}
-}
-
 func TestMonteCarloPutParity(t *testing.T) {
 	put := tOpt
 	put.Type = Put

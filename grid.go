@@ -42,6 +42,7 @@ var ErrGridRow = errors.New("finbench: grid row needs positive spot scales match
 // onRow with each row's call and put prices. The slices passed to onRow
 // are scratch reused by the next row: consume or copy them before
 // returning. A non-nil error from onRow aborts the evaluation.
+// finlint:ignore unreached documented one-line delegate of PriceBatchGridCtx
 func PriceBatchGrid(b *Batch, rows []GridRow, onRow func(row int, calls, puts []float64) error) error {
 	return PriceBatchGridCtx(context.Background(), b, rows, onRow)
 }

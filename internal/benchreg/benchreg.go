@@ -111,19 +111,3 @@ type Record struct {
 
 // Key identifies a kernel across snapshots: experiment ID plus row label.
 func (r Record) Key() string { return r.Experiment + " / " + r.Label }
-
-// FromSample builds a Record from a measured Sample.
-func FromSample(experiment, label, units string, s Sample) Record {
-	return Record{
-		Experiment:  experiment,
-		Label:       label,
-		Units:       units,
-		Items:       s.Items,
-		Reps:        s.Reps,
-		MedianSec:   s.MedianSec,
-		MADSec:      s.MADSec,
-		OpsPerSec:   s.OpsPerSec,
-		OpsMAD:      s.OpsMAD,
-		AllocsPerOp: s.AllocsPerOp,
-	}
-}

@@ -81,15 +81,11 @@ type Delta struct {
 	AllocRegression bool
 }
 
-// Diff compares two snapshots kernel-by-kernel under the gate, returning
-// deltas sorted worst-ratio-first (missing-side deltas sort last).
-func Diff(old, new *Snapshot, g Gate) []Delta {
-	return diffScaled(old, new, g, 1)
-}
-
-// diffScaled is Diff with the baseline side rescaled by factor (the
-// calibration speed ratio) before ratios and the gate are evaluated; the
-// displayed Old record keeps its raw values.
+// diffScaled compares two snapshots kernel-by-kernel under the gate, with
+// the baseline side rescaled by factor (the calibration speed ratio)
+// before ratios and the gate are evaluated; the displayed Old record keeps
+// its raw values. Deltas sort worst-ratio-first (missing-side deltas
+// last).
 func diffScaled(old, new *Snapshot, g Gate, factor float64) []Delta {
 	if factor <= 0 {
 		factor = 1

@@ -118,22 +118,16 @@ func reduceScalar(call []float64, p Params, done <-chan struct{}) bool {
 	return true
 }
 
-// PriceAmericanPutScalar prices one American put on the same tree,
-// applying the early-exercise maximum at every node (Sec. II-B). It is the
-// cross-validation oracle for the Crank-Nicolson kernel.
-func PriceAmericanPutScalar(s, x, t float64, steps int, mkt workload.MarketParams) float64 {
-	v, _ := PriceAmericanPutScalarCtx(context.Background(), s, x, t, steps, mkt)
-	return v
-}
-
-// PriceAmericanPutScalarCtx is PriceAmericanPutScalar with cancellation
-// checked every ctxLevelBlock tree levels: the paper's 3 flops per node
-// plus the exercise compare, and 2N+1 exponentials per option.
+// PriceAmericanPutScalarCtx prices one American put on the same tree,
+// applying the early-exercise maximum at every node (Sec. II-B), with
+// cancellation checked every ctxLevelBlock tree levels: the paper's
+// 3 flops per node plus the exercise compare, and 2N+1 exponentials per
+// option. It is the cross-validation oracle for the Crank-Nicolson kernel.
 func PriceAmericanPutScalarCtx(cx context.Context, s, x, t float64, steps int, mkt workload.MarketParams) (float64, error) {
 	if err := cx.Err(); err != nil {
 		return 0, err
 	}
-	v, _, _, ok := americanPut(cx.Done(), s, x, NewParams(t, steps, mkt))
+	v, ok := americanPut(cx.Done(), s, x, NewParams(t, steps, mkt))
 	if !ok {
 		return 0, cx.Err()
 	}
@@ -167,12 +161,10 @@ func exerciseLadder(buf []float64, s, x float64, p Params) [2][]float64 {
 	return lad
 }
 
-// americanPut is the American-put backward induction shared by the
-// pricing and Greeks entry points. It returns the root value and the
-// depth-1 and depth-2 levels (captured only when the walk computes them,
-// i.e. for trees deeper than the level itself); ok is false if done
-// fired, which is polled every ctxLevelBlock levels.
-func americanPut(done <-chan struct{}, s, x float64, p Params) (price float64, lvl1, lvl2 [3]float64, ok bool) {
+// americanPut is the American-put backward induction. It returns the root
+// value; ok is false if done fired, which is polled every ctxLevelBlock
+// levels.
+func americanPut(done <-chan struct{}, s, x float64, p Params) (price float64, ok bool) {
 	n := p.Steps
 	buf := make([]float64, 3*n+2) // the ladder, then the level being reduced
 	lad := exerciseLadder(buf, s, x, p)
@@ -188,29 +180,23 @@ func americanPut(done <-chan struct{}, s, x float64, p Params) (price float64, l
 	for i := n; i > 0; {
 		select {
 		case <-done: // nil, so never ready, when the walk cannot be cancelled
-			return 0, lvl1, lvl2, false
+			return 0, false
 		default:
 		}
 		stop := i - ctxLevelBlock
 		if stop < 0 {
 			stop = 0
 		}
-		// Tiled passes take level i to level i-treeTile, and leave levels
-		// 2 and 1 to the single-level tail below, which captures them.
-		for ; i-treeTile >= stop && i-treeTile > 2; i -= treeTile {
+		// Tiled passes take level i to level i-treeTile; the single-level
+		// tail finishes the block.
+		for ; i-treeTile >= stop; i -= treeTile {
 			reduceTwoLevels(val[:i+1], level(i-1), level(i-2), p)
 		}
 		for ; i > stop; i-- {
 			reduceLevel(val[:i+1], level(i-1), p)
-			switch i - 1 {
-			case 2:
-				copy(lvl2[:], val[:3])
-			case 1:
-				copy(lvl1[:2], val[:2])
-			}
 		}
 	}
-	return val[0], lvl1, lvl2, true
+	return val[0], true
 }
 
 // reduceLevel takes val from tree level i = len(val)-1 to level i-1 in
@@ -493,145 +479,4 @@ func finish(c *perf.Counts, n int) {
 		c.AddBytes(uint64(24*n), uint64(8*n))
 		c.Items += uint64(n)
 	}
-}
-
-// TreeGreeks holds price and sensitivities extracted from a single tree
-// evaluation: the nodes one and two steps into the tree form finite
-// differences in the underlying at no extra cost, avoiding the three
-// lattice evaluations that spot bumping needs.
-type TreeGreeks struct {
-	Price, Delta, Gamma float64
-}
-
-// GreeksScalar prices a European call and extracts delta and gamma from
-// the depth-1 and depth-2 tree levels.
-func GreeksScalar(s, x, t float64, steps int, mkt workload.MarketParams) TreeGreeks {
-	p := NewParams(t, steps, mkt)
-	call := make([]float64, steps+1)
-	for j := 0; j <= steps; j++ {
-		call[j] = leaf(s, x, p, j)
-	}
-	return reduceWithGreeks(call, s, p)
-}
-
-// GreeksAmericanPut is GreeksScalar for the American put.
-func GreeksAmericanPut(s, x, t float64, steps int, mkt workload.MarketParams) TreeGreeks {
-	p := NewParams(t, steps, mkt)
-	price, lvl1, lvl2, _ := americanPut(nil, s, x, p)
-	return assembleGreeks(price, lvl1, lvl2, s, p)
-}
-
-// reduceWithGreeks runs the Lis. 2 reduction, capturing levels 2 and 1.
-func reduceWithGreeks(call []float64, s float64, p Params) TreeGreeks {
-	n := len(call) - 1
-	var lvl2, lvl1 [3]float64
-	for i := n; i > 0; i-- {
-		for j := 0; j <= i-1; j++ {
-			call[j] = p.PuByDf*call[j+1] + p.PdByDf*call[j]
-		}
-		if i-1 == 2 {
-			copy(lvl2[:], call[:3])
-		}
-		if i-1 == 1 {
-			copy(lvl1[:2], call[:2])
-		}
-	}
-	return assembleGreeks(call[0], lvl1, lvl2, s, p)
-}
-
-// assembleGreeks converts the captured levels into delta and gamma.
-// At depth k, node j sits at underlying S e^{(2j-k) vDt}.
-func assembleGreeks(price float64, lvl1, lvl2 [3]float64, s float64, p Params) TreeGreeks {
-	u := mathx.Exp(p.VDt)
-	d := 1 / u
-	s1u, s1d := s*u, s*d
-	delta := (lvl1[1] - lvl1[0]) / (s1u - s1d)
-	s2u, s2m, s2d := s*u*u, s, s*d*d
-	dUp := (lvl2[2] - lvl2[1]) / (s2u - s2m)
-	dDn := (lvl2[1] - lvl2[0]) / (s2m - s2d)
-	gamma := (dUp - dDn) / ((s2u - s2d) / 2)
-	return TreeGreeks{Price: price, Delta: delta, Gamma: gamma}
-}
-
-// AdvancedTwoLevel applies the paper's second tiling level (Sec. IV-B2:
-// "A second-level of tiling can be done similarly, save that Tile is now
-// chosen to reside in cache rather in the register file"): the reduction
-// advances cacheTile steps at a time through a cache-resident wavefront
-// buffer, and each cache-tile pass is itself processed with regTile-deep
-// register tiling. For trees too large for the L2 (N in the tens of
-// thousands), the Call array crosses DRAM once per cacheTile steps instead
-// of once per regTile. Arithmetic is identical to Advanced (bitwise).
-// steps%cacheTile and cacheTile%regTile must be 0.
-func AdvancedTwoLevel(a layout.AOS, steps int, mkt workload.MarketParams, width, cacheTile, regTile int, unrolled bool, c *perf.Counts) {
-	if steps%cacheTile != 0 || cacheTile%regTile != 0 {
-		panic("binomial: steps%cacheTile and cacheTile%regTile must be 0")
-	}
-	groups := (a.Len() + width - 1) / width
-	_ = parallel.Region(context.Background(), groups, 1, c, func(glo, ghi int, c *perf.Counts) {
-		ctx := vec.New(width, c)
-		cbuf := make([]vec.Vec, cacheTile) // cache-resident wavefront
-		tileBuf := make([]vec.Vec, regTile)
-		for g := glo; g < ghi; g++ {
-			b := newBatch(ctx, a, g*width, steps, mkt, c)
-			for m := steps; m >= cacheTile; m -= cacheTile {
-				// Cache-level triangle: reduce Call[0..CT-1] into the
-				// wavefront buffer using register tiles.
-				for j := 0; j < cacheTile; j++ {
-					cbuf[j] = loadVec(ctx, b.call, j)
-				}
-				triangleReduce(ctx, cbuf, b.pu, b.pd, tileBuf, unrolled, c)
-				// Steady state: each Call[i] makes one pass through the
-				// cache tile (itself register-tiled).
-				for i := cacheTile; i <= m; i++ {
-					m1 := loadVec(ctx, b.call, i)
-					m1 = tilePass(ctx, cbuf, m1, b.pu, b.pd, tileBuf, regTile, unrolled, c)
-					storeVec(ctx, b.call, i-cacheTile, m1)
-				}
-			}
-			writeResults(a, g*width, width, b.call[0])
-		}
-	})
-	finish(c, a.Len())
-}
-
-// triangleReduce performs the lower-triangular wavefront initialization of
-// the cache buffer: after it, cbuf[j] = V_{CT-1-j}[j], matching the
-// single-level triangle but staged through register tiles.
-func triangleReduce(ctx vec.Ctx, cbuf []vec.Vec, pu, pd vec.Vec, tileBuf []vec.Vec, unrolled bool, c *perf.Counts) {
-	ct := len(cbuf)
-	for s := 1; s <= ct-1; s++ {
-		for j := 0; j <= ct-1-s; j++ {
-			cbuf[j] = ctx.FMA(pu, cbuf[j+1], ctx.Mul(pd, cbuf[j]))
-		}
-	}
-	_ = tileBuf
-	_ = unrolled
-	_ = c
-}
-
-// tilePass advances the value m1 through the whole cache-tile wavefront,
-// regTile steps at a time in registers: the register tile holds the
-// wavefront slice being updated, so cbuf is read and written once per
-// regTile steps rather than every step.
-func tilePass(ctx vec.Ctx, cbuf []vec.Vec, m1 vec.Vec, pu, pd vec.Vec, tileBuf []vec.Vec, regTile int, unrolled bool, c *perf.Counts) vec.Vec {
-	ct := len(cbuf)
-	for base := ct; base > 0; base -= regTile {
-		// Load the register tile from the cache buffer.
-		for k := 0; k < regTile; k++ {
-			tileBuf[k] = loadVec(ctx, cbuf, base-regTile+k)
-		}
-		for j := regTile - 1; j >= 0; j-- {
-			m2 := ctx.FMA(pu, m1, ctx.Mul(pd, tileBuf[j]))
-			if unrolled {
-				tileBuf[j] = m1
-			} else {
-				tileBuf[j] = ctx.Move(m1)
-			}
-			m1 = m2
-		}
-		for k := 0; k < regTile; k++ {
-			storeVec(ctx, cbuf, base-regTile+k, tileBuf[k])
-		}
-	}
-	return m1
 }

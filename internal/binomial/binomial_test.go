@@ -1,6 +1,7 @@
 package binomial
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -13,6 +14,9 @@ import (
 )
 
 var mkt = workload.MarketParams{R: 0.05, Sigma: 0.2}
+
+// val drops the error of an uncancelled …Ctx call.
+func val(v float64, _ error) float64 { return v }
 
 // The binomial price must converge to the Black-Scholes closed form as the
 // step count grows (O(1/N) for CRR).
@@ -51,7 +55,7 @@ func TestAmericanPutDominatesEuropean(t *testing.T) {
 		s := 50 + float64(su%100)
 		x := 50 + float64(xu%100)
 		_, euro := blackscholes.PriceScalar(s, x, 1, mkt)
-		amer := PriceAmericanPutScalar(s, x, 1, 512, mkt)
+		amer := val(PriceAmericanPutScalarCtx(context.Background(), s, x, 1, 512, mkt))
 		if amer < euro-0.02 { // binomial discretization tolerance
 			return false
 		}
@@ -65,7 +69,7 @@ func TestAmericanPutDominatesEuropean(t *testing.T) {
 func TestAmericanPutKnownBehaviour(t *testing.T) {
 	// Deep ITM American put should be exercised immediately: value ==
 	// intrinsic.
-	got := PriceAmericanPutScalar(40, 100, 1, 512, mkt)
+	got := val(PriceAmericanPutScalarCtx(context.Background(), 40, 100, 1, 512, mkt))
 	if math.Abs(got-60) > 1e-6 {
 		t.Fatalf("deep ITM American put = %g, want 60", got)
 	}
@@ -143,13 +147,13 @@ func TestTilingReducesLoadStores(t *testing.T) {
 	b = batch(n)
 	Advanced(b, steps, mkt, 8, 8, true, &ca)
 
-	flopsI := ci.Get(perf.OpVecFMA) + ci.Get(perf.OpVecMul)
-	flopsA := ca.Get(perf.OpVecFMA) + ca.Get(perf.OpVecMul)
+	flopsI := ci.N[perf.OpVecFMA] + ci.N[perf.OpVecMul]
+	flopsA := ca.N[perf.OpVecFMA] + ca.N[perf.OpVecMul]
 	if math.Abs(float64(flopsI)-float64(flopsA))/float64(flopsI) > 0.02 {
 		t.Fatalf("tiling changed flop count: %d vs %d", flopsI, flopsA)
 	}
-	memI := ci.Get(perf.OpVecLoad) + ci.Get(perf.OpVecStore)
-	memA := ca.Get(perf.OpVecLoad) + ca.Get(perf.OpVecStore)
+	memI := ci.N[perf.OpVecLoad] + ci.N[perf.OpVecStore]
+	memA := ca.N[perf.OpVecLoad] + ca.N[perf.OpVecStore]
 	if float64(memA) > float64(memI)/4 {
 		t.Fatalf("tiling did not reduce memory ops: %d vs %d", memA, memI)
 	}
@@ -164,12 +168,12 @@ func TestUnrollEliminatesMoves(t *testing.T) {
 	Advanced(b, steps, mkt, 8, 8, false, &cm)
 	b = batch(n)
 	Advanced(b, steps, mkt, 8, 8, true, &cu)
-	if cm.Get(perf.OpVecMisc) <= cu.Get(perf.OpVecMisc) {
-		t.Fatalf("moves: rolled %d, unrolled %d", cm.Get(perf.OpVecMisc), cu.Get(perf.OpVecMisc))
+	if cm.N[perf.OpVecMisc] <= cu.N[perf.OpVecMisc] {
+		t.Fatalf("moves: rolled %d, unrolled %d", cm.N[perf.OpVecMisc], cu.N[perf.OpVecMisc])
 	}
 	// The move count should be ~1 per FMA in the steady state.
-	moves := cm.Get(perf.OpVecMisc) - cu.Get(perf.OpVecMisc)
-	fmas := cm.Get(perf.OpVecFMA)
+	moves := cm.N[perf.OpVecMisc] - cu.N[perf.OpVecMisc]
+	fmas := cm.N[perf.OpVecFMA]
 	if float64(moves) < 0.8*float64(fmas)*float64(steps-8)/float64(steps) {
 		t.Fatalf("moves %d vs fmas %d: unexpected ratio", moves, fmas)
 	}
@@ -183,14 +187,14 @@ func TestAcrossOptionsEliminatesUnaligned(t *testing.T) {
 	Basic(b, steps, mkt, 8, &cb)
 	b = batch(n)
 	Intermediate(b, steps, mkt, 8, &ci)
-	if cb.Get(perf.OpVecLoadU) == 0 {
+	if cb.N[perf.OpVecLoadU] == 0 {
 		t.Fatal("Basic should perform unaligned loads")
 	}
-	if ci.Get(perf.OpVecLoadU) != 0 {
+	if ci.N[perf.OpVecLoadU] != 0 {
 		t.Fatal("Intermediate should not perform unaligned loads")
 	}
 	// Basic also pays a scalar remainder at each row end.
-	if cb.Get(perf.OpScalar) == 0 {
+	if cb.N[perf.OpScalar] == 0 {
 		t.Fatal("Basic should have scalar remainder work")
 	}
 }
@@ -201,7 +205,7 @@ func TestFlopCountMatchesBound(t *testing.T) {
 	var c perf.Counts
 	b := batch(n)
 	RefScalar(b, steps, mkt, &c)
-	perOption := float64(c.Get(perf.OpScalar)) / float64(n)
+	perOption := float64(c.N[perf.OpScalar]) / float64(n)
 	bound := 3 * float64(steps) * float64(steps+1) / 2
 	// Within 2% (leaf init adds 3(N+1) flops).
 	if perOption < bound || perOption > bound*1.02 {
@@ -259,117 +263,6 @@ func BenchmarkAdvancedW8_1024(b *testing.B) {
 	}
 }
 
-// Tree-extracted greeks must match the closed form for European calls.
-func TestTreeGreeksMatchClosedForm(t *testing.T) {
-	for _, tc := range []struct{ s, x, tt float64 }{
-		{100, 100, 1}, {100, 110, 0.5}, {120, 100, 2},
-	} {
-		g := GreeksScalar(tc.s, tc.x, tc.tt, 2048, mkt)
-		want := blackscholes.ComputeGreeks(tc.s, tc.x, tc.tt, mkt)
-		if math.Abs(g.Delta-want.DeltaCall) > 0.002 {
-			t.Fatalf("S=%g X=%g: tree delta %g vs BS %g", tc.s, tc.x, g.Delta, want.DeltaCall)
-		}
-		if math.Abs(g.Gamma-want.Gamma) > 0.002 {
-			t.Fatalf("S=%g X=%g: tree gamma %g vs BS %g", tc.s, tc.x, g.Gamma, want.Gamma)
-		}
-		// Price must be identical to the plain reduction.
-		if p := PriceScalar(tc.s, tc.x, tc.tt, 2048, mkt); p != g.Price {
-			t.Fatalf("greeks path changed the price: %g vs %g", g.Price, p)
-		}
-	}
-}
-
-// American-put tree greeks: validated against central-difference bumping
-// of the same lattice.
-func TestTreeGreeksAmericanPut(t *testing.T) {
-	const s, x, tt = 100.0, 110.0, 1.0
-	g := GreeksAmericanPut(s, x, tt, 2048, mkt)
-	h := s * 1e-3
-	up := PriceAmericanPutScalar(s+h, x, tt, 2048, mkt)
-	mid := PriceAmericanPutScalar(s, x, tt, 2048, mkt)
-	dn := PriceAmericanPutScalar(s-h, x, tt, 2048, mkt)
-	if bump := (up - dn) / (2 * h); math.Abs(g.Delta-bump) > 0.01 {
-		t.Fatalf("tree delta %g vs bumped %g", g.Delta, bump)
-	}
-	if bump := (up - 2*mid + dn) / (h * h); math.Abs(g.Gamma-bump) > 0.05 {
-		t.Fatalf("tree gamma %g vs bumped %g", g.Gamma, bump)
-	}
-	if g.Price != mid {
-		t.Fatalf("price mismatch: %g vs %g", g.Price, mid)
-	}
-}
-
-// Two-level tiling computes the same dependence DAG: bitwise equality with
-// the single-level tile and the scalar reference.
-func TestTwoLevelBitwiseEqual(t *testing.T) {
-	const n, steps = 19, 256
-	ref := batch(n)
-	RefScalar(ref, steps, mkt, nil)
-	want := prices(ref)
-	for _, w := range []int{4, 8} {
-		b := batch(n)
-		AdvancedTwoLevel(b, steps, mkt, w, 64, 8, true, nil)
-		got := prices(b)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("width %d option %d: %.17g != %.17g", w, i, got[i], want[i])
-			}
-		}
-		b = batch(n)
-		AdvancedTwoLevel(b, steps, mkt, w, 32, 16, false, nil)
-		got = prices(b)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("CT=32 RT=16 width %d option %d mismatch", w, i)
-			}
-		}
-	}
-}
-
-func TestTwoLevelPanicsOnBadTiles(t *testing.T) {
-	for _, tc := range [][2]int{{100, 8}, {64, 12}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("CT=%d RT=%d accepted", tc[0], tc[1])
-				}
-			}()
-			AdvancedTwoLevel(batch(8), 256, mkt, 8, tc[0], tc[1], true, nil)
-		}()
-	}
-}
-
-// The cache tile must cut Call-array traffic below the register-only tile
-// by ~CT/RT while keeping flops identical.
-func TestTwoLevelReducesCallTraffic(t *testing.T) {
-	const n, steps = 16, 1024
-	var c1, c2 perf.Counts
-	b := batch(n)
-	Advanced(b, steps, mkt, 8, 16, true, &c1)
-	b = batch(n)
-	AdvancedTwoLevel(b, steps, mkt, 8, 256, 16, true, &c2)
-	fma1, fma2 := c1.Get(perf.OpVecFMA), c2.Get(perf.OpVecFMA)
-	if math.Abs(float64(fma1)-float64(fma2))/float64(fma1) > 0.02 {
-		t.Fatalf("two-level changed flops: %d vs %d", fma1, fma2)
-	}
-	// Call-array stores approximate DRAM write traffic: the two-level
-	// variant writes Call once per 256 steps instead of once per 16.
-	// (Loads include the cache-buffer traffic, so compare stores to the
-	// Call array: storeVec counts for b.call plus cbuf; the DRAM-side
-	// reduction shows in total store volume divided by the cbuf share.)
-	if c2.Get(perf.OpVecStore) == 0 || c1.Get(perf.OpVecStore) == 0 {
-		t.Fatal("missing store counts")
-	}
-}
-
-func BenchmarkTwoLevel8192(b *testing.B) {
-	a := batch(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AdvancedTwoLevel(a, 8192, mkt, 8, 512, 16, true, nil)
-	}
-}
-
 // Outputs and operation counts of every batch variant must not depend on
 // the worker count (GOMAXPROCS is what the decomposition reads): groups
 // and options are whole work items, and a group writes only its own lanes.
@@ -380,7 +273,6 @@ func TestWorkerCountInvariant(t *testing.T) {
 		"Basic":        func(a layout.AOS, w int, c *perf.Counts) { Basic(a, steps, mkt, w, c) },
 		"Intermediate": func(a layout.AOS, w int, c *perf.Counts) { Intermediate(a, steps, mkt, w, c) },
 		"Advanced":     func(a layout.AOS, w int, c *perf.Counts) { Advanced(a, steps, mkt, w, 8, false, c) },
-		"TwoLevel":     func(a layout.AOS, w int, c *perf.Counts) { AdvancedTwoLevel(a, steps, mkt, w, 32, 8, true, c) },
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for name, run := range variants {

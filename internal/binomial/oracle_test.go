@@ -7,6 +7,7 @@ package binomial
 // reduction, so every output must equal the listing's bit for bit.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,9 +16,8 @@ import (
 	"finbench/internal/workload"
 )
 
-// refAmericanPut is the per-node listing of the binomial American put,
-// capturing levels 2 and 1 the way the Greeks extraction needs them.
-func refAmericanPut(s, x float64, p Params) (price float64, lvl1, lvl2 [3]float64) {
+// refAmericanPut is the per-node listing of the binomial American put.
+func refAmericanPut(s, x float64, p Params) float64 {
 	steps := p.Steps
 	val := make([]float64, steps+1)
 	for j := 0; j <= steps; j++ {
@@ -38,14 +38,8 @@ func refAmericanPut(s, x float64, p Params) (price float64, lvl1, lvl2 [3]float6
 				val[j] = cont
 			}
 		}
-		if i-1 == 2 {
-			copy(lvl2[:], val[:3])
-		}
-		if i-1 == 1 {
-			copy(lvl1[:2], val[:2])
-		}
 	}
-	return val[0], lvl1, lvl2
+	return val[0]
 }
 
 // refAmericanPutTrinomial is the per-node listing of the trinomial
@@ -103,33 +97,13 @@ func TestAmericanPutMatchesPerNodeListing(t *testing.T) {
 	for _, steps := range oracleSteps {
 		for _, c := range oracleContracts() {
 			s, x, tt := c[0], c[1], c[2]
-			p := NewParams(tt, steps, mkt)
-			want, w1, w2 := refAmericanPut(s, x, p)
-			if got := PriceAmericanPutScalar(s, x, tt, steps, mkt); !sameBits(got, want) {
+			want := refAmericanPut(s, x, NewParams(tt, steps, mkt))
+			if got := val(PriceAmericanPutScalarCtx(context.Background(), s, x, tt, steps, mkt)); !sameBits(got, want) {
 				t.Errorf("binomial steps %d S=%g K=%g T=%g: price %.17g, listing %.17g", steps, s, x, tt, got, want)
 			}
-			g := GreeksAmericanPut(s, x, tt, steps, mkt)
-			// Field by field on the bits: trees shallower than the captured
-			// levels difference zeros, and NaN != NaN.
-			if wg := assembleGreeks(want, w1, w2, s, p); !sameBits(g.Price, wg.Price) || !sameBits(g.Delta, wg.Delta) || !sameBits(g.Gamma, wg.Gamma) {
-				t.Errorf("binomial steps %d S=%g K=%g T=%g: greeks %+v, listing %+v", steps, s, x, tt, g, wg)
-			}
-			if got, want := PriceAmericanPutTrinomial(s, x, tt, steps, mkt), refAmericanPutTrinomial(s, x, tt, steps, mkt); !sameBits(got, want) {
+			if got, want := val(PriceAmericanPutTrinomialCtx(context.Background(), s, x, tt, steps, mkt)), refAmericanPutTrinomial(s, x, tt, steps, mkt); !sameBits(got, want) {
 				t.Errorf("trinomial steps %d S=%g K=%g T=%g: price %.17g, listing %.17g", steps, s, x, tt, got, want)
 			}
-		}
-	}
-}
-
-// TestAmericanPutCapturedLevels pins the captured depth-1 and depth-2
-// levels themselves (assembleGreeks only sees their differences).
-func TestAmericanPutCapturedLevels(t *testing.T) {
-	for _, steps := range oracleSteps {
-		p := NewParams(1, steps, mkt)
-		_, w1, w2 := refAmericanPut(100, 110, p)
-		_, g1, g2, ok := americanPut(nil, 100, 110, p)
-		if !ok || g1 != w1 || g2 != w2 {
-			t.Errorf("steps %d: levels %v %v (ok=%v), listing %v %v", steps, g1, g2, ok, w1, w2)
 		}
 	}
 }

@@ -44,14 +44,8 @@ func NewTriParams(t float64, steps int, mkt workload.MarketParams) TriParams {
 	}
 }
 
-// PriceTrinomial prices a European call on the trinomial lattice.
-func PriceTrinomial(s, x, t float64, steps int, mkt workload.MarketParams) float64 {
-	v, _ := PriceTrinomialCtx(context.Background(), s, x, t, steps, mkt)
-	return v
-}
-
-// PriceTrinomialCtx is PriceTrinomial with cancellation checked every
-// ctxLevelBlock lattice levels.
+// PriceTrinomialCtx prices a European call on the trinomial lattice, with
+// cancellation checked every ctxLevelBlock lattice levels.
 func PriceTrinomialCtx(cx context.Context, s, x, t float64, steps int, mkt workload.MarketParams) (float64, error) {
 	if err := cx.Err(); err != nil {
 		return 0, err
@@ -84,14 +78,8 @@ func PriceTrinomialCtx(cx context.Context, s, x, t float64, steps int, mkt workl
 	return val[0], nil
 }
 
-// PriceAmericanPutTrinomial prices an American put on the same lattice
-// with the early-exercise maximum at every node.
-func PriceAmericanPutTrinomial(s, x, t float64, steps int, mkt workload.MarketParams) float64 {
-	v, _ := PriceAmericanPutTrinomialCtx(context.Background(), s, x, t, steps, mkt)
-	return v
-}
-
-// PriceAmericanPutTrinomialCtx is PriceAmericanPutTrinomial with
+// PriceAmericanPutTrinomialCtx prices an American put on the same
+// lattice with the early-exercise maximum at every node, with
 // cancellation checked every ctxLevelBlock lattice levels.
 func PriceAmericanPutTrinomialCtx(cx context.Context, s, x, t float64, steps int, mkt workload.MarketParams) (float64, error) {
 	if err := cx.Err(); err != nil {

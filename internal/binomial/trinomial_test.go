@@ -1,6 +1,7 @@
 package binomial
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ func TestTrinomialConvergesToBlackScholes(t *testing.T) {
 	bs, _ := blackscholes.PriceScalar(100, 100, 1, mkt)
 	prevErr := math.Inf(1)
 	for _, n := range []int{32, 128, 512} {
-		got := PriceTrinomial(100, 100, 1, n, mkt)
+		got := val(PriceTrinomialCtx(context.Background(), 100, 100, 1, n, mkt))
 		err := math.Abs(got - bs)
 		if err > 5*bs/float64(n) {
 			t.Fatalf("N=%d: trinomial %g vs BS %g", n, got, bs)
@@ -29,7 +30,7 @@ func TestTrinomialBeatsBinomialAccuracy(t *testing.T) {
 	bs, _ := blackscholes.PriceScalar(100, 103, 0.7, mkt)
 	const n = 101 // odd N maximizes binomial oscillation
 	binErr := math.Abs(PriceScalar(100, 103, 0.7, n, mkt) - bs)
-	triErr := math.Abs(PriceTrinomial(100, 103, 0.7, n, mkt) - bs)
+	triErr := math.Abs(val(PriceTrinomialCtx(context.Background(), 100, 103, 0.7, n, mkt)) - bs)
 	if triErr > binErr {
 		t.Fatalf("trinomial err %g not below binomial err %g at N=%d", triErr, binErr, n)
 	}
@@ -49,8 +50,8 @@ func TestTrinomialProbabilitiesValid(t *testing.T) {
 
 func TestTrinomialAmericanMatchesBinomial(t *testing.T) {
 	for _, tc := range []struct{ s, x float64 }{{100, 100}, {100, 115}, {115, 100}} {
-		bin := PriceAmericanPutScalar(tc.s, tc.x, 1, 2048, mkt)
-		tri := PriceAmericanPutTrinomial(tc.s, tc.x, 1, 1024, mkt)
+		bin := val(PriceAmericanPutScalarCtx(context.Background(), tc.s, tc.x, 1, 2048, mkt))
+		tri := val(PriceAmericanPutTrinomialCtx(context.Background(), tc.s, tc.x, 1, 1024, mkt))
 		if math.Abs(bin-tri) > 0.01*math.Max(1, bin) {
 			t.Fatalf("S=%g X=%g: binomial %g vs trinomial %g", tc.s, tc.x, bin, tri)
 		}
@@ -58,10 +59,10 @@ func TestTrinomialAmericanMatchesBinomial(t *testing.T) {
 }
 
 func TestTrinomialAmericanDominance(t *testing.T) {
-	euro := PriceTrinomial(100, 100, 1, 512, mkt) // call: no premium for puts check below
+	euro := val(PriceTrinomialCtx(context.Background(), 100, 100, 1, 512, mkt)) // call: no premium for puts check below
 	_ = euro
 	_, europut := blackscholes.PriceScalar(100, 110, 1, mkt)
-	amer := PriceAmericanPutTrinomial(100, 110, 1, 512, mkt)
+	amer := val(PriceAmericanPutTrinomialCtx(context.Background(), 100, 110, 1, 512, mkt))
 	if amer < europut {
 		t.Fatalf("American trinomial put %g below European %g", amer, europut)
 	}
@@ -72,6 +73,6 @@ func TestTrinomialAmericanDominance(t *testing.T) {
 
 func BenchmarkTrinomial512(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		PriceTrinomial(100, 100, 1, 512, mkt)
+		val(PriceTrinomialCtx(context.Background(), 100, 100, 1, 512, mkt))
 	}
 }

@@ -151,14 +151,14 @@ func TestBasicCountsGathers(t *testing.T) {
 	Basic(a, mkt, 8, &c)
 	n := uint64(a.Len())
 	vecs := n / 8
-	if got := c.Get(perf.OpGather); got != 3*vecs {
+	if got := c.N[perf.OpGather]; got != 3*vecs {
 		t.Fatalf("gathers = %d, want %d", got, 3*vecs)
 	}
-	if got := c.Get(perf.OpScatter); got != 2*vecs {
+	if got := c.N[perf.OpScatter]; got != 2*vecs {
 		t.Fatalf("scatters = %d, want %d", got, 2*vecs)
 	}
-	if c.Get(perf.OpCND) != 4*n {
-		t.Fatalf("cnd = %d, want %d", c.Get(perf.OpCND), 4*n)
+	if c.N[perf.OpCND] != 4*n {
+		t.Fatalf("cnd = %d, want %d", c.N[perf.OpCND], 4*n)
 	}
 	if c.Items != n {
 		t.Fatalf("items = %d", c.Items)
@@ -172,15 +172,15 @@ func TestIntermediateCountsNoGathers(t *testing.T) {
 	var c perf.Counts
 	s := workload.DefaultOptionGen.GenerateSOA(layout.PadTo(1000, 8))
 	Intermediate(s, mkt, 8, &c)
-	if c.Get(perf.OpGather) != 0 || c.Get(perf.OpScatter) != 0 {
+	if c.N[perf.OpGather] != 0 || c.N[perf.OpScatter] != 0 {
 		t.Fatalf("SOA variant performed gathers: %v", c)
 	}
 	n := uint64(s.Len())
-	if c.Get(perf.OpErf) != 2*n {
-		t.Fatalf("erf = %d, want %d", c.Get(perf.OpErf), 2*n)
+	if c.N[perf.OpErf] != 2*n {
+		t.Fatalf("erf = %d, want %d", c.N[perf.OpErf], 2*n)
 	}
-	if c.Get(perf.OpCND) != 0 {
-		t.Fatalf("cnd = %d, want 0 (parity + erf substitution)", c.Get(perf.OpCND))
+	if c.N[perf.OpCND] != 0 {
+		t.Fatalf("cnd = %d, want 0 (parity + erf substitution)", c.N[perf.OpCND])
 	}
 	if c.BytesRead != 24*n {
 		t.Fatalf("bytes read = %d, want %d", c.BytesRead, 24*n)
@@ -191,10 +191,10 @@ func TestAdvancedCounts(t *testing.T) {
 	var c perf.Counts
 	s := workload.DefaultOptionGen.GenerateSOA(4096)
 	Advanced(s, mkt, 8, &c)
-	if c.Get(perf.OpErf) != 2*4096*17/20 {
-		t.Fatalf("erf = %d (expect the 15%% VML amortization discount)", c.Get(perf.OpErf))
+	if c.N[perf.OpErf] != 2*4096*17/20 {
+		t.Fatalf("erf = %d (expect the 15%% VML amortization discount)", c.N[perf.OpErf])
 	}
-	if c.Get(perf.OpVecLoad) == 0 || c.Get(perf.OpVecStore) == 0 {
+	if c.N[perf.OpVecLoad] == 0 || c.N[perf.OpVecStore] == 0 {
 		t.Fatal("VML variant should charge intermediate-array traffic")
 	}
 	if c.Items != 4096 {
@@ -353,8 +353,8 @@ func TestGreeksBatchCounts(t *testing.T) {
 	var c perf.Counts
 	GreeksBatch(s, out, mkt, 8, &c)
 	n := uint64(s.Len())
-	if c.Get(perf.OpErf) != n || c.Get(perf.OpExp) != n {
-		t.Fatalf("erf/exp = %d/%d, want %d each", c.Get(perf.OpErf), c.Get(perf.OpExp), n)
+	if c.N[perf.OpErf] != n || c.N[perf.OpExp] != n {
+		t.Fatalf("erf/exp = %d/%d, want %d each", c.N[perf.OpErf], c.N[perf.OpExp], n)
 	}
 	if c.Items != n {
 		t.Fatalf("items = %d", c.Items)

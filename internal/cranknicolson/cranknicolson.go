@@ -116,14 +116,11 @@ func (s *Solver) effTheta() float64 {
 // x returns the coordinate of grid point j.
 func (s *Solver) x(j int) float64 { return s.XMin + float64(j)*s.Dx }
 
-// Payoff is the transformed American-put obstacle
-// g(x,tau) = e^{(k+1)^2 tau/4} max(e^{(k-1)x/2} - e^{(k+1)x/2}, 0)
-// (u_payoff of Lis. 6). It is separable, and the solve exploits that:
-// the space factor is tabulated once per solve and the time factor once
-// per step, so no grid point pays an exponential.
-func (s *Solver) Payoff(x, tau float64) float64 {
-	return s.timeFactor(tau) * s.spaceFactor(x)
-}
+// The transformed American-put obstacle (u_payoff of Lis. 6) is
+// g(x,tau) = e^{(k+1)^2 tau/4} max(e^{(k-1)x/2} - e^{(k+1)x/2}, 0). It is
+// separable, and the solve exploits that: the space factor is tabulated
+// once per solve and the time factor once per step, so no grid point pays
+// an exponential.
 
 // spaceFactor is the obstacle's x-dependence, max(e^{(k-1)x/2} - e^{(k+1)x/2}, 0).
 func (s *Solver) spaceFactor(x float64) float64 {
@@ -325,25 +322,14 @@ func (s *Solver) Price(u []float64, spot, strike float64) float64 {
 	return strike * uq * mathx.Exp(-(k-1)*xq/2-(k+1)*(k+1)*s.TauMax/4)
 }
 
-// PriceAmericanPut prices one American put with the scalar reference.
-func PriceAmericanPut(spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) float64 {
-	v, _ := pricePutCtx(context.Background(), true, spot, strike, t, jpoints, nsteps, mkt)
-	return v
-}
-
-// PriceAmericanPutCtx is PriceAmericanPut with per-time-step cancellation.
+// PriceAmericanPutCtx prices one American put with the scalar reference
+// solve, with per-time-step cancellation.
 func PriceAmericanPutCtx(cx context.Context, spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) (float64, error) {
 	return pricePutCtx(cx, true, spot, strike, t, jpoints, nsteps, mkt)
 }
 
-// PriceEuropeanPut prices a European put on the same lattice (validation
-// against the closed form).
-func PriceEuropeanPut(spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) float64 {
-	v, _ := pricePutCtx(context.Background(), false, spot, strike, t, jpoints, nsteps, mkt)
-	return v
-}
-
-// PriceEuropeanPutCtx is PriceEuropeanPut with per-time-step cancellation.
+// PriceEuropeanPutCtx prices a European put on the same lattice
+// (validation against the closed form), with per-time-step cancellation.
 func PriceEuropeanPutCtx(cx context.Context, spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) (float64, error) {
 	return pricePutCtx(cx, false, spot, strike, t, jpoints, nsteps, mkt)
 }

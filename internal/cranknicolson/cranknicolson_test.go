@@ -1,6 +1,7 @@
 package cranknicolson
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -13,13 +14,20 @@ import (
 
 var mkt = workload.MarketParams{R: 0.05, Sigma: 0.2}
 
+// val drops the error of an uncancelled …Ctx call.
+func val(v float64, _ error) float64 { return v }
+
+// payoff is the obstacle g(x, tau) as one product, the form the tests and
+// the oracle listings evaluate point by point.
+func (s *Solver) payoff(x, tau float64) float64 { return s.timeFactor(tau) * s.spaceFactor(x) }
+
 // The European mode must converge to the Black-Scholes put.
 func TestEuropeanConvergesToBlackScholes(t *testing.T) {
 	for _, tc := range []struct{ s, x, tt float64 }{
 		{100, 100, 1}, {100, 110, 0.5}, {90, 100, 2},
 	} {
 		_, want := blackscholes.PriceScalar(tc.s, tc.x, tc.tt, mkt)
-		got := PriceEuropeanPut(tc.s, tc.x, tc.tt, 512, 1000, mkt)
+		got := val(PriceEuropeanPutCtx(context.Background(), tc.s, tc.x, tc.tt, 512, 1000, mkt))
 		if math.Abs(got-want) > 0.02*math.Max(1, want) {
 			t.Fatalf("S=%g X=%g T=%g: CN %g vs BS %g", tc.s, tc.x, tc.tt, got, want)
 		}
@@ -31,8 +39,8 @@ func TestAmericanMatchesBinomial(t *testing.T) {
 	for _, tc := range []struct{ s, x, tt float64 }{
 		{100, 100, 1}, {100, 110, 0.5}, {110, 100, 1.5},
 	} {
-		want := binomial.PriceAmericanPutScalar(tc.s, tc.x, tc.tt, 2048, mkt)
-		got := PriceAmericanPut(tc.s, tc.x, tc.tt, 512, 1000, mkt)
+		want := val(binomial.PriceAmericanPutScalarCtx(context.Background(), tc.s, tc.x, tc.tt, 2048, mkt))
+		got := val(PriceAmericanPutCtx(context.Background(), tc.s, tc.x, tc.tt, 512, 1000, mkt))
 		if math.Abs(got-want) > 0.02*math.Max(1, want) {
 			t.Fatalf("S=%g X=%g T=%g: CN %g vs binomial %g", tc.s, tc.x, tc.tt, got, want)
 		}
@@ -42,8 +50,8 @@ func TestAmericanMatchesBinomial(t *testing.T) {
 // American value must dominate European and intrinsic.
 func TestAmericanDominance(t *testing.T) {
 	for _, spot := range []float64{80, 95, 100, 110, 130} {
-		amer := PriceAmericanPut(spot, 100, 1, 256, 500, mkt)
-		euro := PriceEuropeanPut(spot, 100, 1, 256, 500, mkt)
+		amer := val(PriceAmericanPutCtx(context.Background(), spot, 100, 1, 256, 500, mkt))
+		euro := val(PriceEuropeanPutCtx(context.Background(), spot, 100, 1, 256, 500, mkt))
 		if amer < euro-1e-6 {
 			t.Fatalf("S=%g: American %g < European %g", spot, amer, euro)
 		}
@@ -114,20 +122,20 @@ func TestCountsAcrossLevels(t *testing.T) {
 	Run(LevelIntermediate, g.GenerateAOS(2), 128, 50, 8, mkt, &ci)
 	Run(LevelAdvanced, g.GenerateAOS(2), 128, 50, 8, mkt, &ca)
 
-	if cr.Get(perf.OpGather) != 0 || cr.Get(perf.OpVecFMA) != 0 {
+	if cr.N[perf.OpGather] != 0 || cr.N[perf.OpVecFMA] != 0 {
 		t.Fatal("reference level must be scalar only")
 	}
-	if ci.Get(perf.OpGatherNear) == 0 {
+	if ci.N[perf.OpGatherNear] == 0 {
 		t.Fatal("intermediate level must gather (near, stride -2)")
 	}
-	if ca.Get(perf.OpGatherNear) != 0 || ca.Get(perf.OpGather) != 0 {
+	if ca.N[perf.OpGatherNear] != 0 || ca.N[perf.OpGather] != 0 {
 		t.Fatal("advanced level must not gather")
 	}
-	if ca.Get(perf.OpVecLoad) == 0 || ca.Get(perf.OpVecMisc) == 0 {
+	if ca.N[perf.OpVecLoad] == 0 || ca.N[perf.OpVecMisc] == 0 {
 		t.Fatal("advanced level must use reversed contiguous loads")
 	}
 	// The advanced level pays the rearrangement cost in scalar traffic.
-	if ca.Get(perf.OpScalarStore) <= ci.Get(perf.OpScalarStore) {
+	if ca.N[perf.OpScalarStore] <= ci.N[perf.OpScalarStore] {
 		t.Fatal("advanced level should show rearrangement stores")
 	}
 	if cr.Items != 2 || ci.Items != 2 || ca.Items != 2 {
@@ -138,13 +146,13 @@ func TestCountsAcrossLevels(t *testing.T) {
 // Payoff sanity: obstacle positive only in the money, increasing in tau.
 func TestPayoffShape(t *testing.T) {
 	s := NewSolver(1, 128, 100, DefaultAlpha, mkt)
-	if s.Payoff(0.5, 0) != 0 {
+	if s.payoff(0.5, 0) != 0 {
 		t.Fatal("OTM obstacle must be zero")
 	}
-	if s.Payoff(-0.5, 0) <= 0 {
+	if s.payoff(-0.5, 0) <= 0 {
 		t.Fatal("ITM obstacle must be positive")
 	}
-	if s.Payoff(-0.5, 0.01) <= s.Payoff(-0.5, 0) {
+	if s.payoff(-0.5, 0.01) <= s.payoff(-0.5, 0) {
 		t.Fatal("obstacle must grow with tau (time factor)")
 	}
 }
@@ -155,7 +163,7 @@ func TestPriceRecoveryAtPayoff(t *testing.T) {
 	s := NewSolver(1, 256, 100, DefaultAlpha, mkt)
 	u := make([]float64, s.J+1)
 	for j := range u {
-		u[j] = s.Payoff(s.x(j), 0)
+		u[j] = s.payoff(s.x(j), 0)
 	}
 	s.TauMax = 0 // pretend no time evolved
 	for _, spot := range []float64{90, 100, 105} {

@@ -12,22 +12,22 @@ import (
 	"testing"
 )
 
-// refExplicitStep is explicitStep with the obstacle evaluated by Payoff
+// refExplicitStep is explicitStep with the obstacle evaluated by payoff
 // at every point.
 func (s *Solver) refExplicitStep(u, b, g []float64, tau float64) {
 	ae := s.alphaExplicit()
 	alpha1 := 1 - ae
 	alpha2 := ae / 2
 	for j := 1; j < s.J; j++ {
-		g[j] = s.Payoff(s.x(j), tau)
+		g[j] = s.payoff(s.x(j), tau)
 		b[j] = alpha1*u[j] + alpha2*(u[j+1]+u[j-1])
 	}
 	if s.American {
-		g[0] = s.Payoff(s.XMin, tau)
+		g[0] = s.payoff(s.XMin, tau)
 	} else {
 		g[0] = s.euroLeftBC(tau)
 	}
-	g[s.J] = s.Payoff(s.x(s.J), tau)
+	g[s.J] = s.payoff(s.x(s.J), tau)
 	u[0] = g[0]
 	u[s.J] = g[s.J]
 	b[0], b[s.J] = g[0], g[s.J]
@@ -60,7 +60,7 @@ func (s *Solver) refSolve(gsor func(b, u, g []float64, omega float64) int) ([]fl
 	b := make([]float64, s.J+1)
 	g := make([]float64, s.J+1)
 	for j := 0; j <= s.J; j++ {
-		u[j] = s.Payoff(s.x(j), 0)
+		u[j] = s.payoff(s.x(j), 0)
 	}
 	omega := 1.0
 	oldloops := 1 << 30

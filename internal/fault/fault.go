@@ -196,17 +196,10 @@ func (s *Spec) Digest(n int) uint64 {
 	return h.Sum64()
 }
 
-// Injector hands out decisions in event order and counts what it injected.
+// Injector hands out decisions in event order.
 type Injector struct {
 	spec *Spec
 	next atomic.Uint64
-
-	refused   atomic.Uint64
-	resets    atomic.Uint64
-	truncates atomic.Uint64
-	delays    atomic.Uint64
-	limps     atomic.Uint64
-	clean     atomic.Uint64
 }
 
 // NewInjector builds an injector over spec (nil spec injects nothing).
@@ -217,40 +210,10 @@ func NewInjector(spec *Spec) *Injector {
 	return &Injector{spec: spec}
 }
 
-// Spec returns the injector's spec (nil when disabled).
-func (inj *Injector) Spec() *Spec { return inj.spec }
-
 // NextDecision consumes the next event index and returns its fault kind.
 func (inj *Injector) NextDecision() Kind {
 	if inj.spec == nil {
 		return KindNone
 	}
-	k := inj.spec.Decide(inj.next.Add(1) - 1)
-	switch k {
-	case KindRefuse:
-		inj.refused.Add(1)
-	case KindReset:
-		inj.resets.Add(1)
-	case KindTruncate:
-		inj.truncates.Add(1)
-	case KindLatency:
-		inj.delays.Add(1)
-	case KindLimp:
-		inj.limps.Add(1)
-	default:
-		inj.clean.Add(1)
-	}
-	return k
-}
-
-// Counts reports how many events each kind has hit.
-func (inj *Injector) Counts() map[string]uint64 {
-	return map[string]uint64{
-		"clean":    inj.clean.Load(),
-		"refuse":   inj.refused.Load(),
-		"reset":    inj.resets.Load(),
-		"truncate": inj.truncates.Load(),
-		"latency":  inj.delays.Load(),
-		"limp":     inj.limps.Load(),
-	}
+	return inj.spec.Decide(inj.next.Add(1) - 1)
 }

@@ -104,9 +104,6 @@ func TestInjectorCountsAndOrder(t *testing.T) {
 			t.Fatalf("decision %d = %v", i, got)
 		}
 	}
-	if inj.Counts()["refuse"] != 10 {
-		t.Errorf("counts = %v", inj.Counts())
-	}
 	// nil-spec injector is a no-op.
 	off := NewInjector(nil)
 	if off.NextDecision() != KindNone {
@@ -116,21 +113,20 @@ func TestInjectorCountsAndOrder(t *testing.T) {
 
 // chattyServer answers every request with a fixed JSON body over a real
 // TCP listener, optionally fault-wrapped.
-func chattyServer(t *testing.T, spec *Spec) (string, *Injector, func()) {
+func chattyServer(t *testing.T, spec *Spec) (string, func()) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := NewInjector(spec)
-	wrapped := NewListener(l, inj)
+	wrapped := NewListener(l, NewInjector(spec))
 	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"ok":true,"pad":"0123456789012345678901234567890123456789"}`)
 	})}
 	go func() { _ = srv.Serve(wrapped) }()
-	return "http://" + l.Addr().String(), inj, func() { _ = srv.Close() }
+	return "http://" + l.Addr().String(), func() { _ = srv.Close() }
 }
 
 func getOnce(t *testing.T, url string) (*http.Response, []byte, error) {
@@ -150,7 +146,7 @@ func getOnce(t *testing.T, url string) (*http.Response, []byte, error) {
 func TestListenerRefuseAndReset(t *testing.T) {
 	// Rate 1: every connection faulted; alternating kinds by index.
 	spec := &Spec{Seed: 3, Rate: 1, Kinds: []Kind{KindReset}}
-	url, _, stop := chattyServer(t, spec)
+	url, stop := chattyServer(t, spec)
 	defer stop()
 	_, _, err := getOnce(t, url)
 	if err == nil {
@@ -158,7 +154,7 @@ func TestListenerRefuseAndReset(t *testing.T) {
 	}
 
 	spec = &Spec{Seed: 3, Rate: 1, Kinds: []Kind{KindRefuse}}
-	url, inj, stop2 := chattyServer(t, spec)
+	url, stop2 := chattyServer(t, spec)
 	defer stop2()
 	done := make(chan error, 1)
 	go func() { _, _, err := getOnce(t, url); done <- err }()
@@ -170,14 +166,11 @@ func TestListenerRefuseAndReset(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("refused connection hung")
 	}
-	if inj.Counts()["refuse"] == 0 {
-		t.Error("no refusal counted")
-	}
 }
 
 func TestListenerTruncateBreaksBody(t *testing.T) {
 	spec := &Spec{Seed: 3, Rate: 1, Kinds: []Kind{KindTruncate}, TruncateAfter: 16}
-	url, _, stop := chattyServer(t, spec)
+	url, stop := chattyServer(t, spec)
 	defer stop()
 	resp, body, err := getOnce(t, url)
 	// Either the read fails outright or the body is cut short of valid
@@ -190,7 +183,7 @@ func TestListenerTruncateBreaksBody(t *testing.T) {
 
 func TestListenerLatencyDelays(t *testing.T) {
 	spec := &Spec{Seed: 3, Rate: 1, Kinds: []Kind{KindLatency}, Latency: 120 * time.Millisecond}
-	url, _, stop := chattyServer(t, spec)
+	url, stop := chattyServer(t, spec)
 	defer stop()
 	start := time.Now()
 	if _, _, err := getOnce(t, url); err != nil {
@@ -202,14 +195,11 @@ func TestListenerLatencyDelays(t *testing.T) {
 }
 
 func TestListenerCleanPassThrough(t *testing.T) {
-	url, inj, stop := chattyServer(t, &Spec{Seed: 3, Rate: 0, Kinds: []Kind{KindReset}})
+	url, stop := chattyServer(t, &Spec{Seed: 3, Rate: 0, Kinds: []Kind{KindReset}})
 	defer stop()
 	resp, body, err := getOnce(t, url)
 	if err != nil || resp.StatusCode != 200 || !strings.Contains(string(body), `"ok":true`) {
 		t.Fatalf("clean pass-through failed: %v %v %q", err, resp, body)
-	}
-	if inj.Counts()["clean"] == 0 {
-		t.Error("clean decision not counted")
 	}
 }
 

@@ -101,61 +101,10 @@ func (a AOS) ToSOA() *SOA {
 	return s
 }
 
-// ToAOS transposes back to packed AOS form.
-func (s *SOA) ToAOS() AOS {
-	n := s.Len()
-	a := NewAOS(n)
-	for i := 0; i < n; i++ {
-		a.Set(i, s.S[i], s.X[i], s.T[i])
-		a.SetResult(i, s.Call[i], s.Put[i])
-	}
-	return a
-}
-
 // PadTo returns n rounded up to a multiple of w (SIMD remainder padding).
 func PadTo(n, w int) int {
 	if w <= 1 {
 		return n
 	}
 	return (n + w - 1) / w * w
-}
-
-// Blocked is the lane-interleaved AOSOA layout used by SIMD-across-options
-// kernels: options are grouped into blocks of W, and within a block the
-// per-option values are adjacent so that one aligned vector load reads one
-// value from each of W options.
-type Blocked struct {
-	// W is the lane count per block.
-	W int
-	// N is the true (unpadded) option count.
-	N int
-	// Data holds ceil(N/W) blocks of W values.
-	Data []float64
-}
-
-// NewBlocked builds the blocked layout from one value per option, padding
-// the final block by replicating the last value (a benign, branch-free
-// remainder strategy for pricing kernels).
-func NewBlocked(vals []float64, w int) Blocked {
-	n := len(vals)
-	padded := PadTo(n, w)
-	b := Blocked{W: w, N: n, Data: make([]float64, padded)}
-	copy(b.Data, vals)
-	for i := n; i < padded; i++ {
-		b.Data[i] = vals[n-1]
-	}
-	return b
-}
-
-// Block returns the slice holding block k's W values.
-func (b Blocked) Block(k int) []float64 { return b.Data[k*b.W : (k+1)*b.W] }
-
-// NumBlocks returns the block count.
-func (b Blocked) NumBlocks() int { return len(b.Data) / b.W }
-
-// Unblock extracts the first N values back out.
-func (b Blocked) Unblock() []float64 {
-	out := make([]float64, b.N)
-	copy(out, b.Data[:b.N])
-	return out
 }

@@ -38,16 +38,24 @@ func TestAOSMemoryLayout(t *testing.T) {
 	}
 }
 
+// sameAsAOS reports whether every SOA field of option i holds a's value
+// (NaN inputs compare equal to themselves).
+func sameAsAOS(a AOS, s *SOA, i int) bool {
+	eq := func(x, y float64) bool { return x == y || (x != x && y != y) }
+	return eq(s.S[i], a.S(i)) && eq(s.X[i], a.X(i)) && eq(s.T[i], a.T(i)) &&
+		eq(s.Call[i], a.Call(i)) && eq(s.Put[i], a.Put(i))
+}
+
 func TestSOARoundTrip(t *testing.T) {
 	a := NewAOS(5)
 	for i := 0; i < 5; i++ {
 		a.Set(i, float64(i)+1, float64(i)*2, float64(i)/2)
 		a.SetResult(i, float64(i)*10, float64(i)*20)
 	}
-	b := a.ToSOA().ToAOS()
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("round trip differs at %d: %g != %g", i, a.Data[i], b.Data[i])
+	s := a.ToSOA()
+	for i := 0; i < 5; i++ {
+		if !sameAsAOS(a, s, i) {
+			t.Fatalf("option %d differs after ToSOA", i)
 		}
 	}
 }
@@ -57,13 +65,7 @@ func TestSOARoundTripQuick(t *testing.T) {
 		a := NewAOS(1)
 		a.Set(0, s, x, tt)
 		a.SetResult(0, c, p)
-		b := a.ToSOA().ToAOS()
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] && a.Data[i] == a.Data[i] { // skip NaN
-				return false
-			}
-		}
-		return true
+		return sameAsAOS(a, a.ToSOA(), 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -84,60 +86,5 @@ func TestPadTo(t *testing.T) {
 		if got := PadTo(c.n, c.w); got != c.want {
 			t.Fatalf("PadTo(%d,%d) = %d, want %d", c.n, c.w, got, c.want)
 		}
-	}
-}
-
-func TestBlocked(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5}
-	b := NewBlocked(vals, 4)
-	if b.NumBlocks() != 2 {
-		t.Fatalf("NumBlocks = %d", b.NumBlocks())
-	}
-	if got := b.Block(0); got[0] != 1 || got[3] != 4 {
-		t.Fatalf("block 0 = %v", got)
-	}
-	// Padding replicates the last value.
-	if got := b.Block(1); got[0] != 5 || got[1] != 5 || got[3] != 5 {
-		t.Fatalf("block 1 padding = %v", got)
-	}
-	out := b.Unblock()
-	if len(out) != 5 {
-		t.Fatalf("Unblock len = %d", len(out))
-	}
-	for i, v := range vals {
-		if out[i] != v {
-			t.Fatalf("Unblock[%d] = %g", i, out[i])
-		}
-	}
-}
-
-func TestBlockedExactMultiple(t *testing.T) {
-	b := NewBlocked([]float64{1, 2, 3, 4}, 4)
-	if b.NumBlocks() != 1 || len(b.Data) != 4 {
-		t.Fatalf("exact multiple padded: %v", b)
-	}
-}
-
-// Property: Unblock(NewBlocked(v, w)) == v for any width.
-func TestBlockedRoundTripQuick(t *testing.T) {
-	f := func(raw []float64, wsel uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		w := []int{1, 2, 4, 8}[wsel%4]
-		b := NewBlocked(raw, w)
-		out := b.Unblock()
-		if len(out) != len(raw) {
-			return false
-		}
-		for i := range raw {
-			if out[i] != raw[i] && raw[i] == raw[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -106,16 +106,3 @@ func LeastSquares(x [][]float64, y []float64) ([]float64, error) {
 	}
 	return SolveSPD(xtx, xty)
 }
-
-// MatVec returns A x.
-func MatVec(a [][]float64, x []float64) []float64 {
-	out := make([]float64, len(a))
-	for i, row := range a {
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}

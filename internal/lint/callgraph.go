@@ -30,6 +30,10 @@ import (
 //     visible from the calling package, whose method set implements the
 //     interface (stdlib implementers are leaves: they cannot call back
 //     into the module).
+//   - References in package-level var initializers are edges from the
+//     package's init node ("pkg/path.init", shared with any func init):
+//     a function stored in a package-level table is reached when the
+//     package initializes.
 //   - Calls through plain function-typed variables stay unresolved
 //     (conservative): the passes instead treat every handler-shaped
 //     function as a root, which covers the mux dispatch this module uses.
@@ -51,8 +55,9 @@ type FuncInfo struct {
 	Obj  *types.Func
 }
 
-// funcKey is the graph key for a types.Func.
-func funcKey(fn *types.Func) string { return fn.FullName() }
+// funcKey is the graph key for a types.Func; a method of an instantiated
+// generic type keys as its generic declaration.
+func funcKey(fn *types.Func) string { return fn.Origin().FullName() }
 
 // BuildCallGraph constructs the graph over the loaded packages.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
@@ -64,6 +69,13 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		named := moduleNamedTypes(p)
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					// Package-level initializers run as part of package
+					// initialization, so their references hang off the
+					// package's init node.
+					g.collectEdges(p, p.Path+".init", gd, named)
+					continue
+				}
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
 					continue
@@ -83,9 +95,9 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	return g
 }
 
-// collectEdges walks body and records every function reference as an edge
-// from caller.
-func (g *CallGraph) collectEdges(p *Package, caller string, body *ast.BlockStmt, named []*types.Named) {
+// collectEdges walks body (a function body or a package-level var
+// declaration) and records every function reference as an edge from caller.
+func (g *CallGraph) collectEdges(p *Package, caller string, body ast.Node, named []*types.Named) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {

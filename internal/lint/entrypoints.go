@@ -107,11 +107,10 @@ var closureHints = map[string]string{
 // for the /statsz op mix on a bounded batch it has already priced, so the
 // call is observability outside the latency contract, not request work.
 var kernelEntryCtx = map[string]string{
-	rootPkgPath + ".Price":                                  rootPkgPath + ".PriceCtx",
-	rootPkgPath + ".PriceBatch":                             rootPkgPath + ".PriceBatchCtx",
-	rootPkgPath + ".PriceBatchGrid":                         rootPkgPath + ".PriceBatchGridCtx",
-	"(*" + rootPkgPath + ".PathSimulator).Simulate":         "",
-	"(*" + rootPkgPath + ".PathSimulator).SimulateTerminal": "",
+	rootPkgPath + ".Price":                          rootPkgPath + ".PriceCtx",
+	rootPkgPath + ".PriceBatch":                     rootPkgPath + ".PriceBatchCtx",
+	rootPkgPath + ".PriceBatchGrid":                 rootPkgPath + ".PriceBatchGridCtx",
+	"(*" + rootPkgPath + ".PathSimulator).Simulate": "",
 }
 
 // breakerType is the circuit breaker whose Allow/Success/Failure calls

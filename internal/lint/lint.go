@@ -109,6 +109,7 @@ func Passes() []*Pass {
 		ctxpropPass(),
 		detmapPass(),
 		leakcheckPass(),
+		unreachedPass(),
 		directivePass(),
 	}
 }
@@ -147,6 +148,10 @@ type Module struct {
 	// encodeOnce/encodeReach back Module.EncodesJSON (see detmap.go).
 	encodeOnce  sync.Once
 	encodeReach map[string]bool
+
+	// programOnce/programReach back Module.ProgramReach (see unreached.go).
+	programOnce  sync.Once
+	programReach *ReachSet
 }
 
 // NewModule builds the module context (call graph included) over pkgs.
@@ -206,16 +211,10 @@ func SelectPasses(list string) ([]*Pass, error) {
 	return sel, nil
 }
 
-// Run executes the given passes over the packages under the default
-// Config and returns the surviving diagnostics sorted by file, line, then
-// pass.
-func Run(pkgs []*Package, passes []*Pass) []Diagnostic {
-	return RunConfig(pkgs, passes, Config{})
-}
-
-// RunConfig is Run with explicit module-pass configuration. The module
-// context (call graph) is built once, and only when a selected pass needs
-// it.
+// RunConfig executes the given passes over the packages under cfg and
+// returns the surviving diagnostics sorted by file, line, then pass. The
+// module context (call graph) is built once, and only when a selected
+// pass needs it.
 func RunConfig(pkgs []*Package, passes []*Pass, cfg Config) []Diagnostic {
 	var mod *Module
 	for _, pass := range passes {

@@ -32,7 +32,7 @@ func TestGolden(t *testing.T) {
 				t.Errorf("testdata must type-check cleanly: %v", e)
 			}
 			var buf strings.Builder
-			for _, d := range Run(pkgs, []*Pass{pass}) {
+			for _, d := range RunConfig(pkgs, []*Pass{pass}, Config{}) {
 				fmt.Fprintln(&buf, d)
 			}
 			got := buf.String()
@@ -100,8 +100,8 @@ func TestGoldenSuppression(t *testing.T) {
 
 func TestSelectPasses(t *testing.T) {
 	all, err := SelectPasses("all")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("SelectPasses(all) = %d passes, err %v; want 9, nil", len(all), err)
+	if err != nil || len(all) != 10 {
+		t.Fatalf("SelectPasses(all) = %d passes, err %v; want 10, nil", len(all), err)
 	}
 	two, err := SelectPasses("floateq, rngshare")
 	if err != nil || len(two) != 2 || two[0].Name != "floateq" || two[1].Name != "rngshare" {

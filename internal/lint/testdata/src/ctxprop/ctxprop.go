@@ -42,7 +42,7 @@ func simulate() {
 		return
 	}
 	var m finbench.Market
-	_ = ps.SimulateTerminal(4, 100, m) // seeded violation
+	_ = ps.Simulate(4, 100, m) // seeded violation
 }
 
 // GoodCtxHandler uses the context-propagating variants: clean.

@@ -76,14 +76,6 @@ func (m *Machine) Cores() int { return m.Sockets * m.CoresPerSocket }
 // Threads returns the total hardware thread count.
 func (m *Machine) Threads() int { return m.Cores() * m.SMT }
 
-// PeakDPFromParams recomputes peak DP GFLOP/s from the microarchitectural
-// parameters: lanes x (2 if FMA or dual mul/add ports) x cores x clock.
-// Both modelled machines sustain one multiply and one add per cycle (SNB-EP
-// via separate ports, KNC via FMA), so the factor is 2 for both.
-func (m *Machine) PeakDPFromParams() float64 {
-	return float64(m.SIMDWidthDP) * 2 * float64(m.Cores()) * m.ClockGHz
-}
-
 // SNBEP returns the model of the dual-socket Intel Xeon E5-2680 system
 // (Table I, left column).
 func SNBEP() *Machine {
@@ -303,20 +295,6 @@ func (m *Machine) Throughput(c perf.Counts) float64 {
 		return 0
 	}
 	return float64(c.Items) / p.Sec
-}
-
-// BandwidthBoundThroughput returns the paper-style bandwidth roof for a
-// workload that moves bytesPerItem of DRAM traffic per work item: B /
-// bytesPerItem items per second (Sec. IV-A3 uses B/40 for Black-Scholes).
-func (m *Machine) BandwidthBoundThroughput(bytesPerItem float64) float64 {
-	return m.StreamBW * 1e9 / bytesPerItem
-}
-
-// ComputeBoundThroughput returns the flop roof for a workload performing
-// flopsPerItem per work item: peak / flopsPerItem items per second (the
-// paper's binomial-tree bound uses 3N(N+1)/2 flops per option).
-func (m *Machine) ComputeBoundThroughput(flopsPerItem float64) float64 {
-	return m.PeakDPGFLOPs * 1e9 / flopsPerItem
 }
 
 // TableI renders the Table I system-configuration comparison.

@@ -16,6 +16,13 @@ func approx(got, want, rel float64) bool {
 	return math.Abs(got-want)/math.Abs(want) <= rel
 }
 
+// peakFromParams recomputes peak DP GFLOP/s from the microarchitectural
+// parameters: lanes x 2 (FMA, or SNB-EP's separate mul and add ports) x
+// cores x clock.
+func peakFromParams(m *Machine) float64 {
+	return float64(m.SIMDWidthDP) * 2 * float64(m.Cores()) * m.ClockGHz
+}
+
 func TestTableIParameters(t *testing.T) {
 	s := SNBEP()
 	if s.Cores() != 16 || s.Threads() != 32 {
@@ -44,8 +51,8 @@ func TestTableIParameters(t *testing.T) {
 func TestPeakRatioMatchesPaper(t *testing.T) {
 	s, k := SNBEP(), KNC()
 	ratio := (60.0 / 16) * (512.0 / 256) * (1.09 / 2.7)
-	if !approx(k.PeakDPFromParams()/s.PeakDPFromParams(), ratio, 0.01) {
-		t.Fatalf("peak ratio = %g, want %g", k.PeakDPFromParams()/s.PeakDPFromParams(), ratio)
+	if !approx(peakFromParams(k)/peakFromParams(s), ratio, 0.01) {
+		t.Fatalf("peak ratio = %g, want %g", peakFromParams(k)/peakFromParams(s), ratio)
 	}
 	// The paper rounds this product to "3.2x"; the exact value is 3.03.
 	if !approx(ratio, 3.2, 0.08) {
@@ -55,14 +62,14 @@ func TestPeakRatioMatchesPaper(t *testing.T) {
 
 func TestPeakFromParamsNearTableI(t *testing.T) {
 	s := SNBEP()
-	if !approx(s.PeakDPFromParams(), s.PeakDPGFLOPs, 0.01) {
-		t.Fatalf("SNB-EP recomputed peak %g != Table I %g", s.PeakDPFromParams(), s.PeakDPGFLOPs)
+	if !approx(peakFromParams(s), s.PeakDPGFLOPs, 0.01) {
+		t.Fatalf("SNB-EP recomputed peak %g != Table I %g", peakFromParams(s), s.PeakDPGFLOPs)
 	}
 	// KNC Table I peak (1063) is computed with 61 cores; our 60-core model
 	// gives 1046, within 2%.
 	k := KNC()
-	if !approx(k.PeakDPFromParams(), k.PeakDPGFLOPs, 0.02) {
-		t.Fatalf("KNC recomputed peak %g != Table I %g", k.PeakDPFromParams(), k.PeakDPGFLOPs)
+	if !approx(peakFromParams(k), k.PeakDPGFLOPs, 0.02) {
+		t.Fatalf("KNC recomputed peak %g != Table I %g", peakFromParams(k), k.PeakDPGFLOPs)
 	}
 }
 
@@ -136,8 +143,8 @@ func TestPredictGFLOPsAtPeak(t *testing.T) {
 		c := perf.Counts{Width: m.SIMDWidthDP}
 		c.Add(perf.OpVecFMA, 1e8)
 		p := m.Predict(c)
-		if !approx(p.GFLOPs, m.PeakDPFromParams(), 1e-6) {
-			t.Fatalf("%s: pure-FMA GFLOPs = %g, want peak %g", m.Name, p.GFLOPs, m.PeakDPFromParams())
+		if !approx(p.GFLOPs, peakFromParams(m), 1e-6) {
+			t.Fatalf("%s: pure-FMA GFLOPs = %g, want peak %g", m.Name, p.GFLOPs, peakFromParams(m))
 		}
 	}
 }
@@ -150,8 +157,8 @@ func TestSNBDualIssueMulAddPeak(t *testing.T) {
 	c.Add(perf.OpVecMul, 5e7)
 	c.Add(perf.OpVecAdd, 5e7)
 	p := m.Predict(c)
-	if !approx(p.GFLOPs, m.PeakDPFromParams(), 1e-6) {
-		t.Fatalf("mul+add GFLOPs = %g, want %g", p.GFLOPs, m.PeakDPFromParams())
+	if !approx(p.GFLOPs, peakFromParams(m), 1e-6) {
+		t.Fatalf("mul+add GFLOPs = %g, want %g", p.GFLOPs, peakFromParams(m))
 	}
 }
 
@@ -170,31 +177,6 @@ func TestThroughputZeroMix(t *testing.T) {
 	m := KNC()
 	if got := m.Throughput(perf.Counts{Items: 5}); got != 0 {
 		t.Fatalf("Throughput of empty mix = %g, want 0", got)
-	}
-}
-
-// Black-Scholes bound: 5 doubles per option = 40 bytes, so B/40 options/s
-// (Sec. IV-A3). SNB-EP: 1.9e9/s; KNC: 3.75e9/s.
-func TestBlackScholesBandwidthBound(t *testing.T) {
-	if got := SNBEP().BandwidthBoundThroughput(40); !approx(got, 1.9e9, 1e-9) {
-		t.Fatalf("SNB-EP B/40 = %g, want 1.9e9", got)
-	}
-	if got := KNC().BandwidthBoundThroughput(40); !approx(got, 3.75e9, 1e-9) {
-		t.Fatalf("KNC B/40 = %g, want 3.75e9", got)
-	}
-}
-
-// Binomial bound: 3N(N+1)/2 flops per option (Sec. IV-B1).
-func TestBinomialComputeBound(t *testing.T) {
-	n := 1024.0
-	flops := 3 * n * (n + 1) / 2
-	s := SNBEP().ComputeBoundThroughput(flops)
-	k := KNC().ComputeBoundThroughput(flops)
-	if !approx(s, 346e9/flops, 1e-12) || !approx(k, 1063e9/flops, 1e-12) {
-		t.Fatalf("bounds = %g, %g", s, k)
-	}
-	if k/s < 3.0 || k/s > 3.2 {
-		t.Fatalf("KNC/SNB bound ratio = %g, want ~3.07", k/s)
 	}
 }
 

@@ -48,42 +48,3 @@ func ErfArray(dst, src []float64) {
 		dst[i] = Erf(x)
 	}
 }
-
-// CNDArray computes dst[i] = Phi(src[i]) (VML's vdCdfNorm).
-func CNDArray(dst, src []float64) {
-	_ = dst[len(src)-1]
-	for i, x := range src {
-		dst[i] = CND(x)
-	}
-}
-
-// InvCNDArray computes dst[i] = Phi^-1(src[i]) (VML's vdCdfNormInv), the
-// batch transform used to turn uniform random streams into normal streams.
-func InvCNDArray(dst, src []float64) {
-	_ = dst[len(src)-1]
-	for i, x := range src {
-		dst[i] = InvCND(x)
-	}
-}
-
-// AxpyArray computes dst[i] = a*x[i] + y[i] (helper for lattice updates).
-func AxpyArray(dst []float64, a float64, x, y []float64) {
-	_ = dst[len(x)-1]
-	_ = y[len(x)-1]
-	for i := range x {
-		dst[i] = a*x[i] + y[i]
-	}
-}
-
-// MaxScalarArray computes dst[i] = max(src[i], s) without branching, the
-// vectorizable payoff clamp max(S-K, 0) at the heart of every kernel.
-func MaxScalarArray(dst, src []float64, s float64) {
-	_ = dst[len(src)-1]
-	for i, x := range src {
-		if x > s {
-			dst[i] = x
-		} else {
-			dst[i] = s
-		}
-	}
-}

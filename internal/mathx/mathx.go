@@ -110,15 +110,6 @@ func CND(x float64) float64 {
 	return 0.5 * Erfc(-x*InvSqrt2)
 }
 
-// CNDErf returns Phi(x) via the erf substitution the paper's optimized
-// Black-Scholes uses (Sec. IV-A2): cnd(x) = (1 + erf(x/sqrt2))/2.
-// It is algebraically identical to CND but loses relative accuracy in the
-// far-left tail (absolute accuracy is preserved), exactly the trade the
-// paper makes for speed.
-func CNDErf(x float64) float64 {
-	return 0.5 * (1 + Erf(x*InvSqrt2))
-}
-
 // PDF returns the standard normal density phi(x).
 func PDF(x float64) float64 {
 	return InvSqrt2Pi * Exp(-0.5*x*x)
@@ -191,38 +182,3 @@ var (
 		0.0000321767881768, 0.0000002888167364, 0.0000003960315187,
 	}
 )
-
-// InvCNDMoro returns the inverse normal CDF by the Beasley-Springer-Moro
-// algorithm, the classic quasi-Monte-Carlo finance transform (Glasserman,
-// ch. 2). Accuracy is ~3e-9 absolute; it is provided as the cheaper,
-// lower-accuracy alternative that production Monte-Carlo engines often
-// prefer, and as an independent cross-check on InvCND.
-func InvCNDMoro(p float64) float64 {
-	switch {
-	case math.IsNaN(p) || p <= 0 || p >= 1:
-		if p == 0 { // finlint:ignore floateq exact domain endpoint
-			return math.Inf(-1)
-		}
-		if p == 1 { // finlint:ignore floateq exact domain endpoint
-			return math.Inf(1)
-		}
-		return math.NaN()
-	}
-	y := p - 0.5
-	if math.Abs(y) < 0.42 {
-		r := y * y
-		return y * (((moroA[3]*r+moroA[2])*r+moroA[1])*r + moroA[0]) /
-			((((moroB[3]*r+moroB[2])*r+moroB[1])*r+moroB[0])*r + 1)
-	}
-	r := p
-	if y > 0 {
-		r = 1 - p
-	}
-	s := Log(-Log(r))
-	x := moroC[0] + s*(moroC[1]+s*(moroC[2]+s*(moroC[3]+s*(moroC[4]+
-		s*(moroC[5]+s*(moroC[6]+s*(moroC[7]+s*moroC[8])))))))
-	if y < 0 {
-		return -x
-	}
-	return x
-}

@@ -145,8 +145,8 @@ func TestCNDKnownValues(t *testing.T) {
 // provides the same accuracy").
 func TestCNDErfSubstitution(t *testing.T) {
 	for x := -8.0; x <= 8.0; x += 0.0193 {
-		if e := math.Abs(CND(x) - CNDErf(x)); e > 5e-16 {
-			t.Fatalf("CND vs CNDErf at %g differ by %g", x, e)
+		if e := math.Abs(CND(x) - 0.5*(1+Erf(x*InvSqrt2))); e > 5e-16 {
+			t.Fatalf("CND vs erf substitution at %g differ by %g", x, e)
 		}
 	}
 }
@@ -227,24 +227,6 @@ func TestInvCNDAntisymmetricQuick(t *testing.T) {
 	}
 }
 
-func TestInvCNDMoroAccuracy(t *testing.T) {
-	// Moro is a ~1e-9 algorithm; verify against the high-accuracy InvCND.
-	for p := 1e-6; p < 1; p += 0.00137 {
-		if e := math.Abs(InvCNDMoro(p) - InvCND(p)); e > 5e-9 {
-			t.Fatalf("InvCNDMoro(%g) = %g, want %g (err %g)", p, InvCNDMoro(p), InvCND(p), e)
-		}
-	}
-}
-
-func TestInvCNDMoroSpecials(t *testing.T) {
-	if !math.IsInf(InvCNDMoro(0), -1) || !math.IsInf(InvCNDMoro(1), 1) {
-		t.Fatal("InvCNDMoro boundaries wrong")
-	}
-	if !math.IsNaN(InvCNDMoro(-1)) || !math.IsNaN(InvCNDMoro(2)) || !math.IsNaN(InvCNDMoro(math.NaN())) {
-		t.Fatal("InvCNDMoro out-of-range not NaN")
-	}
-}
-
 func TestSqrt(t *testing.T) {
 	if Sqrt(4) != 2 || Sqrt(2) != math.Sqrt2 {
 		t.Fatal("Sqrt wrong")
@@ -285,23 +267,6 @@ func TestArrayFunctions(t *testing.T) {
 			t.Fatalf("ErfArray[%d] mismatch", i)
 		}
 	}
-	CNDArray(dst, src)
-	for i, x := range src {
-		if dst[i] != CND(x) {
-			t.Fatalf("CNDArray[%d] mismatch", i)
-		}
-	}
-}
-
-func TestInvCNDArray(t *testing.T) {
-	src := []float64{0.01, 0.25, 0.5, 0.75, 0.99}
-	dst := make([]float64, len(src))
-	InvCNDArray(dst, src)
-	for i, p := range src {
-		if dst[i] != InvCND(p) {
-			t.Fatalf("InvCNDArray[%d] mismatch", i)
-		}
-	}
 }
 
 func TestArrayInPlace(t *testing.T) {
@@ -311,30 +276,6 @@ func TestArrayInPlace(t *testing.T) {
 	for i := range buf {
 		if buf[i] != want[i] {
 			t.Fatalf("in-place ExpArray[%d] = %g, want %g", i, buf[i], want[i])
-		}
-	}
-}
-
-func TestAxpyArray(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{10, 20, 30}
-	dst := make([]float64, 3)
-	AxpyArray(dst, 2, x, y)
-	for i := range dst {
-		if dst[i] != 2*x[i]+y[i] {
-			t.Fatalf("AxpyArray[%d] = %g", i, dst[i])
-		}
-	}
-}
-
-func TestMaxScalarArray(t *testing.T) {
-	src := []float64{-1, 0, 2.5}
-	dst := make([]float64, 3)
-	MaxScalarArray(dst, src, 0)
-	want := []float64{0, 0, 2.5}
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("MaxScalarArray[%d] = %g, want %g", i, dst[i], want[i])
 		}
 	}
 }

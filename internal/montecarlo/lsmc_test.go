@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,10 @@ func TestLSMCMatchesBinomial(t *testing.T) {
 	for _, tc := range []struct{ s, x float64 }{
 		{100, 100}, {100, 110}, {110, 100},
 	} {
-		want := binomial.PriceAmericanPutScalar(tc.s, tc.x, 1, 2048, mkt)
+		want, err := binomial.PriceAmericanPutScalarCtx(context.Background(), tc.s, tc.x, 1, 2048, mkt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := AmericanPutLSMC(tc.s, tc.x, 1, 100000, 50, 7, mkt)
 		// LSMC with a quadratic basis is biased slightly low; allow a
 		// one-sided band plus the MC error.

@@ -16,8 +16,7 @@
 //
 // Variants: RefScalar (the naive loop), Vectorized (inner-loop SIMD with
 // lane accumulators and unrolling — the paper reaches peak with basic
-// pragmas here), and antithetic variates as a variance-reduction
-// extension. Those run on the software vector ISA to record op mixes;
+// pragmas here). Those run on the software vector ISA to record op mixes;
 // SharedStreamCtx is the host path finbench.Price and the server run.
 package montecarlo // finlint:hot — allocation-free loops enforced by internal/lint
 
@@ -75,6 +74,7 @@ func PriceScalarStream(s, x, t float64, z []float64, mkt workload.MarketParams) 
 // RefScalar prices every option in the SOA batch against the shared normal
 // stream z, one path at a time (the reference code path). Put outputs hold
 // the standard error.
+// finlint:ignore unreached reference the vectorized variants are tested against
 func RefScalar(s *workload.MCBatch, z []float64, mkt workload.MarketParams, c *perf.Counts) {
 	n := len(s.S)
 	_ = parallel.Region(context.Background(), n, 1, c, func(lo, hi int, c *perf.Counts) {
@@ -326,44 +326,4 @@ func pathSums(s, x, t float64, z []float64, mkt workload.MarketParams) (v0, v1 f
 		v1 += res * res
 	}
 	return v0, v1
-}
-
-// Antithetic prices the batch with antithetic variates: each normal z is
-// paired with -z, halving the number of generated normals per path pair
-// and reducing variance for monotone payoffs (Glasserman ch. 4). An
-// extension beyond the paper's kernel, used by the ablation benchmarks.
-func Antithetic(s *workload.MCBatch, z []float64, mkt workload.MarketParams, width int, c *perf.Counts) {
-	n := len(s.S)
-	_ = parallel.Region(context.Background(), n, 1, c, func(lo, hi int, c *perf.Counts) {
-		ctx := vec.New(width, c)
-		for i := lo; i < hi; i++ {
-			t := s.T[i]
-			vRtT := ctx.Broadcast(mathx.Sqrt(t) * mkt.Sigma)
-			muT := ctx.Broadcast(t * (mkt.R - mkt.Sigma*mkt.Sigma/2))
-			sv := ctx.Broadcast(s.S[i])
-			xv := ctx.Broadcast(s.X[i])
-			zero := ctx.Zero()
-			var acc0, acc1 vec.Vec
-			p := 0
-			for ; p+ctx.W <= len(z); p += ctx.W {
-				r := ctx.Load(z, p)
-				up := ctx.Max(zero, ctx.Sub(ctx.Mul(sv, ctx.Exp(ctx.FMA(vRtT, r, muT))), xv))
-				dn := ctx.Max(zero, ctx.Sub(ctx.Mul(sv, ctx.Exp(ctx.FMA(vRtT, ctx.Neg(r), muT))), xv))
-				// Average the antithetic pair; accumulate its moments.
-				pair := ctx.Mul(ctx.Add(up, dn), ctx.Broadcast(0.5))
-				acc0 = ctx.Add(acc0, pair)
-				acc1 = ctx.FMA(pair, pair, acc1)
-			}
-			v0 := ctx.ReduceAdd(acc0)
-			v1 := ctx.ReduceAdd(acc1)
-			pairs := p / ctx.W * ctx.W
-			res := estimate(v0, v1, pairs, t, mkt)
-			s.Price[i] = res.Price
-			s.StdErr[i] = res.StdErr
-		}
-	})
-	if c != nil {
-		c.AddBytes(uint64(len(z))*8, uint64(16*n))
-		c.Items += uint64(n)
-	}
 }

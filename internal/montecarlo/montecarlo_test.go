@@ -81,35 +81,16 @@ func TestComputeRNGConvergesToBlackScholes(t *testing.T) {
 	}
 }
 
-// Antithetic variates must cut the standard error versus plain MC with the
-// same number of payoff evaluations.
-func TestAntitheticReducesVariance(t *testing.T) {
-	z := normals(1<<15, 11)
-	plain := batch(1)
-	Vectorized(plain, z, mkt, 8, 1, nil)
-	anti := batch(1)
-	copy(anti.S, plain.S)
-	copy(anti.X, plain.X)
-	copy(anti.T, plain.T)
-	Antithetic(anti, z, mkt, 8, nil)
-	if anti.StdErr[0] >= plain.StdErr[0] {
-		t.Fatalf("antithetic stderr %g not below plain %g", anti.StdErr[0], plain.StdErr[0])
-	}
-	if math.Abs(anti.Price[0]-plain.Price[0]) > 4*(plain.StdErr[0]+anti.StdErr[0]) {
-		t.Fatalf("antithetic price %g inconsistent with plain %g", anti.Price[0], plain.Price[0])
-	}
-}
-
 func TestStreamCounts(t *testing.T) {
 	z := normals(1024, 1)
 	b := batch(4)
 	var c perf.Counts
 	Vectorized(b, z, mkt, 8, 2, &c)
 	paths := uint64(4 * 1024)
-	if c.Get(perf.OpExp) != paths {
-		t.Fatalf("exp = %d, want %d", c.Get(perf.OpExp), paths)
+	if c.N[perf.OpExp] != paths {
+		t.Fatalf("exp = %d, want %d", c.N[perf.OpExp], paths)
 	}
-	if c.Get(perf.OpRNG) != 0 {
+	if c.N[perf.OpRNG] != 0 {
 		t.Fatal("stream mode must not generate RNG")
 	}
 	if c.BytesRead != 1024*8 {
@@ -125,11 +106,11 @@ func TestComputeRNGCounts(t *testing.T) {
 	var c perf.Counts
 	VectorizedComputeRNG(b, 1024, 1, mkt, 8, 1, &c)
 	paths := uint64(4 * 1024)
-	if c.Get(perf.OpRNG) != paths {
-		t.Fatalf("rng = %d, want %d", c.Get(perf.OpRNG), paths)
+	if c.N[perf.OpRNG] != paths {
+		t.Fatalf("rng = %d, want %d", c.N[perf.OpRNG], paths)
 	}
-	if c.Get(perf.OpInvCND) != paths {
-		t.Fatalf("invcnd = %d, want %d", c.Get(perf.OpInvCND), paths)
+	if c.N[perf.OpInvCND] != paths {
+		t.Fatalf("invcnd = %d, want %d", c.N[perf.OpInvCND], paths)
 	}
 	if c.BytesRead != 0 {
 		t.Fatalf("computed mode streamed %d bytes", c.BytesRead)
@@ -185,7 +166,6 @@ func TestWorkerCountInvariant(t *testing.T) {
 	}{
 		"RefScalar":  {run: func(b *workload.MCBatch, _ int, c *perf.Counts) { RefScalar(b, z, mkt, c) }},
 		"Vectorized": {run: func(b *workload.MCBatch, w int, c *perf.Counts) { Vectorized(b, z, mkt, w, 2, c) }},
-		"Antithetic": {run: func(b *workload.MCBatch, w int, c *perf.Counts) { Antithetic(b, z, mkt, w, c) }},
 		"ComputeRNG": {countsOnly: true, run: func(b *workload.MCBatch, w int, c *perf.Counts) {
 			VectorizedComputeRNG(b, rngPaths, 7, mkt, w, 2, c)
 		}},

@@ -16,57 +16,6 @@ import (
 // These routines price with Sobol points in place of the Mersenne stream,
 // using randomized digital shifts for error estimation.
 
-// QMCEuropean prices a European call by integrating the terminal density
-// over a 1-D Sobol sequence (one dimension suffices for a European
-// payoff). shifts > 1 enables randomized-QMC error estimation: the
-// estimate is averaged over that many digitally-shifted replicates and
-// StdErr is their sample spread.
-func QMCEuropean(s, x, t float64, npoints, shifts int, seed uint64, mkt workload.MarketParams) Result {
-	if shifts < 1 {
-		shifts = 1
-	}
-	vRtT := mathx.Sqrt(t) * mkt.Sigma
-	muT := t * (mkt.R - mkt.Sigma*mkt.Sigma/2)
-	df := mathx.Exp(-mkt.R * t)
-	means := make([]float64, shifts)
-	pt := make([]float64, 1)
-	for r := 0; r < shifts; r++ {
-		seq, err := sobol.New(1)
-		if err != nil {
-			panic(err)
-		}
-		if r > 0 {
-			// Replicate 0 is the unshifted sequence; later replicates get
-			// independent digital shifts.
-			seq.DigitalShift(seed + uint64(r))
-		}
-		var sum float64
-		for i := 0; i < npoints; i++ {
-			seq.Next(pt)
-			z := mathx.InvCND(pt[0])
-			res := s*mathx.Exp(vRtT*z+muT) - x
-			if res > 0 {
-				sum += res
-			}
-		}
-		means[r] = df * sum / float64(npoints)
-	}
-	var mean float64
-	for _, m := range means {
-		mean += m
-	}
-	mean /= float64(shifts)
-	var v float64
-	for _, m := range means {
-		v += (m - mean) * (m - mean)
-	}
-	res := Result{Price: mean}
-	if shifts > 1 {
-		res.StdErr = mathx.Sqrt(v / float64(shifts) / float64(shifts-1))
-	}
-	return res
-}
-
 // AsianOption is an arithmetic-average Asian call: payoff
 // max(mean(S_t) - X, 0) over Steps equally spaced observations — the
 // path-dependent payoff for which lattice methods blow up and Monte Carlo

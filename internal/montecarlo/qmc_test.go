@@ -7,46 +7,6 @@ import (
 	"finbench/internal/blackscholes"
 )
 
-func TestQMCEuropeanMatchesClosedForm(t *testing.T) {
-	bs, _ := blackscholes.PriceScalar(100, 100, 1, mkt)
-	res := QMCEuropean(100, 100, 1, 1<<14, 1, 7, mkt)
-	if math.Abs(res.Price-bs) > 0.01 {
-		t.Fatalf("QMC %g vs BS %g", res.Price, bs)
-	}
-}
-
-// QMC must converge markedly faster than MC at the same budget: compare
-// absolute errors against the closed form.
-func TestQMCEuropeanBeatsMC(t *testing.T) {
-	const n = 1 << 13
-	bs, _ := blackscholes.PriceScalar(100, 105, 0.75, mkt)
-	qmc := QMCEuropean(100, 105, 0.75, n, 1, 7, mkt)
-	qmcErr := math.Abs(qmc.Price - bs)
-
-	var mcErr float64
-	const trials = 5
-	for trial := uint64(0); trial < trials; trial++ {
-		z := normals(n, 100+trial)
-		res := PriceScalarStream(100, 105, 0.75, z, mkt)
-		mcErr += math.Abs(res.Price - bs)
-	}
-	mcErr /= trials
-	if qmcErr > mcErr/2 {
-		t.Fatalf("QMC err %g not clearly below MC err %g", qmcErr, mcErr)
-	}
-}
-
-func TestQMCEuropeanShiftStdErr(t *testing.T) {
-	res := QMCEuropean(100, 100, 1, 4096, 8, 11, mkt)
-	if res.StdErr <= 0 {
-		t.Fatal("randomized QMC must report a spread")
-	}
-	bs, _ := blackscholes.PriceScalar(100, 100, 1, mkt)
-	if math.Abs(res.Price-bs) > 6*res.StdErr+1e-3 {
-		t.Fatalf("QMC %g +- %g vs BS %g", res.Price, res.StdErr, bs)
-	}
-}
-
 var asian = AsianOption{S: 100, X: 100, T: 1, Steps: 32}
 
 // MC and QMC must agree on the Asian price within their joint error.

@@ -314,7 +314,7 @@ func TestRegionCountsAndCoverage(t *testing.T) {
 					t.Errorf("Region(Background) = %v, want nil", err)
 				}
 			})
-			if got := c.Get(perf.OpScalar); got != 1001 {
+			if got := c.N[perf.OpScalar]; got != 1001 {
 				t.Fatalf("merged OpScalar = %d, want 1001", got)
 			}
 			if c.Items != 1001 {
@@ -345,7 +345,7 @@ func TestRegionAlreadyCancelled(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := c.Get(perf.OpScalar); got != 0 {
+	if got := c.N[perf.OpScalar]; got != 0 {
 		t.Fatalf("cancelled region still counted %d items", got)
 	}
 }

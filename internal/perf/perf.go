@@ -144,9 +144,6 @@ type Counts struct {
 // Add accumulates n occurrences of op.
 func (c *Counts) Add(op Op, n uint64) { c.N[op] += n }
 
-// Get returns the count for op.
-func (c *Counts) Get(op Op) uint64 { return c.N[op] }
-
 // AddBytes accumulates DRAM traffic.
 func (c *Counts) AddBytes(read, written uint64) {
 	c.BytesRead += read
@@ -164,27 +161,6 @@ func (c *Counts) Merge(other Counts) {
 	if c.Width == 0 {
 		c.Width = other.Width
 	}
-}
-
-// Scale multiplies every count and byte figure by f. It is used to
-// extrapolate a profiled sample (Items work items) to a full workload.
-func (c *Counts) Scale(f float64) {
-	for i := range c.N {
-		c.N[i] = uint64(float64(c.N[i])*f + 0.5)
-	}
-	c.BytesRead = uint64(float64(c.BytesRead)*f + 0.5)
-	c.BytesWritten = uint64(float64(c.BytesWritten)*f + 0.5)
-	c.Items = uint64(float64(c.Items)*f + 0.5)
-}
-
-// PerItem returns a copy of c scaled down to a single work item.
-func (c Counts) PerItem() Counts {
-	out := c
-	if c.Items > 1 {
-		out.Scale(1 / float64(c.Items))
-		out.Items = 1
-	}
-	return out
 }
 
 // Total returns the total dynamic operation count across all classes.

@@ -186,12 +186,6 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err carries the Permanent marker.
-func IsPermanent(err error) bool {
-	_, ok := permanentTarget(err)
-	return ok
-}
-
 // permanentTarget unwraps the Permanent marker, returning the underlying
 // error. Interface-in/interface-out so hot retry loops can call it without
 // boxing.

@@ -102,11 +102,11 @@ func TestRetryStopsOnPermanent(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1", calls)
 	}
-	if IsPermanent(err) {
+	if _, ok := permanentTarget(err); ok {
 		t.Error("Retry should unwrap the Permanent marker")
 	}
-	if !IsPermanent(Permanent(sentinel)) {
-		t.Error("IsPermanent(Permanent(err)) = false")
+	if _, ok := permanentTarget(Permanent(sentinel)); !ok {
+		t.Error("Permanent(err) carries no marker")
 	}
 	if Permanent(nil) != nil {
 		t.Error("Permanent(nil) != nil")

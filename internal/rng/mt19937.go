@@ -148,14 +148,6 @@ func (m *MT) Uint64() uint64 {
 	return hi<<32 | lo
 }
 
-// Float64 returns a 53-bit-resolution uniform in [0,1), the reference
-// genrand_res53: (a*2^26 + b) / 2^53 with a = u32>>5, b = u32>>6.
-func (m *MT) Float64() float64 {
-	a := m.Uint32() >> 5
-	b := m.Uint32() >> 6
-	return (float64(a)*67108864.0 + float64(b)) / 9007199254740992.0
-}
-
 // Float64OO returns a uniform in the open interval (0,1), as required by
 // the inverse-CDF normal transform (Phi^-1 diverges at 0 and 1). It shifts
 // the 53-bit lattice by half a step.
@@ -163,18 +155,6 @@ func (m *MT) Float64OO() float64 {
 	a := m.Uint32() >> 5
 	b := m.Uint32() >> 6
 	return (float64(a)*67108864.0 + float64(b) + 0.5) / 9007199254740992.0
-}
-
-// Skip discards n 32-bit outputs. Streams partitioned by skipping are used
-// when a single generator must be split deterministically (O(n); the MKL
-// skip-ahead is O(log n), but no kernel here skips far).
-func (m *MT) Skip(n uint64) {
-	for ; n > 0; n-- {
-		if m.idx >= m.p.N {
-			m.twist()
-		}
-		m.idx++
-	}
 }
 
 // splitmix64 is the avalanche scrambler used to derive independent stream

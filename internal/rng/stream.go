@@ -71,10 +71,6 @@ func NewStream(id int, seed uint64) *Stream {
 	return &Stream{mt: mt}
 }
 
-// NewStreamMT wraps an existing twister (used by tests and by the
-// known-answer path).
-func NewStreamMT(mt *MT) *Stream { return &Stream{mt: mt} }
-
 // DeriveSeed folds tags into a base seed through a SplitMix64 chain,
 // producing a well-separated seed for a derived stream family. Callers use
 // it to give repeated operations (e.g. successive Simulate calls) distinct
@@ -110,12 +106,6 @@ func (s *Stream) Uniform(dst []float64) {
 	for i := range dst {
 		dst[i] = s.mt.Float64OO()
 	}
-}
-
-// Uint32 exposes the raw twister output (used by the ziggurat).
-func (s *Stream) Uint32() uint32 {
-	s.countRNG(1)
-	return s.mt.Uint32()
 }
 
 // NormalICDF fills dst with standard normals via the inverse CDF.

@@ -250,17 +250,6 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.bytes -= int64(len(e.body)) + entryOverhead
 }
 
-// Purge drops every stored entry (in-flight computations are unaffected
-// and will re-insert). Exposed for effective-config changes that are not
-// already part of the key.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[Key]*list.Element)
-	c.lru.Init()
-	c.bytes = 0
-}
-
 // Stats is a point-in-time snapshot of the cache counters; it marshals
 // with fixed field order (a struct, not a map) so /statsz output stays
 // deterministic.

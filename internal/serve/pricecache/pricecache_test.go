@@ -369,20 +369,6 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New(1<<20, 0)
-	c.Do(context.Background(), testKey(0), computeBody("a"))
-	c.Do(context.Background(), testKey(1), computeBody("b"))
-	c.Purge()
-	st := c.Snapshot()
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("after purge: %+v", st)
-	}
-	if _, o, _ := c.Do(context.Background(), testKey(0), computeBody("a")); o != Miss {
-		t.Fatal("purged entry still hit")
-	}
-}
-
 func TestOutcomeString(t *testing.T) {
 	for _, tc := range []struct {
 		o    Outcome

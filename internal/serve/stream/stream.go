@@ -156,9 +156,9 @@ var (
 // inputs double as the dirty baseline; priced=false (never repriced)
 // is unconditionally dirty.
 type contractState struct {
-	spot, vol, rate                   float64
+	spot, vol, rate                       float64
 	price, delta, gamma, vega, theta, rho float64
-	priced                            bool
+	priced                                bool
 }
 
 // mover is one dirty contract and its scaled move magnitude.
@@ -311,9 +311,6 @@ func New(cfg Config, reprice RepriceFunc) *Hub {
 
 // Universe returns the contract-universe size.
 func (h *Hub) Universe() int { return len(h.contracts) }
-
-// Interval returns the tick period.
-func (h *Hub) Interval() time.Duration { return h.cfg.Interval }
 
 // HelloFor builds the hello payload for a subscription.
 func (h *Hub) HelloFor(sub *Sub) Hello {

@@ -69,13 +69,6 @@ var (
 // engineNames indexes the engine byte of the response frame.
 var engineNames = []string{"", "batch-advanced", "scalar"}
 
-// SniffColumnar reports whether data starts with the columnar request
-// magic (a cheap routing/telemetry probe; full validation is
-// DecodeColumnarRequest's job).
-func SniffColumnar(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[:4]) == columnarReqMagic
-}
-
 // SniffColumnarDeadline extracts deadline_ms from a columnar request
 // frame without decoding the columns (the router's deadline probe).
 func SniffColumnarDeadline(data []byte) (int64, bool) {

@@ -159,11 +159,8 @@ func TestSniffColumnar(t *testing.T) {
 		Columnar:   &Columns{Spots: []float64{100}, Strikes: []float64{105}, Expiries: []float64{0.5}},
 		DeadlineMS: 750,
 	})
-	if !SniffColumnar(frame) {
-		t.Error("SniffColumnar missed a columnar frame")
-	}
-	if SniffColumnar([]byte(`{"options":[]}`)) {
-		t.Error("SniffColumnar matched JSON")
+	if _, ok := SniffColumnarDeadline([]byte(`{"options":[],"deadline_ms":750}`)); ok {
+		t.Error("SniffColumnarDeadline matched JSON")
 	}
 	dl, ok := SniffColumnarDeadline(frame)
 	if !ok || dl != 750 {

@@ -106,10 +106,7 @@ func initDirections(v *[Bits]uint32, p uint64, m []uint32) {
 	}
 }
 
-// Dim returns the dimensionality.
-func (s *Sequence) Dim() int { return s.dim }
-
-// Next writes the point with the current index into dst (len >= Dim()) and
+// Next writes the point with the current index into dst (len >= dim) and
 // advances. Each coordinate lies in (0,1): a half-lattice-cell offset keeps
 // coordinates away from 0 and 1, as the inverse-normal transform requires.
 // The first emitted point is the index-0 origin of the net, so blocks of
@@ -164,13 +161,5 @@ func (s *Sequence) DigitalShift(seed uint64) {
 		z ^= z >> 7
 		z ^= z << 17
 		s.shift[d] = uint32(z)
-	}
-}
-
-// Fill generates n consecutive points into out (len >= n*Dim()),
-// point-major.
-func (s *Sequence) Fill(out []float64, n int) {
-	for i := 0; i < n; i++ {
-		s.Next(out[i*s.dim : (i+1)*s.dim])
 	}
 }

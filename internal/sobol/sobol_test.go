@@ -2,10 +2,10 @@ package sobol
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"finbench/internal/rng"
-	"finbench/internal/stats"
 )
 
 func TestIsPrimitiveKnown(t *testing.T) {
@@ -101,8 +101,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Dim() != 64 {
-		t.Fatalf("Dim = %d", s.Dim())
+	if s.dim != 64 {
+		t.Fatalf("dim = %d", s.dim)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestDigitalShift(t *testing.T) {
 		xs = append(xs, pt...)
 	}
 	// Shifted points remain uniform.
-	if d := stats.KSUniform(xs); d > 0.03 {
+	if d := ksUniform(xs); d > 0.03 {
 		t.Fatalf("shifted sequence KS = %g", d)
 	}
 	// Zero seed restores the unshifted sequence.
@@ -234,6 +234,19 @@ func TestDigitalShift(t *testing.T) {
 			t.Fatal("zero shift did not restore identity")
 		}
 	}
+}
+
+// ksUniform returns the Kolmogorov-Smirnov statistic of xs against U(0,1):
+// the largest gap between the empirical CDF and the identity.
+func ksUniform(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := float64(len(s))
+	var d float64
+	for i, x := range s {
+		d = math.Max(d, math.Max(x-float64(i)/n, float64(i+1)/n-x))
+	}
+	return d
 }
 
 func TestCoordinatesInOpenInterval(t *testing.T) {
@@ -286,22 +299,6 @@ func TestQMCBeatsMC(t *testing.T) {
 	mcErr /= trials
 	if qmcErr > mcErr/3 {
 		t.Fatalf("QMC error %g not clearly below MC error %g", qmcErr, mcErr)
-	}
-}
-
-func TestFill(t *testing.T) {
-	s, _ := New(4)
-	out := make([]float64, 4*10)
-	s.Fill(out, 10)
-	s2, _ := New(4)
-	pt := make([]float64, 4)
-	for i := 0; i < 10; i++ {
-		s2.Next(pt)
-		for d := 0; d < 4; d++ {
-			if out[i*4+d] != pt[d] {
-				t.Fatalf("Fill differs at point %d dim %d", i, d)
-			}
-		}
 	}
 }
 

@@ -37,13 +37,6 @@ type Vec struct {
 	X [MaxWidth]float64
 }
 
-// Mask is a per-lane predicate, one bit per lane (bit i = lane i), the
-// software analogue of KNC's mask registers.
-type Mask uint8
-
-// Set reports whether lane i is active in the mask.
-func (m Mask) Set(i int) bool { return m&(1<<uint(i)) != 0 }
-
 // Ctx binds a vector width and an optional operation counter. The zero Ctx
 // is invalid; use New.
 type Ctx struct {
@@ -85,17 +78,6 @@ func (c Ctx) Broadcast(s float64) Vec {
 func (c Ctx) Zero() Vec {
 	c.count(perf.OpVecMisc, 1)
 	return Vec{}
-}
-
-// Iota returns {base, base+step, base+2*step, ...} (compile-time constant
-// vectors in real SIMD code; counted as a misc op).
-func (c Ctx) Iota(base, step float64) Vec {
-	c.count(perf.OpVecMisc, 1)
-	var v Vec
-	for i := 0; i < c.W; i++ {
-		v.X[i] = base + float64(i)*step
-	}
-	return v
 }
 
 // Move returns a copy of a, counted as a register move. The paper's
@@ -169,16 +151,6 @@ func strideGatherOp(w, stride int, far, near perf.Op) perf.Op {
 	return far
 }
 
-// GatherIdx loads lanes from s[idx[i]] (full gather with an index vector).
-func (c Ctx) GatherIdx(s []float64, idx []int) Vec {
-	c.count(perf.OpGather, 1)
-	var v Vec
-	for i := 0; i < c.W; i++ {
-		v.X[i] = s[idx[i]]
-	}
-	return v
-}
-
 // Add returns a+b lane-wise.
 func (c Ctx) Add(a, b Vec) Vec {
 	c.count(perf.OpVecAdd, 1)
@@ -244,53 +216,12 @@ func (c Ctx) Max(a, b Vec) Vec {
 	return v
 }
 
-// Min returns the lane-wise minimum.
-func (c Ctx) Min(a, b Vec) Vec {
-	c.count(perf.OpVecMax, 1)
-	var v Vec
-	for i := 0; i < c.W; i++ {
-		if a.X[i] < b.X[i] {
-			v.X[i] = a.X[i]
-		} else {
-			v.X[i] = b.X[i]
-		}
-	}
-	return v
-}
-
 // Neg returns -a.
 func (c Ctx) Neg(a Vec) Vec {
 	c.count(perf.OpVecMisc, 1)
 	var v Vec
 	for i := 0; i < c.W; i++ {
 		v.X[i] = -a.X[i]
-	}
-	return v
-}
-
-// CmpGT returns a mask with bit i set where a[i] > b[i].
-func (c Ctx) CmpGT(a, b Vec) Mask {
-	c.count(perf.OpVecMax, 1)
-	var m Mask
-	for i := 0; i < c.W; i++ {
-		if a.X[i] > b.X[i] {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
-}
-
-// Blend returns a vector selecting a[i] where m is set, else b[i]
-// (vblendvpd / masked move).
-func (c Ctx) Blend(m Mask, a, b Vec) Vec {
-	c.count(perf.OpVecMax, 1)
-	var v Vec
-	for i := 0; i < c.W; i++ {
-		if m.Set(i) {
-			v.X[i] = a.X[i]
-		} else {
-			v.X[i] = b.X[i]
-		}
 	}
 	return v
 }
@@ -307,23 +238,6 @@ func (c Ctx) ReduceAdd(a Vec) float64 {
 	var s float64
 	for i := 0; i < c.W; i++ {
 		s += a.X[i]
-	}
-	return s
-}
-
-// ReduceMax returns the maximum over the active lanes.
-func (c Ctx) ReduceMax(a Vec) float64 {
-	n := uint64(0)
-	for w := c.W; w > 1; w >>= 1 {
-		n++
-	}
-	c.count(perf.OpVecMisc, n)
-	c.count(perf.OpVecMax, n)
-	s := a.X[0]
-	for i := 1; i < c.W; i++ {
-		if a.X[i] > s {
-			s = a.X[i]
-		}
 	}
 	return s
 }
@@ -377,17 +291,6 @@ func (c Ctx) CND(a Vec) Vec {
 	var v Vec
 	for i := 0; i < c.W; i++ {
 		v.X[i] = mathx.CND(a.X[i])
-	}
-	return v
-}
-
-// InvCND applies the inverse cumulative normal distribution to each lane
-// (the ICDF transform of the normal RNG).
-func (c Ctx) InvCND(a Vec) Vec {
-	c.count(perf.OpInvCND, uint64(c.W))
-	var v Vec
-	for i := 0; i < c.W; i++ {
-		v.X[i] = mathx.InvCND(a.X[i])
 	}
 	return v
 }

@@ -66,19 +66,9 @@ func TestBroadcastRespectsWidth(t *testing.T) {
 	}
 }
 
-func TestIota(t *testing.T) {
-	c := New(8, nil)
-	v := c.Iota(10, 2)
-	for i := 0; i < 8; i++ {
-		if v.X[i] != 10+2*float64(i) {
-			t.Fatalf("Iota lane %d = %g", i, v.X[i])
-		}
-	}
-}
-
 func TestArithmetic(t *testing.T) {
 	c := New(8, nil)
-	a := c.Iota(1, 1) // 1..8
+	a := v8(1, 2, 3, 4, 5, 6, 7, 8)
 	b := c.Broadcast(2)
 	if got := c.Add(a, b); got.X[7] != 10 || got.X[0] != 3 {
 		t.Fatalf("Add = %v", got)
@@ -117,30 +107,6 @@ func TestMaxMin(t *testing.T) {
 	if got := c.Max(a, b); got != v8(2, 5, 3, 8) {
 		t.Fatalf("Max = %v", got)
 	}
-	if got := c.Min(a, b); got != v8(1, 4, 3, 7) {
-		t.Fatalf("Min = %v", got)
-	}
-}
-
-func TestCmpBlend(t *testing.T) {
-	c := New(4, nil)
-	a := v8(1, 5, 3, 7)
-	b := v8(2, 4, 3, 8)
-	m := c.CmpGT(a, b)
-	if m != 0b0010 {
-		t.Fatalf("CmpGT mask = %04b", m)
-	}
-	got := c.Blend(m, a, b)
-	if got != v8(2, 5, 3, 8) {
-		t.Fatalf("Blend = %v", got)
-	}
-}
-
-func TestMaskSet(t *testing.T) {
-	m := Mask(0b1010)
-	if m.Set(0) || !m.Set(1) || m.Set(2) || !m.Set(3) {
-		t.Fatalf("Mask.Set wrong for %04b", m)
-	}
 }
 
 func TestLoadStore(t *testing.T) {
@@ -175,18 +141,9 @@ func TestGatherScatterStride(t *testing.T) {
 	}
 }
 
-func TestGatherIdx(t *testing.T) {
-	c := New(4, nil)
-	s := []float64{10, 20, 30, 40, 50}
-	v := c.GatherIdx(s, []int{4, 0, 2, 2})
-	if v != v8(50, 10, 30, 30) {
-		t.Fatalf("GatherIdx = %v", v)
-	}
-}
-
 func TestMove(t *testing.T) {
 	c := New(8, nil)
-	a := c.Iota(0, 1)
+	a := v8(0, 1, 2, 3, 4, 5, 6, 7)
 	if got := c.Move(a); got != a {
 		t.Fatalf("Move = %v", got)
 	}
@@ -194,19 +151,12 @@ func TestMove(t *testing.T) {
 
 func TestReduceAdd(t *testing.T) {
 	c := New(8, nil)
-	if got := c.ReduceAdd(c.Iota(1, 1)); got != 36 {
+	if got := c.ReduceAdd(v8(1, 2, 3, 4, 5, 6, 7, 8)); got != 36 {
 		t.Fatalf("ReduceAdd = %g", got)
 	}
 	c4 := New(4, nil)
-	if got := c4.ReduceAdd(c4.Iota(1, 1)); got != 10 {
+	if got := c4.ReduceAdd(v8(1, 2, 3, 4)); got != 10 {
 		t.Fatalf("ReduceAdd w=4 = %g", got)
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	c := New(4, nil)
-	if got := c.ReduceMax(v8(3, 9, 1, 7)); got != 9 {
-		t.Fatalf("ReduceMax = %g", got)
 	}
 }
 
@@ -231,13 +181,6 @@ func TestTranscendentalsMatchScalar(t *testing.T) {
 			}
 		}
 	}
-	p := v8(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-	q := c.InvCND(p)
-	for i := 0; i < 8; i++ {
-		if q.X[i] != mathx.InvCND(p.X[i]) {
-			t.Fatalf("InvCND lane %d mismatch", i)
-		}
-	}
 }
 
 func TestCounting(t *testing.T) {
@@ -259,26 +202,26 @@ func TestCounting(t *testing.T) {
 	_ = c.GatherStride(big, 0, 8) // far gather 1 (one line per lane)
 	c.ScatterStride(big, 0, 8, a) // far scatter 1
 	_ = c.ReduceAdd(a)            // add 3, misc 3 (log2(8) steps)
-	if cnt.Get(perf.OpVecMisc) != 2+3 {
-		t.Errorf("misc = %d, want 5", cnt.Get(perf.OpVecMisc))
+	if cnt.N[perf.OpVecMisc] != 2+3 {
+		t.Errorf("misc = %d, want 5", cnt.N[perf.OpVecMisc])
 	}
-	if cnt.Get(perf.OpVecAdd) != 1+3 {
-		t.Errorf("add = %d, want 4", cnt.Get(perf.OpVecAdd))
+	if cnt.N[perf.OpVecAdd] != 1+3 {
+		t.Errorf("add = %d, want 4", cnt.N[perf.OpVecAdd])
 	}
-	if cnt.Get(perf.OpVecMul) != 1 || cnt.Get(perf.OpVecFMA) != 1 {
-		t.Errorf("mul/fma = %d/%d", cnt.Get(perf.OpVecMul), cnt.Get(perf.OpVecFMA))
+	if cnt.N[perf.OpVecMul] != 1 || cnt.N[perf.OpVecFMA] != 1 {
+		t.Errorf("mul/fma = %d/%d", cnt.N[perf.OpVecMul], cnt.N[perf.OpVecFMA])
 	}
-	if cnt.Get(perf.OpExp) != 8 {
-		t.Errorf("exp = %d, want 8", cnt.Get(perf.OpExp))
+	if cnt.N[perf.OpExp] != 8 {
+		t.Errorf("exp = %d, want 8", cnt.N[perf.OpExp])
 	}
-	if cnt.Get(perf.OpVecLoad) != 1 || cnt.Get(perf.OpVecLoadU) != 1 || cnt.Get(perf.OpVecStore) != 1 {
-		t.Errorf("load/loadu/store = %d/%d/%d", cnt.Get(perf.OpVecLoad), cnt.Get(perf.OpVecLoadU), cnt.Get(perf.OpVecStore))
+	if cnt.N[perf.OpVecLoad] != 1 || cnt.N[perf.OpVecLoadU] != 1 || cnt.N[perf.OpVecStore] != 1 {
+		t.Errorf("load/loadu/store = %d/%d/%d", cnt.N[perf.OpVecLoad], cnt.N[perf.OpVecLoadU], cnt.N[perf.OpVecStore])
 	}
-	if cnt.Get(perf.OpGatherNear) != 1 || cnt.Get(perf.OpScatterNear) != 1 {
-		t.Errorf("near gather/scatter = %d/%d", cnt.Get(perf.OpGatherNear), cnt.Get(perf.OpScatterNear))
+	if cnt.N[perf.OpGatherNear] != 1 || cnt.N[perf.OpScatterNear] != 1 {
+		t.Errorf("near gather/scatter = %d/%d", cnt.N[perf.OpGatherNear], cnt.N[perf.OpScatterNear])
 	}
-	if cnt.Get(perf.OpGather) != 1 || cnt.Get(perf.OpScatter) != 1 {
-		t.Errorf("far gather/scatter = %d/%d", cnt.Get(perf.OpGather), cnt.Get(perf.OpScatter))
+	if cnt.N[perf.OpGather] != 1 || cnt.N[perf.OpScatter] != 1 {
+		t.Errorf("far gather/scatter = %d/%d", cnt.N[perf.OpGather], cnt.N[perf.OpScatter])
 	}
 }
 
@@ -327,22 +270,6 @@ func TestFMAConsistentQuick(t *testing.T) {
 	}
 }
 
-// Property: Blend(CmpGT(a,b), a, b) == Max(a,b) for non-NaN inputs.
-func TestMaxViaBlendQuick(t *testing.T) {
-	c := New(4, nil)
-	f := func(a0, a1, b0, b1 float64) bool {
-		if math.IsNaN(a0) || math.IsNaN(a1) || math.IsNaN(b0) || math.IsNaN(b1) {
-			return true
-		}
-		a := v8(a0, a1, a0, a1)
-		b := v8(b0, b1, b1, b0)
-		return c.Blend(c.CmpGT(a, b), a, b) == c.Max(a, b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLoadStoreRev(t *testing.T) {
 	c := New(4, nil)
 	s := []float64{0, 1, 2, 3, 4, 5}
@@ -365,7 +292,7 @@ func TestLoadRevCounts(t *testing.T) {
 	s := make([]float64, 8)
 	_ = c.LoadRev(s, 0)
 	c.StoreRev(s, 0, Vec{})
-	if cnt.Get(perf.OpVecLoad) != 1 || cnt.Get(perf.OpVecStore) != 1 || cnt.Get(perf.OpVecMisc) != 2 {
+	if cnt.N[perf.OpVecLoad] != 1 || cnt.N[perf.OpVecStore] != 1 || cnt.N[perf.OpVecMisc] != 2 {
 		t.Fatalf("rev counts wrong: %v", cnt)
 	}
 }

@@ -94,9 +94,6 @@ type BridgeConfig struct {
 	Seed uint64
 }
 
-// Steps returns the step count 2^(Depth+1).
-func (b BridgeConfig) Steps() int { return 1 << uint(b.Depth+1) }
-
 // CNConfig sizes a Crank-Nicolson run (Fig. 8 uses 256 prices x 1000 steps).
 type CNConfig struct {
 	// NPrices is the number of discretized underlying prices (J).

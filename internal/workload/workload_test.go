@@ -58,16 +58,6 @@ func TestGenerateSOAMatchesAOS(t *testing.T) {
 	}
 }
 
-func TestBridgeConfigSteps(t *testing.T) {
-	// Depth 5 = the paper's 64-step Brownian bridge (Fig. 6).
-	if (BridgeConfig{Depth: 5}).Steps() != 64 {
-		t.Fatal("Depth 5 should give 64 steps")
-	}
-	if (BridgeConfig{Depth: 0}).Steps() != 2 {
-		t.Fatal("Depth 0 should give 2 steps")
-	}
-}
-
 func TestDefaultMarket(t *testing.T) {
 	if DefaultMarket.R <= 0 || DefaultMarket.Sigma <= 0 {
 		t.Fatal("default market params must be positive")

@@ -15,15 +15,13 @@ import (
 // is built depth-first with interleaved random-number generation, then
 // mapped through S(t) = S0 exp((r - sigma^2/2) t + sigma W(t)).
 //
-// Successive calls to Simulate (and to SimulateTerminal) draw fresh
-// randomness: each call folds a per-method call counter into the seed, so
-// calling Simulate twice yields two independent sets of paths. The
-// sequence is still fully reproducible — two simulators built with the
-// same seed produce identical output call-for-call (first Simulate matches
-// first Simulate, second matches second, and likewise for
-// SimulateTerminal, whose counter advances independently). The call
-// counters make a PathSimulator stateful; a single simulator must not be
-// used from multiple goroutines concurrently.
+// Successive calls to Simulate draw fresh randomness: each call folds a
+// call counter into the seed, so calling Simulate twice yields two
+// independent sets of paths. The sequence is still fully reproducible —
+// two simulators built with the same seed produce identical output
+// call-for-call (first Simulate matches first Simulate, second matches
+// second). The call counter makes a PathSimulator stateful; a single
+// simulator must not be used from multiple goroutines concurrently.
 type PathSimulator struct {
 	// Steps per path; must be a power of two >= 2.
 	Steps int
@@ -34,18 +32,13 @@ type PathSimulator struct {
 
 	bridge *brownian.Bridge
 
-	// Per-method call counters, folded into the stream seed so repeated
-	// calls do not replay the same randomness.
-	simCalls  uint64
-	termCalls uint64
+	// Call counter, folded into the stream seed so repeated calls do not
+	// replay the same randomness.
+	simCalls uint64
 }
 
-// Seed-derivation tags separating the Simulate and SimulateTerminal
-// stream families (arbitrary distinct constants).
-const (
-	seedTagSimulate uint64 = 0x51AD_E01F_0000_0001
-	seedTagTerminal uint64 = 0x51AD_E01F_0000_0002
-)
+// seedTagSimulate tags Simulate's stream family (an arbitrary constant).
+const seedTagSimulate uint64 = 0x51AD_E01F_0000_0001
 
 // NewPathSimulator builds a simulator for power-of-two steps (the bridge
 // doubles per level).
@@ -85,23 +78,6 @@ func (ps *PathSimulator) Simulate(n int, spot float64, m Market) [][]float64 {
 			row[p] = spot * mathx.Exp(mu*t+m.Volatility*w[p])
 		}
 		out[i] = row
-	}
-	return out
-}
-
-// SimulateTerminal generates only the terminal prices of n paths —
-// sufficient for European payoffs and far cheaper.
-func (ps *PathSimulator) SimulateTerminal(n int, spot float64, m Market) []float64 {
-	z := make([]float64, n)
-	seed := rng.DeriveSeed(ps.Seed, seedTagTerminal, ps.termCalls)
-	ps.termCalls++
-	s := rng.NewStream(0, seed)
-	s.NormalICDF(z)
-	mu := (m.Rate - m.Volatility*m.Volatility/2) * ps.Horizon
-	sig := m.Volatility * mathx.Sqrt(ps.Horizon)
-	out := make([]float64, n)
-	for i, zi := range z {
-		out[i] = spot * mathx.Exp(mu+sig*zi)
 	}
 	return out
 }

@@ -1,8 +1,8 @@
 package finbench
 
-// Regression tests for the RNG-reuse and batch-result bugs: Simulate and
-// SimulateTerminal used to rebuild the stream from ps.Seed on every call
-// (identical output on repeat calls), and ProfileBatch at LevelBasic
+// Regression tests for the RNG-reuse and batch-result bugs: Simulate used
+// to rebuild the stream from ps.Seed on every call (identical output on
+// repeat calls), and ProfileBatch at LevelBasic
 // priced into a private AOS without copying the results back.
 
 import (
@@ -45,37 +45,6 @@ func TestSimulateSuccessiveCallsDiffer(t *testing.T) {
 	b2 := b.Simulate(8, 100, tMkt)
 	if !pathsEqual(a1, b1) || !pathsEqual(a2, b2) {
 		t.Fatal("equal-seed simulators diverged call-for-call")
-	}
-}
-
-// TestSimulateTerminalSuccessiveCallsDiffer is the terminal-price analogue,
-// and additionally pins that the SimulateTerminal counter advances
-// independently of Simulate's.
-func TestSimulateTerminalSuccessiveCallsDiffer(t *testing.T) {
-	a, err := NewPathSimulator(16, 1, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := NewPathSimulator(16, 1, 42)
-	a1 := a.SimulateTerminal(64, 100, tMkt)
-	a2 := a.SimulateTerminal(64, 100, tMkt)
-	same := true
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("two successive SimulateTerminal calls produced identical prices")
-	}
-	// An interleaved Simulate call must not perturb the terminal sequence.
-	b.Simulate(4, 100, tMkt)
-	b1 := b.SimulateTerminal(64, 100, tMkt)
-	for i := range a1 {
-		if a1[i] != b1[i] {
-			t.Fatalf("terminal sequence depends on Simulate history: index %d: %g vs %g", i, a1[i], b1[i])
-		}
 	}
 }
 

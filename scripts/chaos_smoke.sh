@@ -129,7 +129,10 @@ boot_router "$((PBASE + 10))" \
 	-restart-delay 700ms -health-interval 300ms -max-attempts 4 \
 	-hedge-delay 25ms -budget-ratio -1 \
 	-breaker-failures 1 -breaker-open-for 500ms
-"$BIN" loadgen -url "$URL" -requests 1200 -concurrency 6 \
+# The burst must outlast the 150ms sleep before the kill: 1200 requests
+# finish in ~110ms on a quiet 2-vCPU host, and a kill after the burst
+# opens no breaker.
+"$BIN" loadgen -url "$URL" -requests 4000 -concurrency 6 \
 	-mix "closed-form=1" -options 4 \
 	-verify -assert-availability 99 >"$TMP/burst.out" 2>&1 &
 BURST_PID=$!
