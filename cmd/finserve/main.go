@@ -1,9 +1,8 @@
-// Command finserve runs the concurrent batch-pricing server, the shard
-// router that fronts a fleet of them, or the load generator.
+// Command finserve runs the concurrent batch-pricing server, or the shard
+// router that fronts a fleet of them.
 //
 //	finserve serve   -addr :8123 [-max-units N] [-fault-spec S] ...
 //	finserve route   -addr :8200 [-backends u1,u2 | -replicas N] ...
-//	finserve loadgen -url http://127.0.0.1:8123 [-requests N] [-mix ...] ...
 //	finserve fault   -spec seed:rate:kinds [-n 4096]
 //
 // The serve subcommand drains cleanly on SIGTERM/SIGINT: the listener
@@ -16,22 +15,18 @@
 // The route subcommand fronts N replicas with health checks, circuit
 // breakers, retry/failover and optional hedging; -replicas spawns them
 // as child processes of this binary and -restart-delay revives any that
-// die (the chaos harness kills one mid-burst and watches the breaker
-// reopen and recover).
-//
-// The loadgen subcommand drives a running server with a configurable
-// method mix and asserts the protocol's guarantees from outside: -verify
-// recomputes every 200 against the library and fails on any bit mismatch,
-// -assert-codes restricts which status codes may appear, -min-count
-// demands floors per code, -check-sched-frozen proves cancelled work
-// stopped reaching the parallel pool, and the -assert-availability /
-// -assert-max-retries / breaker assertions gate chaos runs. The e2e
-// smoke and chaos gates are built from these flags.
+// die.
 //
 // The fault subcommand prints a fault spec's canonical form, decision
 // digest and per-kind counts — two invocations with the same spec must
-// print identical output, which is how the chaos script proves the
+// print identical output, which is how scripts/smoke.sh proves the
 // injector deterministic.
+//
+// The protocol's end-to-end guarantees (bit-reproducible 200s, routed ≡
+// lone, cache hit ≡ cold, stream event ≡ cold repricing, availability
+// under faults and replica loss) are asserted by the in-process topology
+// tests in internal/serve/shard; scripts/smoke.sh covers what needs real
+// processes. Drive load with `go run ./benchmark`.
 package main
 
 import (
@@ -49,7 +44,6 @@ import (
 	"finbench"
 	"finbench/internal/fault"
 	"finbench/internal/serve"
-	"finbench/internal/serve/loadgen"
 	"finbench/internal/serve/stream"
 )
 
@@ -63,8 +57,6 @@ func main() {
 		os.Exit(runServe(os.Args[2:]))
 	case "route":
 		os.Exit(runRoute(os.Args[2:]))
-	case "loadgen":
-		os.Exit(runLoadgen(os.Args[2:]))
 	case "fault":
 		os.Exit(runFault(os.Args[2:]))
 	case "-h", "--help", "help":
@@ -77,7 +69,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: finserve serve|route|loadgen|fault [flags]")
+	fmt.Fprintln(os.Stderr, "usage: finserve serve|route|fault [flags]")
 	fmt.Fprintln(os.Stderr, "run 'finserve <subcommand> -h' for flags")
 }
 
@@ -236,285 +228,5 @@ func runServe(args []string) int {
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "finserve: drained in %v\n", time.Since(start))
-	return 0
-}
-
-func runLoadgen(args []string) int {
-	fs := flag.NewFlagSet("finserve loadgen", flag.ExitOnError)
-	var (
-		url          = fs.String("url", "http://127.0.0.1:8123", "server base URL")
-		requests     = fs.Int("requests", 64, "total requests")
-		concurrency  = fs.Int("concurrency", 4, "client workers")
-		mixStr       = fs.String("mix", "closed-form=1", "method mix, e.g. closed-form=8,monte-carlo=1,greeks=2")
-		optsPerReq   = fs.Int("options", 8, "options per request")
-		deadlineMS   = fs.Int64("deadline-ms", 0, "deadline_ms sent with each request (0 = none)")
-		mcPaths      = fs.Int("mc-paths", 0, "config.mc_paths override")
-		binSteps     = fs.Int("binomial-steps", 0, "config.binomial_steps override")
-		gridPoints   = fs.Int("grid-points", 0, "config.grid_points override")
-		timeSteps    = fs.Int("time-steps", 0, "config.time_steps override")
-		seed         = fs.Int64("seed", 1, "option-stream seed")
-		timeout      = fs.Duration("timeout", 60*time.Second, "per-request HTTP timeout")
-		verify       = fs.Bool("verify", false, "recompute every 200 against the library; fail on mismatch")
-		wireFmt      = fs.String("wire", "json", "closed-form /price framing: json or columnar (binary frame; with -verify each columnar 200 is cross-checked bit-identical against a JSON replay)")
-		assertCodes  = fs.String("assert-codes", "", "comma list of the only status codes allowed, e.g. 200,429,503")
-		minCount     = fs.String("min-count", "", "minimum responses per code, e.g. 200:40,503:1")
-		schedFrozen  = fs.Bool("check-sched-frozen", false, "after the run, require the pool scheduler counters to stop advancing")
-		schedGap     = fs.Duration("sched-gap", 300*time.Millisecond, "observation gap for -check-sched-frozen")
-		zipfS        = fs.Float64("zipf", -1, "Zipf contract-mix skew s (>= 0; 0 = uniform over the pool); requires a batch pool")
-		zipfPool     = fs.Int("zipf-pool", 0, "pre-generated batch pool size for -zipf (0 = off)")
-		minHitRate   = fs.Float64("assert-min-hit-rate", -1, "minimum observed cache hit rate over cache-considered requests (-1 = no check)")
-		minCollapsed = fs.Int("assert-min-collapsed", 0, "require at least N responses served by singleflight collapse")
-		availPct     = fs.Float64("assert-availability", -1, "minimum percent of requests answered 200 (chaos floor; transport errors count against it instead of failing the run)")
-		maxRetries   = fs.Int("assert-max-retries", -1, "maximum routed retries across the run (-1 = no limit)")
-		minBrkOpens  = fs.Uint64("assert-min-breaker-opens", 0, "require at least N breaker opens on the router's /statsz")
-		brkClosed    = fs.Bool("assert-breakers-closed", false, "require every router breaker closed after the run")
-		scenarioMode = fs.Bool("scenario", false, "drive POST /scenario instead of the /price mix; -options sets the portfolio size and with -verify every 200 must be byte-identical to the library's scenario engine")
-		scenGrid     = fs.String("scenario-grid", "5x3x3", "scenario shock grid as SPOTxVOLxRATE counts")
-		scenGens     = fs.Int("scenario-gens", 0, "scenarios per generator (adds one heston, jump and basket generator each; 0 = grid only)")
-		minScattered = fs.Int("assert-min-scattered", 0, "require at least N scenario 200s split across replicas by the router")
-
-		streamMode    = fs.Bool("stream", false, "drive GET /stream SSE subscribers instead of the request mix; with -verify every pushed entry is recomputed cold from its echoed inputs and must bit-match")
-		streamClients = fs.Int("stream-clients", 4, "concurrent SSE subscribers")
-		streamSlow    = fs.Int("stream-slow", 0, "additional deliberately slow subscribers; each must observe a resync snapshot")
-		streamPause   = fs.Duration("stream-slow-pause", 0, "slow subscriber's one-time stall (0 = default; keep under the server write timeout)")
-		streamFor     = fs.Duration("stream-duration", 3*time.Second, "how long each subscriber listens")
-		streamUni     = fs.Int("stream-universe", 0, "server's streaming universe size, for subscription ranges (0 = default)")
-		streamSub     = fs.Int("stream-sub", 0, "contracts per subscription (0 = universe/4)")
-		maxStaleMS    = fs.Float64("assert-max-staleness-ms", -1, "maximum p99 tick-to-receive staleness in ms (-1 = no check; same-host clocks assumed)")
-		minEvents     = fs.Uint64("assert-min-events", 0, "require at least N snapshot+greeks events across all subscribers")
-	)
-	_ = fs.Parse(args)
-
-	if *streamMode {
-		return runStreamLoadgen(streamLoadgenOpts{
-			url: *url, clients: *streamClients, slow: *streamSlow,
-			pause: *streamPause, duration: *streamFor,
-			universe: *streamUni, sub: *streamSub,
-			seed: *seed, verify: *verify,
-			maxStaleMS: *maxStaleMS, minEvents: *minEvents,
-		})
-	}
-
-	mix, err := loadgen.ParseMix(*mixStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		return 2
-	}
-	allow, err := loadgen.ParseCodes(*assertCodes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		return 2
-	}
-	mins, err := loadgen.ParseCounts(*minCount)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		return 2
-	}
-
-	if *zipfS >= 0 && *zipfPool <= 0 {
-		fmt.Fprintln(os.Stderr, "loadgen: -zipf requires -zipf-pool > 0")
-		return 2
-	}
-	zs := *zipfS
-	if zs < 0 {
-		zs = 0
-	}
-	grid, err := loadgen.ParseScenarioGrid(*scenGrid)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		return 2
-	}
-	rep, err := loadgen.Run(loadgen.Options{
-		BaseURL:           *url,
-		Concurrency:       *concurrency,
-		Requests:          *requests,
-		Mix:               mix,
-		OptionsPerRequest: *optsPerReq,
-		DeadlineMS:        *deadlineMS,
-		Config: serve.WireConfig{
-			MCPaths:       *mcPaths,
-			BinomialSteps: *binSteps,
-			GridPoints:    *gridPoints,
-			TimeSteps:     *timeSteps,
-		},
-		Verify:   *verify,
-		Wire:     *wireFmt,
-		Seed:     *seed,
-		Timeout:  *timeout,
-		ZipfPool: *zipfPool,
-		ZipfS:    zs,
-
-		Scenario:     *scenarioMode,
-		ScenarioGrid: grid,
-		ScenarioGens: *scenGens,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		return 1
-	}
-	fmt.Println(rep)
-
-	failed := false
-	fail := func(format string, a ...any) {
-		failed = true
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: "+format+"\n", a...)
-	}
-	if len(rep.Errors) > 0 && *availPct < 0 {
-		// Under a chaos availability floor, transport errors are the
-		// expected casualties and are judged by the floor instead.
-		fail("transport errors: %v", rep.Errors)
-	}
-	if *verify && rep.Mismatch > 0 {
-		fail("%d results did not bit-match the library", rep.Mismatch)
-	}
-	if *verify && rep.Verified == 0 && rep.Count(200) > 0 {
-		fail("verification requested but nothing was verified")
-	}
-	if *wireFmt == "columnar" && rep.Columnar == 0 && rep.Count(200) > 0 {
-		fail("-wire columnar requested but no 200 arrived over the columnar framing")
-	}
-	if *minScattered > 0 {
-		if rep.Scattered < *minScattered {
-			fail("router scattered %d scenario responses, want >= %d", rep.Scattered, *minScattered)
-		} else {
-			fmt.Printf("router scattered %d scenario responses (floor %d)\n", rep.Scattered, *minScattered)
-		}
-	}
-	if len(allow) > 0 {
-		for code, n := range rep.Codes {
-			if n > 0 && !allow[code] {
-				fail("status %d seen %d times but not in -assert-codes", code, n)
-			}
-		}
-	}
-	for code, want := range mins {
-		if got := rep.Count(code); got < want {
-			fail("status %d: got %d, want >= %d", code, got, want)
-		}
-	}
-	if *availPct >= 0 {
-		if got := rep.Availability() * 100; got < *availPct {
-			fail("availability %.2f%% below the %.2f%% floor", got, *availPct)
-		} else {
-			fmt.Printf("availability %.2f%% (floor %.2f%%)\n", got, *availPct)
-		}
-	}
-	if *maxRetries >= 0 && rep.Retries > *maxRetries {
-		fail("%d retries exceed -assert-max-retries %d", rep.Retries, *maxRetries)
-	}
-	if *minHitRate >= 0 {
-		if got := rep.HitRate(); got < *minHitRate {
-			fail("cache hit rate %.3f below the %.3f floor", got, *minHitRate)
-		} else {
-			fmt.Printf("cache hit rate %.3f (floor %.3f)\n", got, *minHitRate)
-		}
-	}
-	if *minCollapsed > 0 {
-		if rep.CacheCollapsed < *minCollapsed {
-			fail("singleflight collapsed %d responses, want >= %d", rep.CacheCollapsed, *minCollapsed)
-		} else {
-			fmt.Printf("singleflight collapsed %d responses (floor %d)\n", rep.CacheCollapsed, *minCollapsed)
-		}
-	}
-	if *minBrkOpens > 0 || *brkClosed {
-		opens, notClosed, err := loadgen.RouterBreakers(*url)
-		if err != nil {
-			fail("breaker assertion: %v", err)
-		} else {
-			if opens < *minBrkOpens {
-				fail("breaker opens %d below required %d", opens, *minBrkOpens)
-			}
-			if *brkClosed && notClosed > 0 {
-				fail("%d breakers not closed after the run", notClosed)
-			}
-			if opens >= *minBrkOpens && (!*brkClosed || notClosed == 0) {
-				fmt.Printf("breakers: opens=%d not_closed=%d\n", opens, notClosed)
-			}
-		}
-	}
-	if *schedFrozen {
-		frozen, moved, err := loadgen.SchedFrozen(*url, *schedGap)
-		if err != nil {
-			fail("sched-frozen check: %v", err)
-		} else if !frozen {
-			fail("scheduler counters still advancing after cancellation: %s", moved)
-		} else {
-			fmt.Println("sched counters frozen: cancelled work is not reaching the pool")
-		}
-	}
-	if failed {
-		return 1
-	}
-	fmt.Println("loadgen: PASS")
-	return 0
-}
-
-// streamLoadgenOpts carries the -stream flag set into runStreamLoadgen.
-type streamLoadgenOpts struct {
-	url        string
-	clients    int
-	slow       int
-	pause      time.Duration
-	duration   time.Duration
-	universe   int
-	sub        int
-	seed       int64
-	verify     bool
-	maxStaleMS float64
-	minEvents  uint64
-}
-
-// runStreamLoadgen drives the SSE streaming mode and applies its
-// assertions: bit-exact verification, staleness ceiling, event floor, and
-// the slow-subscriber resync contract.
-func runStreamLoadgen(o streamLoadgenOpts) int {
-	rep, err := loadgen.StreamRun(loadgen.StreamOptions{
-		BaseURL:     o.url,
-		Clients:     o.clients,
-		Duration:    o.duration,
-		Universe:    o.universe,
-		SubSize:     o.sub,
-		Seed:        o.seed,
-		Verify:      o.verify,
-		SlowClients: o.slow,
-		SlowPause:   o.pause,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		return 1
-	}
-	fmt.Println(rep)
-
-	failed := false
-	fail := func(format string, a ...any) {
-		failed = true
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: "+format+"\n", a...)
-	}
-	if len(rep.Errors) > 0 {
-		fail("stream errors: %v", rep.Errors)
-	}
-	if o.verify && rep.Mismatch > 0 {
-		fail("%d streamed entries did not bit-match a cold repricing", rep.Mismatch)
-	}
-	if o.verify && rep.Verified == 0 && rep.Events() > 0 {
-		fail("verification requested but nothing was verified")
-	}
-	if o.minEvents > 0 && rep.Events() < o.minEvents {
-		fail("received %d events, want >= %d", rep.Events(), o.minEvents)
-	}
-	if o.maxStaleMS >= 0 {
-		if rep.StalenessP99MS > o.maxStaleMS {
-			fail("staleness p99 %.1fms above the %.1fms ceiling", rep.StalenessP99MS, o.maxStaleMS)
-		} else {
-			fmt.Printf("staleness p99 %.1fms (ceiling %.1fms)\n", rep.StalenessP99MS, o.maxStaleMS)
-		}
-	}
-	if o.slow > 0 && rep.SlowResynced < o.slow {
-		fail("%d of %d slow subscribers observed a resync snapshot", rep.SlowResynced, o.slow)
-	}
-	if failed {
-		return 1
-	}
-	fmt.Println("loadgen: PASS")
 	return 0
 }

@@ -158,8 +158,8 @@ func (s *supervisor) startAll() {
 }
 
 // supervise runs replica i, restarting it after restartDelay when it
-// dies unexpectedly. Every (re)start logs the pid so a chaos script can
-// kill a specific replica mid-burst.
+// dies unexpectedly. Every (re)start logs the pid so a script can kill a
+// specific replica (scripts/smoke.sh checks the revival).
 func (s *supervisor) supervise(i int) {
 	defer s.wg.Done()
 	for {

@@ -106,14 +106,20 @@ func registerAblateQMC() {
 		ID:          "ablate-qmc",
 		Title:       "QMC vs MC convergence (Asian option)",
 		Units:       "abs error",
-		Description: "Pricing error of plain MC and bridge+Sobol QMC at matched path counts, against a large-sample reference.",
+		Description: "Pricing error of plain MC and bridge+Sobol QMC at matched path counts, against a 16x larger QMC reference.",
 		Model: func(scale float64) (*Result, error) {
 			asian := montecarlo.AsianOption{S: 100, X: 100, T: 1, Steps: 32}
-			refPaths := scaleInt(1<<18, scale, 1<<15)
-			ref := montecarlo.AsianMC(asian, refPaths, 99, mkt)
+			// Sobol points form a net only at power-of-two counts, so the
+			// scale shrinks the budgets by whole powers of two.
+			shift := int(math.Round(-math.Log2(math.Sqrt(scale))))
+			budgets := []int{max(1<<9>>shift, 256), max(1<<11>>shift, 512), max(1<<13>>shift, 2048)}
+			// The reference must be far more accurate than the best
+			// estimate it judges: a Monte Carlo one would put its own
+			// sampling error (~n^-1/2) under every QMC row. Independent
+			// digital shifts (another seed) keep it off the rows' points.
+			ref := montecarlo.AsianQMC(asian, 16*budgets[len(budgets)-1], 8, 99, mkt)
 			r := &Result{ID: "ablate-qmc", Title: "Asian option: MC vs bridge+Sobol QMC", Units: "abs error", Cols: []string{"MC", "QMC"}}
-			for _, n := range []int{1 << 9, 1 << 11, 1 << 13} {
-				nn := scaleInt(n, math.Sqrt(scale), 256)
+			for _, nn := range budgets {
 				var mcErr float64
 				const trials = 3
 				for trial := uint64(0); trial < trials; trial++ {

@@ -221,14 +221,26 @@ func (r *Result) Table() string {
 	return b.String()
 }
 
-// CSV renders the result as comma-separated rows for plotting.
+// CSV renders the result as comma-separated rows for plotting: a paper
+// and a model value per column (the machine pair, or the experiment's own
+// Cols), then host and provenance.
 func (r *Result) CSV() string {
+	cols, names := r.Cols, r.Cols
+	if len(cols) == 0 {
+		cols, names = []string{ColSNB, ColKNC}, []string{"snb", "knc"}
+	}
 	var b strings.Builder
-	fmt.Fprintln(&b, "label,snb_paper,snb_model,knc_paper,knc_model,host,host_mad,provenance")
+	b.WriteString("label")
+	for _, name := range names {
+		fmt.Fprintf(&b, ",%[1]s_paper,%[1]s_model", strings.ToLower(name))
+	}
+	b.WriteString(",host,host_mad,provenance\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%q,%g,%g,%g,%g,%g,%g,%s\n", row.Label,
-			row.Paper[ColSNB], row.Model[ColSNB],
-			row.Paper[ColKNC], row.Model[ColKNC], row.Host, row.HostMAD, row.Prov)
+		fmt.Fprintf(&b, "%q", row.Label)
+		for _, col := range cols {
+			fmt.Fprintf(&b, ",%g,%g", row.Paper[col], row.Model[col])
+		}
+		fmt.Fprintf(&b, ",%g,%g,%s\n", row.Host, row.HostMAD, row.Prov)
 	}
 	return b.String()
 }

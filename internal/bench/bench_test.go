@@ -265,7 +265,7 @@ func TestHostTableAndCSV(t *testing.T) {
 
 // Ablation shapes: tile throughput rises monotonically to a plateau, the
 // width sweep separates SOA scaling from AOS gather collapse, and QMC
-// error sits below MC at every budget.
+// error sits below MC at every budget and falls as the budget grows.
 func TestAblateTileShape(t *testing.T) {
 	res := model(t, "ablate-tile")
 	for i := 1; i < len(res.Rows); i++ {
@@ -305,9 +305,13 @@ func TestAblateWidthShape(t *testing.T) {
 
 func TestAblateQMCShape(t *testing.T) {
 	res := model(t, "ablate-qmc")
-	for _, row := range res.Rows {
+	for i, row := range res.Rows {
 		if row.Model["QMC"] >= row.Model["MC"] {
 			t.Errorf("%s: QMC error %g not below MC %g", row.Label, row.Model["QMC"], row.Model["MC"])
+		}
+		if i > 0 && row.Model["QMC"] >= res.Rows[i-1].Model["QMC"] {
+			prev := res.Rows[i-1]
+			t.Errorf("%s: QMC error %g did not fall from %s's %g", row.Label, row.Model["QMC"], prev.Label, prev.Model["QMC"])
 		}
 	}
 }

@@ -414,12 +414,6 @@ func writeResults(a layout.AOS, base, width int, v vec.Vec) {
 	}
 }
 
-// DefaultTile is the register-tile depth TS of the advanced variant: TS+2
-// live vector registers must fit in the architectural register file (16
-// F64vec4 on SNB-EP, 32 F64vec8 on KNC), so 8 fits both with room for the
-// probability registers.
-const DefaultTile = 8
-
 // Advanced prices the batch with the register-tiled reduction of Lis. 3.
 // For TS time steps each Call value is read once and written once; the
 // rest of the work happens in registers, raising arithmetic intensity

@@ -184,7 +184,7 @@ func (s *Spec) Decide(i uint64) Kind {
 }
 
 // Digest fingerprints the first n decisions (FNV-1a over the kind bytes).
-// Two runs of the same spec always agree; chaos_smoke.sh asserts this
+// Two runs of the same spec always agree; scripts/smoke.sh asserts this
 // through `finserve fault`.
 func (s *Spec) Digest(n int) uint64 {
 	h := fnv.New64a()

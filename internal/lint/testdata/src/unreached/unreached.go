@@ -1,7 +1,7 @@
-// Package main seeds dead code for the unreached pass: a function and a
-// method no root leads to, next to declarations reached only through a
-// package-level table, a stdlib interface, a module interface, a method
-// value, or an ignore directive.
+// Package main seeds dead code for the unreached pass: a function, a
+// method, a table and a type no root leads to, next to declarations
+// reached only through a package-level table, a stdlib interface, a
+// module interface, a method value, a method set, or an ignore directive.
 package main
 
 import (
@@ -66,3 +66,15 @@ func deadHelper(x int) int { return x + 1 } // seeded violation
 
 // finlint:ignore unreached reference the fast path is tested against
 func ignoredReference(x int) int { return x + 1 }
+
+// deadTable is read by nothing.
+var deadTable = [2]float64{1, 2} // seeded violation
+
+// deadConfig is named by nothing.
+type deadConfig struct{ steps int } // seeded violation
+
+// goodQuiet is named by nothing, but its String method satisfies
+// fmt.Stringer, and a type is reached through its method set.
+type goodQuiet struct{}
+
+func (goodQuiet) String() string { return "quiet" }

@@ -22,8 +22,6 @@ import "math"
 
 // Mathematical constants used throughout the derivative-pricing kernels.
 const (
-	// Sqrt2 is sqrt(2).
-	Sqrt2 = 1.4142135623730950488016887242096981
 	// InvSqrt2 is 1/sqrt(2).
 	InvSqrt2 = 0.7071067811865475244008443621048490
 	// Sqrt2Pi is sqrt(2*pi).
@@ -171,14 +169,3 @@ func InvCND(p float64) float64 {
 	u := e * Sqrt2Pi * Exp(0.5*x*x)
 	return x - u/(1+x*u/2)
 }
-
-// Beasley-Springer-Moro coefficients.
-var (
-	moroA = [4]float64{2.50662823884, -18.61500062529, 41.39119773534, -25.44106049637}
-	moroB = [4]float64{-8.47351093090, 23.08336743743, -21.06224101826, 3.13082909833}
-	moroC = [9]float64{
-		0.3374754822726147, 0.9761690190917186, 0.1607979714918209,
-		0.0276438810333863, 0.0038405729373609, 0.0003951896511919,
-		0.0000321767881768, 0.0000002888167364, 0.0000003960315187,
-	}
-)

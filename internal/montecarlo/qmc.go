@@ -4,6 +4,7 @@ import (
 	"finbench/internal/brownian"
 	"finbench/internal/mathx"
 	"finbench/internal/parallel"
+	"finbench/internal/rng"
 	"finbench/internal/sobol"
 	"finbench/internal/workload"
 )
@@ -55,12 +56,22 @@ func bridgeDepth(steps int) int {
 }
 
 // AsianMC prices the Asian option by plain Monte Carlo: pseudo-random
-// normals, bridge-constructed paths.
+// normals, bridge-constructed paths. The normals are drawn in fixed
+// blocks, block b from stream b, so the price does not depend on the
+// worker count.
 func AsianMC(a AsianOption, npaths int, seed uint64, mkt workload.MarketParams) Result {
+	const width = 8
 	br := brownian.New(bridgeDepth(a.Steps), a.T)
 	plen := br.PathLen()
+	z := make([]float64, (npaths+width-1)/width*width*a.Steps)
+	block := 4096 * a.Steps
+	parallel.For((len(z)+block-1)/block, func(blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			rng.NewStream(b, seed).NormalICDF(z[b*block : min((b+1)*block, len(z))])
+		}
+	})
 	flat := make([]float64, npaths*plen)
-	br.AdvancedInterleaved(seed, flat, npaths, 8, nil)
+	br.Intermediate(z, flat, npaths, width, nil)
 	var v0, v1 float64
 	for i := 0; i < npaths; i++ {
 		p := a.payoffFromPath(flat[i*plen:(i+1)*plen], mkt)
@@ -90,10 +101,10 @@ func AsianQMC(a AsianOption, npoints, shifts int, seed uint64, mkt workload.Mark
 	means := make([]float64, shifts)
 	for r := 0; r < shifts; r++ {
 		shiftSeed := seed + uint64(r)
-		// Workers split the point range deterministically with Skip;
-		// every point is evaluated exactly once (summation order, and so
-		// the last few ulps, depend on the worker count).
-		sum := parallel.ReduceFloat64(npoints, func(lo, hi int) float64 {
+		// Each block of points starts its own sequence at its offset with
+		// Skip; the block sums add up in block order, so the price does
+		// not depend on the worker count.
+		sum := parallel.ReduceFloat64(npoints, 1024, func(lo, hi int) float64 {
 			seq, err := sobol.New(a.Steps)
 			if err != nil {
 				panic(err)

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"finbench/internal/blackscholes"
@@ -54,16 +55,20 @@ func TestAsianQMCBeatsMC(t *testing.T) {
 	}
 }
 
+// AsianMC and AsianQMC are functions of their inputs alone: reruns and
+// every worker count give the same bits.
 func TestAsianDeterministicBySeed(t *testing.T) {
-	a := AsianMC(asian, 4096, 5, mkt)
-	b := AsianMC(asian, 4096, 5, mkt)
-	if a.Price != b.Price {
-		t.Fatal("AsianMC not reproducible")
-	}
-	c := AsianQMC(asian, 1024, 2, 5, mkt)
-	d := AsianQMC(asian, 1024, 2, 5, mkt)
-	if c.Price != d.Price {
-		t.Fatal("AsianQMC not reproducible")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a := AsianMC(asian, 4093, 5, mkt)
+	c := AsianQMC(asian, 2500, 2, 5, mkt)
+	for _, w := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(w)
+		if b := AsianMC(asian, 4093, 5, mkt); b != a {
+			t.Errorf("AsianMC at %d workers: %+v, want %+v", w, b, a)
+		}
+		if d := AsianQMC(asian, 2500, 2, 5, mkt); d != c {
+			t.Errorf("AsianQMC at %d workers: %+v, want %+v", w, d, c)
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func BenchmarkReduceFloat64Small512(b *testing.B) {
 	b.ReportAllocs()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		acc += ReduceFloat64(512, tinyWork)
+		acc += ReduceFloat64(512, 64, tinyWork)
 	}
 	if acc < 0 {
 		b.Fatal("impossible")

@@ -151,22 +151,27 @@ func ForGuided(n, grain int, fn func(lo, hi int)) {
 	})
 }
 
-// ReduceFloat64 computes the sum of fn over per-worker ranges: each worker
-// returns a partial value for its [lo,hi) range, and the partials are
-// summed in slot order, keeping the result deterministic for a fixed
-// worker count.
-func ReduceFloat64(n int, fn func(lo, hi int) float64) float64 {
+// ReduceFloat64 computes the sum of fn over the blocks [k*block,
+// (k+1)*block) of [0, n), the last one short: each call returns one
+// block's partial value, and the partials are summed in block order, so
+// the result does not depend on the worker count. A worker runs a
+// contiguous run of blocks in order.
+func ReduceFloat64(n, block int, fn func(lo, hi int) float64) float64 {
 	if n <= 0 || fn == nil {
 		return 0
 	}
-	// Pad partial slots to separate cache lines to avoid false sharing.
-	const pad = 8
-	workers := Workers()
-	partials := make([]float64, workers*pad)
-	static(n, workers, 1, func(slot, lo, hi int) { partials[slot*pad] = fn(lo, hi) })
+	if block < 1 {
+		block = 1
+	}
+	partials := make([]float64, (n+block-1)/block)
+	static(len(partials), Workers(), 1, func(_, blo, bhi int) {
+		for k := blo; k < bhi; k++ {
+			partials[k] = fn(k*block, min((k+1)*block, n))
+		}
+	})
 	var sum float64
-	for k := 0; k < workers; k++ {
-		sum += partials[k*pad]
+	for _, p := range partials {
+		sum += p
 	}
 	return sum
 }

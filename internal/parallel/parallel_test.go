@@ -88,7 +88,7 @@ func TestForEdgeCases(t *testing.T) {
 func TestReduceFloat64Sum(t *testing.T) {
 	// Sum of 1..n.
 	n := 100000
-	got := ReduceFloat64(n, func(lo, hi int) float64 {
+	got := ReduceFloat64(n, 1000, func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			s += float64(i + 1)
@@ -102,14 +102,14 @@ func TestReduceFloat64Sum(t *testing.T) {
 }
 
 func TestReduceFloat64Empty(t *testing.T) {
-	if got := ReduceFloat64(0, func(lo, hi int) float64 { return 1 }); got != 0 {
+	if got := ReduceFloat64(0, 1, func(lo, hi int) float64 { return 1 }); got != 0 {
 		t.Fatalf("empty reduce = %g", got)
 	}
 }
 
 func TestReduceDeterministic(t *testing.T) {
-	// Partial sums are combined in index order, so repeated runs agree
-	// bit-for-bit.
+	// Block partials are combined in block order, so repeated runs and
+	// every worker count agree bit-for-bit.
 	f := func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
@@ -117,11 +117,16 @@ func TestReduceDeterministic(t *testing.T) {
 		}
 		return s
 	}
-	a := ReduceFloat64(12345, f)
-	for r := 0; r < 5; r++ {
-		if b := ReduceFloat64(12345, f); b != a {
-			t.Fatalf("nondeterministic reduce: %g != %g", b, a)
-		}
+	var a float64
+	withProcs(t, 1, func() { a = ReduceFloat64(12345, 100, f) })
+	for _, w := range []int{1, 2, 3, 8} {
+		withProcs(t, w, func() {
+			for r := 0; r < 3; r++ {
+				if b := ReduceFloat64(12345, 100, f); b != a {
+					t.Fatalf("%d workers: reduce %g != %g", w, b, a)
+				}
+			}
+		})
 	}
 }
 
@@ -165,7 +170,7 @@ func withProcs(t *testing.T, n int, f func()) {
 func TestReduceFloat64MultiWorker(t *testing.T) {
 	withProcs(t, 4, func() {
 		n := 100000
-		got := ReduceFloat64(n, func(lo, hi int) float64 {
+		got := ReduceFloat64(n, 1000, func(lo, hi int) float64 {
 			var s float64
 			for i := lo; i < hi; i++ {
 				s += float64(i + 1)
@@ -285,7 +290,7 @@ func TestNestedMixedSchedules(t *testing.T) {
 		_ = Region(context.Background(), 8, 1, nil, func(olo, ohi int, _ *perf.Counts) {
 			for o := olo; o < ohi; o++ {
 				ForGuided(32, 2, func(lo, hi int) {
-					got := ReduceFloat64(hi-lo, func(a, b int) float64 { return float64(b - a) })
+					got := ReduceFloat64(hi-lo, 1, func(a, b int) float64 { return float64(b - a) })
 					atomic.AddInt64(&total, int64(got))
 				})
 			}

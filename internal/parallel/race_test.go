@@ -90,7 +90,7 @@ func TestRacePoolStress(t *testing.T) {
 					// Nested: an outer region whose tasks open inner regions.
 					For(4, func(olo, ohi int) {
 						for o := olo; o < ohi; o++ {
-							atomic.AddInt64(&total, int64(ReduceFloat64(75, func(lo, hi int) float64 {
+							atomic.AddInt64(&total, int64(ReduceFloat64(75, 8, func(lo, hi int) float64 {
 								return float64(hi - lo)
 							})))
 						}

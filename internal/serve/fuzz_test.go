@@ -3,6 +3,8 @@ package serve
 import (
 	"math"
 	"testing"
+
+	"finbench/internal/serve/wire"
 )
 
 // FuzzDecodeRequest fuzzes the wire decoder: arbitrary bytes must either
@@ -31,10 +33,10 @@ func FuzzDecodeRequest(f *testing.F) {
 			return
 		}
 		defer PutRequest(req)
-		if n := req.NumOptions(); n == 0 || n > MaxRequestOptions {
+		if n := req.NumOptions(); n == 0 || n > wire.MaxRequestOptions {
 			t.Fatalf("accepted request with %d options", n)
 		}
-		parsed, merr := ParseMethod(req.Method)
+		parsed, merr := wire.ParseMethod(req.Method)
 		if merr != nil {
 			t.Fatalf("accepted unknown method %q", req.Method)
 		}

@@ -162,7 +162,7 @@ func TestGreeksDeadlineCancelledClient(t *testing.T) {
 
 func TestGreeksRejectsNegativeDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := postJSON(t, ts.URL+"/greeks", &GreeksRequest{
+	resp, body := postJSON(t, ts.URL+"/greeks", &wire.GreeksRequest{
 		DeadlineMS: -5,
 		Options:    []WireOption{{Spot: 100, Strike: 100, Expiry: 1}},
 	})
@@ -180,7 +180,7 @@ func TestGreeksRejectsNegativeDeadline(t *testing.T) {
 // so the expired deadline is observed deterministically.
 func TestGreeksDeadlineCappedByServerMax(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxDeadline: time.Nanosecond})
-	resp, body := postJSON(t, ts.URL+"/greeks", &GreeksRequest{
+	resp, body := postJSON(t, ts.URL+"/greeks", &wire.GreeksRequest{
 		DeadlineMS: 60000,
 		Options:    []WireOption{{Spot: 100, Strike: 100, Expiry: 1}},
 	})

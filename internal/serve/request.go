@@ -6,8 +6,8 @@ import (
 )
 
 // The wire types of the pricing API live in internal/serve/wire (shared
-// with the shard router and the loadgen client); the serve names are
-// aliases so existing callers and tests keep reading naturally. Every
+// with the shard router); the serve names are aliases so existing callers
+// keep reading naturally. Every
 // numeric knob echoes back in the response as the *effective* value
 // (after defaulting, clamping, and any degrade-mode substitution), so a
 // client can reproduce each price bit-for-bit with the library.
@@ -15,31 +15,13 @@ import (
 type (
 	// WireOption is one option contract on the wire.
 	WireOption = wire.Option
-	// WireConfig mirrors finbench.Config; zero fields mean "default".
-	WireConfig = wire.Config
-	// WireResult is one priced option.
-	WireResult = wire.Result
-	// WireGreeks is one option's sensitivities.
-	WireGreeks = wire.Greeks
 	// PriceRequest is the POST /price body.
 	PriceRequest = wire.PriceRequest
 	// PriceResponse is the POST /price 200 body.
 	PriceResponse = wire.PriceResponse
-	// GreeksRequest is the POST /greeks body.
-	GreeksRequest = wire.GreeksRequest
-	// GreeksResponse is the POST /greeks 200 body.
-	GreeksResponse = wire.GreeksResponse
 	// ErrorResponse is the body of every non-200 status.
 	ErrorResponse = wire.ErrorResponse
 )
-
-// MaxRequestOptions bounds the option count of a single request before any
-// server-configured limit applies.
-const MaxRequestOptions = wire.MaxRequestOptions
-
-// ParseMethod maps a wire method name to a finbench.Method. An empty name
-// selects the closed form.
-func ParseMethod(name string) (finbench.Method, error) { return wire.ParseMethod(name) }
 
 // DecodeRequest parses and validates a /price body and resolves its
 // method in the same pass (the response echoes the method, so the old

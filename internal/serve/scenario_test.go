@@ -24,6 +24,7 @@ func scenarioTestRequest() *scenario.Request {
 		Generators: []scenario.Generator{
 			{Model: scenario.ModelHeston, Scenarios: 5, Seed: 3},
 			{Model: scenario.ModelJump, Scenarios: 4, Seed: 4},
+			{Model: scenario.ModelBasket, Scenarios: 4, Seed: 5, Assets: 2, Corr: 0.7},
 		},
 	}
 }

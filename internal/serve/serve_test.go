@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"finbench"
+	"finbench/internal/serve/wire"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -59,7 +60,7 @@ func decodePrice(t *testing.T, data []byte) *PriceResponse {
 // coalesced mega-batch); scalar-engine responses through finbench.Price.
 func verifyAgainstLibrary(t *testing.T, mkt finbench.Market, req *PriceRequest, resp *PriceResponse) {
 	t.Helper()
-	method, err := ParseMethod(resp.Method)
+	method, err := wire.ParseMethod(resp.Method)
 	if err != nil {
 		t.Fatalf("response method: %v", err)
 	}
@@ -120,16 +121,16 @@ func TestPriceHeavyMethodsBitMatchLibrary(t *testing.T) {
 		{Method: "binomial-tree", Options: []WireOption{
 			{Type: "put", Style: "american", Spot: 100, Strike: 110, Expiry: 1},
 			{Type: "call", Spot: 100, Strike: 95, Expiry: 0.5},
-		}, Config: WireConfig{BinomialSteps: 256}},
+		}, Config: wire.Config{BinomialSteps: 256}},
 		{Method: "crank-nicolson", Options: []WireOption{
 			{Type: "put", Style: "american", Spot: 90, Strike: 100, Expiry: 1},
-		}, Config: WireConfig{GridPoints: 128, TimeSteps: 200}},
+		}, Config: wire.Config{GridPoints: 128, TimeSteps: 200}},
 		{Method: "trinomial-tree", Options: []WireOption{
 			{Type: "call", Spot: 100, Strike: 100, Expiry: 0.75},
-		}, Config: WireConfig{BinomialSteps: 256}},
+		}, Config: wire.Config{BinomialSteps: 256}},
 		{Method: "monte-carlo", Options: []WireOption{
 			{Type: "call", Spot: 100, Strike: 100, Expiry: 0.5},
-		}, Config: WireConfig{MCPaths: 16384, Seed: 42}},
+		}, Config: wire.Config{MCPaths: 16384, Seed: 42}},
 	}
 	for i := range cases {
 		req := &cases[i]
@@ -210,7 +211,7 @@ func TestDeadlineExceededReturns408(t *testing.T) {
 	req := &PriceRequest{
 		Method:     "monte-carlo",
 		Options:    []WireOption{{Type: "call", Spot: 100, Strike: 100, Expiry: 0.5}},
-		Config:     WireConfig{MCPaths: 1 << 22},
+		Config:     wire.Config{MCPaths: 1 << 22},
 		DeadlineMS: 1,
 	}
 	resp, body := postJSON(t, ts.URL+"/price", req)
@@ -291,7 +292,7 @@ func TestStatszShape(t *testing.T) {
 
 func TestGreeksMatchesLibrary(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := &GreeksRequest{Options: []WireOption{
+	req := &wire.GreeksRequest{Options: []WireOption{
 		{Type: "call", Spot: 100, Strike: 105, Expiry: 0.5},
 		{Type: "put", Spot: 100, Strike: 95, Expiry: 1},
 	}}
@@ -299,7 +300,7 @@ func TestGreeksMatchesLibrary(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var gr GreeksResponse
+	var gr wire.GreeksResponse
 	if err := json.Unmarshal(body, &gr); err != nil {
 		t.Fatal(err)
 	}
@@ -631,7 +632,7 @@ func TestMonteCarloRequestSharesStream(t *testing.T) {
 		{Type: "put", Spot: 100, Strike: 110, Expiry: 1},
 		{Type: "put", Spot: 80, Strike: 75, Expiry: 0.25},
 		{Spot: 120, Strike: 100, Expiry: 2},
-	}, Config: WireConfig{MCPaths: 5000, Seed: 42}}
+	}, Config: wire.Config{MCPaths: 5000, Seed: 42}}
 	resp, body := postJSON(t, ts.URL+"/price", req)
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)

@@ -18,13 +18,10 @@ import (
 // replica's verbatim answer, and the routed-bit-identity invariant makes
 // any replica's answer the answer.
 func TestRouterCacheHitByteIdentity(t *testing.T) {
-	urls, _, _ := newBackends(t, 2)
-	router := newRouter(t, Config{Backends: urls, CacheBytes: 1 << 20})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	tp := newTopology(t, topoConfig{replicas: 2, router: Config{CacheBytes: 1 << 20}})
 
 	body := priceBody("", 4)
-	respCold, cold := post(t, front.URL, "/price", body)
+	respCold, cold := post(t, tp.front.URL, "/price", body)
 	if respCold.StatusCode != 200 {
 		t.Fatalf("cold status %d: %s", respCold.StatusCode, cold)
 	}
@@ -35,7 +32,7 @@ func TestRouterCacheHitByteIdentity(t *testing.T) {
 		t.Error("leader 200 missing routing headers")
 	}
 
-	respHit, hit := post(t, front.URL, "/price", body)
+	respHit, hit := post(t, tp.front.URL, "/price", body)
 	if respHit.StatusCode != 200 {
 		t.Fatalf("hit status %d: %s", respHit.StatusCode, hit)
 	}
@@ -49,7 +46,7 @@ func TestRouterCacheHitByteIdentity(t *testing.T) {
 		t.Fatalf("router cache hit differs from cold 200:\ncold: %s\nhit:  %s", cold, hit)
 	}
 
-	snap := router.Snapshot()
+	snap := tp.router.Snapshot()
 	if snap.Cache == nil || snap.Cache.Hits != 1 || snap.Cache.Misses != 1 {
 		t.Fatalf("router cache stats = %+v", snap.Cache)
 	}
@@ -59,14 +56,11 @@ func TestRouterCacheHitByteIdentity(t *testing.T) {
 // Carlo and the lattice methods bypass; undecodable bodies bypass (and
 // still reach a backend for its 400).
 func TestRouterCacheBypasses(t *testing.T) {
-	urls, _, _ := newBackends(t, 1)
-	router := newRouter(t, Config{Backends: urls, CacheBytes: 1 << 20})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	tp := newTopology(t, topoConfig{replicas: 1, router: Config{CacheBytes: 1 << 20}})
 
 	for _, method := range []string{"monte-carlo", "binomial-tree"} {
 		for i := 0; i < 2; i++ {
-			resp, body := post(t, front.URL, "/price", priceBody(method, 2))
+			resp, body := post(t, tp.front.URL, "/price", priceBody(method, 2))
 			if resp.StatusCode != 200 {
 				t.Fatalf("%s status %d: %s", method, resp.StatusCode, body)
 			}
@@ -75,14 +69,14 @@ func TestRouterCacheBypasses(t *testing.T) {
 			}
 		}
 	}
-	resp, _ := post(t, front.URL, "/price", []byte(`{"options":`))
+	resp, _ := post(t, tp.front.URL, "/price", []byte(`{"options":`))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("undecodable body status %d, want 400", resp.StatusCode)
 	}
 	if got := resp.Header.Get(pricecache.Header); got != "bypass" {
 		t.Fatalf("undecodable body %s = %q, want bypass", pricecache.Header, got)
 	}
-	if snap := router.Snapshot(); snap.Cache.Entries != 0 {
+	if snap := tp.router.Snapshot(); snap.Cache.Entries != 0 {
 		t.Fatalf("bypass traffic entered the cache: %+v", snap.Cache)
 	}
 }
@@ -206,16 +200,12 @@ func TestRouterCacheKeyCanonicalization(t *testing.T) {
 // concurrent waiter must re-dispatch and fail the same way under its own
 // deadline — never hang on the dead flight.
 func TestRouterCacheAllBackendsDownWaitersFail(t *testing.T) {
-	urls, _, https := newBackends(t, 1)
-	router := newRouter(t, Config{
-		Backends:       urls,
+	tp := newTopology(t, topoConfig{replicas: 1, router: Config{
 		CacheBytes:     1 << 20,
 		HealthInterval: time.Hour, // freeze the optimistic healthy state
 		MaxAttempts:    1,
-	})
-	front := httptest.NewServer(router)
-	defer front.Close()
-	https[0].Close() // kill the only backend after boot
+	}})
+	tp.https[0].Close() // kill the only backend after boot
 
 	body := priceBody("", 2)
 	const n = 4
@@ -226,7 +216,7 @@ func TestRouterCacheAllBackendsDownWaitersFail(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, _ := post(t, front.URL, "/price", body)
+			resp, _ := post(t, tp.front.URL, "/price", body)
 			codes[i] = resp.StatusCode
 		}(i)
 	}
@@ -241,7 +231,7 @@ func TestRouterCacheAllBackendsDownWaitersFail(t *testing.T) {
 			t.Errorf("request %d got 200 with all backends down", i)
 		}
 	}
-	if snap := router.Snapshot(); snap.Cache.Entries != 0 {
+	if snap := tp.router.Snapshot(); snap.Cache.Entries != 0 {
 		t.Fatalf("failure entered the cache: %+v", snap.Cache)
 	}
 }
@@ -250,18 +240,15 @@ func TestRouterCacheAllBackendsDownWaitersFail(t *testing.T) {
 // direct single-backend answer modulo the volatile elapsed_us — checked
 // structurally like TestRoutedBitIdentical.
 func TestRouterCacheVsDirectBitIdentical(t *testing.T) {
-	urls, _, _ := newBackends(t, 2)
-	router := newRouter(t, Config{Backends: urls, CacheBytes: 1 << 20})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	tp := newTopology(t, topoConfig{replicas: 2, router: Config{CacheBytes: 1 << 20}})
 
 	body := priceBody("", 8)
-	post(t, front.URL, "/price", body) // warm
-	resp, hit := post(t, front.URL, "/price", body)
+	post(t, tp.front.URL, "/price", body) // warm
+	resp, hit := post(t, tp.front.URL, "/price", body)
 	if resp.StatusCode != 200 || resp.Header.Get(pricecache.Header) != "hit" {
 		t.Fatalf("warm request: status %d header %q", resp.StatusCode, resp.Header.Get(pricecache.Header))
 	}
-	dresp, direct := post(t, urls[0], "/price", body)
+	dresp, direct := post(t, tp.https[0].URL, "/price", body)
 	if dresp.StatusCode != 200 {
 		t.Fatalf("direct status %d", dresp.StatusCode)
 	}
@@ -288,7 +275,7 @@ func TestRouterCacheVsDirectBitIdentical(t *testing.T) {
 // TestRouterForwardsReplicaCacheHeader: a cache-less router fronting a
 // cache-enabled replica must forward the replica's X-Finserve-Cache
 // outcome verbatim, so a replica-tier deployment still reports its
-// observed hit rate at the client (loadgen counts these headers).
+// observed hit rate at the client (which counts these headers).
 func TestRouterForwardsReplicaCacheHeader(t *testing.T) {
 	s := serve.New(serve.Config{CacheBytes: 1 << 20, CoalesceMaxBatch: 1, ProfileEvery: -1})
 	hs := httptest.NewServer(s.Handler())

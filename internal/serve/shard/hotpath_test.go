@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"finbench/internal/resilience"
 	"finbench/internal/serve"
 	"finbench/internal/serve/pricecache"
 	"finbench/internal/serve/wire"
@@ -53,8 +54,8 @@ func TestRouterCacheHitAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	urls, _, _ := newBackends(t, 1)
-	router := newRouter(t, Config{Backends: urls, CacheBytes: 8 << 20, HealthInterval: time.Hour})
+	tp := newReplicas(t, topoConfig{replicas: 1})
+	router := newRouter(t, Config{Backends: tp.urls(), CacheBytes: 8 << 20, HealthInterval: time.Hour})
 	for _, n := range []int{16, 1024} {
 		body := priceBody("", n)
 		rb := &replayBody{b: body}
@@ -222,5 +223,44 @@ func TestPickTieGoesToFirstRoutableReplica(t *testing.T) {
 	r.replicas[2].loadUnits.Store(4)
 	if got := pickOne(); got != r.replicas[2] {
 		t.Fatalf("replica 2 least loaded: picked %v, want replica 2", got.url)
+	}
+}
+
+// TestPickSkipsRefusingBreaker: when the best-scored replica's breaker
+// refuses — half-open with its one probe slot already taken — pick moves
+// on to another live replica instead of returning none.
+func TestPickSkipsRefusingBreaker(t *testing.T) {
+	now := time.Now()
+	r, err := New(Config{
+		Backends: []string{"http://a.invalid", "http://b.invalid"},
+		Breaker: resilience.BreakerConfig{
+			FailureThreshold: 1,
+			OpenFor:          time.Second,
+			Now:              func() time.Time { return now },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	// Replica 0 trips, then its open window passes and one probe takes
+	// the half-open slot. It still scores best (replica 1 carries load).
+	r.replicas[0].breaker.Failure()
+	now = now.Add(2 * time.Second)
+	if !r.replicas[0].breaker.Allow() {
+		t.Fatal("half-open breaker refused its first probe")
+	}
+	r.replicas[1].loadUnits.Store(5)
+	for i := 0; i < 3; i++ {
+		st := &reqState{excluded: map[*replica]bool{}, inUse: map[*replica]int{}}
+		if got := r.pick(st); got != r.replicas[1] {
+			t.Fatalf("pick %d with replica 0's probe out: got %v, want replica 1", i, got)
+		}
+	}
+	// With every live replica refusing, pick finds none.
+	r.replicas[1].healthy.Store(false)
+	st := &reqState{excluded: map[*replica]bool{}, inUse: map[*replica]int{}}
+	if got := r.pick(st); got != nil {
+		t.Fatalf("only a refusing replica left: picked %v, want none", got.url)
 	}
 }

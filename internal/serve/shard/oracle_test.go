@@ -15,6 +15,7 @@ import (
 
 	"finbench/internal/serve"
 	"finbench/internal/serve/pricecache"
+	"finbench/internal/serve/wire"
 )
 
 // oracleSniff is the parent's method/deadline sniff, verbatim.
@@ -157,7 +158,7 @@ func TestRouteSniffMatchesOracle(t *testing.T) {
 func TestRouteSniffOverLimitMatchesOracle(t *testing.T) {
 	var b bytes.Buffer
 	b.WriteString(`{"method":"monte-carlo","deadline_ms":77,"options":[`)
-	for i := 0; i <= serve.MaxRequestOptions; i++ {
+	for i := 0; i <= wire.MaxRequestOptions; i++ {
 		if i > 0 {
 			b.WriteByte(',')
 		}

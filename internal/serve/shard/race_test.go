@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,24 +18,21 @@ import (
 // and the health loop runs hot. Run under -race this exercises every
 // shared structure (breakers, request state, health flags, stats); the
 // availability assertion is deliberately loose — the point here is the
-// race detector, the chaos script owns the real availability floor.
+// race detector; TestTopologyChaosAvailability owns the real
+// availability floor.
 func TestRaceRouterUnderChaos(t *testing.T) {
-	urls, _, _ := newBackends(t, 3)
 	spec, err := fault.ParseSpec("11:0.3:refuse,reset,truncate")
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := newRouter(t, Config{
-		Backends:       urls,
+	tp := newTopology(t, topoConfig{replicas: 3, router: Config{
 		HealthInterval: 5 * time.Millisecond,
 		MaxAttempts:    4,
 		HedgeDelay:     2 * time.Millisecond,
 		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 		BudgetRatio:    -1, // unlimited retries: this test measures races, not budgets
 		Transport:      &fault.Transport{Inj: fault.NewInjector(spec)},
-	})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	}})
 
 	const workers, perWorker = 8, 30
 	var ok, total atomic.Int64
@@ -49,7 +45,7 @@ func TestRaceRouterUnderChaos(t *testing.T) {
 			client := &http.Client{Timeout: 10 * time.Second}
 			for i := 0; i < perWorker; i++ {
 				total.Add(1)
-				resp, err := client.Post(front.URL+"/price", "application/json", bytes.NewReader(body))
+				resp, err := client.Post(tp.front.URL+"/price", "application/json", bytes.NewReader(body))
 				if err != nil {
 					continue
 				}
@@ -67,7 +63,7 @@ func TestRaceRouterUnderChaos(t *testing.T) {
 		t.Errorf("availability %.2f under 30%% faults with retries; want >= 0.90", frac)
 	}
 	// Snapshot concurrently-written counters once more for the detector.
-	snap := router.Snapshot()
+	snap := tp.router.Snapshot()
 	if snap.Requests == 0 {
 		t.Error("no requests counted")
 	}

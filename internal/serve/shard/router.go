@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -566,7 +567,7 @@ func cacheable200(body []byte) bool {
 }
 
 // passThrough forwards a backend response verbatim, plus the routing
-// headers loadgen's resilience metrics are built from: Attempts counts
+// headers a client's resilience metrics are built from: Attempts counts
 // every replica attempt including hedge legs, Retries only sequential
 // re-attempts.
 func (r *Router) passThrough(w http.ResponseWriter, res *backendResult, st *reqState, hedgeWon bool, retries int) {
@@ -703,38 +704,44 @@ func (r *Router) pick(st *reqState) *replica {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	// The candidate order is decided under st.mu so concurrent hedge
-	// legs see each other's choices.
+	// legs see each other's choices. A replica whose breaker refuses
+	// (half-open with its probe slots taken, or tripped between
+	// routable() and Allow) is skipped for the rest of this pick, and
+	// the same tier is scanned again for the next-best replica.
+	var refused []*replica
 	for tier := 0; tier < 3; tier++ {
-		var best *replica
-		var bestScore int64
-		for _, rep := range r.replicas {
-			if !rep.routable() {
-				continue
-			}
-			switch tier {
-			case 0:
-				if st.excluded[rep] || st.inUse[rep] > 0 {
+		for {
+			var best *replica
+			var bestScore int64
+			for _, rep := range r.replicas {
+				if !rep.routable() || slices.Contains(refused, rep) {
 					continue
 				}
-			case 1:
-				if st.excluded[rep] {
-					continue
+				switch tier {
+				case 0:
+					if st.excluded[rep] || st.inUse[rep] > 0 {
+						continue
+					}
+				case 1:
+					if st.excluded[rep] {
+						continue
+					}
+				}
+				score := rep.inflight.Load()*1_000_000 + rep.loadUnits.Load()
+				if best == nil || score < bestScore {
+					best, bestScore = rep, score
 				}
 			}
-			score := rep.inflight.Load()*1_000_000 + rep.loadUnits.Load()
-			if best == nil || score < bestScore {
-				best, bestScore = rep, score
+			if best == nil {
+				break
 			}
+			// finlint:ignore leakcheck the Allow admitted here is settled by attemptOnce, which calls Success/Failure on every response path of the routed attempt
+			if best.breaker.Allow() {
+				st.inUse[best]++
+				return best
+			}
+			refused = append(refused, best)
 		}
-		// finlint:ignore leakcheck the Allow admitted here is settled by attemptOnce, which calls Success/Failure on every response path of the routed attempt
-		if best != nil && best.breaker.Allow() {
-			st.inUse[best]++
-			return best
-		}
-		// Breaker refused the best candidate (half-open probe slots
-		// exhausted, or it tripped between routable() and Allow);
-		// fall through to the next tier rather than scanning again —
-		// the retry loop's backoff handles the rest.
 	}
 	return nil
 }

@@ -33,6 +33,7 @@ func scenarioBody(t *testing.T, gens bool) []byte {
 		req.Generators = []scenario.Generator{
 			{Model: scenario.ModelHeston, Scenarios: 6, Seed: 21},
 			{Model: scenario.ModelJump, Scenarios: 5, Seed: 22},
+			{Model: scenario.ModelBasket, Scenarios: 5, Seed: 23, Assets: 2, Corr: 0.7},
 		}
 	}
 	body, err := json.Marshal(req)
@@ -48,16 +49,14 @@ func scenarioBody(t *testing.T, gens bool) []byte {
 func TestScenarioRoutedBitIdentical(t *testing.T) {
 	for _, gens := range []bool{false, true} {
 		for _, n := range []int{1, 2, 3} {
-			urls, _, _ := newBackends(t, n)
-			router := newRouter(t, Config{Backends: urls})
-			front := httptest.NewServer(router)
+			tp := newTopology(t, topoConfig{replicas: n})
 			body := scenarioBody(t, gens)
 
-			resp, routed := post(t, front.URL, "/scenario", body)
+			resp, routed := post(t, tp.front.URL, "/scenario", body)
 			if resp.StatusCode != 200 {
 				t.Fatalf("gens=%v n=%d: routed status %d: %s", gens, n, resp.StatusCode, routed)
 			}
-			dresp, direct := post(t, urls[0], "/scenario", body)
+			dresp, direct := post(t, tp.https[0].URL, "/scenario", body)
 			if dresp.StatusCode != 200 {
 				t.Fatalf("gens=%v n=%d: direct status %d", gens, n, dresp.StatusCode)
 			}
@@ -73,7 +72,10 @@ func TestScenarioRoutedBitIdentical(t *testing.T) {
 			} else if parts != "" {
 				t.Errorf("n=1 routed request reported partitions %q", parts)
 			}
-			front.Close()
+			if scattered := tp.router.Snapshot().ScenarioScattered; (scattered > 0) != (n >= 2) {
+				t.Errorf("gens=%v n=%d: router counted %d scattered requests", gens, n, scattered)
+			}
+			tp.front.Close()
 		}
 	}
 }
@@ -82,11 +84,11 @@ func TestScenarioRoutedBitIdentical(t *testing.T) {
 // discovered on the request path; its closed-form partitions fail over
 // and the merged 200 still matches a lone live replica byte-for-byte.
 func TestScenarioPartitionFailover(t *testing.T) {
-	urls, _, https := newBackends(t, 3)
-	https[0].Close() // dead, but optimistically healthy: no Start()
+	tp := newReplicas(t, topoConfig{replicas: 3})
+	tp.https[0].Close() // dead, but optimistically healthy: no Start()
 
 	router, err := New(Config{
-		Backends:       urls,
+		Backends:       tp.urls(),
 		HealthInterval: time.Hour,
 		MaxAttempts:    3,
 		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
@@ -99,7 +101,7 @@ func TestScenarioPartitionFailover(t *testing.T) {
 	defer front.Close()
 
 	body := scenarioBody(t, false) // closed-form only: every partition may fail over
-	_, direct := post(t, urls[1], "/scenario", body)
+	_, direct := post(t, tp.https[1].URL, "/scenario", body)
 	for i := 0; i < 5; i++ {
 		resp, routed := post(t, front.URL, "/scenario", body)
 		if resp.StatusCode != 200 {
@@ -167,10 +169,7 @@ func TestScenarioMonteCarloPartitionSingleAttempt(t *testing.T) {
 // cells sub-range is someone else's partition — the router forwards it
 // whole instead of re-splitting.
 func TestScenarioSubRangePassThrough(t *testing.T) {
-	urls, _, _ := newBackends(t, 2)
-	router := newRouter(t, Config{Backends: urls})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	tp := newTopology(t, topoConfig{replicas: 2})
 
 	var req scenario.Request
 	if err := json.Unmarshal(scenarioBody(t, false), &req); err != nil {
@@ -181,7 +180,7 @@ func TestScenarioSubRangePassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, routed := post(t, front.URL, "/scenario", body)
+	resp, routed := post(t, tp.front.URL, "/scenario", body)
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, routed)
 	}
@@ -191,7 +190,7 @@ func TestScenarioSubRangePassThrough(t *testing.T) {
 	if resp.Header.Get("X-Finserve-Replica") == "" {
 		t.Error("pass-through 200 missing X-Finserve-Replica")
 	}
-	_, direct := post(t, urls[0], "/scenario", body)
+	_, direct := post(t, tp.https[0].URL, "/scenario", body)
 	if !bytes.Equal(routed, direct) {
 		t.Error("pass-through sub-range differs from direct answer")
 	}
@@ -200,22 +199,19 @@ func TestScenarioSubRangePassThrough(t *testing.T) {
 // TestScenarioInvalid400PassThrough: validation stays with the backend;
 // the router forwards its 400 without splitting.
 func TestScenarioInvalid400PassThrough(t *testing.T) {
-	urls, _, _ := newBackends(t, 2)
-	router := newRouter(t, Config{Backends: urls})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	tp := newTopology(t, topoConfig{replicas: 2})
 
 	for _, body := range []string{
 		`{"portfolio":[]}`,
 		`{"portfolio":[{"spot":-1,"strike":100,"expiry":1}]}`,
 		`not json`,
 	} {
-		resp, _ := post(t, front.URL, "/scenario", []byte(body))
+		resp, _ := post(t, tp.front.URL, "/scenario", []byte(body))
 		if resp.StatusCode != 400 {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
 	}
-	if snap := router.Snapshot(); snap.ScenarioScattered != 0 {
+	if snap := tp.router.Snapshot(); snap.ScenarioScattered != 0 {
 		t.Errorf("invalid requests were scattered: %d", snap.ScenarioScattered)
 	}
 }
@@ -223,20 +219,17 @@ func TestScenarioInvalid400PassThrough(t *testing.T) {
 // TestScenarioRouterStatsz: the scatter counters show up in the
 // router's snapshot.
 func TestScenarioRouterStatsz(t *testing.T) {
-	urls, _, _ := newBackends(t, 2)
-	router := newRouter(t, Config{Backends: urls})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	tp := newTopology(t, topoConfig{replicas: 2})
 
-	if resp, body := post(t, front.URL, "/scenario", scenarioBody(t, true)); resp.StatusCode != 200 {
+	if resp, body := post(t, tp.front.URL, "/scenario", scenarioBody(t, true)); resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	snap := router.Snapshot()
+	snap := tp.router.Snapshot()
 	if snap.ScenarioRequests != 1 || snap.ScenarioScattered != 1 {
 		t.Errorf("scenario counters = %d/%d, want 1/1", snap.ScenarioRequests, snap.ScenarioScattered)
 	}
-	// 2 grid partitions + 2 generator blocks.
-	if snap.ScenarioPartitions != 4 {
-		t.Errorf("scenario partitions = %d, want 4", snap.ScenarioPartitions)
+	// 2 grid partitions + 3 generator blocks.
+	if snap.ScenarioPartitions != 5 {
+		t.Errorf("scenario partitions = %d, want 5", snap.ScenarioPartitions)
 	}
 }

@@ -16,23 +16,6 @@ import (
 	"finbench/internal/serve/wire"
 )
 
-// newBackends spins up n real pricing servers and returns their URLs
-// plus per-backend handles for drain/close manipulation.
-func newBackends(t *testing.T, n int) ([]string, []*serve.Server, []*httptest.Server) {
-	t.Helper()
-	urls := make([]string, n)
-	servers := make([]*serve.Server, n)
-	https := make([]*httptest.Server, n)
-	for i := 0; i < n; i++ {
-		s := serve.New(serve.Config{})
-		hs := httptest.NewServer(s.Handler())
-		t.Cleanup(hs.Close)
-		t.Cleanup(s.Close)
-		urls[i], servers[i], https[i] = hs.URL, s, hs
-	}
-	return urls, servers, https
-}
-
 func newRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
 	r, err := New(cfg)
@@ -79,21 +62,18 @@ func post(t *testing.T, url, path string, body []byte) (*http.Response, []byte) 
 // bit-identical to the same request against a lone backend — the
 // reproducibility invariant survives routing.
 func TestRoutedBitIdentical(t *testing.T) {
-	urls, _, _ := newBackends(t, 3)
-	router := newRouter(t, Config{Backends: urls})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	tp := newTopology(t, topoConfig{replicas: 3})
 
 	for _, method := range []string{"", "binomial-tree", "monte-carlo"} {
 		body := priceBody(method, 8)
-		resp, routed := post(t, front.URL, "/price", body)
+		resp, routed := post(t, tp.front.URL, "/price", body)
 		if resp.StatusCode != 200 {
 			t.Fatalf("method %q: routed status %d: %s", method, resp.StatusCode, routed)
 		}
 		if resp.Header.Get("X-Finserve-Replica") == "" {
 			t.Error("routed 200 missing X-Finserve-Replica")
 		}
-		dresp, direct := post(t, urls[0], "/price", body)
+		dresp, direct := post(t, tp.https[0].URL, "/price", body)
 		if dresp.StatusCode != 200 {
 			t.Fatalf("direct status %d", dresp.StatusCode)
 		}
@@ -122,11 +102,11 @@ func TestRoutedBitIdentical(t *testing.T) {
 // router discovers a dead replica on the request path, fails over, and
 // still answers 200.
 func TestFailoverOnDeadReplica(t *testing.T) {
-	urls, _, https := newBackends(t, 3)
-	https[0].Close() // dead before the router ever saw it healthy
+	tp := newReplicas(t, topoConfig{replicas: 3})
+	tp.https[0].Close() // dead before the router ever saw it healthy
 
 	router, err := New(Config{
-		Backends:       urls,
+		Backends:       tp.urls(),
 		HealthInterval: time.Hour, // force request-path discovery
 		MaxAttempts:    3,
 		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
@@ -161,19 +141,15 @@ func TestFailoverOnDeadReplica(t *testing.T) {
 // TestHealthExcludesDeadReplica: the health loop marks a dead replica
 // unroutable so later requests never try it (no failover needed).
 func TestHealthExcludesDeadReplica(t *testing.T) {
-	urls, _, https := newBackends(t, 2)
-	router := newRouter(t, Config{
-		Backends:       urls,
+	tp := newTopology(t, topoConfig{replicas: 2, router: Config{
 		HealthInterval: 10 * time.Millisecond,
 		HealthTimeout:  100 * time.Millisecond,
-	})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	}})
 
-	https[0].Close()
+	tp.https[0].Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		snap := router.Snapshot()
+		snap := tp.router.Snapshot()
 		if !snap.Replicas[0].Healthy {
 			break
 		}
@@ -182,14 +158,14 @@ func TestHealthExcludesDeadReplica(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	before := router.Snapshot().Failovers
+	before := tp.router.Snapshot().Failovers
 	for i := 0; i < 5; i++ {
-		resp, body := post(t, front.URL, "/price", priceBody("", 2))
+		resp, body := post(t, tp.front.URL, "/price", priceBody("", 2))
 		if resp.StatusCode != 200 {
 			t.Fatalf("request %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
-	if got := router.Snapshot().Failovers; got != before {
+	if got := tp.router.Snapshot().Failovers; got != before {
 		t.Errorf("failovers rose %d -> %d; dead replica should have been pre-excluded", before, got)
 	}
 }
@@ -198,18 +174,14 @@ func TestHealthExcludesDeadReplica(t *testing.T) {
 // routed requests (health marks it draining) and the router still
 // answers from the live one.
 func TestDrainingReplicaBypassed(t *testing.T) {
-	urls, servers, _ := newBackends(t, 2)
-	router := newRouter(t, Config{
-		Backends:       urls,
+	tp := newTopology(t, topoConfig{replicas: 2, router: Config{
 		HealthInterval: 10 * time.Millisecond,
-	})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	}})
 
-	servers[0].StartDrain()
+	tp.servers[0].StartDrain()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if router.Snapshot().Replicas[0].Draining {
+		if tp.router.Snapshot().Replicas[0].Draining {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -218,11 +190,11 @@ func TestDrainingReplicaBypassed(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for i := 0; i < 5; i++ {
-		resp, body := post(t, front.URL, "/price", priceBody("", 2))
+		resp, body := post(t, tp.front.URL, "/price", priceBody("", 2))
 		if resp.StatusCode != 200 {
 			t.Fatalf("request %d during drain: %d %s", i, resp.StatusCode, body)
 		}
-		if got := resp.Header.Get("X-Finserve-Replica"); got == urls[0] {
+		if got := resp.Header.Get("X-Finserve-Replica"); got == tp.https[0].URL {
 			t.Errorf("request %d routed to the draining replica", i)
 		}
 	}
@@ -281,10 +253,10 @@ func TestCorrupt200NeverForwarded(t *testing.T) {
 		fmt.Fprint(w, `{"results":[{"pri`) // cut mid-body, still a 200
 	}))
 	defer corrupt.Close()
-	urls, _, _ := newBackends(t, 1)
+	tp := newReplicas(t, topoConfig{replicas: 1})
 
 	router := newRouter(t, Config{
-		Backends:       []string{corrupt.URL, urls[0]},
+		Backends:       []string{corrupt.URL, tp.https[0].URL},
 		HealthInterval: time.Hour,
 		MaxAttempts:    3,
 		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: time.Millisecond},
@@ -394,10 +366,10 @@ func TestHedgeWinsOnSlowReplica(t *testing.T) {
 		fmt.Fprint(w, `{"results":[{"price":1}],"method":"closed-form","config":{},"engine":"scalar","elapsed_us":1}`)
 	}))
 	defer slow.Close()
-	urls, _, _ := newBackends(t, 1)
+	tp := newReplicas(t, topoConfig{replicas: 1})
 
 	router := newRouter(t, Config{
-		Backends:       []string{slow.URL, urls[0]},
+		Backends:       []string{slow.URL, tp.https[0].URL},
 		HealthInterval: time.Hour,
 		HedgeDelay:     10 * time.Millisecond,
 		MaxAttempts:    1,
@@ -416,8 +388,8 @@ func TestHedgeWinsOnSlowReplica(t *testing.T) {
 	if got := resp.Header.Get("X-Finserve-Hedge"); got != "won" {
 		t.Errorf("X-Finserve-Hedge = %q, want \"won\"", got)
 	}
-	if got := resp.Header.Get("X-Finserve-Replica"); got != urls[0] {
-		t.Errorf("winner replica %q, want the fast one %q", got, urls[0])
+	if got := resp.Header.Get("X-Finserve-Replica"); got != tp.https[0].URL {
+		t.Errorf("winner replica %q, want the fast one %q", got, tp.https[0].URL)
 	}
 	snap := router.Snapshot()
 	if snap.Hedges == 0 || snap.HedgeWins == 0 {
@@ -427,12 +399,12 @@ func TestHedgeWinsOnSlowReplica(t *testing.T) {
 
 // TestAllReplicasDown: every backend dead -> 502/503, never a hang.
 func TestAllReplicasDown(t *testing.T) {
-	urls, _, https := newBackends(t, 2)
-	for _, hs := range https {
+	tp := newReplicas(t, topoConfig{replicas: 2})
+	for _, hs := range tp.https {
 		hs.Close()
 	}
 	router := newRouter(t, Config{
-		Backends:       urls,
+		Backends:       tp.urls(),
 		HealthInterval: 10 * time.Millisecond,
 		MaxAttempts:    2,
 		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: time.Millisecond},
@@ -466,13 +438,10 @@ func TestAllReplicasDown(t *testing.T) {
 // TestRouterStatszShape: the statsz body decodes and carries replica
 // breaker snapshots.
 func TestRouterStatszShape(t *testing.T) {
-	urls, _, _ := newBackends(t, 2)
-	router := newRouter(t, Config{Backends: urls})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	tp := newTopology(t, topoConfig{replicas: 2})
 
-	post(t, front.URL, "/price", priceBody("", 2))
-	resp, err := http.Get(front.URL + "/statsz")
+	post(t, tp.front.URL, "/price", priceBody("", 2))
+	resp, err := http.Get(tp.front.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,12 +463,9 @@ func TestRouterStatszShape(t *testing.T) {
 // TestPassThrough4xx: a 400 from the backend is the client's fault —
 // passed through untouched, not retried.
 func TestPassThrough4xx(t *testing.T) {
-	urls, _, _ := newBackends(t, 1)
-	router := newRouter(t, Config{Backends: urls, MaxAttempts: 3})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	tp := newTopology(t, topoConfig{replicas: 1, router: Config{MaxAttempts: 3}})
 
-	resp, body := post(t, front.URL, "/price", []byte(`{"options":[]}`))
+	resp, body := post(t, tp.front.URL, "/price", []byte(`{"options":[]}`))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty options: %d %s", resp.StatusCode, body)
 	}
@@ -507,7 +473,7 @@ func TestPassThrough4xx(t *testing.T) {
 	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 		t.Errorf("error body not passed through: %q", body)
 	}
-	if got := router.Snapshot().Retries; got != 0 {
+	if got := tp.router.Snapshot().Retries; got != 0 {
 		t.Errorf("4xx was retried %d times", got)
 	}
 }
@@ -552,10 +518,10 @@ func TestCorruptColumnar200NeverForwarded(t *testing.T) {
 		fmt.Fprint(w, "FBR1 not a frame") // bad magic + truncated, still a 200
 	}))
 	defer corrupt.Close()
-	urls, _, _ := newBackends(t, 1)
+	tp := newReplicas(t, topoConfig{replicas: 1})
 
 	router := newRouter(t, Config{
-		Backends:       []string{corrupt.URL, urls[0]},
+		Backends:       []string{corrupt.URL, tp.https[0].URL},
 		HealthInterval: time.Hour,
 		MaxAttempts:    3,
 		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: time.Millisecond},

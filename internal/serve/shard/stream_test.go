@@ -3,9 +3,8 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"math"
+	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -32,34 +31,17 @@ func TestFormatRanges(t *testing.T) {
 	}
 }
 
-// newStreamBackends spins up n pricing servers with the streaming hub
-// enabled. All share one seed, so their universes agree — the routed
+// smallStreamCfg is a small hub configuration. Replicas built from one
+// configuration share its seed, so their universes agree — the routed
 // feed's contract ids mean the same thing on every replica.
-func newStreamBackends(t *testing.T, n int, hcfg stream.Config) ([]string, []*serve.Server) {
-	t.Helper()
-	urls := make([]string, n)
-	servers := make([]*serve.Server, n)
-	for i := 0; i < n; i++ {
-		cfg := hcfg
-		s := serve.New(serve.Config{Stream: &cfg})
-		hs := httptest.NewServer(s.Handler())
-		t.Cleanup(hs.Close)
-		t.Cleanup(s.Close)
-		urls[i], servers[i] = hs.URL, s
-	}
-	return urls, servers
-}
-
 func smallStreamCfg(universe int) stream.Config {
 	return stream.Config{Universe: universe, Underlyings: 8, Interval: 2 * time.Millisecond}
 }
 
 func TestRoutedStreamRequiresExplicitSubscription(t *testing.T) {
-	urls, _ := newStreamBackends(t, 1, smallStreamCfg(64))
-	router := newRouter(t, Config{Backends: urls, HealthInterval: 20 * time.Millisecond})
-	front := httptest.NewServer(router)
-	defer front.Close()
-	resp, err := http.Get(front.URL + "/stream")
+	hcfg := smallStreamCfg(64)
+	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{Stream: &hcfg}, router: Config{HealthInterval: 20 * time.Millisecond}})
+	resp, err := http.Get(tp.front.URL + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,40 +51,50 @@ func TestRoutedStreamRequiresExplicitSubscription(t *testing.T) {
 	}
 }
 
-// verifyEntryCold recomputes one routed entry from its echoed inputs
-// and requires bit-equality — the routed-bits-identical invariant,
-// extended to the feed.
-func verifyEntryCold(t *testing.T, b *finbench.Batch, e stream.Entry) {
-	t.Helper()
+// verifyEntryCold recomputes one pushed entry from its echoed inputs
+// and requires bit-equality of the price and every Greek — the
+// routed-bits-identical invariant, extended to the feed.
+func verifyEntryCold(b *finbench.Batch, e stream.Entry) error {
 	b.Spots[0], b.Strikes[0], b.Expiries[0] = e.Spot, e.Strike, e.Expiry
 	mkt := finbench.Market{Rate: e.Rate, Volatility: e.Vol}
 	if err := finbench.PriceBatchCtx(context.Background(), b, mkt, finbench.LevelAdvanced); err != nil {
-		t.Fatalf("contract %d: cold repricing: %v", e.ID, err)
+		return fmt.Errorf("contract %d: cold repricing: %w", e.ID, err)
 	}
-	want := b.Calls[0]
+	opt := finbench.Option{Spot: e.Spot, Strike: e.Strike, Expiry: e.Expiry}
+	g, err := finbench.ComputeGreeks(opt, mkt)
+	if err != nil {
+		return fmt.Errorf("contract %d: cold greeks: %w", e.ID, err)
+	}
+	want := stream.Entry{Price: b.Calls[0], Delta: g.DeltaCall, Gamma: g.Gamma, Vega: g.Vega, Theta: g.ThetaCall, Rho: g.RhoCall}
 	if e.Type == "put" {
-		want = b.Puts[0]
+		want.Price, want.Delta, want.Theta, want.Rho = b.Puts[0], g.DeltaPut, g.ThetaPut, g.RhoPut
 	}
-	if math.Float64bits(e.Price) != math.Float64bits(want) {
-		t.Fatalf("contract %d: routed price %x != cold %x",
-			e.ID, math.Float64bits(e.Price), math.Float64bits(want))
+	if !bitsEq(e.Price, want.Price) || !bitsEq(e.Delta, want.Delta) || !bitsEq(e.Gamma, want.Gamma) ||
+		!bitsEq(e.Vega, want.Vega) || !bitsEq(e.Theta, want.Theta) || !bitsEq(e.Rho, want.Rho) {
+		return fmt.Errorf("contract %d: pushed %+v, cold %+v", e.ID, e, want)
 	}
+	return nil
 }
 
 // TestRoutedStreamMergeAndFailover drives the whole routed-feed
 // contract: the partitioned subscription opens with exactly one hello
 // (rewritten to the full subscription), both partitions' data arrives,
-// a drained replica's goodbye is never forwarded, the orphaned
-// partition re-subscribes to the survivor and resyncs with a fresh
-// snapshot, and every forwarded value stays bit-identical to a cold
-// repricing at its echoed inputs — through the kill.
+// a lost replica's goodbye is never forwarded, the orphaned partition
+// re-subscribes to the survivor and resyncs with a fresh snapshot, and
+// every forwarded value stays bit-identical to a cold repricing at its
+// echoed inputs — through a drain, and through a kill.
 func TestRoutedStreamMergeAndFailover(t *testing.T) {
-	urls, servers := newStreamBackends(t, 2, smallStreamCfg(64))
-	router := newRouter(t, Config{Backends: urls, HealthInterval: 20 * time.Millisecond})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	for _, loss := range []string{"drain", "kill"} {
+		t.Run(loss, func(t *testing.T) { testRoutedStreamFailover(t, loss) })
+	}
+}
 
-	resp, err := http.Get(front.URL + "/stream?contracts=0-63")
+func testRoutedStreamFailover(t *testing.T, loss string) {
+	hcfg := smallStreamCfg(64)
+	tp := newTopology(t, topoConfig{replicas: 2, serve: serve.Config{Stream: &hcfg},
+		router: Config{HealthInterval: 20 * time.Millisecond}})
+
+	resp, err := http.Get(tp.front.URL + "/stream?contracts=0-63")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +134,7 @@ func TestRoutedStreamMergeAndFailover(t *testing.T) {
 			select {
 			case r = <-ch:
 			case <-deadline:
-				t.Fatalf("%s: coverage never completed (saw %d contracts)", phase, len(seen))
+				t.Fatalf("%s: coverage or resync never completed (saw %d contracts, %d snapshots)", phase, len(seen), snapshots)
 			}
 			if r.err != nil {
 				t.Fatalf("%s: stream ended: %v", phase, r.err)
@@ -161,7 +153,9 @@ func TestRoutedStreamMergeAndFailover(t *testing.T) {
 					t.Fatalf("%s: %v", phase, err)
 				}
 				for _, e := range ev.Contracts {
-					verifyEntryCold(t, b, e)
+					if err := verifyEntryCold(b, e); err != nil {
+						t.Fatalf("%s: %v", phase, err)
+					}
 					seen[e.ID] = true
 				}
 			}
@@ -172,24 +166,27 @@ func TestRoutedStreamMergeAndFailover(t *testing.T) {
 	readUntil("before kill", full)
 	snapshotsBefore := snapshots
 
-	// Kill one replica mid-stream: drain it, so its hub pushes goodbye to
-	// its partition's relay — the strongest form of "the stream ended".
-	servers[0].StartDrain()
-
-	seen = make(map[int]bool)
-	readUntil("after kill", full)
-	if snapshots == snapshotsBefore {
-		t.Error("no resync snapshot after the replica kill")
+	// Lose one replica mid-stream: a drain makes its hub push goodbye to
+	// its partition's relay; a kill resets the relay's connection.
+	if loss == "drain" {
+		tp.servers[0].StartDrain()
+	} else {
+		tp.kill(0)
 	}
 
+	// Frames queued before the loss can complete a coverage on their
+	// own, so read until the resync snapshot has arrived too.
+	seen = make(map[int]bool)
+	readUntil("after the "+loss, func() bool { return full() && snapshots > snapshotsBefore })
+
 	deadline := time.Now().Add(5 * time.Second)
-	for router.Snapshot().StreamResubscribes == 0 {
+	for tp.router.Snapshot().StreamResubscribes == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("failover recorded no stream resubscription")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	snap := router.Snapshot()
+	snap := tp.router.Snapshot()
 	if snap.StreamRequests == 0 || snap.StreamPartitions < 2 {
 		t.Errorf("stream counters = requests %d partitions %d, want >=1 and >=2",
 			snap.StreamRequests, snap.StreamPartitions)
@@ -210,16 +207,12 @@ func TestRoutedStreamSlowClientShed(t *testing.T) {
 	hcfg := smallStreamCfg(256)
 	hcfg.SpotThreshold = -1 // every tick rewrites the universe
 	hcfg.Budget = time.Second
-	urls, _ := newStreamBackends(t, 1, hcfg)
-	router := newRouter(t, Config{
-		Backends:           urls,
+	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{Stream: &hcfg}, router: Config{
 		HealthInterval:     20 * time.Millisecond,
 		StreamWriteTimeout: 5 * time.Second,
-	})
-	front := httptest.NewServer(router)
-	defer front.Close()
+	}})
 
-	resp, err := http.Get(front.URL + "/stream?contracts=0-255")
+	resp, err := http.Get(tp.front.URL + "/stream?contracts=0-255")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +231,7 @@ func TestRoutedStreamSlowClientShed(t *testing.T) {
 	}()
 
 	deadline := time.Now().Add(20 * time.Second)
-	for router.Snapshot().StreamSlowDrops == 0 {
+	for tp.router.Snapshot().StreamSlowDrops == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("lagging routed subscriber was never shed")
 		}

@@ -185,7 +185,7 @@ type StatszResponse struct {
 
 	// Sched is the parallel pool's cumulative scheduler counters
 	// (pool.jobs, pool.dispatched, ...); diff consecutive reads for
-	// per-interval deltas — the e2e gate uses this to prove cancelled
+	// per-interval deltas — the topology tests use this to prove cancelled
 	// work stops reaching the pool.
 	Sched map[string]uint64 `json:"sched"`
 

@@ -8,7 +8,7 @@ import (
 
 // Frame is one parsed SSE frame. Data is the payload with the SSE
 // framing stripped, byte-for-byte what the server marshalled — consumers
-// (the shard relay, the loadgen verifier) depend on that for the
+// (the shard relay, the topology tests' verifier) depend on that for the
 // bit-reproducibility checks.
 type Frame struct {
 	Event string

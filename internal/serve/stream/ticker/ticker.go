@@ -3,7 +3,7 @@
 // mean-reverting volatility and rate. Determinism is the property the
 // whole streaming tier's verification hangs on — state at sequence n is a
 // pure function of (seed, underlyings, n), independent of wall-clock
-// timing, so a test (or the loadgen verifier) can replay any tick the
+// timing, so a test (or any stream verifier) can replay any tick the
 // server claims to have priced against.
 package ticker
 
@@ -52,13 +52,13 @@ func (s *State) CopyFrom(src *State) {
 const tickerTag = 0x71c3
 
 const (
-	defaultSpot0 = 100.0
-	spotStep     = 0.0015 // per-tick lognormal step stdev (~0.15%)
-	volRevert    = 0.02   // pull toward vol0 per tick
-	volStep      = 0.0004
-	volMin, volMax = 0.05, 1.5
-	rateRevert     = 0.02
-	rateStep       = 0.00005
+	defaultSpot0     = 100.0
+	spotStep         = 0.0015 // per-tick lognormal step stdev (~0.15%)
+	volRevert        = 0.02   // pull toward vol0 per tick
+	volStep          = 0.0004
+	volMin, volMax   = 0.05, 1.5
+	rateRevert       = 0.02
+	rateStep         = 0.00005
 	rateMin, rateMax = 0.0, 0.2
 )
 

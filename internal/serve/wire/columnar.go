@@ -133,8 +133,7 @@ func DecodeColumnarRequest(data []byte) (*PriceRequest, finbench.Method, error) 
 }
 
 // AppendColumnarRequest appends req as a binary columnar frame. The
-// request must carry Columnar framing (the loadgen client builds one
-// directly).
+// request must carry Columnar framing (a client builds one directly).
 func AppendColumnarRequest(dst []byte, req *PriceRequest) []byte {
 	c := req.Columnar
 	var flags byte
@@ -203,7 +202,7 @@ func AppendColumnarResponse(dst []byte, r *PriceResponse) ([]byte, error) {
 }
 
 // DecodeColumnarResponse parses a binary response frame into the JSON
-// response shape (the loadgen client's verify path; allocates freely).
+// response shape (a client's verify path; allocates freely).
 func DecodeColumnarResponse(data []byte) (*PriceResponse, error) {
 	if len(data) < columnarRespHeader {
 		return nil, fmt.Errorf("columnar response truncated: %d bytes, header is %d", len(data), columnarRespHeader)

@@ -72,47 +72,6 @@ func (g OptionGen) GenerateSOA(n int) *layout.SOA {
 	return g.GenerateAOS(n).ToSOA()
 }
 
-// MCConfig sizes a Monte Carlo pricing run (Table II uses path length 256k).
-type MCConfig struct {
-	// NOpt is the option count.
-	NOpt int
-	// NPath is the path count per option.
-	NPath int
-	// Stream selects pre-generated random numbers streamed from memory
-	// (true) versus computing them inline (false) — the two Table II rows.
-	Stream bool
-	Seed   uint64
-}
-
-// BridgeConfig sizes a Brownian-bridge run (Fig. 6 uses 64-step paths).
-type BridgeConfig struct {
-	// Depth is the bridge depth; a path has 2^(Depth+1) steps, so Depth 5
-	// gives the paper's 64-step simulation.
-	Depth int
-	// Sims is the number of simulated paths.
-	Sims int
-	Seed uint64
-}
-
-// CNConfig sizes a Crank-Nicolson run (Fig. 8 uses 256 prices x 1000 steps).
-type CNConfig struct {
-	// NPrices is the number of discretized underlying prices (J).
-	NPrices int
-	// NSteps is the number of time steps (N).
-	NSteps int
-	// NOpt is the number of options priced.
-	NOpt int
-	Seed int64
-}
-
-// BinomialConfig sizes a binomial-tree run (Fig. 5 uses 1024/2048 steps).
-type BinomialConfig struct {
-	// Steps is the tree depth N.
-	Steps int
-	// NOpt is the number of options priced.
-	NOpt int
-}
-
 // MCBatch is the SOA input/output of the Monte Carlo kernel: option
 // parameters in, price and standard error out.
 type MCBatch struct {

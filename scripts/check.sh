@@ -4,15 +4,16 @@
 # Runs, in order: go vet, go build, the benchreg performance gate (a
 # fresh short-mode snapshot checked against the committed baseline
 # BENCH_1.json; see README "Continuous benchmarking"), the tier-1 test
-# suite, the race detector over the concurrency-heavy packages, the fuzz
-# seed corpora, the finserve e2e smoke gate (scripts/e2e_smoke.sh; see
-# README "Serving"), the chaos smoke gate (scripts/chaos_smoke.sh; the
-# sharded router under seeded fault injection and a replica kill — see
-# README "Resilience & sharding"), and finlint (the custom static-analysis
-# suite enforcing the kernel-safety and serving-tier invariants — the
-# intra-procedural passes plus the call-graph dataflow passes ctxprop,
-# detmap, leakcheck and interprocedural hotalloc; see README "Static
-# analysis & CI gate") with its self-test. The benchreg gate also
+# suite (which includes the in-process topology tests of
+# internal/serve/shard: every end-to-end and chaos assertion, over 1-3
+# replicas and three fault seeds), the race detector over the
+# concurrency-heavy packages, the fuzz seed corpora, the process-level
+# smoke (scripts/smoke.sh: fault-digest determinism, SIGTERM drain, route
+# supervisor revival; see README "Serving"), and finlint (the custom
+# static-analysis suite enforcing the kernel-safety and serving-tier
+# invariants — the intra-procedural passes plus the call-graph dataflow
+# passes ctxprop, detmap, leakcheck and interprocedural hotalloc; see
+# README "Static analysis & CI gate") with its self-test. The benchreg gate also
 # enforces the allocs/op budget on serve-path rows (gate_allocs records
 # in BENCH_1.json): a new per-request allocation fails the check even
 # when its wall-clock cost hides inside timing noise.
@@ -66,7 +67,7 @@ echo "==> tier-1: go test ./..."
 go test -timeout 10m ./...
 
 if [[ "${CHECK_QUICK:-0}" == "1" ]]; then
-	echo "==> CHECK_QUICK=1: skipping race detector, fuzz seed, e2e and chaos smoke stages"
+	echo "==> CHECK_QUICK=1: skipping race detector, fuzz seed and smoke stages"
 else
 	echo "==> race detector on concurrency-heavy packages"
 	go test -race -count=1 -timeout 15m \
@@ -84,7 +85,6 @@ else
 		./internal/serve \
 		./internal/serve/pricecache \
 		./internal/serve/wire \
-		./internal/serve/loadgen \
 		./internal/serve/shard \
 		./internal/serve/stream \
 		./internal/serve/stream/ticker \
@@ -99,11 +99,8 @@ else
 		./internal/serve ./internal/serve/wire \
 		./internal/serve/pricecache ./internal/serve/shard
 
-	echo "==> e2e smoke: finserve boot + loadgen gates"
-	./scripts/e2e_smoke.sh
-
-	echo "==> chaos smoke: sharded router under seeded faults + replica kill"
-	./scripts/chaos_smoke.sh
+	echo "==> smoke: finserve process-level checks"
+	./scripts/smoke.sh
 fi
 
 # finlint is also built once and reused for both the main run and the
