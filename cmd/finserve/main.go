@@ -15,7 +15,8 @@
 // The route subcommand fronts N replicas with health checks, circuit
 // breakers, retry/failover and optional hedging; -replicas spawns them
 // as child processes of this binary and -restart-delay revives any that
-// die.
+// die. The pricing cache lives only here (-cache-tier router): a lone
+// serve process does not cache.
 //
 // The fault subcommand prints a fault spec's canonical form, decision
 // digest and per-kind counts — two invocations with the same spec must
@@ -131,8 +132,6 @@ func runServe(args []string) int {
 		maxPaths     = fs.Int("max-paths", 0, "max Monte Carlo paths per request (0 = default)")
 		maxDeadline  = fs.Duration("max-deadline", 0, "server-side deadline cap (0 = default)")
 		degrade      = fs.Bool("degrade", false, "enable degrade mode under sustained shedding")
-		cacheBytes   = fs.Int64("cache-bytes", 0, "content-addressed response cache byte budget (0 = off)")
-		cacheTTL     = fs.Duration("cache-ttl", 0, "cache entry TTL (0 = never expire)")
 		drainTO      = fs.Duration("drain-timeout", 5*time.Second, "max time to drain on SIGTERM")
 		drainLinger  = fs.Duration("drain-linger", 300*time.Millisecond, "how long the listener keeps answering fast 503s before it stops accepting")
 		faultSpec    = fs.String("fault-spec", "", "deterministic fault injection seed:rate:kinds (chaos runs)")
@@ -172,8 +171,6 @@ func runServe(args []string) int {
 		MaxPaths:         *maxPaths,
 		MaxDeadline:      *maxDeadline,
 		Degrade:          *degrade,
-		CacheBytes:       *cacheBytes,
-		CacheTTL:         *cacheTTL,
 	}
 	if *streamOn {
 		cfg.Stream = &stream.Config{

@@ -39,9 +39,9 @@ func runRoute(args []string) int {
 		budgetCap    = fs.Float64("budget-cap", 0, "retry-budget token cap (0 = default)")
 		brkFailures  = fs.Int("breaker-failures", 0, "consecutive failures that open a breaker (0 = default)")
 		brkOpenFor   = fs.Duration("breaker-open-for", 0, "how long an open breaker refuses before probing (0 = default)")
-		cacheTier    = fs.String("cache-tier", "none", "pricing cache placement: none, router (one cache in this process), or replica (each spawned replica caches; requires -replicas)")
-		cacheBytes   = fs.Int64("cache-bytes", 64<<20, "cache byte budget for the selected tier")
-		cacheTTL     = fs.Duration("cache-ttl", 0, "cache entry TTL for the selected tier (0 = never expire)")
+		cacheTier    = fs.String("cache-tier", "none", "pricing cache placement: none, or router (one cache in this process)")
+		cacheBytes   = fs.Int64("cache-bytes", 64<<20, "router cache byte budget")
+		cacheTTL     = fs.Duration("cache-ttl", 0, "router cache entry TTL (0 = never expire)")
 	)
 	_ = fs.Parse(args)
 
@@ -50,15 +50,8 @@ func runRoute(args []string) int {
 	case "none":
 	case "router":
 		routerCacheBytes = *cacheBytes
-	case "replica":
-		if *replicas <= 0 {
-			fmt.Fprintln(os.Stderr, "route: -cache-tier replica requires -replicas (already-running -backends configure their own cache)")
-			return 2
-		}
-		*replicaFlags = strings.TrimSpace(*replicaFlags +
-			fmt.Sprintf(" -cache-bytes %d -cache-ttl %s", *cacheBytes, *cacheTTL))
 	default:
-		fmt.Fprintf(os.Stderr, "route: unknown -cache-tier %q (none|router|replica)\n", *cacheTier)
+		fmt.Fprintf(os.Stderr, "route: unknown -cache-tier %q (none|router)\n", *cacheTier)
 		return 2
 	}
 

@@ -1,9 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
+	"finbench/internal/scenario"
 	"finbench/internal/serve/wire"
 )
 
@@ -50,34 +56,8 @@ func FuzzDecodeRequest(f *testing.F) {
 			req.Config.TimeSteps < 0 || req.Config.MCPaths < 0 {
 			t.Fatalf("accepted negative config %+v", req.Config)
 		}
-		if c := req.Columnar; c != nil {
-			if len(req.Options) != 0 {
-				t.Fatal("accepted both framings at once")
-			}
-			if method != 0 {
-				t.Fatalf("accepted columnar with method %v", method)
-			}
-			n := len(c.Spots)
-			if len(c.Strikes) != n || len(c.Expiries) != n {
-				t.Fatalf("accepted ragged columns: %d/%d/%d", n, len(c.Strikes), len(c.Expiries))
-			}
-			if (c.Types != "" && len(c.Types) != n) || (c.Styles != "" && len(c.Styles) != n) {
-				t.Fatal("accepted ragged type/style columns")
-			}
-			for i := 0; i < n; i++ {
-				for _, v := range [3]float64{c.Spots[i], c.Strikes[i], c.Expiries[i]} {
-					if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-						t.Fatalf("accepted column entry %d with parameter %v", i, v)
-					}
-				}
-				if c.Types != "" && c.Types[i] != 'c' && c.Types[i] != 'p' {
-					t.Fatalf("accepted type byte %q", c.Types[i])
-				}
-				if c.Styles != "" && c.Styles[i] != 'e' {
-					t.Fatalf("accepted style byte %q", c.Styles[i])
-				}
-			}
-			return
+		if req.Columnar != nil {
+			t.Fatal("a JSON body decoded to columnar framing")
 		}
 		for i := range req.Options {
 			o := &req.Options[i]
@@ -101,6 +81,90 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			// Validated options must convert cleanly.
 			_ = o.ToOption()
+		}
+	})
+}
+
+// fuzzUnbounded reports a body the harness skips: lattice sizes and
+// basket widths have no server-side cap, so one such request may
+// allocate without bound.
+func fuzzUnbounded(path string, body []byte) bool {
+	const maxSize = 4096
+	switch path {
+	case "/price":
+		req, _, err := DecodeRequest(body)
+		if err != nil {
+			return false
+		}
+		defer PutRequest(req)
+		c := req.Config
+		return c.BinomialSteps > maxSize || c.GridPoints > maxSize || c.TimeSteps > maxSize
+	case "/scenario":
+		var req scenario.Request
+		if json.Unmarshal(body, &req) != nil {
+			return false
+		}
+		for _, g := range req.Generators {
+			if g.Assets > 64 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// FuzzPriceHandler drives arbitrary bodies through the pricing handlers
+// in both framings; the selector byte picks one of pricingEndpoints.
+// Every answer must carry a documented status (200, 400, 408, or 503
+// when shed), every 200 must be well-formed in its framing (json.Valid,
+// or wire.ValidColumnarResponse for FBC1), and every other status must
+// carry a JSON error.
+func FuzzPriceHandler(f *testing.F) {
+	for i, body := range contractBodies(5e-324, 5e-324, 5e-324) {
+		f.Add(uint8(i), body)
+	}
+	f.Add(uint8(0), []byte(`{"options":[{"type":"put","spot":100,"strike":105,"expiry":0.5}]}`))
+	f.Add(uint8(0), []byte(`{"method":"monte-carlo","options":[{"spot":90,"strike":100,"expiry":1}],"config":{"mc_paths":1024,"seed":7}}`))
+	f.Add(uint8(0), []byte(`{"method":"binomial-tree","options":[{"type":"put","style":"american","spot":100,"strike":110,"expiry":1}],"config":{"binomial_steps":64}}`))
+	f.Add(uint8(1), wire.AppendColumnarRequest(nil, &wire.PriceRequest{Columnar: &wire.Columns{
+		Spots: []float64{100, 90}, Strikes: []float64{105, 95}, Expiries: []float64{0.5, 1}, Types: "cp",
+	}}))
+	f.Add(uint8(2), []byte(`{"options":[{"spot":100,"strike":100,"expiry":1}],"deadline_ms":50}`))
+	f.Add(uint8(3), []byte(`{"portfolio":[{"spot":100,"strike":105,"expiry":0.5,"quantity":2}],"grid":{"spot_shocks":[-0.1,0,0.1]}}`))
+
+	s := New(Config{
+		MaxOptions:       256,
+		MaxPaths:         1 << 14,
+		MaxScenarioCells: 256,
+		MaxDeadline:      250 * time.Millisecond,
+	})
+	f.Cleanup(s.Close)
+	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
+		ep := pricingEndpoints[int(sel)%len(pricingEndpoints)]
+		if fuzzUnbounded(ep.path, body) {
+			return
+		}
+		req := httptest.NewRequest(http.MethodPost, ep.path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", ep.ctype)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		out := rec.Body.Bytes()
+		switch rec.Code {
+		case http.StatusOK:
+			if rec.Header().Get("Content-Type") == wire.ColumnarContentType {
+				if !wire.ValidColumnarResponse(out) {
+					t.Fatalf("%s: malformed FBC1 200 %x", ep.path, out)
+				}
+			} else if !json.Valid(out) {
+				t.Fatalf("%s: 200 body is not JSON: %q", ep.path, out)
+			}
+		case http.StatusBadRequest, http.StatusRequestTimeout, http.StatusServiceUnavailable:
+			var e ErrorResponse
+			if err := json.Unmarshal(out, &e); err != nil || e.Error == "" {
+				t.Fatalf("%s: %d without a JSON error: %q", ep.path, rec.Code, out)
+			}
+		default:
+			t.Fatalf("%s: undocumented status %d: %q", ep.path, rec.Code, out)
 		}
 	})
 }

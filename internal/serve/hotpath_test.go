@@ -101,22 +101,6 @@ func TestPriceHandlerAllocsCoalescedSteadyState(t *testing.T) {
 	}
 }
 
-// TestPriceHandlerAllocsCacheHit pins a replica-tier cache hit: the
-// deadline is the pooled deadline.Ctx (no per-request runtime timer) and
-// the key is built in a pooled contract slice, so what remains is the two
-// header values (X-Finserve-Cache and Content-Type).
-func TestPriceHandlerAllocsCacheHit(t *testing.T) {
-	s := New(Config{CacheBytes: 1 << 20, ProfileEvery: -1})
-	defer s.Close()
-	got := allocsPerRequest(t, s.Handler(), "/price", "application/json", onePriceBody())
-	if snap := s.cache.Snapshot(); snap.Misses != 1 || snap.Hits == 0 {
-		t.Fatalf("harness did not exercise the hit path: %+v", snap)
-	}
-	if got > 2 {
-		t.Errorf("/price cache hit: %.2f allocs/request, want <= 2", got)
-	}
-}
-
 func TestPriceHandlerAllocsColumnarSteadyState(t *testing.T) {
 	s := New(Config{CoalesceMaxBatch: 1, ProfileEvery: -1})
 	defer s.Close()
@@ -224,9 +208,10 @@ func columnarColumns() *wire.Columns {
 }
 
 // TestPriceColumnarBitIdenticalToJSON is the core columnar guarantee:
-// the same contracts priced through AOS JSON, JSON-framed columns, and
-// the binary frame produce bit-identical prices, on both the coalesced
-// and the bypass path (composition independence makes them one case).
+// the same contracts priced through AOS JSON and the binary frame produce
+// bit-identical prices, on both the coalesced and the bypass path
+// (composition independence makes them one case). Columns have no JSON
+// form: a JSON body carrying them has no options and answers 400.
 func TestPriceColumnarBitIdenticalToJSON(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -244,21 +229,11 @@ func TestPriceColumnarBitIdenticalToJSON(t *testing.T) {
 			}
 			want := decodePrice(t, jsonBody)
 
-			// JSON-framed columnar.
+			// Columns in a JSON body are not a framing.
 			colResp, colBody := postJSON(t, ts.URL+"/price",
 				&PriceRequest{Columnar: columnarColumns()})
-			if colResp.StatusCode != 200 {
-				t.Fatalf("JSON columnar status %d: %s", colResp.StatusCode, colBody)
-			}
-			got := decodePrice(t, colBody)
-			if len(got.Results) != len(want.Results) {
-				t.Fatalf("columnar returned %d results, want %d", len(got.Results), len(want.Results))
-			}
-			for i := range want.Results {
-				if got.Results[i].Price != want.Results[i].Price {
-					t.Errorf("option %d: columnar price %v != JSON price %v",
-						i, got.Results[i].Price, want.Results[i].Price)
-				}
+			if colResp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("JSON columnar status %d, want 400: %s", colResp.StatusCode, colBody)
 			}
 
 			// Binary frame.
@@ -293,9 +268,9 @@ func TestPriceColumnarBitIdenticalToJSON(t *testing.T) {
 				}
 			}
 
-			// The columnar request counter saw both framings.
-			if n := s.statszSnapshot().Requests["price_columnar"]; n != 2 {
-				t.Errorf("price_columnar = %d, want 2", n)
+			// The columnar request counter saw the binary frame only.
+			if n := s.statszSnapshot().Requests["price_columnar"]; n != 1 {
+				t.Errorf("price_columnar = %d, want 1", n)
 			}
 		})
 	}
@@ -322,16 +297,15 @@ func TestPriceColumnarRejects(t *testing.T) {
 		t.Errorf("american binary frame: status %d (%s), want 400", code, body)
 	}
 
-	// Non-closed-form method with JSON-framed columns.
-	if code, body := postRaw("application/json",
-		[]byte(`{"method":"monte-carlo","columnar":{"spot":[100],"strike":[105],"expiry":[1]}}`)); code != 400 {
-		t.Errorf("monte-carlo columnar: status %d (%s), want 400", code, body)
-	}
-
-	// Both framings at once.
-	if code, body := postRaw("application/json",
-		[]byte(`{"options":[{"spot":100,"strike":105,"expiry":1}],"columnar":{"spot":[100],"strike":[105],"expiry":[1]}}`)); code != 400 {
-		t.Errorf("options+columnar: status %d (%s), want 400", code, body)
+	// Columns in a JSON body: the key is unknown, so the body has no
+	// options.
+	for _, body := range []string{
+		`{"columnar":{"spot":[100],"strike":[105],"expiry":[1]}}`,
+		`{"method":"monte-carlo","columnar":{"spot":[100],"strike":[105],"expiry":[1]}}`,
+	} {
+		if code, got := postRaw("application/json", []byte(body)); code != 400 || !strings.Contains(got, "request has no options") {
+			t.Errorf("%s: status %d (%s), want 400 request has no options", body, code, got)
+		}
 	}
 
 	// Truncated binary frame (length must match the declared count).

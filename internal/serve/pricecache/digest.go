@@ -62,11 +62,9 @@ func PutContracts(p *[]Contract) {
 	contractPool.Put(p)
 }
 
-// Params are the numeric knobs that select the effective pricing
-// configuration. Callers that know the resolved effective config (the
-// replica tier) pass it so a config change re-keys — invalidation by
-// construction; callers that only see the request (the router tier) pass
-// the values as sent.
+// Params are the numeric knobs that select the pricing configuration.
+// The router, which sees only the request, passes the values as sent, so
+// a config change re-keys — invalidation by construction.
 type Params struct {
 	BinomialSteps int
 	GridPoints    int

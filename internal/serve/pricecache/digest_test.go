@@ -61,9 +61,9 @@ func TestDigestGoldenKey(t *testing.T) {
 			want: "22aa01f9936fc1e22dce11c3dd3b70812bfa0044bea31cdbddfdaf87c327a106",
 		},
 		{
-			// The replica tier's shape: market and resolved config, a batch
-			// spanning many blocks.
-			name:   "replica-1000",
+			// A keyed market and a full config, a batch spanning many
+			// blocks.
+			name:   "market-1000",
 			method: "closed-form",
 			rate:   0.02, vol: 0.3,
 			p:    Params{BinomialSteps: 1024, GridPoints: 256, TimeSteps: 1000, MCPaths: 262144, Seed: 42},

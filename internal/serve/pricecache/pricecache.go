@@ -36,9 +36,9 @@ import (
 )
 
 // Header is the response header reporting the cache outcome of a request
-// ("hit", "miss", "collapsed", or "bypass" for requests the cache tier
-// declined to consider). The load generator builds its observed hit-rate
-// metrics from it.
+// ("hit", "miss", "collapsed", or "bypass" for requests the router's
+// cache declined to consider). The benchmark client builds its observed
+// hit-rate metrics from it.
 const Header = "X-Finserve-Cache"
 
 // Outcome classifies how a Do call was served.

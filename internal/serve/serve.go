@@ -9,8 +9,9 @@
 //
 // Endpoints: POST /price, POST /greeks, POST /scenario, GET /stream
 // (SSE, when a streaming hub is configured), GET /statsz, GET /healthz.
-// Status codes: 400 malformed, 404/405 routing, 408 deadline exceeded,
-// 429 rate-limited, 503 shed or draining (with Retry-After).
+// Status codes: 400 malformed (or a result that is not finite, which no
+// framing carries), 404/405 routing, 408 deadline exceeded, 429
+// rate-limited, 503 shed or draining (with Retry-After).
 package serve
 
 import (
@@ -26,7 +27,6 @@ import (
 	"finbench"
 	"finbench/internal/serve/coalesce"
 	"finbench/internal/serve/deadline"
-	"finbench/internal/serve/pricecache"
 	"finbench/internal/serve/stream"
 	"finbench/internal/serve/wire"
 )
@@ -71,16 +71,6 @@ type Config struct {
 
 	// Degrade enables degrade mode under sustained shedding.
 	Degrade bool
-
-	// CacheBytes enables the content-addressed response cache with that
-	// byte budget (0 disables). Only composition-independent engines are
-	// cached (closed-form today; Monte Carlo results depend on the batch
-	// decomposition and always bypass). CacheTTL expires entries (0 =
-	// never). Cacheable responses report elapsed_us 0: timing is
-	// transport metadata, excluded from the content address so a hit
-	// replays the cold response byte-for-byte.
-	CacheBytes int64
-	CacheTTL   time.Duration
 
 	// Stream enables the GET /stream SSE feed with the given hub
 	// configuration (nil disables — /stream answers 404). The hub's
@@ -139,9 +129,8 @@ type Server struct {
 	adm   *admission
 	deg   *degrader
 	co    *coalesce.Coalescer
-	rate  *bucket           // nil when rate limiting is disabled
-	cache *pricecache.Cache // nil when caching is disabled
-	hub   *stream.Hub       // nil when streaming is disabled
+	rate  *bucket     // nil when rate limiting is disabled
+	hub   *stream.Hub // nil when streaming is disabled
 
 	draining atomic.Bool
 	// streamActive counts open SSE handlers; Drain waits for it to reach
@@ -161,9 +150,6 @@ func New(cfg Config) *Server {
 		deg:   newDegrader(cfg.Degrade),
 		co:    coalesce.New(cfg.Market, 0, cfg.CoalesceMaxBatch, cfg.ProfileEvery),
 		rate:  newBucket(cfg.Rate, cfg.Burst),
-	}
-	if cfg.CacheBytes > 0 {
-		s.cache = pricecache.New(cfg.CacheBytes, cfg.CacheTTL)
 	}
 	if cfg.Stream != nil {
 		hcfg := *cfg.Stream
@@ -316,7 +302,7 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Columnar != nil {
+	if binaryFraming {
 		s.stats.columnarRequests.Add(1)
 	}
 	n := req.NumOptions()
@@ -336,26 +322,10 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	cfg = cfg.Resolved()
 	degraded := false
 	if s.deg.active() {
-		// Columnar batches are validated all-European.
-		allEuro := req.Columnar != nil || allEuropean(req.Options)
-		dm, dc := applyDegrade(method, cfg, allEuro)
+		// A columnar batch has no Options and is validated all-European.
+		dm, dc := applyDegrade(method, cfg, allEuropean(req.Options))
 		degraded = dm != method || dc != cfg
 		method, cfg = dm, dc
-	}
-
-	// Cacheable fast path: closed-form is composition-independent and
-	// never degrade-substituted, so its responses are pure functions of
-	// (method, market, effective config, batch) — the cache serves hits
-	// and collapses identical concurrent requests before any admission
-	// cost. Everything else (Monte Carlo's decomposition-dependent
-	// results, the lattice methods, degraded substitutions, and columnar
-	// framing — whose response bytes are not the cached JSON) bypasses.
-	if s.cache != nil {
-		if method == finbench.ClosedForm && !degraded && req.Columnar == nil {
-			s.servePriceCached(w, r, start, req, cfg)
-			return
-		}
-		w.Header().Set(pricecache.Header, "bypass")
 	}
 
 	// Admission: acquire the request's work units or shed fast.
@@ -411,110 +381,6 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 		s.writePriceOK(w, resp)
 	}
 	wire.PutPriceResponse(resp)
-}
-
-// errShed marks an admission failure inside the cacheable compute path so
-// the handler answers 503 (shed) rather than 400.
-var errShed = errors.New("work budget exhausted")
-
-// servePriceCached serves a closed-form /price request through the
-// content-addressed cache: a stored entry answers immediately (hit), a
-// concurrent identical request rides the in-flight leader's computation
-// (collapsed), and otherwise this request computes as the leader (miss).
-// Hits and collapsed waiters never touch the admission budget — the
-// cache's whole throughput win. The deadline context is established
-// before Do so a waiter parked on a slow leader still honors its own
-// deadline. It is the pooled deadline.Ctx, as in handlePrice: Do runs the
-// leader's compute synchronously and a waiter only selects on ctx.Done,
-// so nothing holds ctx once Do returns and Release cannot race a user.
-func (s *Server) servePriceCached(w http.ResponseWriter, r *http.Request, start time.Time, req *PriceRequest, cfg finbench.Config) {
-	defer wire.PutRequest(req)
-	budget := s.cfg.MaxDeadline
-	if req.DeadlineMS > 0 {
-		if d := time.Duration(req.DeadlineMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
-	ctx := deadline.Acquire(r.Context(), time.Now().Add(budget))
-	defer ctx.Release()
-
-	body, outcome, err := s.cache.Do(ctx, s.cacheKey(req, cfg), func(ctx context.Context) ([]byte, bool, error) {
-		return s.computeCacheable(ctx, req, cfg)
-	})
-	if err != nil {
-		switch {
-		case errors.Is(err, errShed):
-			s.stats.shedAdmission.Add(1)
-			s.writeShed(w, "work budget exhausted")
-		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-			s.writeError(w, http.StatusRequestTimeout, "pricing deadline exceeded")
-		default:
-			s.writeError(w, http.StatusBadRequest, err.Error())
-		}
-		return
-	}
-	w.Header().Set(pricecache.Header, outcome.String())
-	s.stats.observeLatency(finbench.ClosedForm.String(), time.Since(start))
-	s.writeRaw(w, http.StatusOK, body)
-}
-
-// computeCacheable is the singleflight leader's computation: admission,
-// kernel, and the one-and-only marshal. The returned bytes are what the
-// store replays, so a cache hit is byte-identical to the cold 200 by
-// construction. ElapsedUS stays zero — timing is transport metadata,
-// deliberately excluded from the content address.
-func (s *Server) computeCacheable(ctx context.Context, req *PriceRequest, cfg finbench.Config) ([]byte, bool, error) {
-	units, ok := s.adm.acquire(unitCost(finbench.ClosedForm, cfg, len(req.Options)), s.cfg.AdmitWait)
-	if !ok {
-		s.deg.noteShed()
-		return nil, false, errShed
-	}
-	s.deg.noteAdmit()
-	defer s.adm.release(units)
-
-	resp := wire.GetPriceResponse()
-	resp.Method = finbench.ClosedForm.String()
-	resp.Config = wire.FromConfig(cfg)
-	if err := s.priceClosedForm(ctx, req, resp); err != nil {
-		wire.PutPriceResponse(resp)
-		return nil, false, err
-	}
-	// The stored bytes are owned by the cache, so encode into a fresh
-	// slice, not a pooled buffer. The append encoder's output is
-	// byte-identical to the json.Encoder this replaced.
-	body, ok := wire.AppendPriceResponse(nil, resp)
-	if !ok {
-		err := json.NewEncoder(io.Discard).Encode(resp)
-		wire.PutPriceResponse(resp)
-		return nil, false, err
-	}
-	wire.PutPriceResponse(resp)
-	return body, true, nil
-}
-
-// cacheKey digests the request against the server's market and the
-// resolved effective config, so any effective-config or market change
-// re-keys every entry — invalidation by construction.
-func (s *Server) cacheKey(req *PriceRequest, cfg finbench.Config) pricecache.Key {
-	contracts := pricecache.GetContracts(len(req.Options))
-	for i := range req.Options {
-		o := &req.Options[i]
-		(*contracts)[i] = pricecache.Contract{
-			Type: o.Type, Style: o.Style,
-			Spot: o.Spot, Strike: o.Strike, Expiry: o.Expiry,
-		}
-	}
-	key := pricecache.Digest(finbench.ClosedForm.String(),
-		s.cfg.Market.Rate, s.cfg.Market.Volatility,
-		pricecache.Params{
-			BinomialSteps: cfg.BinomialSteps,
-			GridPoints:    cfg.GridPoints,
-			TimeSteps:     cfg.TimeSteps,
-			MCPaths:       cfg.MCPaths,
-			Seed:          cfg.Seed,
-		}, *contracts)
-	pricecache.PutContracts(contracts)
-	return key
 }
 
 // priceClosedForm prices via the SOA batch engine: small requests go
@@ -763,47 +629,37 @@ var (
 	headerColumnar = []string{wire.ColumnarContentType}
 )
 
+// writeJSON encodes v before it writes the status. encoding/json refuses
+// only non-finite floats in these bodies, and such a value answers 400,
+// never a 200 with an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	s.stats.countCode(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writePriceOK writes a 200 /price body through the append encoder —
-// byte-identical to writeJSON's output, without the reflection walk. The
-// encoding/json fallback (non-finite values only) preserves the legacy
-// failure mode exactly.
-func (s *Server) writePriceOK(w http.ResponseWriter, resp *wire.PriceResponse) {
-	buf := wire.GetBuffer()
-	b, ok := wire.AppendPriceResponse(buf.B[:0], resp)
-	if !ok {
-		wire.PutBuffer(buf)
-		s.writeJSON(w, http.StatusOK, resp)
+	b, err := json.Marshal(v)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, wire.NonFiniteError)
 		return
 	}
-	buf.B = b
 	w.Header()["Content-Type"] = headerJSON
-	w.WriteHeader(http.StatusOK)
-	s.stats.countCode(http.StatusOK)
-	_, _ = w.Write(b)
+	w.WriteHeader(code)
+	s.stats.countCode(code)
+	_, _ = w.Write(append(b, '\n'))
+}
+
+// writePriceOK writes a 200 /price body through the append encoder,
+// byte-identical to writeJSON's output without the reflection walk.
+func (s *Server) writePriceOK(w http.ResponseWriter, resp *wire.PriceResponse) {
+	buf := wire.GetBuffer()
+	var ok bool
+	buf.B, ok = wire.AppendPriceResponse(buf.B[:0], resp)
+	s.writeEncoded(w, buf.B, ok, headerJSON)
 	wire.PutBuffer(buf)
 }
 
 // writeGreeksOK is writePriceOK for /greeks.
 func (s *Server) writeGreeksOK(w http.ResponseWriter, resp *wire.GreeksResponse) {
 	buf := wire.GetBuffer()
-	b, ok := wire.AppendGreeksResponse(buf.B[:0], resp)
-	if !ok {
-		wire.PutBuffer(buf)
-		s.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	buf.B = b
-	w.Header()["Content-Type"] = headerJSON
-	w.WriteHeader(http.StatusOK)
-	s.stats.countCode(http.StatusOK)
-	_, _ = w.Write(b)
+	var ok bool
+	buf.B, ok = wire.AppendGreeksResponse(buf.B[:0], resp)
+	s.writeEncoded(w, buf.B, ok, headerJSON)
 	wire.PutBuffer(buf)
 }
 
@@ -811,27 +667,24 @@ func (s *Server) writeGreeksOK(w http.ResponseWriter, resp *wire.GreeksResponse)
 // as a binary response frame.
 func (s *Server) writePriceColumnar(w http.ResponseWriter, resp *wire.PriceResponse) {
 	buf := wire.GetBuffer()
-	b, err := wire.AppendColumnarResponse(buf.B[:0], resp)
-	if err != nil {
-		wire.PutBuffer(buf)
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	buf.B = b
-	w.Header()["Content-Type"] = headerColumnar
-	w.WriteHeader(http.StatusOK)
-	s.stats.countCode(http.StatusOK)
-	_, _ = w.Write(b)
+	var err error
+	buf.B, err = wire.AppendColumnarResponse(buf.B[:0], resp)
+	s.writeEncoded(w, buf.B, err == nil, headerColumnar)
 	wire.PutBuffer(buf)
 }
 
-// writeRaw writes pre-marshalled response bytes (the cache stores the
-// exact bytes the cold computation produced).
-func (s *Server) writeRaw(w http.ResponseWriter, code int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	s.stats.countCode(code)
-	_, _ = w.Write(body)
+// writeEncoded writes the encoded body b as a 200 of content type ctype.
+// A result that did not encode (ok false: a NaN or ±Inf price or Greek)
+// answers 400 instead; the status is chosen only once the body exists.
+func (s *Server) writeEncoded(w http.ResponseWriter, b []byte, ok bool, ctype []string) {
+	if !ok {
+		s.writeError(w, http.StatusBadRequest, wire.NonFiniteError)
+		return
+	}
+	w.Header()["Content-Type"] = ctype
+	w.WriteHeader(http.StatusOK)
+	s.stats.countCode(http.StatusOK)
+	_, _ = w.Write(b)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {

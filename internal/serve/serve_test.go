@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"finbench"
+	"finbench/internal/serve/pricecache"
 	"finbench/internal/serve/wire"
 )
 
@@ -287,6 +288,33 @@ func TestStatszShape(t *testing.T) {
 	}
 	if snap.MaxUnits <= 0 {
 		t.Error("max_units not reported")
+	}
+}
+
+// TestCacheDisabledNoHeader: a lone server does not cache (the pricing
+// cache lives in the router): no X-Finserve-Cache header on /price and
+// no cache block in /statsz.
+func TestCacheDisabledNoHeader(t *testing.T) {
+	_, ts := newTestServer(t, Config{CoalesceMaxBatch: 1, ProfileEvery: -1})
+	req := &PriceRequest{Options: []WireOption{{Spot: 100, Strike: 100, Expiry: 1}}}
+	resp, body := postJSON(t, ts.URL+"/price", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(pricecache.Header); got != "" {
+		t.Fatalf("lone server sent %s = %q", pricecache.Header, got)
+	}
+	stats, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stats.Body.Close()
+	var snap map[string]json.RawMessage
+	if err := json.NewDecoder(stats.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := snap["cache"]; ok {
+		t.Fatalf("lone server's /statsz has a cache block: %s", snap["cache"])
 	}
 }
 

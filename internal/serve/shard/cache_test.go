@@ -184,6 +184,11 @@ func TestRouterCacheKeyCanonicalization(t *testing.T) {
 	if !okD || a == d {
 		t.Fatal("put keyed same as call")
 	}
+	// The config is echoed in the 200, so it is part of the address.
+	e, okE := bodyKey([]byte(`{"options":[{"spot":100,"strike":95,"expiry":1}],"config":{"seed":7}}`))
+	if !okE || a == e {
+		t.Fatal("a config change did not re-key")
+	}
 	if _, ok := bodyKey([]byte(`{"method":"monte-carlo","options":[{"spot":100,"strike":95,"expiry":1}]}`)); ok {
 		t.Fatal("monte-carlo body classified cacheable")
 	}
@@ -269,35 +274,5 @@ func TestRouterCacheVsDirectBitIdentical(t *testing.T) {
 	}
 	if a.Method != b.Method || a.Config != b.Config {
 		t.Errorf("effective config differs: %+v vs %+v", a, b)
-	}
-}
-
-// TestRouterForwardsReplicaCacheHeader: a cache-less router fronting a
-// cache-enabled replica must forward the replica's X-Finserve-Cache
-// outcome verbatim, so a replica-tier deployment still reports its
-// observed hit rate at the client (which counts these headers).
-func TestRouterForwardsReplicaCacheHeader(t *testing.T) {
-	s := serve.New(serve.Config{CacheBytes: 1 << 20, CoalesceMaxBatch: 1, ProfileEvery: -1})
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-	defer s.Close()
-	router := newRouter(t, Config{Backends: []string{hs.URL}})
-	front := httptest.NewServer(router)
-	defer front.Close()
-
-	body := priceBody("closed-form", 4)
-	respCold, cold := post(t, front.URL, "/price", body)
-	if respCold.StatusCode != 200 {
-		t.Fatalf("cold status %d: %s", respCold.StatusCode, cold)
-	}
-	if got := respCold.Header.Get(pricecache.Header); got != "miss" {
-		t.Fatalf("cold response forwarded cache header %q, want miss", got)
-	}
-	respHit, hit := post(t, front.URL, "/price", body)
-	if got := respHit.Header.Get(pricecache.Header); got != "hit" {
-		t.Fatalf("warm response forwarded cache header %q, want hit", got)
-	}
-	if !bytes.Equal(cold, hit) {
-		t.Fatalf("replica-tier hit differs from cold response through the router")
 	}
 }

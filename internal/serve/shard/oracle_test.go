@@ -138,7 +138,9 @@ func sniffCorpus() []string {
 		`{"options":[` + oracleOpt + `],"config":{"binomial_steps":-1}}`,
 		// Non-closed-form methods are never cacheable.
 		`{"method":"binomial-tree","options":[{"style":"american","type":"put","spot":1,"strike":1,"expiry":1}]}`,
-		// columnar inside JSON: decodes, never cacheable.
+		// Columns have no JSON form: "columnar" is an unknown key, so a
+		// body without options answers 400 and one with options keys on
+		// them alone.
 		`{"columnar":{"spot":[100],"strike":[95],"expiry":[1]}}`,
 		`{"columnar":{"spot":[100],"strike":[95],"expiry":[1]},"deadline_ms":60}`,
 		`{"method":"monte-carlo","columnar":{"spot":[100],"strike":[95],"expiry":[1]}}`,

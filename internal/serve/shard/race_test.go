@@ -19,22 +19,28 @@ import (
 // shared structure (breakers, request state, health flags, stats); the
 // availability assertion is deliberately loose — the point here is the
 // race detector; TestTopologyChaosAvailability owns the real
-// availability floor.
+// availability floor. The breakers still take every Allow, Success and
+// Failure, but their threshold exceeds the attempts the test can make,
+// so none opens: the floor measures retries, not how breaker timing
+// lines up with host load.
 func TestRaceRouterUnderChaos(t *testing.T) {
 	spec, err := fault.ParseSpec("11:0.3:refuse,reset,truncate")
 	if err != nil {
 		t.Fatal(err)
 	}
+	const workers, perWorker, maxAttempts = 8, 30, 4
+	// Each attempt may add one hedge leg.
+	const attemptCap = workers * perWorker * maxAttempts * 2
 	tp := newTopology(t, topoConfig{replicas: 3, router: Config{
 		HealthInterval: 5 * time.Millisecond,
-		MaxAttempts:    4,
+		MaxAttempts:    maxAttempts,
 		HedgeDelay:     2 * time.Millisecond,
 		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 		BudgetRatio:    -1, // unlimited retries: this test measures races, not budgets
+		Breaker:        resilience.BreakerConfig{FailureThreshold: attemptCap + 1},
 		Transport:      &fault.Transport{Inj: fault.NewInjector(spec)},
 	}})
 
-	const workers, perWorker = 8, 30
 	var ok, total atomic.Int64
 	var wg sync.WaitGroup
 	body := priceBody("", 4)

@@ -256,7 +256,6 @@ type backendResult struct {
 	body       []byte
 	contentTyp string
 	retryAfter string
-	cacheOut   string // replica-tier X-Finserve-Cache, forwarded as-is
 	rep        *replica
 }
 
@@ -523,11 +522,11 @@ func sniffJSON(body []byte) (monteCarlo bool, deadlineMS int64) {
 // address, or reports it non-cacheable. The router keys on the request as
 // sent (market and config resolution happen on the replicas; fleet
 // homogeneity — see Config.CacheBytes — makes every replica's answer
-// identical for identical requests). Only closed-form is cacheable: the
-// same composition-independence rule as the replica tier.
+// identical for identical requests). Only closed-form is cacheable: its
+// results are composition-independent; Monte Carlo's depend on the batch
+// decomposition.
 func routerCacheKey(req *serve.PriceRequest) (pricecache.Key, bool) {
-	// Columnar bodies bypass: their 200 bytes are not the cached JSON.
-	if (req.Method != "" && req.Method != "closed-form") || req.Columnar != nil {
+	if req.Method != "" && req.Method != "closed-form" {
 		return pricecache.Key{}, false
 	}
 	contracts := pricecache.GetContracts(len(req.Options))
@@ -577,12 +576,6 @@ func (r *Router) passThrough(w http.ResponseWriter, res *backendResult, st *reqS
 	}
 	if res.retryAfter != "" {
 		h.Set("Retry-After", res.retryAfter)
-	}
-	// Forward a replica-tier cache outcome unless this router's own cache
-	// already recorded one (its outcome describes the exchange the client
-	// actually had).
-	if res.cacheOut != "" && h.Get(pricecache.Header) == "" {
-		h.Set(pricecache.Header, res.cacheOut)
 	}
 	h.Set("X-Finserve-Replica", res.rep.url)
 	h.Set("X-Finserve-Attempts", fmt.Sprintf("%d", st.attempts.Load()))
@@ -637,7 +630,6 @@ func (r *Router) attemptOnce(ctx context.Context, method, path, ctype string, bo
 		body:       respBody,
 		contentTyp: resp.Header.Get("Content-Type"),
 		retryAfter: resp.Header.Get("Retry-After"),
-		cacheOut:   resp.Header.Get(pricecache.Header),
 		rep:        rep,
 	}
 	switch {
@@ -746,10 +738,18 @@ func (r *Router) pick(st *reqState) *replica {
 	return nil
 }
 
+// writeJSON encodes v before it writes the status, so a value
+// encoding/json refuses (a non-finite float in a merged scenario
+// surface) answers 400, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, wire.NonFiniteError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

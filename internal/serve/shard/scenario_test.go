@@ -13,6 +13,7 @@ import (
 
 	"finbench/internal/resilience"
 	"finbench/internal/scenario"
+	"finbench/internal/serve/wire"
 )
 
 func scenarioBody(t *testing.T, gens bool) []byte {
@@ -231,5 +232,26 @@ func TestScenarioRouterStatsz(t *testing.T) {
 	// 2 grid partitions + 3 generator blocks.
 	if snap.ScenarioPartitions != 5 {
 		t.Errorf("scenario partitions = %d, want 5", snap.ScenarioPartitions)
+	}
+}
+
+// TestScenarioRoutedNonFiniteLadder400: every cell of this surface is
+// finite, so each replica answers its sub-range 200, but the tail the
+// router sums for the ladder overflows to -Inf. The router encodes the
+// merge before it writes the status and answers 400, as a lone replica
+// does for the whole request, never a 200 with an empty body.
+func TestScenarioRoutedNonFiniteLadder400(t *testing.T) {
+	tp := newTopology(t, topoConfig{replicas: 2})
+	body := []byte(`{"portfolio":[{"spot":100,"strike":100,"expiry":1,"quantity":1e307}],` +
+		`"grid":{"spot_shocks":[-0.9,-0.8,0,0.1]},"var_levels":[0.5]}`)
+	for _, base := range []string{tp.front.URL, tp.https[0].URL} {
+		resp, got := post(t, base, "/scenario", body)
+		var e struct{ Error string }
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(got, &e) != nil || e.Error != wire.NonFiniteError {
+			t.Errorf("%s: status %d body %q, want 400 %q", base, resp.StatusCode, got, wire.NonFiniteError)
+		}
+	}
+	if snap := tp.router.Snapshot(); snap.ScenarioScattered != 1 {
+		t.Errorf("scattered %d requests, want 1: the merge path was not exercised", snap.ScenarioScattered)
 	}
 }

@@ -473,9 +473,9 @@ func TestTopologyAdmissionShedsWith503(t *testing.T) {
 }
 
 // TestTopologyIdenticalBurstComputesOnce: 64 identical closed-form
-// requests from 8 clients run exactly one computation, whether the cache
-// sits in the replica or in the router; every other request is a hit or a
-// collapse onto the one flight, and all 64 bodies are the same bytes.
+// requests from 8 clients run exactly one computation in the router's
+// cache; every other request is a hit or a collapse onto the one flight,
+// and all 64 bodies are the same bytes.
 func TestTopologyIdenticalBurstComputesOnce(t *testing.T) {
 	const requests = 64
 	rng := rand.New(rand.NewSource(6))
@@ -484,56 +484,44 @@ func TestTopologyIdenticalBurstComputesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(t *testing.T, tp *topology) {
-		bodies := make([][]byte, requests)
-		codes := burst(requests, 8, 0, nil, func(i int) int {
-			code, _, data := tp.post(tp.front.URL+"/price", "application/json", body)
-			bodies[i] = data
-			return code
-		})
-		if codes[http.StatusOK] != requests {
-			t.Fatalf("codes %v, want %d 200s", codes, requests)
-		}
-		for i := range bodies {
-			if !bytes.Equal(bodies[i], bodies[0]) {
-				t.Fatalf("body %d differs from body 0:\n%s\n%s", i, bodies[i], bodies[0])
-			}
-		}
-		var pr wire.PriceResponse
-		if err := json.Unmarshal(bodies[0], &pr); err != nil {
-			t.Fatal(err)
-		}
-		if err := verifyPrice(req, &pr); err != nil {
-			t.Error(err)
-		}
-	}
-	check := func(t *testing.T, misses, hits, collapsed uint64) {
-		if misses != 1 || hits+collapsed != requests-1 {
-			t.Errorf("cache misses %d, hits %d, collapsed %d: want 1 miss and %d hits+collapsed",
-				misses, hits, collapsed, requests-1)
-		}
-	}
-	t.Run("replica-tier", func(t *testing.T) {
-		tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{CacheBytes: 64 << 20}})
-		run(t, tp)
-		st := tp.replicaStatsz(0).Cache
-		check(t, st.Misses, st.Hits, st.Collapsed)
-	})
 	for _, n := range topoReplicas {
 		t.Run(fmt.Sprintf("router-tier/replicas=%d", n), func(t *testing.T) {
 			tp := newTopology(t, topoConfig{replicas: n, router: Config{CacheBytes: 64 << 20}})
-			run(t, tp)
+			bodies := make([][]byte, requests)
+			codes := burst(requests, 8, 0, nil, func(i int) int {
+				code, _, data := tp.post(tp.front.URL+"/price", "application/json", body)
+				bodies[i] = data
+				return code
+			})
+			if codes[http.StatusOK] != requests {
+				t.Fatalf("codes %v, want %d 200s", codes, requests)
+			}
+			for i := range bodies {
+				if !bytes.Equal(bodies[i], bodies[0]) {
+					t.Fatalf("body %d differs from body 0:\n%s\n%s", i, bodies[i], bodies[0])
+				}
+			}
+			var pr wire.PriceResponse
+			if err := json.Unmarshal(bodies[0], &pr); err != nil {
+				t.Fatal(err)
+			}
+			if err := verifyPrice(req, &pr); err != nil {
+				t.Error(err)
+			}
 			st := tp.router.Snapshot().Cache
-			check(t, st.Misses, st.Hits, st.Collapsed)
+			if st.Misses != 1 || st.Hits+st.Collapsed != requests-1 {
+				t.Errorf("cache misses %d, hits %d, collapsed %d: want 1 miss and %d hits+collapsed",
+					st.Misses, st.Hits, st.Collapsed, requests-1)
+			}
 		})
 	}
 }
 
 // TestTopologyZipfCacheBitClean: requests drawn Zipf(1.2) from a pool of
-// 64 batches, against replicas with their cache on. Every 200 — cold or
-// cached — bit-matches the library, and no replica computes a batch
-// twice: misses are bounded by the distinct batches drawn, so the hit
-// rate's floor holds by construction.
+// 64 batches, through a router with its cache on. Every 200 — cold or
+// cached — bit-matches the library, and no batch is computed twice:
+// misses are bounded by the distinct batches drawn, so the hit rate's
+// floor holds by construction.
 func TestTopologyZipfCacheBitClean(t *testing.T) {
 	const requests, poolSize = 300, 64
 	rng := rand.New(rand.NewSource(3))
@@ -550,24 +538,19 @@ func TestTopologyZipfCacheBitClean(t *testing.T) {
 	}
 	for _, n := range topoReplicas {
 		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) {
-			tp := newTopology(t, topoConfig{replicas: n, serve: serve.Config{CacheBytes: 64 << 20}})
+			tp := newTopology(t, topoConfig{replicas: n, router: Config{CacheBytes: 64 << 20}})
 			codes := burst(requests, 4, 0, nil, func(i int) int {
 				return tp.price(tp.front.URL, &wire.PriceRequest{Options: pool[ranks[i]]})
 			})
 			if codes[http.StatusOK] != requests {
 				t.Fatalf("codes %v, want %d 200s", codes, requests)
 			}
-			var misses, served uint64
-			for i := 0; i < n; i++ {
-				st := tp.replicaStatsz(i).Cache
-				misses += st.Misses
-				served += st.Misses + st.Hits + st.Collapsed
+			st := tp.router.Snapshot().Cache
+			if served := st.Misses + st.Hits + st.Collapsed; served != requests {
+				t.Errorf("router cache saw %d requests, want %d", served, requests)
 			}
-			if served != requests {
-				t.Errorf("replica caches saw %d requests, want %d", served, requests)
-			}
-			if bound := uint64(len(distinct) * n); misses > bound {
-				t.Errorf("%d misses for %d distinct batches over %d replicas (bound %d)", misses, len(distinct), n, bound)
+			if bound := uint64(len(distinct)); st.Misses > bound {
+				t.Errorf("%d misses for %d distinct batches (bound %d)", st.Misses, len(distinct), bound)
 			}
 		})
 	}
@@ -642,6 +625,51 @@ func TestTopologyColumnarMatchesJSONReplay(t *testing.T) {
 				t.Errorf("codes %v, want %d 200s", codes, requests)
 			}
 		})
+	}
+}
+
+// TestTopologyNonFiniteKeepsBreakersClosed: a valid contract whose
+// result is not finite answers 400 on every endpoint and framing, so ten
+// of them through the router are the client's fault, not a replica's:
+// every breaker stays closed with no failure counted, nothing is retried
+// or flagged corrupt, and the good traffic after them answers 200.
+func TestTopologyNonFiniteKeepsBreakersClosed(t *testing.T) {
+	tp := newTopology(t, topoConfig{replicas: 3})
+	const probe = `"spot":5e-324,"strike":5e-324,"expiry":5e-324`
+	frame := wire.AppendColumnarRequest(nil, &wire.PriceRequest{Columnar: &wire.Columns{
+		Spots: []float64{5e-324}, Strikes: []float64{5e-324}, Expiries: []float64{5e-324},
+	}})
+	probes := []struct {
+		path, ctype string
+		body        []byte
+	}{
+		{"/price", "application/json", []byte(`{"options":[{` + probe + `}]}`)},
+		{"/price", wire.ColumnarContentType, frame},
+		{"/greeks", "application/json", []byte(`{"options":[{` + probe + `}]}`)},
+		{"/scenario", "application/json", []byte(`{"portfolio":[{` + probe + `,"quantity":1}],"grid":{"spot_shocks":[0]}}`)},
+	}
+	for i := 0; i < 10; i++ {
+		p := probes[i%len(probes)]
+		code, _, body := tp.post(tp.front.URL+p.path, p.ctype, p.body)
+		var e wire.ErrorResponse
+		if code != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Error != wire.NonFiniteError {
+			t.Fatalf("probe %d %s (%s): status %d body %q, want 400 %q", i, p.path, p.ctype, code, body, wire.NonFiniteError)
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 6; i++ {
+		if code := tp.price(tp.front.URL, &wire.PriceRequest{Options: randomOptions(rng, 4, "")}); code != http.StatusOK {
+			t.Fatalf("good request %d after the probes: status %d", i, code)
+		}
+	}
+	snap := tp.router.Snapshot()
+	for i, rs := range snap.Replicas {
+		if rs.Breaker.State != "closed" || rs.Breaker.Failures != 0 {
+			t.Errorf("replica %d breaker %+v, want closed with no failures", i, rs.Breaker)
+		}
+	}
+	if snap.Retries != 0 || snap.Corrupt != 0 {
+		t.Errorf("retries %d, corrupt 200s %d: want 0 and 0", snap.Retries, snap.Corrupt)
 	}
 }
 

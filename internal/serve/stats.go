@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"finbench/internal/parallel"
-	"finbench/internal/serve/pricecache"
 	"finbench/internal/serve/stream"
 )
 
@@ -100,8 +99,8 @@ type stats struct {
 	// requests count only their own cells).
 	scenarioRequests atomic.Uint64
 	scenarioCells    atomic.Uint64
-	// columnarRequests counts /price requests carrying columnar framing
-	// (binary frame or JSON-framed columns).
+	// columnarRequests counts /price requests in the binary columnar
+	// framing.
 	columnarRequests atomic.Uint64
 	// streamRequests counts GET /stream subscription attempts;
 	// streamSlowDisconnects counts subscribers disconnected for missing
@@ -193,13 +192,9 @@ type StatszResponse struct {
 	// engine (op name -> count over sampled flushes).
 	OpMix map[string]uint64 `json:"opmix,omitempty"`
 
-	// Cache is the content-addressed response cache's counters (a fixed
-	// struct, not a map, so snapshot encoding stays deterministic); nil
-	// when caching is disabled.
-	Cache *pricecache.Stats `json:"cache,omitempty"`
-
-	// Stream is the streaming Greeks hub's counters (fixed struct for the
-	// same determinism reason); nil when streaming is disabled.
+	// Stream is the streaming Greeks hub's counters (a fixed struct, not a
+	// map, so snapshot encoding stays deterministic); nil when streaming
+	// is disabled.
 	Stream *stream.Stats `json:"stream,omitempty"`
 }
 
@@ -253,10 +248,6 @@ func (s *Server) statszSnapshot() StatszResponse {
 	}
 	if mix := s.co.OpMix(); mix.Items > 0 {
 		out.OpMix = mix.Map()
-	}
-	if s.cache != nil {
-		cs := s.cache.Snapshot()
-		out.Cache = &cs
 	}
 	if s.hub != nil {
 		hs := s.hub.Snapshot()

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -11,8 +12,8 @@ import (
 // Binary columnar bulk format. The request frame carries the SOA layout
 // directly — length-prefixed float64 columns — so a mega-batch client
 // skips JSON entirely and the server prices straight out of the frame.
-// Closed-form only (enforced by validatePrice, same as the JSON-framed
-// columnar object). All integers are little-endian.
+// Closed-form only: the frame has no method field. All integers are
+// little-endian.
 //
 // Request (Content-Type application/x-finbench-columnar):
 //
@@ -66,6 +67,8 @@ var (
 	columnarRespMagic = [4]byte{'F', 'B', 'R', '1'}
 )
 
+var errNonFinite = errors.New(NonFiniteError)
+
 // engineNames indexes the engine byte of the response frame.
 var engineNames = []string{"", "batch-advanced", "scalar"}
 
@@ -78,11 +81,11 @@ func SniffColumnarDeadline(data []byte) (int64, bool) {
 	return int64(binary.LittleEndian.Uint32(data[5:9])), true
 }
 
-// DecodeColumnarRequest parses a binary columnar frame and validates it
-// under the same rules as the JSON framings (shared validatePrice). The
-// returned request is pooled: release with PutRequest. It is a fuzz
-// entry point: any input either errors or round-trips through
-// AppendColumnarRequest byte-identically. data is not retained.
+// DecodeColumnarRequest parses and validates a binary columnar frame;
+// the method is always the closed form. The returned request is pooled:
+// release with PutRequest. It is a fuzz entry point: any input either
+// errors or round-trips through AppendColumnarRequest byte-identically.
+// data is not retained.
 func DecodeColumnarRequest(data []byte) (*PriceRequest, finbench.Method, error) {
 	if len(data) < columnarReqHeader {
 		return nil, 0, fmt.Errorf("columnar frame truncated: %d bytes, header is %d", len(data), columnarReqHeader)
@@ -124,12 +127,11 @@ func DecodeColumnarRequest(data []byte) (*PriceRequest, finbench.Method, error) 
 		c.Styles = string(data[off : off+int(n)])
 	}
 	req.Columnar = c
-	method, err := validatePrice(req)
-	if err != nil {
+	if err := validateColumns(c); err != nil {
 		PutRequest(req)
 		return nil, 0, err
 	}
-	return req, method, nil
+	return req, finbench.ClosedForm, nil
 }
 
 // AppendColumnarRequest appends req as a binary columnar frame. The
@@ -156,7 +158,8 @@ func AppendColumnarRequest(dst []byte, req *PriceRequest) []byte {
 }
 
 // AppendColumnarResponse appends r as a binary response frame. Results
-// carry prices only (columnar is closed-form, which has no std_err).
+// carry prices only (columnar is closed-form, which has no std_err). A
+// non-finite price is refused, as the JSON encoder refuses it.
 func AppendColumnarResponse(dst []byte, r *PriceResponse) ([]byte, error) {
 	methodByte := byte(0)
 	for i, name := range methodNames {
@@ -196,7 +199,11 @@ func AppendColumnarResponse(dst []byte, r *PriceResponse) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.ElapsedUS))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Results)))
 	for i := range r.Results {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Results[i].Price))
+		p := r.Results[i].Price
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return dst, errNonFinite
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p))
 	}
 	return dst, nil
 }

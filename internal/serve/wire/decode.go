@@ -235,7 +235,6 @@ func parseUintTok(tok []byte) (uint64, bool) {
 var (
 	keyMethod   = []byte("method")
 	keyOptions  = []byte("options")
-	keyColumnar = []byte("columnar")
 	keyConfig   = []byte("config")
 	keyDeadline = []byte("deadline_ms")
 
@@ -292,7 +291,6 @@ func fastDecodePrice(data []byte, req *PriceRequest) bool {
 	const (
 		seenMethod = 1 << iota
 		seenOptions
-		seenColumnar
 		seenConfig
 		seenDeadline
 	)
@@ -327,15 +325,6 @@ func fastDecodePrice(data []byte, req *PriceRequest) bool {
 				}
 				seen |= seenOptions
 				if !s.parseOptions(&req.Options) {
-					return false
-				}
-			case bytesEqual(key, keyColumnar):
-				if seen&seenColumnar != 0 {
-					return false
-				}
-				seen |= seenColumnar
-				req.Columnar = &req.colScratch
-				if !s.parseColumns(&req.colScratch) {
 					return false
 				}
 			case bytesEqual(key, keyConfig):
@@ -605,131 +594,6 @@ func (s *scanner) parseConfig(c *Config) bool {
 		if s.consume('}') {
 			return true
 		}
-		return false
-	}
-}
-
-// parseColumns parses the JSON-framed columnar object. Array-valued keys
-// must be unique (the reference decoder merges duplicate arrays
-// elementwise; bail rather than replicate that).
-func (s *scanner) parseColumns(c *Columns) bool {
-	if !s.consume('{') {
-		return false
-	}
-	const (
-		seenSpot = 1 << iota
-		seenStrike
-		seenExpiry
-		seenType
-		seenStyle
-	)
-	var seen uint8
-	s.skipWS()
-	if s.consume('}') {
-		return true
-	}
-	for {
-		s.skipWS()
-		key, ok := s.rawString()
-		if !ok {
-			return false
-		}
-		s.skipWS()
-		if !s.consume(':') {
-			return false
-		}
-		s.skipWS()
-		switch {
-		case bytesEqual(key, keySpot):
-			if seen&seenSpot != 0 {
-				return false
-			}
-			seen |= seenSpot
-			if !s.parseFloatArray(&c.Spots) {
-				return false
-			}
-		case bytesEqual(key, keyStrike):
-			if seen&seenStrike != 0 {
-				return false
-			}
-			seen |= seenStrike
-			if !s.parseFloatArray(&c.Strikes) {
-				return false
-			}
-		case bytesEqual(key, keyExpiry):
-			if seen&seenExpiry != 0 {
-				return false
-			}
-			seen |= seenExpiry
-			if !s.parseFloatArray(&c.Expiries) {
-				return false
-			}
-		case bytesEqual(key, keyType):
-			if seen&seenType != 0 {
-				return false
-			}
-			seen |= seenType
-			raw, ok := s.rawString()
-			if !ok {
-				return false
-			}
-			c.Types = string(raw)
-		case bytesEqual(key, keyStyle):
-			if seen&seenStyle != 0 {
-				return false
-			}
-			seen |= seenStyle
-			raw, ok := s.rawString()
-			if !ok {
-				return false
-			}
-			c.Styles = string(raw)
-		default:
-			return false
-		}
-		s.skipWS()
-		if s.consume(',') {
-			continue
-		}
-		if s.consume('}') {
-			return true
-		}
-		return false
-	}
-}
-
-func (s *scanner) parseFloatArray(dst *[]float64) bool {
-	if !s.consume('[') {
-		return false
-	}
-	arr := (*dst)[:0]
-	s.skipWS()
-	if s.consume(']') {
-		*dst = arr
-		return true
-	}
-	for {
-		s.skipWS()
-		tok, _, ok := s.number()
-		if !ok {
-			*dst = arr
-			return false
-		}
-		f, ok := parseFloatTok(tok)
-		if !ok {
-			*dst = arr
-			return false
-		}
-		arr = append(arr, f)
-		s.skipWS()
-		if s.consume(',') {
-			continue
-		}
-		if s.consume(']') {
-			*dst = arr
-			return true
-		}
-		*dst = arr
 		return false
 	}
 }

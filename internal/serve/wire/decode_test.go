@@ -85,8 +85,6 @@ func TestDecodeRequestMatchesReference(t *testing.T) {
 		`{"options":[{"type":"call","style":"european","spot":1e2,"strike":1.05e2,"expiry":5e-1}]}`,
 		`{"method":"binomial-tree","options":[{"style":"american","type":"put","spot":100,"strike":100,"expiry":1}],"config":{"binomial_steps":512}}`,
 		` { "options" : [ { "spot" : 100 , "strike" : 105 , "expiry" : 0.5 } ] } `,
-		`{"columnar":{"spot":[100,101],"strike":[105,106],"expiry":[0.5,0.25],"type":"cp","style":"ee"}}`,
-		`{"columnar":{"spot":[100],"strike":[105],"expiry":[0.5]},"deadline_ms":100}`,
 		`{"options":[{"spot":100,"strike":105,"expiry":0.5},{"spot":1,"strike":2,"expiry":3}]}`,
 		// Validation failures (must produce identical error text).
 		`{}`,
@@ -101,6 +99,10 @@ func TestDecodeRequestMatchesReference(t *testing.T) {
 		`{"method":"monte-carlo","options":[{"style":"american","spot":1,"strike":1,"expiry":1}]}`,
 		`{"deadline_ms":-5,"options":[{"spot":1,"strike":1,"expiry":1}]}`,
 		`{"config":{"mc_paths":-1},"options":[{"spot":1,"strike":1,"expiry":1}]}`,
+		// Columns have no JSON form: "columnar" is an unknown key, so the
+		// body has no options (400) or only its options count.
+		`{"columnar":{"spot":[100,101],"strike":[105,106],"expiry":[0.5,0.25],"type":"cp","style":"ee"}}`,
+		`{"columnar":{"spot":[100],"strike":[105],"expiry":[0.5]},"deadline_ms":100}`,
 		`{"columnar":{"spot":[100],"strike":[105,1],"expiry":[0.5]}}`,
 		`{"columnar":{"spot":[100],"strike":[105],"expiry":[0.5]},"options":[{"spot":1,"strike":1,"expiry":1}]}`,
 		`{"columnar":{"spot":[100],"strike":[105],"expiry":[0.5]},"method":"monte-carlo"}`,
@@ -138,7 +140,6 @@ func TestDecodeRequestFastPathTaken(t *testing.T) {
 	fastBodies := []string{
 		`{"options":[{"spot":100,"strike":105,"expiry":0.5}]}`,
 		`{"method":"monte-carlo","options":[{"type":"put","spot":90.5,"strike":100,"expiry":1}],"config":{"mc_paths":4096,"seed":7},"deadline_ms":250}`,
-		`{"columnar":{"spot":[100,101],"strike":[105,106],"expiry":[0.5,0.25],"type":"cp"}}`,
 	}
 	for _, body := range fastBodies {
 		var req PriceRequest
@@ -182,12 +183,15 @@ func TestDecodeRequestPooledReuseNoStaleState(t *testing.T) {
 }
 
 func TestDecodeColumnarPooledReuse(t *testing.T) {
-	// Columnar then AOS through the same pool: the AOS request must not
-	// report columnar framing.
-	col := []byte(`{"columnar":{"spot":[100,101],"strike":[105,106],"expiry":[0.5,0.25],"type":"cp","style":"ee"}}`)
+	// A binary frame then a JSON body through the same pool: the JSON
+	// request must not report columnar framing.
+	col := AppendColumnarRequest(nil, &PriceRequest{Columnar: &Columns{
+		Spots: []float64{100, 101}, Strikes: []float64{105, 106}, Expiries: []float64{0.5, 0.25},
+		Types: "cp", Styles: "ee",
+	}})
 	aos := []byte(`{"options":[{"spot":7,"strike":8,"expiry":9}]}`)
 	for i := 0; i < 8; i++ {
-		req, _, err := DecodeRequest(col)
+		req, _, err := DecodeColumnarRequest(col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,13 +335,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("accepted request with %d options", n)
 		}
 		for i := 0; i < n; i++ {
-			var spot float64
-			if req.Columnar != nil {
-				spot = req.Columnar.Spots[i]
-			} else {
-				spot = req.Options[i].Spot
-			}
-			if math.IsNaN(spot) || math.IsInf(spot, 0) || spot <= 0 {
+			if spot := req.Options[i].Spot; math.IsNaN(spot) || math.IsInf(spot, 0) || spot <= 0 {
 				t.Fatalf("accepted non-priceable spot %v", spot)
 			}
 		}

@@ -16,8 +16,7 @@ import (
 // AppendPriceResponse appends r encoded exactly as
 // json.NewEncoder(w).Encode(r) would, returning ok=false (with dst
 // unmodified beyond its original length) when a value is outside JSON's
-// domain (NaN/Inf); the caller then falls back to encoding/json for
-// reference behavior.
+// domain (NaN/Inf), where encoding/json fails too.
 func AppendPriceResponse(dst []byte, r *PriceResponse) ([]byte, bool) {
 	b := append(dst, `{"results":[`...)
 	var ok bool

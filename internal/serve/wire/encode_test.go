@@ -108,9 +108,12 @@ func TestAppendPriceResponseRejectsNonFinite(t *testing.T) {
 		if !bytes.Equal(got, []byte("prefix")) {
 			t.Errorf("failed encode did not return the original dst")
 		}
-		// encoding/json also refuses: the fallback path errors the same way.
+		// encoding/json also refuses, and so does the binary frame.
 		if _, err := json.Marshal(r); err == nil {
 			t.Errorf("reference encoder accepted non-finite %v", bad)
+		}
+		if _, err := AppendColumnarResponse(nil, r); err == nil || err.Error() != NonFiniteError {
+			t.Errorf("columnar encoder on non-finite %v: error %v, want %q", bad, err, NonFiniteError)
 		}
 	}
 }

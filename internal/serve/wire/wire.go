@@ -47,16 +47,16 @@ type Config struct {
 	Seed          uint64 `json:"seed,omitempty"`
 }
 
-// Columns is the JSON-framed columnar batch: the SOA layout on the wire.
-// Types and Styles are per-option character columns ('c'/'p' and
-// 'e'/'a'); empty means all calls / all European. Mutually exclusive with
-// PriceRequest.Options, closed-form only.
+// Columns is the in-memory form of a binary columnar (FBC1) batch: the
+// SOA layout as it came off the wire. Types and Styles are per-option
+// character columns ('c'/'p' and 'e'/'a'); empty means all calls / all
+// European. Closed-form only.
 type Columns struct {
-	Spots    []float64 `json:"spot"`
-	Strikes  []float64 `json:"strike"`
-	Expiries []float64 `json:"expiry"`
-	Types    string    `json:"type,omitempty"`
-	Styles   string    `json:"style,omitempty"`
+	Spots    []float64
+	Strikes  []float64
+	Expiries []float64
+	Types    string
+	Styles   string
 }
 
 // PriceRequest is the POST /price body.
@@ -66,19 +66,18 @@ type PriceRequest struct {
 	// trinomial-tree. Empty means closed-form.
 	Method  string   `json:"method,omitempty"`
 	Options []Option `json:"options,omitempty"`
-	// Columnar carries the batch as SOA columns instead of Options
-	// (mutually exclusive). The binary columnar frame
-	// (Content-Type application/x-finbench-columnar) decodes into the
-	// same field.
-	Columnar *Columns `json:"columnar,omitempty"`
+	// Columnar carries the batch as SOA columns instead of Options. Only
+	// the binary columnar frame (Content-Type
+	// application/x-finbench-columnar) fills it; it has no JSON form.
+	Columnar *Columns `json:"-"`
 	Config   Config   `json:"config,omitempty"`
 	// DeadlineMS is the client's pricing deadline in milliseconds; work
 	// still running when it expires is cancelled and the request fails
 	// with 408. Zero means the server's maximum applies.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 
-	// colScratch backs Columnar on the pooled fast path so decoding a
-	// columnar request reuses column capacity across requests.
+	// colScratch backs Columnar so decoding a columnar frame reuses
+	// column capacity across pooled requests.
 	colScratch Columns
 }
 
@@ -101,16 +100,10 @@ func (r *PriceRequest) IsPut(i int) bool {
 }
 
 // reset clears the request for reuse, retaining slice and column
-// capacity. A Columnar block allocated by the reference decoder is
-// adopted into the scratch so its capacity joins the freelist.
+// capacity.
 func (r *PriceRequest) reset() {
 	r.Method = ""
 	r.Options = r.Options[:0]
-	if c := r.Columnar; c != nil && c != &r.colScratch {
-		r.colScratch.Spots = c.Spots
-		r.colScratch.Strikes = c.Strikes
-		r.colScratch.Expiries = c.Expiries
-	}
 	r.Columnar = nil
 	r.colScratch.Spots = r.colScratch.Spots[:0]
 	r.colScratch.Strikes = r.colScratch.Strikes[:0]
@@ -170,6 +163,11 @@ type GreeksResponse struct {
 	ElapsedUS int64    `json:"elapsed_us"`
 }
 
+// NonFiniteError is the 400 message for a valid request whose result
+// holds a NaN or ±Inf price or Greek: JSON has no encoding for either,
+// and the binary frame refuses them so both framings answer alike.
+const NonFiniteError = "result is not finite"
+
 // ErrorResponse is the body of every non-200 status.
 type ErrorResponse struct {
 	Error string `json:"error"`
@@ -194,19 +192,15 @@ func ParseMethod(name string) (finbench.Method, error) {
 	}
 }
 
-// validatePrice checks a decoded request (either framing, either decoder)
-// and resolves its method. The messages are the API's contract; the fast
-// and reference decode paths share this function so they cannot drift.
+// validatePrice checks a decoded JSON request and resolves its method.
+// The messages are the API's contract; the fast and reference decode
+// paths share this function so they cannot drift.
 func validatePrice(req *PriceRequest) (finbench.Method, error) {
-	// Check order matches the pre-columnar decoder so error messages for
-	// multi-fault requests are stable.
-	if req.Columnar == nil {
-		if len(req.Options) == 0 {
-			return 0, fmt.Errorf("request has no options")
-		}
-		if len(req.Options) > MaxRequestOptions {
-			return 0, fmt.Errorf("request has %d options; max %d", len(req.Options), MaxRequestOptions)
-		}
+	if len(req.Options) == 0 {
+		return 0, fmt.Errorf("request has no options")
+	}
+	if len(req.Options) > MaxRequestOptions {
+		return 0, fmt.Errorf("request has %d options; max %d", len(req.Options), MaxRequestOptions)
 	}
 	method, err := ParseMethod(req.Method)
 	if err != nil {
@@ -218,15 +212,6 @@ func validatePrice(req *PriceRequest) (finbench.Method, error) {
 	if req.Config.BinomialSteps < 0 || req.Config.GridPoints < 0 ||
 		req.Config.TimeSteps < 0 || req.Config.MCPaths < 0 {
 		return 0, fmt.Errorf("negative config parameter")
-	}
-	if req.Columnar != nil {
-		if len(req.Options) > 0 {
-			return 0, fmt.Errorf("columnar and options are mutually exclusive")
-		}
-		if err := validateColumns(req.Columnar, method); err != nil {
-			return 0, err
-		}
-		return method, nil
 	}
 	for i := range req.Options {
 		o := &req.Options[i]
@@ -242,14 +227,11 @@ func validatePrice(req *PriceRequest) (finbench.Method, error) {
 	return method, nil
 }
 
-// validateColumns checks the SOA framing: equal column lengths, known
-// type/style characters, finite positive values, closed-form only (the
-// batch engine is what the columnar path exists for; the scalar methods
-// take the AOS framing).
-func validateColumns(c *Columns, method finbench.Method) error {
-	if method != finbench.ClosedForm {
-		return fmt.Errorf("columnar batches support closed-form only")
-	}
+// validateColumns checks a decoded FBC1 batch: equal column lengths,
+// known type/style characters, finite positive values, European only
+// (the frame is closed-form by construction; the scalar methods take the
+// JSON framing).
+func validateColumns(c *Columns) error {
 	n := len(c.Spots)
 	if n == 0 {
 		return fmt.Errorf("request has no options")
@@ -278,7 +260,7 @@ func validateColumns(c *Columns, method finbench.Method) error {
 		case 'e':
 		case 'a':
 			// finlint:ignore hotalloc cold validation-failure return, not a per-iteration allocation
-			return fmt.Errorf("option %d: method %v is European-only", i, method)
+			return fmt.Errorf("option %d: method %v is European-only", i, finbench.ClosedForm)
 		default:
 			// finlint:ignore hotalloc cold validation-failure return, not a per-iteration allocation
 			return fmt.Errorf("option %d: unknown exercise style %q", i, string(c.Styles[i]))
