@@ -124,14 +124,11 @@ func runServe(args []string) int {
 		mktVol       = fs.Float64("market-vol", 0.3, "volatility")
 		maxUnits     = fs.Int64("max-units", 0, "in-flight work-unit budget (0 = default)")
 		admitWait    = fs.Duration("admit-wait", 0, "max admission wait before 503 (0 = default)")
-		rate         = fs.Float64("rate", 0, "request-rate limit per second (0 = off)")
-		burst        = fs.Float64("burst", 0, "rate-limiter burst")
 		maxBatch     = fs.Int("coalesce-max-batch", 0, "flush threshold in options (0 = default)")
 		profileEvery = fs.Int("profile-every", 0, "sample op mix every Nth flush (0 = default, <0 = off)")
 		maxOptions   = fs.Int("max-options", 0, "max options per request (0 = default)")
 		maxPaths     = fs.Int("max-paths", 0, "max Monte Carlo paths per request (0 = default)")
 		maxDeadline  = fs.Duration("max-deadline", 0, "server-side deadline cap (0 = default)")
-		degrade      = fs.Bool("degrade", false, "enable degrade mode under sustained shedding")
 		drainTO      = fs.Duration("drain-timeout", 5*time.Second, "max time to drain on SIGTERM")
 		drainLinger  = fs.Duration("drain-linger", 300*time.Millisecond, "how long the listener keeps answering fast 503s before it stops accepting")
 		faultSpec    = fs.String("fault-spec", "", "deterministic fault injection seed:rate:kinds (chaos runs)")
@@ -163,14 +160,11 @@ func runServe(args []string) int {
 		Market:           finbench.Market{Rate: *mktRate, Volatility: *mktVol},
 		MaxUnits:         *maxUnits,
 		AdmitWait:        *admitWait,
-		Rate:             *rate,
-		Burst:            *burst,
 		CoalesceMaxBatch: *maxBatch,
 		ProfileEvery:     *profileEvery,
 		MaxOptions:       *maxOptions,
 		MaxPaths:         *maxPaths,
 		MaxDeadline:      *maxDeadline,
-		Degrade:          *degrade,
 	}
 	if *streamOn {
 		cfg.Stream = &stream.Config{

@@ -96,9 +96,9 @@ func TestPriceBatchGridCtxCancelsBetweenRows(t *testing.T) {
 func TestPriceBatchGridRejectsBadRows(t *testing.T) {
 	b := gridTestBatch(4)
 	for _, rows := range [][]GridRow{
-		{{Market: Market{Rate: 0.02, Volatility: 0.3}}},                              // Scale zero
-		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scale: -1}},                   // negative
-		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scales: []float64{1, 1}}},     // short
+		{{Market: Market{Rate: 0.02, Volatility: 0.3}}},                                // Scale zero
+		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scale: -1}},                     // negative
+		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scales: []float64{1, 1}}},       // short
 		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scales: []float64{1, 1, 0, 1}}}, // zero entry
 	} {
 		err := PriceBatchGrid(b, rows, func(int, []float64, []float64) error { return nil })

@@ -12,8 +12,9 @@ import (
 // a weighted semaphore bounds the units in flight. Requests that cannot
 // acquire their units within a short bounded wait are shed with 503 —
 // fast rejection at the door instead of a queue that grows without bound
-// and blows every deadline (the server's overload answer). A token
-// bucket in front rate-limits request *count* independently of size.
+// and blows every deadline. This is the server's one answer to overload:
+// it never rate-limits by request count and never swaps in cheaper
+// parameters, so every 200 is priced exactly as requested.
 
 // unitCost estimates the work units of pricing n options with the given
 // method and resolved config. Units are scaled so one closed-form option
@@ -130,44 +131,4 @@ func (a *admission) queued() int {
 	n := len(a.q)
 	a.mu.Unlock()
 	return n
-}
-
-// bucket is a token-bucket request-rate limiter. A nil bucket allows
-// everything.
-type bucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newBucket(rate, burst float64) *bucket {
-	if rate <= 0 {
-		return nil
-	}
-	if burst < 1 {
-		burst = 1
-	}
-	return &bucket{rate: rate, burst: burst, tokens: burst, last: time.Now()}
-}
-
-func (b *bucket) allow() bool {
-	if b == nil {
-		return true
-	}
-	now := time.Now()
-	b.mu.Lock()
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	b.last = now
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	if b.tokens < 1 {
-		b.mu.Unlock()
-		return false
-	}
-	b.tokens--
-	b.mu.Unlock()
-	return true
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"finbench/internal/scenario"
 	"finbench/internal/serve/wire"
 )
 
@@ -85,34 +84,6 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// fuzzUnbounded reports a body the harness skips: lattice sizes and
-// basket widths have no server-side cap, so one such request may
-// allocate without bound.
-func fuzzUnbounded(path string, body []byte) bool {
-	const maxSize = 4096
-	switch path {
-	case "/price":
-		req, _, err := DecodeRequest(body)
-		if err != nil {
-			return false
-		}
-		defer PutRequest(req)
-		c := req.Config
-		return c.BinomialSteps > maxSize || c.GridPoints > maxSize || c.TimeSteps > maxSize
-	case "/scenario":
-		var req scenario.Request
-		if json.Unmarshal(body, &req) != nil {
-			return false
-		}
-		for _, g := range req.Generators {
-			if g.Assets > 64 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // FuzzPriceHandler drives arbitrary bodies through the pricing handlers
 // in both framings; the selector byte picks one of pricingEndpoints.
 // Every answer must carry a documented status (200, 400, 408, or 503
@@ -141,9 +112,6 @@ func FuzzPriceHandler(f *testing.F) {
 	f.Cleanup(s.Close)
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
 		ep := pricingEndpoints[int(sel)%len(pricingEndpoints)]
-		if fuzzUnbounded(ep.path, body) {
-			return
-		}
 		req := httptest.NewRequest(http.MethodPost, ep.path, bytes.NewReader(body))
 		req.Header.Set("Content-Type", ep.ctype)
 		rec := httptest.NewRecorder()

@@ -148,7 +148,7 @@ func TestGreeksRejectsNegativeDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/greeks", &wire.GreeksRequest{
 		DeadlineMS: -5,
-		Options:    []WireOption{{Spot: 100, Strike: 100, Expiry: 1}},
+		Options:    []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400; body %s", resp.StatusCode, body)
@@ -166,7 +166,7 @@ func TestGreeksDeadlineCappedByServerMax(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxDeadline: time.Nanosecond})
 	resp, body := postJSON(t, ts.URL+"/greeks", &wire.GreeksRequest{
 		DeadlineMS: 60000,
-		Options:    []WireOption{{Spot: 100, Strike: 100, Expiry: 1}},
+		Options:    []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}},
 	})
 	if resp.StatusCode != http.StatusRequestTimeout {
 		t.Fatalf("status %d, want 408; body %s", resp.StatusCode, body)
@@ -193,7 +193,7 @@ func columnarAOSRequest() *PriceRequest {
 		if c.types[i] == 'p' {
 			typ = "put"
 		}
-		req.Options = append(req.Options, WireOption{
+		req.Options = append(req.Options, wire.Option{
 			Type: typ, Spot: c.spots[i], Strike: c.strikes[i], Expiry: c.expiries[i],
 		})
 	}

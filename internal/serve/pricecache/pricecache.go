@@ -23,8 +23,8 @@
 // Only composition-independent, deterministic engines may be cached (the
 // same rule as request coalescing); the caller owns that judgment and
 // signals it per computation via the compute callback's store flag, so
-// degrade-substituted, clamped or otherwise non-replayable responses
-// never enter the store.
+// error answers and other non-replayable responses never enter the
+// store.
 package pricecache
 
 import (
@@ -131,8 +131,8 @@ func New(maxBytes int64, ttl time.Duration) *Cache {
 // Do returns the response bytes for key: from the store (Hit), from a
 // concurrent leader's computation (Collapsed), or by computing them
 // (Miss). compute receives the caller's ctx and returns the response
-// body, whether the result is cacheable/shareable (deterministic,
-// undegraded — the composition-independence rule), and an error.
+// body, whether the result is cacheable/shareable (deterministic — the
+// composition-independence rule), and an error.
 //
 // Contract:
 //   - compute runs at most once per Do call, and only when this caller

@@ -51,9 +51,9 @@ func TestHitAfterMiss(t *testing.T) {
 func TestStoreFalseNotCachedNotShared(t *testing.T) {
 	c := New(1<<20, 0)
 	key := testKey(0)
-	uncacheable := func(context.Context) ([]byte, bool, error) { return []byte("degraded"), false, nil }
+	uncacheable := func(context.Context) ([]byte, bool, error) { return []byte("rejected"), false, nil }
 	b, o, err := c.Do(context.Background(), key, uncacheable)
-	if err != nil || o != Miss || string(b) != "degraded" {
+	if err != nil || o != Miss || string(b) != "rejected" {
 		t.Fatalf("Do = %q %v %v", b, o, err)
 	}
 	if st := c.Snapshot(); st.Entries != 0 || st.Inserts != 0 {

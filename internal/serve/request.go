@@ -9,12 +9,10 @@ import (
 // with the shard router); the serve names are aliases so existing callers
 // keep reading naturally. Every
 // numeric knob echoes back in the response as the *effective* value
-// (after defaulting, clamping, and any degrade-mode substitution), so a
-// client can reproduce each price bit-for-bit with the library.
+// (after defaulting and clamping), so a client can reproduce each price
+// bit-for-bit with the library.
 
 type (
-	// WireOption is one option contract on the wire.
-	WireOption = wire.Option
 	// PriceRequest is the POST /price body.
 	PriceRequest = wire.PriceRequest
 	// PriceResponse is the POST /price 200 body.

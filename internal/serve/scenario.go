@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"time"
 
 	"finbench/internal/scenario"
-	"finbench/internal/serve/deadline"
 	"finbench/internal/serve/wire"
 )
 
@@ -22,21 +22,16 @@ import (
 // timing field, so a router merging sub-responses reproduces the
 // single-process bytes exactly.
 
+// maxBasketAssets caps a basket generator's factor count (16x the
+// library default of 4): each scenario draws and holds one value per
+// asset, so the cap bounds one request's memory like MaxOptions does.
+const maxBasketAssets = 64
+
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.stats.scenarioRequests.Add(1)
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		s.stats.shedDrain.Add(1)
-		s.writeShed(w, "server is draining")
-		return
-	}
-	if !s.rateAllow() {
-		s.stats.shedRate.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, "request rate limit exceeded")
 		return
 	}
 	buf := wire.GetBuffer()
@@ -62,28 +57,22 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	for i := range req.Generators {
+		if g := &req.Generators[i]; g.Model == scenario.ModelBasket && g.Assets > maxBasketAssets {
+			s.writeError(w, http.StatusBadRequest, "generator "+strconv.Itoa(i)+": basket assets too large: "+
+				strconv.Itoa(g.Assets)+" > "+strconv.Itoa(maxBasketAssets))
+			return
+		}
+	}
 
 	// Admission cost: one unit per (cell, position) valuation, like one
 	// unit per closed-form option on /price.
 	rangeStart, cells := req.Range()
-	units, ok := s.adm.acquire(int64(cells)*int64(len(req.Portfolio)), s.cfg.AdmitWait)
-	if !ok {
-		s.deg.noteShed()
-		s.stats.shedAdmission.Add(1)
-		s.writeShed(w, "work budget exhausted")
+	dctx, units := s.admit(w, r, int64(cells)*int64(len(req.Portfolio)), req.DeadlineMS)
+	if dctx == nil {
 		return
 	}
-	s.deg.noteAdmit()
-	defer s.adm.release(units)
-
-	budget := s.cfg.MaxDeadline
-	if req.DeadlineMS > 0 {
-		if d := time.Duration(req.DeadlineMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
-	dctx := deadline.Acquire(r.Context(), time.Now().Add(budget))
-	defer dctx.Release()
+	defer s.leave(dctx, units)
 
 	base, pnl, err := scenario.EvaluateCells(dctx, &req, s.cfg.Market, rangeStart, cells)
 	if err != nil {

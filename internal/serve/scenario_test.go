@@ -152,3 +152,9 @@ func TestScenarioDraining(t *testing.T) {
 		t.Error("503 missing Retry-After")
 	}
 }
+
+func TestScenarioCapsBasketAssets(t *testing.T) {
+	req := scenarioTestRequest()
+	req.Generators[2].Assets = maxBasketAssets + 1
+	expectCap400(t, "/scenario", req, maxBasketAssets)
+}

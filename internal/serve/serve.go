@@ -2,16 +2,16 @@
 // library: an HTTP/JSON front end that coalesces small concurrent
 // closed-form requests into SOA mega-batches, propagates client deadlines
 // into the pricing kernels (cancelled work stops consuming the parallel
-// pool at chunk granularity), sheds load at the door when a bounded
-// in-flight work budget is exhausted, and optionally degrades to cheaper
-// effective parameters under sustained overload. Every 200 response is
-// bit-reproducible from the effective method/config it reports.
+// pool at chunk granularity), and sheds load at the door when a bounded
+// in-flight work budget is exhausted — its one answer to overload. Every
+// 200 response is bit-reproducible from the effective method/config it
+// reports.
 //
 // Endpoints: POST /price, POST /greeks, POST /scenario, GET /stream
 // (SSE, when a streaming hub is configured), GET /statsz, GET /healthz.
 // Status codes: 400 malformed (or a result that is not finite, which no
-// framing carries), 404/405 routing, 408 deadline exceeded, 429
-// rate-limited, 503 shed or draining (with Retry-After).
+// framing carries), 404/405 routing, 408 deadline exceeded, 503 shed or
+// draining (with Retry-After).
 package serve
 
 import (
@@ -42,10 +42,6 @@ type Config struct {
 	MaxUnits  int64
 	AdmitWait time.Duration
 
-	// Rate and Burst configure the token-bucket request-rate limiter
-	// (requests/second); Rate 0 disables it.
-	Rate, Burst float64
-
 	// CoalesceMaxBatch bounds the coalescer's queue: closed-form requests
 	// that arrive while a flush runs merge into one batch behind it (an
 	// idle coalescer prices a request at once), flushed early at this many
@@ -68,9 +64,6 @@ type Config struct {
 	// MaxDeadline caps client deadlines and bounds requests that supply
 	// none; default 30s.
 	MaxDeadline time.Duration
-
-	// Degrade enables degrade mode under sustained shedding.
-	Degrade bool
 
 	// Stream enables the GET /stream SSE feed with the given hub
 	// configuration (nil disables — /stream answers 404). The hub's
@@ -127,9 +120,7 @@ type Server struct {
 	mux   *http.ServeMux
 	stats *stats
 	adm   *admission
-	deg   *degrader
 	co    *coalesce.Coalescer
-	rate  *bucket     // nil when rate limiting is disabled
 	hub   *stream.Hub // nil when streaming is disabled
 
 	draining atomic.Bool
@@ -139,17 +130,15 @@ type Server struct {
 	streamActive atomic.Int64
 }
 
-// New builds a server. Call Close when done (stops the degrade ticker and
-// fails whatever is queued in the coalescer).
+// New builds a server. Call Close when done (fails whatever is queued in
+// the coalescer and stops the streaming hub).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
 		stats: newStats(),
 		adm:   newAdmission(cfg.MaxUnits),
-		deg:   newDegrader(cfg.Degrade),
 		co:    coalesce.New(cfg.Market, 0, cfg.CoalesceMaxBatch, cfg.ProfileEvery),
-		rate:  newBucket(cfg.Rate, cfg.Burst),
 	}
 	if cfg.Stream != nil {
 		hcfg := *cfg.Stream
@@ -222,7 +211,6 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Close releases background resources. The server must not be used after.
 func (s *Server) Close() {
-	s.deg.close()
 	s.co.Close()
 	if s.hub != nil {
 		s.hub.Close()
@@ -270,16 +258,6 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.draining.Load() {
-		s.stats.shedDrain.Add(1)
-		s.writeShed(w, "server is draining")
-		return
-	}
-	if !s.rateAllow() {
-		s.stats.shedRate.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, "request rate limit exceeded")
-		return
-	}
 	buf := wire.GetBuffer()
 	body, err := readBody(r, buf)
 	if err != nil {
@@ -312,48 +290,30 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 			"too many options: "+strconv.Itoa(n)+" > "+strconv.Itoa(s.cfg.MaxOptions))
 		return
 	}
+	if msg := latticeTooLarge(req.Config); msg != "" {
+		wire.PutRequest(req)
+		s.writeError(w, http.StatusBadRequest, msg)
+		return
+	}
 
-	// Resolve the effective numeric parameters: defaults, caps, then the
-	// degrade substitution. The response reports exactly these.
+	// Resolve the effective numeric parameters: defaults, then the path
+	// cap. The response reports exactly these.
 	cfg := req.Config.ToConfig()
 	if cfg.MCPaths > s.cfg.MaxPaths {
 		cfg.MCPaths = s.cfg.MaxPaths
 	}
 	cfg = cfg.Resolved()
-	degraded := false
-	if s.deg.active() {
-		// A columnar batch has no Options and is validated all-European.
-		dm, dc := applyDegrade(method, cfg, allEuropean(req.Options))
-		degraded = dm != method || dc != cfg
-		method, cfg = dm, dc
-	}
 
-	// Admission: acquire the request's work units or shed fast.
-	units, ok := s.adm.acquire(unitCost(method, cfg, n), s.cfg.AdmitWait)
-	if !ok {
+	dctx, units := s.admit(w, r, unitCost(method, cfg, n), req.DeadlineMS)
+	if dctx == nil {
 		wire.PutRequest(req)
-		s.deg.noteShed()
-		s.stats.shedAdmission.Add(1)
-		s.writeShed(w, "work budget exhausted")
 		return
 	}
-	s.deg.noteAdmit()
-	defer s.adm.release(units)
-
-	// Deadline: client's, capped by the server maximum.
-	budget := s.cfg.MaxDeadline
-	if req.DeadlineMS > 0 {
-		if d := time.Duration(req.DeadlineMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
-	dctx := deadline.Acquire(r.Context(), time.Now().Add(budget))
-	defer dctx.Release()
+	defer s.leave(dctx, units)
 
 	resp := wire.GetPriceResponse()
 	resp.Method = method.String()
 	resp.Config = wire.FromConfig(cfg)
-	resp.Degraded = degraded
 	if method == finbench.ClosedForm {
 		err = s.priceClosedForm(dctx, req, resp)
 	} else {
@@ -368,9 +328,6 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, err.Error())
 		}
 		return
-	}
-	if degraded {
-		s.stats.degradedResponses.Add(1)
 	}
 	elapsed := time.Since(start)
 	resp.ElapsedUS = elapsed.Microseconds()
@@ -490,16 +447,6 @@ func (s *Server) handleGreeks(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.draining.Load() {
-		s.stats.shedDrain.Add(1)
-		s.writeShed(w, "server is draining")
-		return
-	}
-	if !s.rateAllow() {
-		s.stats.shedRate.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, "request rate limit exceeded")
-		return
-	}
 	buf := wire.GetBuffer()
 	body, err := readBody(r, buf)
 	if err != nil {
@@ -520,28 +467,14 @@ func (s *Server) handleGreeks(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "option count out of range")
 		return
 	}
-	units, ok := s.adm.acquire(int64(len(req.Options)), s.cfg.AdmitWait)
-	if !ok {
+	// The deadline is checked between options so a huge batch cannot
+	// blow past an expired deadline (or a disconnected client).
+	dctx, units := s.admit(w, r, int64(len(req.Options)), req.DeadlineMS)
+	if dctx == nil {
 		wire.PutGreeksRequest(req)
-		s.deg.noteShed()
-		s.stats.shedAdmission.Add(1)
-		s.writeShed(w, "work budget exhausted")
 		return
 	}
-	s.deg.noteAdmit()
-	defer s.adm.release(units)
-
-	// The documented deadline_ms, honored: client deadline capped by the
-	// server maximum, checked between options so a huge batch cannot
-	// blow past an expired deadline (or a disconnected client).
-	budget := s.cfg.MaxDeadline
-	if req.DeadlineMS > 0 {
-		if d := time.Duration(req.DeadlineMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
-	dctx := deadline.Acquire(r.Context(), time.Now().Add(budget))
-	defer dctx.Release()
+	defer s.leave(dctx, units)
 
 	resp := wire.GetGreeksResponse()
 	resp.SizedResults(len(req.Options))
@@ -610,15 +543,67 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, &h)
 }
 
-func (s *Server) rateAllow() bool { return s.rate.allow() }
-
-func allEuropean(opts []WireOption) bool {
-	for i := range opts {
-		if opts[i].Style == "american" {
-			return false
+// admit is the one door of the POST pricing handlers, passed once the
+// body has decoded: a draining server, or a work budget that cannot take
+// the request's units within AdmitWait, answers 503 + Retry-After. An
+// admitted request gets a deadline context — the client's deadline_ms
+// capped by MaxDeadline — and the units it holds; the handler hands both
+// back with leave. A nil context means the 503 is already written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, units, deadlineMS int64) (*deadline.Ctx, int64) {
+	if s.refuseDraining(w) {
+		return nil, 0
+	}
+	held, ok := s.adm.acquire(units, s.cfg.AdmitWait)
+	if !ok {
+		s.stats.shedAdmission.Add(1)
+		s.writeShed(w, "work budget exhausted")
+		return nil, 0
+	}
+	budget := s.cfg.MaxDeadline
+	if deadlineMS > 0 {
+		if d := time.Duration(deadlineMS) * time.Millisecond; d < budget {
+			budget = d
 		}
 	}
+	return deadline.Acquire(r.Context(), time.Now().Add(budget)), held
+}
+
+// leave releases what admit granted.
+func (s *Server) leave(dctx *deadline.Ctx, units int64) {
+	dctx.Release()
+	s.adm.release(units)
+}
+
+// refuseDraining answers 503 + Retry-After when the server is draining.
+func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	s.stats.shedDrain.Add(1)
+	s.writeShed(w, "server is draining")
 	return true
+}
+
+// Lattice sizes bound one /price request's memory and time the way
+// MaxOptions bounds its width; each cap is 16x the library default.
+const (
+	maxBinomialSteps = 16384
+	maxGridPoints    = 4096
+	maxTimeSteps     = 16384
+)
+
+// latticeTooLarge names the first lattice size above its cap, or returns
+// "" when every size is within bounds.
+func latticeTooLarge(c wire.Config) string {
+	switch {
+	case c.BinomialSteps > maxBinomialSteps:
+		return "binomial_steps too large: " + strconv.Itoa(c.BinomialSteps) + " > " + strconv.Itoa(maxBinomialSteps)
+	case c.GridPoints > maxGridPoints:
+		return "grid_points too large: " + strconv.Itoa(c.GridPoints) + " > " + strconv.Itoa(maxGridPoints)
+	case c.TimeSteps > maxTimeSteps:
+		return "time_steps too large: " + strconv.Itoa(c.TimeSteps) + " > " + strconv.Itoa(maxTimeSteps)
+	}
+	return ""
 }
 
 // headerJSON and headerColumnar are preassigned Content-Type values: a

@@ -5,8 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,7 +102,7 @@ func verifyAgainstLibrary(t *testing.T, mkt finbench.Market, req *PriceRequest, 
 
 func TestPriceClosedFormBitMatchesLibrary(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := &PriceRequest{Options: []WireOption{
+	req := &PriceRequest{Options: []wire.Option{
 		{Type: "call", Spot: 100, Strike: 105, Expiry: 0.5},
 		{Type: "put", Spot: 90, Strike: 100, Expiry: 1.25},
 		{Spot: 120, Strike: 100, Expiry: 2},
@@ -119,17 +124,17 @@ func TestPriceClosedFormBitMatchesLibrary(t *testing.T) {
 func TestPriceHeavyMethodsBitMatchLibrary(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	cases := []PriceRequest{
-		{Method: "binomial-tree", Options: []WireOption{
+		{Method: "binomial-tree", Options: []wire.Option{
 			{Type: "put", Style: "american", Spot: 100, Strike: 110, Expiry: 1},
 			{Type: "call", Spot: 100, Strike: 95, Expiry: 0.5},
 		}, Config: wire.Config{BinomialSteps: 256}},
-		{Method: "crank-nicolson", Options: []WireOption{
+		{Method: "crank-nicolson", Options: []wire.Option{
 			{Type: "put", Style: "american", Spot: 90, Strike: 100, Expiry: 1},
 		}, Config: wire.Config{GridPoints: 128, TimeSteps: 200}},
-		{Method: "trinomial-tree", Options: []WireOption{
+		{Method: "trinomial-tree", Options: []wire.Option{
 			{Type: "call", Spot: 100, Strike: 100, Expiry: 0.75},
 		}, Config: wire.Config{BinomialSteps: 256}},
-		{Method: "monte-carlo", Options: []WireOption{
+		{Method: "monte-carlo", Options: []wire.Option{
 			{Type: "call", Spot: 100, Strike: 100, Expiry: 0.5},
 		}, Config: wire.Config{MCPaths: 16384, Seed: 42}},
 	}
@@ -162,7 +167,7 @@ func TestCoalescingMergesConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			req := &PriceRequest{Options: []WireOption{
+			req := &PriceRequest{Options: []wire.Option{
 				{Type: "call", Spot: 100 + float64(c), Strike: 100, Expiry: 0.5},
 				{Type: "put", Spot: 100, Strike: 95 + float64(c), Expiry: 1},
 			}}
@@ -211,7 +216,7 @@ func TestDeadlineExceededReturns408(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := &PriceRequest{
 		Method:     "monte-carlo",
-		Options:    []WireOption{{Type: "call", Spot: 100, Strike: 100, Expiry: 0.5}},
+		Options:    []wire.Option{{Type: "call", Spot: 100, Strike: 100, Expiry: 0.5}},
 		Config:     wire.Config{MCPaths: 1 << 22},
 		DeadlineMS: 1,
 	}
@@ -228,7 +233,7 @@ func TestDrainRefusesNewWorkAndCompletes(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	req := &PriceRequest{Options: []WireOption{{Spot: 100, Strike: 100, Expiry: 1}}}
+	req := &PriceRequest{Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}}}
 	resp, body := postJSON(t, ts.URL+"/price", req)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status after drain = %d, want 503: %s", resp.StatusCode, body)
@@ -246,22 +251,12 @@ func TestDrainRefusesNewWorkAndCompletes(t *testing.T) {
 	}
 }
 
-func TestRateLimit429(t *testing.T) {
-	_, ts := newTestServer(t, Config{Rate: 1, Burst: 1})
-	req := &PriceRequest{Options: []WireOption{{Spot: 100, Strike: 100, Expiry: 1}}}
-	resp1, _ := postJSON(t, ts.URL+"/price", req)
-	if resp1.StatusCode != 200 {
-		t.Fatalf("first request: %d", resp1.StatusCode)
-	}
-	resp2, _ := postJSON(t, ts.URL+"/price", req)
-	if resp2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second request = %d, want 429", resp2.StatusCode)
-	}
-}
-
+// TestStatszShape pins the /statsz schema: the exact key set of the
+// top-level object and of its requests, codes and shed maps (opmix and
+// stream are off here: no sampling, no hub), plus a few live values.
 func TestStatszShape(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	req := &PriceRequest{Options: []WireOption{{Spot: 100, Strike: 100, Expiry: 1}}}
+	_, ts := newTestServer(t, Config{ProfileEvery: -1})
+	req := &PriceRequest{Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}}}
 	if resp, _ := postJSON(t, ts.URL+"/price", req); resp.StatusCode != 200 {
 		t.Fatalf("price: %d", resp.StatusCode)
 	}
@@ -269,9 +264,45 @@ func TestStatszShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(body, &top); err != nil {
+		t.Fatal(err)
+	}
+	keysOf := func(raw json.RawMessage) []string {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	for _, tc := range []struct {
+		name string
+		raw  json.RawMessage
+		want []string
+	}{
+		{"top level", body, []string{"coalesce", "codes", "draining", "in_flight_units", "latency_us",
+			"max_units", "requests", "scenario", "sched", "shed", "uptime_s"}},
+		{"requests", top["requests"], []string{"greeks", "price", "price_columnar", "scenario", "stream"}},
+		{"codes", top["codes"], []string{"200", "400", "404", "405", "408", "503"}},
+		{"shed", top["shed"], []string{"admission", "drain"}},
+	} {
+		if got := keysOf(tc.raw); !slices.Equal(got, tc.want) {
+			t.Errorf("%s keys = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+
 	var snap StatszResponse
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Requests["price"] != 1 {
@@ -296,7 +327,7 @@ func TestStatszShape(t *testing.T) {
 // no cache block in /statsz.
 func TestCacheDisabledNoHeader(t *testing.T) {
 	_, ts := newTestServer(t, Config{CoalesceMaxBatch: 1, ProfileEvery: -1})
-	req := &PriceRequest{Options: []WireOption{{Spot: 100, Strike: 100, Expiry: 1}}}
+	req := &PriceRequest{Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}}}
 	resp, body := postJSON(t, ts.URL+"/price", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -320,7 +351,7 @@ func TestCacheDisabledNoHeader(t *testing.T) {
 
 func TestGreeksMatchesLibrary(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := &wire.GreeksRequest{Options: []WireOption{
+	req := &wire.GreeksRequest{Options: []wire.Option{
 		{Type: "call", Spot: 100, Strike: 105, Expiry: 0.5},
 		{Type: "put", Spot: 100, Strike: 95, Expiry: 1},
 	}}
@@ -370,6 +401,45 @@ func TestBadRequests400(t *testing.T) {
 	}
 }
 
+// expectCap400 posts body to path and requires a 400 whose error names
+// the cap.
+func expectCap400(t *testing.T, path string, body any, limit int) {
+	t.Helper()
+	_, ts := newTestServer(t, Config{})
+	resp, out := postJSON(t, ts.URL+path, body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%s one above the cap: status %d, want 400: %s", path, resp.StatusCode, out)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(out, &e); err != nil || !strings.Contains(e.Error, "> "+strconv.Itoa(limit)) {
+		t.Fatalf("%s error %q does not name the cap %d", path, out, limit)
+	}
+}
+
+func TestPriceCapsBinomialSteps(t *testing.T) {
+	expectCap400(t, "/price", &PriceRequest{
+		Method:  "binomial-tree",
+		Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}},
+		Config:  wire.Config{BinomialSteps: maxBinomialSteps + 1},
+	}, maxBinomialSteps)
+}
+
+func TestPriceCapsGridPoints(t *testing.T) {
+	expectCap400(t, "/price", &PriceRequest{
+		Method:  "crank-nicolson",
+		Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}},
+		Config:  wire.Config{GridPoints: maxGridPoints + 1, TimeSteps: 64},
+	}, maxGridPoints)
+}
+
+func TestPriceCapsTimeSteps(t *testing.T) {
+	expectCap400(t, "/price", &PriceRequest{
+		Method:  "crank-nicolson",
+		Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}},
+		Config:  wire.Config{GridPoints: 64, TimeSteps: maxTimeSteps + 1},
+	}, maxTimeSteps)
+}
+
 func TestAdmissionSemaphore(t *testing.T) {
 	a := newAdmission(100)
 	got, ok := a.acquire(60, 0)
@@ -400,152 +470,6 @@ func TestAdmissionSemaphore(t *testing.T) {
 		t.Fatalf("oversized acquire: %d, %v", got, ok)
 	}
 	a.release(got)
-}
-
-func TestDegradeHysteresis(t *testing.T) {
-	// Built without the ticker goroutine so evaluate() calls below can't
-	// race a real window swap.
-	d := &degrader{enabled: true}
-	// Window of 30% shed turns degrade on.
-	for i := 0; i < 70; i++ {
-		d.noteAdmit()
-	}
-	for i := 0; i < 30; i++ {
-		d.noteShed()
-	}
-	d.evaluate()
-	if !d.active() {
-		t.Fatal("degrade did not engage at 30% shed")
-	}
-	// A 5% window keeps it on (hysteresis band)...
-	for i := 0; i < 95; i++ {
-		d.noteAdmit()
-	}
-	for i := 0; i < 5; i++ {
-		d.noteShed()
-	}
-	d.evaluate()
-	if !d.active() {
-		t.Fatal("degrade flapped off inside the hysteresis band")
-	}
-	// ...and a clean window turns it off.
-	for i := 0; i < 100; i++ {
-		d.noteAdmit()
-	}
-	d.evaluate()
-	if d.active() {
-		t.Fatal("degrade did not disengage after a clean window")
-	}
-	if got := d.flips.Load(); got != 2 {
-		t.Errorf("transitions = %d, want 2", got)
-	}
-}
-
-// fillWindow records shed shed-outcomes and total-shed admits, then
-// closes the window.
-func fillWindow(d *degrader, total, shed int) {
-	for i := 0; i < total-shed; i++ {
-		d.noteAdmit()
-	}
-	for i := 0; i < shed; i++ {
-		d.noteShed()
-	}
-	d.evaluate()
-}
-
-// TestDegradeHysteresisBoundaries pins the exact comparison directions at
-// the two watermarks: the enter threshold is inclusive (rate >= high
-// engages), the exit threshold is inclusive (rate <= low disengages), and
-// the band between them preserves the current state in both directions.
-func TestDegradeHysteresisBoundaries(t *testing.T) {
-	d := &degrader{enabled: true}
-
-	// Exactly at the high watermark (10/100 = degradeHighWater): engages.
-	fillWindow(d, 100, int(degradeHighWater*100))
-	if !d.active() {
-		t.Fatalf("rate exactly %.2f did not engage degrade", degradeHighWater)
-	}
-	// Just under the high watermark from the ON state: stays on.
-	fillWindow(d, 100, int(degradeHighWater*100)-1)
-	if !d.active() {
-		t.Fatal("rate just under the enter threshold flapped degrade off")
-	}
-	// Just above the low watermark: still on.
-	fillWindow(d, 100, int(degradeLowWater*100)+1)
-	if !d.active() {
-		t.Fatal("rate just above the exit threshold flapped degrade off")
-	}
-	// Exactly at the low watermark: disengages.
-	fillWindow(d, 100, int(degradeLowWater*100))
-	if d.active() {
-		t.Fatalf("rate exactly %.2f did not disengage degrade", degradeLowWater)
-	}
-	// Just under the high watermark from the OFF state: stays off.
-	fillWindow(d, 100, int(degradeHighWater*100)-1)
-	if d.active() {
-		t.Fatal("rate just under the enter threshold engaged degrade")
-	}
-	if got := d.flips.Load(); got != 2 {
-		t.Errorf("transitions = %d, want exactly 2 (one on, one off)", got)
-	}
-}
-
-// TestDegradeMinSamplesBoundary pins the window-size floor: one outcome
-// short of degradeMinSamples is ignored even at 100% shed, and exactly
-// degradeMinSamples evaluates.
-func TestDegradeMinSamplesBoundary(t *testing.T) {
-	d := &degrader{enabled: true}
-	fillWindow(d, degradeMinSamples-1, degradeMinSamples-1)
-	if d.active() {
-		t.Fatal("a sub-minimum window flipped degrade on")
-	}
-	fillWindow(d, degradeMinSamples, degradeMinSamples)
-	if !d.active() {
-		t.Fatal("an exactly-minimum fully-shed window did not flip degrade on")
-	}
-	// A sub-minimum clean window must not flip it back off either.
-	fillWindow(d, degradeMinSamples-1, 0)
-	if !d.active() {
-		t.Fatal("a sub-minimum window flipped degrade off")
-	}
-}
-
-// TestDegradeNoFlappingUnderOscillation drives windows oscillating right
-// around each watermark — the load pattern hysteresis exists for — and
-// requires exactly one transition per true crossing, never one per window.
-func TestDegradeNoFlappingUnderOscillation(t *testing.T) {
-	d := &degrader{enabled: true}
-	// Off-state oscillation just below/above the *exit* threshold: the
-	// enter threshold is never reached, so degrade must stay off.
-	for i := 0; i < 10; i++ {
-		fillWindow(d, 100, 1) // 1% — under both watermarks
-		fillWindow(d, 100, 9) // 9% — inside the band
-	}
-	if d.active() || d.flips.Load() != 0 {
-		t.Fatalf("off-state oscillation flipped degrade (flips=%d)", d.flips.Load())
-	}
-	// One true overload crossing…
-	fillWindow(d, 100, 25)
-	if !d.active() {
-		t.Fatal("a 25-percent-shed window did not engage degrade")
-	}
-	// …then on-state oscillation across the *enter* threshold: 9% and 11%
-	// both stay above the exit threshold, so no transition may occur.
-	for i := 0; i < 10; i++ {
-		fillWindow(d, 100, 9)
-		fillWindow(d, 100, 11)
-	}
-	if !d.active() {
-		t.Fatal("on-state oscillation flapped degrade off")
-	}
-	if got := d.flips.Load(); got != 1 {
-		t.Errorf("flips = %d after oscillation, want exactly 1", got)
-	}
-	// Recovery is a single clean transition.
-	fillWindow(d, 100, 0)
-	if d.active() || d.flips.Load() != 2 {
-		t.Fatalf("clean window: active=%v flips=%d, want off/2", d.active(), d.flips.Load())
-	}
 }
 
 func TestHealthzShape(t *testing.T) {
@@ -598,36 +522,6 @@ func TestHealthzShape(t *testing.T) {
 	}
 }
 
-func TestApplyDegrade(t *testing.T) {
-	base := finbench.Config{BinomialSteps: 1024, GridPoints: 256, TimeSteps: 1000, MCPaths: 262144, Seed: 1}
-	m, c := applyDegrade(finbench.MonteCarlo, base, true)
-	if m != finbench.MonteCarlo || c.MCPaths != 262144/8 {
-		t.Errorf("MC degrade: %v paths=%d", m, c.MCPaths)
-	}
-	m, _ = applyDegrade(finbench.BinomialTree, base, true)
-	if m != finbench.ClosedForm {
-		t.Errorf("European binomial should degrade to closed form, got %v", m)
-	}
-	m, c = applyDegrade(finbench.BinomialTree, base, false)
-	if m != finbench.BinomialTree || c.BinomialSteps != 256 {
-		t.Errorf("American binomial degrade: %v steps=%d", m, c.BinomialSteps)
-	}
-	m, c = applyDegrade(finbench.FiniteDifference, base, false)
-	if m != finbench.FiniteDifference || c.TimeSteps != 250 {
-		t.Errorf("American CN degrade: %v ts=%d", m, c.TimeSteps)
-	}
-	// Floors hold.
-	small := finbench.Config{MCPaths: 5000, BinomialSteps: 100, GridPoints: 64, TimeSteps: 60}
-	_, c = applyDegrade(finbench.MonteCarlo, small, true)
-	if c.MCPaths != 4096 {
-		t.Errorf("MC floor: %d", c.MCPaths)
-	}
-	_, c = applyDegrade(finbench.BinomialTree, small, false)
-	if c.BinomialSteps != 64 {
-		t.Errorf("steps floor: %d", c.BinomialSteps)
-	}
-}
-
 func TestHistQuantiles(t *testing.T) {
 	var h hist
 	for i := 0; i < 90; i++ {
@@ -655,7 +549,7 @@ func TestHistQuantiles(t *testing.T) {
 // stream (0, seed).
 func TestMonteCarloRequestSharesStream(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := &PriceRequest{Method: "monte-carlo", Options: []WireOption{
+	req := &PriceRequest{Method: "monte-carlo", Options: []wire.Option{
 		{Type: "call", Spot: 100, Strike: 100, Expiry: 0.5},
 		{Type: "put", Spot: 100, Strike: 110, Expiry: 1},
 		{Type: "put", Spot: 80, Strike: 75, Expiry: 0.25},
@@ -688,7 +582,7 @@ func TestMonteCarloRequestSharesStream(t *testing.T) {
 	// An American contract in position 2 fails the whole request at
 	// decode, before any path is drawn (the body is the parent's).
 	bad := *req
-	bad.Options = append([]WireOption(nil), req.Options...)
+	bad.Options = append([]wire.Option(nil), req.Options...)
 	bad.Options[2].Style = "american"
 	resp, body = postJSON(t, ts.URL+"/price", &bad)
 	const want = `{"error":"option 2: method monte-carlo is European-only"}` + "\n"

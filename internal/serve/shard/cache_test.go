@@ -146,18 +146,31 @@ func TestRouterCacheCollapse(t *testing.T) {
 	}
 }
 
-// TestRouterCacheDegradedUncacheable: a degraded 200 must not enter the
-// router cache — it reflects the replica's overload state, not the
-// request.
-func TestRouterCacheDegradedUncacheable(t *testing.T) {
-	if cacheable200([]byte(`{"results":[{"price":1}],"degraded":true}`)) {
-		t.Fatal("degraded 200 classified cacheable")
+// TestRouterCacheRejectedNotShared: a closed-form /price the router keys
+// but the replica rejects (400: more options than its MaxOptions) is
+// neither stored nor shared — each identical post reaches a replica and
+// gets that replica's own answer.
+func TestRouterCacheRejectedNotShared(t *testing.T) {
+	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{MaxOptions: 2}, router: Config{CacheBytes: 1 << 20}})
+
+	body := priceBody("", 3)
+	if _, ok := bodyKey(body); !ok {
+		t.Fatal("router does not key the request; the leader path is not exercised")
 	}
-	if !cacheable200([]byte(`{"results":[{"price":1}]}`)) {
-		t.Fatal("clean 200 classified uncacheable")
+	for i := 0; i < 2; i++ {
+		resp, out := post(t, tp.front.URL, "/price", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("post %d: status %d, want 400: %s", i, resp.StatusCode, out)
+		}
+		if got := resp.Header.Get(pricecache.Header); got != "miss" {
+			t.Fatalf("post %d: %s = %q, want miss", i, pricecache.Header, got)
+		}
+		if resp.Header.Get("X-Finserve-Replica") == "" {
+			t.Fatalf("post %d was not answered by a replica", i)
+		}
 	}
-	if cacheable200([]byte(`not json`)) {
-		t.Fatal("unparseable 200 classified cacheable")
+	if c := tp.router.Snapshot().Cache; c.Misses != 2 || c.Bytes != 0 || c.Entries != 0 {
+		t.Fatalf("rejected request entered the cache: %+v", c)
 	}
 }
 

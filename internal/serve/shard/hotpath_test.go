@@ -14,7 +14,6 @@ import (
 	"finbench/internal/resilience"
 	"finbench/internal/serve"
 	"finbench/internal/serve/pricecache"
-	"finbench/internal/serve/wire"
 )
 
 // replayBody is a rewindable io.ReadCloser over a fixed byte slice.
@@ -120,12 +119,6 @@ func wideBody(n int) []byte {
 // (the oracle listings) beside new.
 func BenchmarkRoutedPriceRead(b *testing.B) {
 	body := wideBody(1024)
-	resp := &wire.PriceResponse{Method: "closed-form", Engine: "batch-advanced", BatchOptions: 1024}
-	resp.SizedResults(1024)
-	for i := range resp.Results {
-		resp.Results[i].Price = 1 + float64(i)*0.318309886183
-	}
-	reply, _ := wire.AppendPriceResponse(nil, resp)
 	for _, bc := range []struct {
 		name string
 		fn   func()
@@ -133,8 +126,6 @@ func BenchmarkRoutedPriceRead(b *testing.B) {
 		{"sniff/encoding-json", func() { oracleSniff(body) }},
 		{"key/second-decode", func() { oracleRouterCacheKey(body) }},
 		{"sniff+key/one-decode", func() { sniffPrice(body, true) }},
-		{"cacheable200/unmarshal", func() { oracleCacheable200(reply) }},
-		{"cacheable200/scan", func() { cacheable200(reply) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

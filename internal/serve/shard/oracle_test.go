@@ -2,15 +2,13 @@ package shard
 
 // Oracles for the routed /price read path. The listings below are the
 // router's code before it parsed each body once: an encoding/json sniff
-// of method and deadline_ms, a cache key that decoded the body a second
-// time, and a 200 check that unmarshalled the whole reply. The one-decode
-// path (sniffPrice, routerCacheKey on the decoded request, the wire
-// degraded scan in cacheable200) must agree with them on every input.
+// of method and deadline_ms, and a cache key that decoded the body a
+// second time. The one-decode path (sniffPrice, routerCacheKey on the
+// decoded request) must agree with them on every input.
 
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"finbench/internal/serve"
@@ -56,17 +54,6 @@ func oracleRouterCacheKey(body []byte) (pricecache.Key, bool) {
 		MCPaths:       req.Config.MCPaths,
 		Seed:          req.Config.Seed,
 	}, contracts), true
-}
-
-// oracleCacheable200 is the parent's cacheable200, verbatim.
-func oracleCacheable200(body []byte) bool {
-	var sniff struct {
-		Degraded bool `json:"degraded"`
-	}
-	if err := json.Unmarshal(body, &sniff); err != nil {
-		return false
-	}
-	return !sniff.Degraded
 }
 
 // checkSniffAgainstOracle asserts that the one-decode path yields the
@@ -173,55 +160,11 @@ func TestRouteSniffOverLimitMatchesOracle(t *testing.T) {
 	}
 }
 
-// cacheableCorpus covers replica replies and the 200 bodies the scan
-// must leave to encoding/json.
-func cacheableCorpus() []string {
-	reply := `{"results":[{"price":1.25},{"price":3,"std_err":0.5}],"method":"closed-form","config":{"seed":7},"engine":"batch-advanced",%s"elapsed_us":0}`
-	return []string{
-		strings.Replace(reply, "%s", ``, 1),
-		strings.Replace(reply, "%s", `"degraded":true,`, 1),
-		strings.Replace(reply, "%s", `"degraded":false,`, 1),
-		strings.Replace(reply, "%s", "\"degraded\" \n:\t true ,", 1),
-		`{"degraded":true,"degraded":false}`,
-		`{"degraded":false,"degraded":true}`,
-		`{"meta":{"degraded":true},"results":[]}`,
-		`{"Degraded":true}`,
-		`{"DEGRADED":true,"degraded":false}`,
-		`{"degraded":false,"dEgRaDeD":true}`,
-		`{"degraded":null}`,
-		`{"degraded":"true"}`,
-		`{"degraded":1}`,
-		"{\"degr\\" + "u0061ded\":true}",
-		`{"engine":"b\u00e4tch","degraded":true}`,
-		"{\"engine\":\"b\xc3\xa4tch\",\"degraded\":false}",
-		`null`, `[]`, `"x"`, `{}`, `not json`, ``, `{"results":[{"pri`,
-	}
-}
-
-func TestCacheable200MatchesOracle(t *testing.T) {
-	for _, body := range cacheableCorpus() {
-		if got, want := cacheable200([]byte(body)), oracleCacheable200([]byte(body)); got != want {
-			t.Errorf("cacheable200(%q) = %v, oracle %v", body, got, want)
-		}
-	}
-}
-
 func FuzzRouteSniff(f *testing.F) {
 	for _, body := range sniffCorpus() {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkSniffAgainstOracle(t, body)
-	})
-}
-
-func FuzzCacheable200(f *testing.F) {
-	for _, body := range cacheableCorpus() {
-		f.Add([]byte(body))
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		if got, want := cacheable200(body), oracleCacheable200(body); got != want {
-			t.Fatalf("cacheable200(%q) = %v, oracle %v", body, got, want)
-		}
 	})
 }

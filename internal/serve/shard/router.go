@@ -84,8 +84,8 @@ type Config struct {
 	// purely on request content — correct only because the fleet is
 	// homogeneous (every replica shares the market and config defaults,
 	// which `finserve route`'s supervisor guarantees by spawning
-	// identical children). Only closed-form /price requests are cached;
-	// degraded 200s are never stored.
+	// identical children). Only closed-form /price requests are cached,
+	// and only a replica's 200 is stored.
 	CacheBytes int64
 	CacheTTL   time.Duration
 
@@ -421,8 +421,9 @@ func (r *Router) writeRouteError(w http.ResponseWriter, err error, res *routeRes
 }
 
 // errUncacheable marks a leader exchange whose response must not be
-// shared: non-200, or a degraded 200. The response belongs to the
-// request that provoked it; waiters re-dispatch their own exchange.
+// shared: any non-200 (a corrupt 200 never gets here — attemptOnce
+// refuses a body that is not JSON). The response belongs to the request
+// that provoked it; waiters re-dispatch their own exchange.
 var errUncacheable = errors.New("response not cacheable")
 
 // routeCached serves a closed-form /price request through the router
@@ -439,7 +440,7 @@ func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, method 
 		if err != nil {
 			return nil, false, err
 		}
-		if res.final.status != http.StatusOK || !cacheable200(res.final.body) {
+		if res.final.status != http.StatusOK {
 			return res.final.body, false, errUncacheable
 		}
 		return res.final.body, true, nil
@@ -546,23 +547,6 @@ func routerCacheKey(req *serve.PriceRequest) (pricecache.Key, bool) {
 	}, *contracts)
 	pricecache.PutContracts(contracts)
 	return key, true
-}
-
-// cacheable200 rejects 200s that are not pure functions of the request:
-// a degraded response reflects the serving replica's overload state, not
-// the contract batch. The wire scan answers for every body a replica
-// writes; anything outside its subset is decided by encoding/json.
-func cacheable200(body []byte) bool {
-	if degraded, ok := wire.SniffDegraded(body); ok {
-		return !degraded
-	}
-	var sniff struct {
-		Degraded bool `json:"degraded"`
-	}
-	if err := json.Unmarshal(body, &sniff); err != nil {
-		return false
-	}
-	return !sniff.Degraded
 }
 
 // passThrough forwards a backend response verbatim, plus the routing

@@ -34,14 +34,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "streaming disabled")
 		return
 	}
-	if s.draining.Load() {
-		s.stats.shedDrain.Add(1)
-		s.writeShed(w, "server is draining")
-		return
-	}
-	if !s.rateAllow() {
-		s.stats.shedRate.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, "request rate limit exceeded")
+	if s.refuseDraining(w) {
 		return
 	}
 	q := r.URL.Query()

@@ -10,8 +10,8 @@ import (
 )
 
 // Observability. /statsz reports everything an operator needs to see the
-// serving pipeline working: request/status counts, shed and degrade
-// counters, per-method latency quantiles from lock-free exponential
+// serving pipeline working: request/status counts, shed counters,
+// per-method latency quantiles from lock-free exponential
 // histograms, coalescer efficiency, the parallel pool's scheduler
 // counters (cumulative — clients diff consecutive reads for deltas), and
 // a sampled dynamic operation mix of the batch engine.
@@ -113,14 +113,10 @@ type stats struct {
 	code404 atomic.Uint64
 	code405 atomic.Uint64
 	code408 atomic.Uint64
-	code429 atomic.Uint64
 	code503 atomic.Uint64
 
 	shedAdmission atomic.Uint64
-	shedRate      atomic.Uint64
 	shedDrain     atomic.Uint64
-
-	degradedResponses atomic.Uint64
 
 	hists map[string]*hist
 }
@@ -151,8 +147,6 @@ func (s *stats) countCode(code int) {
 		s.code405.Add(1)
 	case 408:
 		s.code408.Add(1)
-	case 429:
-		s.code429.Add(1)
 	case 503:
 		s.code503.Add(1)
 	}
@@ -165,10 +159,6 @@ type StatszResponse struct {
 	Requests map[string]uint64 `json:"requests"`
 	Codes    map[string]uint64 `json:"codes"`
 	Shed     map[string]uint64 `json:"shed"`
-
-	Degraded           bool   `json:"degraded"`
-	DegradeTransitions uint64 `json:"degrade_transitions"`
-	DegradedResponses  uint64 `json:"degraded_responses"`
 
 	InFlightUnits int64 `json:"in_flight_units"`
 	MaxUnits      int64 `json:"max_units"`
@@ -216,20 +206,15 @@ func (s *Server) statszSnapshot() StatszResponse {
 			"404": st.code404.Load(),
 			"405": st.code405.Load(),
 			"408": st.code408.Load(),
-			"429": st.code429.Load(),
 			"503": st.code503.Load(),
 		},
 		Shed: map[string]uint64{
 			"admission": st.shedAdmission.Load(),
-			"rate":      st.shedRate.Load(),
 			"drain":     st.shedDrain.Load(),
 		},
-		Degraded:           s.deg.active(),
-		DegradeTransitions: s.deg.flips.Load(),
-		DegradedResponses:  st.degradedResponses.Load(),
-		InFlightUnits:      s.adm.inFlight(),
-		MaxUnits:           s.adm.max,
-		Draining:           s.draining.Load(),
+		InFlightUnits: s.adm.inFlight(),
+		MaxUnits:      s.adm.max,
+		Draining:      s.draining.Load(),
 		Coalesce: map[string]uint64{
 			"flushes":           co.Flushes,
 			"solo_flushes":      co.SoloFlushes,

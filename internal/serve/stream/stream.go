@@ -528,8 +528,9 @@ func (h *Hub) step(st *ticker.State) {
 	h.repricedTotal.Add(uint64(len(h.repriced)))
 
 	// Adapt the cap: shrink on a blown budget, re-grow (toward uncapped)
-	// when a capped pass completes in under half the budget — the same
-	// high/low-watermark hysteresis the admission degrader uses.
+	// when a capped pass completes in under half the budget — a
+	// high/low-watermark hysteresis, so one stalled pass does not flap
+	// the cap.
 	budgetBlown := completed < planned
 	if budgetBlown {
 		newCap := completed - completed/4

@@ -34,7 +34,7 @@ import (
 //
 //	offset size  field
 //	0      4     magic "FBR1"
-//	4      1     flags: bit0 = degraded, bit1 = coalesced
+//	4      1     flags: bit0 = degraded (defined, never set), bit1 = coalesced
 //	5      1     method (1=closed-form, ... ; index into method table)
 //	6      1     engine (1=batch-advanced, 2=scalar)
 //	7      4     binomial_steps (uint32)

@@ -123,15 +123,17 @@ type Result struct {
 // PriceResponse is the POST /price 200 body.
 type PriceResponse struct {
 	Results []Result `json:"results"`
-	// Method and Config are the effective method/parameters (degrade mode
-	// may substitute cheaper ones); recomputing with them reproduces
-	// Results bit-for-bit.
+	// Method and Config are the effective method/parameters (defaults
+	// resolved, paths capped); recomputing with them reproduces Results
+	// bit-for-bit.
 	Method string `json:"method"`
 	Config Config `json:"config"`
 	// Engine is "batch-advanced" (closed-form SOA batch path) or "scalar"
 	// (per-option kernels).
-	Engine   string `json:"engine"`
-	Degraded bool   `json:"degraded,omitempty"`
+	Engine string `json:"engine"`
+	// Degraded is never set by this server; the field and its encodings
+	// (JSON key, FBC1 flag bit0) stay defined so existing clients decode.
+	Degraded bool `json:"degraded,omitempty"`
 	// Coalesced reports whether the request was merged with concurrent
 	// requests into one mega-batch; BatchOptions is the size of the batch
 	// actually priced (>= len(Results) when coalesced).

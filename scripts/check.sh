@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
 # scripts/check.sh — the repo's full verification gate.
 #
-# Runs, in order: go vet, go build, the benchreg performance gate (a
-# fresh short-mode snapshot checked against the committed baseline
-# BENCH_1.json; see README "Continuous benchmarking"), the tier-1 test
-# suite (which includes the in-process topology tests of
-# internal/serve/shard: every end-to-end and chaos assertion, over 1-3
-# replicas and three fault seeds), the race detector over the
-# concurrency-heavy packages, the fuzz seed corpora, the process-level
-# smoke (scripts/smoke.sh: fault-digest determinism, SIGTERM drain, route
-# supervisor revival; see README "Serving"), and finlint (the custom
-# static-analysis suite enforcing the kernel-safety and serving-tier
-# invariants — the intra-procedural passes plus the call-graph dataflow
-# passes ctxprop, detmap, leakcheck and interprocedural hotalloc; see
-# README "Static analysis & CI gate") with its self-test. The benchreg gate also
+# Runs, in order: go vet, a gofmt -l gate (fails on any file it
+# prints), go build, the benchreg performance gate (a fresh short-mode
+# snapshot checked against the committed baseline BENCH_1.json; see
+# README "Continuous benchmarking"), the tier-1 test suite (which
+# includes the in-process topology tests of internal/serve/shard: every
+# end-to-end and chaos assertion, over 1-3 replicas and three fault
+# seeds), the race detector over the concurrency-heavy packages, the
+# fuzz seed corpora, the process-level smoke (scripts/smoke.sh:
+# fault-digest determinism, SIGTERM drain, route supervisor revival;
+# see README "Serving"), and finlint (the custom static-analysis suite
+# enforcing the kernel-safety and serving-tier invariants — the
+# intra-procedural passes plus the call-graph dataflow passes ctxprop,
+# detmap, leakcheck and interprocedural hotalloc; see README "Static
+# analysis & CI gate") with its self-test. The benchreg gate also
 # enforces the allocs/op budget on serve-path rows (gate_allocs records
 # in BENCH_1.json): a new per-request allocation fails the check even
 # when its wall-clock cost hides inside timing noise.
@@ -33,6 +34,14 @@ trap 'rm -rf "$TOOL_DIR"' EXIT
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+	echo "error: gofmt -l lists files that are not gofmt-clean:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go build ./..."
 go build ./...
