@@ -3,6 +3,7 @@ package finbench
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -91,15 +92,17 @@ func TestPriceBatchGridCtxCancelsBetweenRows(t *testing.T) {
 }
 
 // TestPriceBatchGridRejectsBadRows pins the input validation: a
-// non-positive scale and a mismatched Scales length both fail with
+// non-positive or NaN scale and a mismatched Scales length all fail with
 // ErrGridRow before any kernel work.
 func TestPriceBatchGridRejectsBadRows(t *testing.T) {
 	b := gridTestBatch(4)
 	for _, rows := range [][]GridRow{
-		{{Market: Market{Rate: 0.02, Volatility: 0.3}}},                                // Scale zero
-		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scale: -1}},                     // negative
-		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scales: []float64{1, 1}}},       // short
-		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scales: []float64{1, 1, 0, 1}}}, // zero entry
+		{{Market: Market{Rate: 0.02, Volatility: 0.3}}},                                         // Scale zero
+		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scale: -1}},                              // negative
+		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scales: []float64{1, 1}}},                // short
+		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scales: []float64{1, 1, 0, 1}}},          // zero entry
+		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scale: math.NaN()}},                      // NaN
+		{{Market: Market{Rate: 0.02, Volatility: 0.3}, Scales: []float64{1, math.NaN(), 1, 1}}}, // NaN entry
 	} {
 		err := PriceBatchGrid(b, rows, func(int, []float64, []float64) error { return nil })
 		if !errors.Is(err, ErrGridRow) {

@@ -233,40 +233,113 @@ type vmlScratch struct {
 
 var vmlScratchPool = sync.Pool{New: func() any { return new(vmlScratch) }}
 
-// advancedChunk evaluates one cache-blocked chunk [base, base+m) of the
-// VML-style pipeline. Every scratch prefix it reads is overwritten first,
-// so stale pool contents cannot leak into results.
-func advancedChunk(s *layout.SOA, base, m int, r, sig, sig22 float64, sc *vmlScratch) {
-	qlog := sc.qlog[:m]
-	denom := sc.denom[:m]
-	xexp := sc.xexp[:m]
-	d1 := sc.d1[:m]
-	d2 := sc.d2[:m]
-	for i := 0; i < m; i++ {
-		qlog[i] = s.S[base+i] / s.X[base+i]
+// Stages selects invariant columns of the Advanced pipeline (see
+// Columns).
+type Stages uint8
+
+// The Advanced pipeline's three invariant stages. Each column depends on
+// the batch and one market input only: the log-moneyness ln(S/X) on the
+// spots, the inverse vol-time 1/(σ√T) on σ and the discount e^{−rT} on
+// r. Only the tail (d1/d2, two erf, parity) needs all of them.
+const (
+	StageQLog Stages = 1 << iota
+	StageDenom
+	StageDisc
+)
+
+// Columns supplies the invariant columns of an AdvancedColumnsCtx call,
+// each of the batch's length. A nil column is computed per chunk into
+// worker scratch, as AdvancedCtx does; a non-nil one is computed into
+// place when its stage is in Fill and read as given otherwise. Rows of a
+// scenario grid that share a market input share its column, so a caller
+// that keeps the columns of one batch prices later rows with the tail
+// alone.
+type Columns struct {
+	QLog, Denom, Disc []float64
+	Fill              Stages
+}
+
+// logMoneyness is the first invariant stage: qlog[i] = ln(S[i]/X[i]).
+func logMoneyness(qlog, s, x []float64) {
+	x = x[:len(qlog)]
+	s = s[:len(qlog)]
+	for i := range qlog {
+		qlog[i] = s[i] / x[i]
 	}
 	mathx.LogArray(qlog, qlog)
-	for i := 0; i < m; i++ {
-		denom[i] = sig * sig * s.T[base+i]
+}
+
+// invVolSqrtT is the second invariant stage: denom[i] = 1/(σ√T[i]).
+func invVolSqrtT(denom, t []float64, sig float64) {
+	t = t[:len(denom)]
+	for i := range denom {
+		denom[i] = sig * sig * t[i]
 	}
 	mathx.SqrtArray(denom, denom)
 	mathx.InvArray(denom, denom)
+}
+
+// discount is the third invariant stage: disc[i] = e^{−r T[i]}.
+func discount(disc, t []float64, r float64) {
+	t = t[:len(disc)]
+	for i := range disc {
+		disc[i] = -r * t[i]
+	}
+	mathx.ExpArray(disc, disc)
+}
+
+// advancedTail is the per-valuation stage: d1/d2 from the invariant
+// columns, two erf (the cnd->erf substitution) and put-call parity. d1
+// and d2 are scratch.
+func advancedTail(call, put, s, x, t, qlog, denom, disc, d1, d2 []float64, r, sig22 float64) {
+	m := len(call)
+	put, s, x, t = put[:m], s[:m], x[:m], t[:m]
+	qlog, denom, disc, d1, d2 = qlog[:m], denom[:m], disc[:m], d1[:m], d2[:m]
 	for i := 0; i < m; i++ {
-		t := s.T[base+i]
+		t := t[i]
 		d1[i] = (qlog[i] + (r+sig22)*t) * denom[i] * mathx.InvSqrt2
 		d2[i] = (qlog[i] + (r-sig22)*t) * denom[i] * mathx.InvSqrt2
-		xexp[i] = -r * t
 	}
-	mathx.ExpArray(xexp, xexp)
 	mathx.ErfArray(d1, d1)
 	mathx.ErfArray(d2, d2)
 	for i := 0; i < m; i++ {
-		x := s.X[base+i] * xexp[i]
-		sp := s.S[base+i]
-		call := sp*0.5*(1+d1[i]) - x*0.5*(1+d2[i])
-		s.Call[base+i] = call
-		s.Put[base+i] = call - sp + x
+		x := x[i] * disc[i]
+		sp := s[i]
+		c := sp*0.5*(1+d1[i]) - x*0.5*(1+d2[i])
+		call[i] = c
+		put[i] = c - sp + x
 	}
+}
+
+// chunkColumn resolves one invariant column for the chunk [base, base+m):
+// a nil col is the worker's scratch and always computed; a supplied one
+// is sliced and computed only when fill is set.
+func chunkColumn(col []float64, fill bool, base, m int, scratch []float64) ([]float64, bool) {
+	if col == nil {
+		return scratch[:m], true
+	}
+	return col[base : base+m], fill
+}
+
+// advancedChunk evaluates one cache-blocked chunk [base, base+m) of the
+// VML-style pipeline: the invariant stages cols does not supply, then the
+// tail. Every scratch prefix it reads is overwritten first, so stale pool
+// contents cannot leak into results.
+func advancedChunk(s *layout.SOA, base, m int, r, sig, sig22 float64, cols Columns, sc *vmlScratch) {
+	sp, x, t := s.S[base:base+m], s.X[base:base+m], s.T[base:base+m]
+	qlog, fill := chunkColumn(cols.QLog, cols.Fill&StageQLog != 0, base, m, sc.qlog[:])
+	if fill {
+		logMoneyness(qlog, sp, x)
+	}
+	denom, fill := chunkColumn(cols.Denom, cols.Fill&StageDenom != 0, base, m, sc.denom[:])
+	if fill {
+		invVolSqrtT(denom, t, sig)
+	}
+	disc, fill := chunkColumn(cols.Disc, cols.Fill&StageDisc != 0, base, m, sc.xexp[:])
+	if fill {
+		discount(disc, t, r)
+	}
+	advancedTail(s.Call[base:base+m], s.Put[base:base+m], sp, x, t, qlog, denom, disc, sc.d1[:m], sc.d2[:m], r, sig22)
 }
 
 // Advanced prices the SOA batch VML-style: whole-array transcendental
@@ -280,48 +353,10 @@ func Advanced(s *layout.SOA, mkt workload.MarketParams, width int, c *perf.Count
 // uncancelled run is bit-identical to Advanced. On a non-nil return the
 // batch outputs are partial.
 func AdvancedCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParams, width int, c *perf.Counts) error {
-	done := cx.Done()
-	n := s.Len()
-	r, sig := mkt.R, mkt.Sigma
-	sig22 := sig * sig / 2
-	if n <= VMLChunk && c == nil {
-		// Single-chunk serial fast path: the serving tier's common case.
-		// A one-chunk region has exactly one cancellation check, which
-		// the entry check below provides, so no fork-join structure (and
-		// none of its closure allocations) is needed. advancedChunk is
-		// the same chunk body the forked path runs, so results stay
-		// bit-identical.
-		if err := cx.Err(); err != nil {
-			return err
-		}
-		sc := vmlScratchPool.Get().(*vmlScratch)
-		advancedChunk(s, 0, n, r, sig, sig22, sc)
-		vmlScratchPool.Put(sc)
-		return nil
-	}
-	run := func(lo, hi int, _ *perf.Counts) {
-		// Per-worker scratch (cache-resident intermediates), pooled so a
-		// steady request stream prices without per-call slice allocations.
-		sc := vmlScratchPool.Get().(*vmlScratch)
-		defer vmlScratchPool.Put(sc)
-		for base := lo; base < hi; base += VMLChunk {
-			if done != nil {
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
-			m := hi - base
-			if m > VMLChunk {
-				m = VMLChunk
-			}
-			advancedChunk(s, base, m, r, sig, sig22, sc)
-		}
-	}
-	if err := parallel.Region(cx, n, width, nil, run); err != nil {
+	if err := advancedRun(cx, s, mkt, width, c == nil, Columns{}); err != nil {
 		return err
 	}
+	n := s.Len()
 	if c != nil {
 		// VML mix per option (vector-instruction counts per `width`
 		// options): the transcendentals, one divide, and the extra
@@ -354,4 +389,63 @@ func AdvancedCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParams, w
 		c.Items += un
 	}
 	return nil
+}
+
+// AdvancedColumnsCtx is AdvancedCtx (uncounted) over a batch whose
+// invariant columns cols supplies or receives: stages in cols.Fill are
+// computed into their columns, other non-nil columns are read as given,
+// and nil ones are computed per chunk as AdvancedCtx does. With every
+// read column holding what its stage computes for this batch and market,
+// the outputs are bit-identical to AdvancedCtx's. Chunking and
+// cancellation are AdvancedCtx's; on a non-nil return the outputs and the
+// filled columns are partial.
+func AdvancedColumnsCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParams, width int, cols Columns) error {
+	return advancedRun(cx, s, mkt, width, true, cols)
+}
+
+// advancedRun is the Advanced region shared by AdvancedCtx and
+// AdvancedColumnsCtx: one advancedChunk per VMLChunk options, serially
+// when the batch is one chunk and serial is allowed (an uncounted call),
+// else across parallel.Region workers writing disjoint chunks.
+func advancedRun(cx context.Context, s *layout.SOA, mkt workload.MarketParams, width int, serial bool, cols Columns) error {
+	done := cx.Done()
+	n := s.Len()
+	r, sig := mkt.R, mkt.Sigma
+	sig22 := sig * sig / 2
+	if n <= VMLChunk && serial {
+		// Single-chunk serial fast path: the serving tier's common case.
+		// A one-chunk region has exactly one cancellation check, which
+		// the entry check below provides, so no fork-join structure (and
+		// none of its closure allocations) is needed. advancedChunk is
+		// the same chunk body the forked path runs, so results stay
+		// bit-identical.
+		if err := cx.Err(); err != nil {
+			return err
+		}
+		sc := vmlScratchPool.Get().(*vmlScratch)
+		advancedChunk(s, 0, n, r, sig, sig22, cols, sc)
+		vmlScratchPool.Put(sc)
+		return nil
+	}
+	run := func(lo, hi int, _ *perf.Counts) {
+		// Per-worker scratch (cache-resident intermediates), pooled so a
+		// steady request stream prices without per-call slice allocations.
+		sc := vmlScratchPool.Get().(*vmlScratch)
+		defer vmlScratchPool.Put(sc)
+		for base := lo; base < hi; base += VMLChunk {
+			if done != nil {
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+			m := hi - base
+			if m > VMLChunk {
+				m = VMLChunk
+			}
+			advancedChunk(s, base, m, r, sig, sig22, cols, sc)
+		}
+	}
+	return parallel.Region(cx, n, width, nil, run)
 }

@@ -10,8 +10,13 @@ import (
 
 // Evaluation: cells map to finbench.GridRow scenarios and run through
 // the pooled SOA batch path (finbench.PriceBatchGridCtx), one row per
-// cell with cancellation checked per row. Per-cell P&L is the
-// Kahan-compensated sum over positions in portfolio order.
+// cell with cancellation checked per row. buildRows lays grid cells out
+// spot-major, then vol, then rate, and gives every cell of one shock the
+// same float bits, so the grid kernel computes each shock's Log, Sqrt or
+// Exp column once and reuses it for the other rows of the range; the
+// generators' rows carry fresh scales and vols and find no reuse.
+// Per-cell P&L is the Kahan-compensated sum over positions in portfolio
+// order.
 
 // minVol floors a simulated volatility so a near-zero Heston variance
 // still prices.

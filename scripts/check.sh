@@ -7,7 +7,8 @@
 # README "Continuous benchmarking"), the tier-1 test suite (which
 # includes the in-process topology tests of internal/serve/shard: every
 # end-to-end and chaos assertion, over 1-3 replicas and three fault
-# seeds), the race detector over the concurrency-heavy packages, the
+# seeds), the race detector over the concurrency-heavy packages and the
+# root package's grid tests, the
 # fuzz seed corpora, the process-level smoke (scripts/smoke.sh:
 # fault-digest determinism, SIGTERM drain, route supervisor revival;
 # see README "Serving"), and finlint (the custom static-analysis suite
@@ -98,6 +99,9 @@ else
 		./internal/serve/stream \
 		./internal/serve/stream/ticker \
 		./internal/serve/deadline
+	# The root package's grid kernel shares its column cache across the
+	# forked Black-Scholes workers.
+	go test -race -count=1 -run 'Grid' .
 	# The coalescer's flusher-role hand-off runs on request goroutines, so
 	# worker count is a test dimension for it as for the kernels.
 	go test -race -count=1 -cpu 1,2,4,8 ./internal/serve/coalesce
