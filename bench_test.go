@@ -227,11 +227,18 @@ func BenchmarkBatchAPILevels(b *testing.B) {
 
 // BenchmarkPriceHeavy times finbench.PriceRequestCtx at default sizes on
 // the request shapes heavy_mix sends: one American put per lattice method,
-// and Monte Carlo requests of one and of four European calls (ns/op is
-// per request; the x4 row shows the normals being generated once).
+// four American puts through Crank-Nicolson (two pairs), and Monte Carlo
+// requests of one and of four European calls (ns/op is per request; the
+// Monte Carlo x4 row shows the normals being generated once).
 func BenchmarkPriceHeavy(b *testing.B) {
 	mkt := finbench.Market{Rate: 0.02, Volatility: 0.3}
 	put := finbench.Option{Type: finbench.Put, Style: finbench.American, Spot: 100, Strike: 110, Expiry: 1.5}
+	puts := []finbench.Option{
+		put,
+		{Type: finbench.Put, Style: finbench.American, Spot: 90, Strike: 100, Expiry: 0.5},
+		{Type: finbench.Put, Style: finbench.American, Spot: 110, Strike: 100, Expiry: 2},
+		{Type: finbench.Put, Style: finbench.American, Spot: 100, Strike: 120, Expiry: 1},
+	}
 	calls := []finbench.Option{
 		{Spot: 100, Strike: 100, Expiry: 1}, {Spot: 90, Strike: 100, Expiry: 0.5},
 		{Spot: 110, Strike: 100, Expiry: 2}, {Spot: 100, Strike: 120, Expiry: 1.5},
@@ -244,6 +251,7 @@ func BenchmarkPriceHeavy(b *testing.B) {
 		{"binomial-amer-put", finbench.BinomialTree, []finbench.Option{put}},
 		{"trinomial-amer-put", finbench.TrinomialTree, []finbench.Option{put}},
 		{"crank-nicolson", finbench.FiniteDifference, []finbench.Option{put}},
+		{"crank-nicolson-x4", finbench.FiniteDifference, puts},
 		{"monte-carlo-x1", finbench.MonteCarlo, calls[:1]},
 		{"monte-carlo-x4", finbench.MonteCarlo, calls},
 	} {

@@ -75,28 +75,12 @@ func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Confi
 		return Result{Price: put, Method: method}, nil
 
 	case FiniteDifference:
-		if o.Type == Call && o.Style == American {
-			put, err := cranknicolson.PriceEuropeanPutCtx(ctx, o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Price: put + o.Spot - o.Strike*discount(m, o.Expiry), Method: method}, nil
-		}
-		if o.Style == American {
-			v, err := cranknicolson.PriceAmericanPutCtx(ctx, o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Price: v, Method: method}, nil
-		}
-		put, err := cranknicolson.PriceEuropeanPutCtx(ctx, o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt)
-		if err != nil {
+		// The k = 1 call of the request path: one lone lane of the solver.
+		var out [1]Result
+		if err := priceFiniteDifference(ctx, []Option{o}, m, c, out[:]); err != nil {
 			return Result{}, err
 		}
-		if o.Type == Put {
-			return Result{Price: put, Method: method}, nil
-		}
-		return Result{Price: put + o.Spot - o.Strike*discount(m, o.Expiry), Method: method}, nil
+		return out[0], nil
 
 	case TrinomialTree:
 		steps := c.BinomialSteps
@@ -139,19 +123,27 @@ func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Confi
 // and configuration. By contract out[i] is bit-identical to
 // PriceCtx(ctx, opts[i], m, method, cfg), and the error is the one the
 // first failing option would return; what the request form adds is that
-// work the options share is done once. For Monte Carlo that is the whole
-// normal stream: every option of a request runs on stream (0, seed), so
-// the normals are generated once per request instead of once per option.
-// The lattice methods share nothing and are priced option by option. A
-// request is still one attempt: never split across workers, never merged
-// with another request.
+// work the options share is done once or side by side. For Monte Carlo
+// that is the whole normal stream: every option of a request runs on
+// stream (0, seed), so the normals are generated once per request instead
+// of once per option. Crank-Nicolson options go to the solver in pairs
+// that share a time loop and run both PSOR sweeps in one loop, each
+// option's arithmetic unchanged. The trees are priced option by option.
+// A request is still one attempt: never split across workers, never
+// merged with another request.
 func PriceRequestCtx(ctx context.Context, opts []Option, m Market, method Method, cfg *Config) ([]Result, error) {
 	if len(opts) == 0 {
 		return nil, ctx.Err()
 	}
 	out := make([]Result, len(opts))
-	if method == MonteCarlo {
+	switch method {
+	case MonteCarlo:
 		if err := priceMonteCarlo(ctx, opts, m, cfg.withDefaults(), out); err != nil {
+			return nil, err
+		}
+		return out, nil
+	case FiniteDifference:
+		if err := priceFiniteDifference(ctx, opts, m, cfg.withDefaults(), out); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -164,6 +156,39 @@ func PriceRequestCtx(ctx context.Context, opts []Option, m Market, method Method
 		out[i] = res
 	}
 	return out, nil
+}
+
+// priceFiniteDifference is the Crank-Nicolson body behind PriceCtx (one
+// option) and PriceRequestCtx (a request's options). Every option is a
+// put on the lattice: an American put is solved with the early-exercise
+// obstacle, and every other option as the European put, a call recovered
+// by parity (an American call on a non-dividend asset is worth the
+// European one). It validates every option first, in PriceCtx's order, so
+// the first failing option decides the error, then hands the puts to the
+// solver, which prices them two at a time. c is the resolved
+// configuration.
+func priceFiniteDifference(ctx context.Context, opts []Option, m Market, c Config, out []Result) error {
+	puts := make([]cranknicolson.Put, len(opts))
+	for i, o := range opts {
+		if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
+			return ErrInvalidOption
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		puts[i] = cranknicolson.Put{Spot: o.Spot, Strike: o.Strike, T: o.Expiry, American: o.Style == American && o.Type != Call}
+	}
+	if err := cranknicolson.PricePutsCtx(ctx, puts, c.GridPoints, c.TimeSteps, m.internal()); err != nil {
+		return err
+	}
+	for i, o := range opts {
+		price := puts[i].Price
+		if !puts[i].American && o.Type != Put {
+			price = price + o.Spot - o.Strike*discount(m, o.Expiry)
+		}
+		out[i] = Result{Price: price, Method: FiniteDifference}
+	}
+	return nil
 }
 
 // priceMonteCarlo is the Monte Carlo body behind PriceCtx (one option)

@@ -152,6 +152,57 @@ func TestPriceRequestCtxBitMatchesPriceCtx(t *testing.T) {
 	}
 }
 
+// TestPriceRequestCtxFiniteDifferencePairs pins the paired
+// Crank-Nicolson request: for every request size k = 1..5 (pairs and an
+// odd lone option) over American and European puts and calls mixed,
+// out[i] is PriceCtx(opts[i]) bit for bit; and an invalid option at any
+// position fails the request with the error the per-option loop returns.
+func TestPriceRequestCtxFiniteDifferencePairs(t *testing.T) {
+	mkt := Market{Rate: 0.03, Volatility: 0.25}
+	cfg := &Config{GridPoints: 96, TimeSteps: 150}
+	pool := []Option{
+		{Type: Put, Style: American, Spot: 100, Strike: 110, Expiry: 1.5},
+		{Type: Call, Spot: 100, Strike: 105, Expiry: 0.5},
+		{Type: Call, Style: American, Spot: 120, Strike: 100, Expiry: 2},
+		{Type: Put, Spot: 80, Strike: 100, Expiry: 0.25},
+		{Type: Put, Style: American, Spot: 95, Strike: 100, Expiry: 0.75},
+	}
+	for k := 1; k <= len(pool); k++ {
+		for shift := range pool {
+			opts := make([]Option, k)
+			for i := range opts {
+				opts[i] = pool[(shift+i)%len(pool)]
+			}
+			got, err := PriceRequestCtx(context.Background(), opts, mkt, FiniteDifference, cfg)
+			if err != nil {
+				t.Fatalf("k=%d shift=%d: %v", k, shift, err)
+			}
+			for i, o := range opts {
+				want, err := PriceCtx(context.Background(), o, mkt, FiniteDifference, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != want {
+					t.Errorf("k=%d shift=%d option %d: request %+v, alone %+v (must be bit-identical)", k, shift, i, got[i], want)
+				}
+			}
+			for bad := range opts {
+				broken := append([]Option(nil), opts...)
+				broken[bad].Strike = 0
+				var werr error
+				for _, o := range broken {
+					if _, werr = PriceCtx(context.Background(), o, mkt, FiniteDifference, cfg); werr != nil {
+						break
+					}
+				}
+				if _, err := PriceRequestCtx(context.Background(), broken, mkt, FiniteDifference, cfg); err == nil || werr == nil || err.Error() != werr.Error() {
+					t.Errorf("k=%d invalid option %d: request error %v, per-option error %v", k, bad, err, werr)
+				}
+			}
+		}
+	}
+}
+
 // TestPriceCtxDeadlineStopsEarly checks that a tight deadline aborts a
 // heavy Monte Carlo pricing well before its uncancelled runtime.
 func TestPriceCtxDeadlineStopsEarly(t *testing.T) {

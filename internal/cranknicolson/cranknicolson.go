@@ -179,42 +179,56 @@ func (s *Solver) explicitStep(u, b, g, h []float64, tau float64, c *perf.Counts)
 	}
 }
 
+// implicitCoeffs returns the PSOR sweep's loop invariants at the current
+// time step: 1/(1+a) and a/2 for the implicit half-step's lattice ratio a.
+func (s *Solver) implicitCoeffs() (coeff, alpha2 float64) {
+	ai := s.alphaImplicit()
+	return 1 / (1 + ai), ai / 2
+}
+
 // relax performs the projected relaxation at one point and returns the new
-// value. The wavefront triangles call it; gsorScalar and the wavefront's
-// vector body spell out the same expressions, so numerics agree.
-func (s *Solver) relax(uj, ujm1, ujp1, bj, gj, omega, coeff, alpha2 float64) float64 {
+// value. It is the one spelling of the point update: gsorScalar, gsorPair
+// and the wavefront triangles call it (it inlines), and the wavefront's
+// vector body issues the same operations in the same order, so numerics
+// agree.
+func relax(uj, ujm1, ujp1, bj, gj, omega, coeff, alpha2 float64, american bool) float64 {
 	y := coeff * (bj + alpha2*(ujm1+ujp1))
 	un := uj + omega*(y-uj)
-	if s.American && gj > un {
+	if american && gj > un {
 		un = gj
 	}
 	return un
 }
 
-// gsorScalar runs scalar PSOR sweeps until convergence; returns the sweep
-// count (Lis. 7). The sweep is relax at every interior point with the
+// converged reports whether a PSOR solve stops after a sweep whose summed
+// squared update is errSum, loops sweeps into the time step. It is
+// divergence-safe: a blown-up lattice (explicit scheme past its stability
+// bound) yields NaN or overflowing error sums, which must terminate rather
+// than spin to the sweep cap.
+func (s *Solver) converged(errSum float64, loops int) bool {
+	return !(errSum > s.Eps) || errSum > 1e200 || loops > 10000
+}
+
+// gsorScalar runs scalar PSOR sweeps until convergence (Lis. 7) and
+// returns the time step's sweep count; loops is the number of sweeps the
+// step has already run (nonzero when gsorPair hands over a lane that is
+// still converging). The sweep is relax at every interior point with the
 // loop invariants (grid size, the American flag) read once and u[j-1]
 // carried in a local: the stores to u could alias the Solver, so read
 // through s they would be reloaded at every point of the Gauss-Seidel
-// chain.
-func (s *Solver) gsorScalar(b, u, g []float64, omega float64, c *perf.Counts) int {
-	ai := s.alphaImplicit()
-	coeff := 1 / (1 + ai)
-	alpha2 := ai / 2
+// chain. That chain bounds the sweep by floating-point latency, not
+// throughput, which is what gsorPair exploits.
+func (s *Solver) gsorScalar(b, u, g []float64, omega float64, loops int, c *perf.Counts) int {
+	coeff, alpha2 := s.implicitCoeffs()
 	jmax, american := s.J, s.American
 	b, g = b[:jmax], g[:jmax]
-	loops := 0
 	for {
 		loops++
 		var errSum float64
 		um1 := u[0]
 		for j := 1; j < jmax; j++ {
 			uj := u[j]
-			y := coeff * (b[j] + alpha2*(um1+u[j+1]))
-			un := uj + omega*(y-uj)
-			if gj := g[j]; american && gj > un {
-				un = gj
-			}
+			un := relax(uj, um1, u[j+1], b[j], g[j], omega, coeff, alpha2, american)
 			d := un - uj
 			errSum += d * d
 			u[j] = un
@@ -230,12 +244,56 @@ func (s *Solver) gsorScalar(b, u, g []float64, omega float64, c *perf.Counts) in
 			c.Add(perf.OpScalarLoad, nj*4)
 			c.Add(perf.OpScalarStore, nj)
 		}
-		// Divergence-safe: a blown-up lattice (explicit scheme past its
-		// stability bound) yields NaN or overflowing error sums, which
-		// must terminate rather than spin to the sweep cap.
-		if !(errSum > s.Eps) || errSum > 1e200 || loops > 10000 {
+		if s.converged(errSum, loops) {
 			return loops
 		}
+	}
+}
+
+// gsorPair runs the PSOR solves of two lanes' time step with both
+// Gauss-Seidel chains in one j loop: the chains are independent, so each
+// point's update of one lane issues in the latency shadow of the other's.
+// Each lane keeps its own coefficients, omega, American flag and error
+// sum. Once either lane converges the other finishes alone in gsorScalar
+// from the shared sweep count, so each lane runs exactly the sweeps, in
+// exactly the order, of its lone solve. A pair is uncounted. Returns the
+// two sweep counts.
+func gsorPair(a, b *lane) (int, int) {
+	sa, sb := a.s, b.s
+	coeffA, alpha2A := sa.implicitCoeffs()
+	coeffB, alpha2B := sb.implicitCoeffs()
+	omegaA, omegaB := a.omega, b.omega
+	amA, amB := sa.American, sb.American
+	jmax := sa.J
+	ua, ba, ga := a.u[:jmax+1], a.b[:jmax], a.g[:jmax]
+	ub, bb, gb := b.u[:jmax+1], b.b[:jmax], b.g[:jmax]
+	loops := 0
+	for {
+		loops++
+		var errA, errB float64
+		pa, pb := ua[0], ub[0]
+		for j := 1; j < jmax; j++ {
+			uja, ujb := ua[j], ub[j]
+			na := relax(uja, pa, ua[j+1], ba[j], ga[j], omegaA, coeffA, alpha2A, amA)
+			nb := relax(ujb, pb, ub[j+1], bb[j], gb[j], omegaB, coeffB, alpha2B, amB)
+			da, db := na-uja, nb-ujb
+			errA += da * da
+			errB += db * db
+			ua[j], ub[j] = na, nb
+			pa, pb = na, nb
+		}
+		doneA, doneB := sa.converged(errA, loops), sb.converged(errB, loops)
+		if !doneA && !doneB {
+			continue
+		}
+		la, lb := loops, loops
+		if !doneA {
+			la = sa.gsorScalar(a.b, a.u, a.g, omegaA, loops, nil)
+		}
+		if !doneB {
+			lb = sb.gsorScalar(b.b, b.u, b.g, omegaB, loops, nil)
+		}
+		return la, lb
 	}
 }
 
@@ -252,55 +310,101 @@ func (s *Solver) SolveScalar(c *perf.Counts) ([]float64, int) {
 // natural chunk of this kernel). On cancellation it returns a nil grid and
 // ctx.Err().
 func (s *Solver) SolveScalarCtx(cx context.Context, c *perf.Counts) ([]float64, int, error) {
-	u, total, ok := s.solveDone(c, cx.Done(), func(b, u, g []float64, omega float64, c *perf.Counts) int {
-		return s.gsorScalar(b, u, g, omega, c)
-	})
+	u, total, ok := s.solveOne(c, cx.Done(), nil)
 	if !ok {
 		return nil, total, cx.Err()
 	}
 	return u, total, nil
 }
 
-// solveDone is the shared Lis. 6 driver: init, time loop with explicit
-// step, GSOR solve, and omega adaptation. The cancellation channel is
-// checked before every time step (a nil done skips the checks entirely);
-// ok=false means the loop was abandoned mid-solve.
-func (s *Solver) solveDone(c *perf.Counts, done <-chan struct{}, gsor func(b, u, g []float64, omega float64, c *perf.Counts) int) ([]float64, int, bool) {
+// lane is one solver's grids and omega adaptation in the shared time
+// loop: the solution u, the explicit half-step b, the obstacle g and g's
+// space factor h, each J+1 points.
+type lane struct {
+	s          *Solver
+	u, b, g, h []float64
+	omega      float64
+	oldloops   int
+	// total is the lane's GSOR sweep count over the solve.
+	total int
+}
+
+// newLane carves a lane for s out of grids, which holds 4*(s.J+1) floats.
+func newLane(s *Solver, grids []float64) lane {
 	np := s.J + 1
-	u := make([]float64, np)
-	// One scratch array for the solve's private grids: the explicit
-	// half-step b, the obstacle g, and g's space factor h.
-	scratch := make([]float64, 3*np)
-	b, g, h := scratch[:np], scratch[np:2*np], scratch[2*np:]
-	tf0 := s.timeFactor(0)
-	for j := range h {
-		h[j] = s.spaceFactor(s.x(j))
-		u[j] = tf0 * h[j]
+	return lane{
+		s: s,
+		u: grids[:np:np], b: grids[np : 2*np : 2*np],
+		g: grids[2*np : 3*np : 3*np], h: grids[3*np : 4*np : 4*np],
 	}
-	omega := 1.0
+}
+
+// solveOne runs the time loop for s as a lone lane over freshly allocated
+// grids, with solveDone's sweeps; it returns the final u grid, the total
+// sweep count and solveDone's ok.
+func (s *Solver) solveOne(c *perf.Counts, done <-chan struct{}, sweeps gsorFunc) ([]float64, int, bool) {
+	ls := [1]lane{newLane(s, make([]float64, 4*(s.J+1)))}
+	ok := solveDone(ls[:], c, done, sweeps)
+	return ls[0].u, ls[0].total, ok
+}
+
+// gsorFunc is a PSOR solve of one time step over a lane's grids; it
+// returns the step's sweep count.
+type gsorFunc func(b, u, g []float64, omega float64, c *perf.Counts) int
+
+// solveDone is the shared Lis. 6 driver over one lane or a pair of lanes
+// that share time steps (equal J and N): each lane's space factor and
+// initial grid, then per time step each lane's explicit step, the PSOR
+// solve and each lane's omega adaptation. A pair solves with gsorPair and
+// is uncounted. A lone lane solves with gsorScalar, or with sweeps when it
+// is non-nil (the wavefront variants). The cancellation channel is checked
+// before every time step (a nil done skips the checks entirely); false
+// means the loop was abandoned mid-solve.
+func solveDone(ls []lane, c *perf.Counts, done <-chan struct{}, sweeps gsorFunc) bool {
+	for i := range ls {
+		l := &ls[i]
+		s := l.s
+		tf0 := s.timeFactor(0)
+		for j := range l.h {
+			l.h[j] = s.spaceFactor(s.x(j))
+			l.u[j] = tf0 * l.h[j]
+		}
+		l.omega, l.oldloops, l.total = 1, 1<<30, 0
+		s.stepsDone = 0
+	}
 	const domega = 0.05
-	oldloops := 1 << 30
-	total := 0
-	s.stepsDone = 0
-	for n := 1; n <= s.N; n++ {
+	var loops [2]int
+	for n := 1; n <= ls[0].s.N; n++ {
 		if done != nil {
 			select {
 			case <-done:
-				return u, total, false
+				return false
 			default:
 			}
 		}
-		tau := float64(n) * s.DTau
-		s.explicitStep(u, b, g, h, tau, c)
-		loops := gsor(b, u, g, omega, c)
-		total += loops
-		if loops > oldloops && omega < 1.9 {
-			omega += domega
+		for i := range ls {
+			l := &ls[i]
+			l.s.explicitStep(l.u, l.b, l.g, l.h, float64(n)*l.s.DTau, c)
 		}
-		oldloops = loops
-		s.stepsDone++
+		switch l := &ls[0]; {
+		case len(ls) == 2:
+			loops[0], loops[1] = gsorPair(l, &ls[1])
+		case sweeps != nil:
+			loops[0] = sweeps(l.b, l.u, l.g, l.omega, c)
+		default:
+			loops[0] = l.s.gsorScalar(l.b, l.u, l.g, l.omega, 0, c)
+		}
+		for i := range ls {
+			l := &ls[i]
+			l.total += loops[i]
+			if loops[i] > l.oldloops && l.omega < 1.9 {
+				l.omega += domega
+			}
+			l.oldloops = loops[i]
+			l.s.stepsDone++
+		}
 	}
-	return u, total, true
+	return true
 }
 
 // Price recovers the option value at spot from the final grid:
@@ -322,26 +426,38 @@ func (s *Solver) Price(u []float64, spot, strike float64) float64 {
 	return strike * uq * mathx.Exp(-(k-1)*xq/2-(k+1)*(k+1)*s.TauMax/4)
 }
 
-// PriceAmericanPutCtx prices one American put with the scalar reference
-// solve, with per-time-step cancellation.
-func PriceAmericanPutCtx(cx context.Context, spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) (float64, error) {
-	return pricePutCtx(cx, true, spot, strike, t, jpoints, nsteps, mkt)
+// Put is one put contract for PricePutsCtx; Price receives its value.
+type Put struct {
+	Spot, Strike, T float64
+	// American selects the projected (obstacle) solve; false prices the
+	// European put.
+	American bool
+	Price    float64
 }
 
-// PriceEuropeanPutCtx prices a European put on the same lattice
-// (validation against the closed form), with per-time-step cancellation.
-func PriceEuropeanPutCtx(cx context.Context, spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) (float64, error) {
-	return pricePutCtx(cx, false, spot, strike, t, jpoints, nsteps, mkt)
-}
-
-// pricePutCtx prices one put with the scalar reference solve; american
-// selects the projected (obstacle) solve.
-func pricePutCtx(cx context.Context, american bool, spot, strike, t float64, jpoints, nsteps int, mkt workload.MarketParams) (float64, error) {
-	s := NewSolver(t, jpoints, nsteps, DefaultAlpha, mkt)
-	s.American = american
-	u, _, err := s.SolveScalarCtx(cx, nil)
-	if err != nil {
-		return 0, err
+// PricePutsCtx prices puts on one jpoints x nsteps lattice with the
+// scalar reference solve, two at a time: a pair shares its time loop and
+// runs both options' PSOR sweeps in one j loop (gsorPair), and an odd last
+// put is solved alone. Every puts[i].Price is bit-identical to the put's
+// lone solve. Cancellation is checked once per time step.
+func PricePutsCtx(cx context.Context, puts []Put, jpoints, nsteps int, mkt workload.MarketParams) error {
+	np := jpoints + 1
+	grids := make([]float64, min(len(puts), 2)*4*np)
+	var ss [2]Solver
+	var ls [2]lane
+	for i := 0; i < len(puts); i += 2 {
+		pair := puts[i:min(i+2, len(puts))]
+		for k, p := range pair {
+			ss[k] = *NewSolver(p.T, jpoints, nsteps, DefaultAlpha, mkt)
+			ss[k].American = p.American
+			ls[k] = newLane(&ss[k], grids[k*4*np:(k+1)*4*np])
+		}
+		if !solveDone(ls[:len(pair)], nil, cx.Done(), nil) {
+			return cx.Err()
+		}
+		for k := range pair {
+			pair[k].Price = ss[k].Price(ls[k].u, pair[k].Spot, pair[k].Strike)
+		}
 	}
-	return s.Price(u, spot, strike), nil
+	return nil
 }

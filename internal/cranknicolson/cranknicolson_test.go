@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"finbench/internal/binomial"
 	"finbench/internal/blackscholes"
@@ -17,6 +18,15 @@ var mkt = workload.MarketParams{R: 0.05, Sigma: 0.2}
 // val drops the error of an uncancelled …Ctx call.
 func val(v float64, _ error) float64 { return v }
 
+// lonePut prices one put alone through PricePutsCtx.
+func lonePut(american bool, spot, strike, t float64, jpoints, nsteps int) float64 {
+	p := []Put{{Spot: spot, Strike: strike, T: t, American: american}}
+	if err := PricePutsCtx(context.Background(), p, jpoints, nsteps, mkt); err != nil {
+		panic(err)
+	}
+	return p[0].Price
+}
+
 // payoff is the obstacle g(x, tau) as one product, the form the tests and
 // the oracle listings evaluate point by point.
 func (s *Solver) payoff(x, tau float64) float64 { return s.timeFactor(tau) * s.spaceFactor(x) }
@@ -27,7 +37,7 @@ func TestEuropeanConvergesToBlackScholes(t *testing.T) {
 		{100, 100, 1}, {100, 110, 0.5}, {90, 100, 2},
 	} {
 		_, want := blackscholes.PriceScalar(tc.s, tc.x, tc.tt, mkt)
-		got := val(PriceEuropeanPutCtx(context.Background(), tc.s, tc.x, tc.tt, 512, 1000, mkt))
+		got := lonePut(false, tc.s, tc.x, tc.tt, 512, 1000)
 		if math.Abs(got-want) > 0.02*math.Max(1, want) {
 			t.Fatalf("S=%g X=%g T=%g: CN %g vs BS %g", tc.s, tc.x, tc.tt, got, want)
 		}
@@ -40,7 +50,7 @@ func TestAmericanMatchesBinomial(t *testing.T) {
 		{100, 100, 1}, {100, 110, 0.5}, {110, 100, 1.5},
 	} {
 		want := val(binomial.PriceAmericanPutScalarCtx(context.Background(), tc.s, tc.x, tc.tt, 2048, mkt))
-		got := val(PriceAmericanPutCtx(context.Background(), tc.s, tc.x, tc.tt, 512, 1000, mkt))
+		got := lonePut(true, tc.s, tc.x, tc.tt, 512, 1000)
 		if math.Abs(got-want) > 0.02*math.Max(1, want) {
 			t.Fatalf("S=%g X=%g T=%g: CN %g vs binomial %g", tc.s, tc.x, tc.tt, got, want)
 		}
@@ -50,8 +60,8 @@ func TestAmericanMatchesBinomial(t *testing.T) {
 // American value must dominate European and intrinsic.
 func TestAmericanDominance(t *testing.T) {
 	for _, spot := range []float64{80, 95, 100, 110, 130} {
-		amer := val(PriceAmericanPutCtx(context.Background(), spot, 100, 1, 256, 500, mkt))
-		euro := val(PriceEuropeanPutCtx(context.Background(), spot, 100, 1, 256, 500, mkt))
+		amer := lonePut(true, spot, 100, 1, 256, 500)
+		euro := lonePut(false, spot, 100, 1, 256, 500)
 		if amer < euro-1e-6 {
 			t.Fatalf("S=%g: American %g < European %g", spot, amer, euro)
 		}
@@ -59,6 +69,34 @@ func TestAmericanDominance(t *testing.T) {
 		if amer < math.Max(100-spot, 0)-2e-3 {
 			t.Fatalf("S=%g: American %g below intrinsic", spot, amer)
 		}
+	}
+}
+
+// A cancelled context stops a pair within one time step. With 2^31-1 time
+// steps an unpolled solve would run for days, so returning at all shows
+// the per-step check; a context cancelled before the first step never
+// starts, and one cancelled mid-solve returns promptly.
+func TestPricePutsCancelStopsPair(t *testing.T) {
+	puts := []Put{{Spot: 100, Strike: 110, T: 1.5, American: true}, {Spot: 90, Strike: 100, T: 1}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := PricePutsCtx(ctx, puts, 64, math.MaxInt32, mkt); err != context.Canceled {
+		t.Fatalf("cancelled pair returned %v", err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	var cancelled time.Time
+	time.AfterFunc(20*time.Millisecond, func() {
+		cancelled = time.Now()
+		cancel()
+	})
+	if err := PricePutsCtx(ctx, puts, 64, math.MaxInt32, mkt); err != context.Canceled {
+		t.Fatalf("pair cancelled mid-solve returned %v", err)
+	}
+	// One 64-point time step is microseconds; the bound only absorbs a
+	// descheduled test process.
+	if lag := time.Since(cancelled); lag > 2*time.Second {
+		t.Errorf("pair returned %v after its context was cancelled", lag)
 	}
 }
 
@@ -201,6 +239,31 @@ func BenchmarkScalar256x200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSolver(1, 256, 200, DefaultAlpha, mkt)
 		s.SolveScalar(nil)
+	}
+}
+
+// BenchmarkSolveScalar is one lone lane at the served size (an American
+// put on 256 points x 1000 steps): the path gsorPair's shared relax must
+// not slow down.
+func BenchmarkSolveScalar(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := NewSolver(1.5, 256, 1000, DefaultAlpha, mkt)
+		s.SolveScalar(nil)
+	}
+}
+
+// BenchmarkPricePuts4 prices four American puts at the served size, the
+// Crank-Nicolson request heavy_mix sends: two pairs.
+func BenchmarkPricePuts4(b *testing.B) {
+	puts := make([]Put, 4)
+	for i := 0; i < b.N; i++ {
+		puts[0] = Put{Spot: 100, Strike: 110, T: 1.5, American: true}
+		puts[1] = Put{Spot: 90, Strike: 100, T: 0.5, American: true}
+		puts[2] = Put{Spot: 110, Strike: 100, T: 2, American: true}
+		puts[3] = Put{Spot: 100, Strike: 120, T: 1, American: true}
+		if err := PricePutsCtx(context.Background(), puts, 256, 1000, mkt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

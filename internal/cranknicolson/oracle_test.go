@@ -1,13 +1,16 @@
 package cranknicolson
 
 // Oracle for the time loop: the reference listing calls u_payoff — three
-// exponentials — at every grid point of every time step (Lis. 6) and
-// relaxes through Solver.relax. That form is kept here as test helpers;
-// the solver tabulates the separable obstacle instead, and every grid
-// value, sweep count and price must equal the listing's bit for bit, for
-// each of the variants that share the driver.
+// exponentials — at every grid point of every time step (Lis. 6), spells
+// out the projected relaxation of Lis. 7 point by point, and solves one
+// option at a time. That form is kept here as test helpers; the solver
+// tabulates the separable obstacle instead and may run two options' sweeps
+// in one loop, and every grid value, sweep count and price must equal the
+// listing's bit for bit, for each of the variants that share the driver
+// and for both lanes of a pair.
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -33,7 +36,7 @@ func (s *Solver) refExplicitStep(u, b, g []float64, tau float64) {
 	b[0], b[s.J] = g[0], g[s.J]
 }
 
-// refGsorScalar is the PSOR sweep of Lis. 7 through relax.
+// refGsorScalar is the PSOR sweep of Lis. 7, one option at a time.
 func (s *Solver) refGsorScalar(b, u, g []float64, omega float64) int {
 	ai := s.alphaImplicit()
 	coeff := 1 / (1 + ai)
@@ -43,7 +46,11 @@ func (s *Solver) refGsorScalar(b, u, g []float64, omega float64) int {
 		loops++
 		var errSum float64
 		for j := 1; j < s.J; j++ {
-			un := s.relax(u[j], u[j-1], u[j+1], b[j], g[j], omega, coeff, alpha2)
+			y := coeff * (b[j] + alpha2*(u[j-1]+u[j+1]))
+			un := u[j] + omega*(y-u[j])
+			if s.American && g[j] > un {
+				un = g[j]
+			}
 			d := un - u[j]
 			errSum += d * d
 			u[j] = un
@@ -143,6 +150,66 @@ func TestSolveMatchesPerPointListing(t *testing.T) {
 						t.Errorf("%s american=%v J=%d %+v: price %.17g, listing %.17g", v.name, american, jpoints, c, gp, wp)
 					}
 				}
+			}
+		}
+	}
+}
+
+// Each lane of a pair must equal its option's lone listing bit for bit:
+// grid, sweep count and price. The pairs mix American and European puts
+// and maturities, so one lane of a pair often converges sweeps before the
+// other and finishes the time step alone, and the pairs' omega
+// adaptations part.
+func TestPairMatchesListing(t *testing.T) {
+	puts := []Put{
+		{Spot: 100, Strike: 110, T: 1.5, American: true},
+		{Spot: 90, Strike: 100, T: 1},
+		{Spot: 100, Strike: 100, T: 0.01, American: true},
+		{Spot: 120, Strike: 100, T: 2, American: true},
+		{Spot: 100, Strike: 95, T: 0.25},
+	}
+	for _, jpoints := range []int{2, 16, 255, 256} {
+		for a := range puts {
+			for b := range puts {
+				pa, pb := puts[a], puts[b]
+				sa := NewSolver(pa.T, jpoints, 300, DefaultAlpha, mkt)
+				sb := NewSolver(pb.T, jpoints, 300, DefaultAlpha, mkt)
+				sa.American, sb.American = pa.American, pb.American
+				ls := [2]lane{
+					newLane(sa, make([]float64, 4*(jpoints+1))),
+					newLane(sb, make([]float64, 4*(jpoints+1))),
+				}
+				if !solveDone(ls[:], nil, nil, nil) {
+					t.Fatal("uncancellable pair abandoned")
+				}
+				for k, p := range []Put{pa, pb} {
+					ref := NewSolver(p.T, jpoints, 300, DefaultAlpha, mkt)
+					ref.American = p.American
+					wu, wsw := ref.refSolve(ref.refGsorScalar)
+					if ls[k].total != wsw {
+						t.Errorf("J=%d pair (%d,%d) lane %d: %d sweeps, listing %d", jpoints, a, b, k, ls[k].total, wsw)
+					}
+					for j := range wu {
+						if math.Float64bits(ls[k].u[j]) != math.Float64bits(wu[j]) {
+							t.Fatalf("J=%d pair (%d,%d) lane %d: u[%d] = %.17g, listing %.17g", jpoints, a, b, k, j, ls[k].u[j], wu[j])
+						}
+					}
+				}
+			}
+		}
+	}
+	// PricePutsCtx pairs puts in order, the odd last one alone.
+	for n := 1; n <= len(puts); n++ {
+		got := append([]Put(nil), puts[:n]...)
+		if err := PricePutsCtx(context.Background(), got, 64, 200, mkt); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range got {
+			ref := NewSolver(p.T, 64, 200, DefaultAlpha, mkt)
+			ref.American = p.American
+			wu, _ := ref.refSolve(ref.refGsorScalar)
+			if want := ref.Price(wu, p.Spot, p.Strike); math.Float64bits(p.Price) != math.Float64bits(want) {
+				t.Errorf("%d puts, put %d: %.17g, listing %.17g", n, i, p.Price, want)
 			}
 		}
 	}

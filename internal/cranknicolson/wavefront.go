@@ -127,9 +127,7 @@ func (s *splitStorage) storeU(ctx vec.Ctx, base int, v vec.Vec) {
 // gsorWavefront runs PSOR with the convergence loop unrolled by the vector
 // width over the given storage; returns the sweep count.
 func (s *Solver) gsorWavefront(st storage, omega float64, width int, c *perf.Counts) int {
-	ai := s.alphaImplicit()
-	coeff := 1 / (1 + ai)
-	alpha2 := ai / 2
+	coeff, alpha2 := s.implicitCoeffs()
 	m := s.J - 1 // interior point count
 	ctx := vec.New(width, c)
 	coeffV := ctx.Broadcast(coeff)
@@ -171,7 +169,7 @@ func (s *Solver) gsorWavefront(st storage, omega float64, width int, c *perf.Cou
 					continue
 				}
 				j := 1 + jrel
-				un := s.relax(st.getU(j), st.getU(j-1), st.getU(j+1), st.getB(j), st.getG(j), omega, coeff, alpha2)
+				un := relax(st.getU(j), st.getU(j-1), st.getU(j+1), st.getB(j), st.getG(j), omega, coeff, alpha2, s.American)
 				d := un - st.getU(j)
 				errs[l] += d * d
 				st.setU(j, un)
@@ -189,9 +187,8 @@ func (s *Solver) gsorWavefront(st storage, omega float64, width int, c *perf.Cou
 			errs[l] += errAcc.X[l]
 		}
 		loops += width
-		// Convergence checked once per block, on the final sweep
-		// (divergence-safe, as in the scalar path).
-		if !(errs[width-1] > s.Eps) || errs[width-1] > 1e200 || loops > 10000 {
+		// Convergence checked once per block, on the final sweep.
+		if s.converged(errs[width-1], loops) {
 			return loops
 		}
 	}
@@ -200,7 +197,7 @@ func (s *Solver) gsorWavefront(st storage, omega float64, width int, c *perf.Cou
 // SolveWavefront runs the time loop with the wavefront GSOR over flat
 // storage (the Intermediate variant: manual SIMD, gather-bound accesses).
 func (s *Solver) SolveWavefront(width int, c *perf.Counts) ([]float64, int) {
-	u, total, _ := s.solveDone(c, nil, func(b, u, g []float64, omega float64, c *perf.Counts) int {
+	u, total, _ := s.solveOne(c, nil, func(b, u, g []float64, omega float64, c *perf.Counts) int {
 		st := &flatStorage{u: u, b: b, g: g}
 		return s.gsorWavefront(st, omega, width, c)
 	})
@@ -212,7 +209,7 @@ func (s *Solver) SolveWavefront(width int, c *perf.Counts) ([]float64, int) {
 // rearrangement cost.
 func (s *Solver) SolveWavefrontSplit(width int, c *perf.Counts) ([]float64, int) {
 	var split *splitStorage
-	u, total, _ := s.solveDone(c, nil, func(b, u, g []float64, omega float64, c *perf.Counts) int {
+	u, total, _ := s.solveOne(c, nil, func(b, u, g []float64, omega float64, c *perf.Counts) int {
 		if split == nil {
 			split = newSplitStorage(s.J)
 		}

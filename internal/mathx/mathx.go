@@ -36,6 +36,11 @@ const (
 // reduction (x = k*ln2 + r, |r| <= ln2/2) and a degree-13 Taylor polynomial
 // for exp(r). Maximum observed error is below 1 ulp relative to math.Exp
 // over the finance-relevant range (see TestExpAccuracy).
+//
+// The polynomial is scaled by 2^k. Where 2^k is a normal double the
+// scale is built from its exponent bits and applied as one multiply,
+// which is exact for a normal product and rounds a subnormal one once,
+// as math.Ldexp does; Ldexp remains only for the k at the range edges.
 func Exp(x float64) float64 {
 	switch {
 	case math.IsNaN(x):
@@ -57,7 +62,11 @@ func Exp(x float64) float64 {
 	p := 1.0 + r*(1.0+r*(1.0/2+r*(1.0/6+r*(1.0/24+r*(1.0/120+r*(1.0/720+
 		r*(1.0/5040+r*(1.0/40320+r*(1.0/362880+r*(1.0/3628800+
 			r*(1.0/39916800+r*(1.0/479001600+r/6227020800))))))))))))
-	return math.Ldexp(p, int(k))
+	ki := int(k)
+	if ki >= -1022 && ki <= 1023 {
+		return p * math.Float64frombits(uint64(ki+1023)<<52)
+	}
+	return math.Ldexp(p, ki)
 }
 
 // Log returns the natural logarithm of x, computed from scratch: x is

@@ -289,6 +289,20 @@ func BenchmarkExp(b *testing.B) {
 	_ = s
 }
 
+// BenchmarkExpArray is the VML-style stage over 1024 arguments spread
+// across [-10, 10], so the reduction's k varies along the array.
+func BenchmarkExpArray(b *testing.B) {
+	src := make([]float64, 1024)
+	for i := range src {
+		src[i] = -10 + 20*float64(i)/float64(len(src))
+	}
+	dst := make([]float64, len(src))
+	b.SetBytes(int64(8 * len(src)))
+	for i := 0; i < b.N; i++ {
+		ExpArray(dst, src)
+	}
+}
+
 func BenchmarkCND(b *testing.B) {
 	var s float64
 	for i := 0; i < b.N; i++ {

@@ -67,12 +67,13 @@ func TestSharedStreamMatchesSingleOptionVectorized(t *testing.T) {
 }
 
 // A context that is cancelled when the path loop first polls it must stop
-// the request within one RNGChunk of normals.
+// the request within one RNGChunk of normals. The path count is far more
+// than one chunk and still fits a 32-bit int.
 func TestSharedStreamStopsWithinOneChunk(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	b := batch(3)
-	if err := SharedStreamCtx(ctx, b, 1<<40, 1, mkt); err != context.Canceled {
+	if err := SharedStreamCtx(ctx, b, 1<<30, 1, mkt); err != context.Canceled {
 		t.Fatalf("cancelled request returned %v", err)
 	}
 }

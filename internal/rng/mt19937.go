@@ -9,77 +9,58 @@
 // rates. MKL's MT2203 is a family of 6024 mutually independent twisters
 // produced by the dynamic-creator (dcmt) search; the dcmt parameter tables
 // are not reproducible from the published paper, so this package makes the
-// documented substitution (DESIGN.md Sec. 2): a generic, parameterized
-// Mersenne Twister engine instantiated with the canonical MT19937
-// parameters, plus a stream family that derives per-stream generators from
-// independent, avalanche-scrambled seeds (SplitMix64). This preserves the
-// property the kernels rely on — one statistically independent stream per
-// thread, vector-width-chunked fills — with a known-answer-tested core.
+// documented substitution (DESIGN.md Sec. 2): the MT19937 Mersenne
+// Twister, specialised to its canonical constants, plus a stream family
+// that derives per-stream generators from independent, avalanche-scrambled
+// seeds (SplitMix64). This preserves the property the kernels rely on —
+// one statistically independent stream per thread, vector-width-chunked
+// fills — with a known-answer-tested core.
 package rng
 
-// Params defines a 32-bit Mersenne Twister instance (Matsumoto & Nishimura,
-// ACM TOMACS 1998): state size N, middle word M, twist split R, twist
-// matrix A, and the tempering parameters U, S, B, T, C, L.
-type Params struct {
-	N, M int
-	R    uint
-	A    uint32
-	U    uint
-	S    uint
-	B    uint32
-	T    uint
-	C    uint32
-	L    uint
-	// InitMult is the multiplier of the Knuth-style seeding recurrence
-	// (1812433253 for MT19937).
-	InitMult uint32
-}
+// The MT19937 constants (Matsumoto & Nishimura, ACM TOMACS 1998): state
+// size mtN, middle word mtM, the twist matrix's last row matrixA, the
+// upper/lower split of a state word at bit 31, and the tempering shifts
+// and masks.
+const (
+	mtN       = 624
+	mtM       = 397
+	matrixA   = 0x9908B0DF
+	upperMask = 0x80000000
+	lowerMask = 0x7FFFFFFF
+	temperB   = 0x9D2C5680
+	temperC   = 0xEFC60000
+	initMult  = 1812433253
+)
 
-// MT19937Params are the canonical parameters of the 2^19937-1 period
-// twister.
-var MT19937Params = Params{
-	N: 624, M: 397, R: 31,
-	A: 0x9908B0DF,
-	U: 11,
-	S: 7, B: 0x9D2C5680,
-	T: 15, C: 0xEFC60000,
-	L:        18,
-	InitMult: 1812433253,
-}
-
-// MT is a parameterized 32-bit Mersenne Twister.
+// MT is the 32-bit MT19937 Mersenne Twister.
 type MT struct {
-	p   Params
-	mt  []uint32
-	idx int
+	mt  [mtN]uint32
+	idx uint
 }
 
-// NewMT returns a twister with the given parameters seeded by seed
-// (init_genrand of the reference implementation).
-func NewMT(p Params, seed uint32) *MT {
-	m := &MT{p: p, mt: make([]uint32, p.N)}
+// NewMT19937 returns the canonical MT19937 generator seeded by seed
+// (init_genrand of the reference implementation, whose default seed is
+// 5489).
+func NewMT19937(seed uint32) *MT {
+	m := new(MT)
 	m.Seed(seed)
 	return m
 }
-
-// NewMT19937 returns the canonical MT19937 generator. The reference
-// implementation's default seed is 5489.
-func NewMT19937(seed uint32) *MT { return NewMT(MT19937Params, seed) }
 
 // Seed reinitializes the state from a single 32-bit seed using the
 // reference init_genrand recurrence.
 func (m *MT) Seed(seed uint32) {
 	m.mt[0] = seed
-	for i := 1; i < m.p.N; i++ {
-		m.mt[i] = m.p.InitMult*(m.mt[i-1]^(m.mt[i-1]>>30)) + uint32(i)
+	for i := 1; i < mtN; i++ {
+		m.mt[i] = initMult*(m.mt[i-1]^(m.mt[i-1]>>30)) + uint32(i)
 	}
-	m.idx = m.p.N
+	m.idx = mtN
 }
 
 // SeedArray reinitializes the state from a key array, matching the
 // reference init_by_array so that published test vectors apply.
 func (m *MT) SeedArray(key []uint32) {
-	n := m.p.N
+	const n = mtN
 	m.Seed(19650218)
 	i, j := 1, 0
 	k := n
@@ -110,34 +91,41 @@ func (m *MT) SeedArray(key []uint32) {
 	m.idx = n
 }
 
-// twist regenerates the state block (the O(N) step amortized over N draws).
+// twist regenerates the state block (the O(N) step amortized over N
+// draws). It is the reference three-segment loop: word i pairs with word
+// i+1 and mixes in word i+M, which lies ahead of i in the block for the
+// first N-M words and wraps to the already-twisted front for the rest;
+// the last word pairs with the new word 0. The twist matrix is applied
+// branch-free: -(y&1) is all ones exactly when the low bit is set.
 func (m *MT) twist() {
-	p := m.p
-	n := p.N
-	upperMask := uint32(0xFFFFFFFF) << p.R
-	lowerMask := ^upperMask
-	for i := 0; i < n; i++ {
-		y := (m.mt[i] & upperMask) | (m.mt[(i+1)%n] & lowerMask)
-		next := m.mt[(i+p.M)%n] ^ (y >> 1)
-		if y&1 != 0 {
-			next ^= p.A
-		}
-		m.mt[i] = next
+	mt := &m.mt
+	i := 0
+	for ; i < mtN-mtM; i++ {
+		y := mt[i]&upperMask | mt[i+1]&lowerMask
+		mt[i] = mt[i+mtM] ^ y>>1 ^ -(y&1)&matrixA
 	}
+	for ; i < mtN-1; i++ {
+		y := mt[i]&upperMask | mt[i+1]&lowerMask
+		mt[i] = mt[i+mtM-mtN] ^ y>>1 ^ -(y&1)&matrixA
+	}
+	y := mt[mtN-1]&upperMask | mt[0]&lowerMask
+	mt[mtN-1] = mt[mtM-1] ^ y>>1 ^ -(y&1)&matrixA
 	m.idx = 0
 }
 
 // Uint32 returns the next tempered 32-bit output.
 func (m *MT) Uint32() uint32 {
-	if m.idx >= m.p.N {
+	i := m.idx
+	if i >= mtN {
 		m.twist()
+		i = 0
 	}
-	y := m.mt[m.idx]
-	m.idx++
-	y ^= y >> m.p.U
-	y ^= (y << m.p.S) & m.p.B
-	y ^= (y << m.p.T) & m.p.C
-	y ^= y >> m.p.L
+	y := m.mt[i]
+	m.idx = i + 1
+	y ^= y >> 11
+	y ^= y << 7 & temperB
+	y ^= y << 15 & temperC
+	y ^= y >> 18
 	return y
 }
 

@@ -3,7 +3,7 @@
 #
 # Runs, in order: go vet, a gofmt -l gate (fails on any file it
 # prints), go build, the benchreg performance gate (a fresh short-mode
-# snapshot checked against the committed baseline BENCH_1.json; see
+# snapshot checked against the committed baseline BENCH_2.json; see
 # README "Continuous benchmarking"), the tier-1 test suite (which
 # includes the in-process topology tests of internal/serve/shard: every
 # end-to-end and chaos assertion, over 1-3 replicas and three fault
@@ -17,7 +17,7 @@
 # detmap, leakcheck and interprocedural hotalloc; see README "Static
 # analysis & CI gate") with its self-test. The benchreg gate also
 # enforces the allocs/op budget on serve-path rows (gate_allocs records
-# in BENCH_1.json): a new per-request allocation fails the check even
+# in BENCH_2.json): a new per-request allocation fails the check even
 # when its wall-clock cost hides inside timing noise.
 #
 # Usage: ./scripts/check.sh
@@ -64,7 +64,7 @@ go build ./...
 echo "==> benchreg gate: short snapshot vs committed baseline"
 go build -o "$TOOL_DIR/benchreg" ./cmd/benchreg
 bench_gate() {
-	"$TOOL_DIR/benchreg" check -baseline BENCH_1.json -short \
+	"$TOOL_DIR/benchreg" check -baseline BENCH_2.json -short \
 		-max-slowdown 0.35 -mad-factor 4
 }
 if ! bench_gate; then
@@ -106,6 +106,8 @@ else
 	# worker count is a test dimension for it as for the kernels.
 	go test -race -count=1 -cpu 1,2,4,8 ./internal/serve/coalesce
 
+	# Seed corpora of every Fuzz target in these packages, including
+	# mathx's FuzzExpOracle (Exp against its Ldexp listing).
 	echo "==> fuzz seed corpora"
 	go test -run='^Fuzz' -count=1 -timeout 10m \
 		./internal/mathx ./internal/rng ./internal/blackscholes \
