@@ -13,10 +13,10 @@
 // injector for chaos runs.
 //
 // The route subcommand fronts N replicas with health checks, circuit
-// breakers, retry/failover and optional hedging; -replicas spawns them
-// as child processes of this binary and -restart-delay revives any that
-// die. The pricing cache lives only here (-cache-tier router): a lone
-// serve process does not cache.
+// breakers and retry/failover; -replicas spawns them as child processes
+// of this binary and -restart-delay revives any that die. The pricing
+// cache lives only here (-cache-tier router): a lone serve process does
+// not cache.
 //
 // The fault subcommand prints a fault spec's canonical form, decision
 // digest and per-kind counts — two invocations with the same spec must
@@ -119,19 +119,18 @@ func runFault(args []string) int {
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("finserve serve", flag.ExitOnError)
 	var (
-		addr         = fs.String("addr", "127.0.0.1:8123", "listen address")
-		mktRate      = fs.Float64("market-rate", 0.02, "risk-free rate")
-		mktVol       = fs.Float64("market-vol", 0.3, "volatility")
-		maxUnits     = fs.Int64("max-units", 0, "in-flight work-unit budget (0 = default)")
-		admitWait    = fs.Duration("admit-wait", 0, "max admission wait before 503 (0 = default)")
-		maxBatch     = fs.Int("coalesce-max-batch", 0, "flush threshold in options (0 = default)")
-		profileEvery = fs.Int("profile-every", 0, "sample op mix every Nth flush (0 = default, <0 = off)")
-		maxOptions   = fs.Int("max-options", 0, "max options per request (0 = default)")
-		maxPaths     = fs.Int("max-paths", 0, "max Monte Carlo paths per request (0 = default)")
-		maxDeadline  = fs.Duration("max-deadline", 0, "server-side deadline cap (0 = default)")
-		drainTO      = fs.Duration("drain-timeout", 5*time.Second, "max time to drain on SIGTERM")
-		drainLinger  = fs.Duration("drain-linger", 300*time.Millisecond, "how long the listener keeps answering fast 503s before it stops accepting")
-		faultSpec    = fs.String("fault-spec", "", "deterministic fault injection seed:rate:kinds (chaos runs)")
+		addr        = fs.String("addr", "127.0.0.1:8123", "listen address")
+		mktRate     = fs.Float64("market-rate", 0.02, "risk-free rate")
+		mktVol      = fs.Float64("market-vol", 0.3, "volatility")
+		maxUnits    = fs.Int64("max-units", 0, "in-flight work-unit budget (0 = default)")
+		admitWait   = fs.Duration("admit-wait", 0, "max admission wait before 503 (0 = default)")
+		maxBatch    = fs.Int("coalesce-max-batch", 0, "flush threshold in options (0 = default)")
+		maxOptions  = fs.Int("max-options", 0, "max options per request (0 = default)")
+		maxPaths    = fs.Int("max-paths", 0, "max Monte Carlo paths per request (0 = default)")
+		maxDeadline = fs.Duration("max-deadline", 0, "server-side deadline cap (0 = default)")
+		drainTO     = fs.Duration("drain-timeout", 5*time.Second, "max time to drain on SIGTERM")
+		drainLinger = fs.Duration("drain-linger", 300*time.Millisecond, "how long the listener keeps answering fast 503s before it stops accepting")
+		faultSpec   = fs.String("fault-spec", "", "deterministic fault injection seed:rate:kinds (chaos runs)")
 
 		streamOn       = fs.Bool("stream", false, "enable the GET /stream SSE Greeks feed")
 		streamUniverse = fs.Int("stream-universe", 0, "streaming contract-universe size (0 = default)")
@@ -161,7 +160,6 @@ func runServe(args []string) int {
 		MaxUnits:         *maxUnits,
 		AdmitWait:        *admitWait,
 		CoalesceMaxBatch: *maxBatch,
-		ProfileEvery:     *profileEvery,
 		MaxOptions:       *maxOptions,
 		MaxPaths:         *maxPaths,
 		MaxDeadline:      *maxDeadline,

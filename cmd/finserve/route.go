@@ -34,7 +34,6 @@ func runRoute(args []string) int {
 		healthEvery  = fs.Duration("health-interval", 0, "health-check period (0 = default)")
 		healthTO     = fs.Duration("health-timeout", 0, "health-probe timeout (0 = default)")
 		maxAttempts  = fs.Int("max-attempts", 0, "attempts per request incl. the first (0 = default 3)")
-		hedgeDelay   = fs.Duration("hedge-delay", 0, "hedge a second replica after this delay (0 = off)")
 		budgetRatio  = fs.Float64("budget-ratio", 0, "retry-budget tokens earned per request (0 = default, <0 = unlimited)")
 		budgetCap    = fs.Float64("budget-cap", 0, "retry-budget token cap (0 = default)")
 		brkFailures  = fs.Int("breaker-failures", 0, "consecutive failures that open a breaker (0 = default)")
@@ -82,7 +81,6 @@ func runRoute(args []string) int {
 		HealthInterval: *healthEvery,
 		HealthTimeout:  *healthTO,
 		MaxAttempts:    *maxAttempts,
-		HedgeDelay:     *hedgeDelay,
 		BudgetRatio:    *budgetRatio,
 		BudgetCap:      *budgetCap,
 		Breaker: resilience.BreakerConfig{

@@ -95,7 +95,7 @@ func measureScenario(scale float64) (*Result, error) {
 	// Row 2: the full /scenario handler stack, alloc-gated like the other
 	// serve-path rows. Same reusable-request harness as servepath so the
 	// gated count is the server's alone.
-	s := serve.New(serve.Config{ProfileEvery: -1})
+	s := serve.New(serve.Config{})
 	defer s.Close()
 	h := s.Handler()
 	body, err := json.Marshal(req)

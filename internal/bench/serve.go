@@ -108,9 +108,8 @@ func servePathColumnar(n int) []byte {
 
 func measureServePath(scale float64) (*Result, error) {
 	// CoalesceMaxBatch 1 makes every request bypass the coalescer (no
-	// window timer on the measured path); ProfileEvery < 0 keeps the op
-	// mix sampler's instrumented reruns out of the timings.
-	s := serve.New(serve.Config{CoalesceMaxBatch: 1, ProfileEvery: -1})
+	// window timer on the measured path).
+	s := serve.New(serve.Config{CoalesceMaxBatch: 1})
 	defer s.Close()
 	h := s.Handler()
 

@@ -110,8 +110,8 @@ func (c *latencyConn) Read(b []byte) (int, error) {
 	return c.Conn.Read(b)
 }
 
-// limpConn drips every write: the replica answers, slowly — the shape
-// hedged requests exist to beat.
+// limpConn drips every write: the replica answers, slowly — a tail that
+// only the request's deadline bounds.
 type limpConn struct {
 	net.Conn
 	delay time.Duration

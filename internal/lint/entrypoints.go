@@ -9,9 +9,9 @@ package lint
 
 // parallelPkgPath is the module's OpenMP-style loop package; the closures
 // it receives run on multiple goroutines at once. resiliencePkgPath is
-// the serving tier's retry/hedge machinery: a hedged op runs on several
-// goroutines concurrently, and a retried op re-executes, so a captured
-// stream races or silently diverges between attempts either way.
+// the serving tier's retry machinery: a retried op re-executes, so a
+// captured stream silently diverges between attempts (and races with
+// whatever else holds it).
 const (
 	parallelPkgPath   = "finbench/internal/parallel"
 	resiliencePkgPath = "finbench/internal/resilience"
@@ -59,10 +59,9 @@ var concurrentClosureFuncs = map[string]map[string]bool{
 		"Region":        true,
 	},
 	resiliencePkgPath: {
-		// Hedge legs run concurrently; Retry re-executes the op and its
-		// closure shares state with the caller's health/stat goroutines.
+		// Retry re-executes the op, and its closure shares state with the
+		// caller's health/stat goroutines.
 		"Retry": true,
-		"Hedge": true,
 	},
 	pricecachePkgPath: {
 		// The singleflight compute closure: re-executed on waiter
@@ -90,7 +89,7 @@ var concurrentClosureFuncs = map[string]map[string]bool{
 // diagnostic.
 var closureHints = map[string]string{
 	parallelPkgPath:   "derive a per-chunk stream inside the closure (e.g. rng.NewStream(lo, seed), keyed on the chunk start the closure receives)",
-	resiliencePkgPath: "derive a per-attempt stream inside the closure (hedge legs run concurrently, and a retried attempt must not continue a prior attempt's sequence)",
+	resiliencePkgPath: "derive a per-attempt stream inside the closure (a retried attempt must not continue a prior attempt's sequence)",
 	pricecachePkgPath: "derive the stream inside the compute closure from the cache key's seed (a re-dispatched compute must reproduce the leader's bytes, or the cache fans out divergent responses)",
 	scenarioPkgPath:   "derive a per-partition stream inside the closure from the partition's cells (e.g. rng.NewStream(0, rng.DeriveSeed(seed, cellIndex))); partitions evaluate concurrently and must merge to deterministic bytes",
 	streamPkgPath:     "derive the stream inside the RepriceFunc (it runs on the hub's repricing-loop goroutine; the feed's values must stay bit-reproducible against a cold repricing)",
@@ -102,14 +101,13 @@ var closureHints = map[string]string{
 // an empty replacement means no cancellable variant exists and the entry
 // point simply must not be reachable from a handler. The key format is
 // types.Func.FullName ("pkg/path.Fn" or "(*pkg/path.T).Method").
-//
-// finbench.ProfileBatch is deliberately absent: the coalescer samples it
-// for the /statsz op mix on a bounded batch it has already priced, so the
-// call is observability outside the latency contract, not request work.
+// ProfileBatch re-prices a batch with counters on for the machine model;
+// a handler prices each request once and never profiles it.
 var kernelEntryCtx = map[string]string{
 	rootPkgPath + ".Price":                          rootPkgPath + ".PriceCtx",
 	rootPkgPath + ".PriceBatch":                     rootPkgPath + ".PriceBatchCtx",
 	rootPkgPath + ".PriceBatchGrid":                 rootPkgPath + ".PriceBatchGridCtx",
+	rootPkgPath + ".ProfileBatch":                   "",
 	"(*" + rootPkgPath + ".PathSimulator).Simulate": "",
 }
 

@@ -90,17 +90,6 @@ func GoodPerWorkerCtx(ctx context.Context, dst []float64, seed uint64, c *perf.C
 	})
 }
 
-// BadSharedStreamHedge captures one stream in a hedged op: the hedge
-// legs run on concurrent goroutines and race on the twister state.
-func BadSharedStreamHedge(ctx context.Context, dst []float64, seed uint64) error {
-	stream := rng.NewStream(0, seed)
-	_, _, err := resilience.Hedge(ctx, time.Millisecond, 2, func(ctx context.Context, attempt int) (int, error) {
-		stream.Uniform(dst) // seeded violation
-		return 0, nil
-	})
-	return err
-}
-
 // BadSharedRandRetry captures a *math/rand.Rand in a retried op: a
 // second attempt continues the first attempt's sequence, so the "same"
 // operation computes different numbers per retry — and the closure
@@ -112,17 +101,6 @@ func BadSharedRandRetry(ctx context.Context, dst []float64, r *rand.Rand) error 
 		}
 		return nil
 	})
-}
-
-// GoodPerAttemptHedge derives an attempt-local stream inside the hedged
-// op — each leg draws an identical, reproducible sequence. Not flagged.
-func GoodPerAttemptHedge(ctx context.Context, dst []float64, seed uint64) error {
-	_, _, err := resilience.Hedge(ctx, time.Millisecond, 2, func(ctx context.Context, attempt int) (int, error) {
-		stream := rng.NewStream(0, seed)
-		stream.Uniform(dst)
-		return 0, nil
-	})
-	return err
 }
 
 // BadSharedStreamSingleflight captures one stream in the compute closure

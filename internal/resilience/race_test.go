@@ -62,28 +62,44 @@ func TestRaceBudgetStress(t *testing.T) {
 	}
 }
 
-// TestRaceHedgeStress runs many hedged operations concurrently with mixed
-// winners and losers; each closure touches only per-attempt state.
-func TestRaceHedgeStress(t *testing.T) {
+// TestRaceRetryStress runs many Retry loops concurrently against one
+// shared budget, with mixed failures; each closure touches only its own
+// call's state, and the budget's counters must add up to the retries the
+// loops asked for.
+func TestRaceRetryStress(t *testing.T) {
+	budget := NewBudget(0.5, 20)
+	b := Backoff{Base: time.Microsecond, Max: time.Microsecond}
+	var asked [8]uint64
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := range asked {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_, _, err := Hedge(context.Background(), 10*time.Microsecond, 3,
-					func(ctx context.Context, attempt int) (int, error) {
-						if (i+attempt+w)%3 == 0 {
-							return 0, errors.New("transient")
-						}
-						return attempt, nil
-					})
-				if err != nil && !errors.Is(err, context.Canceled) {
-					// All three legs can fail for some (i,w); that's fine.
-					continue
-				}
+				next := 0
+				// Every attempt can fail, or the budget deny a retry; both are fine.
+				_ = Retry(context.Background(), 3, b, budget, func(ctx context.Context, attempt int) error {
+					if attempt != next {
+						t.Errorf("worker %d call %d: attempt %d, want %d", w, i, attempt, next)
+					}
+					next++
+					if attempt > 0 {
+						asked[w]++
+					}
+					if (i+attempt+w)%3 == 0 {
+						return errors.New("transient")
+					}
+					return nil
+				})
 			}
 		}(w)
 	}
 	wg.Wait()
+	var total uint64
+	for _, n := range asked {
+		total += n
+	}
+	if spent, _ := budget.Counters(); spent != total {
+		t.Errorf("budget spent %d retries, the loops ran %d", spent, total)
+	}
 }

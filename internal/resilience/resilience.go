@@ -1,25 +1,23 @@
 // Package resilience holds the stdlib-only fault-tolerance primitives the
 // sharded serving tier is built from: jittered exponential backoff with a
-// global retry budget, a per-replica circuit breaker (closed / open /
-// half-open with bounded probe admission), and hedged requests for tail
-// latency (first success wins, the loser is cancelled through its
-// context).
+// global retry budget, and a per-replica circuit breaker (closed / open /
+// half-open with bounded probe admission).
 //
 // Everything here is policy-free about *what* may be retried — that
 // decision belongs to the caller. The serving tier's rule, inherited from
 // the PR 4 bit-reproducibility invariant, is that only methods whose 200
 // responses are bit-reproducible independent of execution placement
-// (closed form, the lattice methods, greeks) are ever retried or hedged;
-// Monte Carlo results depend on the batch decomposition, so the router
-// gives them exactly one attempt.
+// (closed form, the lattice methods, greeks) are ever retried; Monte
+// Carlo results depend on the batch decomposition, so the router gives
+// them exactly one attempt.
 //
 // Determinism matters even here: Backoff jitter is derived from an
 // explicit seed and the attempt counter (splitmix64), never from the
 // global math/rand source, so a chaos run replays with identical retry
 // timing for an identical failure sequence.
 //
-// finlint:hot — retry/hedge wrap every routed request; their loops must
-// not allocate per attempt.
+// finlint:hot — retry wraps every routed request; its loop must not
+// allocate per attempt.
 package resilience
 
 import (

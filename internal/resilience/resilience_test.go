@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -148,6 +149,99 @@ func TestRetryHonorsContext(t *testing.T) {
 	}
 }
 
+// TestRetrySingleAttempt: maxAttempts 1 (and anything below it) runs op
+// once and returns its error at once, never waiting out a backoff.
+func TestRetrySingleAttempt(t *testing.T) {
+	boom := errors.New("down")
+	for _, n := range []int{1, 0, -3} {
+		calls := 0
+		start := time.Now()
+		err := Retry(context.Background(), n, Backoff{Base: time.Hour}, nil,
+			func(ctx context.Context, attempt int) error { calls++; return boom })
+		if !errors.Is(err, boom) || calls != 1 {
+			t.Fatalf("maxAttempts %d: err=%v calls=%d, want boom/1", n, err, calls)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Fatalf("maxAttempts %d: returned after %v, a backoff was waited", n, d)
+		}
+	}
+}
+
+// TestRetryAttemptsNeverOverlap: attempt n+1 starts only after attempt n
+// returned, even when an attempt is slow and the backoff is near zero.
+// Callers keep per-request state without a lock on this guarantee.
+func TestRetryAttemptsNeverOverlap(t *testing.T) {
+	var inFlight, overlaps, calls atomic.Int32
+	err := Retry(context.Background(), 4, Backoff{Base: time.Nanosecond, Max: time.Nanosecond}, nil,
+		func(ctx context.Context, attempt int) error {
+			if inFlight.Add(1) != 1 {
+				overlaps.Add(1)
+			}
+			defer inFlight.Add(-1)
+			calls.Add(1)
+			time.Sleep(5 * time.Millisecond)
+			if attempt < 3 {
+				return errors.New("slow and down")
+			}
+			return nil
+		})
+	if err != nil || calls.Load() != 4 {
+		t.Fatalf("err=%v calls=%d, want nil/4", err, calls.Load())
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d attempts started while another ran", n)
+	}
+}
+
+// TestRetryWaitsBackoffBetweenAttempts: the gap between the end of
+// attempt n and the start of attempt n+1 is at least b.Delay(n).
+func TestRetryWaitsBackoffBetweenAttempts(t *testing.T) {
+	b := Backoff{Base: 4 * time.Millisecond, Max: 16 * time.Millisecond, Jitter: -1}
+	var starts, ends []time.Time
+	err := Retry(context.Background(), 4, b, nil,
+		func(ctx context.Context, attempt int) error {
+			starts = append(starts, time.Now())
+			defer func() { ends = append(ends, time.Now()) }()
+			if attempt < 3 {
+				return errors.New("down")
+			}
+			return nil
+		})
+	if err != nil || len(starts) != 4 {
+		t.Fatalf("err=%v attempts=%d, want nil/4", err, len(starts))
+	}
+	for n := 0; n < 3; n++ {
+		if gap := starts[n+1].Sub(ends[n]); gap < b.Delay(n) {
+			t.Errorf("attempt %d started %v after attempt %d ended, want >= %v", n+1, gap, n, b.Delay(n))
+		}
+	}
+}
+
+// TestRetryCancelDuringBackoff: cancelling ctx while Retry waits between
+// attempts returns ctx's error at once, with no further attempt.
+func TestRetryCancelDuringBackoff(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	done := make(chan error, 1)
+	go func() {
+		done <- Retry(ctx, 3, Backoff{Base: time.Hour, Max: time.Hour}, nil,
+			func(ctx context.Context, attempt int) error {
+				calls++
+				cancel() // the wait that follows is the one cut short
+				return errors.New("down")
+			})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) || calls != 1 {
+			t.Fatalf("err=%v calls=%d, want Canceled/1", err, calls)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Retry kept waiting out an hour-long backoff after cancel")
+	}
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
@@ -215,87 +309,5 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	if got := b.Snapshot().Opens; got != 3 {
 		t.Fatalf("opens = %d, want 3", got)
-	}
-}
-
-func TestHedgeFirstSuccessWinsAndCancelsLoser(t *testing.T) {
-	cancelled := make(chan struct{}, 4)
-	v, attempt, err := Hedge(context.Background(), time.Millisecond, 3,
-		func(ctx context.Context, attempt int) (int, error) {
-			if attempt == 0 {
-				// Slow primary: block until hedged past, then observe
-				// cancellation.
-				select {
-				case <-ctx.Done():
-					cancelled <- struct{}{}
-					return 0, ctx.Err()
-				case <-time.After(2 * time.Second):
-					return 100, nil
-				}
-			}
-			return 7, nil
-		})
-	if err != nil || v != 7 || attempt == 0 {
-		t.Fatalf("got (%d,%d,%v), want the hedge's 7", v, attempt, err)
-	}
-	select {
-	case <-cancelled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("losing attempt was not cancelled")
-	}
-}
-
-func TestHedgeSingleAttemptFastPath(t *testing.T) {
-	calls := 0
-	v, attempt, err := Hedge(context.Background(), time.Hour, 1,
-		func(ctx context.Context, attempt int) (string, error) { calls++; return "solo", nil })
-	if err != nil || v != "solo" || attempt != 0 || calls != 1 {
-		t.Fatalf("got (%q,%d,%v) calls=%d", v, attempt, err, calls)
-	}
-}
-
-func TestHedgeAllFailReturnsPrimaryError(t *testing.T) {
-	primary := errors.New("primary down")
-	_, _, err := Hedge(context.Background(), time.Microsecond, 3,
-		func(ctx context.Context, attempt int) (int, error) {
-			if attempt == 0 {
-				return 0, primary
-			}
-			return 0, errors.New("hedge down")
-		})
-	if !errors.Is(err, primary) {
-		t.Fatalf("err = %v, want the primary attempt's error", err)
-	}
-}
-
-func TestHedgeImmediateRelaunchOnFailure(t *testing.T) {
-	// The delay is huge; hedges must still be launched when every
-	// in-flight attempt has already failed.
-	start := time.Now()
-	v, attempt, err := Hedge(context.Background(), time.Hour, 3,
-		func(ctx context.Context, attempt int) (int, error) {
-			if attempt < 2 {
-				return 0, errors.New("down")
-			}
-			return 42, nil
-		})
-	if err != nil || v != 42 || attempt != 2 {
-		t.Fatalf("got (%d,%d,%v)", v, attempt, err)
-	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatal("failure-driven relaunch waited for the hedge timer")
-	}
-}
-
-func TestHedgeHonorsParentContext(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, _, err := Hedge(ctx, time.Hour, 2,
-		func(ctx context.Context, attempt int) (int, error) {
-			<-ctx.Done()
-			return 0, ctx.Err()
-		})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 }

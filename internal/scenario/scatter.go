@@ -12,7 +12,7 @@ import (
 // cell order before reducing. Only closed-form grid cells may be split
 // freely and re-attempted; a generator block is Monte Carlo, so it is
 // one indivisible partition with exactly one attempt — the same rule
-// that keeps Monte Carlo out of coalescing, caching, retry and hedging.
+// that keeps Monte Carlo out of coalescing, caching and retry.
 
 // Partition is one contiguous cell range of a scenario request.
 type Partition struct {

@@ -71,9 +71,6 @@ type Stats struct {
 type Coalescer struct {
 	mkt      finbench.Market
 	maxBatch int
-	// profileEvery samples the op mix of every Nth flush via
-	// finbench.ProfileBatch (0 disables).
-	profileEvery uint64
 
 	mu       sync.Mutex
 	pending  *ticketList // nil when nothing is queued
@@ -84,22 +81,15 @@ type Coalescer struct {
 	closed   bool
 
 	flushes, solo, coalesced, batched atomic.Uint64
-
-	profMu sync.Mutex
-	prof   finbench.OperationMix
 }
 
 // New builds a coalescer pricing against mkt. maxBatch bounds the queue:
 // the ticket that brings it to that many options prices it at once.
-// profileEvery samples the op mix of every Nth flush (0 disables). window
-// is ignored: it stays only until the frozen benchmark/ package, which
-// passes it, can be corrected (ROADMAP, benchmark-correction item).
+// window and profileEvery are ignored: they stay only until the frozen
+// benchmark/ package, which passes them, can be corrected (ROADMAP,
+// benchmark-correction item).
 func New(mkt finbench.Market, window time.Duration, maxBatch int, profileEvery int) *Coalescer {
-	c := &Coalescer{mkt: mkt, maxBatch: maxBatch}
-	if profileEvery > 0 {
-		c.profileEvery = uint64(profileEvery)
-	}
-	return c
+	return &Coalescer{mkt: mkt, maxBatch: maxBatch}
 }
 
 // Price submits the ticket and blocks until its batch is flushed. It
@@ -171,14 +161,6 @@ func (c *Coalescer) Snapshot() Stats {
 	}
 }
 
-// OpMix returns the accumulated sampled operation mix.
-func (c *Coalescer) OpMix() finbench.OperationMix {
-	c.profMu.Lock()
-	out := c.prof
-	c.profMu.Unlock()
-	return out
-}
-
 // takeLocked detaches the pending batch (nil if none). Caller holds c.mu.
 func (c *Coalescer) takeLocked() *ticketList {
 	batch := c.pending
@@ -238,7 +220,7 @@ func (c *Coalescer) flush(batch *ticketList, holdsRole bool) {
 		dl.Release()
 	}
 
-	flushIdx := c.flushes.Add(1)
+	c.flushes.Add(1)
 	c.batched.Add(uint64(n))
 	if len(tickets) == 1 {
 		c.solo.Add(1)
@@ -273,25 +255,6 @@ func (c *Coalescer) flush(batch *ticketList, holdsRole bool) {
 	if holdsRole {
 		c.handOff()
 	}
-	// Sampled last, so the doubled work delays only this goroutine's reply.
-	// 1%c.profileEvery (not a literal 1) so profileEvery=1 samples every
-	// flush: flushIdx%1 is always 0, never 1.
-	if err == nil && c.profileEvery > 0 && flushIdx%c.profileEvery == 1%c.profileEvery {
-		c.profile(mega)
-	}
 	PutBatch(mega)
 	putTicketList(batch)
-}
-
-// profile re-prices the flushed batch with counters on (bit-identical
-// writes) and folds the mix into the running profile. Called on a sampled
-// subset of flushes; the doubled work is the observability budget.
-func (c *Coalescer) profile(mega *finbench.Batch) {
-	mix, err := finbench.ProfileBatch(mega, c.mkt, finbench.LevelAdvanced, 8)
-	if err != nil {
-		return
-	}
-	c.profMu.Lock()
-	c.prof.Merge(mix)
-	c.profMu.Unlock()
 }

@@ -225,21 +225,33 @@ func TestCoalescerCloseFailsPending(t *testing.T) {
 	}
 }
 
-// TestProfileEveryOneSamplesEveryFlush pins the profileEvery=1 fix:
-// flushIdx%1 is always 0, so the old `== 1` comparison never sampled.
-func TestProfileEveryOneSamplesEveryFlush(t *testing.T) {
-	c := New(testMkt, 0, 1, 1) // sequential tickets: every one flushes alone
-	defer c.Close()
-	var prev uint64
+// TestProfileEveryIgnored: New's profileEvery argument changes nothing.
+// A coalescer told to sample every flush prices each flush once, with the
+// counters and bits of one told never to sample.
+func TestProfileEveryIgnored(t *testing.T) {
+	sampled, plain := New(testMkt, 0, 1, 1), New(testMkt, 0, 1, 0)
+	defer sampled.Close()
+	defer plain.Close()
 	for i := 0; i < 3; i++ {
-		if err := c.Price(mkTicket(rand.New(rand.NewSource(int64(i)+21)), 8)); err != nil {
+		a := mkTicket(rand.New(rand.NewSource(int64(i)+21)), 8)
+		b := mkTicket(rand.New(rand.NewSource(int64(i)+21)), 8)
+		if err := sampled.Price(a); err != nil {
 			t.Fatal(err)
 		}
-		mix := c.OpMix()
-		if mix.Items <= prev {
-			t.Fatalf("flush %d: op mix items = %d (previous %d); profileEvery=1 must sample every flush", i+1, mix.Items, prev)
+		if err := plain.Price(b); err != nil {
+			t.Fatal(err)
 		}
-		prev = mix.Items
+		for j := range a.Calls {
+			if a.Calls[j] != b.Calls[j] || a.Puts[j] != b.Puts[j] {
+				t.Fatalf("ticket %d option %d: (%v,%v) with profileEvery=1, (%v,%v) with 0",
+					i, j, a.Calls[j], a.Puts[j], b.Calls[j], b.Puts[j])
+			}
+		}
+		checkBitEqualDirect(t, "profileEvery=1 ticket", a)
+	}
+	got, want := sampled.Snapshot(), plain.Snapshot()
+	if got != want || got.Flushes != 3 || got.BatchedOptions != 24 {
+		t.Errorf("profileEvery=1 counters %+v, profileEvery=0 %+v, want 3 flushes of 24 options in both", got, want)
 	}
 }
 
@@ -318,13 +330,13 @@ func TestBatchTicketPools(t *testing.T) {
 	PutTicket(first)
 }
 
-// TestCoalescerStress hammers Price/Snapshot/OpMix concurrently with a
+// TestCoalescerStress hammers Price and Snapshot concurrently with a
 // queue bound small enough that role hand-offs and threshold flushes
 // interleave. Every ticket is bit-verified, and the counters must account
 // for every ticket and option exactly once; the race detector (check.sh
 // runs this package under -race at -cpu 1,2,4,8) does the rest.
 func TestCoalescerStress(t *testing.T) {
-	c := New(testMkt, 0, 96, 4)
+	c := New(testMkt, 0, 96, 0)
 	defer c.Close()
 
 	const (
@@ -364,7 +376,6 @@ func TestCoalescerStress(t *testing.T) {
 				return
 			default:
 				_ = c.Snapshot()
-				_ = c.OpMix()
 				runtime.Gosched()
 			}
 		}

@@ -80,7 +80,7 @@ func onePriceBody() []byte {
 }
 
 func TestPriceHandlerAllocsSteadyState(t *testing.T) {
-	s := New(Config{CoalesceMaxBatch: 1, ProfileEvery: -1})
+	s := New(Config{CoalesceMaxBatch: 1})
 	defer s.Close()
 	if got := allocsPerRequest(t, s.Handler(), "/price", "application/json", onePriceBody()); got != 0 {
 		t.Errorf("/price JSON steady state: %.2f allocs/request, want 0", got)
@@ -91,7 +91,7 @@ func TestPriceHandlerAllocsSteadyState(t *testing.T) {
 // users actually take: default CoalesceMaxBatch, so the request goes
 // through the coalescer (ticket, queue, flush, pooled flush deadline).
 func TestPriceHandlerAllocsCoalescedSteadyState(t *testing.T) {
-	s := New(Config{ProfileEvery: -1})
+	s := New(Config{})
 	defer s.Close()
 	if got := allocsPerRequest(t, s.Handler(), "/price", "application/json", onePriceBody()); got != 0 {
 		t.Errorf("/price JSON through the coalescer: %.2f allocs/request, want 0", got)
@@ -102,7 +102,7 @@ func TestPriceHandlerAllocsCoalescedSteadyState(t *testing.T) {
 }
 
 func TestPriceHandlerAllocsColumnarSteadyState(t *testing.T) {
-	s := New(Config{CoalesceMaxBatch: 1, ProfileEvery: -1})
+	s := New(Config{CoalesceMaxBatch: 1})
 	defer s.Close()
 	frame := wire.AppendColumnarRequest(nil, &wire.PriceRequest{Columnar: &wire.Columns{
 		Spots:    []float64{100},
@@ -115,7 +115,7 @@ func TestPriceHandlerAllocsColumnarSteadyState(t *testing.T) {
 }
 
 func TestGreeksHandlerAllocsSteadyState(t *testing.T) {
-	s := New(Config{ProfileEvery: -1})
+	s := New(Config{})
 	defer s.Close()
 	body := []byte(`{"options":[{"type":"put","spot":100,"strike":105,"expiry":0.5}]}`)
 	if got := allocsPerRequest(t, s.Handler(), "/greeks", "application/json", body); got != 0 {

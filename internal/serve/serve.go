@@ -48,10 +48,6 @@ type Config struct {
 	// options (default 16384). Requests that large bypass the coalescer.
 	CoalesceMaxBatch int
 
-	// ProfileEvery samples the op mix of every Nth coalesced flush
-	// (default 64; negative disables).
-	ProfileEvery int
-
 	// MaxOptions bounds options per request (default 262144). MaxPaths
 	// caps per-request Monte Carlo paths (default 2^22).
 	MaxOptions int
@@ -89,12 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CoalesceMaxBatch <= 0 {
 		c.CoalesceMaxBatch = 16384
-	}
-	if c.ProfileEvery == 0 {
-		c.ProfileEvery = 64
-	}
-	if c.ProfileEvery < 0 {
-		c.ProfileEvery = 0
 	}
 	if c.MaxOptions <= 0 {
 		c.MaxOptions = 262144
@@ -138,7 +128,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		stats: newStats(),
 		adm:   newAdmission(cfg.MaxUnits),
-		co:    coalesce.New(cfg.Market, 0, cfg.CoalesceMaxBatch, cfg.ProfileEvery),
+		co:    coalesce.New(cfg.Market, 0, cfg.CoalesceMaxBatch, 0),
 	}
 	if cfg.Stream != nil {
 		hcfg := *cfg.Stream

@@ -251,11 +251,12 @@ func TestDrainRefusesNewWorkAndCompletes(t *testing.T) {
 	}
 }
 
-// TestStatszShape pins the /statsz schema: the exact key set of the
-// top-level object and of its requests, codes and shed maps (opmix and
-// stream are off here: no sampling, no hub), plus a few live values.
+// TestStatszShape pins the /statsz schema of a default server: the exact
+// key set of the top-level object and of its requests, codes and shed
+// maps (stream is off: no hub), plus a few live values. The server prices
+// each request once, so no key reports a sampled re-pricing.
 func TestStatszShape(t *testing.T) {
-	_, ts := newTestServer(t, Config{ProfileEvery: -1})
+	_, ts := newTestServer(t, Config{})
 	req := &PriceRequest{Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}}}
 	if resp, _ := postJSON(t, ts.URL+"/price", req); resp.StatusCode != 200 {
 		t.Fatalf("price: %d", resp.StatusCode)
@@ -326,7 +327,7 @@ func TestStatszShape(t *testing.T) {
 // cache lives in the router): no X-Finserve-Cache header on /price and
 // no cache block in /statsz.
 func TestCacheDisabledNoHeader(t *testing.T) {
-	_, ts := newTestServer(t, Config{CoalesceMaxBatch: 1, ProfileEvery: -1})
+	_, ts := newTestServer(t, Config{CoalesceMaxBatch: 1})
 	req := &PriceRequest{Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}}}
 	resp, body := postJSON(t, ts.URL+"/price", req)
 	if resp.StatusCode != http.StatusOK {

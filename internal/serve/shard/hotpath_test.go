@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,7 +187,7 @@ func TestPickTieGoesToFirstRoutableReplica(t *testing.T) {
 	}
 	defer r.Close()
 	pickOne := func() *replica {
-		st := &reqState{excluded: map[*replica]bool{}, inUse: map[*replica]int{}}
+		st := &reqState{excluded: map[*replica]bool{}}
 		rep := r.pick(st)
 		if rep != nil {
 			rep.breaker.Success()
@@ -243,15 +244,113 @@ func TestPickSkipsRefusingBreaker(t *testing.T) {
 	}
 	r.replicas[1].loadUnits.Store(5)
 	for i := 0; i < 3; i++ {
-		st := &reqState{excluded: map[*replica]bool{}, inUse: map[*replica]int{}}
+		st := &reqState{excluded: map[*replica]bool{}}
 		if got := r.pick(st); got != r.replicas[1] {
 			t.Fatalf("pick %d with replica 0's probe out: got %v, want replica 1", i, got)
 		}
 	}
 	// With every live replica refusing, pick finds none.
 	r.replicas[1].healthy.Store(false)
-	st := &reqState{excluded: map[*replica]bool{}, inUse: map[*replica]int{}}
+	st := &reqState{excluded: map[*replica]bool{}}
 	if got := r.pick(st); got != nil {
 		t.Fatalf("only a refusing replica left: picked %v, want none", got.url)
+	}
+}
+
+// TestPickFailedReplicaOnlyAsLastResort: a replica this request already
+// failed on is picked only when no other routable replica exists, however
+// well it scores.
+func TestPickFailedReplicaOnlyAsLastResort(t *testing.T) {
+	r, err := New(Config{Backends: []string{"http://a.invalid", "http://b.invalid", "http://c.invalid"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	pickOne := func(st *reqState) *replica {
+		rep := r.pick(st)
+		if rep != nil {
+			rep.breaker.Success()
+		}
+		return rep
+	}
+	// Replica 0 is idle and failed this request; the others carry load.
+	r.replicas[1].loadUnits.Store(7)
+	r.replicas[2].loadUnits.Store(5)
+	st := &reqState{excluded: map[*replica]bool{r.replicas[0]: true}}
+	if got := pickOne(st); got != r.replicas[2] {
+		t.Fatalf("replica 0 failed this request: picked %v, want replica 2 (least loaded of the rest)", got.url)
+	}
+	// An unroutable alternative does not count: with replica 2 unhealthy,
+	// replica 1 is still preferred over the failed replica 0.
+	r.replicas[2].healthy.Store(false)
+	if got := pickOne(st); got != r.replicas[1] {
+		t.Fatalf("replica 2 unhealthy: picked %v, want replica 1", got.url)
+	}
+	// With replica 1 failed too, the failed replicas are all that is left.
+	st.excluded[r.replicas[1]] = true
+	if got := pickOne(st); got != r.replicas[0] {
+		t.Fatalf("every routable replica failed this request: picked %v, want replica 0 (least loaded)", got)
+	}
+	// A fresh request ignores the first one's failures.
+	r.replicas[2].healthy.Store(true)
+	if got := pickOne(&reqState{excluded: map[*replica]bool{}}); got != r.replicas[0] {
+		t.Fatalf("fresh request: picked %v, want replica 0", got.url)
+	}
+}
+
+// TestLoneReplicaTransient5xxRetried: a lone replica that answers one
+// transient 500 gets a backoff-spaced retry on the same replica, and the
+// client sees the retry's 200 with the attempt count in its headers.
+func TestLoneReplicaTransient5xxRetried(t *testing.T) {
+	const backoff = 20 * time.Millisecond
+	const maxAttempts = 3
+	arrivals := make(chan time.Time, maxAttempts) // one slot per attempt, so the handler never blocks
+	var calls atomic.Int32
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/healthz" {
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, `{"status":"ok","in_flight_units":0,"max_units":1,"queue_depth":0,"uptime_s":1}`)
+			return
+		}
+		arrivals <- time.Now()
+		if calls.Add(1) == 1 {
+			http.Error(w, `{"error":"transient"}`, http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"results":[{"price":1}],"method":"closed-form","config":{},"engine":"scalar","elapsed_us":1}`)
+	}))
+	defer stub.Close()
+	router := newRouter(t, Config{
+		Backends:       []string{stub.URL},
+		HealthInterval: time.Hour,
+		MaxAttempts:    maxAttempts,
+		Backoff:        resilience.Backoff{Base: backoff, Max: backoff, Jitter: -1},
+	})
+	front := httptest.NewServer(router)
+	defer front.Close()
+
+	resp, body := post(t, front.URL, "/price", priceBody("", 1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d %s, want the retry's 200", resp.StatusCode, body)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("replica saw %d attempts, want 2", n)
+	}
+	first, second := <-arrivals, <-arrivals
+	if gap := second.Sub(first); gap < backoff {
+		t.Errorf("retry came %v after the 500, want >= the %v backoff", gap, backoff)
+	}
+	for h, want := range map[string]string{
+		"X-Finserve-Replica":  stub.URL,
+		"X-Finserve-Attempts": "2",
+		"X-Finserve-Retries":  "1",
+	} {
+		if got := resp.Header.Get(h); got != want {
+			t.Errorf("%s = %q, want %q", h, got, want)
+		}
+	}
+	if got := router.Snapshot().Retries; got != 1 {
+		t.Errorf("router retries = %d, want 1", got)
 	}
 }

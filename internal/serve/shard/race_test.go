@@ -29,12 +29,10 @@ func TestRaceRouterUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers, perWorker, maxAttempts = 8, 30, 4
-	// Each attempt may add one hedge leg.
-	const attemptCap = workers * perWorker * maxAttempts * 2
+	const attemptCap = workers * perWorker * maxAttempts
 	tp := newTopology(t, topoConfig{replicas: 3, router: Config{
 		HealthInterval: 5 * time.Millisecond,
 		MaxAttempts:    maxAttempts,
-		HedgeDelay:     2 * time.Millisecond,
 		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 		BudgetRatio:    -1, // unlimited retries: this test measures races, not budgets
 		Breaker:        resilience.BreakerConfig{FailureThreshold: attemptCap + 1},

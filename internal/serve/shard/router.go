@@ -3,16 +3,16 @@
 // /healthz, scores them least-loaded (router-side in-flight plus the
 // backend's reported work units and admission-queue depth), and guards
 // each with a circuit breaker. Failed attempts fail over to a different
-// replica with the dead one excluded for the rest of the request;
-// optional hedging races a second replica after a delay for tail
-// latency.
+// replica with the dead one excluded for the rest of the request, and
+// attempts run one after another: every request is priced by exactly one
+// replica at a time.
 //
 // The PR 4 bit-reproducibility invariant survives routing: every 200
 // the router forwards is byte-for-byte what one backend produced, and
 // backends answer identically for identical effective configs, so a
 // routed 200 is bit-identical to a single-process answer. The one
 // method whose answers are decomposition-dependent — Monte Carlo — is
-// never retried or hedged: it gets exactly one attempt, and any failure
+// never retried: it gets exactly one attempt, and any failure
 // surfaces to the client rather than risking a second, differently
 // seeded execution being presented as the first.
 //
@@ -57,11 +57,6 @@ type Config struct {
 	// MaxAttempts bounds attempts per request, first try included
 	// (default 3). Monte Carlo requests always get exactly one.
 	MaxAttempts int
-
-	// HedgeDelay launches a second attempt on another replica when the
-	// first has not answered within this delay; 0 disables hedging.
-	// Monte Carlo is never hedged.
-	HedgeDelay time.Duration
 
 	// Backoff shapes the retry delays. Breaker tunes the per-replica
 	// circuit breakers.
@@ -150,8 +145,6 @@ type Router struct {
 	requests     atomic.Uint64
 	retries      atomic.Uint64
 	failovers    atomic.Uint64
-	hedges       atomic.Uint64
-	hedgeWins    atomic.Uint64
 	noReplica    atomic.Uint64
 	corrupt      atomic.Uint64
 	healthSweeps atomic.Uint64
@@ -241,13 +234,11 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// reqState is the per-request routing state shared by retry attempts
-// and concurrent hedge legs.
+// reqState is the per-request routing state its sequential retry
+// attempts share.
 type reqState struct {
-	mu       sync.Mutex
-	excluded map[*replica]bool // failed this request; never re-picked
-	inUse    map[*replica]int  // attempts currently running (hedge diversity)
-	attempts atomic.Int32
+	excluded map[*replica]bool // failed this request; picked only as a last resort
+	attempts int
 }
 
 // backendResult is one backend response, fully read.
@@ -272,8 +263,7 @@ func (e *httpFailure) Error() string {
 
 var errNoReplica = errors.New("no routable replica")
 
-// route proxies one pricing request with retry, failover and optional
-// hedging; cacheable closed-form /price requests go through the
+// route proxies one pricing request with retry and failover; cacheable closed-form /price requests go through the
 // router-level content cache first.
 func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 	r.requests.Add(1)
@@ -312,10 +302,13 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 		// mirroring it here bounds retries and backoff waits too. It is
 		// established before any cache wait, so a waiter parked on a
 		// slow singleflight leader still honors its own deadline. Unlike
-		// the replicas this is not the pooled deadline.Ctx: hedge legs
-		// are not joined (resilience.Hedge) and can still hold ctx after
-		// the handler returns, so a released-and-reused Ctx would cancel
-		// or extend an unrelated request's leg.
+		// the replicas this is not the pooled deadline.Ctx: ctx becomes
+		// the outgoing request's context, and net/http keeps using it
+		// after RoundTrip returns (the RoundTripper contract lets the
+		// transport read the request from another goroutine until the
+		// response body is closed, and a dial the request started
+		// outlives it with the context's values), so a released-and-
+		// reused Ctx could reach into an unrelated request's exchange.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
 		defer cancel()
@@ -334,65 +327,46 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 		r.writeRouteError(w, err, res)
 		return
 	}
-	r.passThrough(w, res.final, res.st, res.hedgeWon, res.retries)
+	r.passThrough(w, res)
 }
 
 // routeResult is one full routed exchange: the response to forward plus
 // the per-request routing state the response headers are built from.
 type routeResult struct {
-	final    *backendResult
-	st       *reqState
-	hedgeWon bool
-	retries  int // sequential retries only; hedge legs are not retries
+	final   *backendResult
+	st      *reqState
+	retries int // attempts after the first, including ones that found no replica
 }
 
-// dispatch runs the retry/failover/hedge machinery for one request and
+// dispatch runs the retry/failover machinery for one request and
 // returns the response to forward. On error, result.final carries the
 // last retryable backend response when there was one (so the caller can
 // still pass it through).
 func (r *Router) dispatch(ctx context.Context, method, path, ctype string, body []byte, monteCarlo bool) (*routeResult, error) {
 	// Monte Carlo answers depend on the batch decomposition, so a
 	// second execution is not "the same answer, again" — it gets
-	// exactly one attempt and no hedge.
+	// exactly one attempt.
 	attempts := r.cfg.MaxAttempts
-	hedgeN := 1
 	if monteCarlo {
 		attempts = 1
-	} else if r.cfg.HedgeDelay > 0 && len(r.replicas) > 1 {
-		hedgeN = 2
 	}
 
-	out := &routeResult{st: &reqState{
-		excluded: make(map[*replica]bool),
-		inUse:    make(map[*replica]int),
-	}}
+	out := &routeResult{st: &reqState{excluded: make(map[*replica]bool)}}
 	err := resilience.Retry(ctx, attempts, r.cfg.Backoff, r.budget, func(ctx context.Context, attempt int) error {
 		if attempt > 0 {
 			out.retries++
 			r.retries.Add(1)
-			out.st.mu.Lock()
-			failedOver := len(out.st.excluded) > 0
-			out.st.mu.Unlock()
-			if failedOver {
+			if len(out.st.excluded) > 0 {
 				r.failovers.Add(1)
 			}
 		}
-		res, idx, err := resilience.Hedge(ctx, r.cfg.HedgeDelay, hedgeN, func(hctx context.Context, h int) (*backendResult, error) {
-			if h > 0 {
-				r.hedges.Add(1)
-			}
-			return r.attemptOnce(hctx, method, path, ctype, body, out.st)
-		})
+		res, err := r.attemptOnce(ctx, method, path, ctype, body, out.st)
 		if err != nil {
 			var hf *httpFailure
 			if errors.As(err, &hf) {
 				out.final = hf.res
 			}
 			return err
-		}
-		if idx > 0 {
-			r.hedgeWins.Add(1)
-			out.hedgeWon = true
 		}
 		out.final = res
 		return nil
@@ -413,7 +387,7 @@ func (r *Router) writeRouteError(w http.ResponseWriter, err error, res *routeRes
 	default:
 		var hf *httpFailure
 		if errors.As(err, &hf) && res != nil && res.final != nil {
-			r.passThrough(w, res.final, res.st, res.hedgeWon, res.retries)
+			r.passThrough(w, res)
 			return
 		}
 		writeError(w, http.StatusBadGateway, "replica unreachable: "+err.Error())
@@ -449,7 +423,7 @@ func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, method 
 	case err == nil && outcome == pricecache.Miss:
 		// Leader with a cacheable 200: forward with full routing headers.
 		w.Header().Set(pricecache.Header, outcome.String())
-		r.passThrough(w, lead.final, lead.st, lead.hedgeWon, lead.retries)
+		r.passThrough(w, lead)
 	case err == nil:
 		// Hit or collapsed: served from the cache; no replica involved,
 		// so no routing headers.
@@ -461,7 +435,7 @@ func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, method 
 		// This caller led and got a non-shareable answer: forward it as
 		// the plain path would have.
 		w.Header().Set(pricecache.Header, "miss")
-		r.passThrough(w, lead.final, lead.st, lead.hedgeWon, lead.retries)
+		r.passThrough(w, lead)
 	default:
 		r.writeRouteError(w, err, lead)
 	}
@@ -472,8 +446,10 @@ func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, method 
 // truncation at the limit, same error — but a declared length in
 // (0, maxProxyBody] pre-sizes the slice, so a known-length body costs one
 // allocation instead of ReadAll's doubling. The slice is allocated, never
-// pooled: resilience.Hedge does not join its losing legs, which can still
-// be reading the request body after the handler has returned.
+// pooled: a request body is handed to the transport, and net/http's
+// RoundTripper contract lets the transport keep reading it, from another
+// goroutine, after RoundTrip returns — after the handler may have
+// returned too.
 func readBody(r io.Reader, contentLength int64) ([]byte, error) {
 	lr := io.LimitReader(r, maxProxyBody)
 	if contentLength <= 0 || contentLength > maxProxyBody {
@@ -551,9 +527,11 @@ func routerCacheKey(req *serve.PriceRequest) (pricecache.Key, bool) {
 
 // passThrough forwards a backend response verbatim, plus the routing
 // headers a client's resilience metrics are built from: Attempts counts
-// every replica attempt including hedge legs, Retries only sequential
-// re-attempts.
-func (r *Router) passThrough(w http.ResponseWriter, res *backendResult, st *reqState, hedgeWon bool, retries int) {
+// the replica attempts this request made, Retries the re-attempts after
+// the first (Attempts − 1, unless a re-attempt found no routable
+// replica to try).
+func (r *Router) passThrough(w http.ResponseWriter, rr *routeResult) {
+	res := rr.final
 	h := w.Header()
 	if res.contentTyp != "" {
 		h.Set("Content-Type", res.contentTyp)
@@ -562,11 +540,8 @@ func (r *Router) passThrough(w http.ResponseWriter, res *backendResult, st *reqS
 		h.Set("Retry-After", res.retryAfter)
 	}
 	h.Set("X-Finserve-Replica", res.rep.url)
-	h.Set("X-Finserve-Attempts", fmt.Sprintf("%d", st.attempts.Load()))
-	h.Set("X-Finserve-Retries", fmt.Sprintf("%d", retries))
-	if hedgeWon {
-		h.Set("X-Finserve-Hedge", "won")
-	}
+	h.Set("X-Finserve-Attempts", fmt.Sprintf("%d", rr.st.attempts))
+	h.Set("X-Finserve-Retries", fmt.Sprintf("%d", rr.retries))
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 }
@@ -582,14 +557,9 @@ func (r *Router) attemptOnce(ctx context.Context, method, path, ctype string, bo
 		r.noReplica.Add(1)
 		return nil, errNoReplica
 	}
-	st.attempts.Add(1)
+	st.attempts++
 	rep.inflight.Add(1)
-	defer func() {
-		rep.inflight.Add(-1)
-		st.mu.Lock()
-		st.inUse[rep]--
-		st.mu.Unlock()
-	}()
+	defer rep.inflight.Add(-1)
 
 	hreq, err := http.NewRequestWithContext(ctx, method, rep.url+path, bytes.NewReader(body))
 	if err != nil {
@@ -636,11 +606,11 @@ func (r *Router) attemptOnce(ctx context.Context, method, path, ctype string, bo
 		// brokenness, so the breaker records a success; but fail the
 		// request over so another replica can take it.
 		rep.breaker.Success()
-		r.exclude(st, rep)
+		st.excluded[rep] = true
 		return nil, &httpFailure{res: res}
 	case resp.StatusCode >= 500:
 		rep.breaker.Failure()
-		r.exclude(st, rep)
+		st.excluded[rep] = true
 		return nil, &httpFailure{res: res}
 	default:
 		// 4xx: the request itself is at fault; pass it through.
@@ -650,42 +620,31 @@ func (r *Router) attemptOnce(ctx context.Context, method, path, ctype string, bo
 }
 
 // replicaFailed records a transport-level failure against rep — unless
-// the attempt was cancelled (a lost hedge race or an expired deadline
-// is not evidence the replica is broken) — and excludes it from the
-// rest of this request.
+// the attempt was cancelled (an expired deadline or a departed client is
+// not evidence the replica is broken) — and excludes it from the rest of
+// this request.
 func (r *Router) replicaFailed(ctx context.Context, st *reqState, rep *replica, err error) error {
 	if ctx.Err() != nil {
 		rep.breaker.Success()
 		return err
 	}
 	rep.breaker.Failure()
-	r.exclude(st, rep)
+	st.excluded[rep] = true
 	return err
 }
 
-func (r *Router) exclude(st *reqState, rep *replica) {
-	st.mu.Lock()
-	st.excluded[rep] = true
-	st.mu.Unlock()
-}
-
 // pick chooses the least-loaded routable replica that the breaker
-// admits. Three preference tiers: replicas this request has neither
-// failed on nor is currently trying (so a hedge leg lands elsewhere),
-// then untried-but-busy ones, and as a last resort a replica that
-// already failed this request — a lone replica with a transient 500 is
-// still worth a backoff-spaced retry, but never ahead of a live
-// alternative. Returns nil when nothing is admissible.
+// admits. Two preference tiers: replicas this request has not failed on,
+// then, as a last resort, one that already failed it — a lone replica
+// with a transient 500 is still worth a backoff-spaced retry, but never
+// ahead of a live alternative. Returns nil when nothing is admissible.
 func (r *Router) pick(st *reqState) *replica {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	// The candidate order is decided under st.mu so concurrent hedge
-	// legs see each other's choices. A replica whose breaker refuses
-	// (half-open with its probe slots taken, or tripped between
-	// routable() and Allow) is skipped for the rest of this pick, and
-	// the same tier is scanned again for the next-best replica.
+	// A replica whose breaker refuses (half-open with its probe slots
+	// taken, or tripped between routable() and Allow) is skipped for the
+	// rest of this pick, and the same tier is scanned again for the
+	// next-best replica.
 	var refused []*replica
-	for tier := 0; tier < 3; tier++ {
+	for tier := 0; tier < 2; tier++ {
 		for {
 			var best *replica
 			var bestScore int64
@@ -693,15 +652,8 @@ func (r *Router) pick(st *reqState) *replica {
 				if !rep.routable() || slices.Contains(refused, rep) {
 					continue
 				}
-				switch tier {
-				case 0:
-					if st.excluded[rep] || st.inUse[rep] > 0 {
-						continue
-					}
-				case 1:
-					if st.excluded[rep] {
-						continue
-					}
+				if tier == 0 && st.excluded[rep] {
+					continue
 				}
 				score := rep.inflight.Load()*1_000_000 + rep.loadUnits.Load()
 				if best == nil || score < bestScore {
@@ -713,7 +665,6 @@ func (r *Router) pick(st *reqState) *replica {
 			}
 			// finlint:ignore leakcheck the Allow admitted here is settled by attemptOnce, which calls Success/Failure on every response path of the routed attempt
 			if best.breaker.Allow() {
-				st.inUse[best]++
 				return best
 			}
 			refused = append(refused, best)

@@ -18,7 +18,7 @@ import (
 // mid-request only re-routes its unfinished partition. Generator blocks
 // are Monte Carlo: each is one indivisible partition with exactly one
 // attempt — never split mid-cell, never retried — the same rule that
-// keeps Monte Carlo out of retry and hedging on /price.
+// keeps Monte Carlo out of retry on /price.
 //
 // The merge funnels through scenario.Finalize, the same function a lone
 // replica uses, and re-reduces the ladder from the merged full surface
@@ -59,7 +59,7 @@ func (r *Router) routeScenario(w http.ResponseWriter, req *http.Request) {
 			r.writeRouteError(w, err, res)
 			return
 		}
-		r.passThrough(w, res.final, res.st, res.hedgeWon, res.retries)
+		r.passThrough(w, res)
 		return
 	}
 	r.scenarioScattered.Add(1)

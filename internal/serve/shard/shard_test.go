@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -348,52 +351,48 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-// TestHedgeWinsOnSlowReplica: with the first-listed replica limping,
-// the hedge fires after HedgeDelay and the fast replica's answer wins.
-func TestHedgeWinsOnSlowReplica(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" {
+// TestSlowReplicaPricedOnce: a request whose replica is slow is priced
+// by that replica alone. The router never sends a second copy of it to
+// another replica, however long the first one takes to answer.
+func TestSlowReplicaPricedOnce(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	var priced [2]atomic.Int32
+	backends := make([]string, len(priced))
+	for i := range priced {
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/healthz" {
+				w.Header().Set("Content-Type", "application/json")
+				fmt.Fprint(w, `{"status":"ok","in_flight_units":0,"max_units":1,"queue_depth":0,"uptime_s":1}`)
+				return
+			}
+			priced[i].Add(1)
+			time.Sleep(delay)
 			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprint(w, `{"status":"ok","in_flight_units":0,"max_units":1,"queue_depth":0,"uptime_s":1}`)
-			return
-		}
-		select {
-		case <-time.After(2 * time.Second):
-		case <-r.Context().Done():
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"results":[{"price":1}],"method":"closed-form","config":{},"engine":"scalar","elapsed_us":1}`)
-	}))
-	defer slow.Close()
-	tp := newReplicas(t, topoConfig{replicas: 1})
-
+			fmt.Fprint(w, `{"results":[{"price":1}],"method":"closed-form","config":{},"engine":"scalar","elapsed_us":1}`)
+		}))
+		defer hs.Close()
+		backends[i] = hs.URL
+	}
 	router := newRouter(t, Config{
-		Backends:       []string{slow.URL, tp.https[0].URL},
+		Backends:       backends,
 		HealthInterval: time.Hour,
-		HedgeDelay:     10 * time.Millisecond,
-		MaxAttempts:    1,
+		MaxAttempts:    3,
 	})
 	front := httptest.NewServer(router)
 	defer front.Close()
 
-	start := time.Now()
 	resp, body := post(t, front.URL, "/price", priceBody("", 2))
-	if resp.StatusCode != 200 {
-		t.Fatalf("hedged request failed: %d %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d %s, want 200", resp.StatusCode, body)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("hedge did not rescue tail latency: %v", elapsed)
+	if a, b := priced[0].Load(), priced[1].Load(); a+b != 1 {
+		t.Fatalf("replicas priced the request %d and %d times, want once in total", a, b)
 	}
-	if got := resp.Header.Get("X-Finserve-Hedge"); got != "won" {
-		t.Errorf("X-Finserve-Hedge = %q, want \"won\"", got)
+	if got := resp.Header.Get("X-Finserve-Attempts"); got != "1" {
+		t.Errorf("X-Finserve-Attempts = %q, want \"1\"", got)
 	}
-	if got := resp.Header.Get("X-Finserve-Replica"); got != tp.https[0].URL {
-		t.Errorf("winner replica %q, want the fast one %q", got, tp.https[0].URL)
-	}
-	snap := router.Snapshot()
-	if snap.Hedges == 0 || snap.HedgeWins == 0 {
-		t.Errorf("hedge counters empty: %+v", snap)
+	if snap := router.Snapshot(); snap.Retries != 0 || snap.HedgeWins != 0 {
+		t.Errorf("retries %d, hedge wins %d, want 0 and 0", snap.Retries, snap.HedgeWins)
 	}
 }
 
@@ -435,8 +434,9 @@ func TestAllReplicasDown(t *testing.T) {
 	}
 }
 
-// TestRouterStatszShape: the statsz body decodes and carries replica
-// breaker snapshots.
+// TestRouterStatszShape pins the router's /statsz schema: the exact
+// top-level key set of a cache-less router (hedge_wins present and always
+// 0, no hedges counter), and replica breaker snapshots.
 func TestRouterStatszShape(t *testing.T) {
 	tp := newTopology(t, topoConfig{replicas: 2})
 
@@ -445,13 +445,33 @@ func TestRouterStatszShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(body, &top); err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.Sorted(maps.Keys(top))
+	want := []string{"corrupt_responses", "failovers", "health_sweeps", "hedge_wins", "no_replica",
+		"replicas", "requests", "retries", "retry_budget_denied", "retry_budget_spent",
+		"scenario_partitions", "scenario_requests", "scenario_scattered",
+		"stream_partitions", "stream_requests", "stream_resubscribes", "stream_slow_drops", "uptime_s"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("top-level keys = %q, want %q", keys, want)
+	}
+
 	var snap StatszResponse
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
 	if len(snap.Replicas) != 2 || snap.Requests == 0 {
 		t.Fatalf("statsz %+v", snap)
+	}
+	if snap.HedgeWins != 0 {
+		t.Errorf("hedge_wins = %d, want 0: the router does not hedge", snap.HedgeWins)
 	}
 	for _, rs := range snap.Replicas {
 		if rs.Breaker.State == "" {

@@ -910,9 +910,9 @@ func TestTopologyDrainWaitsForStreams(t *testing.T) {
 }
 
 // chaosRouter is the router configuration of the chaos tests: retries
-// with a short backoff and an unlimited retry budget, no hedging unless a
-// test sets it, and a transport that dials for every attempt, so every
-// attempt faces the listener's faults.
+// with a short backoff and an unlimited retry budget, and a transport
+// that dials for every attempt, so every attempt faces the listener's
+// faults.
 func chaosRouter(t *testing.T) Config {
 	transport := &http.Transport{DisableKeepAlives: true}
 	t.Cleanup(transport.CloseIdleConnections)
@@ -928,21 +928,27 @@ func chaosRouter(t *testing.T) Config {
 // TestTopologyChaosAvailability: with 10% of every replica's connections
 // refused, reset or truncated, a routed mix of closed form, binomial and
 // greeks stays at ≥ 99% 200s, and every 200 bit-matches the library —
-// the router never forwards a corrupt one, from a retry or from a hedge
-// leg. Replica count, fault seed and hedging are the dimensions. At a 10%
-// fault rate a request needs about 0.11 retries on average; more than one
-// retry per four requests means the router retries what it need not.
+// the router never forwards a corrupt one, first attempt or retry.
+// Replica count, fault seed and the router cache are the dimensions; with
+// the cache on, the burst is replayed, so every closed-form 200 of the
+// replay is a hit whose stored bytes were filled under faults and must
+// still bit-match. At a 10% fault rate a request needs about 0.11
+// retries on average; more than one retry per four requests means the
+// router retries what it need not.
 func TestTopologyChaosAvailability(t *testing.T) {
 	table := []string{"", "", "", "binomial-tree", "greeks"}
 	for _, n := range []int{2, 3} {
 		for _, seed := range topoFaultSeeds {
-			for _, hedge := range []time.Duration{0, time.Millisecond} {
-				t.Run(fmt.Sprintf("replicas=%d/seed=%d/hedge=%v", n, seed, hedge), func(t *testing.T) {
+			for _, cache := range []bool{false, true} {
+				t.Run(fmt.Sprintf("replicas=%d/seed=%d/cache=%v", n, seed, cache), func(t *testing.T) {
 					rc := chaosRouter(t)
-					rc.HedgeDelay = hedge
+					if cache {
+						rc.CacheBytes = 1 << 20
+					}
 					tp := newTopology(t, topoConfig{replicas: n, router: rc, faultSeed: seed})
 					const requests = 120
-					codes := burst(requests, 6, 0, nil, tp.mixedCall(int64(seed), table, 4))
+					call := tp.mixedCall(int64(seed), table, 4)
+					codes := burst(requests, 6, 0, nil, call)
 					if a := availability(codes, requests); a < 0.99 {
 						t.Errorf("availability %.3f under 10%% faults, want >= 0.99: %v", a, codes)
 					}
@@ -957,11 +963,21 @@ func TestTopologyChaosAvailability(t *testing.T) {
 					if snap.Retries > requests/4 {
 						t.Errorf("%d retries for %d requests at a 10%% fault rate, want <= %d", snap.Retries, requests, requests/4)
 					}
-					if hedge > 0 && snap.Hedges == 0 {
-						t.Error("no hedge legs: the hedged case never hedged")
+					t.Logf("codes %v, failed attempts %d, retries %d, corrupt 200s %d",
+						codes, failed, snap.Retries, snap.Corrupt)
+					if !cache {
+						return
 					}
-					t.Logf("codes %v, failed attempts %d, retries %d, hedges %d, corrupt 200s %d",
-						codes, failed, snap.Retries, snap.Hedges, snap.Corrupt)
+					stored := snap.Cache.Inserts
+					replay := burst(requests, 6, 0, nil, call)
+					if a := availability(replay, requests); a < 0.99 {
+						t.Errorf("replay availability %.3f under 10%% faults, want >= 0.99: %v", a, replay)
+					}
+					cs := tp.router.Snapshot().Cache
+					if stored == 0 || cs.Hits != stored {
+						t.Fatalf("replay must hit each of the %d entries stored by the first burst once: %+v", stored, cs)
+					}
+					t.Logf("replay codes %v, cache %+v", replay, *cs)
 				})
 			}
 		}

@@ -12,9 +12,8 @@ import (
 // Observability. /statsz reports everything an operator needs to see the
 // serving pipeline working: request/status counts, shed counters,
 // per-method latency quantiles from lock-free exponential
-// histograms, coalescer efficiency, the parallel pool's scheduler
-// counters (cumulative — clients diff consecutive reads for deltas), and
-// a sampled dynamic operation mix of the batch engine.
+// histograms, coalescer efficiency, and the parallel pool's scheduler
+// counters (cumulative — clients diff consecutive reads for deltas).
 
 // histBuckets spans 1us..2^40us (~12 days) in powers of two.
 const histBuckets = 41
@@ -178,10 +177,6 @@ type StatszResponse struct {
 	// work stops reaching the pool.
 	Sched map[string]uint64 `json:"sched"`
 
-	// OpMix is the sampled dynamic operation mix of the coalesced batch
-	// engine (op name -> count over sampled flushes).
-	OpMix map[string]uint64 `json:"opmix,omitempty"`
-
 	// Stream is the streaming Greeks hub's counters (a fixed struct, not a
 	// map, so snapshot encoding stays deterministic); nil when streaming
 	// is disabled.
@@ -230,9 +225,6 @@ func (s *Server) statszSnapshot() StatszResponse {
 	}
 	for _, m := range latencyMethods {
 		out.LatencyUS[m] = st.hists[m].snapshot()
-	}
-	if mix := s.co.OpMix(); mix.Items > 0 {
-		out.OpMix = mix.Map()
 	}
 	if s.hub != nil {
 		hs := s.hub.Snapshot()

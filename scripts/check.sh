@@ -7,7 +7,8 @@
 # README "Continuous benchmarking"), the tier-1 test suite (which
 # includes the in-process topology tests of internal/serve/shard: every
 # end-to-end and chaos assertion, over 1-3 replicas and three fault
-# seeds), the race detector over the concurrency-heavy packages and the
+# seeds), tier-1 again under GODEBUG=cpu.fma=off, the race detector
+# over the concurrency-heavy packages and the
 # root package's grid tests, the
 # fuzz seed corpora, the process-level smoke (scripts/smoke.sh:
 # fault-digest determinism, SIGTERM drain, route supervisor revival;
@@ -77,8 +78,13 @@ echo "==> tier-1: go test ./..."
 go test -timeout 10m ./...
 
 if [[ "${CHECK_QUICK:-0}" == "1" ]]; then
-	echo "==> CHECK_QUICK=1: skipping race detector, fuzz seed and smoke stages"
+	echo "==> CHECK_QUICK=1: skipping the cpu.fma=off tier-1, race detector, fuzz seed and smoke stages"
 else
+	# Stdlib math.Exp switches to fused multiply-adds on FMA CPUs; no
+	# test may pin bits that only such a CPU produces (ROADMAP item 15).
+	echo "==> tier-1 without FMA: GODEBUG=cpu.fma=off go test ./..."
+	GODEBUG=cpu.fma=off go test -count=1 -timeout 10m ./...
+
 	echo "==> race detector on concurrency-heavy packages"
 	go test -race -count=1 -timeout 15m \
 		./internal/parallel \
