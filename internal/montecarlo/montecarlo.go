@@ -22,6 +22,7 @@ package montecarlo // finlint:hot — allocation-free loops enforced by internal
 
 import (
 	"context"
+	"math"
 
 	"finbench/internal/mathx"
 	"finbench/internal/parallel"
@@ -129,7 +130,7 @@ func Vectorized(s *workload.MCBatch, z []float64, mkt workload.MarketParams, wid
 // pathLoopStream is the vector inner loop shared by the streamed variants.
 func pathLoopStream(ctx vec.Ctx, s, x, t float64, z []float64, mkt workload.MarketParams, unroll int) (v0, v1 float64) {
 	vRtT := ctx.Broadcast(mathx.Sqrt(t) * mkt.Sigma)
-	muT := ctx.Broadcast(t * (mkt.R - mkt.Sigma*mkt.Sigma/2))
+	muT := ctx.Broadcast(float64(t * (mkt.R - float64(mkt.Sigma*mkt.Sigma/2))))
 	sv := ctx.Broadcast(s)
 	xv := ctx.Broadcast(x)
 	zero := ctx.Zero()
@@ -150,16 +151,17 @@ func pathLoopStream(ctx vec.Ctx, s, x, t float64, z []float64, mkt workload.Mark
 		v0 += ctx.ReduceAdd(acc0[u])
 		v1 += ctx.ReduceAdd(acc1[u])
 	}
-	// Scalar tail.
+	// Scalar tail. Products that feed an add are rounded explicitly, as
+	// in pathSums, so that no architecture fuses them.
 	vrt := mathx.Sqrt(t) * mkt.Sigma
-	mut := t * (mkt.R - mkt.Sigma*mkt.Sigma/2)
+	mut := float64(t * (mkt.R - float64(mkt.Sigma*mkt.Sigma/2)))
 	for ; p < len(z); p++ {
-		res := s*mathx.Exp(vrt*z[p]+mut) - x
+		res := float64(s*mathx.Exp(float64(vrt*z[p])+mut)) - x
 		if res < 0 {
 			res = 0
 		}
 		v0 += res
-		v1 += res * res
+		v1 += float64(res * res)
 	}
 	return v0, v1
 }
@@ -257,7 +259,12 @@ func SharedStreamCtx(cx context.Context, s *workload.MCBatch, npath int, seed ui
 	done := cx.Done()
 	n := len(s.S)
 	stream := rng.NewStream(0, seed)
-	buf := make([]float64, RNGChunk)
+	// One allocation for the chunk of normals and pathSums' index scratch,
+	// which every chunk overwrites without zeroing.
+	scratch := new(struct {
+		z    [RNGChunk]float64
+		kept [RNGChunk]int32
+	})
 	// sums[2i] and sums[2i+1] are option i's payoff sum and sum of squares.
 	sums := make([]float64, 2*n)
 	for remaining := npath; remaining > 0; {
@@ -272,10 +279,10 @@ func SharedStreamCtx(cx context.Context, s *workload.MCBatch, npath int, seed ui
 		if m > remaining {
 			m = remaining
 		}
-		z := buf[:m]
+		z := scratch.z[:m]
 		stream.NormalICDF(z)
 		for i := 0; i < n; i++ {
-			a0, a1 := pathSums(s.S[i], s.X[i], s.T[i], z, mkt)
+			a0, a1 := pathSums(s.S[i], s.X[i], s.T[i], z, scratch.kept[:], mkt)
 			sums[2*i] += a0
 			sums[2*i+1] += a1
 		}
@@ -294,22 +301,52 @@ func SharedStreamCtx(cx context.Context, s *workload.MCBatch, npath int, seed ui
 // of every full block, the lanes are summed in ReduceAdd's order (lanes
 // ascending within a vector, vectors ascending), and the scalar tail
 // follows. Every expression keeps the shape of its vec counterpart
-// (a*b + c for FMA, acc + x for Add) so the sums agree bit for bit. The
-// payoff clamp is the branchless max builtin — the branch is taken on
-// about half the paths of an at-the-money option and mispredicts. It
-// differs from vec.Max only in returning +0 for a payoff of -0, which
-// s*e - x cannot produce for x > 0 and which would add identically.
-func pathSums(s, x, t float64, z []float64, mkt workload.MarketParams) (v0, v1 float64) {
+// (float64(a*b) + c for FMA, acc + x for Add) so the sums agree bit for
+// bit, and every product that feeds an add is rounded explicitly so that
+// no architecture fuses it. The payoff clamp is the branchless max
+// builtin — the branch is taken on about half the paths of an
+// at-the-money option and mispredicts. It differs from vec.Max only in
+// returning +0 for a payoff of -0, which s*e - x cannot produce for x > 0
+// and which would add identically.
+//
+// A full-block path whose normal is at most zc pays exactly +0, and adding
+// +0 to acc0 and +0*+0 to acc1 leaves both unchanged, so such paths are
+// skipped without evaluating the exponential: the block's indices with
+// z > zc are compacted into kept (len(kept) >= len(z)), and only those
+// are priced, each into its lane in ascending order as before. zc solves
+// vrt*zc + mut = log(x/s) - margin, with a margin of 1e-9 relative to the
+// logarithm's size, about 10^6 times the rounding of Log, Exp, s*e and
+// -x together (DESIGN §5). When vrt is not positive, x/s is not a normal
+// double or zc is not finite, the skip is off: zc is -Inf and every
+// (finite) normal is kept.
+func pathSums(s, x, t float64, z []float64, kept []int32, mkt workload.MarketParams) (v0, v1 float64) {
 	vrt := mathx.Sqrt(t) * mkt.Sigma
-	mut := t * (mkt.R - mkt.Sigma*mkt.Sigma/2)
+	mut := float64(t * (mkt.R - float64(mkt.Sigma*mkt.Sigma/2)))
 	var acc0, acc1 [hostLanes]float64
-	p := 0
-	for ; p+hostLanes <= len(z); p += hostLanes {
-		for l, r := range (*[hostLanes]float64)(z[p:]) {
-			res := max(s*mathx.Exp(vrt*r+mut)-x, 0)
-			acc0[l] = acc0[l] + res
-			acc1[l] = res*res + acc1[l]
+	full := len(z) &^ (hostLanes - 1)
+	zc := math.Inf(-1) // keeps every path: the skip is off
+	if q := x / s; q >= 0x1p-1022 && vrt > 0 {
+		l := mathx.Log(q)
+		c := (l - mut - float64(1e-9*(1+math.Abs(l)+math.Abs(mut)))) / vrt
+		if !math.IsNaN(c) && !math.IsInf(c, 0) {
+			zc = c
 		}
+	}
+	kept = kept[:full]
+	k := 0
+	for p, r := range z[:full] {
+		kept[k] = int32(p)
+		var pays int
+		if r > zc {
+			pays = 1
+		}
+		k += pays
+	}
+	for _, p := range kept[:k] {
+		res := max(float64(s*mathx.Exp(float64(vrt*z[p])+mut))-x, 0)
+		l := p & (hostLanes - 1)
+		acc0[l] = acc0[l] + res
+		acc1[l] = float64(res*res) + acc1[l]
 	}
 	for u := 0; u < hostLanes; u += hostWidth {
 		var r0, r1 float64
@@ -320,10 +357,10 @@ func pathSums(s, x, t float64, z []float64, mkt workload.MarketParams) (v0, v1 f
 		v0 += r0
 		v1 += r1
 	}
-	for _, r := range z[p:] {
-		res := max(s*mathx.Exp(vrt*r+mut)-x, 0)
+	for _, r := range z[full:] {
+		res := max(float64(s*mathx.Exp(float64(vrt*r)+mut))-x, 0)
 		v0 += res
-		v1 += res * res
+		v1 += float64(res * res)
 	}
 	return v0, v1
 }

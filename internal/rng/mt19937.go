@@ -137,12 +137,19 @@ func (m *MT) Uint64() uint64 {
 }
 
 // Float64OO returns a uniform in the open interval (0,1), as required by
-// the inverse-CDF normal transform (Phi^-1 diverges at 0 and 1). It shifts
-// the 53-bit lattice by half a step.
+// the inverse-CDF normal transform (Phi^-1 diverges at 0 and 1).
 func (m *MT) Float64OO() float64 {
 	a := m.Uint32() >> 5
 	b := m.Uint32() >> 6
-	return (float64(a)*67108864.0 + float64(b) + 0.5) / 9007199254740992.0
+	return openUnit(a, b)
+}
+
+// openUnit maps a 27-bit a and a 26-bit b to the 53-bit lattice shifted
+// by half a step, (a*2^26 + b + 1/2) / 2^53. The top point, 1 - 2^-54, is
+// not a double and ties to even, to 1; it is clamped to 1 - 2^-53, the
+// largest double below 1, and every other point is unchanged.
+func openUnit(a, b uint32) float64 {
+	return min((float64(a)*67108864.0+float64(b)+0.5)/9007199254740992.0, 1-0x1p-53)
 }
 
 // splitmix64 is the avalanche scrambler used to derive independent stream

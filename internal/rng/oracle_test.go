@@ -120,6 +120,11 @@ func (m *refMT) Uint32() uint32 {
 func (m *refMT) Float64OO() float64 {
 	a := m.Uint32() >> 5
 	b := m.Uint32() >> 6
+	return oldOpenUnit(a, b)
+}
+
+// oldOpenUnit is Float64OO's mapping before the clamp of its top point.
+func oldOpenUnit(a, b uint32) float64 {
 	return (float64(a)*67108864.0 + float64(b) + 0.5) / 9007199254740992.0
 }
 
@@ -210,5 +215,38 @@ func TestStreamsMatchListing(t *testing.T) {
 		if w := want.Float64OO(); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("Uniform[%d] = %.17g, listing %.17g", i, g, w)
 		}
+	}
+}
+
+// The lattice's top point used to round to exactly 1, where InvCND is
+// +Inf; it is now the largest double below 1. Its bottom point stays
+// 2^-54, and every other point keeps its bits.
+func TestOpenUnitClampsOnlyTheTop(t *testing.T) {
+	const aMax, bMax = 1<<27 - 1, 1<<26 - 1
+	if g := oldOpenUnit(aMax, bMax); g != 1 {
+		t.Fatalf("the unclamped top point is %v, expected it to round to 1", g)
+	}
+	if g := openUnit(aMax, bMax); g != 1-0x1p-53 {
+		t.Fatalf("openUnit(all ones) = %v, want 1 - 2^-53", g)
+	}
+	if g := openUnit(0, 0); g != 0x1p-54 {
+		t.Fatalf("openUnit(0, 0) = %v, want 2^-54", g)
+	}
+	check := func(a, b uint32) {
+		if a == aMax && b == bMax {
+			return
+		}
+		if g, w := openUnit(a, b), oldOpenUnit(a, b); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("openUnit(%d, %d) = %v, before the clamp %v", a, b, g, w)
+		}
+	}
+	for _, a := range []uint32{0, 1, 2, 1 << 26, aMax - 1, aMax} {
+		for _, b := range []uint32{0, 1, 2, 1 << 25, bMax - 2, bMax - 1, bMax} {
+			check(a, b)
+		}
+	}
+	m := NewMT19937(42)
+	for i := 0; i < oracleDraws; i++ {
+		check(m.Uint32()>>5, m.Uint32()>>6)
 	}
 }

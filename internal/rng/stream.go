@@ -108,7 +108,10 @@ func (s *Stream) Uniform(dst []float64) {
 	}
 }
 
-// NormalICDF fills dst with standard normals via the inverse CDF.
+// NormalICDF fills dst with standard normals via the inverse CDF: one
+// Float64OO uniform, in [2^-54, 1 - 2^-53], and one mathx.InvCND rational
+// per normal, so every normal is finite and within 8 ulp of the true
+// quantile of its uniform, with the same bits on every amd64 CPU.
 func (s *Stream) NormalICDF(dst []float64) {
 	s.countRNG(uint64(len(dst)))
 	s.count(perf.OpInvCND, uint64(len(dst)))

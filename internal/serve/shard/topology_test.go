@@ -446,10 +446,13 @@ func TestTopologyAdmissionShedsWith503(t *testing.T) {
 	replica := tp.https[0].URL
 	rng := rand.New(rand.NewSource(4))
 	holderDone := make(chan int, 1)
+	// The holder draws the server's maximum paths, so that at
+	// GOMAXPROCS=1 it is still computing when the poll below gets a
+	// /statsz round trip through.
 	go func() {
 		holderDone <- tp.price(replica, &wire.PriceRequest{
 			Method: "monte-carlo", Options: randomOptions(rng, 2, "monte-carlo"),
-			Config: wire.Config{MCPaths: 1 << 20},
+			Config: wire.Config{MCPaths: 1 << 22},
 		})
 	}()
 	for deadline := time.Now().Add(10 * time.Second); tp.replicaStatsz(0).InFlightUnits == 0; {

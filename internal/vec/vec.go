@@ -192,12 +192,15 @@ func (c Ctx) Div(a, b Vec) Vec {
 }
 
 // FMA returns a*b+acc lane-wise, one instruction on KNC, a mul+add pair on
-// SNB-EP (the machine model charges it accordingly).
+// SNB-EP (the machine model charges it accordingly). The emulation rounds
+// the product, as amd64 does, on every architecture: the host Monte Carlo
+// path (montecarlo.pathSums) writes the same rounding and must agree with
+// it bit for bit.
 func (c Ctx) FMA(a, b, acc Vec) Vec {
 	c.count(perf.OpVecFMA, 1)
 	var v Vec
 	for i := 0; i < c.W; i++ {
-		v.X[i] = a.X[i]*b.X[i] + acc.X[i]
+		v.X[i] = float64(a.X[i]*b.X[i]) + acc.X[i]
 	}
 	return v
 }

@@ -2,8 +2,9 @@
 # scripts/check.sh — the repo's full verification gate.
 #
 # Runs, in order: go vet, a gofmt -l gate (fails on any file it
-# prints), go build, the benchreg performance gate (a fresh short-mode
-# snapshot checked against the committed baseline BENCH_2.json; see
+# prints), go build, the arm64 fused multiply-add guard
+# (scripts/fusion_guard.sh), the benchreg performance gate (a fresh short-mode
+# snapshot checked against the committed baseline BENCH_3.json; see
 # README "Continuous benchmarking"), the tier-1 test suite (which
 # includes the in-process topology tests of internal/serve/shard: every
 # end-to-end and chaos assertion, over 1-3 replicas and three fault
@@ -18,7 +19,7 @@
 # detmap, leakcheck and interprocedural hotalloc; see README "Static
 # analysis & CI gate") with its self-test. The benchreg gate also
 # enforces the allocs/op budget on serve-path rows (gate_allocs records
-# in BENCH_2.json): a new per-request allocation fails the check even
+# in BENCH_3.json): a new per-request allocation fails the check even
 # when its wall-clock cost hides inside timing noise.
 #
 # Usage: ./scripts/check.sh
@@ -48,6 +49,12 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+# No fused multiply-add on arm64 in the functions written with explicit
+# roundings (mathx.InvCND, montecarlo.pathSums): cross-compiled, counted
+# in go tool objdump, no emulator needed.
+echo "==> arm64 fusion guard"
+./scripts/fusion_guard.sh
+
 # Noise-aware perf gate: snapshot the kernels in short mode and compare
 # against the committed baseline. This runs BEFORE the heavy test stages
 # so the measurement happens on a cool machine — minutes of race/fuzz
@@ -65,7 +72,7 @@ go build ./...
 echo "==> benchreg gate: short snapshot vs committed baseline"
 go build -o "$TOOL_DIR/benchreg" ./cmd/benchreg
 bench_gate() {
-	"$TOOL_DIR/benchreg" check -baseline BENCH_2.json -short \
+	"$TOOL_DIR/benchreg" check -baseline BENCH_3.json -short \
 		-max-slowdown 0.35 -mad-factor 4
 }
 if ! bench_gate; then
@@ -113,10 +120,12 @@ else
 	go test -race -count=1 -cpu 1,2,4,8 ./internal/serve/coalesce
 
 	# Seed corpora of every Fuzz target in these packages, including
-	# mathx's FuzzExpOracle (Exp against its Ldexp listing).
+	# mathx's FuzzExpOracle (Exp against its Ldexp listing) and
+	# FuzzInvCNDOracle (InvCND against a math/big quantile), and
+	# montecarlo's FuzzPathSumsOracle (pathSums against its listing).
 	echo "==> fuzz seed corpora"
 	go test -run='^Fuzz' -count=1 -timeout 10m \
-		./internal/mathx ./internal/rng ./internal/blackscholes \
+		./internal/mathx ./internal/montecarlo ./internal/rng ./internal/blackscholes \
 		./internal/serve ./internal/serve/wire \
 		./internal/serve/pricecache ./internal/serve/shard
 
