@@ -226,8 +226,9 @@ func BenchmarkBatchAPILevels(b *testing.B) {
 // --- The served heavy kernels (what serve.priceHeavy runs per request) ---
 
 // BenchmarkPriceHeavy times finbench.PriceRequestCtx at default sizes on
-// the request shapes heavy_mix sends: one American put per lattice method,
-// four American puts through Crank-Nicolson (two pairs), and Monte Carlo
+// the request shapes heavy_mix sends: one American put per lattice method
+// and four heavy_mix-shaped ones per lattice (the x4 rows), four American
+// puts through Crank-Nicolson (two pairs), and Monte Carlo
 // requests of one and of four European calls (ns/op is per request; the
 // Monte Carlo x4 row shows the normals being generated once).
 func BenchmarkPriceHeavy(b *testing.B) {
@@ -239,6 +240,16 @@ func BenchmarkPriceHeavy(b *testing.B) {
 		{Type: finbench.Put, Style: finbench.American, Spot: 110, Strike: 100, Expiry: 2},
 		{Type: finbench.Put, Style: finbench.American, Spot: 100, Strike: 120, Expiry: 1},
 	}
+	// Four contracts from heavy_mix's ranges (S, K in [50, 150], T in
+	// [0.1, 3.1]): deep in the money, deep out of it, near the money, and
+	// out of it at a long expiry, so the rows weigh the lattices' live
+	// windows as the mix does.
+	mixPuts := []finbench.Option{
+		{Type: finbench.Put, Style: finbench.American, Spot: 62, Strike: 138, Expiry: 2.4},
+		{Type: finbench.Put, Style: finbench.American, Spot: 141, Strike: 57, Expiry: 0.7},
+		{Type: finbench.Put, Style: finbench.American, Spot: 95, Strike: 104, Expiry: 1.2},
+		{Type: finbench.Put, Style: finbench.American, Spot: 118, Strike: 92, Expiry: 2.9},
+	}
 	calls := []finbench.Option{
 		{Spot: 100, Strike: 100, Expiry: 1}, {Spot: 90, Strike: 100, Expiry: 0.5},
 		{Spot: 110, Strike: 100, Expiry: 2}, {Spot: 100, Strike: 120, Expiry: 1.5},
@@ -249,7 +260,9 @@ func BenchmarkPriceHeavy(b *testing.B) {
 		opts   []finbench.Option
 	}{
 		{"binomial-amer-put", finbench.BinomialTree, []finbench.Option{put}},
+		{"binomial-amer-put-x4", finbench.BinomialTree, mixPuts},
 		{"trinomial-amer-put", finbench.TrinomialTree, []finbench.Option{put}},
+		{"trinomial-amer-put-x4", finbench.TrinomialTree, mixPuts},
 		{"crank-nicolson", finbench.FiniteDifference, []finbench.Option{put}},
 		{"crank-nicolson-x4", finbench.FiniteDifference, puts},
 		{"monte-carlo-x1", finbench.MonteCarlo, calls[:1]},

@@ -31,8 +31,8 @@ import (
 // PriceCtx is Price with cancellation. It returns ctx.Err() (wrapped) if
 // the context is cancelled before or during pricing.
 func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Config) (Result, error) {
-	if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
-		return Result{}, ErrInvalidOption
+	if err := validate(o, m); err != nil {
+		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -170,8 +170,8 @@ func PriceRequestCtx(ctx context.Context, opts []Option, m Market, method Method
 func priceFiniteDifference(ctx context.Context, opts []Option, m Market, c Config, out []Result) error {
 	puts := make([]cranknicolson.Put, len(opts))
 	for i, o := range opts {
-		if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
-			return ErrInvalidOption
+		if err := validate(o, m); err != nil {
+			return err
 		}
 		if err := ctx.Err(); err != nil {
 			return err
@@ -204,8 +204,8 @@ func priceMonteCarlo(ctx context.Context, opts []Option, m Market, c Config, out
 		Price: cols[3*n : 4*n], StdErr: cols[4*n:],
 	}
 	for i, o := range opts {
-		if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
-			return ErrInvalidOption
+		if err := validate(o, m); err != nil {
+			return err
 		}
 		if err := ctx.Err(); err != nil {
 			return err

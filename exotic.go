@@ -23,8 +23,8 @@ func PriceTrinomial(o Option, m Market, steps int) (Result, error) {
 // least-squares Monte Carlo — the simulation-based alternative to the
 // lattice and finite-difference American pricers, cross-validating both.
 func PriceAmericanPutLSMC(o Option, m Market, paths, exerciseDates int, seed uint64) (Result, error) {
-	if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
-		return Result{}, ErrInvalidOption
+	if err := validate(o, m); err != nil {
+		return Result{}, err
 	}
 	if o.Type != Put {
 		return Result{}, fmt.Errorf("%w: LSMC pricer takes American puts", ErrMethodStyle)
@@ -50,7 +50,7 @@ type AsianCall struct {
 var ErrBadObservations = errors.New("finbench: observations must be a power of two >= 2")
 
 func (a AsianCall) validate() error {
-	if a.Spot <= 0 || a.Strike <= 0 || a.Expiry <= 0 {
+	if !finitePositive(a.Spot) || !finitePositive(a.Strike) || !finitePositive(a.Expiry) {
 		return ErrInvalidOption
 	}
 	if a.Observations < 2 || a.Observations&(a.Observations-1) != 0 {
@@ -104,7 +104,7 @@ type BasketCall struct {
 // beyond-three-underlyings regime where lattices are infeasible,
 // Sec. II).
 func PriceBasketMC(b BasketCall, m Market, paths int, seed uint64) (Result, error) {
-	if b.Strike <= 0 || b.Expiry <= 0 {
+	if !finitePositive(b.Strike) || !finitePositive(b.Expiry) {
 		return Result{}, ErrInvalidOption
 	}
 	if paths <= 0 {

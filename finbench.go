@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"finbench/internal/blackscholes"
 	"finbench/internal/mathx"
@@ -185,9 +186,9 @@ type Result struct {
 
 // Errors returned by Price.
 var (
-	// ErrInvalidOption indicates non-positive spot, strike, expiry or
-	// volatility.
-	ErrInvalidOption = errors.New("finbench: option parameters must be positive")
+	// ErrInvalidOption indicates a spot, strike, expiry or volatility that
+	// is not finite and positive, or a rate that is not finite.
+	ErrInvalidOption = errors.New("finbench: option parameters must be finite and positive")
 	// ErrMethodStyle indicates a method that cannot price the requested
 	// exercise style (e.g. closed form for American options).
 	ErrMethodStyle = errors.New("finbench: method cannot price this exercise style")
@@ -198,6 +199,20 @@ var (
 func Price(o Option, m Market, method Method, cfg *Config) (Result, error) {
 	return PriceCtx(context.Background(), o, m, method, cfg)
 }
+
+// validate answers ErrInvalidOption unless spot, strike, expiry and
+// volatility are finite and positive and the rate is finite. Every
+// pricing entry point calls it first: a NaN fails every comparison, so a
+// test of the form o.Spot <= 0 lets it through.
+func validate(o Option, m Market) error {
+	if !finitePositive(o.Spot) || !finitePositive(o.Strike) || !finitePositive(o.Expiry) ||
+		!finitePositive(m.Volatility) || math.IsNaN(m.Rate) || math.IsInf(m.Rate, 0) {
+		return ErrInvalidOption
+	}
+	return nil
+}
+
+func finitePositive(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
 
 func pick(t OptionType, call, put float64) float64 {
 	if t == Put {
@@ -217,8 +232,8 @@ type Greeks = blackscholes.Greeks
 // ComputeGreeks returns the closed-form sensitivities of the option
 // (European; American greeks require lattice bumping).
 func ComputeGreeks(o Option, m Market) (Greeks, error) {
-	if o.Spot <= 0 || o.Strike <= 0 || o.Expiry <= 0 || m.Volatility <= 0 {
-		return Greeks{}, ErrInvalidOption
+	if err := validate(o, m); err != nil {
+		return Greeks{}, err
 	}
 	return blackscholes.ComputeGreeks(o.Spot, o.Strike, o.Expiry, m.internal()), nil
 }

@@ -1,6 +1,7 @@
 package finbench
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -119,6 +120,41 @@ func TestPriceErrors(t *testing.T) {
 	}
 	if _, err := Price(tOpt, tMkt, Method(99), nil); err == nil {
 		t.Fatal("unknown method did not error")
+	}
+}
+
+// Every pricing entry point answers ErrInvalidOption for a non-finite
+// spot, strike, expiry, volatility or rate, on every method (a NaN fails
+// every comparison, so a "<= 0" test alone let it through to a NaN
+// price).
+func TestNonFiniteInputsRejected(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(o *Option, m *Market, v float64)
+	}{
+		{"spot", func(o *Option, _ *Market, v float64) { o.Spot = v }},
+		{"strike", func(o *Option, _ *Market, v float64) { o.Strike = v }},
+		{"expiry", func(o *Option, _ *Market, v float64) { o.Expiry = v }},
+		{"volatility", func(_ *Option, m *Market, v float64) { m.Volatility = v }},
+		{"rate", func(_ *Option, m *Market, v float64) { m.Rate = v }},
+	}
+	cfg := &Config{BinomialSteps: 16, GridPoints: 64, TimeSteps: 16, MCPaths: 1024}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			o, m := Option{Type: Put, Spot: 100, Strike: 100, Expiry: 1}, tMkt
+			f.set(&o, &m, v)
+			for _, method := range []Method{ClosedForm, BinomialTree, TrinomialTree, FiniteDifference, MonteCarlo} {
+				if res, err := PriceCtx(context.Background(), o, m, method, cfg); !errors.Is(err, ErrInvalidOption) {
+					t.Errorf("PriceCtx %v %s=%v: %+v, %v", method, f.name, v, res, err)
+				}
+				if res, err := PriceRequestCtx(context.Background(), []Option{tOpt, o}, m, method, cfg); !errors.Is(err, ErrInvalidOption) {
+					t.Errorf("PriceRequestCtx %v %s=%v: %+v, %v", method, f.name, v, res, err)
+				}
+			}
+			if g, err := ComputeGreeks(o, m); !errors.Is(err, ErrInvalidOption) {
+				t.Errorf("ComputeGreeks %s=%v: %+v, %v", f.name, v, g, err)
+			}
+		}
 	}
 }
 

@@ -20,12 +20,18 @@
 // The American put (PriceAmericanPutScalarCtx, and its trinomial twin in
 // trinomial.go) is the host path finbench.Price and the server run: plain
 // slices, a precomputed early-exercise ladder instead of an exponential
-// per node, and a two-level tiled reduction. It records no op mix; it is
-// pinned bit for bit against the per-node listing in oracle_test.go.
+// per node, and a two-level tiled reduction over each level's live window
+// only. The nodes outside the window are known exactly, +0 in the zero
+// cone above it and the exercise value in the provably exercised region
+// below it, so a served tree evaluates about 30% of its N(N+1)/2 nodes
+// (EXPERIMENTS.md) where the counted variants above evaluate all of them
+// at 3 flops each. It records no op mix; it is pinned bit for bit against
+// the per-node listing in oracle_test.go and window_oracle_test.go.
 package binomial // finlint:hot — allocation-free loops enforced by internal/lint
 
 import (
 	"context"
+	"math"
 
 	"finbench/internal/layout"
 	"finbench/internal/mathx"
@@ -120,9 +126,10 @@ func reduceScalar(call []float64, p Params, done <-chan struct{}) bool {
 
 // PriceAmericanPutScalarCtx prices one American put on the same tree,
 // applying the early-exercise maximum at every node (Sec. II-B), with
-// cancellation checked every ctxLevelBlock tree levels: the paper's
-// 3 flops per node plus the exercise compare, and 2N+1 exponentials per
-// option. It is the cross-validation oracle for the Crank-Nicolson kernel.
+// cancellation checked every ctxLevelBlock tree levels. It computes the
+// per-node listing's value, 2N+1 exponentials per option, and evaluates
+// only each level's live window (walkAmericanPut). It is the
+// cross-validation oracle for the Crank-Nicolson kernel.
 func PriceAmericanPutScalarCtx(cx context.Context, s, x, t float64, steps int, mkt workload.MarketParams) (float64, error) {
 	if err := cx.Err(); err != nil {
 		return 0, err
@@ -134,7 +141,7 @@ func PriceAmericanPutScalarCtx(cx context.Context, s, x, t float64, steps int, m
 	return v, nil
 }
 
-// treeTile is how many tree levels one pass of americanPut reduces: the
+// treeTile is how many tree levels one pass of walkAmericanPut reduces: the
 // register tiling of Lis. 3 over plain slices, with the intermediate
 // level held in locals so each value is loaded and stored once per
 // treeTile levels. The depth is fixed by measurement, not a parameter
@@ -156,7 +163,7 @@ func exerciseLadder(buf []float64, s, x float64, p Params) [2][]float64 {
 	n := p.Steps
 	lad := [2][]float64{buf[:n+1], buf[n+1 : 2*n+1]}
 	for k := -n; k <= n; k++ {
-		lad[(k+n)&1][(k+n)>>1] = x - s*mathx.Exp(p.VDt*float64(k))
+		lad[(k+n)&1][(k+n)>>1] = x - float64(s*mathx.Exp(p.VDt*float64(k)))
 	}
 	return lad
 }
@@ -168,12 +175,56 @@ func americanPut(done <-chan struct{}, s, x float64, p Params) (price float64, o
 	n := p.Steps
 	buf := make([]float64, 3*n+2) // the ladder, then the level being reduced
 	lad := exerciseLadder(buf, s, x, p)
-	val := buf[2*n+1:]
+	return walkAmericanPut(done, buf[2*n+1:], lad, p, p.exerciseSkips(s, x))
+}
+
+// exerciseSkips reports whether the walk may take nodes whose children
+// hold their exercise values as exercised: both discounted probabilities
+// are > 0, so the continuation is a cancellation-free sum, and
+// exerciseProvable holds for the gap 1 - (PuByDf + PdByDf).
+func (p Params) exerciseSkips(s, x float64) bool {
+	return p.PuByDf > 0 && p.PdByDf > 0 && exerciseProvable(s, x, 1-(p.PuByDf+p.PdByDf), float64(p.Steps)*p.VDt)
+}
+
+// walkAmericanPut reduces the tree whose exercise values lad holds (as
+// exerciseLadder lays them out) into val, N+1 values, and returns
+// the root. Each level is reduced only over its live window [lo, hi);
+// every value outside it is known exactly:
+//
+//   - The zero cone. Nodes j >= z, at every level, are +0: z starts the
+//     longest top run of ladder entries that are < 0 or +0, over every k,
+//     so each such node's subtree has +0 leaves and non-positive exercise
+//     values, and its continuation of two +0 children is checked to be +0
+//     (it is for any finite pair of probabilities not both negative).
+//     Those slots keep the leaves' +0 and are never written.
+//   - The exercised prefix, when skip holds (exerciseProvable). e counts
+//     the leading nodes whose value has their exercise value's bits; a
+//     node whose two children both do is exercised (DESIGN §5), so a
+//     two-level pass starts at e-2 and a single level at e-1. The
+//     exercise values of the two slots under lo are written so the next
+//     window reads correct children.
+//
+// The tiled kernels run on the window's sub-slices, so every value
+// computed is the per-node listing's expression.
+func walkAmericanPut(done <-chan struct{}, val []float64, lad [2][]float64, p Params, skip bool) (price float64, ok bool) {
+	n := p.Steps
 	for j, v := range lad[0] {
 		if v < 0 {
 			v = 0
 		}
 		val[j] = v
+	}
+	z := n + 1
+	if zeroStaysZero(float64(p.PuByDf*0) + float64(p.PdByDf*0)) {
+		k := n
+		for k >= -n && atMostZero(lad[(k+n)&1][(k+n)>>1]) {
+			k--
+		}
+		z = (k + n + 2) >> 1 // the first j with 2j-N above k
+	}
+	e := 0 // the leaves with a positive payoff hold their exercise value
+	for e <= n && lad[0][e] > 0 {
+		e++
 	}
 	// level returns the exercise values of tree level l, nodes 0..l.
 	level := func(l int) []float64 { return lad[(n-l)&1][(n-l)>>1:][:l+1] }
@@ -183,33 +234,95 @@ func americanPut(done <-chan struct{}, s, x float64, p Params) (price float64, o
 			return 0, false
 		default:
 		}
-		stop := i - ctxLevelBlock
-		if stop < 0 {
-			stop = 0
-		}
+		stop := max(i-ctxLevelBlock, 0)
 		// Tiled passes take level i to level i-treeTile; the single-level
 		// tail finishes the block.
 		for ; i-treeTile >= stop; i -= treeTile {
-			reduceTwoLevels(val[:i+1], level(i-1), level(i-2), p)
+			lo, hi := 0, min(z, i-1)
+			if skip {
+				lo = max(e-2, 0)
+			}
+			exA, exB := level(i-1), level(i-2)
+			if lo < hi {
+				reduceTwoLevels(val[lo:hi+2], exA[lo:hi+1], exB[lo:hi], p)
+			}
+			if skip {
+				e = heldPrefix(val, exB, lo, hi)
+			}
 		}
 		for ; i > stop; i-- {
-			reduceLevel(val[:i+1], level(i-1), p)
+			lo, hi := 0, min(z, i)
+			if skip {
+				lo = max(e-1, 0)
+			}
+			ex := level(i - 1)
+			if lo < hi {
+				reduceLevel(val[lo:hi+1], ex[lo:hi], p)
+			}
+			if skip {
+				e = heldPrefix(val, ex, lo, hi)
+			}
 		}
 	}
 	return val[0], true
 }
 
+// exerciseMargin is the smallest gap 1 - df (df the one-step discount
+// the branch probabilities sum to) at which the lattice walks take a node
+// whose children all hold their exercise value as exercised without
+// evaluating it. The exact continuation of such a node is x·df - S_k, a
+// gap of x·(1 - df) below its exercise value x - S_k; 1e-9 is over 10^4
+// times the rounding of the ladder, the probabilities and the sum
+// (DESIGN §5). It is a constant of the proof, not a knob.
+const exerciseMargin = 1e-9
+
+// exerciseProvable reports whether a lattice with one-step discount gap
+// gap = 1 - df, whose largest ladder exponent |k·vDt| is span, may skip
+// exercised nodes, given that the caller has checked every branch
+// probability is > 0. Beyond the margin, the proof needs a positive spot
+// (so every exercised spot is at most x), a finite strike whose gap
+// clears the subnormal rounding floor, and a ladder whose exponentials
+// are normal doubles; any NaN fails. Ordinary contracts pass the last
+// three: they exclude strikes below 2^-960 and trees with N·σ√dt > 700.
+func exerciseProvable(s, x, gap, span float64) bool {
+	return gap > exerciseMargin && s > 0 && x >= 0x1p-960 && x <= math.MaxFloat64 && span <= 700
+}
+
+// zeroStaysZero reports whether a node's continuation of +0 children, c,
+// is +0, so that a node whose subtree holds only +0 leaves and
+// non-positive exercise values is +0 too.
+func zeroStaysZero(c float64) bool { return math.Float64bits(c) == 0 }
+
+// atMostZero reports whether an exercise value v leaves its node at +0:
+// v < 0 or v = +0 (a -0 leaf payoff would stay -0).
+func atMostZero(v float64) bool { return v < 0 || math.Float64bits(v) == 0 }
+
+// heldPrefix finishes a window [lo, hi) of one level whose nodes below lo
+// are exercised: it writes the exercise values ex of the (at most two)
+// slots just under lo, which the next window may read as children, and
+// returns the new exercised prefix, lo plus the window's leading run of
+// nodes whose value has their exercise value's bits. A NaN ends the run.
+func heldPrefix(val, ex []float64, lo, hi int) int {
+	for j := max(lo-2, 0); j < lo; j++ {
+		val[j] = ex[j]
+	}
+	for lo < hi && math.Float64bits(val[lo]) == math.Float64bits(ex[lo]) && !math.IsNaN(ex[lo]) {
+		lo++
+	}
+	return lo
+}
+
 // reduceLevel takes val from tree level i = len(val)-1 to level i-1 in
 // place: the continuation value of Lis. 2 against the early-exercise
-// value ex[j]. Like reduceScalar it stays its own function so the inner
-// loop's few live values are all the register allocator sees.
+// value ex[j]. It is the single-level tail of walkAmericanPut, which it
+// inlines into.
 func reduceLevel(val, ex []float64, p Params) {
 	pu, pd := p.PuByDf, p.PdByDf
 	in := val[1:][:len(ex)]
 	lo := val[0]
 	for j, e := range ex {
 		hi := in[j]
-		cont := pu*hi + pd*lo
+		cont := float64(pu*hi) + float64(pd*lo)
 		if e > cont {
 			cont = e
 		}
@@ -229,18 +342,18 @@ func reduceTwoLevels(val, exA, exB []float64, p Params) {
 	in := val[2:][:len(exB)]
 	out := val[:len(exB)]
 	v1 := val[1]
-	a0 := pu*v1 + pd*val[0]
+	a0 := float64(pu*v1) + float64(pd*val[0])
 	if e := exA[0]; e > a0 {
 		a0 = e
 	}
 	exA = exA[1:][:len(exB)]
 	for j, eb := range exB {
 		v2 := in[j]
-		a1 := pu*v2 + pd*v1
+		a1 := float64(pu*v2) + float64(pd*v1)
 		if e := exA[j]; e > a1 {
 			a1 = e
 		}
-		b := pu*a1 + pd*a0
+		b := float64(pu*a1) + float64(pd*a0)
 		if eb > b {
 			b = eb
 		}

@@ -4,7 +4,9 @@ package binomial
 // tree node to recover the spot for the early-exercise test) are the
 // obviously-correct form, kept here as test helpers. The host bodies
 // read the same expression from a precomputed ladder and tile the
-// reduction, so every output must equal the listing's bit for bit.
+// reduction, so every output must equal the listing's bit for bit. Each
+// product that feeds an add is rounded explicitly, as in the bodies, so
+// that no target may fuse it and the listings mean the same everywhere.
 
 import (
 	"context"
@@ -21,7 +23,7 @@ func refAmericanPut(s, x float64, p Params) float64 {
 	steps := p.Steps
 	val := make([]float64, steps+1)
 	for j := 0; j <= steps; j++ {
-		v := x - s*mathx.Exp(p.VDt*float64(2*j-steps))
+		v := x - float64(s*mathx.Exp(p.VDt*float64(2*j-steps)))
 		if v < 0 {
 			v = 0
 		}
@@ -29,9 +31,9 @@ func refAmericanPut(s, x float64, p Params) float64 {
 	}
 	for i := steps; i > 0; i-- {
 		for j := 0; j <= i-1; j++ {
-			cont := p.PuByDf*val[j+1] + p.PdByDf*val[j]
+			cont := float64(p.PuByDf*val[j+1]) + float64(p.PdByDf*val[j])
 			// Early exercise: spot at node (i-1, j) is S e^{(2j-(i-1)) vDt}.
-			ex := x - s*mathx.Exp(p.VDt*float64(2*j-(i-1)))
+			ex := x - float64(s*mathx.Exp(p.VDt*float64(2*j-(i-1))))
 			if ex > cont {
 				val[j] = ex
 			} else {
@@ -49,7 +51,7 @@ func refAmericanPutTrinomial(s, x, t float64, steps int, mkt workload.MarketPara
 	n := 2*steps + 1
 	val := make([]float64, n)
 	for j := 0; j < n; j++ {
-		v := x - s*mathx.Exp(float64(j-steps)*p.logU)
+		v := x - float64(s*mathx.Exp(float64(j-steps)*p.logU))
 		if v < 0 {
 			v = 0
 		}
@@ -58,8 +60,8 @@ func refAmericanPutTrinomial(s, x, t float64, steps int, mkt workload.MarketPara
 	for level := steps - 1; level >= 0; level-- {
 		m := 2*level + 1
 		for j := 0; j < m; j++ {
-			cont := p.Df * (p.Pd*val[j] + p.Pm*val[j+1] + p.Pu*val[j+2])
-			ex := x - s*mathx.Exp(float64(j-level)*p.logU)
+			cont := p.Df * (float64(p.Pd*val[j]) + float64(p.Pm*val[j+1]) + float64(p.Pu*val[j+2]))
+			ex := x - float64(s*mathx.Exp(float64(j-level)*p.logU))
 			if ex > cont {
 				val[j] = ex
 			} else {

@@ -161,7 +161,8 @@ func bigQuantile(p float64) *big.Float {
 }
 
 // ulpErr returns |got - want| in units in the last place of want as a
-// double: ulp(w) = 2^(e-53) for w in [2^(e-1), 2^e).
+// double: ulp(w) = 2^(e-53) for w in [2^(e-1), 2^e), and 2^-1074 for
+// every subnormal w.
 func ulpErr(got float64, want *big.Float) float64 {
 	d := new(big.Float).SetPrec(bigPrec).Sub(bigF(got), want)
 	if want.Sign() == 0 {
@@ -170,7 +171,7 @@ func ulpErr(got float64, want *big.Float) float64 {
 		}
 		return math.Inf(1)
 	}
-	e := want.MantExp(nil)
+	e := max(want.MantExp(nil), -1021)
 	d.SetMantExp(d, 53-e)
 	f, _ := d.Float64()
 	return math.Abs(f)

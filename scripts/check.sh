@@ -120,12 +120,14 @@ else
 	go test -race -count=1 -cpu 1,2,4,8 ./internal/serve/coalesce
 
 	# Seed corpora of every Fuzz target in these packages, including
-	# mathx's FuzzExpOracle (Exp against its Ldexp listing) and
-	# FuzzInvCNDOracle (InvCND against a math/big quantile), and
-	# montecarlo's FuzzPathSumsOracle (pathSums against its listing).
+	# mathx's FuzzExpOracle (Exp against its Ldexp listing and its
+	# math/big bound) and FuzzInvCNDOracle (InvCND against a math/big
+	# quantile), montecarlo's FuzzPathSumsOracle (pathSums against its
+	# listing) and binomial's FuzzAmericanPutOracle (the lattice walks'
+	# live window against the per-node listings).
 	echo "==> fuzz seed corpora"
 	go test -run='^Fuzz' -count=1 -timeout 10m \
-		./internal/mathx ./internal/montecarlo ./internal/rng ./internal/blackscholes \
+		./internal/mathx ./internal/montecarlo ./internal/binomial ./internal/rng ./internal/blackscholes \
 		./internal/serve ./internal/serve/wire \
 		./internal/serve/pricecache ./internal/serve/shard
 

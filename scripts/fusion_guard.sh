@@ -8,17 +8,29 @@
 # go tool objdump on each guarded function, and fails if it finds a fused
 # multiply-add (FMADD, FMSUB, FNMADD, FNMSUB) in one.
 #
-# Guarded: the served Monte Carlo path's inverse normal and path loop,
-# both written with explicit roundings. Not yet guarded: mathx.Exp (15
-# fused instructions on arm64) and mathx.Log (8), which they call; making
-# every rounding explicit in the hot packages is ROADMAP item 15(b), and
-# the guard grows to cover them there.
+# Guarded, each with every product that feeds an add written
+# float64(a*b) + c: the served Monte Carlo path's inverse normal and path
+# loop; mathx.Exp and mathx.Log, which every kernel calls; and the
+# American-put lattice walks (the binomial ladder, tiled two-level kernel
+# and walk, into which the single-level kernel inlines; the trinomial
+# ladder and walk). Before their roundings were made explicit, arm64 fused
+# 15 multiply-adds in mathx.Exp, 8 in mathx.Log, 3 in reduceTwoLevels, 1
+# in the binomial walk, 1 in its ladder and 3 in the trinomial put. On
+# amd64 the explicit roundings change no instruction. The rest of the hot
+# packages (blackscholes, the European lattice walks, Crank-Nicolson) is
+# ROADMAP item 15(b).
 #
 # Usage: ./scripts/fusion_guard.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GUARDED=('mathx.InvCND$' 'montecarlo.pathSums$')
+GUARDED=(
+	'mathx.InvCND$' 'montecarlo.pathSums$'
+	'mathx.Exp$' 'mathx.Log$'
+	'binomial.exerciseLadder$' 'binomial.americanPut$'
+	'binomial.walkAmericanPut$' 'binomial.reduceTwoLevels$'
+	'binomial.PriceAmericanPutTrinomialCtx$' 'binomial.walkTrinomialPut$'
+)
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
