@@ -17,16 +17,17 @@
 // parameterization and compute identical arithmetic per tree node, so
 // results agree bitwise across variants (verified by tests).
 //
-// The American put (PriceAmericanPutScalarCtx, and its trinomial twin in
-// trinomial.go) is the host path finbench.Price and the server run: plain
-// slices, a precomputed early-exercise ladder instead of an exponential
-// per node, and a two-level tiled reduction over each level's live window
-// only. The nodes outside the window are known exactly, +0 in the zero
-// cone above it and the exercise value in the provably exercised region
-// below it, so a served tree evaluates about 30% of its N(N+1)/2 nodes
-// (EXPERIMENTS.md) where the counted variants above evaluate all of them
-// at 3 flops each. It records no op mix; it is pinned bit for bit against
-// the per-node listing in oracle_test.go and window_oracle_test.go.
+// The American put (PriceAmericanPutScalarCtx) is the host path
+// finbench.Price and the server run: plain slices, a precomputed
+// early-exercise ladder instead of an exponential per node, and a
+// two-level tiled reduction over each level's live window only. The nodes
+// outside the window are known exactly, +0 in the zero cone above it and
+// the exercise value in the provably exercised region below it, so a
+// served tree evaluates about 30% of its N(N+1)/2 nodes (EXPERIMENTS.md)
+// where the counted variants above evaluate all of them at 3 flops each.
+// It records no op mix; it is pinned bit for bit against the per-node
+// listing in oracle_test.go and window_oracle_test.go. The trinomial put
+// (trinomial.go) takes the ladder but still reduces every node.
 package binomial // finlint:hot — allocation-free loops enforced by internal/lint
 
 import (
@@ -179,11 +180,17 @@ func americanPut(done <-chan struct{}, s, x float64, p Params) (price float64, o
 }
 
 // exerciseSkips reports whether the walk may take nodes whose children
-// hold their exercise values as exercised: both discounted probabilities
-// are > 0, so the continuation is a cancellation-free sum, and
-// exerciseProvable holds for the gap 1 - (PuByDf + PdByDf).
+// hold their exercise values as exercised. It checks the premises of the
+// proof in DESIGN §5: both discounted probabilities > 0, so the
+// continuation is a cancellation-free sum; the one-step gap
+// 1 - (PuByDf + PdByDf) above exerciseMargin; a positive spot; a finite
+// strike of at least 2^-960, so every rounding's absolute floor is far
+// below the margin; and a ladder whose exponentials are normal doubles
+// (N·vΔt <= 700). Any NaN fails. The sign premise keeps the proof short;
+// no price a contract can produce depends on it (DESIGN §5).
 func (p Params) exerciseSkips(s, x float64) bool {
-	return p.PuByDf > 0 && p.PdByDf > 0 && exerciseProvable(s, x, 1-(p.PuByDf+p.PdByDf), float64(p.Steps)*p.VDt)
+	return p.PuByDf > 0 && p.PdByDf > 0 && 1-(p.PuByDf+p.PdByDf) > exerciseMargin &&
+		s > 0 && x >= 0x1p-960 && x <= math.MaxFloat64 && float64(p.Steps)*p.VDt <= 700
 }
 
 // walkAmericanPut reduces the tree whose exercise values lad holds (as
@@ -197,7 +204,7 @@ func (p Params) exerciseSkips(s, x float64) bool {
 //     values, and its continuation of two +0 children is checked to be +0
 //     (it is for any finite pair of probabilities not both negative).
 //     Those slots keep the leaves' +0 and are never written.
-//   - The exercised prefix, when skip holds (exerciseProvable). e counts
+//   - The exercised prefix, when skip holds (exerciseSkips). e counts
 //     the leading nodes whose value has their exercise value's bits; a
 //     node whose two children both do is exercised (DESIGN §5), so a
 //     two-level pass starts at e-2 and a single level at e-1. The
@@ -267,26 +274,14 @@ func walkAmericanPut(done <-chan struct{}, val []float64, lad [2][]float64, p Pa
 	return val[0], true
 }
 
-// exerciseMargin is the smallest gap 1 - df (df the one-step discount
-// the branch probabilities sum to) at which the lattice walks take a node
-// whose children all hold their exercise value as exercised without
-// evaluating it. The exact continuation of such a node is x·df - S_k, a
-// gap of x·(1 - df) below its exercise value x - S_k; 1e-9 is over 10^4
-// times the rounding of the ladder, the probabilities and the sum
-// (DESIGN §5). It is a constant of the proof, not a knob.
+// exerciseMargin is the smallest gap 1 - df (df = PuByDf + PdByDf, the
+// one-step discount) at which walkAmericanPut takes a node whose children
+// both hold their exercise value as exercised without evaluating it. The
+// exact continuation of such a node is x·df - S_k, a gap of x·(1 - df)
+// below its exercise value x - S_k; 1e-9 is over 10^4 times the rounding
+// of the ladder, the probabilities and the sum (DESIGN §5). It is a
+// constant of the proof, not a knob.
 const exerciseMargin = 1e-9
-
-// exerciseProvable reports whether a lattice with one-step discount gap
-// gap = 1 - df, whose largest ladder exponent |k·vDt| is span, may skip
-// exercised nodes, given that the caller has checked every branch
-// probability is > 0. Beyond the margin, the proof needs a positive spot
-// (so every exercised spot is at most x), a finite strike whose gap
-// clears the subnormal rounding floor, and a ladder whose exponentials
-// are normal doubles; any NaN fails. Ordinary contracts pass the last
-// three: they exclude strikes below 2^-960 and trees with N·σ√dt > 700.
-func exerciseProvable(s, x, gap, span float64) bool {
-	return gap > exerciseMargin && s > 0 && x >= 0x1p-960 && x <= math.MaxFloat64 && span <= 700
-}
 
 // zeroStaysZero reports whether a node's continuation of +0 children, c,
 // is +0, so that a node whose subtree holds only +0 leaves and

@@ -85,6 +85,7 @@ func PriceAmericanPutTrinomialCtx(cx context.Context, s, x, t float64, steps int
 	if err := cx.Err(); err != nil {
 		return 0, err
 	}
+	done := cx.Done()
 	p := NewTriParams(t, steps, mkt)
 	// Exercise ladder: node j of level L sits at S e^{(j-L) logU}, so the
 	// 2N+1 values x - S e^{k logU}, k in [-N, N] (entry k+N), cover every
@@ -92,82 +93,34 @@ func PriceAmericanPutTrinomialCtx(cx context.Context, s, x, t float64, steps int
 	// at entry N-L. Each entry is the per-node expression, bit for bit.
 	n := 2*steps + 1
 	buf := make([]float64, 2*n)
-	lad := buf[:n]
+	lad, val := buf[:n], buf[n:]
 	for j := range lad {
 		lad[j] = x - float64(s*mathx.Exp(float64(j-steps)*p.logU))
 	}
-	v, ok := walkTrinomialPut(cx.Done(), buf[n:], lad, p, p.exerciseSkips(s, x))
-	if !ok {
-		return 0, cx.Err()
-	}
-	return v, nil
-}
-
-// exerciseSkips is Params.exerciseSkips for the trinomial lattice: all
-// three branch probabilities > 0 and exerciseProvable for the gap 1 - Df.
-func (p TriParams) exerciseSkips(s, x float64) bool {
-	return p.Pu > 0 && p.Pm > 0 && p.Pd > 0 && exerciseProvable(s, x, 1-p.Df, float64(p.Steps)*p.logU)
-}
-
-// walkTrinomialPut reduces the lattice whose exercise values lad holds
-// into val, 2N+1 values, and returns the root; ok is false if done
-// fired. Like walkAmericanPut it reduces each level only over its live
-// window [lo, hi): nodes j >= z are +0 (z starts the top run of ladder
-// entries < 0 or +0, and node j of any level reads only nodes >= j below
-// it), and when skip holds the nodes below e-2 are exercised, e being the
-// leading run of nodes that hold their exercise value, because each of
-// their three children does.
-func walkTrinomialPut(done <-chan struct{}, val, lad []float64, p TriParams, skip bool) (price float64, ok bool) {
-	steps := p.Steps
 	for j, v := range lad {
 		if v < 0 {
 			v = 0
 		}
 		val[j] = v
 	}
-	z := len(lad)
-	if zeroStaysZero(p.Df * (float64(p.Pd*0) + float64(p.Pm*0) + float64(p.Pu*0))) {
-		for z > 0 && atMostZero(lad[z-1]) {
-			z--
-		}
-	}
-	e := 0
-	for e < len(lad) && lad[e] > 0 {
-		e++
-	}
 	for level := steps - 1; level >= 0; level-- {
 		if (steps-1-level)%ctxLevelBlock == 0 {
 			select {
-			case <-done: // nil, so never ready, when the walk cannot be cancelled
-				return 0, false
+			case <-done:
+				return 0, cx.Err()
 			default:
 			}
 		}
-		ex := lad[steps-level:][:2*level+1]
-		lo, hi := 0, min(z, len(ex))
-		if skip {
-			lo = max(e-2, 0)
-		}
-		if lo < hi {
-			reduceTriLevel(val[lo:hi+2], ex[lo:hi], p)
-		}
-		if skip {
-			e = heldPrefix(val, ex, lo, hi)
+		m := 2*level + 1
+		ex := lad[steps-level:][:m]
+		in := val[:m+2]
+		for j, e := range ex {
+			cont := p.Df * (float64(p.Pd*in[j]) + float64(p.Pm*in[j+1]) + float64(p.Pu*in[j+2]))
+			if e > cont {
+				cont = e
+			}
+			val[j] = cont
 		}
 	}
-	return val[0], true
-}
-
-// reduceTriLevel takes val from one lattice level to the next in place:
-// node j reads nodes j, j+1 and j+2 below it, against the exercise value
-// ex[j].
-func reduceTriLevel(val, ex []float64, p TriParams) {
-	in := val[:len(ex)+2]
-	for j, e := range ex {
-		cont := p.Df * (float64(p.Pd*in[j]) + float64(p.Pm*in[j+1]) + float64(p.Pu*in[j+2]))
-		if e > cont {
-			cont = e
-		}
-		val[j] = cont
-	}
+	return val[0], nil
 }

@@ -1,9 +1,9 @@
 package binomial
 
-// Oracles for the live window of the American-put walks: every price
-// must equal the per-node listing's (oracle_test.go) over an edge grid
-// chosen to sit on each of the window's gates, over non-finite inputs,
-// over a sweep of heavy_mix-shaped contracts and under fuzzing. The zero
+// Oracles for the live window of the binomial American-put walk: every
+// price must equal the per-node listing's (oracle_test.go) over an edge
+// grid chosen to sit on each of the window's gates, over non-finite
+// inputs, over a sweep of heavy_mix-shaped contracts and under fuzzing. The zero
 // cone is also checked on synthetic ladders that no contract produces
 // (non-monotone, with NaNs and signed zeros), since it is claimed exact
 // for any ladder.
@@ -57,41 +57,12 @@ func refLadderPut(lad [2][]float64, p Params) float64 {
 	return val[0]
 }
 
-// refLadderTriPut is the per-node trinomial listing reading exercise
-// values from lad (entry k+N for spot S e^{k logU}).
-func refLadderTriPut(lad []float64, p TriParams) float64 {
-	steps := p.Steps
-	val := make([]float64, len(lad))
-	for j, v := range lad {
-		if v < 0 {
-			v = 0
-		}
-		val[j] = v
-	}
-	for level := steps - 1; level >= 0; level-- {
-		ex := lad[steps-level:]
-		for j := 0; j < 2*level+1; j++ {
-			cont := p.Df * (float64(p.Pd*val[j]) + float64(p.Pm*val[j+1]) + float64(p.Pu*val[j+2]))
-			if ex[j] > cont {
-				val[j] = ex[j]
-			} else {
-				val[j] = cont
-			}
-		}
-	}
-	return val[0]
-}
-
-// checkBothLattices prices one contract on both lattices and compares
-// each price with its per-node listing.
-func checkBothLattices(t *testing.T, s, x, tt float64, steps int, m workload.MarketParams) {
+// checkWindow prices one contract and compares the price with the
+// per-node listing's.
+func checkWindow(t *testing.T, s, x, tt float64, steps int, m workload.MarketParams) {
 	t.Helper()
 	if got, want := val(PriceAmericanPutScalarCtx(context.Background(), s, x, tt, steps, m)), refAmericanPut(s, x, NewParams(tt, steps, m)); !sameValue(got, want) {
-		t.Errorf("binomial steps %d S=%g K=%g T=%g r=%g sigma=%g: price %.17g [%#x], listing %.17g [%#x]",
-			steps, s, x, tt, m.R, m.Sigma, got, math.Float64bits(got), want, math.Float64bits(want))
-	}
-	if got, want := val(PriceAmericanPutTrinomialCtx(context.Background(), s, x, tt, steps, m)), refAmericanPutTrinomial(s, x, tt, steps, m); !sameValue(got, want) {
-		t.Errorf("trinomial steps %d S=%g K=%g T=%g r=%g sigma=%g: price %.17g [%#x], listing %.17g [%#x]",
+		t.Errorf("steps %d S=%g K=%g T=%g r=%g sigma=%g: price %.17g [%#x], listing %.17g [%#x]",
 			steps, s, x, tt, m.R, m.Sigma, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }
@@ -135,7 +106,7 @@ func TestWindowMatchesListingEdgeGrid(t *testing.T) {
 		}
 		for _, sx := range spots {
 			for _, m := range mkts {
-				checkBothLattices(t, sx[0], sx[1], 1, steps, m)
+				checkWindow(t, sx[0], sx[1], 1, steps, m)
 			}
 		}
 	}
@@ -166,16 +137,14 @@ func TestWindowMatchesListingBelowMargin(t *testing.T) {
 		if gap := 1 - (p.PuByDf + p.PdByDf); !(gap > 0 && gap <= exerciseMargin) {
 			t.Fatalf("%+v: gap %g, want in (0, margin]", c, gap)
 		}
-		checkBothLattices(t, c.s, c.x, c.t, c.steps, m)
+		checkWindow(t, c.s, c.x, c.t, c.steps, m)
 	}
 }
 
 // The exercise skip's gate follows its proof (DESIGN §5): on for the
-// served contracts, off wherever a premise fails. On a ladder a contract
-// produces, a tree with a negative down probability happens to price the
-// same either way (its continuation of two exercised children falls below
-// the exercise value by at least the gap), so only this test sees the
-// sign condition.
+// served contracts, off wherever the margin or a range premise fails. Its
+// sign premise (both probabilities > 0) has no row: no price a contract
+// can produce depends on it.
 func TestExerciseSkipGate(t *testing.T) {
 	served := workload.MarketParams{R: 0.02, Sigma: 0.3}
 	for _, c := range []struct {
@@ -184,29 +153,21 @@ func TestExerciseSkipGate(t *testing.T) {
 		steps   int
 		m       workload.MarketParams
 		want    bool
-		binOnly bool // the margin rates are sized for the binomial tree
 	}{
-		{"served", 100, 110, 1.5, 1024, served, true, false},
-		{"served, one step", 100, 110, 0.1, 1, served, true, false},
-		{"negative down probability", 100, 110, 1, 1024, workload.MarketParams{R: 0.2, Sigma: 1e-12}, false, false},
-		{"zero rate", 100, 110, 1, 1024, workload.MarketParams{R: 0, Sigma: 0.3}, false, false},
-		{"negative rate", 100, 110, 1, 1024, workload.MarketParams{R: -0.01, Sigma: 0.3}, false, false},
-		{"gap just under the margin", 100, 110, 1, 255, workload.MarketParams{R: marginRate(0.9, 1, 255), Sigma: 0.3}, false, true},
-		{"gap just over the margin", 100, 110, 1, 255, workload.MarketParams{R: marginRate(1.1, 1, 255), Sigma: 0.3}, true, true},
-		{"zero spot", 0, 110, 1, 64, served, false, false},
-		{"subnormal strike", 100, 5e-324, 1, 64, served, false, false},
-		{"infinite strike", 100, math.Inf(1), 1, 64, served, false, false},
-		{"NaN spot", math.NaN(), 110, 1, 64, served, false, false},
-		{"ladder past the normal range", 100, 110, 1, 1024, workload.MarketParams{R: 0.02, Sigma: 30}, false, false},
+		{"served", 100, 110, 1.5, 1024, served, true},
+		{"served, one step", 100, 110, 0.1, 1, served, true},
+		{"zero rate", 100, 110, 1, 1024, workload.MarketParams{R: 0, Sigma: 0.3}, false},
+		{"negative rate", 100, 110, 1, 1024, workload.MarketParams{R: -0.01, Sigma: 0.3}, false},
+		{"gap just under the margin", 100, 110, 1, 255, workload.MarketParams{R: marginRate(0.9, 1, 255), Sigma: 0.3}, false},
+		{"gap just over the margin", 100, 110, 1, 255, workload.MarketParams{R: marginRate(1.1, 1, 255), Sigma: 0.3}, true},
+		{"zero spot", 0, 110, 1, 64, served, false},
+		{"subnormal strike", 100, 5e-324, 1, 64, served, false},
+		{"infinite strike", 100, math.Inf(1), 1, 64, served, false},
+		{"NaN spot", math.NaN(), 110, 1, 64, served, false},
+		{"ladder past the normal range", 100, 110, 1, 1024, workload.MarketParams{R: 0.02, Sigma: 30}, false},
 	} {
 		if got := NewParams(c.t, c.steps, c.m).exerciseSkips(c.s, c.x); got != c.want {
-			t.Errorf("binomial %s: skip %v, want %v", c.name, got, c.want)
-		}
-		if c.binOnly {
-			continue
-		}
-		if got := NewTriParams(c.t, c.steps, c.m).exerciseSkips(c.s, c.x); got != c.want {
-			t.Errorf("trinomial %s: skip %v, want %v", c.name, got, c.want)
+			t.Errorf("%s: skip %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -222,7 +183,7 @@ func TestWindowMatchesListingNonFinite(t *testing.T) {
 			for _, b := range bad {
 				in := base
 				in[field] = b
-				checkBothLattices(t, in[0], in[1], in[2], steps, workload.MarketParams{Sigma: in[3], R: in[4]})
+				checkWindow(t, in[0], in[1], in[2], steps, workload.MarketParams{Sigma: in[3], R: in[4]})
 			}
 		}
 	}
@@ -243,10 +204,9 @@ func windowSweepSize() int {
 
 // The sweep: contracts drawn as heavy_mix draws them (S, K uniform on
 // [50, 150], T on [0.1, 3.1], r 0.02, sigma 0.3) at the served depth of
-// 1024 steps, each binomial price against the listing that reads the
-// walk's own ladder (pinned to the per-node exponentials by
-// TestAmericanPutMatchesPerNodeListing), and every fourth contract on the
-// trinomial lattice too.
+// 1024 steps, each price against the listing that reads the walk's own
+// ladder (pinned to the per-node exponentials by
+// TestAmericanPutMatchesPerNodeListing).
 func TestWindowMatchesListingSweep(t *testing.T) {
 	const steps = 1024
 	m := workload.MarketParams{R: 0.02, Sigma: 0.3}
@@ -263,25 +223,12 @@ func TestWindowMatchesListingSweep(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			buf := make([]float64, 2*steps+1)
-			triBuf := make([]float64, 4*steps+2)
 			for i := w; i < n; i += workers {
 				s, x, tt := cs[i][0], cs[i][1], cs[i][2]
 				p := NewParams(tt, steps, m)
 				want := refLadderPut(exerciseLadder(buf, s, x, p), p)
 				if got := val(PriceAmericanPutScalarCtx(context.Background(), s, x, tt, steps, m)); !sameBits(got, want) {
-					t.Errorf("binomial S=%g K=%g T=%g: price %.17g, listing %.17g", s, x, tt, got, want)
-				}
-				if i%4 != 0 {
-					continue
-				}
-				tp := NewTriParams(tt, steps, m)
-				lad := triBuf[:2*steps+1]
-				for j := range lad {
-					lad[j] = x - float64(s*mathx.Exp(float64(j-steps)*tp.logU))
-				}
-				want = refLadderTriPut(lad, tp)
-				if got := val(PriceAmericanPutTrinomialCtx(context.Background(), s, x, tt, steps, m)); !sameBits(got, want) {
-					t.Errorf("trinomial S=%g K=%g T=%g: price %.17g, listing %.17g", s, x, tt, got, want)
+					t.Errorf("S=%g K=%g T=%g: price %.17g, listing %.17g", s, x, tt, got, want)
 				}
 			}
 		}(w)
@@ -326,7 +273,7 @@ func TestWindowZeroConeAnyLadder(t *testing.T) {
 		steps := []int{1, 2, 3, 4, 5, 17, 128, 129}[r.Intn(8)]
 		flat := syntheticLadder(r, steps)
 		pr := probs[r.Intn(len(probs))]
-		// Binomial: split by parity as exerciseLadder does.
+		// Split by parity as exerciseLadder does.
 		p := Params{Steps: steps, PuByDf: pr[0], PdByDf: pr[1]}
 		buf := make([]float64, 3*steps+2)
 		lad := [2][]float64{buf[:steps+1], buf[steps+1 : 2*steps+1]}
@@ -335,12 +282,7 @@ func TestWindowZeroConeAnyLadder(t *testing.T) {
 		}
 		want := refLadderPut(lad, p)
 		if got, _ := walkAmericanPut(nil, buf[2*steps+1:], lad, p, false); !sameValue(got, want) {
-			t.Fatalf("binomial iter %d steps %d probs %v: walk %.17g, listing %.17g\nladder %v", iter, steps, pr, got, want, flat)
-		}
-		tp := TriParams{Steps: steps, Pu: pr[0] / 2, Pm: pr[1] / 2, Pd: 1 - pr[0]/2 - pr[1]/2, Df: 0.999}
-		want = refLadderTriPut(flat, tp)
-		if got, _ := walkTrinomialPut(nil, make([]float64, len(flat)), flat, tp, false); !sameValue(got, want) {
-			t.Fatalf("trinomial iter %d steps %d: walk %.17g, listing %.17g\nladder %v", iter, steps, got, want, flat)
+			t.Fatalf("iter %d steps %d probs %v: walk %.17g, listing %.17g\nladder %v", iter, steps, pr, got, want, flat)
 		}
 	}
 }
@@ -358,6 +300,6 @@ func FuzzAmericanPutOracle(f *testing.F) {
 	f.Add(100.0, 100.0, math.Inf(1), 0.3, 0.02, uint16(4))
 	f.Fuzz(func(t *testing.T, s, x, tt, sigma, rate float64, steps uint16) {
 		n := 1 + int(steps)%1024
-		checkBothLattices(t, s, x, tt, n, workload.MarketParams{R: rate, Sigma: sigma})
+		checkWindow(t, s, x, tt, n, workload.MarketParams{R: rate, Sigma: sigma})
 	})
 }

@@ -12,8 +12,8 @@
 # float64(a*b) + c: the served Monte Carlo path's inverse normal and path
 # loop; mathx.Exp and mathx.Log, which every kernel calls; and the
 # American-put lattice walks (the binomial ladder, tiled two-level kernel
-# and walk, into which the single-level kernel inlines; the trinomial
-# ladder and walk). Before their roundings were made explicit, arm64 fused
+# and walk, into which the single-level kernel inlines; the trinomial put,
+# ladder and level loop in one function). Before their roundings were made explicit, arm64 fused
 # 15 multiply-adds in mathx.Exp, 8 in mathx.Log, 3 in reduceTwoLevels, 1
 # in the binomial walk, 1 in its ladder and 3 in the trinomial put. On
 # amd64 the explicit roundings change no instruction. The rest of the hot
@@ -29,7 +29,7 @@ GUARDED=(
 	'mathx.Exp$' 'mathx.Log$'
 	'binomial.exerciseLadder$' 'binomial.americanPut$'
 	'binomial.walkAmericanPut$' 'binomial.reduceTwoLevels$'
-	'binomial.PriceAmericanPutTrinomialCtx$' 'binomial.walkTrinomialPut$'
+	'binomial.PriceAmericanPutTrinomialCtx$'
 )
 
 TMP="$(mktemp -d)"
