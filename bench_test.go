@@ -228,7 +228,9 @@ func BenchmarkBatchAPILevels(b *testing.B) {
 // BenchmarkPriceHeavy times finbench.PriceRequestCtx at default sizes on
 // the request shapes heavy_mix sends: one American put per lattice method
 // and four heavy_mix-shaped ones per lattice (the x4 rows), four American
-// puts through Crank-Nicolson (two pairs), and Monte Carlo
+// puts through Crank-Nicolson (two pairs; the mix-x4 row prices the
+// heavy_mix-shaped four, whose lanes part in sweep counts and tails the
+// way the mix's do), and Monte Carlo
 // requests of one and of four European calls (ns/op is per request; the
 // Monte Carlo x4 row shows the normals being generated once).
 func BenchmarkPriceHeavy(b *testing.B) {
@@ -265,6 +267,7 @@ func BenchmarkPriceHeavy(b *testing.B) {
 		{"trinomial-amer-put-x4", finbench.TrinomialTree, mixPuts},
 		{"crank-nicolson", finbench.FiniteDifference, []finbench.Option{put}},
 		{"crank-nicolson-x4", finbench.FiniteDifference, puts},
+		{"crank-nicolson-mix-x4", finbench.FiniteDifference, mixPuts},
 		{"monte-carlo-x1", finbench.MonteCarlo, calls[:1]},
 		{"monte-carlo-x4", finbench.MonteCarlo, calls},
 	} {

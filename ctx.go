@@ -127,8 +127,9 @@ func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Confi
 // that is the whole normal stream: every option of a request runs on
 // stream (0, seed), so the normals are generated once per request instead
 // of once per option. Crank-Nicolson options go to the solver in pairs
-// that share a time loop and run both PSOR sweeps in one loop, each
-// option's arithmetic unchanged. The trees are priced option by option.
+// that share a time loop and run two PSOR sweeps of each option in one
+// loop, each option's arithmetic unchanged. The trees are priced option
+// by option.
 // A request is still one attempt: never split across workers, never
 // merged with another request.
 func PriceRequestCtx(ctx context.Context, opts []Option, m Market, method Method, cfg *Config) ([]Result, error) {

@@ -31,6 +31,19 @@
 //
 // Convergence is checked every `width` sweeps in the vector variants, as
 // the paper notes ("we now check for convergence every 4 or 8 iterations").
+//
+// The served path (PricePutsCtx) takes Fig. 7's wavefront as scalar
+// instruction-level parallelism instead of SIMD lanes. A request's options
+// are solved two at a time and each option of a pair keeps two sweeps in
+// flight, the second one point behind the first, so one j loop carries
+// four independent Gauss-Seidel chains and each point's relaxation issues
+// in the latency shadow of the others. Convergence stays exact: the
+// trailing sweep reads only values the leading sweep has finished and
+// writes a spare grid, both error sums are tested in sweep order, and the
+// spare is discarded when the leading sweep converged. A lane whose
+// partner has converged, and an odd last option, finish with the
+// reference sweeps. Every grid value, sweep count and price equals the
+// reference solve's.
 package cranknicolson // finlint:hot — allocation-free loops enforced by internal/lint
 
 import (
@@ -80,7 +93,7 @@ const DefaultAlpha = 0.73
 // into nsteps, with dx chosen so dtau/dx^2 = alpha and jpoints+1 grid
 // points centered on the money.
 func NewSolver(t float64, jpoints, nsteps int, alpha float64, mkt workload.MarketParams) *Solver {
-	tauMax := mkt.Sigma * mkt.Sigma * t / 2
+	tauMax := float64(mkt.Sigma*mkt.Sigma) * t / 2
 	dtau := tauMax / float64(nsteps)
 	dx := mathx.Sqrt(dtau / alpha)
 	return &Solver{
@@ -103,8 +116,8 @@ func NewSolver(t float64, jpoints, nsteps int, alpha float64, mkt workload.Marke
 // u^{n+1} - u^n = alpha [ theta d2 u^{n+1} + (1-theta) d2 u^n ].
 // Theta = 1/2 recovers the paper's alpha1/alpha2 coefficients. The
 // effective theta is 1 (fully implicit) during the Rannacher startup.
-func (s *Solver) alphaExplicit() float64 { return s.Alpha * (1 - s.effTheta()) * 2 }
-func (s *Solver) alphaImplicit() float64 { return s.Alpha * s.effTheta() * 2 }
+func (s *Solver) alphaExplicit() float64 { return float64(s.Alpha*(1-s.effTheta())) * 2 }
+func (s *Solver) alphaImplicit() float64 { return float64(s.Alpha*s.effTheta()) * 2 }
 
 func (s *Solver) effTheta() float64 {
 	if s.stepsDone < s.RannacherSteps {
@@ -114,7 +127,7 @@ func (s *Solver) effTheta() float64 {
 }
 
 // x returns the coordinate of grid point j.
-func (s *Solver) x(j int) float64 { return s.XMin + float64(j)*s.Dx }
+func (s *Solver) x(j int) float64 { return s.XMin + float64(float64(j)*s.Dx) }
 
 // The transformed American-put obstacle (u_payoff of Lis. 6) is
 // g(x,tau) = e^{(k+1)^2 tau/4} max(e^{(k-1)x/2} - e^{(k+1)x/2}, 0). It is
@@ -142,7 +155,7 @@ func (s *Solver) timeFactor(tau float64) float64 {
 // coordinates: e^{(k-1)x/2 + (k-1)^2 tau/4}.
 func (s *Solver) euroLeftBC(tau float64) float64 {
 	k := s.K2R
-	return mathx.Exp((k-1)*s.XMin/2 + (k-1)*(k-1)*tau/4)
+	return mathx.Exp(float64((k-1)*s.XMin/2) + float64((k-1)*(k-1)*tau/4))
 }
 
 // explicitStep fills G with the obstacle at tau and B with the explicit
@@ -159,7 +172,7 @@ func (s *Solver) explicitStep(u, b, g, h []float64, tau float64, c *perf.Counts)
 	jmax := s.J
 	for j := 1; j < jmax; j++ {
 		g[j] = tf * h[j]
-		b[j] = alpha1*u[j] + alpha2*(u[j+1]+u[j-1])
+		b[j] = float64(alpha1*u[j]) + float64(alpha2*(u[j+1]+u[j-1]))
 	}
 	if s.American {
 		g[0] = tf * h[0]
@@ -187,13 +200,14 @@ func (s *Solver) implicitCoeffs() (coeff, alpha2 float64) {
 }
 
 // relax performs the projected relaxation at one point and returns the new
-// value. It is the one spelling of the point update: gsorScalar, gsorPair
-// and the wavefront triangles call it (it inlines), and the wavefront's
-// vector body issues the same operations in the same order, so numerics
-// agree.
+// value. It is the one spelling of the point update: gsorScalar, the
+// pipelined pair (gsorPair) and the wavefront triangles call it (it
+// inlines), and the wavefront's vector body issues the same
+// operations in the same order, so numerics agree. Each product that feeds
+// an add is rounded explicitly, so no architecture fuses it.
 func relax(uj, ujm1, ujp1, bj, gj, omega, coeff, alpha2 float64, american bool) float64 {
-	y := coeff * (bj + alpha2*(ujm1+ujp1))
-	un := uj + omega*(y-uj)
+	y := float64(coeff * (bj + float64(alpha2*(ujm1+ujp1))))
+	un := uj + float64(omega*(y-uj))
 	if american && gj > un {
 		un = gj
 	}
@@ -230,7 +244,7 @@ func (s *Solver) gsorScalar(b, u, g []float64, omega float64, loops int, c *perf
 			uj := u[j]
 			un := relax(uj, um1, u[j+1], b[j], g[j], omega, coeff, alpha2, american)
 			d := un - uj
-			errSum += d * d
+			errSum += float64(d * d)
 			u[j] = un
 			um1 = un
 		}
@@ -250,48 +264,113 @@ func (s *Solver) gsorScalar(b, u, g []float64, omega float64, loops int, c *perf
 	}
 }
 
-// gsorPair runs the PSOR solves of two lanes' time step with both
-// Gauss-Seidel chains in one j loop: the chains are independent, so each
-// point's update of one lane issues in the latency shadow of the other's.
-// Each lane keeps its own coefficients, omega, American flag and error
-// sum. Once either lane converges the other finishes alone in gsorScalar
-// from the shared sweep count, so each lane runs exactly the sweeps, in
-// exactly the order, of its lone solve. A pair is uncounted. Returns the
-// two sweep counts.
+// The paired sweeps are pipelined two deep, the scalar form of Fig. 7's
+// wavefront: while sweep k relaxes point j in place on u, sweep k+1
+// relaxes point j-1 into the lane's spare grid v. Sweep k+1's operands
+// there are sweep k's u[j-1] (relaxed one iteration earlier, in a
+// register), sweep k's u[j] (just relaxed) and its own v[j-2] (in a
+// register), exactly those of the sequential sweep, so it is the
+// sequential sweep k+1, one Gauss-Seidel chain trailing the other. The
+// prologue is sweep k's point 1 and the epilogue sweep k+1's point J-1,
+// whose right neighbour is the boundary u[J]. settle then decides the pair
+// as two sequential sweeps would.
+
+// settle tests a sweep pair's error sums in sweep order, k being the
+// leading sweep's count, and returns the time step's sweep count, or 0 if
+// neither sweep converged. If sweep k converged, u already holds it and
+// the trailing sweep in v is discarded; otherwise u and v swap roles, so u
+// holds sweep k+1.
+func (l *lane) settle(e0, e1 float64, k int) int {
+	if l.s.converged(e0, k) {
+		return k
+	}
+	l.u, l.v = l.v, l.u
+	if l.s.converged(e1, k+1) {
+		return k + 1
+	}
+	return 0
+}
+
+// psorHead is a sweep pair's prologue on one lane: it copies u's
+// boundaries into v, relaxes point 1 of the leading sweep and returns that
+// value, the trailing sweep's left neighbour u[0] and the leading sweep's
+// squared update (0 + d*d is d*d, so it starts the error sum exactly).
+// Without interior points (J = 1) it relaxes nothing.
+func psorHead(u, v, b, g []float64, omega, coeff, alpha2 float64, american bool) (lead, trail, e float64) {
+	jmax := len(u) - 1
+	v[0], v[jmax] = u[0], u[jmax]
+	if jmax < 2 {
+		return 0, 0, 0
+	}
+	uj := u[1]
+	un := relax(uj, u[0], u[2], b[1], g[1], omega, coeff, alpha2, american)
+	u[1] = un
+	d := un - uj
+	return un, u[0], float64(d * d)
+}
+
+// psorTail is a sweep pair's epilogue on one lane: the trailing sweep's
+// point J-1, from the leading sweep's value there and the boundary u[J];
+// it returns the trailing sweep's error sum with that point added.
+func psorTail(u, v, b, g []float64, lead, trail, e1, omega, coeff, alpha2 float64, american bool) float64 {
+	jmax := len(u) - 1
+	if jmax < 2 {
+		return e1
+	}
+	un := relax(lead, trail, u[jmax], b[jmax-1], g[jmax-1], omega, coeff, alpha2, american)
+	v[jmax-1] = un
+	d := un - lead
+	return e1 + float64(d*d)
+}
+
+// gsorPair runs the PSOR solves of two lanes' time step with four
+// Gauss-Seidel chains in one j loop: each lane keeps two sweeps in
+// flight, and the lanes' chains are independent, so every point's update
+// issues in the latency shadow of three others. Each lane keeps its own
+// coefficients, omega, American flag and error sums, and settles each
+// sweep pair on its own; once either lane converges the other finishes
+// alone in gsorScalar from the shared sweep count, so each lane runs
+// exactly the sweeps, in exactly the order, of its lone solve. A pair is
+// uncounted. Returns the two sweep counts.
 func gsorPair(a, b *lane) (int, int) {
 	sa, sb := a.s, b.s
 	coeffA, alpha2A := sa.implicitCoeffs()
 	coeffB, alpha2B := sb.implicitCoeffs()
 	omegaA, omegaB := a.omega, b.omega
 	amA, amB := sa.American, sb.American
-	jmax := sa.J
-	ua, ba, ga := a.u[:jmax+1], a.b[:jmax], a.g[:jmax]
-	ub, bb, gb := b.u[:jmax+1], b.b[:jmax], b.g[:jmax]
-	loops := 0
-	for {
-		loops++
-		var errA, errB float64
-		pa, pb := ua[0], ub[0]
-		for j := 1; j < jmax; j++ {
+	np := sa.J + 1
+	for loops := 0; ; loops += 2 {
+		ua, va, ba, ga := a.u[:np], a.v[:np], a.b[:np], a.g[:np]
+		ub, vb, bb, gb := b.u[:np], b.v[:np], b.b[:np], b.g[:np]
+		leadA, trailA, eA0 := psorHead(ua, va, ba, ga, omegaA, coeffA, alpha2A, amA)
+		leadB, trailB, eB0 := psorHead(ub, vb, bb, gb, omegaB, coeffB, alpha2B, amB)
+		var eA1, eB1 float64
+		for j := 2; j < len(ua)-1; j++ {
 			uja, ujb := ua[j], ub[j]
-			na := relax(uja, pa, ua[j+1], ba[j], ga[j], omegaA, coeffA, alpha2A, amA)
-			nb := relax(ujb, pb, ub[j+1], bb[j], gb[j], omegaB, coeffB, alpha2B, amB)
-			da, db := na-uja, nb-ujb
-			errA += da * da
-			errB += db * db
-			ua[j], ub[j] = na, nb
-			pa, pb = na, nb
+			xa := relax(uja, leadA, ua[j+1], ba[j], ga[j], omegaA, coeffA, alpha2A, amA)
+			xb := relax(ujb, leadB, ub[j+1], bb[j], gb[j], omegaB, coeffB, alpha2B, amB)
+			ya := relax(leadA, trailA, xa, ba[j-1], ga[j-1], omegaA, coeffA, alpha2A, amA)
+			yb := relax(leadB, trailB, xb, bb[j-1], gb[j-1], omegaB, coeffB, alpha2B, amB)
+			da0, db0 := xa-uja, xb-ujb
+			da1, db1 := ya-leadA, yb-leadB
+			eA0 += float64(da0 * da0)
+			eB0 += float64(db0 * db0)
+			eA1 += float64(da1 * da1)
+			eB1 += float64(db1 * db1)
+			ua[j], ub[j], va[j-1], vb[j-1] = xa, xb, ya, yb
+			leadA, leadB, trailA, trailB = xa, xb, ya, yb
 		}
-		doneA, doneB := sa.converged(errA, loops), sb.converged(errB, loops)
-		if !doneA && !doneB {
+		eA1 = psorTail(ua, va, ba, ga, leadA, trailA, eA1, omegaA, coeffA, alpha2A, amA)
+		eB1 = psorTail(ub, vb, bb, gb, leadB, trailB, eB1, omegaB, coeffB, alpha2B, amB)
+		la, lb := a.settle(eA0, eA1, loops+1), b.settle(eB0, eB1, loops+1)
+		if la == 0 && lb == 0 {
 			continue
 		}
-		la, lb := loops, loops
-		if !doneA {
-			la = sa.gsorScalar(a.b, a.u, a.g, omegaA, loops, nil)
+		if la == 0 {
+			la = sa.gsorScalar(a.b, a.u, a.g, omegaA, loops+2, nil)
 		}
-		if !doneB {
-			lb = sb.gsorScalar(b.b, b.u, b.g, omegaB, loops, nil)
+		if lb == 0 {
+			lb = sb.gsorScalar(b.b, b.u, b.g, omegaB, loops+2, nil)
 		}
 		return la, lb
 	}
@@ -318,32 +397,42 @@ func (s *Solver) SolveScalarCtx(cx context.Context, c *perf.Counts) ([]float64, 
 }
 
 // lane is one solver's grids and omega adaptation in the shared time
-// loop: the solution u, the explicit half-step b, the obstacle g and g's
-// space factor h, each J+1 points.
+// loop: the solution u, the explicit half-step b, the obstacle g, g's
+// space factor h and, in a lane of a pair, the pipelined sweeps' spare
+// grid v, each J+1 points. u and v swap roles as a pair's sweeps settle.
 type lane struct {
-	s          *Solver
-	u, b, g, h []float64
-	omega      float64
-	oldloops   int
+	s             *Solver
+	u, b, g, h, v []float64
+	omega         float64
+	oldloops      int
 	// total is the lane's GSOR sweep count over the solve.
 	total int
 }
 
-// newLane carves a lane for s out of grids, which holds 4*(s.J+1) floats.
+// pairGrids is the number of J+1-point grids a lane of a pair holds; a
+// lone lane needs one fewer, having no v.
+const pairGrids = 5
+
+// newLane carves a lane for s out of grids, which holds pairGrids*(s.J+1)
+// floats for a lane of a pair and (pairGrids-1)*(s.J+1) for a lone lane.
 func newLane(s *Solver, grids []float64) lane {
 	np := s.J + 1
-	return lane{
+	l := lane{
 		s: s,
 		u: grids[:np:np], b: grids[np : 2*np : 2*np],
 		g: grids[2*np : 3*np : 3*np], h: grids[3*np : 4*np : 4*np],
 	}
+	if len(grids) >= pairGrids*np {
+		l.v = grids[4*np : 5*np : 5*np]
+	}
+	return l
 }
 
 // solveOne runs the time loop for s as a lone lane over freshly allocated
 // grids, with solveDone's sweeps; it returns the final u grid, the total
 // sweep count and solveDone's ok.
 func (s *Solver) solveOne(c *perf.Counts, done <-chan struct{}, sweeps gsorFunc) ([]float64, int, bool) {
-	ls := [1]lane{newLane(s, make([]float64, 4*(s.J+1)))}
+	ls := [1]lane{newLane(s, make([]float64, (pairGrids-1)*(s.J+1)))}
 	ok := solveDone(ls[:], c, done, sweeps)
 	return ls[0].u, ls[0].total, ok
 }
@@ -421,9 +510,9 @@ func (s *Solver) Price(u []float64, spot, strike float64) float64 {
 		j, pos = s.J-1, float64(s.J)
 	}
 	frac := pos - float64(j)
-	uq := u[j]*(1-frac) + u[j+1]*frac
+	uq := float64(u[j]*(1-frac)) + float64(u[j+1]*frac)
 	k := s.K2R
-	return strike * uq * mathx.Exp(-(k-1)*xq/2-(k+1)*(k+1)*s.TauMax/4)
+	return strike * uq * mathx.Exp(float64(-(k-1)*xq/2)-float64((k+1)*(k+1)*s.TauMax/4))
 }
 
 // Put is one put contract for PricePutsCtx; Price receives its value.
@@ -435,14 +524,19 @@ type Put struct {
 	Price    float64
 }
 
-// PricePutsCtx prices puts on one jpoints x nsteps lattice with the
-// scalar reference solve, two at a time: a pair shares its time loop and
-// runs both options' PSOR sweeps in one j loop (gsorPair), and an odd last
-// put is solved alone. Every puts[i].Price is bit-identical to the put's
-// lone solve. Cancellation is checked once per time step.
+// PricePutsCtx prices puts on one jpoints x nsteps lattice two at a time:
+// a pair shares its time loop and runs both options' PSOR solves, two
+// sweeps of each in flight, in one j loop (gsorPair), and an odd last put
+// is solved alone by the reference sweeps (gsorScalar). Every puts[i].Price
+// is bit-identical to the put's reference solve (SolveScalarCtx).
+// Cancellation is checked once per time step.
 func PricePutsCtx(cx context.Context, puts []Put, jpoints, nsteps int, mkt workload.MarketParams) error {
 	np := jpoints + 1
-	grids := make([]float64, min(len(puts), 2)*4*np)
+	stride := (pairGrids - 1) * np // a lone put's lane has no v
+	if len(puts) > 1 {
+		stride = pairGrids * np
+	}
+	grids := make([]float64, min(len(puts), 2)*stride)
 	var ss [2]Solver
 	var ls [2]lane
 	for i := 0; i < len(puts); i += 2 {
@@ -450,7 +544,7 @@ func PricePutsCtx(cx context.Context, puts []Put, jpoints, nsteps int, mkt workl
 		for k, p := range pair {
 			ss[k] = *NewSolver(p.T, jpoints, nsteps, DefaultAlpha, mkt)
 			ss[k].American = p.American
-			ls[k] = newLane(&ss[k], grids[k*4*np:(k+1)*4*np])
+			ls[k] = newLane(&ss[k], grids[k*stride:(k+1)*stride])
 		}
 		if !solveDone(ls[:len(pair)], nil, cx.Done(), nil) {
 			return cx.Err()

@@ -408,11 +408,11 @@ func fillInputs(spots, strikes, expiries []float64, req *PriceRequest) {
 // the cancellable host kernels: every result is bit-identical to a
 // per-option finbench.PriceCtx. A Monte Carlo request generates its
 // normal stream once for all of its options (each is priced as if alone
-// on stream (0, seed)); Crank-Nicolson options are solved two at a time
-// in one sweep loop; the trees are priced option by option. These methods
-// are never coalesced, split or retried: Monte Carlo is one attempt on one
-// stream, and the lattice kernels gain nothing from batching across
-// requests.
+// on stream (0, seed)); Crank-Nicolson options are solved two at a time,
+// two sweeps of each in flight in one loop; the trees are priced option
+// by option. These methods are never coalesced, split or retried: Monte
+// Carlo is one attempt on one stream, and the lattice kernels gain
+// nothing from batching across requests.
 func (s *Server) priceHeavy(ctx context.Context, req *PriceRequest, method finbench.Method, cfg finbench.Config, resp *PriceResponse) error {
 	resp.Engine = "scalar"
 	opts := make([]finbench.Option, len(req.Options))

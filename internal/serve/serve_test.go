@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -17,8 +18,10 @@ import (
 	"time"
 
 	"finbench"
+	"finbench/internal/cranknicolson"
 	"finbench/internal/serve/pricecache"
 	"finbench/internal/serve/wire"
+	"finbench/internal/workload"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -439,6 +442,41 @@ func TestPriceCapsTimeSteps(t *testing.T) {
 		Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}},
 		Config:  wire.Config{GridPoints: 64, TimeSteps: maxTimeSteps + 1},
 	}, maxTimeSteps)
+}
+
+// grid_points 1 to 3 are accepted (only the upper bound is capped). At
+// J = 1 and 2 the served solver's pipelined sweeps have no main loop, only
+// their prologue and epilogue. Every put, paired or alone, must answer 200
+// bit-equal to the reference solve, which the cranknicolson oracle pins
+// to the per-point listing.
+func TestPriceCrankNicolsonTinyGrids(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	mkt := workload.MarketParams{R: s.cfg.Market.Rate, Sigma: s.cfg.Market.Volatility}
+	opts := []wire.Option{
+		{Type: "put", Style: "american", Spot: 100, Strike: 110, Expiry: 1.5},
+		{Type: "put", Spot: 90, Strike: 100, Expiry: 1},
+		{Type: "put", Style: "american", Spot: 120, Strike: 100, Expiry: 0.25},
+	}
+	for _, jpoints := range []int{1, 2, 3} {
+		for _, nsteps := range []int{1, 2} {
+			for n := 1; n <= len(opts); n++ {
+				req := &PriceRequest{Method: "crank-nicolson", Options: opts[:n], Config: wire.Config{GridPoints: jpoints, TimeSteps: nsteps}}
+				resp, body := postJSON(t, ts.URL+"/price", req)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("J=%d N=%d %d puts: status %d: %s", jpoints, nsteps, n, resp.StatusCode, body)
+				}
+				pr := decodePrice(t, body)
+				for i, o := range req.Options {
+					sv := cranknicolson.NewSolver(o.Expiry, jpoints, nsteps, cranknicolson.DefaultAlpha, mkt)
+					sv.American = o.Style == "american"
+					u, _ := sv.SolveScalar(nil)
+					if got, want := pr.Results[i].Price, sv.Price(u, o.Spot, o.Strike); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("J=%d N=%d %d puts, put %d: %.17g, reference %.17g", jpoints, nsteps, n, i, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestAdmissionSemaphore(t *testing.T) {

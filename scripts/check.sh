@@ -123,11 +123,14 @@ else
 	# mathx's FuzzExpOracle (Exp against its Ldexp listing and its
 	# math/big bound) and FuzzInvCNDOracle (InvCND against a math/big
 	# quantile), montecarlo's FuzzPathSumsOracle (pathSums against its
-	# listing) and binomial's FuzzAmericanPutOracle (the lattice walks'
-	# live window against the per-node listings).
+	# listing), binomial's FuzzAmericanPutOracle (the lattice walks'
+	# live window against the per-node listings) and cranknicolson's
+	# FuzzPricePutsOracle (the pipelined PSOR sweeps, paired and alone,
+	# against the per-point listing).
 	echo "==> fuzz seed corpora"
 	go test -run='^Fuzz' -count=1 -timeout 10m \
-		./internal/mathx ./internal/montecarlo ./internal/binomial ./internal/rng ./internal/blackscholes \
+		./internal/mathx ./internal/montecarlo ./internal/binomial ./internal/cranknicolson \
+		./internal/rng ./internal/blackscholes \
 		./internal/serve ./internal/serve/wire \
 		./internal/serve/pricecache ./internal/serve/shard
 

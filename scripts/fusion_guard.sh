@@ -13,12 +13,18 @@
 # loop; mathx.Exp and mathx.Log, which every kernel calls; and the
 # American-put lattice walks (the binomial ladder, tiled two-level kernel
 # and walk, into which the single-level kernel inlines; the trinomial put,
-# ladder and level loop in one function). Before their roundings were made explicit, arm64 fused
-# 15 multiply-adds in mathx.Exp, 8 in mathx.Log, 3 in reduceTwoLevels, 1
-# in the binomial walk, 1 in its ladder and 3 in the trinomial put. On
-# amd64 the explicit roundings change no instruction. The rest of the hot
-# packages (blackscholes, the European lattice walks, Crank-Nicolson) is
-# ROADMAP item 15(b).
+# ladder and level loop in one function); and the served Crank-Nicolson
+# solve (the pipelined PSOR body of a pair with its prologue and
+# epilogue, the scalar sweeps that finish a lone lane, the explicit
+# half-step, the time-loop driver and the price recovery, into which
+# relax, the theta-scheme coefficients and the grid coordinate inline). Before their roundings were made explicit,
+# arm64 fused 15 multiply-adds in mathx.Exp, 8 in mathx.Log, 3 in
+# reduceTwoLevels, 1 in the binomial walk, 1 in its ladder, 3 in the
+# trinomial put and 21 in the Crank-Nicolson package (10 of them in the
+# paired sweep). Go rewrites x*2 as x+x, so a doubled product fuses too
+# unless the product is rounded first. On amd64 the explicit roundings
+# change no instruction. The rest of the hot packages (blackscholes, the
+# European lattice walks) is ROADMAP item 15(b).
 #
 # Usage: ./scripts/fusion_guard.sh
 set -euo pipefail
@@ -30,6 +36,10 @@ GUARDED=(
 	'binomial.exerciseLadder$' 'binomial.americanPut$'
 	'binomial.walkAmericanPut$' 'binomial.reduceTwoLevels$'
 	'binomial.PriceAmericanPutTrinomialCtx$'
+	'cranknicolson.gsorPair$' 'cranknicolson.\(\*Solver\).gsorScalar$'
+	'cranknicolson.psorHead$' 'cranknicolson.psorTail$'
+	'cranknicolson.\(\*Solver\).explicitStep$' 'cranknicolson.solveDone$'
+	'cranknicolson.\(\*Solver\).Price$'
 )
 
 TMP="$(mktemp -d)"
