@@ -66,7 +66,7 @@ func Run(level Level, a layout.AOS, jpoints, nsteps, width int, mkt workload.Mar
 	run := func(lo, hi int, c *perf.Counts) {
 		sweeps := 0
 		for i := lo; i < hi; i++ {
-			s := NewSolver(a.T(i), jpoints, nsteps, DefaultAlpha, mkt)
+			s := NewSolver(a.T(i), jpoints, nsteps, mkt)
 			u, sw := solve(s, c)
 			sweeps += sw
 			a.SetResult(i, 0, s.Price(u, a.S(i), a.X(i)))
@@ -75,13 +75,8 @@ func Run(level Level, a layout.AOS, jpoints, nsteps, width int, mkt workload.Mar
 		totalSweeps += sweeps
 		mu.Unlock()
 	}
-	if c == nil {
-		// PSOR sweep counts vary by option, so the uncounted path uses
-		// guided handout: big head chunks amortize the shared counter,
-		// grain-1 tail chunks balance the irregular solves.
-		parallel.ForGuided(n, 1, func(lo, hi int) { run(lo, hi, nil) })
-	} else {
-		_ = parallel.Region(context.Background(), n, 1, c, run)
+	_ = parallel.Region(context.Background(), n, 1, c, run)
+	if c != nil {
 		// Grid state fits in L2 (Sec. IV-E2); DRAM traffic is the option
 		// parameters in and one price out.
 		c.AddBytes(uint64(24*n), uint64(8*n))

@@ -13,7 +13,9 @@
 //
 // until the summed squared update falls below epsilon, with the
 // early-exercise obstacle g enforcing the American constraint and omega
-// adapted across time steps as in Lis. 6.
+// adapted across time steps as in Lis. 6. That is the one scheme the
+// solver runs: the half-steps weigh equally (theta = 1/2) at the
+// reference lattice ratio alpha = dtau/dx^2 = 0.73 (DefaultAlpha).
 //
 // Optimization levels (Fig. 8):
 //
@@ -72,58 +74,30 @@ type Solver struct {
 	American bool
 	// Eps is the GSOR convergence threshold on the summed squared update.
 	Eps float64
-	// stepsDone counts completed time steps (drives the Rannacher switch).
-	stepsDone int
-	// Theta selects the time-stepping scheme: 0 = fully explicit
-	// (conditionally stable, alpha <= 1/2), 1 = fully implicit
-	// (unconditionally stable, first-order), 0.5 = Crank-Nicolson
-	// (unconditionally stable, second-order — the paper's method).
-	Theta float64
-	// RannacherSteps runs that many initial steps fully implicitly before
-	// switching to Theta, damping the spurious oscillation Crank-Nicolson
-	// exhibits against the non-smooth payoff (Rannacher startup). Zero
-	// reproduces the paper's plain scheme.
-	RannacherSteps int
 }
 
 // DefaultAlpha is the lattice ratio used by the reference code (Lis. 6).
 const DefaultAlpha = 0.73
 
 // NewSolver builds the grid for maturity t: tauMax = sigma^2 t/2 split
-// into nsteps, with dx chosen so dtau/dx^2 = alpha and jpoints+1 grid
-// points centered on the money.
-func NewSolver(t float64, jpoints, nsteps int, alpha float64, mkt workload.MarketParams) *Solver {
+// into nsteps, with dx chosen so dtau/dx^2 = DefaultAlpha and jpoints+1
+// grid points centered on the money.
+func NewSolver(t float64, jpoints, nsteps int, mkt workload.MarketParams) *Solver {
 	tauMax := float64(mkt.Sigma*mkt.Sigma) * t / 2
 	dtau := tauMax / float64(nsteps)
-	dx := mathx.Sqrt(dtau / alpha)
+	dx := mathx.Sqrt(dtau / DefaultAlpha)
 	return &Solver{
 		J:        jpoints,
 		N:        nsteps,
 		K2R:      2 * mkt.R / (mkt.Sigma * mkt.Sigma),
 		Dx:       dx,
 		DTau:     dtau,
-		Alpha:    alpha,
+		Alpha:    DefaultAlpha,
 		XMin:     -dx * float64(jpoints) / 2,
 		TauMax:   tauMax,
 		American: true,
 		Eps:      1e-14,
-		Theta:    0.5,
 	}
-}
-
-// alphaExplicit and alphaImplicit split the lattice ratio between the two
-// half-steps according to the theta scheme:
-// u^{n+1} - u^n = alpha [ theta d2 u^{n+1} + (1-theta) d2 u^n ].
-// Theta = 1/2 recovers the paper's alpha1/alpha2 coefficients. The
-// effective theta is 1 (fully implicit) during the Rannacher startup.
-func (s *Solver) alphaExplicit() float64 { return float64(s.Alpha*(1-s.effTheta())) * 2 }
-func (s *Solver) alphaImplicit() float64 { return float64(s.Alpha*s.effTheta()) * 2 }
-
-func (s *Solver) effTheta() float64 {
-	if s.stepsDone < s.RannacherSteps {
-		return 1
-	}
-	return s.Theta
 }
 
 // x returns the coordinate of grid point j.
@@ -165,9 +139,8 @@ func (s *Solver) euroLeftBC(tau float64) float64 {
 // which calls u_payoff at every point (Lis. 6): it describes the
 // modelled machine's code, not this host loop.
 func (s *Solver) explicitStep(u, b, g, h []float64, tau float64, c *perf.Counts) {
-	ae := s.alphaExplicit()
-	alpha1 := 1 - ae
-	alpha2 := ae / 2
+	alpha1 := 1 - s.Alpha
+	alpha2 := s.Alpha / 2
 	tf := s.timeFactor(tau)
 	jmax := s.J
 	for j := 1; j < jmax; j++ {
@@ -192,11 +165,10 @@ func (s *Solver) explicitStep(u, b, g, h []float64, tau float64, c *perf.Counts)
 	}
 }
 
-// implicitCoeffs returns the PSOR sweep's loop invariants at the current
-// time step: 1/(1+a) and a/2 for the implicit half-step's lattice ratio a.
+// implicitCoeffs returns the PSOR sweep's loop invariants, 1/(1+alpha)
+// and alpha/2.
 func (s *Solver) implicitCoeffs() (coeff, alpha2 float64) {
-	ai := s.alphaImplicit()
-	return 1 / (1 + ai), ai / 2
+	return 1 / (1 + s.Alpha), s.Alpha / 2
 }
 
 // relax performs the projected relaxation at one point and returns the new
@@ -215,10 +187,10 @@ func relax(uj, ujm1, ujp1, bj, gj, omega, coeff, alpha2 float64, american bool) 
 }
 
 // converged reports whether a PSOR solve stops after a sweep whose summed
-// squared update is errSum, loops sweeps into the time step. It is
-// divergence-safe: a blown-up lattice (explicit scheme past its stability
-// bound) yields NaN or overflowing error sums, which must terminate rather
-// than spin to the sweep cap.
+// squared update is errSum, loops sweeps into the time step. It is a
+// termination guard as well as the convergence test: a blown-up lattice
+// yields NaN or overflowing error sums, which stop the solve rather than
+// spin to the 10,000-sweep cap.
 func (s *Solver) converged(errSum float64, loops int) bool {
 	return !(errSum > s.Eps) || errSum > 1e200 || loops > 10000
 }
@@ -379,21 +351,7 @@ func gsorPair(a, b *lane) (int, int) {
 // SolveScalar runs the full reference time loop (Lis. 6) and returns the
 // final u grid and the total GSOR sweep count.
 func (s *Solver) SolveScalar(c *perf.Counts) ([]float64, int) {
-	// Background cannot be cancelled, so the solve cannot fail.
-	u, total, _ := s.SolveScalarCtx(context.Background(), c)
-	return u, total
-}
-
-// SolveScalarCtx is SolveScalar with cancellation checked once per time
-// step (each step is an explicit half-step plus a full PSOR solve, the
-// natural chunk of this kernel). On cancellation it returns a nil grid and
-// ctx.Err().
-func (s *Solver) SolveScalarCtx(cx context.Context, c *perf.Counts) ([]float64, int, error) {
-	u, total, ok := s.solveOne(c, cx.Done(), nil)
-	if !ok {
-		return nil, total, cx.Err()
-	}
-	return u, total, nil
+	return s.solveOne(c, nil)
 }
 
 // lane is one solver's grids and omega adaptation in the shared time
@@ -429,12 +387,12 @@ func newLane(s *Solver, grids []float64) lane {
 }
 
 // solveOne runs the time loop for s as a lone lane over freshly allocated
-// grids, with solveDone's sweeps; it returns the final u grid, the total
-// sweep count and solveDone's ok.
-func (s *Solver) solveOne(c *perf.Counts, done <-chan struct{}, sweeps gsorFunc) ([]float64, int, bool) {
+// grids, with solveDone's sweeps; it returns the final u grid and the
+// total sweep count.
+func (s *Solver) solveOne(c *perf.Counts, sweeps gsorFunc) ([]float64, int) {
 	ls := [1]lane{newLane(s, make([]float64, (pairGrids-1)*(s.J+1)))}
-	ok := solveDone(ls[:], c, done, sweeps)
-	return ls[0].u, ls[0].total, ok
+	solveDone(ls[:], c, nil, sweeps)
+	return ls[0].u, ls[0].total
 }
 
 // gsorFunc is a PSOR solve of one time step over a lane's grids; it
@@ -459,7 +417,6 @@ func solveDone(ls []lane, c *perf.Counts, done <-chan struct{}, sweeps gsorFunc)
 			l.u[j] = tf0 * l.h[j]
 		}
 		l.omega, l.oldloops, l.total = 1, 1<<30, 0
-		s.stepsDone = 0
 	}
 	const domega = 0.05
 	var loops [2]int
@@ -490,7 +447,6 @@ func solveDone(ls []lane, c *perf.Counts, done <-chan struct{}, sweeps gsorFunc)
 				l.omega += domega
 			}
 			l.oldloops = loops[i]
-			l.s.stepsDone++
 		}
 	}
 	return true
@@ -528,7 +484,7 @@ type Put struct {
 // a pair shares its time loop and runs both options' PSOR solves, two
 // sweeps of each in flight, in one j loop (gsorPair), and an odd last put
 // is solved alone by the reference sweeps (gsorScalar). Every puts[i].Price
-// is bit-identical to the put's reference solve (SolveScalarCtx).
+// is bit-identical to the put's reference solve (SolveScalar).
 // Cancellation is checked once per time step.
 func PricePutsCtx(cx context.Context, puts []Put, jpoints, nsteps int, mkt workload.MarketParams) error {
 	np := jpoints + 1
@@ -542,7 +498,7 @@ func PricePutsCtx(cx context.Context, puts []Put, jpoints, nsteps int, mkt workl
 	for i := 0; i < len(puts); i += 2 {
 		pair := puts[i:min(i+2, len(puts))]
 		for k, p := range pair {
-			ss[k] = *NewSolver(p.T, jpoints, nsteps, DefaultAlpha, mkt)
+			ss[k] = *NewSolver(p.T, jpoints, nsteps, mkt)
 			ss[k].American = p.American
 			ls[k] = newLane(&ss[k], grids[k*stride:(k+1)*stride])
 		}

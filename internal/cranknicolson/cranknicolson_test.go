@@ -105,9 +105,9 @@ func TestPricePutsCancelStopsPair(t *testing.T) {
 // solver tolerance.
 func TestWavefrontMatchesScalar(t *testing.T) {
 	for _, width := range []int{4, 8} {
-		s1 := NewSolver(1, 256, 200, DefaultAlpha, mkt)
+		s1 := NewSolver(1, 256, 200, mkt)
 		u1, _ := s1.SolveScalar(nil)
-		s2 := NewSolver(1, 256, 200, DefaultAlpha, mkt)
+		s2 := NewSolver(1, 256, 200, mkt)
 		u2, _ := s2.SolveWavefront(width, nil)
 		for j := range u1 {
 			if math.Abs(u1[j]-u2[j]) > 1e-6 {
@@ -119,9 +119,9 @@ func TestWavefrontMatchesScalar(t *testing.T) {
 
 func TestSplitMatchesFlatWavefront(t *testing.T) {
 	for _, width := range []int{4, 8} {
-		s1 := NewSolver(1, 256, 200, DefaultAlpha, mkt)
+		s1 := NewSolver(1, 256, 200, mkt)
 		u1, sw1 := s1.SolveWavefront(width, nil)
-		s2 := NewSolver(1, 256, 200, DefaultAlpha, mkt)
+		s2 := NewSolver(1, 256, 200, mkt)
 		u2, sw2 := s2.SolveWavefrontSplit(width, nil)
 		if sw1 != sw2 {
 			t.Fatalf("width %d: sweep counts differ: %d vs %d", width, sw1, sw2)
@@ -183,7 +183,7 @@ func TestCountsAcrossLevels(t *testing.T) {
 
 // Payoff sanity: obstacle positive only in the money, increasing in tau.
 func TestPayoffShape(t *testing.T) {
-	s := NewSolver(1, 128, 100, DefaultAlpha, mkt)
+	s := NewSolver(1, 128, 100, mkt)
 	if s.payoff(0.5, 0) != 0 {
 		t.Fatal("OTM obstacle must be zero")
 	}
@@ -198,7 +198,7 @@ func TestPayoffShape(t *testing.T) {
 // Price recovery: at tau=0 (no evolution) the recovered value equals the
 // payoff.
 func TestPriceRecoveryAtPayoff(t *testing.T) {
-	s := NewSolver(1, 256, 100, DefaultAlpha, mkt)
+	s := NewSolver(1, 256, 100, mkt)
 	u := make([]float64, s.J+1)
 	for j := range u {
 		u[j] = s.payoff(s.x(j), 0)
@@ -214,7 +214,7 @@ func TestPriceRecoveryAtPayoff(t *testing.T) {
 }
 
 func TestSolverGridConsistency(t *testing.T) {
-	s := NewSolver(2, 256, 1000, 0.73, mkt)
+	s := NewSolver(2, 256, 1000, mkt)
 	if math.Abs(s.DTau/(s.Dx*s.Dx)-0.73) > 1e-12 {
 		t.Fatalf("alpha = %g", s.DTau/(s.Dx*s.Dx))
 	}
@@ -237,7 +237,7 @@ func TestLevelString(t *testing.T) {
 
 func BenchmarkScalar256x200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSolver(1, 256, 200, DefaultAlpha, mkt)
+		s := NewSolver(1, 256, 200, mkt)
 		s.SolveScalar(nil)
 	}
 }
@@ -247,7 +247,7 @@ func BenchmarkScalar256x200(b *testing.B) {
 // not slow down.
 func BenchmarkSolveScalar(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSolver(1.5, 256, 1000, DefaultAlpha, mkt)
+		s := NewSolver(1.5, 256, 1000, mkt)
 		s.SolveScalar(nil)
 	}
 }
@@ -269,119 +269,114 @@ func BenchmarkPricePuts4(b *testing.B) {
 
 func BenchmarkWavefrontW8_256x200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSolver(1, 256, 200, DefaultAlpha, mkt)
+		s := NewSolver(1, 256, 200, mkt)
 		s.SolveWavefront(8, nil)
 	}
 }
 
 func BenchmarkWavefrontSplitW8_256x200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSolver(1, 256, 200, DefaultAlpha, mkt)
+		s := NewSolver(1, 256, 200, mkt)
 		s.SolveWavefrontSplit(8, nil)
 	}
 }
 
-// Theta-scheme validation: the fully implicit scheme converges (first
-// order), and the fully explicit scheme obeys the classical stability
-// bound alpha <= 1/2 — stable below it, divergent above it. These pin the
-// time-stepping machinery independently of the PSOR solver.
-func TestThetaSchemeImplicit(t *testing.T) {
-	_, want := blackscholes.PriceScalar(100, 100, 1, mkt)
-	s := NewSolver(1, 256, 1000, DefaultAlpha, mkt)
-	s.American = false
-	s.Theta = 1.0
-	u, _ := s.SolveScalar(nil)
-	got := s.Price(u, 100, 100)
-	if math.Abs(got-want) > 0.05*want {
-		t.Fatalf("implicit scheme price %g vs BS %g", got, want)
+// The stop rule ends a PSOR solve once the summed squared update is at
+// most Eps, and regardless of it past 10,000 sweeps or on an error sum
+// that is NaN or above 1e200: a blown-up lattice must terminate, not
+// spin to the cap.
+func TestConvergedStopRule(t *testing.T) {
+	s := NewSolver(1, 64, 50, mkt)
+	for _, tc := range []struct {
+		name   string
+		errSum float64
+		loops  int
+		want   bool
+	}{
+		{"zero", 0, 1, true},
+		{"below eps", s.Eps / 2, 1, true},
+		{"at eps", s.Eps, 1, true},
+		{"just above eps", math.Nextafter(s.Eps, math.Inf(1)), 1, false},
+		{"above eps", 2 * s.Eps, 1, false},
+		{"last sweep under the cap", 1, 10000, false},
+		{"past the cap", 1, 10001, true},
+		{"at the overflow bound", 1e200, 1, false},
+		{"past the overflow bound", 1e201, 1, true},
+		{"infinite", math.Inf(1), 1, true},
+		{"NaN", math.NaN(), 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := s.converged(tc.errSum, tc.loops); got != tc.want {
+				t.Errorf("converged(%g, %d) = %v, want %v", tc.errSum, tc.loops, got, tc.want)
+			}
+		})
 	}
 }
 
-func TestThetaSchemeExplicitStable(t *testing.T) {
-	_, want := blackscholes.PriceScalar(100, 100, 1, mkt)
-	s := NewSolver(1, 256, 1000, 0.4, mkt) // alpha < 1/2: stable
-	s.American = false
-	s.Theta = 0.0
-	u, _ := s.SolveScalar(nil)
-	got := s.Price(u, 100, 100)
-	if math.Abs(got-want) > 0.05*want {
-		t.Fatalf("stable explicit price %g vs BS %g", got, want)
-	}
-}
-
-func TestThetaSchemeExplicitUnstable(t *testing.T) {
-	// alpha = 0.73 > 1/2: the pure explicit scheme must blow up.
-	s := NewSolver(1, 256, 1000, DefaultAlpha, mkt)
-	s.American = false
-	s.Theta = 0.0
-	u, _ := s.SolveScalar(nil)
-	got := s.Price(u, 100, 100)
-	if !math.IsNaN(got) && math.Abs(got) < 100 {
-		t.Fatalf("explicit scheme at alpha=0.73 unexpectedly stable: price %g", got)
-	}
-}
-
-// All theta values must leave the default CN path untouched.
-func TestThetaDefaultIsCN(t *testing.T) {
-	s := NewSolver(1, 64, 50, DefaultAlpha, mkt)
-	if s.Theta != 0.5 {
-		t.Fatalf("default theta = %g", s.Theta)
-	}
-	if math.Abs(s.alphaExplicit()-s.Alpha) > 1e-15 || math.Abs(s.alphaImplicit()-s.Alpha) > 1e-15 {
-		t.Fatalf("CN split wrong: %g/%g", s.alphaExplicit(), s.alphaImplicit())
-	}
-}
-
-// Rannacher startup must damp the kink-excited oscillation of plain CN.
-// At the paper's alpha = 0.73 the oscillatory mode decays quickly and CN is
-// already clean; the ringing regime is a large lattice ratio (few time
-// steps on a fine grid), where the payoff kink makes gamma near the strike
-// oscillate wildly without the implicit startup.
-func TestRannacherDampsOscillation(t *testing.T) {
-	gammaRoughness := func(rann int) float64 {
-		s := NewSolver(0.5, 512, 32, 50.0, mkt) // alpha = 50: CN rings
-		s.American = false
-		s.RannacherSteps = rann
-		u, _ := s.SolveScalar(nil)
-		// Total variation of the second difference of u near the kink.
-		var tv float64
-		lo, hi := s.J/2-40, s.J/2+40
-		prev := u[lo-1] - 2*u[lo] + u[lo+1]
-		for j := lo + 1; j < hi; j++ {
-			cur := u[j-1] - 2*u[j] + u[j+1]
-			tv += math.Abs(cur - prev)
-			prev = cur
+// A lattice that is NaN from the start ends every time step's solve on
+// its first sweep, or on its first block of width sweeps in the
+// wavefront forms, even with a threshold no finite sweep meets (Eps < 0
+// alone would run each step to the 10,001-sweep cap): the stop rule's
+// NaN case, end to end, on every lone-lane rung.
+func TestNaNLatticeStopsEachStep(t *testing.T) {
+	nan := workload.MarketParams{R: 0.05, Sigma: math.NaN()}
+	for _, tc := range []struct {
+		name       string
+		solve      func(s *Solver) ([]float64, int)
+		stepSweeps int
+	}{
+		{"scalar", func(s *Solver) ([]float64, int) { return s.SolveScalar(nil) }, 1},
+		{"wavefront", func(s *Solver) ([]float64, int) { return s.SolveWavefront(4, nil) }, 4},
+		{"split", func(s *Solver) ([]float64, int) { return s.SolveWavefrontSplit(8, nil) }, 8},
+	} {
+		s := NewSolver(1, 64, 50, nan)
+		s.Eps = -1
+		u, sweeps := tc.solve(s)
+		if want := s.N * tc.stepSweeps; sweeps != want {
+			t.Errorf("%s: %d sweeps over %d steps, want %d", tc.name, sweeps, s.N, want)
 		}
-		return tv
-	}
-	plain := gammaRoughness(0)
-	rann := gammaRoughness(4)
-	if rann > plain/2 {
-		t.Fatalf("Rannacher roughness %g not well below plain CN %g", rann, plain)
+		if p := s.Price(u, 100, 100); !math.IsNaN(p) {
+			t.Errorf("%s: price %g from a NaN lattice, want NaN", tc.name, p)
+		}
 	}
 }
 
-// At the paper's own alpha the startup must not hurt the price.
-func TestRannacherPriceNeutralAtPaperAlpha(t *testing.T) {
-	_, want := blackscholes.PriceScalar(100, 105, 0.5, mkt)
-	price := func(rann int) float64 {
-		s := NewSolver(0.5, 256, 500, DefaultAlpha, mkt)
-		s.American = false
-		s.RannacherSteps = rann
-		u, _ := s.SolveScalar(nil)
-		return s.Price(u, 100, 105)
+// The one scheme is Crank-Nicolson: the explicit half-step is
+// (1-alpha) u_j + alpha/2 (u_{j+1} + u_{j-1}) and the implicit sweep's
+// invariants are 1/(1+alpha) and alpha/2, all at the grid's own
+// alpha = DefaultAlpha. On u_j = j^2 the half-step is j^2 + alpha, and
+// the boundaries of u and b take the obstacle's.
+func TestExplicitStepIsCrankNicolson(t *testing.T) {
+	s := NewSolver(1, 64, 50, mkt)
+	if s.Alpha != DefaultAlpha {
+		t.Fatalf("grid alpha %g, want %g", s.Alpha, DefaultAlpha)
 	}
-	plain := math.Abs(price(0) - want)
-	rann := math.Abs(price(4) - want)
-	if rann > plain*2+1e-4 {
-		t.Fatalf("Rannacher degraded price error: %g vs %g", rann, plain)
+	if coeff, alpha2 := s.implicitCoeffs(); coeff != 1/(1+DefaultAlpha) || alpha2 != DefaultAlpha/2 {
+		t.Fatalf("implicit invariants %g, %g, want %g, %g", coeff, alpha2, 1/(1+DefaultAlpha), DefaultAlpha/2)
+	}
+	np := s.J + 1
+	u, b, g, h := make([]float64, np), make([]float64, np), make([]float64, np), make([]float64, np)
+	for j := range u {
+		u[j] = float64(j * j)
+		h[j] = s.spaceFactor(s.x(j))
+	}
+	tau := 10 * s.DTau
+	s.explicitStep(u, b, g, h, tau, nil)
+	for j := 1; j < s.J; j++ {
+		if want := float64(j*j) + DefaultAlpha; math.Abs(b[j]-want) > 1e-12*want {
+			t.Fatalf("b[%d] = %.17g, want %.17g", j, b[j], want)
+		}
+	}
+	for _, j := range []int{0, s.J} {
+		if u[j] != g[j] || b[j] != g[j] {
+			t.Fatalf("boundary %d: u %g, b %g, obstacle %g", j, u[j], b[j], g[j])
+		}
 	}
 }
 
 // Batch outputs, sweep totals and operation counts must not depend on the
 // worker count (GOMAXPROCS is what the decomposition reads): options are
-// whole work items on both the counted static path and the uncounted
-// guided path.
+// whole work items of one static decomposition, counted or not.
 func TestWorkerCountInvariant(t *testing.T) {
 	g := workload.OptionGen{SMin: 80, SMax: 120, XMin: 90, XMax: 110, TMin: 0.5, TMax: 1.5, Seed: 7}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

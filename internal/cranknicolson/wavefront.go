@@ -171,7 +171,7 @@ func (s *Solver) gsorWavefront(st storage, omega float64, width int, c *perf.Cou
 				j := 1 + jrel
 				un := relax(st.getU(j), st.getU(j-1), st.getU(j+1), st.getB(j), st.getG(j), omega, coeff, alpha2, s.American)
 				d := un - st.getU(j)
-				errs[l] += d * d
+				errs[l] += float64(d * d)
 				st.setU(j, un)
 				if c != nil {
 					// Triangle points run the same serial relaxation as
@@ -197,11 +197,10 @@ func (s *Solver) gsorWavefront(st storage, omega float64, width int, c *perf.Cou
 // SolveWavefront runs the time loop with the wavefront GSOR over flat
 // storage (the Intermediate variant: manual SIMD, gather-bound accesses).
 func (s *Solver) SolveWavefront(width int, c *perf.Counts) ([]float64, int) {
-	u, total, _ := s.solveOne(c, nil, func(b, u, g []float64, omega float64, c *perf.Counts) int {
+	return s.solveOne(c, func(b, u, g []float64, omega float64, c *perf.Counts) int {
 		st := &flatStorage{u: u, b: b, g: g}
 		return s.gsorWavefront(st, omega, width, c)
 	})
-	return u, total
 }
 
 // SolveWavefrontSplit runs the time loop with the wavefront GSOR over the
@@ -209,7 +208,7 @@ func (s *Solver) SolveWavefront(width int, c *perf.Counts) ([]float64, int) {
 // rearrangement cost.
 func (s *Solver) SolveWavefrontSplit(width int, c *perf.Counts) ([]float64, int) {
 	var split *splitStorage
-	u, total, _ := s.solveOne(c, nil, func(b, u, g []float64, omega float64, c *perf.Counts) int {
+	return s.solveOne(c, func(b, u, g []float64, omega float64, c *perf.Counts) int {
 		if split == nil {
 			split = newSplitStorage(s.J)
 		}
@@ -218,5 +217,4 @@ func (s *Solver) SolveWavefrontSplit(width int, c *perf.Counts) ([]float64, int)
 		split.drain(u, c)
 		return loops
 	})
-	return u, total
 }

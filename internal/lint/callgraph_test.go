@@ -1,28 +1,20 @@
 package lint
 
 import (
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// loadCorpus loads one testdata/src package and fails the test on any
+// loadCorpus returns one testdata/src package and fails the test on any
 // load or type error.
 func loadCorpus(t *testing.T, name string) *Package {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	pkgs, err := Load([]string{dir})
-	if err != nil {
-		t.Fatalf("Load(%s): %v", dir, err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("Load(%s): got %d packages, want 1", dir, len(pkgs))
-	}
-	for _, e := range pkgs[0].TypeErrors {
+	p := corpus(t, name)
+	for _, e := range p.TypeErrors {
 		t.Fatalf("corpus %s must type-check cleanly: %v", name, e)
 	}
-	return pkgs[0]
+	return p
 }
 
 func hasEdge(g *CallGraph, caller, callee string) bool {

@@ -54,7 +54,6 @@ var concurrentClosureFuncs = map[string]map[string]bool{
 		// Every loop entry point of the package; Region is the counted,
 		// cancellable form the kernels (and so the serving path) call.
 		"For":           true,
-		"ForGuided":     true,
 		"ReduceFloat64": true,
 		"Region":        true,
 	},

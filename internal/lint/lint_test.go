@@ -4,15 +4,59 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the .golden files from current output")
 
+// corpora loads every testdata/src package in one Load call, keyed by
+// directory name: the source importer then type-checks the standard
+// library and the module's packages once for all corpora, not once per
+// corpus.
+var corpora = sync.OnceValues(func() (map[string]*Package, error) {
+	root := filepath.Join("testdata", "src")
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return nil, err
+	}
+	var dirs []string
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs = append(dirs, filepath.Join(root, e.Name()))
+		}
+	}
+	pkgs, err := Load(dirs)
+	if err != nil {
+		return nil, err
+	}
+	byName := make(map[string]*Package, len(pkgs))
+	for _, p := range pkgs {
+		byName[path.Base(p.Path)] = p
+	}
+	return byName, nil
+})
+
+// corpus returns the loaded testdata/src/<name> package.
+func corpus(t *testing.T, name string) *Package {
+	t.Helper()
+	pkgs, err := corpora()
+	if err != nil {
+		t.Fatalf("Load(testdata/src/*): %v", err)
+	}
+	p := pkgs[name]
+	if p == nil {
+		t.Fatalf("Load(testdata/src/*): no package in testdata/src/%s", name)
+	}
+	return p
+}
+
 // TestGolden runs each pass over its seeded-violation package under
-// testdata/src/<pass>/ and compares the diagnostics against
+// testdata/src/<pass>/ (loaded with every other corpus by corpora) and
+// compares the diagnostics against
 // testdata/<pass>.golden. Every testdata package contains both positive
 // cases (flagged, listed in the golden file) and negative cases (clean
 // code plus a finlint:ignore suppression) so both directions are pinned.
@@ -20,19 +64,12 @@ func TestGolden(t *testing.T) {
 	for _, pass := range Passes() {
 		pass := pass
 		t.Run(pass.Name, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", pass.Name)
-			pkgs, err := Load([]string{dir})
-			if err != nil {
-				t.Fatalf("Load(%s): %v", dir, err)
-			}
-			if len(pkgs) != 1 {
-				t.Fatalf("Load(%s): got %d packages, want 1", dir, len(pkgs))
-			}
-			for _, e := range pkgs[0].TypeErrors {
+			pkg := corpus(t, pass.Name)
+			for _, e := range pkg.TypeErrors {
 				t.Errorf("testdata must type-check cleanly: %v", e)
 			}
 			var buf strings.Builder
-			for _, d := range RunConfig(pkgs, []*Pass{pass}, Config{}) {
+			for _, d := range RunConfig([]*Package{pkg}, []*Pass{pass}, Config{}) {
 				fmt.Fprintln(&buf, d)
 			}
 			got := buf.String()

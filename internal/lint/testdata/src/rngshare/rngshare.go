@@ -27,9 +27,9 @@ func BadSharedStream(dst []float64, seed uint64) {
 	})
 }
 
-// BadSharedRand captures a *math/rand.Rand across ForGuided goroutines.
+// BadSharedRand captures a *math/rand.Rand across For goroutines.
 func BadSharedRand(dst []float64, r *rand.Rand) {
-	parallel.ForGuided(len(dst), 4, func(lo, hi int) {
+	parallel.For(len(dst), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = r.Float64() // seeded violation
 		}

@@ -3,9 +3,8 @@
 // All six benchmarks parallelize across independent work items (options,
 // paths, simulations) with SIMD inside each chunk, so one static
 // decomposition covers every kernel: Region is the counted, cancellable
-// form the kernels call, For and ReduceFloat64 are its plain and
-// reducing forms, and ForGuided hands the same slots out dynamically for
-// irregular items.
+// form the kernels call, and For and ReduceFloat64 are its plain and
+// reducing forms.
 //
 // Seams are multiples of align; outputs and op counts are invariant under
 // worker count. A lane kernel passes its SIMD width as align, so no
@@ -26,7 +25,6 @@ package parallel
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 
 	"finbench/internal/perf"
 )
@@ -109,46 +107,6 @@ func Region(ctx context.Context, n, align int, c *perf.Counts, fn func(lo, hi in
 		c.Merge(locals[i])
 	}
 	return ctx.Err()
-}
-
-// ForGuided runs fn over [0,n) with OpenMP schedule(guided, grain): each
-// handout takes remaining/workers items (never fewer than grain), so early
-// chunks are large and the tail is balanced at fine grain. Use it for
-// workloads whose per-item cost is irregular (e.g. PSOR solves whose
-// sweep counts vary by option), where static leaves the tail unbalanced.
-func ForGuided(n, grain int, fn func(lo, hi int)) {
-	if n <= 0 || fn == nil {
-		return
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	workers := Workers()
-	if workers > (n+grain-1)/grain {
-		workers = (n + grain - 1) / grain
-	}
-	var next atomic.Int64
-	// One slot per worker; each loops on the shared handout counter.
-	static(workers, workers, 1, func(_, _, _ int) {
-		for {
-			cur := next.Load()
-			rem := int64(n) - cur
-			if rem <= 0 {
-				return
-			}
-			chunk := rem / int64(workers)
-			if chunk < int64(grain) {
-				chunk = int64(grain)
-			}
-			if chunk > rem {
-				chunk = rem
-			}
-			if !next.CompareAndSwap(cur, cur+chunk) {
-				continue // another worker took a handout; recompute
-			}
-			fn(int(cur), int(cur+chunk))
-		}
-	})
 }
 
 // ReduceFloat64 computes the sum of fn over the blocks [k*block,

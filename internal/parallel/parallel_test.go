@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,36 +219,57 @@ func TestPoolRunMoreSlotsThanWorkers(t *testing.T) {
 	})
 }
 
-func TestForGuidedCoversExactlyOnce(t *testing.T) {
-	for _, grain := range []int{1, 3, 10, 97, 200} {
-		coverage(t, 97, 1, func(fn func(lo, hi int)) { ForGuided(97, grain, fn) })
-	}
-	coverage(t, 10, 1, func(fn func(lo, hi int)) { ForGuided(10, 0, fn) })
-}
-
-func TestForGuidedMultiWorker(t *testing.T) {
-	withProcs(t, 4, func() {
-		coverage(t, 1000, 1, func(fn func(lo, hi int)) { ForGuided(1000, 4, fn) })
-		coverage(t, 5, 1, func(fn func(lo, hi int)) { ForGuided(5, 2, fn) })
-		ForGuided(0, 1, func(lo, hi int) { t.Error("called for n=0") })
-	})
-}
-
-// Guided handouts must shrink: the first chunk a region hands out is
-// remaining/workers, the tail approaches the minimum grain.
-func TestForGuidedChunksShrink(t *testing.T) {
-	withProcs(t, 4, func() {
-		var mu sync.Mutex
-		sizes := map[int]int{} // lo -> chunk size
-		ForGuided(1000, 2, func(lo, hi int) {
-			mu.Lock()
-			sizes[lo] = hi - lo
-			mu.Unlock()
+// Region covers [0,n) exactly once for every alignment, including one at
+// or past n, which leaves a single inline chunk.
+func TestRegionCoversExactlyOnce(t *testing.T) {
+	for _, align := range []int{1, 3, 10, 97, 200} {
+		coverage(t, 97, align, func(fn func(lo, hi int)) {
+			_ = Region(context.Background(), 97, align, nil, func(lo, hi int, _ *perf.Counts) { fn(lo, hi) })
 		})
-		if sizes[0] < 100 {
-			t.Fatalf("first guided chunk %d items, want a large head chunk", sizes[0])
+	}
+}
+
+func TestRegionMultiWorker(t *testing.T) {
+	withProcs(t, 4, func() {
+		for _, c := range []struct{ n, align int }{{1000, 4}, {5, 2}, {7, 8}} {
+			coverage(t, c.n, c.align, func(fn func(lo, hi int)) {
+				_ = Region(context.Background(), c.n, c.align, nil, func(lo, hi int, _ *perf.Counts) { fn(lo, hi) })
+			})
+		}
+		if err := Region(context.Background(), 0, 1, nil, func(lo, hi int, _ *perf.Counts) { t.Error("called for n=0") }); err != nil {
+			t.Errorf("Region(n=0) = %v, want nil", err)
+		}
+		if err := Region(context.Background(), 10, 1, nil, nil); err != nil {
+			t.Errorf("Region(nil fn) = %v, want nil", err)
 		}
 	})
+}
+
+// The static decomposition hands out at most one chunk per worker, all of
+// one size (n/workers rounded up to a multiple of align) but the last.
+func TestStaticChunkSizes(t *testing.T) {
+	for _, c := range []struct {
+		n, workers, align int
+		want              []int
+	}{
+		{1000, 4, 1, []int{250, 250, 250, 250}},
+		{1001, 4, 1, []int{251, 251, 251, 248}},
+		{1001, 4, 8, []int{256, 256, 256, 233}},
+		{10, 4, 4, []int{4, 4, 2}},
+		{10, 4, 16, []int{10}},
+	} {
+		var mu sync.Mutex
+		got := make([]int, c.workers)
+		static(c.n, c.workers, c.align, func(slot, lo, hi int) {
+			mu.Lock()
+			got[slot] = hi - lo
+			mu.Unlock()
+		})
+		got = got[:len(c.want)]
+		if !slices.Equal(got, c.want) {
+			t.Errorf("static(%d, %d, %d) chunk sizes %v, want %v", c.n, c.workers, c.align, got, c.want)
+		}
+	}
 }
 
 // n smaller than the worker count: every loop form must clamp and cover.
@@ -255,7 +277,9 @@ func TestSmallNManyWorkers(t *testing.T) {
 	withProcs(t, 8, func() {
 		for n := 1; n <= 3; n++ {
 			coverage(t, n, 1, func(fn func(lo, hi int)) { For(n, fn) })
-			coverage(t, n, 1, func(fn func(lo, hi int)) { ForGuided(n, 1, fn) })
+			coverage(t, n, 1, func(fn func(lo, hi int)) {
+				ReduceFloat64(n, 1, func(lo, hi int) float64 { fn(lo, hi); return 0 })
+			})
 			coverage(t, n, 8, func(fn func(lo, hi int)) {
 				_ = Region(context.Background(), n, 8, nil, func(lo, hi int, _ *perf.Counts) { fn(lo, hi) })
 			})
@@ -283,13 +307,13 @@ func TestNestedForNoDeadlock(t *testing.T) {
 	})
 }
 
-// Deeper nesting mixing schedule kinds.
+// Deeper nesting mixing the loop forms.
 func TestNestedMixedSchedules(t *testing.T) {
 	withProcs(t, 4, func() {
 		var total int64
 		_ = Region(context.Background(), 8, 1, nil, func(olo, ohi int, _ *perf.Counts) {
 			for o := olo; o < ohi; o++ {
-				ForGuided(32, 2, func(lo, hi int) {
+				For(32, func(lo, hi int) {
 					got := ReduceFloat64(hi-lo, 1, func(a, b int) float64 { return float64(b - a) })
 					atomic.AddInt64(&total, int64(got))
 				})

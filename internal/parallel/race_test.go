@@ -63,7 +63,7 @@ func TestRacePerWorkerStreamsDeterministic(t *testing.T) {
 }
 
 // TestRacePoolStress hammers the persistent pool from many goroutines at
-// once: concurrent submitters, every schedule kind, and nested regions.
+// once: concurrent submitters, every loop form, and nested regions.
 // Under -race this exercises the queue, the cond-parked workers, and the
 // helping join against each other.
 func TestRacePoolStress(t *testing.T) {
@@ -85,7 +85,12 @@ func TestRacePoolStress(t *testing.T) {
 						atomic.AddInt64(&total, int64(hi-lo))
 					})
 				case 2:
-					ForGuided(300, 3, func(lo, hi int) { atomic.AddInt64(&total, int64(hi-lo)) })
+					// Counted: per-slot counts merged in slot order.
+					var c perf.Counts
+					_ = Region(context.Background(), 300, 3, &c, func(lo, hi int, local *perf.Counts) {
+						local.Items += uint64(hi - lo)
+					})
+					atomic.AddInt64(&total, int64(c.Items))
 				case 3:
 					// Nested: an outer region whose tasks open inner regions.
 					For(4, func(olo, ohi int) {
@@ -110,13 +115,15 @@ func TestRacePoolStress(t *testing.T) {
 	}
 }
 
-// TestRaceGuidedSharedAccumulator hammers ForGuided's shared handout
-// counter while workers merge partial sums under a mutex.
-func TestRaceGuidedSharedAccumulator(t *testing.T) {
+// TestRaceForSharedAccumulator has every chunk of a multi-worker For
+// merge its partial sum into one total under a mutex.
+func TestRaceForSharedAccumulator(t *testing.T) {
 	const n = 1 << 15
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
 	var mu sync.Mutex
 	var total float64
-	ForGuided(n, 64, func(lo, hi int) {
+	For(n, func(lo, hi int) {
 		var local float64
 		for i := lo; i < hi; i++ {
 			local += float64(i)

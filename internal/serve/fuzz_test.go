@@ -30,14 +30,14 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"method":"quantum","options":[{"spot":1,"strike":1,"expiry":1}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, method, err := DecodeRequest(data)
+		req, method, err := wire.DecodeRequest(data)
 		if err != nil {
 			if req != nil {
 				t.Fatal("error with non-nil request")
 			}
 			return
 		}
-		defer PutRequest(req)
+		defer wire.PutRequest(req)
 		if n := req.NumOptions(); n == 0 || n > wire.MaxRequestOptions {
 			t.Fatalf("accepted request with %d options", n)
 		}

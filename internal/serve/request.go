@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"finbench"
-	"finbench/internal/serve/wire"
-)
+import "finbench/internal/serve/wire"
 
 // The wire types of the pricing API live in internal/serve/wire (shared
 // with the shard router); the serve names are aliases so existing callers
@@ -20,17 +17,6 @@ type (
 	// ErrorResponse is the body of every non-200 status.
 	ErrorResponse = wire.ErrorResponse
 )
-
-// DecodeRequest parses and validates a /price body and resolves its
-// method in the same pass (the response echoes the method, so the old
-// decode-then-reparse dance dropped the second parse's error on the
-// floor). The returned request is pooled — release it with PutRequest.
-func DecodeRequest(data []byte) (*PriceRequest, finbench.Method, error) {
-	return wire.DecodeRequest(data)
-}
-
-// PutRequest returns a request from DecodeRequest to its freelist.
-func PutRequest(r *PriceRequest) { wire.PutRequest(r) }
 
 // HealthResponse is the GET /healthz body: liveness plus the load signals
 // the shard router scores replicas by. Status is "ok" or "draining";

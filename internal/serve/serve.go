@@ -255,8 +255,8 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
 	}
-	// DecodeRequest resolves the method while parsing (satellite of the
-	// old decode-then-reparse, which discarded the second parse's error).
+	// wire.DecodeRequest resolves the method while parsing, so the body is
+	// parsed once and every parse error reaches the client.
 	var req *wire.PriceRequest
 	var method finbench.Method
 	binaryFraming := r.Header.Get("Content-Type") == wire.ColumnarContentType

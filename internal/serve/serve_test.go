@@ -467,7 +467,7 @@ func TestPriceCrankNicolsonTinyGrids(t *testing.T) {
 				}
 				pr := decodePrice(t, body)
 				for i, o := range req.Options {
-					sv := cranknicolson.NewSolver(o.Expiry, jpoints, nsteps, cranknicolson.DefaultAlpha, mkt)
+					sv := cranknicolson.NewSolver(o.Expiry, jpoints, nsteps, mkt)
 					sv.American = o.Style == "american"
 					u, _ := sv.SolveScalar(nil)
 					if got, want := pr.Results[i].Price, sv.Price(u, o.Spot, o.Strike); math.Float64bits(got) != math.Float64bits(want) {

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"finbench/internal/serve"
 	"finbench/internal/serve/pricecache"
 	"finbench/internal/serve/wire"
 )
@@ -30,11 +29,11 @@ func oracleSniff(body []byte) (monteCarlo bool, deadlineMS int64) {
 
 // oracleRouterCacheKey is the parent's body-keyed routerCacheKey.
 func oracleRouterCacheKey(body []byte) (pricecache.Key, bool) {
-	req, _, err := serve.DecodeRequest(body)
+	req, _, err := wire.DecodeRequest(body)
 	if err != nil {
 		return pricecache.Key{}, false
 	}
-	defer serve.PutRequest(req)
+	defer wire.PutRequest(req)
 	// Columnar bodies bypass: their 200 bytes are not the cached JSON.
 	if (req.Method != "" && req.Method != "closed-form") || req.Columnar != nil {
 		return pricecache.Key{}, false

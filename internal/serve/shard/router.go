@@ -472,12 +472,12 @@ func readBody(r io.Reader, contentLength int64) ([]byte, error) {
 // bodies agree with it by construction (same keys, reference semantics —
 // FuzzRouteSniff pins both against the listing in oracle_test.go).
 func sniffPrice(body []byte, keyed bool) (monteCarlo bool, deadlineMS int64, key pricecache.Key, cacheable bool) {
-	req, _, err := serve.DecodeRequest(body)
+	req, _, err := wire.DecodeRequest(body)
 	if err != nil {
 		monteCarlo, deadlineMS = sniffJSON(body)
 		return monteCarlo, deadlineMS, pricecache.Key{}, false
 	}
-	defer serve.PutRequest(req)
+	defer wire.PutRequest(req)
 	if keyed {
 		key, cacheable = routerCacheKey(req)
 	}
