@@ -192,13 +192,22 @@ func TestCalibrationNormalizesUniformDrift(t *testing.T) {
 
 func TestCalibrate(t *testing.T) {
 	o := Opts{Warmup: 1, Reps: 2, MinDuration: time.Millisecond}
-	a := Calibrate(o)
+	// Load on the host only ever slows a calibration run, so the fastest
+	// of a few runs is the stable statistic; a single run is not.
+	fastest := func() float64 {
+		best := 0.0
+		for i := 0; i < 3; i++ {
+			best = max(best, Calibrate(o))
+		}
+		return best
+	}
+	a := fastest()
 	if a <= 0 {
 		t.Fatalf("Calibrate = %g, want positive", a)
 	}
 	// Two immediate calibrations agree within 3x — a sanity bound loose
 	// enough for any CI machine, tight enough to catch unit mistakes.
-	b := Calibrate(o)
+	b := fastest()
 	if a/b > 3 || b/a > 3 {
 		t.Fatalf("calibration unstable: %g vs %g", a, b)
 	}

@@ -177,22 +177,8 @@ const RNGChunk = 4096
 // for every option, matching the paper's computed mode. RNG work IS
 // charged here (unlike the Brownian-bridge accounting).
 func VectorizedComputeRNG(s *workload.MCBatch, npath int, seed uint64, mkt workload.MarketParams, width, unroll int, c *perf.Counts) {
-	// context.Background carries no cancellation signal, so the ctx path
-	// below skips every checkpoint and cannot return an error.
-	_ = VectorizedComputeRNGCtx(context.Background(), s, npath, seed, mkt, width, unroll, c)
-}
-
-// VectorizedComputeRNGCtx is VectorizedComputeRNG with cancellation: the
-// path loop checks ctx once per RNGChunk refill (a few microseconds of
-// work), so an expired pricing request stops burning pool workers at chunk
-// granularity. Worker chunks not yet started when ctx is cancelled are
-// skipped by the parallel substrate. On a non-nil return the batch outputs
-// are partial and must be discarded. An uncancelled run is bit-identical
-// to VectorizedComputeRNG (same decomposition, same per-worker streams).
-func VectorizedComputeRNGCtx(cx context.Context, s *workload.MCBatch, npath int, seed uint64, mkt workload.MarketParams, width, unroll int, c *perf.Counts) error {
-	done := cx.Done()
 	n := len(s.S)
-	err := parallel.Region(cx, n, 1, c, func(lo, hi int, c *perf.Counts) {
+	_ = parallel.Region(context.Background(), n, 1, c, func(lo, hi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
 		stream := rng.NewStream(lo, seed)
 		stream.C = c
@@ -201,13 +187,6 @@ func VectorizedComputeRNGCtx(cx context.Context, s *workload.MCBatch, npath int,
 			var v0, v1 float64
 			remaining := npath
 			for remaining > 0 {
-				if done != nil {
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
 				m := RNGChunk
 				if m > remaining {
 					m = remaining
@@ -223,21 +202,17 @@ func VectorizedComputeRNGCtx(cx context.Context, s *workload.MCBatch, npath int,
 			s.StdErr[i] = res.StdErr
 		}
 	})
-	if err != nil {
-		return err
-	}
 	if c != nil {
 		c.AddBytes(0, uint64(16*n))
 		c.Items += uint64(n)
 	}
-	return nil
 }
 
 // The host path: SharedStreamCtx is what finbench.PriceCtx and the server
 // call. It consumes the normals with plain scalar arithmetic; the
 // vec-based variants above exist to produce the Table II op mixes.
 // hostWidth and hostUnroll fix the accumulator layout whose summation
-// order defines the served bits: VectorizedComputeRNGCtx(..., 8, 2, nil).
+// order defines the served bits: VectorizedComputeRNG(..., 8, 2, nil).
 const (
 	hostWidth  = 8
 	hostUnroll = 2
@@ -245,7 +220,7 @@ const (
 )
 
 // SharedStreamCtx prices the options of one request, each bit for bit as
-// if it were alone in a VectorizedComputeRNGCtx(cx, ·, npath, seed, mkt,
+// if it were alone in a VectorizedComputeRNG(·, npath, seed, mkt,
 // hostWidth, hostUnroll, nil) batch — that is, alone on stream (0, seed).
 // Since every option would draw the same normals, each RNGChunk is
 // generated once and every option's path loop runs over it (the paper's

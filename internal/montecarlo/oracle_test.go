@@ -2,7 +2,7 @@ package montecarlo
 
 // Oracles for the host path. SharedStreamCtx must price every option of a
 // request exactly as the counted Table II kernel prices it alone —
-// VectorizedComputeRNGCtx on a one-option batch at width 8, unroll 2,
+// VectorizedComputeRNG on a one-option batch at width 8, unroll 2,
 // i.e. on stream (0, seed) through the software vector ISA — whatever
 // else is in the request. And pathSums, which skips the exponential on
 // paths that provably pay +0, must equal the listing below, which prices
@@ -219,9 +219,7 @@ func TestSharedStreamMatchesSingleOptionVectorized(t *testing.T) {
 			S: all.S[i : i+1], X: all.X[i : i+1], T: all.T[i : i+1],
 			Price: make([]float64, 1), StdErr: make([]float64, 1),
 		}
-		if err := VectorizedComputeRNGCtx(context.Background(), b, npath, seed, mkt, 8, 2, nil); err != nil {
-			t.Fatal(err)
-		}
+		VectorizedComputeRNG(b, npath, seed, mkt, 8, 2, nil)
 		alone[k] = Result{b.Price[0], b.StdErr[0]}
 		return alone[k]
 	}

@@ -66,7 +66,7 @@ func (r *Router) healthLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-r.stop:
+		case <-r.stopped.Done():
 			return
 		case <-tick.C:
 			r.checkAll()

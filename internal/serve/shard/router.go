@@ -156,19 +156,18 @@ type Router struct {
 	scenarioScattered      atomic.Uint64
 	scenarioPartitionsSent atomic.Uint64
 
-	// streamRequests counts /stream subscriptions; streamPartitions the
-	// per-replica partition streams they opened; streamResubscribes the
-	// failover re-subscriptions after an established upstream stream
-	// ended; streamSlowDrops the clients disconnected for overflowing the
-	// merged frame queue.
+	// streamRequests counts /stream subscriptions; streamResubscribes the
+	// failover re-subscriptions after an upstream stream ended;
+	// streamSlowDrops the clients disconnected for missing a frame write
+	// deadline.
 	streamRequests     atomic.Uint64
-	streamPartitions   atomic.Uint64
 	streamResubscribes atomic.Uint64
 	streamSlowDrops    atomic.Uint64
 
-	stop chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	// stopped is done once Close is called; stop is its cancel.
+	stopped context.Context
+	stop    context.CancelFunc
+	wg      sync.WaitGroup
 }
 
 // New builds a router over cfg.Backends. It does not start the health
@@ -183,8 +182,8 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		client: &http.Client{Transport: cfg.Transport},
 		start:  time.Now(),
-		stop:   make(chan struct{}),
 	}
+	r.stopped, r.stop = context.WithCancel(context.Background())
 	if cfg.BudgetRatio >= 0 {
 		r.budget = resilience.NewBudget(cfg.BudgetRatio, cfg.BudgetCap)
 	}
@@ -207,15 +206,16 @@ func (r *Router) Start() {
 	go r.healthLoop()
 }
 
-// Close stops the health loop.
+// Close stops the health loop and ends every routed stream with a
+// goodbye.
 func (r *Router) Close() {
-	r.once.Do(func() { close(r.stop) })
+	r.stop()
 	r.wg.Wait()
 }
 
 // ServeHTTP implements http.Handler: /price and /greeks are routed to
 // replicas; /scenario is scatter-gathered across them (see scenario.go);
-// /stream is partitioned across them and re-multiplexed (see stream.go);
+// /stream is relayed from one replica at a time (see stream.go);
 // /statsz and /healthz report the router's own state.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch req.URL.Path {
@@ -248,6 +248,8 @@ type backendResult struct {
 	contentTyp string
 	retryAfter string
 	rep        *replica
+	// stream is a /stream 200's open event stream (body is then empty).
+	stream io.ReadCloser
 }
 
 // httpFailure carries a retryable backend response (503 shed/drain,
@@ -586,8 +588,7 @@ func (r *Router) attemptOnce(ctx context.Context, method, path, ctype string, bo
 		retryAfter: resp.Header.Get("Retry-After"),
 		rep:        rep,
 	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
+	if resp.StatusCode == http.StatusOK {
 		valid := json.Valid(respBody)
 		if res.contentTyp == wire.ColumnarContentType {
 			valid = wire.ValidColumnarResponse(respBody)
@@ -601,22 +602,31 @@ func (r *Router) attemptOnce(ctx context.Context, method, path, ctype string, bo
 		rep.breaker.Success()
 		rep.served.Add(1)
 		return res, nil
-	case resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests:
-		// The replica is alive and answering — shedding is load, not
-		// brokenness, so the breaker records a success; but fail the
-		// request over so another replica can take it.
-		rep.breaker.Success()
-		st.excluded[rep] = true
-		return nil, &httpFailure{res: res}
-	case resp.StatusCode >= 500:
-		rep.breaker.Failure()
-		st.excluded[rep] = true
-		return nil, &httpFailure{res: res}
-	default:
-		// 4xx: the request itself is at fault; pass it through.
-		rep.breaker.Success()
-		return res, nil
 	}
+	if settleStatus(st, rep, resp.StatusCode) {
+		return nil, &httpFailure{res: res}
+	}
+	return res, nil
+}
+
+// settleStatus settles rep's breaker on a non-200 answer and reports
+// whether the request fails over (rep is then excluded for the rest of
+// it). A 503 or 429 is shedding — load, not brokenness — so the breaker
+// records a success, but another replica takes the request; any other
+// 5xx is a failure. A 4xx means the request itself is at fault: a
+// success, passed through to the client.
+func settleStatus(st *reqState, rep *replica, status int) (failover bool) {
+	switch {
+	case status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests:
+		rep.breaker.Success()
+	case status >= 500:
+		rep.breaker.Failure()
+	default:
+		rep.breaker.Success()
+		return false
+	}
+	st.excluded[rep] = true
+	return true
 }
 
 // replicaFailed records a transport-level failure against rep — unless

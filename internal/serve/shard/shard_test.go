@@ -458,7 +458,7 @@ func TestRouterStatszShape(t *testing.T) {
 	want := []string{"corrupt_responses", "failovers", "health_sweeps", "hedge_wins", "no_replica",
 		"replicas", "requests", "retries", "retry_budget_denied", "retry_budget_spent",
 		"scenario_partitions", "scenario_requests", "scenario_scattered",
-		"stream_partitions", "stream_requests", "stream_resubscribes", "stream_slow_drops", "uptime_s"}
+		"stream_requests", "stream_resubscribes", "stream_slow_drops", "uptime_s"}
 	if !slices.Equal(keys, want) {
 		t.Errorf("top-level keys = %q, want %q", keys, want)
 	}

@@ -44,12 +44,11 @@ type StatszResponse struct {
 	ScenarioScattered  uint64 `json:"scenario_scattered"`
 	ScenarioPartitions uint64 `json:"scenario_partitions"`
 
-	// StreamRequests counts /stream subscriptions; StreamPartitions the
-	// per-replica partition streams they opened; StreamResubscribes the
+	// StreamRequests counts /stream subscriptions; StreamResubscribes the
 	// failover re-subscriptions after a replica's stream ended;
-	// StreamSlowDrops the clients disconnected for falling behind.
+	// StreamSlowDrops the clients disconnected for missing a frame write
+	// deadline (StreamWriteTimeout).
 	StreamRequests     uint64 `json:"stream_requests"`
-	StreamPartitions   uint64 `json:"stream_partitions"`
 	StreamResubscribes uint64 `json:"stream_resubscribes"`
 	StreamSlowDrops    uint64 `json:"stream_slow_drops"`
 
@@ -84,7 +83,6 @@ func (r *Router) Snapshot() StatszResponse {
 		ScenarioPartitions: r.scenarioPartitionsSent.Load(),
 
 		StreamRequests:     r.streamRequests.Load(),
-		StreamPartitions:   r.streamPartitions.Load(),
 		StreamResubscribes: r.streamResubscribes.Load(),
 		StreamSlowDrops:    r.streamSlowDrops.Load(),
 	}

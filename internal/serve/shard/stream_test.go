@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"testing"
 	"time"
@@ -13,24 +16,6 @@ import (
 	"finbench/internal/serve/stream"
 )
 
-func TestFormatRanges(t *testing.T) {
-	cases := []struct {
-		ids  []int
-		want string
-	}{
-		{nil, ""},
-		{[]int{5}, "5"},
-		{[]int{0, 1, 2, 3}, "0-3"},
-		{[]int{0, 1, 2, 80, 128, 129}, "0-2,80,128-129"},
-		{[]int{3, 5, 7}, "3,5,7"},
-	}
-	for _, tc := range cases {
-		if got := formatRanges(tc.ids); got != tc.want {
-			t.Errorf("formatRanges(%v) = %q, want %q", tc.ids, got, tc.want)
-		}
-	}
-}
-
 // smallStreamCfg is a small hub configuration. Replicas built from one
 // configuration share its seed, so their universes agree — the routed
 // feed's contract ids mean the same thing on every replica.
@@ -38,16 +23,108 @@ func smallStreamCfg(universe int) stream.Config {
 	return stream.Config{Universe: universe, Underlyings: 8, Interval: 2 * time.Millisecond}
 }
 
-func TestRoutedStreamRequiresExplicitSubscription(t *testing.T) {
-	hcfg := smallStreamCfg(64)
-	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{Stream: &hcfg}, router: Config{HealthInterval: 20 * time.Millisecond}})
-	resp, err := http.Get(tp.front.URL + "/stream")
+// getStream opens base+"/stream"+query with a 2 s budget for the
+// response headers, so a router that never answers fails the test
+// instead of hanging it.
+func getStream(t *testing.T, base, query string) *http.Response {
+	t.Helper()
+	client := &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: 2 * time.Second}}
+	resp, err := client.Get(base + "/stream" + query)
 	if err != nil {
+		t.Fatalf("GET /stream%s: %v", query, err)
+	}
+	return resp
+}
+
+// readHello reads a stream's first frame, which must be a hello.
+func readHello(t *testing.T, fr *stream.FrameReader) stream.Frame {
+	t.Helper()
+	f, err := fr.Next()
+	if err != nil || f.Event != stream.EventHello {
+		t.Fatalf("first frame = %+v, %v — want hello", f, err)
+	}
+	return f
+}
+
+// TestRoutedStreamWholeUniverseMatchesLone: a subscription with no
+// contracts= or ids= is the whole universe, resolved by the replica —
+// routed, it opens with the same hello a lone replica sends (subscribed =
+// universe), and its first snapshot covers every contract, each bit-equal
+// to a cold repricing.
+func TestRoutedStreamWholeUniverseMatchesLone(t *testing.T) {
+	hcfg := smallStreamCfg(64)
+	tp := newTopology(t, topoConfig{replicas: 2, serve: serve.Config{Stream: &hcfg}, router: Config{HealthInterval: 20 * time.Millisecond}})
+
+	lone := getStream(t, tp.https[0].URL, "")
+	defer lone.Body.Close()
+	routed := getStream(t, tp.front.URL, "")
+	defer routed.Body.Close()
+	if lone.StatusCode != http.StatusOK || routed.StatusCode != http.StatusOK {
+		t.Fatalf("/stream: lone %d, routed %d — want 200 both", lone.StatusCode, routed.StatusCode)
+	}
+	want := readHello(t, stream.NewFrameReader(lone.Body))
+	fr := stream.NewFrameReader(routed.Body)
+	got := readHello(t, fr)
+	if !bytes.Equal(got.Data, want.Data) {
+		t.Errorf("routed hello %s, lone hello %s", got.Data, want.Data)
+	}
+	var hello stream.Hello
+	if err := json.Unmarshal(got.Data, &hello); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("routed /stream without a subscription = %d, want 400", resp.StatusCode)
+	if hello.Subscribed != hcfg.Universe {
+		t.Errorf("hello subscribed = %d, want the universe (%d)", hello.Subscribed, hcfg.Universe)
+	}
+
+	f, err := fr.Next()
+	if err != nil || f.Event != stream.EventSnapshot {
+		t.Fatalf("second frame = %+v, %v — want the initial snapshot", f, err)
+	}
+	var ev stream.Event
+	if err := json.Unmarshal(f.Data, &ev); err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.Contracts) != hcfg.Universe {
+		t.Errorf("initial snapshot covers %d contracts, want %d", len(ev.Contracts), hcfg.Universe)
+	}
+	b := finbench.NewBatch(1)
+	for _, e := range ev.Contracts {
+		if err := verifyEntryCold(b, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRoutedStream4xxLeavesBreakersClosed: a subscription the replicas
+// reject is the request's fault. Every routed attempt answers the
+// replica's own 400 at once, no breaker counts it as a failure, and
+// /price keeps routing.
+func TestRoutedStream4xxLeavesBreakersClosed(t *testing.T) {
+	hcfg := smallStreamCfg(64)
+	tp := newTopology(t, topoConfig{replicas: 2, serve: serve.Config{Stream: &hcfg}, router: Config{HealthInterval: 20 * time.Millisecond}})
+
+	query := fmt.Sprintf("?ids=%d", hcfg.Universe) // one past the last id
+	lone := getStream(t, tp.https[0].URL, query)
+	want, _ := io.ReadAll(lone.Body)
+	lone.Body.Close()
+	if lone.StatusCode != http.StatusBadRequest {
+		t.Fatalf("lone /stream%s = %d, want 400", query, lone.StatusCode)
+	}
+	for i := 0; i < 20; i++ {
+		resp := getStream(t, tp.front.URL, query)
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Equal(got, want) {
+			t.Fatalf("routed /stream%s #%d = %d %q, want the replica's 400 %q", query, i, resp.StatusCode, got, want)
+		}
+	}
+	for _, rs := range tp.router.Snapshot().Replicas {
+		if rs.Breaker.State != "closed" || rs.Breaker.Failures != 0 || rs.Breaker.Opens != 0 {
+			t.Errorf("replica %s breaker after rejected subscriptions: %+v", rs.URL, rs.Breaker)
+		}
+	}
+	if resp, body := post(t, tp.front.URL, "/price", priceBody("", 2)); resp.StatusCode != http.StatusOK {
+		t.Errorf("routed /price after rejected subscriptions = %d %s", resp.StatusCode, body)
 	}
 }
 
@@ -77,12 +154,11 @@ func verifyEntryCold(b *finbench.Batch, e stream.Entry) error {
 }
 
 // TestRoutedStreamMergeAndFailover drives the whole routed-feed
-// contract: the partitioned subscription opens with exactly one hello
-// (rewritten to the full subscription), both partitions' data arrives,
-// a lost replica's goodbye is never forwarded, the orphaned partition
-// re-subscribes to the survivor and resyncs with a fresh snapshot, and
-// every forwarded value stays bit-identical to a cold repricing at its
-// echoed inputs — through a drain, and through a kill.
+// contract: the subscription opens with exactly one hello, the lost
+// replica's goodbye is never forwarded, the stream re-subscribes to the
+// survivor and resyncs with a fresh snapshot, and every forwarded value
+// stays bit-identical to a cold repricing at its echoed inputs — through
+// a drain, and through a kill of the replica serving the stream.
 func TestRoutedStreamMergeAndFailover(t *testing.T) {
 	for _, loss := range []string{"drain", "kill"} {
 		t.Run(loss, func(t *testing.T) { testRoutedStreamFailover(t, loss) })
@@ -94,19 +170,13 @@ func testRoutedStreamFailover(t *testing.T, loss string) {
 	tp := newTopology(t, topoConfig{replicas: 2, serve: serve.Config{Stream: &hcfg},
 		router: Config{HealthInterval: 20 * time.Millisecond}})
 
-	resp, err := http.Get(tp.front.URL + "/stream?contracts=0-63")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := getStream(t, tp.front.URL, "?contracts=0-63")
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("routed /stream = %d", resp.StatusCode)
 	}
 	fr := stream.NewFrameReader(resp.Body)
-	f, err := fr.Next()
-	if err != nil || f.Event != stream.EventHello {
-		t.Fatalf("first frame = %+v, %v — want hello", f, err)
-	}
+	f := readHello(t, fr)
 	var hello stream.Hello
 	if err := json.Unmarshal(f.Data, &hello); err != nil {
 		t.Fatal(err)
@@ -166,12 +236,21 @@ func testRoutedStreamFailover(t *testing.T, loss string) {
 	readUntil("before kill", full)
 	snapshotsBefore := snapshots
 
-	// Lose one replica mid-stream: a drain makes its hub push goodbye to
-	// its partition's relay; a kill resets the relay's connection.
+	// Lose the replica serving the stream: a drain makes its hub push
+	// goodbye to the relay; a kill resets the relay's connection.
+	serving := -1
+	for i, rs := range tp.router.Snapshot().Replicas {
+		if rs.Inflight == 1 {
+			serving = i
+		}
+	}
+	if serving < 0 {
+		t.Fatalf("no replica holds the stream: %+v", tp.router.Snapshot().Replicas)
+	}
 	if loss == "drain" {
-		tp.servers[0].StartDrain()
+		tp.servers[serving].StartDrain()
 	} else {
-		tp.kill(0)
+		tp.kill(serving)
 	}
 
 	// Frames queued before the loss can complete a coverage on their
@@ -186,57 +265,115 @@ func testRoutedStreamFailover(t *testing.T, loss string) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	snap := tp.router.Snapshot()
-	if snap.StreamRequests == 0 || snap.StreamPartitions < 2 {
-		t.Errorf("stream counters = requests %d partitions %d, want >=1 and >=2",
-			snap.StreamRequests, snap.StreamPartitions)
+	if got := tp.router.Snapshot().StreamRequests; got != 1 {
+		t.Errorf("stream_requests = %d, want 1", got)
 	}
 }
 
-// TestRoutedStreamSlowClientShed: a routed subscriber that reads, but
-// far slower than the feed produces, overflows the router's bounded
-// merged queue and is shed with a goodbye — relays never block, so the
-// replicas never feel it. The client paces its reads (~1MB/s) rather
-// than stalling outright — a full stall exercises the write-deadline
-// path instead, which the serve-layer test covers. Frames are kept
-// small (256 contracts, ~70KB) at a high event rate, so the merged
-// queue fills in well under a second while every individual frame
-// write stays far inside the deadline: the overflow path wins the race
-// against the deadline path deterministically.
+// TestRoutedStreamRouterStopSaysGoodbye: only the router's own stop ends
+// a routed stream, and it does so with goodbye "draining".
+func TestRoutedStreamRouterStopSaysGoodbye(t *testing.T) {
+	hcfg := smallStreamCfg(64)
+	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{Stream: &hcfg}, router: Config{HealthInterval: 20 * time.Millisecond}})
+	resp := getStream(t, tp.front.URL, "?contracts=0-7")
+	defer resp.Body.Close()
+	fr := stream.NewFrameReader(resp.Body)
+	readHello(t, fr)
+	tp.router.Close()
+	for {
+		f, err := fr.Next()
+		if err != nil {
+			t.Fatalf("stream ended without a goodbye: %v", err)
+		}
+		if f.Event == stream.EventGoodbye {
+			var bye stream.Goodbye
+			if err := json.Unmarshal(f.Data, &bye); err != nil || bye.Reason != "draining" {
+				t.Fatalf("goodbye %s, want reason draining", f.Data)
+			}
+			break
+		}
+	}
+	if _, err := fr.Next(); err == nil {
+		t.Error("the stream went on after the router's goodbye")
+	}
+}
+
+// TestRoutedStreamSlowClientShed: a routed subscriber that stops reading
+// is disconnected by the lone server's rule — its frame write misses
+// StreamWriteTimeout — while a second subscriber on the same replica
+// keeps receiving.
 func TestRoutedStreamSlowClientShed(t *testing.T) {
 	hcfg := smallStreamCfg(256)
 	hcfg.SpotThreshold = -1 // every tick rewrites the universe
 	hcfg.Budget = time.Second
-	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{Stream: &hcfg}, router: Config{
-		HealthInterval:     20 * time.Millisecond,
-		StreamWriteTimeout: 5 * time.Second,
-	}})
+	tp := newTopology(t, topoConfig{replicas: 1,
+		serve: serve.Config{Stream: &hcfg, StreamWriteTimeout: time.Minute},
+		router: Config{
+			HealthInterval:     20 * time.Millisecond,
+			StreamWriteTimeout: time.Second,
+		}})
 
-	resp, err := http.Get(tp.front.URL + "/stream?contracts=0-255")
+	live := getStream(t, tp.front.URL, "")
+	defer live.Body.Close()
+	fr := stream.NewFrameReader(live.Body)
+	readHello(t, fr)
+	frames := make(chan struct{}, 1)
+	ended := make(chan error, 1)
+	go func() {
+		for {
+			f, err := fr.Next()
+			if err == nil && f.Event == stream.EventGoodbye {
+				err = fmt.Errorf("goodbye %s", f.Data)
+			}
+			if err != nil {
+				ended <- err
+				return
+			}
+			select {
+			case frames <- struct{}{}:
+			default:
+			}
+		}
+	}()
+
+	// A subscriber with a small receive buffer that never reads.
+	conn, err := net.Dial("tcp", tp.front.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 8<<10)
-		for {
-			if _, err := resp.Body.Read(buf); err != nil {
-				return // shed (or test teardown)
-			}
-			time.Sleep(8 * time.Millisecond)
-		}
-	}()
+	defer conn.Close()
+	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "GET /stream HTTP/1.1\r\nHost: router\r\n\r\n")
 
 	deadline := time.Now().Add(20 * time.Second)
 	for tp.router.Snapshot().StreamSlowDrops == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("lagging routed subscriber was never shed")
+			t.Fatal("stalled routed subscriber was never disconnected")
 		}
-		time.Sleep(25 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
-	resp.Body.Close() // unstick the pacer
-	<-done
+	// The stalled subscriber's relay is torn down: its upstream closes,
+	// leaving the reading subscriber's as the only one in flight.
+	for tp.router.Snapshot().Replicas[0].Inflight != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled subscriber's upstream stayed open after its write deadline")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// The reading subscriber keeps receiving.
+	for i := 0; i < 5; i++ {
+		select {
+		case <-frames:
+		case err := <-ended:
+			t.Fatalf("the reading subscriber's stream ended: %v", err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("the reading subscriber stopped receiving")
+		}
+	}
+	if got := tp.router.Snapshot().StreamSlowDrops; got != 1 {
+		t.Errorf("stream_slow_drops = %d, want 1 (only the stalled subscriber)", got)
+	}
+	live.Body.Close() // unstick the reader
 }

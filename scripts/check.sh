@@ -49,9 +49,12 @@ fi
 echo "==> go build ./..."
 go build ./...
 
-# No fused multiply-add on arm64 in the functions written with explicit
-# roundings (mathx.InvCND, montecarlo.pathSums): cross-compiled, counted
-# in go tool objdump, no emulator needed.
+# No fused multiply-add on arm64 in the 17 functions written with
+# explicit roundings (the served Monte Carlo path, mathx.Exp/Log, the
+# American-put lattice walks and the served Crank-Nicolson solve in
+# cmd/finserve; the Fig. 8 wavefront PSOR in cmd/finbench; the list is
+# GUARDED in scripts/fusion_guard.sh): cross-compiled, counted in go tool
+# objdump, no emulator needed.
 echo "==> arm64 fusion guard"
 ./scripts/fusion_guard.sh
 
