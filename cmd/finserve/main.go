@@ -1,22 +1,25 @@
 // Command finserve runs the concurrent batch-pricing server, or the shard
 // router that fronts a fleet of them.
 //
-//	finserve serve   -addr :8123 [-max-units N] [-fault-spec S] ...
+//	finserve serve   -addr :8123 [-fault-spec S] [-stream] ...
 //	finserve route   -addr :8200 [-backends u1,u2 | -replicas N] ...
 //	finserve fault   -spec seed:rate:kinds [-n 4096]
 //
+// Its 17 flags are deployment settings; every other setting is a
+// serve.Config, shard.Config or stream.Config default.
+//
 // The serve subcommand drains cleanly on SIGTERM/SIGINT: the listener
-// keeps answering with a fast 503 + Retry-After for -drain-linger (so a
-// router fails requests over instead of seeing connection resets), then
-// in-flight requests finish (bounded by -drain-timeout) and the process
-// exits 0. -fault-spec wraps the listener in the deterministic fault
-// injector for chaos runs.
+// keeps answering with a fast 503 + Retry-After for drainLinger (300ms,
+// so a router fails requests over instead of seeing connection resets),
+// then in-flight requests finish (bounded by drainTimeout, 5s) and the
+// process exits 0. -fault-spec wraps the listener in the deterministic
+// fault injector for chaos runs.
 //
 // The route subcommand fronts N replicas with health checks, circuit
 // breakers and retry/failover; -replicas spawns them as child processes
-// of this binary and -restart-delay revives any that die. The pricing
-// cache lives only here (-cache-tier router): a lone serve process does
-// not cache.
+// of this binary, each running `finserve serve -addr` with nothing else,
+// and -restart-delay revives any that die. The pricing cache lives only
+// here (-cache-tier router): a lone serve process does not cache.
 //
 // The fault subcommand prints a fault spec's canonical form, decision
 // digest and per-kind counts — two invocations with the same spec must
@@ -80,9 +83,14 @@ func usage() {
 // closed after idleTimeout. There is deliberately no read or write
 // timeout: request deadlines are the protocol's job, and /stream replies
 // are long-lived.
+//
+// A draining server answers fast 503s for drainLinger before it stops
+// accepting, then gives in-flight requests up to drainTimeout to finish.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute
+	drainLinger       = 300 * time.Millisecond
+	drainTimeout      = 5 * time.Second
 )
 
 // newHTTPServer builds the http.Server for either tier.
@@ -90,14 +98,37 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
+// parseFlags parses a subcommand's flags; no subcommand takes a
+// positional argument. Unless ok, the caller exits with code: 0 after
+// -h, 2 on an invalid command line (the message is already printed).
+func parseFlags(fs *flag.FlagSet, args []string) (code int, ok bool) {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 2, false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		return 2, false
+	}
+	return 0, true
+}
+
 // runFault prints the deterministic decision digest of a fault spec.
 func runFault(args []string) int {
-	fs := flag.NewFlagSet("finserve fault", flag.ExitOnError)
+	fs := flag.NewFlagSet("finserve fault", flag.ContinueOnError)
 	var (
 		specStr = fs.String("spec", "", "fault spec seed:rate:kinds (required)")
 		n       = fs.Int("n", 4096, "decisions to digest")
 	)
-	_ = fs.Parse(args)
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
+	if *n < 0 {
+		fmt.Fprintf(os.Stderr, "fault: -n %d is negative\n", *n)
+		return 2
+	}
 	spec, err := fault.ParseSpec(*specStr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fault: %v\n", err)
@@ -117,64 +148,35 @@ func runFault(args []string) int {
 }
 
 func runServe(args []string) int {
-	fs := flag.NewFlagSet("finserve serve", flag.ExitOnError)
+	fs := flag.NewFlagSet("finserve serve", flag.ContinueOnError)
 	var (
-		addr        = fs.String("addr", "127.0.0.1:8123", "listen address")
-		mktRate     = fs.Float64("market-rate", 0.02, "risk-free rate")
-		mktVol      = fs.Float64("market-vol", 0.3, "volatility")
-		maxUnits    = fs.Int64("max-units", 0, "in-flight work-unit budget (0 = default)")
-		admitWait   = fs.Duration("admit-wait", 0, "max admission wait before 503 (0 = default)")
-		maxBatch    = fs.Int("coalesce-max-batch", 0, "flush threshold in options (0 = default)")
-		maxOptions  = fs.Int("max-options", 0, "max options per request (0 = default)")
-		maxPaths    = fs.Int("max-paths", 0, "max Monte Carlo paths per request (0 = default)")
-		maxDeadline = fs.Duration("max-deadline", 0, "server-side deadline cap (0 = default)")
-		drainTO     = fs.Duration("drain-timeout", 5*time.Second, "max time to drain on SIGTERM")
-		drainLinger = fs.Duration("drain-linger", 300*time.Millisecond, "how long the listener keeps answering fast 503s before it stops accepting")
-		faultSpec   = fs.String("fault-spec", "", "deterministic fault injection seed:rate:kinds (chaos runs)")
+		addr      = fs.String("addr", "127.0.0.1:8123", "listen address")
+		mktRate   = fs.Float64("market-rate", 0.02, "risk-free rate")
+		mktVol    = fs.Float64("market-vol", 0.3, "volatility")
+		faultSpec = fs.String("fault-spec", "", "deterministic fault injection seed:rate:kinds (chaos runs)")
 
 		streamOn       = fs.Bool("stream", false, "enable the GET /stream SSE Greeks feed")
-		streamUniverse = fs.Int("stream-universe", 0, "streaming contract-universe size (0 = default)")
-		streamUnder    = fs.Int("stream-underlyings", 0, "streaming underlying count (0 = default)")
-		streamSeed     = fs.Uint64("stream-seed", 0, "streaming feed seed (0 = default)")
-		streamInterval = fs.Duration("stream-interval", 0, "market tick interval (0 = default)")
-		streamBudget   = fs.Duration("stream-budget", 0, "per-tick repricing budget (0 = tick interval)")
-		streamSpotThr  = fs.Float64("stream-spot-threshold", 0, "relative spot move that dirties a contract (0 = default)")
-		streamSubBuf   = fs.Int("stream-sub-buffer", 0, "per-subscriber event buffer (0 = default)")
-		streamWriteTO  = fs.Duration("stream-write-timeout", 0, "per-frame write deadline before a stalled client is dropped (0 = default)")
+		streamInterval = fs.Duration("stream-interval", 0, "market tick interval (0 = default 20ms)")
+		streamSpotThr  = fs.Float64("stream-spot-threshold", 0, "relative spot move that dirties a contract (0 = default 0.002, <0 = every tick)")
 	)
-	_ = fs.Parse(args)
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 
 	var inj *fault.Injector
 	if *faultSpec != "" {
 		spec, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "finserve: %v\n", err)
+			fmt.Fprintf(os.Stderr, "finserve: -fault-spec: %v\n", err)
 			return 2
 		}
 		inj = fault.NewInjector(spec)
 		fmt.Fprintf(os.Stderr, "finserve: fault injection %s (digest %016x over 4096)\n", spec, spec.Digest(4096))
 	}
 
-	cfg := serve.Config{
-		Market:           finbench.Market{Rate: *mktRate, Volatility: *mktVol},
-		MaxUnits:         *maxUnits,
-		AdmitWait:        *admitWait,
-		CoalesceMaxBatch: *maxBatch,
-		MaxOptions:       *maxOptions,
-		MaxPaths:         *maxPaths,
-		MaxDeadline:      *maxDeadline,
-	}
+	cfg := serve.Config{Market: finbench.Market{Rate: *mktRate, Volatility: *mktVol}}
 	if *streamOn {
-		cfg.Stream = &stream.Config{
-			Universe:         *streamUniverse,
-			Underlyings:      *streamUnder,
-			Seed:             *streamSeed,
-			Interval:         *streamInterval,
-			Budget:           *streamBudget,
-			SpotThreshold:    *streamSpotThr,
-			SubscriberBuffer: *streamSubBuf,
-		}
-		cfg.StreamWriteTimeout = *streamWriteTO
+		cfg.Stream = &stream.Config{Interval: *streamInterval, SpotThreshold: *streamSpotThr}
 	}
 	s := serve.New(cfg)
 	defer s.Close()
@@ -196,7 +198,7 @@ func runServe(args []string) int {
 		fmt.Fprintf(os.Stderr, "finserve: %v\n", err)
 		return 1
 	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "finserve: %v, draining (linger %v, timeout %v)\n", got, *drainLinger, *drainTO)
+		fmt.Fprintf(os.Stderr, "finserve: %v, draining (linger %v, timeout %v)\n", got, drainLinger, drainTimeout)
 	}
 
 	// Ordered shutdown: first answer new requests with a fast 503 +
@@ -206,8 +208,8 @@ func runServe(args []string) int {
 	start := time.Now()
 	s.StartDrain()
 	hs.SetKeepAlivesEnabled(false)
-	time.Sleep(*drainLinger)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
+	time.Sleep(drainLinger)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	drainErr := s.Drain(ctx)
 	shutErr := hs.Shutdown(ctx)

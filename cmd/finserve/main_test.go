@@ -4,9 +4,119 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestMain keeps a replica child from running the tests again: were a
+// route case below wrongly accepted, the supervisor would spawn this test
+// binary as `serve -addr ...`, and that child must exit at once.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		os.Exit(3)
+	}
+	os.Exit(m.Run())
+}
+
+// TestFlagSurface pins every subcommand's flags, read from its -h
+// listing (which must exit 0). Each is a deployment setting something
+// sets (the benchmark, scripts/smoke.sh, a documented recipe); every
+// other setting is a package default, so adding a flag is a deliberate
+// change to this list.
+func TestFlagSurface(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func([]string) int
+		want []string
+	}{
+		{"serve", runServe, []string{"addr", "fault-spec", "market-rate", "market-vol", "stream", "stream-interval", "stream-spot-threshold"}},
+		{"route", runRoute, []string{"addr", "backends", "cache-bytes", "cache-tier", "health-interval", "port-base", "replicas", "restart-delay"}},
+		{"fault", runFault, []string{"n", "spec"}},
+	} {
+		code, out := runCaptured(t, c.run, []string{"-h"})
+		var got []string
+		for _, line := range strings.Split(out, "\n") {
+			if name, ok := strings.CutPrefix(line, "  -"); ok {
+				got = append(got, strings.Fields(name)[0])
+			}
+		}
+		if code != 0 || !slices.Equal(got, c.want) {
+			t.Errorf("%s -h: exit %d, flags %v; want exit 0, flags %v", c.name, code, got, c.want)
+		}
+	}
+}
+
+// runCaptured runs a subcommand with os.Stderr redirected to a file and
+// returns its exit code and what it printed. A run that has not returned
+// after 5s has got past the command-line checks — it is serving — and
+// fails the test.
+func runCaptured(t *testing.T, run func([]string) int, args []string) (int, string) {
+	t.Helper()
+	f, err := os.Create(t.TempDir() + "/stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	done := make(chan int, 1)
+	go func() { done <- run(args) }()
+	select {
+	case code := <-done:
+		out, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return code, string(out)
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%q did not return: it accepted the command line", args)
+		return 0, ""
+	}
+}
+
+// TestInvalidCommandLines: a removed flag, a positional argument and a
+// setting the process cannot honour all exit 2 with a message naming what
+// is wrong, before a listener opens or a replica starts.
+func TestInvalidCommandLines(t *testing.T) {
+	type tc struct {
+		run   func([]string) int
+		args  []string
+		names string // the message must contain this
+	}
+	var cases []tc
+	for _, name := range []string{"max-units", "admit-wait", "coalesce-max-batch", "max-options", "max-paths",
+		"max-deadline", "drain-timeout", "drain-linger", "stream-universe", "stream-underlyings", "stream-seed",
+		"stream-budget", "stream-sub-buffer", "stream-write-timeout"} {
+		cases = append(cases, tc{runServe, []string{"-addr", "127.0.0.1:0", "-" + name, "1"}, "-" + name})
+	}
+	for _, name := range []string{"replica-flags", "health-timeout", "max-attempts", "budget-ratio", "budget-cap",
+		"breaker-failures", "breaker-open-for", "cache-ttl"} {
+		cases = append(cases, tc{runRoute, []string{"-addr", "127.0.0.1:0", "-backends", "http://127.0.0.1:1", "-" + name, "1"}, "-" + name})
+	}
+	cases = append(cases,
+		tc{runServe, []string{"addr"}, `"addr"`},
+		tc{runServe, []string{"-addr", "127.0.0.1:0", "-stream", "extra"}, `"extra"`},
+		tc{runServe, []string{"-addr", "127.0.0.1:0", "-fault-spec", "bogus"}, "-fault-spec"},
+		tc{runRoute, []string{"-addr", "127.0.0.1:0", "-backends", "http://127.0.0.1:1", "extra"}, `"extra"`},
+		tc{runRoute, []string{"-addr", "127.0.0.1:0", "-backends", "http://127.0.0.1:1", "-cache-tier", "router", "-cache-bytes", "0"}, "-cache-bytes"},
+		tc{runRoute, []string{"-addr", "127.0.0.1:0", "-backends", "http://127.0.0.1:1", "-cache-tier", "router", "-cache-bytes", "-1"}, "-cache-bytes"},
+		tc{runRoute, []string{"-addr", "127.0.0.1:0", "-backends", "http://127.0.0.1:1", "-cache-tier", "replica"}, "-cache-tier"},
+		tc{runRoute, []string{"-addr", "127.0.0.1:0", "-replicas", "2", "-port-base", "0"}, "-port-base"},
+		tc{runRoute, []string{"-addr", "127.0.0.1:0", "-replicas", "2", "-port-base", "65535"}, "-port-base"},
+		tc{runFault, []string{"-spec", "1:0.1:reset", "extra"}, `"extra"`},
+		tc{runFault, []string{"-spec", "1:0.1:reset", "-n", "-1"}, "-n"},
+	)
+	for _, c := range cases {
+		code, out := runCaptured(t, c.run, c.args)
+		if code != 2 || !strings.Contains(out, c.names) {
+			t.Errorf("%q: exit %d, stderr %q; want exit 2 naming %s", c.args, code, out, c.names)
+		}
+	}
+}
 
 // A client that writes half a request line and stalls must have its
 // connection closed once readHeaderTimeout passes.

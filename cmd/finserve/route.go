@@ -13,7 +13,6 @@ import (
 	"syscall"
 	"time"
 
-	"finbench/internal/resilience"
 	"finbench/internal/serve/shard"
 )
 
@@ -21,33 +20,32 @@ import (
 // come either from -backends (already-running URLs) or -replicas N
 // (spawned as children of this binary, revived after -restart-delay if
 // they die — the chaos harness kills one mid-burst by the pid logged
-// here and watches the breaker open and recover).
+// here and watches the breaker open and recover). Every check of the
+// command line runs before a child starts or a listener opens.
 func runRoute(args []string) int {
-	fs := flag.NewFlagSet("finserve route", flag.ExitOnError)
+	fs := flag.NewFlagSet("finserve route", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8200", "router listen address")
 		backendsStr  = fs.String("backends", "", "comma-separated replica base URLs (mutually exclusive with -replicas)")
 		replicas     = fs.Int("replicas", 0, "spawn N replica child processes of this binary")
 		portBase     = fs.Int("port-base", 9100, "first replica port when spawning")
-		replicaFlags = fs.String("replica-flags", "", "extra space-separated flags passed to each spawned 'serve' (e.g. '-fault-spec 42:0.1:reset')")
 		restartDelay = fs.Duration("restart-delay", 0, "revive a dead spawned replica after this delay (0 = no revival)")
-		healthEvery  = fs.Duration("health-interval", 0, "health-check period (0 = default)")
-		healthTO     = fs.Duration("health-timeout", 0, "health-probe timeout (0 = default)")
-		maxAttempts  = fs.Int("max-attempts", 0, "attempts per request incl. the first (0 = default 3)")
-		budgetRatio  = fs.Float64("budget-ratio", 0, "retry-budget tokens earned per request (0 = default, <0 = unlimited)")
-		budgetCap    = fs.Float64("budget-cap", 0, "retry-budget token cap (0 = default)")
-		brkFailures  = fs.Int("breaker-failures", 0, "consecutive failures that open a breaker (0 = default)")
-		brkOpenFor   = fs.Duration("breaker-open-for", 0, "how long an open breaker refuses before probing (0 = default)")
+		healthEvery  = fs.Duration("health-interval", 0, "health-check period (0 = default 100ms)")
 		cacheTier    = fs.String("cache-tier", "none", "pricing cache placement: none, or router (one cache in this process)")
 		cacheBytes   = fs.Int64("cache-bytes", 64<<20, "router cache byte budget")
-		cacheTTL     = fs.Duration("cache-ttl", 0, "router cache entry TTL (0 = never expire)")
 	)
-	_ = fs.Parse(args)
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 
 	var routerCacheBytes int64
 	switch *cacheTier {
 	case "none":
 	case "router":
+		if *cacheBytes <= 0 {
+			fmt.Fprintf(os.Stderr, "route: -cache-tier router needs -cache-bytes > 0, got %d\n", *cacheBytes)
+			return 2
+		}
 		routerCacheBytes = *cacheBytes
 	default:
 		fmt.Fprintf(os.Stderr, "route: unknown -cache-tier %q (none|router)\n", *cacheTier)
@@ -67,7 +65,11 @@ func runRoute(args []string) int {
 			}
 		}
 	case *replicas > 0:
-		sup = newSupervisor(*replicas, *portBase, strings.Fields(*replicaFlags), *restartDelay)
+		if *portBase < 1 || *portBase > 65536-*replicas {
+			fmt.Fprintf(os.Stderr, "route: -port-base %d with -replicas %d: replica ports must lie in 1-65535\n", *portBase, *replicas)
+			return 2
+		}
+		sup = newSupervisor(*replicas, *portBase, *restartDelay)
 		urls = sup.urls
 		sup.startAll()
 		defer sup.stopAll()
@@ -79,16 +81,7 @@ func runRoute(args []string) int {
 	router, err := shard.New(shard.Config{
 		Backends:       urls,
 		HealthInterval: *healthEvery,
-		HealthTimeout:  *healthTO,
-		MaxAttempts:    *maxAttempts,
-		BudgetRatio:    *budgetRatio,
-		BudgetCap:      *budgetCap,
-		Breaker: resilience.BreakerConfig{
-			FailureThreshold: *brkFailures,
-			OpenFor:          *brkOpenFor,
-		},
-		CacheBytes: routerCacheBytes,
-		CacheTTL:   *cacheTTL,
+		CacheBytes:     routerCacheBytes,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "route: %v\n", err)
@@ -121,7 +114,6 @@ func runRoute(args []string) int {
 type supervisor struct {
 	urls         []string
 	addrs        []string
-	extraFlags   []string
 	restartDelay time.Duration
 
 	mu       sync.Mutex
@@ -130,8 +122,8 @@ type supervisor struct {
 	wg       sync.WaitGroup
 }
 
-func newSupervisor(n, portBase int, extraFlags []string, restartDelay time.Duration) *supervisor {
-	s := &supervisor{extraFlags: extraFlags, restartDelay: restartDelay}
+func newSupervisor(n, portBase int, restartDelay time.Duration) *supervisor {
+	s := &supervisor{restartDelay: restartDelay}
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("127.0.0.1:%d", portBase+i)
 		s.addrs = append(s.addrs, addr)
@@ -148,8 +140,9 @@ func (s *supervisor) startAll() {
 	}
 }
 
-// supervise runs replica i, restarting it after restartDelay when it
-// dies unexpectedly. Every (re)start logs the pid so a script can kill a
+// supervise runs replica i — `finserve serve -addr` and nothing else, so
+// every replica is configured identically — restarting it after
+// restartDelay when it dies unexpectedly. Every (re)start logs the pid so a script can kill a
 // specific replica (scripts/smoke.sh checks the revival).
 func (s *supervisor) supervise(i int) {
 	defer s.wg.Done()
@@ -157,8 +150,7 @@ func (s *supervisor) supervise(i int) {
 		if s.stopping.Load() {
 			return
 		}
-		args := append([]string{"serve", "-addr", s.addrs[i]}, s.extraFlags...)
-		cmd := exec.Command(os.Args[0], args...)
+		cmd := exec.Command(os.Args[0], "serve", "-addr", s.addrs[i])
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {

@@ -63,26 +63,25 @@ type Config struct {
 	Backoff resilience.Backoff
 	Breaker resilience.BreakerConfig
 
-	// BudgetRatio/BudgetCap configure the global retry budget (tokens
-	// earned per request / token cap; defaults 0.2 and 50). A negative
-	// ratio disables the budget.
+	// BudgetRatio is the global retry budget's tokens earned per request
+	// (default 0.2; the budget holds at most 50 tokens). A negative ratio
+	// disables the budget.
 	BudgetRatio float64
-	BudgetCap   float64
 
 	// Transport overrides the backend round-tripper (tests inject
 	// faults here); nil means http.DefaultTransport.
 	Transport http.RoundTripper
 
 	// CacheBytes enables a router-level content-addressed response cache
-	// with that byte budget (0 disables); CacheTTL expires entries (0 =
-	// never). The router cannot resolve effective configs, so it keys
-	// purely on request content — correct only because the fleet is
-	// homogeneous (every replica shares the market and config defaults,
-	// which `finserve route`'s supervisor guarantees by spawning
-	// identical children). Only closed-form /price requests are cached,
-	// and only a replica's 200 is stored.
+	// with that byte budget (0 disables). The router cannot resolve
+	// effective configs, so it keys purely on request content — correct
+	// only because the fleet is homogeneous (every replica shares the
+	// market and config defaults, which `finserve route`'s supervisor
+	// guarantees by spawning identical children). A fleet's market is
+	// fixed when its processes start, so entries never expire. Only
+	// closed-form /price requests are cached, and only a replica's 200 is
+	// stored.
 	CacheBytes int64
-	CacheTTL   time.Duration
 
 	// StreamWriteTimeout bounds one SSE frame write to a /stream client;
 	// a client that cannot absorb a frame within it is disconnected.
@@ -185,10 +184,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.stopped, r.stop = context.WithCancel(context.Background())
 	if cfg.BudgetRatio >= 0 {
-		r.budget = resilience.NewBudget(cfg.BudgetRatio, cfg.BudgetCap)
+		r.budget = resilience.NewBudget(cfg.BudgetRatio, 0)
 	}
 	if cfg.CacheBytes > 0 {
-		r.cache = pricecache.New(cfg.CacheBytes, cfg.CacheTTL)
+		r.cache = pricecache.New(cfg.CacheBytes, 0)
 	}
 	for _, u := range cfg.Backends {
 		rep := &replica{url: u, breaker: resilience.NewBreaker(cfg.Breaker)}

@@ -90,7 +90,6 @@ func (r *Router) routeStream(w http.ResponseWriter, req *http.Request) {
 	for {
 		alive := r.relay(w, rc, up.stream, &helloSent)
 		_ = up.stream.Close()
-		up.rep.inflight.Add(-1)
 		if !alive {
 			return
 		}
@@ -112,9 +111,11 @@ func (r *Router) routeStream(w http.ResponseWriter, req *http.Request) {
 
 // subscribe sends the subscription to the replica pick admits and
 // classifies the answer as attemptOnce does: a 200 returns with its event
-// stream open (the caller closes it and drops the replica's in-flight
-// count); a 4xx returns read, to be passed through; 503/429, 5xx and
-// transport errors are failures to fail over.
+// stream open (the caller closes it); a 4xx returns read, to be passed
+// through; 503/429, 5xx and transport errors are failures to fail over.
+// The replica's in-flight count covers only this exchange: an open
+// stream is not a request outstanding, and counting it would steer every
+// routed /price away from the replica for the stream's whole life.
 func (r *Router) subscribe(ctx context.Context, uri string, st *reqState) (*backendResult, error) {
 	rep := r.pick(st)
 	if rep == nil {
@@ -128,9 +129,9 @@ func (r *Router) subscribe(ctx context.Context, uri string, st *reqState) (*back
 		return nil, resilience.Permanent(err)
 	}
 	rep.inflight.Add(1)
+	defer rep.inflight.Add(-1)
 	resp, err := r.client.Do(hreq)
 	if err != nil {
-		rep.inflight.Add(-1)
 		return nil, r.replicaFailed(ctx, st, rep, fmt.Errorf("replica %s: %w", rep.url, err))
 	}
 	if resp.StatusCode == http.StatusOK {
@@ -138,7 +139,6 @@ func (r *Router) subscribe(ctx context.Context, uri string, st *reqState) (*back
 		rep.served.Add(1)
 		return &backendResult{status: resp.StatusCode, stream: resp.Body, rep: rep}, nil
 	}
-	defer rep.inflight.Add(-1)
 	body, err := readBody(resp.Body, resp.ContentLength)
 	_ = resp.Body.Close() // the read error above is the signal that matters
 	if err != nil {

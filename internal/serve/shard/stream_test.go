@@ -170,6 +170,7 @@ func testRoutedStreamFailover(t *testing.T, loss string) {
 	tp := newTopology(t, topoConfig{replicas: 2, serve: serve.Config{Stream: &hcfg},
 		router: Config{HealthInterval: 20 * time.Millisecond}})
 
+	before := tp.router.Snapshot().Replicas
 	resp := getStream(t, tp.front.URL, "?contracts=0-63")
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
@@ -236,11 +237,12 @@ func testRoutedStreamFailover(t *testing.T, loss string) {
 	readUntil("before kill", full)
 	snapshotsBefore := snapshots
 
-	// Lose the replica serving the stream: a drain makes its hub push
-	// goodbye to the relay; a kill resets the relay's connection.
+	// Lose the replica serving the stream — the one whose served count
+	// rose with the subscription: a drain makes its hub push goodbye to
+	// the relay; a kill resets the relay's connection.
 	serving := -1
 	for i, rs := range tp.router.Snapshot().Replicas {
-		if rs.Inflight == 1 {
+		if rs.Served > before[i].Served {
 			serving = i
 		}
 	}
@@ -267,6 +269,42 @@ func testRoutedStreamFailover(t *testing.T, loss string) {
 	}
 	if got := tp.router.Snapshot().StreamRequests; got != 1 {
 		t.Errorf("stream_requests = %d, want 1", got)
+	}
+}
+
+// TestRoutedStreamHoldsNoInflight: an open routed stream is not a request
+// outstanding on its replica. With one open on a 2-replica router, the
+// router's /statsz shows every replica at inflight 0, so pick keeps
+// scoring the serving replica on its load alone.
+func TestRoutedStreamHoldsNoInflight(t *testing.T) {
+	hcfg := smallStreamCfg(64)
+	tp := newTopology(t, topoConfig{replicas: 2, serve: serve.Config{Stream: &hcfg}, router: Config{HealthInterval: 20 * time.Millisecond}})
+	resp := getStream(t, tp.front.URL, "?contracts=0-7")
+	defer resp.Body.Close()
+	fr := stream.NewFrameReader(resp.Body)
+	readHello(t, fr)
+	if _, err := fr.Next(); err != nil {
+		t.Fatalf("the stream ended after its hello: %v", err)
+	}
+
+	sresp, err := tp.client.Get(tp.front.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var snap StatszResponse
+	if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	var served uint64
+	for i, rs := range snap.Replicas {
+		if rs.Inflight != 0 {
+			t.Errorf("replica %d inflight = %d with only a stream open, want 0", i, rs.Inflight)
+		}
+		served += rs.Served
+	}
+	if served != 1 {
+		t.Errorf("replicas served %d requests, want 1 (the subscription)", served)
 	}
 }
 
@@ -355,8 +393,8 @@ func TestRoutedStreamSlowClientShed(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// The stalled subscriber's relay is torn down: its upstream closes,
-	// leaving the reading subscriber's as the only one in flight.
-	for tp.router.Snapshot().Replicas[0].Inflight != 1 {
+	// leaving the reading subscriber's as the replica's only one.
+	for tp.replicaStatsz(0).Stream.Subscribers != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("the stalled subscriber's upstream stayed open after its write deadline")
 		}
