@@ -228,9 +228,8 @@ func BenchmarkBatchAPILevels(b *testing.B) {
 // BenchmarkPriceHeavy times finbench.PriceRequestCtx at default sizes on
 // the request shapes heavy_mix sends: one American put per lattice method
 // and four heavy_mix-shaped ones per lattice (the x4 rows), four American
-// puts through Crank-Nicolson (two pairs; the mix-x4 row prices the
-// heavy_mix-shaped four, whose lanes part in sweep counts and tails the
-// way the mix's do), and Monte Carlo
+// puts through Crank-Nicolson (one request; the mix-x4 row prices the
+// heavy_mix-shaped four), and Monte Carlo
 // requests of one and of four European calls (ns/op is per request; the
 // Monte Carlo x4 row shows the normals being generated once).
 func BenchmarkPriceHeavy(b *testing.B) {

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -161,6 +162,17 @@ func runServe(args []string) int {
 	)
 	if code, ok := parseFlags(fs, args); !ok {
 		return code
+	}
+	// A market no kernel can price is refused rather than served; a zero
+	// volatility would also make serve.Config fall back to its default
+	// market, dropping -market-rate.
+	if !(*mktVol > 0) || math.IsInf(*mktVol, 1) {
+		fmt.Fprintf(os.Stderr, "finserve: -market-vol %v: want a finite volatility > 0\n", *mktVol)
+		return 2
+	}
+	if math.IsNaN(*mktRate) || math.IsInf(*mktRate, 0) {
+		fmt.Fprintf(os.Stderr, "finserve: -market-rate %v: want a finite rate\n", *mktRate)
+		return 2
 	}
 
 	var inj *fault.Injector

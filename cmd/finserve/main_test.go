@@ -101,6 +101,12 @@ func TestInvalidCommandLines(t *testing.T) {
 		tc{runServe, []string{"addr"}, `"addr"`},
 		tc{runServe, []string{"-addr", "127.0.0.1:0", "-stream", "extra"}, `"extra"`},
 		tc{runServe, []string{"-addr", "127.0.0.1:0", "-fault-spec", "bogus"}, "-fault-spec"},
+		tc{runServe, []string{"-addr", "127.0.0.1:0", "-market-vol", "0", "-market-rate", "0.05"}, "-market-vol"},
+		tc{runServe, []string{"-addr", "127.0.0.1:0", "-market-vol", "-0.2"}, "-market-vol"},
+		tc{runServe, []string{"-addr", "127.0.0.1:0", "-market-vol", "NaN"}, "-market-vol"},
+		tc{runServe, []string{"-addr", "127.0.0.1:0", "-market-vol", "+Inf"}, "-market-vol"},
+		tc{runServe, []string{"-addr", "127.0.0.1:0", "-market-rate", "NaN"}, "-market-rate"},
+		tc{runServe, []string{"-addr", "127.0.0.1:0", "-market-rate", "-Inf"}, "-market-rate"},
 		tc{runRoute, []string{"-addr", "127.0.0.1:0", "-backends", "http://127.0.0.1:1", "extra"}, `"extra"`},
 		tc{runRoute, []string{"-addr", "127.0.0.1:0", "-backends", "http://127.0.0.1:1", "-cache-tier", "router", "-cache-bytes", "0"}, "-cache-bytes"},
 		tc{runRoute, []string{"-addr", "127.0.0.1:0", "-backends", "http://127.0.0.1:1", "-cache-tier", "router", "-cache-bytes", "-1"}, "-cache-bytes"},

@@ -126,10 +126,10 @@ func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Confi
 // work the options share is done once or side by side. For Monte Carlo
 // that is the whole normal stream: every option of a request runs on
 // stream (0, seed), so the normals are generated once per request instead
-// of once per option. Crank-Nicolson options go to the solver in pairs
-// that share a time loop and run two PSOR sweeps of each option in one
-// loop, each option's arithmetic unchanged. The trees are priced option
-// by option.
+// of once per option. Crank-Nicolson options share the solver's
+// elimination coefficients, computed once per request, and are then solved
+// one after another, each option's arithmetic unchanged. The trees are
+// priced option by option.
 // A request is still one attempt: never split across workers, never
 // merged with another request.
 func PriceRequestCtx(ctx context.Context, opts []Option, m Market, method Method, cfg *Config) ([]Result, error) {
@@ -166,8 +166,7 @@ func PriceRequestCtx(ctx context.Context, opts []Option, m Market, method Method
 // by parity (an American call on a non-dividend asset is worth the
 // European one). It validates every option first, in PriceCtx's order, so
 // the first failing option decides the error, then hands the puts to the
-// solver, which prices them two at a time. c is the resolved
-// configuration.
+// solver in one call. c is the resolved configuration.
 func priceFiniteDifference(ctx context.Context, opts []Option, m Market, c Config, out []Result) error {
 	puts := make([]cranknicolson.Put, len(opts))
 	for i, o := range opts {

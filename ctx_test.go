@@ -152,11 +152,11 @@ func TestPriceRequestCtxBitMatchesPriceCtx(t *testing.T) {
 	}
 }
 
-// TestPriceRequestCtxFiniteDifferencePairs pins the paired
-// Crank-Nicolson request: for every request size k = 1..5 (pairs and an
-// odd lone option) over American and European puts and calls mixed,
-// out[i] is PriceCtx(opts[i]) bit for bit; and an invalid option at any
-// position fails the request with the error the per-option loop returns.
+// TestPriceRequestCtxFiniteDifferencePairs pins the multi-option
+// Crank-Nicolson request: for every request size k = 1..5 over American
+// and European puts and calls mixed, out[i] is PriceCtx(opts[i]) bit for
+// bit; and an invalid option at any position fails the request with the
+// error the per-option loop returns.
 func TestPriceRequestCtxFiniteDifferencePairs(t *testing.T) {
 	mkt := Market{Rate: 0.03, Volatility: 0.25}
 	cfg := &Config{GridPoints: 96, TimeSteps: 150}

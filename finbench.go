@@ -104,7 +104,8 @@ const (
 	ClosedForm Method = iota
 	// BinomialTree is CRR backward induction.
 	BinomialTree
-	// FiniteDifference is Crank-Nicolson with Projected SOR.
+	// FiniteDifference is Crank-Nicolson, each time step's early-exercise
+	// problem solved exactly by Brennan–Schwartz elimination.
 	FiniteDifference
 	// MonteCarlo is terminal-density path integration (European only).
 	MonteCarlo

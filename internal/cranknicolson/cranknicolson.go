@@ -5,19 +5,20 @@
 // with x = ln(S/K) and tau = sigma^2 (T-t)/2 (the Wilmott student-intro
 // formulation the paper cites). Each Crank-Nicolson step averages an
 // explicit half-step B_j = (1-alpha) u_j + (alpha/2)(u_{j+1} + u_{j-1})
-// with an implicit half-step solved iteratively by Projected Successive
-// Over-Relaxation: sweeps of
+// with an implicit half-step, under the early-exercise obstacle g that
+// enforces the American constraint. That is the one scheme the solver
+// runs: the half-steps weigh equally (theta = 1/2) at the reference
+// lattice ratio alpha = dtau/dx^2 = 0.73 (DefaultAlpha).
+//
+// The paper's listing solves the implicit half-step iteratively by
+// Projected Successive Over-Relaxation: sweeps of
 //
 //	y   = (B_j + (alpha/2)(u_{j-1} + u_{j+1})) / (1 + alpha)
 //	u_j = max(g_j, u_j + omega (y - u_j))
 //
-// until the summed squared update falls below epsilon, with the
-// early-exercise obstacle g enforcing the American constraint and omega
-// adapted across time steps as in Lis. 6. That is the one scheme the
-// solver runs: the half-steps weigh equally (theta = 1/2) at the
-// reference lattice ratio alpha = dtau/dx^2 = 0.73 (DefaultAlpha).
-//
-// Optimization levels (Fig. 8):
+// until the summed squared update falls below epsilon, with omega adapted
+// across time steps as in Lis. 6. Its optimization levels (Fig. 8), the
+// counted rungs of the model:
 //
 //   - RefScalar: the reference scalar GSOR — the j loop and the
 //     convergence loop both carry dependences, so the compiler cannot
@@ -34,18 +35,18 @@
 // Convergence is checked every `width` sweeps in the vector variants, as
 // the paper notes ("we now check for convergence every 4 or 8 iterations").
 //
-// The served path (PricePutsCtx) takes Fig. 7's wavefront as scalar
-// instruction-level parallelism instead of SIMD lanes. A request's options
-// are solved two at a time and each option of a pair keeps two sweeps in
-// flight, the second one point behind the first, so one j loop carries
-// four independent Gauss-Seidel chains and each point's relaxation issues
-// in the latency shadow of the others. Convergence stays exact: the
-// trailing sweep reads only values the leading sweep has finished and
-// writes a spare grid, both error sums are tested in sweep order, and the
-// spare is discarded when the leading sweep converged. A lane whose
-// partner has converged, and an odd last option, finish with the
-// reference sweeps. Every grid value, sweep count and price equals the
-// reference solve's.
+// The served path (PricePutsCtx) iterates nothing. The implicit matrix,
+// 1 + alpha on the diagonal and -alpha/2 beside it, is the same at every
+// time step and for every option of a request, so its elimination
+// coefficients are computed once per call, and each time step is the
+// direct projected solve of Brennan & Schwartz (J. Finance, 1977): a
+// right-to-left elimination pass, then a left-to-right substitution pass
+// that takes max(g_j, ·) at each point. For a put, whose early-exercise
+// region is the low-x end of the grid, that is the exact solution of the
+// discrete complementarity problem PSOR approaches (Jaillet, Lamberton &
+// Lapeyre, Acta Appl. Math., 1990); without the max it is the Thomas
+// algorithm for the European put. The PSOR solve driven to a tight Eps is
+// its test oracle.
 package cranknicolson // finlint:hot — allocation-free loops enforced by internal/lint
 
 import (
@@ -70,9 +71,10 @@ type Solver struct {
 	XMin   float64
 	TauMax float64
 	// American selects the projected (obstacle) solve; false gives the
-	// plain European GSOR used for validation.
+	// plain European solve used for validation.
 	American bool
-	// Eps is the GSOR convergence threshold on the summed squared update.
+	// Eps is the PSOR convergence threshold on the summed squared update;
+	// the served direct solve has none.
 	Eps float64
 }
 
@@ -172,11 +174,11 @@ func (s *Solver) implicitCoeffs() (coeff, alpha2 float64) {
 }
 
 // relax performs the projected relaxation at one point and returns the new
-// value. It is the one spelling of the point update: gsorScalar, the
-// pipelined pair (gsorPair) and the wavefront triangles call it (it
-// inlines), and the wavefront's vector body issues the same
-// operations in the same order, so numerics agree. Each product that feeds
-// an add is rounded explicitly, so no architecture fuses it.
+// value. It is the one spelling of the point update: gsorScalar and the
+// wavefront triangles call it (it inlines), and the wavefront's vector
+// body issues the same operations in the same order, so numerics agree.
+// Each product that feeds an add is rounded explicitly, so no
+// architecture fuses it.
 func relax(uj, ujm1, ujp1, bj, gj, omega, coeff, alpha2 float64, american bool) float64 {
 	y := float64(coeff * (bj + float64(alpha2*(ujm1+ujp1))))
 	un := uj + float64(omega*(y-uj))
@@ -196,18 +198,16 @@ func (s *Solver) converged(errSum float64, loops int) bool {
 }
 
 // gsorScalar runs scalar PSOR sweeps until convergence (Lis. 7) and
-// returns the time step's sweep count; loops is the number of sweeps the
-// step has already run (nonzero when gsorPair hands over a lane that is
-// still converging). The sweep is relax at every interior point with the
-// loop invariants (grid size, the American flag) read once and u[j-1]
-// carried in a local: the stores to u could alias the Solver, so read
-// through s they would be reloaded at every point of the Gauss-Seidel
-// chain. That chain bounds the sweep by floating-point latency, not
-// throughput, which is what gsorPair exploits.
-func (s *Solver) gsorScalar(b, u, g []float64, omega float64, loops int, c *perf.Counts) int {
+// returns the time step's sweep count. The sweep is relax at every
+// interior point with the loop invariants (grid size, the American flag)
+// read once and u[j-1] carried in a local: the stores to u could alias the
+// Solver, so read through s they would be reloaded at every point of the
+// Gauss-Seidel chain.
+func (s *Solver) gsorScalar(b, u, g []float64, omega float64, c *perf.Counts) int {
 	coeff, alpha2 := s.implicitCoeffs()
 	jmax, american := s.J, s.American
 	b, g = b[:jmax], g[:jmax]
+	loops := 0
 	for {
 		loops++
 		var errSum float64
@@ -236,220 +236,53 @@ func (s *Solver) gsorScalar(b, u, g []float64, omega float64, loops int, c *perf
 	}
 }
 
-// The paired sweeps are pipelined two deep, the scalar form of Fig. 7's
-// wavefront: while sweep k relaxes point j in place on u, sweep k+1
-// relaxes point j-1 into the lane's spare grid v. Sweep k+1's operands
-// there are sweep k's u[j-1] (relaxed one iteration earlier, in a
-// register), sweep k's u[j] (just relaxed) and its own v[j-2] (in a
-// register), exactly those of the sequential sweep, so it is the
-// sequential sweep k+1, one Gauss-Seidel chain trailing the other. The
-// prologue is sweep k's point 1 and the epilogue sweep k+1's point J-1,
-// whose right neighbour is the boundary u[J]. settle then decides the pair
-// as two sequential sweeps would.
-
-// settle tests a sweep pair's error sums in sweep order, k being the
-// leading sweep's count, and returns the time step's sweep count, or 0 if
-// neither sweep converged. If sweep k converged, u already holds it and
-// the trailing sweep in v is discarded; otherwise u and v swap roles, so u
-// holds sweep k+1.
-func (l *lane) settle(e0, e1 float64, k int) int {
-	if l.s.converged(e0, k) {
-		return k
-	}
-	l.u, l.v = l.v, l.u
-	if l.s.converged(e1, k+1) {
-		return k + 1
-	}
-	return 0
-}
-
-// psorHead is a sweep pair's prologue on one lane: it copies u's
-// boundaries into v, relaxes point 1 of the leading sweep and returns that
-// value, the trailing sweep's left neighbour u[0] and the leading sweep's
-// squared update (0 + d*d is d*d, so it starts the error sum exactly).
-// Without interior points (J = 1) it relaxes nothing.
-func psorHead(u, v, b, g []float64, omega, coeff, alpha2 float64, american bool) (lead, trail, e float64) {
-	jmax := len(u) - 1
-	v[0], v[jmax] = u[0], u[jmax]
-	if jmax < 2 {
-		return 0, 0, 0
-	}
-	uj := u[1]
-	un := relax(uj, u[0], u[2], b[1], g[1], omega, coeff, alpha2, american)
-	u[1] = un
-	d := un - uj
-	return un, u[0], float64(d * d)
-}
-
-// psorTail is a sweep pair's epilogue on one lane: the trailing sweep's
-// point J-1, from the leading sweep's value there and the boundary u[J];
-// it returns the trailing sweep's error sum with that point added.
-func psorTail(u, v, b, g []float64, lead, trail, e1, omega, coeff, alpha2 float64, american bool) float64 {
-	jmax := len(u) - 1
-	if jmax < 2 {
-		return e1
-	}
-	un := relax(lead, trail, u[jmax], b[jmax-1], g[jmax-1], omega, coeff, alpha2, american)
-	v[jmax-1] = un
-	d := un - lead
-	return e1 + float64(d*d)
-}
-
-// gsorPair runs the PSOR solves of two lanes' time step with four
-// Gauss-Seidel chains in one j loop: each lane keeps two sweeps in
-// flight, and the lanes' chains are independent, so every point's update
-// issues in the latency shadow of three others. Each lane keeps its own
-// coefficients, omega, American flag and error sums, and settles each
-// sweep pair on its own; once either lane converges the other finishes
-// alone in gsorScalar from the shared sweep count, so each lane runs
-// exactly the sweeps, in exactly the order, of its lone solve. A pair is
-// uncounted. Returns the two sweep counts.
-func gsorPair(a, b *lane) (int, int) {
-	sa, sb := a.s, b.s
-	coeffA, alpha2A := sa.implicitCoeffs()
-	coeffB, alpha2B := sb.implicitCoeffs()
-	omegaA, omegaB := a.omega, b.omega
-	amA, amB := sa.American, sb.American
-	np := sa.J + 1
-	for loops := 0; ; loops += 2 {
-		ua, va, ba, ga := a.u[:np], a.v[:np], a.b[:np], a.g[:np]
-		ub, vb, bb, gb := b.u[:np], b.v[:np], b.b[:np], b.g[:np]
-		leadA, trailA, eA0 := psorHead(ua, va, ba, ga, omegaA, coeffA, alpha2A, amA)
-		leadB, trailB, eB0 := psorHead(ub, vb, bb, gb, omegaB, coeffB, alpha2B, amB)
-		var eA1, eB1 float64
-		for j := 2; j < len(ua)-1; j++ {
-			uja, ujb := ua[j], ub[j]
-			xa := relax(uja, leadA, ua[j+1], ba[j], ga[j], omegaA, coeffA, alpha2A, amA)
-			xb := relax(ujb, leadB, ub[j+1], bb[j], gb[j], omegaB, coeffB, alpha2B, amB)
-			ya := relax(leadA, trailA, xa, ba[j-1], ga[j-1], omegaA, coeffA, alpha2A, amA)
-			yb := relax(leadB, trailB, xb, bb[j-1], gb[j-1], omegaB, coeffB, alpha2B, amB)
-			da0, db0 := xa-uja, xb-ujb
-			da1, db1 := ya-leadA, yb-leadB
-			eA0 += float64(da0 * da0)
-			eB0 += float64(db0 * db0)
-			eA1 += float64(da1 * da1)
-			eB1 += float64(db1 * db1)
-			ua[j], ub[j], va[j-1], vb[j-1] = xa, xb, ya, yb
-			leadA, leadB, trailA, trailB = xa, xb, ya, yb
-		}
-		eA1 = psorTail(ua, va, ba, ga, leadA, trailA, eA1, omegaA, coeffA, alpha2A, amA)
-		eB1 = psorTail(ub, vb, bb, gb, leadB, trailB, eB1, omegaB, coeffB, alpha2B, amB)
-		la, lb := a.settle(eA0, eA1, loops+1), b.settle(eB0, eB1, loops+1)
-		if la == 0 && lb == 0 {
-			continue
-		}
-		if la == 0 {
-			la = sa.gsorScalar(a.b, a.u, a.g, omegaA, loops+2, nil)
-		}
-		if lb == 0 {
-			lb = sb.gsorScalar(b.b, b.u, b.g, omegaB, loops+2, nil)
-		}
-		return la, lb
-	}
-}
-
 // SolveScalar runs the full reference time loop (Lis. 6) and returns the
 // final u grid and the total GSOR sweep count.
 func (s *Solver) SolveScalar(c *perf.Counts) ([]float64, int) {
 	return s.solveOne(c, nil)
 }
 
-// lane is one solver's grids and omega adaptation in the shared time
-// loop: the solution u, the explicit half-step b, the obstacle g, g's
-// space factor h and, in a lane of a pair, the pipelined sweeps' spare
-// grid v, each J+1 points. u and v swap roles as a pair's sweeps settle.
-type lane struct {
-	s             *Solver
-	u, b, g, h, v []float64
-	omega         float64
-	oldloops      int
-	// total is the lane's GSOR sweep count over the solve.
-	total int
-}
-
-// pairGrids is the number of J+1-point grids a lane of a pair holds; a
-// lone lane needs one fewer, having no v.
-const pairGrids = 5
-
-// newLane carves a lane for s out of grids, which holds pairGrids*(s.J+1)
-// floats for a lane of a pair and (pairGrids-1)*(s.J+1) for a lone lane.
-func newLane(s *Solver, grids []float64) lane {
-	np := s.J + 1
-	l := lane{
-		s: s,
-		u: grids[:np:np], b: grids[np : 2*np : 2*np],
-		g: grids[2*np : 3*np : 3*np], h: grids[3*np : 4*np : 4*np],
+// initGrid tabulates the obstacle's space factor into h, h[j] =
+// spaceFactor(x_j), and sets u to the payoff at tau = 0.
+func (s *Solver) initGrid(u, h []float64) {
+	tf0 := s.timeFactor(0)
+	for j := range h {
+		h[j] = s.spaceFactor(s.x(j))
+		u[j] = tf0 * h[j]
 	}
-	if len(grids) >= pairGrids*np {
-		l.v = grids[4*np : 5*np : 5*np]
-	}
-	return l
 }
 
-// solveOne runs the time loop for s as a lone lane over freshly allocated
-// grids, with solveDone's sweeps; it returns the final u grid and the
-// total sweep count.
-func (s *Solver) solveOne(c *perf.Counts, sweeps gsorFunc) ([]float64, int) {
-	ls := [1]lane{newLane(s, make([]float64, (pairGrids-1)*(s.J+1)))}
-	solveDone(ls[:], c, nil, sweeps)
-	return ls[0].u, ls[0].total
-}
-
-// gsorFunc is a PSOR solve of one time step over a lane's grids; it
-// returns the step's sweep count.
+// gsorFunc is a PSOR solve of one time step over the grids; it returns
+// the step's sweep count.
 type gsorFunc func(b, u, g []float64, omega float64, c *perf.Counts) int
 
-// solveDone is the shared Lis. 6 driver over one lane or a pair of lanes
-// that share time steps (equal J and N): each lane's space factor and
-// initial grid, then per time step each lane's explicit step, the PSOR
-// solve and each lane's omega adaptation. A pair solves with gsorPair and
-// is uncounted. A lone lane solves with gsorScalar, or with sweeps when it
-// is non-nil (the wavefront variants). The cancellation channel is checked
-// before every time step (a nil done skips the checks entirely); false
-// means the loop was abandoned mid-solve.
-func solveDone(ls []lane, c *perf.Counts, done <-chan struct{}, sweeps gsorFunc) bool {
-	for i := range ls {
-		l := &ls[i]
-		s := l.s
-		tf0 := s.timeFactor(0)
-		for j := range l.h {
-			l.h[j] = s.spaceFactor(s.x(j))
-			l.u[j] = tf0 * l.h[j]
-		}
-		l.omega, l.oldloops, l.total = 1, 1<<30, 0
-	}
+// solveOne is the Lis. 6 driver over freshly allocated grids: the space
+// factor and initial grid, then per time step the explicit step, the PSOR
+// solve (gsorScalar, or sweeps when it is non-nil: the wavefront
+// variants) and the omega adaptation. It returns the final u grid and the
+// total sweep count.
+func (s *Solver) solveOne(c *perf.Counts, sweeps gsorFunc) ([]float64, int) {
+	np := s.J + 1
+	grids := make([]float64, 4*np)
+	u, b, g, h := grids[:np:np], grids[np:2*np:2*np], grids[2*np:3*np:3*np], grids[3*np:]
+	s.initGrid(u, h)
 	const domega = 0.05
-	var loops [2]int
-	for n := 1; n <= ls[0].s.N; n++ {
-		if done != nil {
-			select {
-			case <-done:
-				return false
-			default:
-			}
+	omega, oldloops, total := 1.0, 1<<30, 0
+	for n := 1; n <= s.N; n++ {
+		s.explicitStep(u, b, g, h, float64(n)*s.DTau, c)
+		var loops int
+		if sweeps != nil {
+			loops = sweeps(b, u, g, omega, c)
+		} else {
+			loops = s.gsorScalar(b, u, g, omega, c)
 		}
-		for i := range ls {
-			l := &ls[i]
-			l.s.explicitStep(l.u, l.b, l.g, l.h, float64(n)*l.s.DTau, c)
+		total += loops
+		if loops > oldloops && omega < 1.9 {
+			omega += domega
 		}
-		switch l := &ls[0]; {
-		case len(ls) == 2:
-			loops[0], loops[1] = gsorPair(l, &ls[1])
-		case sweeps != nil:
-			loops[0] = sweeps(l.b, l.u, l.g, l.omega, c)
-		default:
-			loops[0] = l.s.gsorScalar(l.b, l.u, l.g, l.omega, 0, c)
-		}
-		for i := range ls {
-			l := &ls[i]
-			l.total += loops[i]
-			if loops[i] > l.oldloops && l.omega < 1.9 {
-				l.omega += domega
-			}
-			l.oldloops = loops[i]
-		}
+		oldloops = loops
 	}
-	return true
+	return u, total
 }
 
 // Price recovers the option value at spot from the final grid:
@@ -480,34 +313,95 @@ type Put struct {
 	Price    float64
 }
 
-// PricePutsCtx prices puts on one jpoints x nsteps lattice two at a time:
-// a pair shares its time loop and runs both options' PSOR solves, two
-// sweeps of each in flight, in one j loop (gsorPair), and an odd last put
-// is solved alone by the reference sweeps (gsorScalar). Every puts[i].Price
-// is bit-identical to the put's reference solve (SolveScalar).
-// Cancellation is checked once per time step.
+// eliminate fills the Brennan–Schwartz elimination coefficients of the
+// implicit matrix (1 + alpha on the diagonal, -alpha/2 beside it) for a
+// grid of len(e) points: e[j] = (alpha/2)/d'_{j+1} and invd[j] = 1/d'_j at
+// every interior j, where eliminating the superdiagonal from the right
+// leaves the pivots d'_j = 1 + alpha - (alpha/2) e[j]. The right boundary
+// u_J is known, a row of pivot 1 coupled to nothing, so e[J-1] = alpha/2
+// carries it into the elimination and d'_{J-1} = 1 + alpha. They depend
+// on alpha and J alone.
+func eliminate(e, invd []float64, alpha float64) {
+	alpha2 := alpha / 2
+	jmax := len(e) - 1
+	if jmax < 2 {
+		return
+	}
+	d := 1 + alpha
+	e[jmax-1], invd[jmax-1] = alpha2, 1/d
+	for j := jmax - 2; j >= 1; j-- {
+		e[j] = alpha2 / d
+		d = 1 + alpha - float64(alpha2*e[j])
+		invd[j] = 1 / d
+	}
+}
+
+// directStep advances u one time step, to tau, by the Brennan–Schwartz
+// solve of the implicit half-step, with eliminate's coefficients e and
+// invd; r is scratch and h the tabulated space factor. The right-to-left
+// pass forms the explicit half-step b_j from the old u and eliminates,
+// r_j = b_j + e_j r_{j+1}, starting from the new right boundary; the
+// left-to-right pass substitutes from the new left boundary,
+// u_j = max(g_j, (r_j + (alpha/2) u_{j-1}) / d'_j), forming the obstacle
+// g_j = tf h_j as it goes. A European put skips the max, so the step is
+// the Thomas algorithm. Boundaries are explicitStep's. Each product that
+// feeds an add is rounded explicitly, so no architecture fuses it.
+func (s *Solver) directStep(u, r, h, e, invd []float64, tau float64) {
+	alpha1, alpha2 := 1-s.Alpha, s.Alpha/2
+	tf := s.timeFactor(tau)
+	jmax, american := s.J, s.American
+	u, r, h, e, invd = u[:jmax+1], r[:jmax], h[:jmax+1], e[:jmax], invd[:jmax]
+	left := s.euroLeftBC(tau)
+	if american {
+		left = tf * h[0]
+	}
+	right := tf * h[jmax]
+	rn := right
+	for j := jmax - 1; j >= 1; j-- {
+		b := float64(alpha1*u[j]) + float64(alpha2*(u[j+1]+u[j-1]))
+		rn = b + float64(e[j]*rn)
+		r[j] = rn
+	}
+	um1 := left
+	for j := 1; j < jmax; j++ {
+		v := (r[j] + float64(alpha2*um1)) * invd[j]
+		if american {
+			if g := tf * h[j]; g > v {
+				v = g
+			}
+		}
+		u[j] = v
+		um1 = v
+	}
+	u[0], u[jmax] = left, right
+}
+
+// PricePutsCtx prices puts on one jpoints x nsteps lattice, one after
+// another, each time step by directStep's exact projected solve; the
+// elimination coefficients are computed once for all of them. A put's
+// price does not depend on the other puts of the call, so each equals its
+// lone call's bit for bit. Cancellation is checked once per time step.
 func PricePutsCtx(cx context.Context, puts []Put, jpoints, nsteps int, mkt workload.MarketParams) error {
 	np := jpoints + 1
-	stride := (pairGrids - 1) * np // a lone put's lane has no v
-	if len(puts) > 1 {
-		stride = pairGrids * np
-	}
-	grids := make([]float64, min(len(puts), 2)*stride)
-	var ss [2]Solver
-	var ls [2]lane
-	for i := 0; i < len(puts); i += 2 {
-		pair := puts[i:min(i+2, len(puts))]
-		for k, p := range pair {
-			ss[k] = *NewSolver(p.T, jpoints, nsteps, mkt)
-			ss[k].American = p.American
-			ls[k] = newLane(&ss[k], grids[k*stride:(k+1)*stride])
+	grids := make([]float64, 5*np)
+	e, invd := grids[:np:np], grids[np:2*np:2*np]
+	u, r, h := grids[2*np:3*np:3*np], grids[3*np:4*np:4*np], grids[4*np:]
+	eliminate(e, invd, DefaultAlpha)
+	done := cx.Done()
+	for i := range puts {
+		p := &puts[i]
+		s := *NewSolver(p.T, jpoints, nsteps, mkt)
+		s.American = p.American
+		s.initGrid(u, h)
+		for n := 1; n <= s.N; n++ {
+			select {
+			case <-done:
+				return cx.Err()
+			default:
+			}
+			s.directStep(u, r, h, e, invd, float64(n)*s.DTau)
 		}
-		if !solveDone(ls[:len(pair)], nil, cx.Done(), nil) {
-			return cx.Err()
-		}
-		for k := range pair {
-			pair[k].Price = ss[k].Price(ls[k].u, pair[k].Spot, pair[k].Strike)
-		}
+		p.Price = s.Price(u, p.Spot, p.Strike)
 	}
 	return nil
 }

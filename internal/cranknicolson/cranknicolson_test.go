@@ -72,16 +72,17 @@ func TestAmericanDominance(t *testing.T) {
 	}
 }
 
-// A cancelled context stops a pair within one time step. With 2^31-1 time
-// steps an unpolled solve would run for days, so returning at all shows
-// the per-step check; a context cancelled before the first step never
-// starts, and one cancelled mid-solve returns promptly.
-func TestPricePutsCancelStopsPair(t *testing.T) {
+// A cancelled context stops a solve within one time step. With 2^31-1
+// time steps an unpolled solve would run for hours, so returning at all
+// shows the per-step check; a context cancelled before the first step
+// never starts, and one cancelled mid-solve returns promptly, whichever
+// put of the call it is on.
+func TestPricePutsCancelStops(t *testing.T) {
 	puts := []Put{{Spot: 100, Strike: 110, T: 1.5, American: true}, {Spot: 90, Strike: 100, T: 1}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := PricePutsCtx(ctx, puts, 64, math.MaxInt32, mkt); err != context.Canceled {
-		t.Fatalf("cancelled pair returned %v", err)
+		t.Fatalf("cancelled call returned %v", err)
 	}
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
@@ -91,12 +92,12 @@ func TestPricePutsCancelStopsPair(t *testing.T) {
 		cancel()
 	})
 	if err := PricePutsCtx(ctx, puts, 64, math.MaxInt32, mkt); err != context.Canceled {
-		t.Fatalf("pair cancelled mid-solve returned %v", err)
+		t.Fatalf("call cancelled mid-solve returned %v", err)
 	}
-	// One 64-point time step is microseconds; the bound only absorbs a
-	// descheduled test process.
+	// One 64-point time step is well under a microsecond; the bound only
+	// absorbs a descheduled test process.
 	if lag := time.Since(cancelled); lag > 2*time.Second {
-		t.Errorf("pair returned %v after its context was cancelled", lag)
+		t.Errorf("call returned %v after its context was cancelled", lag)
 	}
 }
 
@@ -242,9 +243,8 @@ func BenchmarkScalar256x200(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveScalar is one lone lane at the served size (an American
-// put on 256 points x 1000 steps): the path gsorPair's shared relax must
-// not slow down.
+// BenchmarkSolveScalar is the reference PSOR solve of one American put at
+// the served size (256 points x 1000 steps), the Fig. 8 basic rung.
 func BenchmarkSolveScalar(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSolver(1.5, 256, 1000, mkt)
@@ -253,7 +253,7 @@ func BenchmarkSolveScalar(b *testing.B) {
 }
 
 // BenchmarkPricePuts4 prices four American puts at the served size, the
-// Crank-Nicolson request heavy_mix sends: two pairs.
+// Crank-Nicolson request heavy_mix sends.
 func BenchmarkPricePuts4(b *testing.B) {
 	puts := make([]Put, 4)
 	for i := 0; i < b.N; i++ {
@@ -317,7 +317,7 @@ func TestConvergedStopRule(t *testing.T) {
 // its first sweep, or on its first block of width sweeps in the
 // wavefront forms, even with a threshold no finite sweep meets (Eps < 0
 // alone would run each step to the 10,001-sweep cap): the stop rule's
-// NaN case, end to end, on every lone-lane rung.
+// NaN case, end to end, on every PSOR rung.
 func TestNaNLatticeStopsEachStep(t *testing.T) {
 	nan := workload.MarketParams{R: 0.05, Sigma: math.NaN()}
 	for _, tc := range []struct {

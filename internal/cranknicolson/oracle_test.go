@@ -1,16 +1,20 @@
 package cranknicolson
 
-// Oracle for the time loop: the reference listing calls u_payoff — three
-// exponentials — at every grid point of every time step (Lis. 6), spells
-// out the projected relaxation of Lis. 7 point by point, and solves one
-// option at a time, one sweep after another. That form is kept here as
-// test helpers; the solver tabulates the separable obstacle instead and
-// the served path runs two sweeps of each of two options in one loop, and
-// every grid value, sweep count and price must equal the listing's bit
-// for bit, for each of the variants that share the driver, for both lanes
-// of a pair and for a lone lane. Products that feed an add are rounded
-// explicitly, as in the solver, so the listing holds on architectures
-// that fuse multiply-adds.
+// Oracles for the two solves.
+//
+// The counted PSOR rungs (Fig. 8) against the reference listing, which
+// calls u_payoff — three exponentials — at every grid point of every time
+// step (Lis. 6), spells out the projected relaxation of Lis. 7 point by
+// point, and runs one sweep after another. That form is kept here as test
+// helpers; the solver tabulates the separable obstacle instead, and every
+// grid value, sweep count and price must equal the listing's bit for bit,
+// for each of the variants that share the driver.
+//
+// The served direct solve (PricePutsCtx) against PSOR driven to a
+// threshold far below NewSolver's default (psorEps), with a per-step
+// check of the discrete complementarity problem that goes through no
+// PSOR. Products that feed an add are rounded explicitly, as in the
+// solver, so the listing holds on architectures that fuse multiply-adds.
 
 import (
 	"context"
@@ -155,163 +159,141 @@ func TestSolveMatchesPerPointListing(t *testing.T) {
 	}
 }
 
-// listing is a lone solve by the reference listing: the final grid, the
-// total sweep count and each time step's sweep count.
-func listing(s *Solver) (u []float64, total int, steps []int) {
-	u, total = s.refSolve(func(b, u, g []float64, omega float64) int {
-		n := s.refGsorScalar(b, u, g, omega)
-		steps = append(steps, n)
-		return n
-	})
-	return u, total, steps
+// psorEps is the threshold the oracle PSOR runs to: at NewSolver's default
+// 1e-14 a solve stops up to ~2e-4 in price short of the discrete
+// solution, at 1e-26 the update has reached the rounding floor of u.
+const psorEps = 1e-26
+
+// directBound is how far, relative to the strike, a PricePutsCtx price
+// may lie from the PSOR oracle's. On heavy_mix's contracts the two agree
+// to 4.3e-11 in price at strike 100.
+const directBound = 1e-11
+
+// psorPrice prices p by the reference PSOR solve (SolveScalar) at psorEps.
+func psorPrice(p Put, jpoints, nsteps int) float64 {
+	s := NewSolver(p.T, jpoints, nsteps, mkt)
+	s.American, s.Eps = p.American, psorEps
+	u, _ := s.SolveScalar(nil)
+	return s.Price(u, p.Spot, p.Strike)
 }
 
-// sameAsListing fails t unless a lane's final grid and sweep total equal
-// the listing's bit for bit.
-func sameAsListing(t *testing.T, what string, l *lane, wu []float64, wtotal int) {
+// priced runs PricePutsCtx over a copy of puts and returns it.
+func priced(t testing.TB, puts []Put, jpoints, nsteps int) []Put {
 	t.Helper()
-	if l.total != wtotal {
-		t.Errorf("%s: %d sweeps, listing %d", what, l.total, wtotal)
+	got := append([]Put(nil), puts...)
+	if err := PricePutsCtx(context.Background(), got, jpoints, nsteps, mkt); err != nil {
+		t.Fatal(err)
 	}
-	for j := range wu {
-		if math.Float64bits(l.u[j]) != math.Float64bits(wu[j]) {
-			t.Fatalf("%s: u[%d] = %.17g, listing %.17g", what, j, l.u[j], wu[j])
-		}
+	return got
+}
+
+// nearPSOR fails t unless got lies within directBound of p's PSOR price.
+func nearPSOR(t testing.TB, what string, p Put, got float64, jpoints, nsteps int) {
+	t.Helper()
+	want := psorPrice(p, jpoints, nsteps)
+	if d := math.Abs(got - want); !(d <= directBound*p.Strike) {
+		t.Errorf("%s: %.17g, PSOR at Eps %g %.17g (off %.3g, bound %.3g)", what, got, psorEps, want, d, directBound*p.Strike)
 	}
 }
 
-// laneSpec is one lane of the pair edge grid: a put and the solver
-// settings that steer its PSOR solve.
-type laneSpec struct {
-	name string
-	put  Put
-	tune func(*Solver) // nil keeps NewSolver's settings
+// edgePuts are the edge grid's contracts, each priced American and
+// European: at the money, deep in and out of the money, a maturity
+// tending to zero and a long one.
+var edgePuts = []Put{
+	{Spot: 100, Strike: 100, T: 1},
+	{Spot: 100, Strike: 110, T: 1.5},
+	{Spot: 40, Strike: 100, T: 1},
+	{Spot: 250, Strike: 100, T: 1},
+	{Spot: 100, Strike: 100, T: 1e-6},
+	{Spot: 90, Strike: 100, T: 10},
 }
 
-func (ls laneSpec) solver(jpoints, nsteps int) *Solver {
-	s := NewSolver(ls.put.T, jpoints, nsteps, mkt)
-	s.American = ls.put.American
-	if ls.tune != nil {
-		ls.tune(s)
-	}
-	return s
-}
-
-// edgeSpecs are the edge grid's lanes. "capped" never meets its
-// threshold, so every time step runs to the 10,000-sweep cap.
-var edgeSpecs = []laneSpec{
-	{"amer-itm", Put{Spot: 100, Strike: 110, T: 1.5, American: true}, nil},
-	{"euro", Put{Spot: 90, Strike: 100, T: 1}, nil},
-	{"amer-short", Put{Spot: 100, Strike: 100, T: 0.01, American: true}, nil},
-	{"amer-otm", Put{Spot: 120, Strike: 100, T: 2, American: true}, nil},
-	{"euro-short", Put{Spot: 100, Strike: 95, T: 0.25}, nil},
-	{"capped", Put{Spot: 100, Strike: 110, T: 1.5, American: true}, func(s *Solver) { s.Eps = -1 }},
-}
-
-// steps is the lane's time-step count in the edge grid; a pair runs the
-// smaller of its lanes' counts. Every lane runs 300 steps but the capped
-// one, each of whose steps runs 10,001 sweeps: it runs 2, and 1 under the
-// race detector, which slows this single-goroutine test about tenfold.
-func (ls laneSpec) steps() int {
-	switch {
-	case ls.name == "capped" && raceEnabled:
-		return 1
-	case ls.name == "capped":
-		return 2
-	}
-	return 300
-}
-
-// Each lane of a pair, and each lone lane, must equal its option's
-// listing bit for bit: grid, sweep count and price. The edge grid runs
-// every ordered pair of edgeSpecs (American/European mixes, maturities far
-// apart, a lane capped at 10,001 sweeps) at grid sizes
-// that leave the pipelined sweeps only their prologue and epilogue
-// (J = 1, 2), a main loop of one or two points (J = 3, 4) or a long one.
-// Over the grid, lanes must settle on the first and on the second
-// sweep of a pair, finish steps in the shared loop while the other lane
-// goes on alone and hit the sweep cap; the test fails if any of these
-// goes uncovered.
-func TestPairMatchesListing(t *testing.T) {
-	covered := map[string]bool{}
-	// settled records how a lane that needed n sweeps ended a time step in
-	// which its partner needed m.
-	settled := func(n, m int) {
-		if (n+1)/2 > (m+1)/2 {
-			covered["finished alone"] = true
-			return
-		}
-		if n%2 == 1 {
-			covered["settled on the first sweep"] = true
-		} else {
-			covered["settled on the second sweep"] = true
-		}
-		if n == 10001 {
-			covered["sweep cap"] = true
-		}
-	}
+// Every PricePutsCtx price lies within directBound of PSOR at psorEps,
+// over grids that leave no interior point (J = 1), one or a few (J = 2,
+// 3, 4) or many, from one time step to a thousand.
+func TestDirectMatchesPSOR(t *testing.T) {
 	for _, jpoints := range []int{1, 2, 3, 4, 16, 255, 256} {
-		for _, sa := range edgeSpecs {
-			for _, sb := range edgeSpecs {
-				nsteps := min(sa.steps(), sb.steps())
-				specs := [2]laneSpec{sa, sb}
-				var ls [2]lane
-				var steps [2][]int
-				for k, sp := range specs {
-					ls[k] = newLane(sp.solver(jpoints, nsteps), make([]float64, pairGrids*(jpoints+1)))
+		for _, nsteps := range []int{1, 2, 1000} {
+			for _, american := range []bool{true, false} {
+				puts := append([]Put(nil), edgePuts...)
+				for i := range puts {
+					puts[i].American = american
 				}
-				if !solveDone(ls[:], nil, nil, nil) {
-					t.Fatal("uncancellable pair abandoned")
+				for i, p := range priced(t, puts, jpoints, nsteps) {
+					nearPSOR(t, fmt.Sprintf("J=%d N=%d put %+v", jpoints, nsteps, puts[i]), puts[i], p.Price, jpoints, nsteps)
 				}
-				for k, sp := range specs {
-					ref := sp.solver(jpoints, nsteps)
-					wu, wtotal, wsteps := listing(ref)
-					steps[k] = wsteps
-					what := fmt.Sprintf("J=%d N=%d pair (%s, %s) lane %d", jpoints, nsteps, sa.name, sb.name, k)
-					sameAsListing(t, what, &ls[k], wu, wtotal)
-					if gp, wp := ls[k].s.Price(ls[k].u, sp.put.Spot, sp.put.Strike), ref.Price(wu, sp.put.Spot, sp.put.Strike); math.Float64bits(gp) != math.Float64bits(wp) {
-						t.Errorf("%s: price %.17g, listing %.17g", what, gp, wp)
+			}
+		}
+	}
+}
+
+// Each time step of the direct solve is the exact solution of the
+// discrete complementarity problem of the implicit half-step, checked at
+// every interior point with no PSOR: with b the explicit half-step of
+// the old grid (explicitStep's, which also gives the obstacle g and the
+// new boundaries) and w = (1+alpha) u_j - (alpha/2)(u_{j-1} + u_{j+1}) - b_j,
+// an American put has u >= g, w >= 0 and (u - g) w = 0, and a European
+// one w = 0, each to rounding.
+func TestDirectStepSolvesLCP(t *testing.T) {
+	for _, p := range edgePuts {
+		for _, american := range []bool{true, false} {
+			s := NewSolver(p.T, 24, 60, mkt)
+			s.American = american
+			np := s.J + 1
+			e, invd := make([]float64, np), make([]float64, np)
+			u, r, h := make([]float64, np), make([]float64, np), make([]float64, np)
+			old, b, g := make([]float64, np), make([]float64, np), make([]float64, np)
+			eliminate(e, invd, s.Alpha)
+			s.initGrid(u, h)
+			alpha2 := s.Alpha / 2
+			for n := 1; n <= s.N; n++ {
+				tau := float64(n) * s.DTau
+				copy(old, u)
+				s.explicitStep(old, b, g, h, tau, nil)
+				s.directStep(u, r, h, e, invd, tau)
+				if u[0] != old[0] || u[s.J] != old[s.J] {
+					t.Fatalf("%+v american=%v step %d: boundaries %g, %g, want %g, %g", p, american, n, u[0], u[s.J], old[0], old[s.J])
+				}
+				// Rounding in u, whose entries are at most about the obstacle's
+				// time factor.
+				tol := 1e-13 * s.timeFactor(tau)
+				for j := 1; j < s.J; j++ {
+					w := float64((1+s.Alpha)*u[j]) - float64(alpha2*(u[j-1]+u[j+1])) - b[j]
+					what := fmt.Sprintf("%+v american=%v step %d point %d", p, american, n, j)
+					switch {
+					case !american && math.Abs(w) > tol:
+						t.Fatalf("%s: residual %g", what, w)
+					case american && u[j] < g[j]:
+						t.Fatalf("%s: u %.17g below the obstacle %.17g", what, u[j], g[j])
+					case american && w < -tol:
+						t.Fatalf("%s: residual %g < 0", what, w)
+					case american && math.Abs((u[j]-g[j])*w) > tol*tol+tol*math.Abs(u[j]-g[j]):
+						t.Fatalf("%s: (u - g) w = %g with u - g = %g, w = %g", what, (u[j]-g[j])*w, u[j]-g[j], w)
 					}
 				}
-				for n := range steps[0] {
-					settled(steps[0][n], steps[1][n])
-					settled(steps[1][n], steps[0][n])
+			}
+		}
+	}
+}
+
+// On grids with no interior point or a few, every put of a 1- to 3-put
+// call equals its lone call bit for bit and the PSOR oracle to the bound.
+func TestPricePutsTinyGrids(t *testing.T) {
+	puts := []Put{
+		{Spot: 100, Strike: 110, T: 1.5, American: true},
+		{Spot: 90, Strike: 100, T: 1},
+		{Spot: 120, Strike: 100, T: 0.25, American: true},
+	}
+	for _, jpoints := range []int{1, 2, 3} {
+		for _, nsteps := range []int{1, 2} {
+			for n := 1; n <= len(puts); n++ {
+				for i, p := range priced(t, puts[:n], jpoints, nsteps) {
+					what := fmt.Sprintf("J=%d N=%d %d puts, put %d", jpoints, nsteps, n, i)
+					if lone := priced(t, puts[i:i+1], jpoints, nsteps)[0].Price; math.Float64bits(p.Price) != math.Float64bits(lone) {
+						t.Errorf("%s: %.17g, alone %.17g", what, p.Price, lone)
+					}
+					nearPSOR(t, what, puts[i], p.Price, jpoints, nsteps)
 				}
-			}
-		}
-		// A lone lane (an odd last put) runs the reference sweeps from the
-		// start of every time step.
-		for _, sp := range edgeSpecs {
-			nsteps := sp.steps()
-			ls := [1]lane{newLane(sp.solver(jpoints, nsteps), make([]float64, (pairGrids-1)*(jpoints+1)))}
-			if !solveDone(ls[:], nil, nil, nil) {
-				t.Fatal("uncancellable lane abandoned")
-			}
-			wu, wtotal, _ := listing(sp.solver(jpoints, nsteps))
-			sameAsListing(t, fmt.Sprintf("J=%d N=%d lone %s", jpoints, nsteps, sp.name), &ls[0], wu, wtotal)
-		}
-	}
-	for _, c := range []string{"settled on the first sweep", "settled on the second sweep", "finished alone", "sweep cap"} {
-		if !covered[c] {
-			t.Errorf("edge grid never had a lane that %s", c)
-		}
-	}
-	// PricePutsCtx pairs puts in order, the odd last one alone.
-	puts := make([]Put, 0, len(edgeSpecs))
-	for _, sp := range edgeSpecs[:5] {
-		puts = append(puts, sp.put)
-	}
-	for n := 1; n <= len(puts); n++ {
-		got := append([]Put(nil), puts[:n]...)
-		if err := PricePutsCtx(context.Background(), got, 64, 200, mkt); err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range got {
-			ref := NewSolver(p.T, 64, 200, mkt)
-			ref.American = p.American
-			wu, _, _ := listing(ref)
-			if want := ref.Price(wu, p.Spot, p.Strike); math.Float64bits(p.Price) != math.Float64bits(want) {
-				t.Errorf("%d puts, put %d: %.17g, listing %.17g", n, i, p.Price, want)
 			}
 		}
 	}
@@ -326,10 +308,9 @@ func fuzzSizes() (maxJ, maxN int) {
 	return 64, 200
 }
 
-// FuzzPricePutsOracle solves two puts of different maturities as a pair
-// and each alone, on a small lattice, and requires every lane's grid,
-// sweep count and price to equal its listing bit for bit; PricePutsCtx
-// over the two must give the same prices.
+// FuzzPricePutsOracle prices two puts of different maturities in one call
+// on a small lattice and requires each price to equal the put's lone call
+// bit for bit and to lie within directBound of the PSOR oracle.
 func FuzzPricePutsOracle(f *testing.F) {
 	f.Add(100.0, 110.0, 1.5, 90.0, 100.0, 1.0, uint8(1), uint8(16), uint8(40))
 	f.Add(100.0, 100.0, 0.01, 120.0, 100.0, 2.0, uint8(3), uint8(0), uint8(1))
@@ -339,7 +320,7 @@ func FuzzPricePutsOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s1, k1, t1, s2, k2, t2 float64, american, j, n uint8) {
 		maxJ, maxN := fuzzSizes()
 		jpoints, nsteps := 1+int(j)%maxJ, 1+int(n)%maxN
-		puts := [2]Put{
+		puts := []Put{
 			{Spot: s1, Strike: k1, T: t1, American: american&1 != 0},
 			{Spot: s2, Strike: k2, T: t2, American: american&2 != 0},
 		}
@@ -348,36 +329,12 @@ func FuzzPricePutsOracle(f *testing.F) {
 				t.Skip("outside the served contract ranges")
 			}
 		}
-		solver := func(p Put) *Solver {
-			s := NewSolver(p.T, jpoints, nsteps, mkt)
-			s.American = p.American
-			return s
-		}
-		var pair, lone [2]lane
-		for k, p := range puts {
-			pair[k] = newLane(solver(p), make([]float64, pairGrids*(jpoints+1)))
-			lone[k] = newLane(solver(p), make([]float64, (pairGrids-1)*(jpoints+1)))
-		}
-		solveDone(pair[:], nil, nil, nil)
-		got := puts
-		if err := PricePutsCtx(context.Background(), got[:], jpoints, nsteps, mkt); err != nil {
-			t.Fatal(err)
-		}
-		for k, p := range puts {
-			solveDone(lone[k:k+1], nil, nil, nil)
-			ref := solver(p)
-			wu, wtotal, _ := listing(ref)
-			want := ref.Price(wu, p.Spot, p.Strike)
-			for _, l := range []*lane{&pair[k], &lone[k]} {
-				what := fmt.Sprintf("J=%d N=%d put %d %+v", jpoints, nsteps, k, p)
-				sameAsListing(t, what, l, wu, wtotal)
-				if gp := l.s.Price(l.u, p.Spot, p.Strike); math.Float64bits(gp) != math.Float64bits(want) {
-					t.Errorf("%s: price %.17g, listing %.17g", what, gp, want)
-				}
+		for k, p := range priced(t, puts, jpoints, nsteps) {
+			what := fmt.Sprintf("J=%d N=%d put %d %+v", jpoints, nsteps, k, puts[k])
+			if lone := priced(t, puts[k:k+1], jpoints, nsteps)[0].Price; math.Float64bits(p.Price) != math.Float64bits(lone) {
+				t.Errorf("%s: %.17g in the call, %.17g alone", what, p.Price, lone)
 			}
-			if math.Float64bits(got[k].Price) != math.Float64bits(want) {
-				t.Errorf("J=%d N=%d put %d %+v: PricePutsCtx %.17g, listing %.17g", jpoints, nsteps, k, p, got[k].Price, want)
-			}
+			nearPSOR(t, what, puts[k], p.Price, jpoints, nsteps)
 		}
 	})
 }

@@ -3,6 +3,6 @@
 package cranknicolson
 
 // raceEnabled reports that this test binary was built with the race
-// detector, under which the pair edge grid's capped lane and the fuzz
-// target shrink to stay within the race run's budget.
+// detector, under which the fuzz target's lattice shrinks to stay within
+// the race run's budget.
 const raceEnabled = true

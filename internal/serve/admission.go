@@ -20,7 +20,8 @@ import (
 // method and resolved config. Units are scaled so one closed-form option
 // costs ~1; the heavy methods' weights come from their operation counts
 // (a 1024-step tree touches ~steps^2/2 nodes, a 256x1000 Crank-Nicolson
-// grid ~grid*steps PSOR updates, Monte Carlo ~paths exp evaluations).
+// grid ~grid*steps point updates of its two-pass direct solve, Monte
+// Carlo ~paths exp evaluations).
 func unitCost(method finbench.Method, cfg finbench.Config, n int) int64 {
 	var per int64
 	switch method {

@@ -445,10 +445,10 @@ func TestPriceCapsTimeSteps(t *testing.T) {
 }
 
 // grid_points 1 to 3 are accepted (only the upper bound is capped). At
-// J = 1 and 2 the served solver's pipelined sweeps have no main loop, only
-// their prologue and epilogue. Every put, paired or alone, must answer 200
-// bit-equal to the reference solve, which the cranknicolson oracle pins
-// to the per-point listing.
+// J = 1 the served solver has no interior point to eliminate, at J = 2 and
+// 3 one or two. Every put of a 1- to 3-put request must answer 200
+// bit-equal to its lone solve, which the cranknicolson oracle holds to
+// PSOR at a tight threshold.
 func TestPriceCrankNicolsonTinyGrids(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	mkt := workload.MarketParams{R: s.cfg.Market.Rate, Sigma: s.cfg.Market.Volatility}
@@ -467,11 +467,12 @@ func TestPriceCrankNicolsonTinyGrids(t *testing.T) {
 				}
 				pr := decodePrice(t, body)
 				for i, o := range req.Options {
-					sv := cranknicolson.NewSolver(o.Expiry, jpoints, nsteps, mkt)
-					sv.American = o.Style == "american"
-					u, _ := sv.SolveScalar(nil)
-					if got, want := pr.Results[i].Price, sv.Price(u, o.Spot, o.Strike); math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("J=%d N=%d %d puts, put %d: %.17g, reference %.17g", jpoints, nsteps, n, i, got, want)
+					lone := []cranknicolson.Put{{Spot: o.Spot, Strike: o.Strike, T: o.Expiry, American: o.Style == "american"}}
+					if err := cranknicolson.PricePutsCtx(context.Background(), lone, jpoints, nsteps, mkt); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := pr.Results[i].Price, lone[0].Price; math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("J=%d N=%d %d puts, put %d: %.17g, lone solve %.17g", jpoints, nsteps, n, i, got, want)
 					}
 				}
 			}

@@ -52,7 +52,7 @@ go build ./...
 # No fused multiply-add on arm64 in the 17 functions written with
 # explicit roundings (the served Monte Carlo path, mathx.Exp/Log, the
 # American-put lattice walks and the served Crank-Nicolson solve in
-# cmd/finserve; the Fig. 8 wavefront PSOR in cmd/finbench; the list is
+# cmd/finserve; the Fig. 8 PSOR rungs in cmd/finbench; the list is
 # GUARDED in scripts/fusion_guard.sh): cross-compiled, counted in go tool
 # objdump, no emulator needed.
 echo "==> arm64 fusion guard"
@@ -128,8 +128,8 @@ else
 	# quantile), montecarlo's FuzzPathSumsOracle (pathSums against its
 	# listing), binomial's FuzzAmericanPutOracle (the lattice walks'
 	# live window against the per-node listings) and cranknicolson's
-	# FuzzPricePutsOracle (the pipelined PSOR sweeps, paired and alone,
-	# against the per-point listing).
+	# FuzzPricePutsOracle (the direct Crank-Nicolson solve against PSOR at
+	# a tight threshold, each put of a call against its lone call).
 	echo "==> fuzz seed corpora"
 	go test -run='^Fuzz' -count=1 -timeout 10m \
 		./internal/mathx ./internal/montecarlo ./internal/binomial ./internal/cranknicolson \

@@ -15,17 +15,18 @@
 # American-put lattice walks (the binomial ladder, tiled two-level kernel
 # and walk, into which the single-level kernel inlines; the trinomial put,
 # ladder and level loop in one function); and the served Crank-Nicolson
-# solve (the pipelined PSOR body of a pair with its prologue and
-# epilogue, the scalar sweeps that finish a lone lane, the explicit
-# half-step, the time-loop driver and the price recovery, into which
-# relax, the PSOR coefficients and the grid coordinate inline). From
-# cmd/finbench, which alone links it, the wavefront PSOR of the Fig. 8
-# model rows is guarded too: its scalar triangles must round as the
-# reference sweeps do. Before their roundings were made explicit,
-# arm64 fused 15 multiply-adds in mathx.Exp, 8 in mathx.Log, 3 in
-# reduceTwoLevels, 1 in the binomial walk, 1 in its ladder, 3 in the
-# trinomial put, 21 in the served Crank-Nicolson solve (10 of them in the
-# paired sweep) and 1 in the wavefront PSOR's triangle error sum. Go
+# solve (the Brennan-Schwartz time step, its elimination coefficients,
+# the time-loop driver and the price recovery, into which the grid
+# coordinate and the initial grid inline). From cmd/finbench, which alone
+# links them, the PSOR rungs of the Fig. 8 model rows are guarded too:
+# the scalar sweeps, the explicit half-step and their driver, into which
+# relax and the PSOR coefficients inline, and the wavefront PSOR, whose
+# scalar triangles must round as the reference sweeps do. Before their
+# roundings were made explicit, arm64 fused 15 multiply-adds in
+# mathx.Exp, 8 in mathx.Log, 3 in reduceTwoLevels, 1 in the binomial
+# walk, 1 in its ladder, 3 in the trinomial put, 21 in the then-served
+# PSOR Crank-Nicolson solve (10 of them in a paired sweep since deleted)
+# and 1 in the wavefront PSOR's triangle error sum. Go
 # rewrites x*2 as x+x, so a doubled product fuses too
 # unless the product is rounded first. On amd64 the explicit roundings
 # change no instruction. The rest of the hot packages (blackscholes, the
@@ -42,11 +43,10 @@ GUARDED=(
 	'finserve:binomial.exerciseLadder$' 'finserve:binomial.americanPut$'
 	'finserve:binomial.walkAmericanPut$' 'finserve:binomial.reduceTwoLevels$'
 	'finserve:binomial.PriceAmericanPutTrinomialCtx$'
-	'finserve:cranknicolson.gsorPair$' 'finserve:cranknicolson.\(\*Solver\).gsorScalar$'
-	'finserve:cranknicolson.psorHead$' 'finserve:cranknicolson.psorTail$'
-	'finserve:cranknicolson.\(\*Solver\).explicitStep$' 'finserve:cranknicolson.solveDone$'
-	'finserve:cranknicolson.\(\*Solver\).Price$'
-	'finbench:cranknicolson.\(\*Solver\).gsorWavefront$'
+	'finserve:cranknicolson.\(\*Solver\).directStep$' 'finserve:cranknicolson.eliminate$'
+	'finserve:cranknicolson.PricePutsCtx$' 'finserve:cranknicolson.\(\*Solver\).Price$'
+	'finbench:cranknicolson.\(\*Solver\).gsorScalar$' 'finbench:cranknicolson.\(\*Solver\).explicitStep$'
+	'finbench:cranknicolson.\(\*Solver\).solveOne$' 'finbench:cranknicolson.\(\*Solver\).gsorWavefront$'
 )
 
 TMP="$(mktemp -d)"
