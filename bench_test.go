@@ -230,8 +230,11 @@ func BenchmarkBatchAPILevels(b *testing.B) {
 // and four heavy_mix-shaped ones per lattice (the x4 rows), four American
 // puts through Crank-Nicolson (one request; the mix-x4 row prices the
 // heavy_mix-shaped four), and Monte Carlo
-// requests of one and of four European calls (ns/op is per request; the
-// Monte Carlo x4 row shows the normals being generated once).
+// requests of one and of four European calls (ns/op is per request). The
+// Monte Carlo x1 and x4 rows repeat one seed, as heavy_mix does, so all
+// but their first request read the normals from the store; the x4-cold
+// row draws a seed no earlier request used, so every request generates
+// its normals (once for its four options) and stores them.
 func BenchmarkPriceHeavy(b *testing.B) {
 	mkt := finbench.Market{Rate: 0.02, Volatility: 0.3}
 	put := finbench.Option{Type: finbench.Put, Style: finbench.American, Spot: 100, Strike: 110, Expiry: 1.5}
@@ -279,6 +282,16 @@ func BenchmarkPriceHeavy(b *testing.B) {
 			}
 		})
 	}
+	seed := uint64(1 << 40) // above every seed another row or test uses
+	b.Run("monte-carlo-x4-cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			seed++
+			if _, err := finbench.PriceRequestCtx(context.Background(), calls, mkt, finbench.MonteCarlo, &finbench.Config{Seed: seed}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestModelExperiments regenerates every modelled table/figure at reduced

@@ -221,7 +221,8 @@ func priceMonteCarlo(ctx context.Context, opts []Option, m Market, c Config, out
 	for i, o := range opts {
 		price := b.Price[i]
 		if o.Type == Put {
-			price = price - o.Spot + o.Strike*discount(m, o.Expiry)
+			// Rounded before the add so that no architecture fuses it.
+			price = price - o.Spot + float64(o.Strike*discount(m, o.Expiry))
 		}
 		out[i] = Result{Price: price, StdErr: b.StdErr[i], Method: MonteCarlo}
 	}

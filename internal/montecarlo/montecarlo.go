@@ -17,7 +17,10 @@
 // Variants: RefScalar (the naive loop), Vectorized (inner-loop SIMD with
 // lane accumulators and unrolling — the paper reaches peak with basic
 // pragmas here). Those run on the software vector ISA to record op mixes;
-// SharedStreamCtx is the host path finbench.Price and the server run.
+// SharedStreamCtx is the host path finbench.Price and the server run. It
+// is the stream mode across requests as well: the normals it draws are
+// kept in a process-wide store bounded at 16 MiB (store.go) and read back
+// by later requests with the same seed, bit for bit as if drawn again.
 package montecarlo // finlint:hot — allocation-free loops enforced by internal/lint
 
 import (
@@ -40,11 +43,13 @@ type Result struct {
 	StdErr float64
 }
 
-// estimate converts payoff accumulators into a discounted estimate.
+// estimate converts payoff accumulators into a discounted estimate. The
+// square of the mean is rounded before the subtraction so that no
+// architecture fuses the two.
 func estimate(v0, v1 float64, npath int, t float64, mkt workload.MarketParams) Result {
 	n := float64(npath)
 	mean := v0 / n
-	variance := v1/n - mean*mean
+	variance := v1/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}
@@ -226,42 +231,58 @@ const (
 // generated once and every option's path loop runs over it (the paper's
 // stream mode, Sec. IV-D1: "the same set of numbers is used for all
 // options"), so a k-option request pays for npath normals, not k*npath.
-// It is serial and its results depend only on (option, npath, seed, mkt):
-// never on k, the worker count, or the other options. cx is checked once
-// per chunk; on a non-nil return the outputs are partial and must be
-// discarded.
+// The normals are also kept across requests: they are read from the
+// process-wide store when it holds npath of them for seed, and otherwise
+// generated, priced chunk by chunk as they are drawn, and stored once the
+// last chunk is priced (a stream longer than the store's per-entry cap is
+// drawn into one reused chunk and not stored). It is serial and its
+// results depend only on (option, npath, seed, mkt): never on k, the
+// worker count, the other options or what the store holds. cx is checked
+// once per chunk; on a non-nil return the outputs are partial and must be
+// discarded, and nothing is stored.
 func SharedStreamCtx(cx context.Context, s *workload.MCBatch, npath int, seed uint64, mkt workload.MarketParams) error {
-	done := cx.Done()
 	n := len(s.S)
-	stream := rng.NewStream(0, seed)
-	// One allocation for the chunk of normals and pathSums' index scratch,
+	// One allocation for a chunk of normals and pathSums' index scratch,
 	// which every chunk overwrites without zeroing.
 	scratch := new(struct {
 		z    [RNGChunk]float64
 		kept [RNGChunk]int32
 	})
+	// z holds the request's normals: stored ones, or a fresh slice the
+	// stream draws into for the store. It is nil when npath is over the
+	// store's cap, and each chunk is then drawn into scratch.z.
+	var stream *rng.Stream // nil when the normals come from the store
+	z := streams.get(seed, npath)
+	if z == nil {
+		stream = rng.NewStream(0, seed)
+		if npath <= streams.maxPaths() {
+			z = make([]float64, npath)
+		}
+	}
 	// sums[2i] and sums[2i+1] are option i's payoff sum and sum of squares.
 	sums := make([]float64, 2*n)
-	for remaining := npath; remaining > 0; {
-		if done != nil {
-			select {
-			case <-done:
-				return cx.Err()
-			default:
-			}
+	for off := 0; off < npath; off += RNGChunk {
+		select {
+		case <-cx.Done():
+			return cx.Err()
+		default:
 		}
-		m := RNGChunk
-		if m > remaining {
-			m = remaining
+		m := min(RNGChunk, npath-off)
+		c := scratch.z[:m]
+		if z != nil {
+			c = z[off : off+m]
 		}
-		z := scratch.z[:m]
-		stream.NormalICDF(z)
+		if stream != nil {
+			stream.NormalICDF(c)
+		}
 		for i := 0; i < n; i++ {
-			a0, a1 := pathSums(s.S[i], s.X[i], s.T[i], z, scratch.kept[:], mkt)
+			a0, a1 := pathSums(s.S[i], s.X[i], s.T[i], c, scratch.kept[:], mkt)
 			sums[2*i] += a0
 			sums[2*i+1] += a1
 		}
-		remaining -= m
+	}
+	if stream != nil {
+		streams.put(seed, z)
 	}
 	for i := 0; i < n; i++ {
 		res := estimate(sums[2*i], sums[2*i+1], npath, s.T[i], mkt)

@@ -4,14 +4,16 @@ package montecarlo
 // request exactly as the counted Table II kernel prices it alone —
 // VectorizedComputeRNG on a one-option batch at width 8, unroll 2,
 // i.e. on stream (0, seed) through the software vector ISA — whatever
-// else is in the request. And pathSums, which skips the exponential on
-// paths that provably pay +0, must equal the listing below, which prices
-// every path, bit for bit.
+// else is in the request and whatever the normal-stream store holds. And
+// pathSums, which skips the exponential on paths that provably pay +0,
+// must equal the listing below, which prices every path, bit for bit.
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"finbench/internal/mathx"
@@ -256,5 +258,243 @@ func TestSharedStreamStopsWithinOneChunk(t *testing.T) {
 	b := batch(3)
 	if err := SharedStreamCtx(ctx, b, 1<<30, 1, mkt); err != context.Canceled {
 		t.Fatalf("cancelled request returned %v", err)
+	}
+}
+
+// storeBatch holds the contracts of the store tests: at, in and out of the
+// money, and deep out of it.
+var storeBatch = workload.MCBatch{
+	S: []float64{100, 100, 100, 60},
+	X: []float64{100, 90, 110, 100},
+	T: []float64{1, 0.25, 2, 0.5},
+}
+
+// aloneKey names one option of storeBatch priced alone on stream (0, seed).
+type aloneKey struct {
+	opt, npath int
+	seed       uint64
+}
+
+// aloneOracle memoises the oracle: option opt of storeBatch priced by
+// VectorizedComputeRNG alone, on stream (0, seed).
+type aloneOracle map[aloneKey]Result
+
+func (o aloneOracle) want(opt, npath int, seed uint64) Result {
+	k := aloneKey{opt, npath, seed}
+	if r, ok := o[k]; ok {
+		return r
+	}
+	b := &workload.MCBatch{
+		S: storeBatch.S[opt : opt+1], X: storeBatch.X[opt : opt+1], T: storeBatch.T[opt : opt+1],
+		Price: make([]float64, 1), StdErr: make([]float64, 1),
+	}
+	VectorizedComputeRNG(b, npath, seed, mkt, 8, 2, nil)
+	o[k] = Result{b.Price[0], b.StdErr[0]}
+	return o[k]
+}
+
+// priceStore prices storeBatch's four options through SharedStreamCtx and
+// returns a description of the first option that differs from the oracle,
+// or "" if none does.
+func priceStore(o aloneOracle, npath int, seed uint64) string {
+	k := len(storeBatch.S)
+	b := &workload.MCBatch{
+		S: storeBatch.S, X: storeBatch.X, T: storeBatch.T,
+		Price: make([]float64, k), StdErr: make([]float64, k),
+	}
+	if err := SharedStreamCtx(context.Background(), b, npath, seed, mkt); err != nil {
+		return err.Error()
+	}
+	for i := 0; i < k; i++ {
+		w := o.want(i, npath, seed)
+		if math.Float64bits(b.Price[i]) != math.Float64bits(w.Price) || math.Float64bits(b.StdErr[i]) != math.Float64bits(w.StdErr) {
+			return fmt.Sprintf("npath %d seed %d option %d: %.17g ± %.17g, alone on the stream %.17g ± %.17g",
+				npath, seed, i, b.Price[i], b.StdErr[i], w.Price, w.StdErr)
+		}
+	}
+	return ""
+}
+
+// withStore gives the test an empty store of the given byte budget.
+func withStore(t *testing.T, budget int) *streamStore {
+	old := streams
+	streams = newStreamStore(budget)
+	t.Cleanup(func() { streams = old })
+	return streams
+}
+
+// storedLen is the length of seed's stored stream, 0 if none is stored.
+func (st *streamStore) storedLen(seed uint64) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if e, ok := st.bySeed[seed]; ok {
+		return len(e.Value.(*storedStream).z)
+	}
+	return 0
+}
+
+// budgetFor is the budget that holds n entries of npath normals exactly.
+func budgetFor(n, npath int) int { return n * (8*npath + entryOverhead) }
+
+// step prices storeBatch at (npath, seed) and then requires the stored
+// length of seed to be want.
+func step(t *testing.T, st *streamStore, o aloneOracle, npath int, seed uint64, want int) {
+	t.Helper()
+	if msg := priceStore(o, npath, seed); msg != "" {
+		t.Fatal(msg)
+	}
+	if got := st.storedLen(seed); got != want {
+		t.Fatalf("after npath %d seed %d: %d normals stored, want %d", npath, seed, got, want)
+	}
+}
+
+// A cold request stores its stream; warm ones read it.
+func TestStoreColdWarmWarm(t *testing.T) {
+	st := withStore(t, streamBudget)
+	o := aloneOracle{}
+	for i := 0; i < 3; i++ {
+		step(t, st, o, 5000, 11, 5000)
+	}
+}
+
+// Shorter requests are served by a prefix of the stored stream and leave
+// it in place; a longer one replaces it.
+func TestStorePrefixAndGrowth(t *testing.T) {
+	st := withStore(t, streamBudget)
+	o := aloneOracle{}
+	for _, npath := range []int{9000, 5000, 4096, 4095, 13, 1} {
+		step(t, st, o, npath, 12, 9000)
+	}
+	step(t, st, o, 9001, 12, 9001)
+	step(t, st, o, 4097, 12, 9001)
+}
+
+// The store evicts the least recently used seed; an evicted seed is
+// priced again from a fresh stream, bit for bit.
+func TestStoreEvictsLeastRecentlyUsed(t *testing.T) {
+	const npath = 1000
+	st := withStore(t, budgetFor(4, npath))
+	o := aloneOracle{}
+	for seed := uint64(1); seed <= 4; seed++ {
+		step(t, st, o, npath, seed, npath)
+	}
+	step(t, st, o, npath, 1, npath) // a hit: 2 is now the least recent
+	step(t, st, o, npath, 5, npath)
+	if st.storedLen(2) != 0 || st.storedLen(1) != npath {
+		t.Fatalf("stored lengths of seeds 1 and 2: %d, %d; want %d, 0", st.storedLen(1), st.storedLen(2), npath)
+	}
+	step(t, st, o, npath, 2, npath) // evicts 3
+	for seed, want := range map[uint64]int{1: npath, 3: 0, 4: npath, 5: npath} {
+		if got := st.storedLen(seed); got != want {
+			t.Errorf("seed %d: %d normals stored, want %d", seed, got, want)
+		}
+	}
+	if st.bytes > st.budget {
+		t.Errorf("store holds %d bytes over a budget of %d", st.bytes, st.budget)
+	}
+}
+
+// A stream longer than the per-entry cap is priced from one reused chunk
+// and stored neither whole nor in part.
+func TestStoreSkipsStreamsOverTheCap(t *testing.T) {
+	st := withStore(t, budgetFor(4, 1000))
+	if st.maxPaths() >= 5000 {
+		t.Fatalf("cap %d paths: 5000 is not above it", st.maxPaths())
+	}
+	o := aloneOracle{}
+	step(t, st, o, 5000, 13, 0)
+	step(t, st, o, 5000, 13, 0)
+	step(t, st, o, st.maxPaths(), 13, st.maxPaths())
+	step(t, st, o, 5000, 13, st.maxPaths())
+}
+
+// cancelAtPoll is cancelled from the k-th call of Done on, i.e. at the
+// k-th chunk SharedStreamCtx polls.
+type cancelAtPoll struct {
+	context.Context
+	k, polls int
+	ch       chan struct{}
+}
+
+func (c *cancelAtPoll) Done() <-chan struct{} {
+	if c.polls++; c.polls == c.k {
+		close(c.ch)
+	}
+	return c.ch
+}
+
+func (c *cancelAtPoll) Err() error {
+	select {
+	case <-c.ch:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// A generation cancelled mid-stream stores nothing, and the next request
+// for the seed prices from a fresh stream. Cancelling a hit leaves the
+// stored stream in place.
+func TestStoreCancelledGenerationStoresNothing(t *testing.T) {
+	st := withStore(t, streamBudget)
+	const npath = 3*RNGChunk + 100
+	b := batch(2)
+	ctx := &cancelAtPoll{Context: context.Background(), k: 3, ch: make(chan struct{})}
+	if err := SharedStreamCtx(ctx, b, npath, 14, mkt); err != context.Canceled {
+		t.Fatalf("cancelled at the third chunk: returned %v", err)
+	}
+	if ctx.polls != 3 {
+		t.Fatalf("stopped after %d polls, want 3", ctx.polls)
+	}
+	if n := st.storedLen(14); n != 0 {
+		t.Fatalf("a cancelled generation stored %d normals", n)
+	}
+	o := aloneOracle{}
+	step(t, st, o, npath, 14, npath)
+	ctx = &cancelAtPoll{Context: context.Background(), k: 2, ch: make(chan struct{})}
+	if err := SharedStreamCtx(ctx, b, npath, 14, mkt); err != context.Canceled {
+		t.Fatalf("cancelled hit at the second chunk: returned %v", err)
+	}
+	step(t, st, o, npath, 14, npath)
+}
+
+// Goroutines price the same and different seeds at once through a store
+// small enough to evict while others read; every result must still be
+// the oracle's. Run under -race, this checks that a stored stream is only
+// read once it is published.
+func TestRaceStoreConcurrentSeeds(t *testing.T) {
+	st := withStore(t, budgetFor(3, 2000))
+	npaths := []int{13, 700, 2000}
+	o := aloneOracle{}
+	for seed := uint64(1); seed <= 5; seed++ {
+		for _, npath := range npaths {
+			for i := range storeBatch.S {
+				o.want(i, npath, seed)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				// Goroutines of one parity share seeds; the others' differ.
+				seed := uint64((g%2+r)%5 + 1)
+				if msg := priceStore(o, npaths[(g+r)%len(npaths)], seed); msg != "" {
+					errs <- msg
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	if st.bytes > st.budget {
+		t.Errorf("store holds %d bytes over a budget of %d", st.bytes, st.budget)
 	}
 }

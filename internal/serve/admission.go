@@ -21,7 +21,11 @@ import (
 // costs ~1; the heavy methods' weights come from their operation counts
 // (a 1024-step tree touches ~steps^2/2 nodes, a 256x1000 Crank-Nicolson
 // grid ~grid*steps point updates of its two-pass direct solve, Monte
-// Carlo ~paths exp evaluations).
+// Carlo ~paths exp evaluations). The Monte Carlo weight still charges a
+// request as if it drew its normals, although one whose seed's stream
+// is already stored skips them: per option the exponentials remain, and
+// the weight waits for a retune from measured per-option server CPU
+// (ROADMAP item 4).
 func unitCost(method finbench.Method, cfg finbench.Config, n int) int64 {
 	var per int64
 	switch method {

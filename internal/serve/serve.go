@@ -33,7 +33,9 @@ import (
 
 // Config tunes the server. Zero values select the defaults.
 type Config struct {
-	// Market is the flat market every request prices against.
+	// Market is the flat market every request prices against (default
+	// rate 0.02, volatility 0.3; a Market with only its rate set takes
+	// the default volatility and keeps its rate).
 	Market finbench.Market
 
 	// MaxUnits bounds the in-flight work units (1 unit ~ one closed-form
@@ -72,11 +74,24 @@ type Config struct {
 	StreamWriteTimeout time.Duration
 }
 
-func (c Config) withDefaults() Config {
+// withMarketDefaults fills the unset fields of m from def. Zero marks a
+// field unset, but a zero rate is also a rate: an all-zero Market takes
+// def whole, and a Market with only its volatility unset takes def's
+// volatility and keeps its rate.
+func withMarketDefaults(m, def finbench.Market) finbench.Market {
 	// finlint:ignore floateq zero is the untouched-field sentinel, never a computed value
-	if c.Market.Volatility == 0 {
-		c.Market = finbench.Market{Rate: 0.02, Volatility: 0.3}
+	if m.Volatility == 0 {
+		// finlint:ignore floateq zero is the untouched-field sentinel, never a computed value
+		if m.Rate == 0 {
+			return def
+		}
+		m.Volatility = def.Volatility
 	}
+	return m
+}
+
+func (c Config) withDefaults() Config {
+	c.Market = withMarketDefaults(c.Market, finbench.Market{Rate: 0.02, Volatility: 0.3})
 	if c.MaxUnits <= 0 {
 		c.MaxUnits = 4 << 20
 	}
@@ -132,10 +147,7 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Stream != nil {
 		hcfg := *cfg.Stream
-		// finlint:ignore floateq zero is the untouched-field sentinel, never a computed value
-		if hcfg.Market.Volatility == 0 {
-			hcfg.Market = cfg.Market
-		}
+		hcfg.Market = withMarketDefaults(hcfg.Market, cfg.Market)
 		s.hub = stream.New(hcfg, nil)
 		s.hub.Start()
 	}
@@ -406,13 +418,17 @@ func fillInputs(spots, strikes, expiries []float64, req *PriceRequest) {
 
 // priceHeavy prices the request's options through finbench.PriceRequestCtx,
 // the cancellable host kernels: every result is bit-identical to a
-// per-option finbench.PriceCtx. A Monte Carlo request generates its
-// normal stream once for all of its options (each is priced as if alone
-// on stream (0, seed)); Crank-Nicolson options are solved two at a time,
-// two sweeps of each in flight in one loop; the trees are priced option
-// by option. These methods are never coalesced, split or retried: Monte
-// Carlo is one attempt on one stream, and the lattice kernels gain
-// nothing from batching across requests.
+// per-option finbench.PriceCtx. A Monte Carlo request prices all of its
+// options over one normal stream (each as if alone on stream (0, seed)),
+// read from the process-wide store of streams when an earlier request
+// with the same seed drew at least as many paths, and otherwise drawn
+// and stored for the next; the store holds inputs, never responses.
+// Crank-Nicolson puts are solved one after another, each time step by
+// the direct projected solve of Brennan & Schwartz, whose elimination
+// coefficients are computed once per request; the trees are priced
+// option by option. These methods are never coalesced, split or
+// retried: Monte Carlo is one attempt on one stream, and the lattice
+// kernels gain nothing from batching across requests.
 func (s *Server) priceHeavy(ctx context.Context, req *PriceRequest, method finbench.Method, cfg finbench.Config, resp *PriceResponse) error {
 	resp.Engine = "scalar"
 	opts := make([]finbench.Option, len(req.Options))

@@ -124,6 +124,43 @@ func TestPriceClosedFormBitMatchesLibrary(t *testing.T) {
 	verifyAgainstLibrary(t, s.cfg.Market, req, pr)
 }
 
+// Only the unset fields of Config.Market take defaults: a server given
+// just a rate prices at that rate and the default volatility.
+func TestMarketDefaultsOnlyUnsetFields(t *testing.T) {
+	def := finbench.Market{Rate: 0.02, Volatility: 0.3}
+	for _, tc := range []struct{ set, want finbench.Market }{
+		{finbench.Market{}, def},
+		{finbench.Market{Rate: 0.05}, finbench.Market{Rate: 0.05, Volatility: 0.3}},
+		{finbench.Market{Rate: -0.01}, finbench.Market{Rate: -0.01, Volatility: 0.3}},
+		{finbench.Market{Volatility: 0.2}, finbench.Market{Volatility: 0.2}},
+		{finbench.Market{Rate: 0.05, Volatility: 0.2}, finbench.Market{Rate: 0.05, Volatility: 0.2}},
+	} {
+		s, ts := newTestServer(t, Config{Market: tc.set})
+		if s.cfg.Market != tc.want {
+			t.Errorf("Market %+v: served at %+v, want %+v", tc.set, s.cfg.Market, tc.want)
+		}
+		req := &PriceRequest{Method: "binomial-tree", Options: []wire.Option{
+			{Type: "put", Style: "american", Spot: 100, Strike: 110, Expiry: 1.5},
+		}}
+		resp, body := postJSON(t, ts.URL+"/price", req)
+		if resp.StatusCode != 200 {
+			t.Fatalf("Market %+v: status %d: %s", tc.set, resp.StatusCode, body)
+		}
+		verifyAgainstLibrary(t, tc.want, req, decodePrice(t, body))
+	}
+	// The hub's Market takes its unset fields from the server's.
+	srv := finbench.Market{Rate: 0.05, Volatility: 0.25}
+	for _, tc := range []struct{ set, want finbench.Market }{
+		{finbench.Market{}, srv},
+		{finbench.Market{Rate: 0.01}, finbench.Market{Rate: 0.01, Volatility: 0.25}},
+		{finbench.Market{Volatility: 0.4}, finbench.Market{Volatility: 0.4}},
+	} {
+		if got := withMarketDefaults(tc.set, srv); got != tc.want {
+			t.Errorf("hub Market %+v under a server at %+v: %+v, want %+v", tc.set, srv, got, tc.want)
+		}
+	}
+}
+
 func TestPriceHeavyMethodsBitMatchLibrary(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	cases := []PriceRequest{

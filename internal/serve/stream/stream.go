@@ -110,9 +110,15 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	// Zero marks a Market field unset, but a zero rate is also a rate:
+	// only an all-zero Market takes the default rate.
 	// finlint:ignore floateq zero is the untouched-field sentinel, never a computed value
 	if c.Market.Volatility == 0 {
-		c.Market = finbench.Market{Rate: 0.02, Volatility: 0.3}
+		// finlint:ignore floateq zero is the untouched-field sentinel, never a computed value
+		if c.Market.Rate == 0 {
+			c.Market.Rate = 0.02
+		}
+		c.Market.Volatility = 0.3
 	}
 	if c.Interval <= 0 {
 		c.Interval = 20 * time.Millisecond

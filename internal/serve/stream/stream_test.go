@@ -41,6 +41,19 @@ func readFrame(t *testing.T, frame []byte) (string, Event) {
 	return f.Event, ev
 }
 
+// Only the unset fields of Config.Market take defaults.
+func TestMarketDefaultsOnlyUnsetFields(t *testing.T) {
+	for _, tc := range []struct{ set, want finbench.Market }{
+		{finbench.Market{}, finbench.Market{Rate: 0.02, Volatility: 0.3}},
+		{finbench.Market{Rate: 0.05}, finbench.Market{Rate: 0.05, Volatility: 0.3}},
+		{finbench.Market{Volatility: 0.2}, finbench.Market{Volatility: 0.2}},
+	} {
+		if got := (Config{Market: tc.set}).withDefaults().Market; got != tc.want {
+			t.Errorf("Market %+v: hub at %+v, want %+v", tc.set, got, tc.want)
+		}
+	}
+}
+
 func TestAllDirtyFirstTick(t *testing.T) {
 	h := manualHub(t, Config{Universe: 128, Underlyings: 8})
 	var st ticker.State

@@ -10,11 +10,12 @@
 # one.
 #
 # Guarded, each with every product that feeds an add written
-# float64(a*b) + c: the served Monte Carlo path's inverse normal and path
-# loop; mathx.Exp and mathx.Log, which every kernel calls; and the
-# American-put lattice walks (the binomial ladder, tiled two-level kernel
-# and walk, into which the single-level kernel inlines; the trinomial put,
-# ladder and level loop in one function); and the served Crank-Nicolson
+# float64(a*b) + c: the served Monte Carlo path's inverse normal, path
+# loop, request loop, estimate and put parity; mathx.Exp and mathx.Log,
+# which every kernel calls; and the American-put lattice walks (the
+# binomial ladder, tiled two-level kernel and walk, into which the
+# single-level kernel inlines; the trinomial put, ladder and level loop
+# in one function); and the served Crank-Nicolson
 # solve (the Brennan-Schwartz time step, its elimination coefficients,
 # the time-loop driver and the price recovery, into which the grid
 # coordinate and the initial grid inline). From cmd/finbench, which alone
@@ -24,7 +25,8 @@
 # scalar triangles must round as the reference sweeps do. Before their
 # roundings were made explicit, arm64 fused 15 multiply-adds in
 # mathx.Exp, 8 in mathx.Log, 3 in reduceTwoLevels, 1 in the binomial
-# walk, 1 in its ladder, 3 in the trinomial put, 21 in the then-served
+# walk, 1 in its ladder, 1 in the Monte Carlo estimate's variance, 1 in
+# its put parity, 3 in the trinomial put, 21 in the then-served
 # PSOR Crank-Nicolson solve (10 of them in a paired sweep since deleted)
 # and 1 in the wavefront PSOR's triangle error sum. Go
 # rewrites x*2 as x+x, so a doubled product fuses too
@@ -39,6 +41,8 @@ cd "$(dirname "$0")/.."
 # Each entry is binary:symbol.
 GUARDED=(
 	'finserve:mathx.InvCND$' 'finserve:montecarlo.pathSums$'
+	'finserve:montecarlo.SharedStreamCtx$' 'finserve:montecarlo.estimate$'
+	'finserve:finbench.priceMonteCarlo$'
 	'finserve:mathx.Exp$' 'finserve:mathx.Log$'
 	'finserve:binomial.exerciseLadder$' 'finserve:binomial.americanPut$'
 	'finserve:binomial.walkAmericanPut$' 'finserve:binomial.reduceTwoLevels$'
