@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"slices"
 	"strings"
 	"testing"
@@ -156,5 +157,66 @@ func TestStalledHeaderIsCut(t *testing.T) {
 	}
 	if elapsed < readHeaderTimeout/2 {
 		t.Fatalf("connection closed after %v, before the header timeout %v", elapsed, readHeaderTimeout)
+	}
+}
+
+// TestDependencySet pins the module packages finserve links. The paper
+// reproduction's tools (cmd/finbench, internal/bench, cmd/benchreg) must
+// stay out of the server binary, so a new edge into one of them, or into
+// any other package, is a deliberate change to this list. The list holds
+// for every target finserve is built for: the host, CI's GOARCH=386
+// tier-1 leg and the arm64 binary the fusion guard cross-compiles.
+func TestDependencySet(t *testing.T) {
+	want := []string{
+		"finbench",
+		"finbench/cmd/finserve",
+		"finbench/internal/binomial",
+		"finbench/internal/blackscholes",
+		"finbench/internal/brownian",
+		"finbench/internal/cranknicolson",
+		"finbench/internal/fault",
+		"finbench/internal/layout",
+		"finbench/internal/machine",
+		"finbench/internal/mathx",
+		"finbench/internal/montecarlo",
+		"finbench/internal/parallel",
+		"finbench/internal/perf",
+		"finbench/internal/resilience",
+		"finbench/internal/rng",
+		"finbench/internal/scenario",
+		"finbench/internal/serve",
+		"finbench/internal/serve/coalesce",
+		"finbench/internal/serve/deadline",
+		"finbench/internal/serve/pricecache",
+		"finbench/internal/serve/shard",
+		"finbench/internal/serve/stream",
+		"finbench/internal/serve/stream/ticker",
+		"finbench/internal/serve/wire",
+		"finbench/internal/sobol",
+		"finbench/internal/vec",
+		"finbench/internal/workload",
+	}
+	for _, tc := range []struct {
+		name string
+		env  []string
+	}{
+		{"host", nil},
+		{"386", []string{"CGO_ENABLED=0", "GOARCH=386"}},
+		{"arm64", []string{"CGO_ENABLED=0", "GOOS=linux", "GOARCH=arm64"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// go test puts its own toolchain first on the test's PATH.
+			cmd := exec.Command("go", "list", "-deps", "-f", "{{if not .Standard}}{{.ImportPath}}{{end}}", ".")
+			cmd.Env = append(os.Environ(), tc.env...)
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("go list -deps: %v", err)
+			}
+			got := strings.Fields(string(out))
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("finserve links\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		})
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"finbench/internal/workload"
 )
 
-// Cancellable entry points. PriceCtx and PriceBatchCtx are the one
-// implementation behind Price and PriceBatch, with deadline/cancellation
+// Cancellable entry points. PriceCtx prices one option and PriceBatchCtx
+// (behind the plain PriceBatch) a batch, with deadline/cancellation
 // propagation: the context's done signal reaches the kernel loops (Monte
 // Carlo path chunks, Crank-Nicolson time steps, lattice level blocks,
 // closed-form option blocks), so a pricing request whose deadline has
@@ -24,11 +24,12 @@ import (
 // running to completion. The checks sit between work blocks and never
 // change decomposition, iteration order, or arithmetic, and a context that
 // carries no cancellation signal (context.Background, context.TODO) skips
-// them, so the plain names are one-line delegates and results are
+// them, so the plain batch names are one-line delegates and results are
 // bit-identical through either. On a non-nil error any outputs are partial
 // and must be discarded.
 
-// PriceCtx is Price with cancellation. It returns ctx.Err() (wrapped) if
+// PriceCtx values the option with the given method. A nil cfg uses the
+// paper's default experiment parameters. It returns ctx.Err() (wrapped) if
 // the context is cancelled before or during pricing.
 func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Config) (Result, error) {
 	if err := validate(o, m); err != nil {

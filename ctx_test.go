@@ -29,24 +29,29 @@ func testOptions() []struct {
 	}
 }
 
-// TestPriceCtxBackgroundBitMatchesPrice is the core serving guarantee: an
-// uncancelled PriceCtx must produce bit-identical results to Price for
+// TestPriceCtxBackgroundBitMatchesPrice is the core serving guarantee: a
+// live, cancellable context (whose checkpoints run) must produce results
+// bit-identical to context.Background (whose checkpoints are skipped) for
 // every method (the ctx plumbing may not perturb the numerics).
 func TestPriceCtxBackgroundBitMatchesPrice(t *testing.T) {
 	mkt := Market{Rate: 0.02, Volatility: 0.3}
 	cfg := &Config{MCPaths: 16384}
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, tc := range testOptions() {
-		want, err := Price(tc.o, mkt, tc.method, cfg)
-		if err != nil {
-			t.Fatalf("%s: Price: %v", tc.name, err)
-		}
-		got, err := PriceCtx(context.Background(), tc.o, mkt, tc.method, cfg)
-		if err != nil {
-			t.Fatalf("%s: PriceCtx: %v", tc.name, err)
-		}
-		if got != want {
-			t.Errorf("%s: PriceCtx = %+v, Price = %+v (must be bit-identical)", tc.name, got, want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := PriceCtx(context.Background(), tc.o, mkt, tc.method, cfg)
+			if err != nil {
+				t.Fatalf("%s: background: %v", tc.name, err)
+			}
+			got, err := PriceCtx(live, tc.o, mkt, tc.method, cfg)
+			if err != nil {
+				t.Fatalf("%s: live ctx: %v", tc.name, err)
+			}
+			if got != want {
+				t.Errorf("%s: live ctx = %+v, background = %+v (must be bit-identical)", tc.name, got, want)
+			}
+		})
 	}
 }
 

@@ -7,8 +7,7 @@
 //
 //   - Option pricing by every method the paper benchmarks: Black-Scholes
 //     closed form, binomial tree, Crank-Nicolson finite differences with
-//     Projected SOR, and Monte Carlo integration, plus greeks and implied
-//     volatility.
+//     Projected SOR, and Monte Carlo integration, plus closed-form greeks.
 //   - Batch pricing engines at the paper's three optimization levels
 //     (reference, SIMD-across-work-items, algorithmically restructured),
 //     built on a software vector ISA so every vectorization decision in
@@ -24,11 +23,10 @@
 //	opt := finbench.Option{Type: finbench.Call, Style: finbench.European,
 //	    Spot: 100, Strike: 105, Expiry: 0.5}
 //	mkt := finbench.Market{Rate: 0.02, Volatility: 0.3}
-//	res, err := finbench.Price(opt, mkt, finbench.ClosedForm, nil)
+//	res, err := finbench.PriceCtx(context.Background(), opt, mkt, finbench.ClosedForm, nil)
 package finbench
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -147,7 +145,7 @@ type Config struct {
 }
 
 // Resolved returns the configuration with every zero field replaced by
-// its default, i.e. the parameters a Price call with this config actually
+// its default, i.e. the parameters a PriceCtx call with this config actually
 // uses. Servers report it so clients can reproduce results exactly.
 func (c *Config) Resolved() Config { return c.withDefaults() }
 
@@ -185,7 +183,7 @@ type Result struct {
 	Method Method
 }
 
-// Errors returned by Price.
+// Errors returned by PriceCtx.
 var (
 	// ErrInvalidOption indicates a spot, strike, expiry or volatility that
 	// is not finite and positive, or a rate that is not finite.
@@ -194,12 +192,6 @@ var (
 	// exercise style (e.g. closed form for American options).
 	ErrMethodStyle = errors.New("finbench: method cannot price this exercise style")
 )
-
-// Price values the option with the given method. A nil cfg uses the
-// paper's default experiment parameters.
-func Price(o Option, m Market, method Method, cfg *Config) (Result, error) {
-	return PriceCtx(context.Background(), o, m, method, cfg)
-}
 
 // validate answers ErrInvalidOption unless spot, strike, expiry and
 // volatility are finite and positive and the rate is finite. Every
@@ -237,12 +229,4 @@ func ComputeGreeks(o Option, m Market) (Greeks, error) {
 		return Greeks{}, err
 	}
 	return blackscholes.ComputeGreeks(o.Spot, o.Strike, o.Expiry, m.internal()), nil
-}
-
-// ImpliedVolatility inverts a European call price for its volatility.
-func ImpliedVolatility(price float64, o Option, rate float64) (float64, error) {
-	if o.Type != Call || o.Style != European {
-		return 0, fmt.Errorf("%w: implied vol solver takes European calls", ErrMethodStyle)
-	}
-	return blackscholes.ImpliedVolCall(price, o.Spot, o.Strike, o.Expiry, rate)
 }

@@ -14,7 +14,7 @@ var (
 )
 
 func TestPriceClosedFormKnownValue(t *testing.T) {
-	res, err := Price(tOpt, tMkt, ClosedForm, nil)
+	res, err := PriceCtx(context.Background(), tOpt, tMkt, ClosedForm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestPriceClosedFormKnownValue(t *testing.T) {
 	}
 	put := tOpt
 	put.Type = Put
-	res, err = Price(put, tMkt, ClosedForm, nil)
+	res, err = PriceCtx(context.Background(), put, tMkt, ClosedForm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,49 +35,53 @@ func TestPriceClosedFormKnownValue(t *testing.T) {
 // Every method must agree on a European call to its own discretization
 // accuracy.
 func TestMethodsAgreeEuropean(t *testing.T) {
-	want, _ := Price(tOpt, tMkt, ClosedForm, nil)
+	want, _ := PriceCtx(context.Background(), tOpt, tMkt, ClosedForm, nil)
 	for _, method := range []Method{BinomialTree, FiniteDifference, MonteCarlo} {
-		res, err := Price(tOpt, tMkt, method, &Config{MCPaths: 1 << 17})
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		tol := 0.05
-		if method == MonteCarlo {
-			tol = 5 * res.StdErr
-		}
-		if math.Abs(res.Price-want.Price) > tol {
-			t.Fatalf("%v price %g vs closed form %g", method, res.Price, want.Price)
-		}
+		t.Run(method.String(), func(t *testing.T) {
+			res, err := PriceCtx(context.Background(), tOpt, tMkt, method, &Config{MCPaths: 1 << 17})
+			if err != nil {
+				t.Fatalf("%v: %v", method, err)
+			}
+			tol := 0.05
+			if method == MonteCarlo {
+				tol = 5 * res.StdErr
+			}
+			if math.Abs(res.Price-want.Price) > tol {
+				t.Fatalf("%v price %g vs closed form %g", method, res.Price, want.Price)
+			}
+		})
 	}
 }
 
 func TestMethodsAgreeEuropeanPut(t *testing.T) {
 	put := tOpt
 	put.Type = Put
-	want, _ := Price(put, tMkt, ClosedForm, nil)
+	want, _ := PriceCtx(context.Background(), put, tMkt, ClosedForm, nil)
 	for _, method := range []Method{BinomialTree, FiniteDifference, MonteCarlo} {
-		res, err := Price(put, tMkt, method, &Config{MCPaths: 1 << 16})
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		tol := 0.05
-		if method == MonteCarlo {
-			tol = 5*res.StdErr + 1e-9
-		}
-		if math.Abs(res.Price-want.Price) > tol {
-			t.Fatalf("%v put %g vs closed form %g", method, res.Price, want.Price)
-		}
+		t.Run(method.String(), func(t *testing.T) {
+			res, err := PriceCtx(context.Background(), put, tMkt, method, &Config{MCPaths: 1 << 16})
+			if err != nil {
+				t.Fatalf("%v: %v", method, err)
+			}
+			tol := 0.05
+			if method == MonteCarlo {
+				tol = 5*res.StdErr + 1e-9
+			}
+			if math.Abs(res.Price-want.Price) > tol {
+				t.Fatalf("%v put %g vs closed form %g", method, res.Price, want.Price)
+			}
+		})
 	}
 }
 
 // Binomial and Crank-Nicolson must agree on the American put.
 func TestAmericanPutCrossMethod(t *testing.T) {
 	amer := Option{Type: Put, Style: American, Spot: 100, Strike: 110, Expiry: 1}
-	bin, err := Price(amer, tMkt, BinomialTree, &Config{BinomialSteps: 2048})
+	bin, err := PriceCtx(context.Background(), amer, tMkt, BinomialTree, &Config{BinomialSteps: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := Price(amer, tMkt, FiniteDifference, nil)
+	fd, err := PriceCtx(context.Background(), amer, tMkt, FiniteDifference, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +90,7 @@ func TestAmericanPutCrossMethod(t *testing.T) {
 	}
 	euro := amer
 	euro.Style = European
-	ep, _ := Price(euro, tMkt, ClosedForm, nil)
+	ep, _ := PriceCtx(context.Background(), euro, tMkt, ClosedForm, nil)
 	if bin.Price < ep.Price-1e-9 {
 		t.Fatal("American put below European")
 	}
@@ -94,31 +98,33 @@ func TestAmericanPutCrossMethod(t *testing.T) {
 
 func TestAmericanCallEqualsEuropean(t *testing.T) {
 	call := Option{Type: Call, Style: American, Spot: 100, Strike: 95, Expiry: 1}
-	euro, _ := Price(Option{Type: Call, Style: European, Spot: 100, Strike: 95, Expiry: 1}, tMkt, ClosedForm, nil)
+	euro, _ := PriceCtx(context.Background(), Option{Type: Call, Style: European, Spot: 100, Strike: 95, Expiry: 1}, tMkt, ClosedForm, nil)
 	for _, method := range []Method{BinomialTree, FiniteDifference} {
-		res, err := Price(call, tMkt, method, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		if math.Abs(res.Price-euro.Price) > 0.05 {
-			t.Fatalf("%v American call %g vs European %g", method, res.Price, euro.Price)
-		}
+		t.Run(method.String(), func(t *testing.T) {
+			res, err := PriceCtx(context.Background(), call, tMkt, method, nil)
+			if err != nil {
+				t.Fatalf("%v: %v", method, err)
+			}
+			if math.Abs(res.Price-euro.Price) > 0.05 {
+				t.Fatalf("%v American call %g vs European %g", method, res.Price, euro.Price)
+			}
+		})
 	}
 }
 
 func TestPriceErrors(t *testing.T) {
-	if _, err := Price(Option{}, tMkt, ClosedForm, nil); !errors.Is(err, ErrInvalidOption) {
+	if _, err := PriceCtx(context.Background(), Option{}, tMkt, ClosedForm, nil); !errors.Is(err, ErrInvalidOption) {
 		t.Fatalf("zero option: %v", err)
 	}
 	amer := tOpt
 	amer.Style = American
-	if _, err := Price(amer, tMkt, ClosedForm, nil); !errors.Is(err, ErrMethodStyle) {
+	if _, err := PriceCtx(context.Background(), amer, tMkt, ClosedForm, nil); !errors.Is(err, ErrMethodStyle) {
 		t.Fatalf("closed-form American: %v", err)
 	}
-	if _, err := Price(amer, tMkt, MonteCarlo, nil); !errors.Is(err, ErrMethodStyle) {
+	if _, err := PriceCtx(context.Background(), amer, tMkt, MonteCarlo, nil); !errors.Is(err, ErrMethodStyle) {
 		t.Fatalf("MC American: %v", err)
 	}
-	if _, err := Price(tOpt, tMkt, Method(99), nil); err == nil {
+	if _, err := PriceCtx(context.Background(), tOpt, tMkt, Method(99), nil); err == nil {
 		t.Fatal("unknown method did not error")
 	}
 }
@@ -186,22 +192,6 @@ func TestComputeGreeks(t *testing.T) {
 	}
 }
 
-func TestImpliedVolatility(t *testing.T) {
-	res, _ := Price(tOpt, tMkt, ClosedForm, nil)
-	vol, err := ImpliedVolatility(res.Price, tOpt, tMkt.Rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(vol-0.2) > 1e-8 {
-		t.Fatalf("implied vol = %g", vol)
-	}
-	put := tOpt
-	put.Type = Put
-	if _, err := ImpliedVolatility(1, put, 0.05); err == nil {
-		t.Fatal("put accepted by call-only solver")
-	}
-}
-
 func TestPriceBatchLevelsAgree(t *testing.T) {
 	const n = 1000
 	b := NewBatch(n)
@@ -242,7 +232,7 @@ func TestBatchAgainstScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		want, _ := Price(Option{Type: Call, Style: European,
+		want, _ := PriceCtx(context.Background(), Option{Type: Call, Style: European,
 			Spot: b.Spots[i], Strike: b.Strikes[i], Expiry: b.Expiries[i]}, tMkt, ClosedForm, nil)
 		if math.Abs(b.Calls[i]-want.Price) > 1e-9 {
 			t.Fatalf("batch call %d = %g, want %g", i, b.Calls[i], want.Price)
@@ -302,8 +292,8 @@ func TestPathSimulatorValidation(t *testing.T) {
 func TestMonteCarloPutParity(t *testing.T) {
 	put := tOpt
 	put.Type = Put
-	call, _ := Price(tOpt, tMkt, MonteCarlo, &Config{MCPaths: 1 << 15, Seed: 9})
-	putRes, _ := Price(put, tMkt, MonteCarlo, &Config{MCPaths: 1 << 15, Seed: 9})
+	call, _ := PriceCtx(context.Background(), tOpt, tMkt, MonteCarlo, &Config{MCPaths: 1 << 15, Seed: 9})
+	putRes, _ := PriceCtx(context.Background(), put, tMkt, MonteCarlo, &Config{MCPaths: 1 << 15, Seed: 9})
 	want := 100 - 100*math.Exp(-tMkt.Rate)
 	if math.Abs((call.Price-putRes.Price)-want) > 1e-9 {
 		t.Fatalf("MC parity violated: %g vs %g", call.Price-putRes.Price, want)
@@ -370,15 +360,45 @@ func TestRooflineChart(t *testing.T) {
 }
 
 func TestTrinomialAsMethod(t *testing.T) {
-	res, err := Price(tOpt, tMkt, TrinomialTree, nil)
+	res, err := PriceCtx(context.Background(), tOpt, tMkt, TrinomialTree, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := Price(tOpt, tMkt, ClosedForm, nil)
+	want, _ := PriceCtx(context.Background(), tOpt, tMkt, ClosedForm, nil)
 	if math.Abs(res.Price-want.Price) > 0.05 {
 		t.Fatalf("trinomial method %g vs closed form %g", res.Price, want.Price)
 	}
 	if res.Method != TrinomialTree || TrinomialTree.String() != "trinomial-tree" {
 		t.Fatal("method labelling wrong")
 	}
+	// Every type/style combination agrees with the binomial lattice.
+	for _, tc := range []struct {
+		name string
+		o    Option
+	}{
+		{"european-call", Option{Type: Call, Style: European, Spot: 100, Strike: 100, Expiry: 1}},
+		{"european-put", Option{Type: Put, Style: European, Spot: 100, Strike: 105, Expiry: 0.5}},
+		{"american-put", Option{Type: Put, Style: American, Spot: 100, Strike: 110, Expiry: 1}},
+		{"american-call", Option{Type: Call, Style: American, Spot: 100, Strike: 95, Expiry: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.o
+			bin, err := PriceCtx(context.Background(), o, tMkt, BinomialTree, &Config{BinomialSteps: 2048})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tri, err := PriceCtx(context.Background(), o, tMkt, TrinomialTree, &Config{BinomialSteps: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(tri.Price-bin.Price) > 0.02*math.Max(1, bin.Price) {
+				t.Fatalf("%v %v: trinomial %g vs binomial %g", o.Style, o.Type, tri.Price, bin.Price)
+			}
+		})
+	}
+	t.Run("invalid-option", func(t *testing.T) {
+		if _, err := PriceCtx(context.Background(), Option{}, tMkt, TrinomialTree, nil); !errors.Is(err, ErrInvalidOption) {
+			t.Fatal("invalid option accepted")
+		}
+	})
 }

@@ -245,50 +245,6 @@ func TestGreeksAgainstFiniteDifferences(t *testing.T) {
 	}
 }
 
-func TestImpliedVolRoundTrip(t *testing.T) {
-	for _, sig := range []float64{0.05, 0.2, 0.45, 1.2} {
-		m := workload.MarketParams{R: 0.03, Sigma: sig}
-		call, _ := PriceScalar(100, 110, 0.5, m)
-		got, err := ImpliedVolCall(call, 100, 110, 0.5, 0.03)
-		if err != nil {
-			t.Fatalf("sigma %g: %v", sig, err)
-		}
-		if math.Abs(got-sig) > 1e-8 {
-			t.Fatalf("implied vol = %g, want %g", got, sig)
-		}
-	}
-}
-
-func TestImpliedVolArbitrage(t *testing.T) {
-	if _, err := ImpliedVolCall(200, 100, 100, 1, 0.05); err != ErrArbitrage {
-		t.Fatalf("price above S: err = %v", err)
-	}
-	if _, err := ImpliedVolCall(-1, 100, 100, 1, 0.05); err != ErrArbitrage {
-		t.Fatalf("negative price: err = %v", err)
-	}
-}
-
-// Property: round-trip implied vol across random moneyness.
-func TestImpliedVolQuick(t *testing.T) {
-	f := func(su, xu, sigU uint16) bool {
-		s := 50 + float64(su%100)
-		x := 50 + float64(xu%100)
-		sig := 0.05 + float64(sigU%100)/100
-		m := workload.MarketParams{R: 0.02, Sigma: sig}
-		call, _ := PriceScalar(s, x, 1, m)
-		vega := ComputeGreeks(s, x, 1, m).Vega
-		if call < 1e-10 || vega < 1e-3 {
-			return true // price carries no volatility information
-		}
-		got, err := ImpliedVolCall(call, s, x, 1, 0.02)
-		tol := math.Max(1e-6, 1e-9/vega)
-		return err == nil && math.Abs(got-sig) < tol
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkRefScalar(b *testing.B) {
 	a := genBatch(10000)
 	b.SetBytes(10000 * 40)

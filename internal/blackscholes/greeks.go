@@ -1,17 +1,13 @@
 package blackscholes
 
 import (
-	"errors"
-	"math"
-
 	"finbench/internal/mathx"
 	"finbench/internal/workload"
 )
 
 // Greeks are the Black-Scholes sensitivities of one option. The paper's
-// benchmark domain (STAC, Premia) motivates pricing together with risk and
-// calibration; greeks and implied volatility are the natural extensions of
-// the closed-form kernel.
+// benchmark domain (STAC, Premia) motivates pricing together with risk;
+// greeks are the natural extension of the closed-form kernel.
 type Greeks struct {
 	// DeltaCall and DeltaPut are dV/dS.
 	DeltaCall, DeltaPut float64
@@ -44,49 +40,4 @@ func ComputeGreeks(s, x, t float64, mkt workload.MarketParams) Greeks {
 	g.RhoCall = x * t * disc * mathx.CND(d2)
 	g.RhoPut = -x * t * disc * mathx.CND(-d2)
 	return g
-}
-
-// ErrNoConvergence is returned when the implied-volatility solver fails to
-// reach tolerance.
-var ErrNoConvergence = errors.New("blackscholes: implied volatility did not converge")
-
-// ErrArbitrage is returned when the target price violates static no-
-// arbitrage bounds and no volatility can reproduce it.
-var ErrArbitrage = errors.New("blackscholes: price outside no-arbitrage bounds")
-
-// ImpliedVolCall inverts the call price for sigma via a safeguarded
-// Newton iteration on vega (bisection fallback), the model-calibration
-// primitive of the STAC-style workloads the paper cites.
-func ImpliedVolCall(price, s, x, t, r float64) (float64, error) {
-	disc := x * mathx.Exp(-r*t)
-	intrinsic := math.Max(s-disc, 0)
-	if price < intrinsic-1e-12 || price >= s {
-		return 0, ErrArbitrage
-	}
-	lo, hi := 1e-6, 4.0
-	sig := 0.3
-	mkt := workload.MarketParams{R: r}
-	for iter := 0; iter < 100; iter++ {
-		mkt.Sigma = sig
-		call, _ := PriceScalar(s, x, t, mkt)
-		diff := call - price
-		if math.Abs(diff) < 1e-12*math.Max(1, price) {
-			return sig, nil
-		}
-		if diff > 0 {
-			hi = sig
-		} else {
-			lo = sig
-		}
-		vega := ComputeGreeks(s, x, t, mkt).Vega
-		next := sig - diff/vega
-		if vega < 1e-14 || next <= lo || next >= hi || math.IsNaN(next) {
-			next = (lo + hi) / 2 // Newton left the bracket: bisect
-		}
-		if math.Abs(next-sig) < 1e-14 {
-			return next, nil
-		}
-		sig = next
-	}
-	return sig, ErrNoConvergence
 }

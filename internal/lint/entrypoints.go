@@ -103,7 +103,6 @@ var closureHints = map[string]string{
 // ProfileBatch re-prices a batch with counters on for the machine model;
 // a handler prices each request once and never profiles it.
 var kernelEntryCtx = map[string]string{
-	rootPkgPath + ".Price":                          rootPkgPath + ".PriceCtx",
 	rootPkgPath + ".PriceBatch":                     rootPkgPath + ".PriceBatchCtx",
 	rootPkgPath + ".PriceBatchGrid":                 rootPkgPath + ".PriceBatchGridCtx",
 	rootPkgPath + ".ProfileBatch":                   "",

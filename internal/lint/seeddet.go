@@ -70,7 +70,7 @@ func runSeedDet(p *Package, report func(pos token.Pos, msg string)) {
 }
 
 // isCmdPackage reports whether the import path has a "cmd" element
-// (finbench/cmd/pricer etc.), the one place wall-clock seeding is allowed.
+// (finbench/cmd/finserve etc.), the one place wall-clock seeding is allowed.
 func isCmdPackage(path string) bool {
 	for _, part := range strings.Split(path, "/") {
 		if part == "cmd" {

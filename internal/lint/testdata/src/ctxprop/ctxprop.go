@@ -19,12 +19,12 @@ func Handler(w http.ResponseWriter, r *http.Request) {
 	simulate()
 }
 
-// priceOne is one hop from the handler and calls the deadline-blind
-// scalar entry point.
+// priceOne is one hop from the handler and holds its ctx, yet calls the
+// deadline-blind entry point.
 func priceOne(ctx context.Context) {
-	var o finbench.Option
+	b := finbench.NewBatch(1)
 	var m finbench.Market
-	_, _ = finbench.Price(o, m, 0, nil) // seeded violation
+	_ = finbench.PriceBatch(b, m, 0) // seeded violation
 	_ = ctx
 }
 
@@ -57,18 +57,18 @@ func GoodCtxHandler(w http.ResponseWriter, r *http.Request) {
 // OfflineTool calls the plain entry point but is unreachable from any
 // handler (the batch-tool/benchmark shape): clean.
 func OfflineTool() {
-	var o finbench.Option
+	b := finbench.NewBatch(1)
 	var m finbench.Market
-	_, _ = finbench.Price(o, m, 0, nil)
+	_ = finbench.PriceBatch(b, m, 0)
 }
 
 // warmupHandler primes caches before serving; the suppression records
 // why the deadline-blind call is deliberate.
 func warmupHandler(w http.ResponseWriter, r *http.Request) {
-	var o finbench.Option
+	b := finbench.NewBatch(1)
 	var m finbench.Market
 	// finlint:ignore ctxprop warmup priming outside the request latency contract
-	_, _ = finbench.Price(o, m, 0, nil)
+	_ = finbench.PriceBatch(b, m, 0)
 }
 
 // sharedCache stands in for a server's response cache.
@@ -81,11 +81,11 @@ var sharedCache = pricecache.New(1<<20, 0)
 // pricing for a client that has already given up, while the waiters
 // parked on the flight correctly time out on their own deadlines.
 func CacheHandler(w http.ResponseWriter, r *http.Request) {
-	var o finbench.Option
+	b := finbench.NewBatch(1)
 	var m finbench.Market
 	key := pricecache.Digest("closed-form", 0, 0, pricecache.Params{}, nil)
 	_, _, _ = sharedCache.Do(r.Context(), key, func(ctx context.Context) ([]byte, bool, error) {
-		_, err := finbench.Price(o, m, 0, nil) // seeded violation
+		err := finbench.PriceBatch(b, m, 0) // seeded violation
 		return nil, false, err
 	})
 }

@@ -86,8 +86,8 @@ type Coalescer struct {
 // New builds a coalescer pricing against mkt. maxBatch bounds the queue:
 // the ticket that brings it to that many options prices it at once.
 // window and profileEvery are ignored: they stay only until the frozen
-// benchmark/ package, which passes them, can be corrected (ROADMAP,
-// benchmark-correction item).
+// benchmark/ package, which passes them, can be corrected (ROADMAP
+// item 1a-i).
 func New(mkt finbench.Market, window time.Duration, maxBatch int, profileEvery int) *Coalescer {
 	return &Coalescer{mkt: mkt, maxBatch: maxBatch}
 }

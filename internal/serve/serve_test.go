@@ -89,7 +89,7 @@ func verifyAgainstLibrary(t *testing.T, mkt finbench.Market, req *PriceRequest, 
 				want = b.Calls[0]
 			}
 		} else {
-			res, err := finbench.Price(o.ToOption(), mkt, method, &cfg)
+			res, err := finbench.PriceCtx(context.Background(), o.ToOption(), mkt, method, &cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ type StatszResponse struct {
 	Failovers uint64 `json:"failovers"`
 	// HedgeWins is always 0: the router does not hedge. The field and
 	// its key stay only until the frozen benchmark/ package, which reads
-	// them, can be corrected (ROADMAP, benchmark-correction item).
+	// them, can be corrected (ROADMAP item 1a-i).
 	HedgeWins    uint64 `json:"hedge_wins"`
 	NoReplica    uint64 `json:"no_replica"`
 	Corrupt      uint64 `json:"corrupt_responses"`

@@ -355,7 +355,7 @@ func verifyPrice(req *wire.PriceRequest, resp *wire.PriceResponse) error {
 			if o.Type == "put" {
 				want.Price = b.Puts[0]
 			}
-		} else if want, err = finbench.Price(o.ToOption(), topoMarket, method, &cfg); err != nil {
+		} else if want, err = finbench.PriceCtx(context.Background(), o.ToOption(), topoMarket, method, &cfg); err != nil {
 			return err
 		}
 		got := resp.Results[i]
