@@ -6,10 +6,16 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"finbench/internal/resilience"
+	"finbench/internal/serve"
+	"finbench/internal/serve/shard"
+	"finbench/internal/serve/stream"
 )
 
 // TestMain keeps a replica child from running the tests again: were a
@@ -48,6 +54,50 @@ func TestFlagSurface(t *testing.T) {
 			t.Errorf("%s -h: exit %d, flags %v; want exit 0, flags %v", c.name, code, got, c.want)
 		}
 	}
+}
+
+// TestConfigSurface pins the settable values of the serving Config types
+// by reflection, as TestFlagSurface pins the flags: each is set by
+// finserve, the benchmark or the benchreg servepath rows, or is a fake
+// (transport, clock) that tests substitute. Every other setting is a
+// package constant, so a new knob is a deliberate change to this list.
+// A struct-valued field counts by its leaves (Market is a rate and a
+// volatility); any other field is one value. serve, stream and shard
+// together hold 19.
+func TestConfigSurface(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeFor[serve.Config](), []string{"Market.Rate", "Market.Volatility", "CoalesceMaxBatch", "Stream"}},
+		{reflect.TypeFor[stream.Config](), []string{"Universe", "Underlyings", "Seed", "Market.Rate", "Market.Volatility",
+			"Interval", "Budget", "SpotThreshold", "VolThreshold", "RateThreshold"}},
+		{reflect.TypeFor[shard.Config](), []string{"Backends", "HealthInterval", "Breaker.Now", "Transport", "CacheBytes"}},
+		{reflect.TypeFor[resilience.Backoff](), []string{"Seed"}},
+		{reflect.TypeFor[resilience.BreakerConfig](), []string{"Now"}},
+	} {
+		if got := settable(c.typ, ""); !slices.Equal(got, c.want) {
+			t.Errorf("%v: settable values %v, want %v", c.typ, got, c.want)
+		}
+	}
+}
+
+// settable lists typ's exported fields, descending into struct-valued
+// ones, each name prefixed by prefix.
+func settable(typ reflect.Type, prefix string) []string {
+	var out []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, settable(f.Type, prefix+f.Name+".")...)
+		} else {
+			out = append(out, prefix+f.Name)
+		}
+	}
+	return out
 }
 
 // runCaptured runs a subcommand with os.Stderr redirected to a file and

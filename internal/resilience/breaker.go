@@ -11,9 +11,9 @@ type State uint8
 const (
 	// Closed admits every request (the healthy state).
 	Closed State = iota
-	// Open refuses every request until OpenFor has elapsed.
+	// Open refuses every request until openFor has elapsed.
 	Open
-	// HalfOpen admits up to Probes concurrent trial requests; enough
+	// HalfOpen admits up to probeLimit concurrent trial requests; enough
 	// successes close the breaker, any failure reopens it.
 	HalfOpen
 )
@@ -31,46 +31,27 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes a Breaker; zero values select the defaults.
+// The breaker policy: failureThreshold consecutive failures open a
+// breaker; after openFor it admits up to probeLimit concurrent trial
+// requests, and successesToClose probe successes close it.
+const (
+	failureThreshold = 5
+	openFor          = time.Second
+	probeLimit       = 1
+	successesToClose = 1
+)
+
+// BreakerConfig holds a Breaker's clock.
 type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that opens the
-	// breaker (default 5).
-	FailureThreshold int
-	// OpenFor is how long the breaker stays open before admitting probes
-	// (default 1s).
-	OpenFor time.Duration
-	// Probes bounds the concurrent trial requests in half-open (default 1).
-	Probes int
-	// SuccessesToClose is the probe successes required to close (default 1).
-	SuccessesToClose int
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = time.Second
-	}
-	if c.Probes <= 0 {
-		c.Probes = 1
-	}
-	if c.SuccessesToClose <= 0 {
-		c.SuccessesToClose = 1
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
 }
 
 // Breaker is a per-replica circuit breaker. Callers bracket each request
 // with Allow (admission) and exactly one of Success/Failure per admitted
 // request; Allow returning false means the replica is to be skipped.
 type Breaker struct {
-	cfg BreakerConfig
+	now func() time.Time
 
 	mu           sync.Mutex
 	state        State
@@ -87,11 +68,14 @@ type Breaker struct {
 
 // NewBreaker builds a breaker in the closed state.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
+	return &Breaker{now: cfg.Now}
 }
 
 // Allow reports whether a request may be sent. In the open state it flips
-// to half-open once OpenFor has elapsed and admits a bounded number of
+// to half-open once openFor has elapsed and admits a bounded number of
 // probes; excess callers are refused until a probe resolves.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
@@ -100,7 +84,7 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case Open:
-		if b.cfg.Now().Sub(b.openedAt) < b.cfg.OpenFor {
+		if b.now().Sub(b.openedAt) < openFor {
 			return false
 		}
 		b.state = HalfOpen
@@ -108,7 +92,7 @@ func (b *Breaker) Allow() bool {
 		b.probeSuccess = 0
 		fallthrough
 	case HalfOpen:
-		if b.probesOut >= b.cfg.Probes {
+		if b.probesOut >= probeLimit {
 			return false
 		}
 		b.probesOut++
@@ -131,7 +115,7 @@ func (b *Breaker) Success() {
 			b.probesOut--
 		}
 		b.probeSuccess++
-		if b.probeSuccess >= b.cfg.SuccessesToClose {
+		if b.probeSuccess >= successesToClose {
 			b.state = Closed
 			b.consecFails = 0
 		}
@@ -148,7 +132,7 @@ func (b *Breaker) Failure() {
 	switch b.state {
 	case Closed:
 		b.consecFails++
-		if b.consecFails >= b.cfg.FailureThreshold {
+		if b.consecFails >= failureThreshold {
 			b.trip()
 		}
 	case HalfOpen:
@@ -165,7 +149,7 @@ func (b *Breaker) Failure() {
 // trip moves to open; callers hold b.mu.
 func (b *Breaker) trip() {
 	b.state = Open
-	b.openedAt = b.cfg.Now()
+	b.openedAt = b.now()
 	b.opens++
 	b.probeSuccess = 0
 }
@@ -175,7 +159,7 @@ func (b *Breaker) trip() {
 func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == Open && b.cfg.Now().Sub(b.openedAt) >= b.cfg.OpenFor {
+	if b.state == Open && b.now().Sub(b.openedAt) >= openFor {
 		return HalfOpen // next Allow will make it official
 	}
 	return b.state

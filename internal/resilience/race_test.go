@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -11,9 +12,12 @@ import (
 // TestRaceBreakerStress hammers one breaker from many goroutines — the
 // shape the router produces when every worker brackets requests with
 // Allow/Success/Failure while a health checker reads Snapshot. Run under
-// -race by scripts/check.sh.
+// -race by scripts/check.sh. Each clock read advances 100ms, so an open
+// breaker reaches half-open within ten reads and every transition runs.
 func TestRaceBreakerStress(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, OpenFor: time.Millisecond, Probes: 2})
+	var ticks atomic.Int64
+	clock := func() time.Time { return time.Unix(0, ticks.Add(int64(100*time.Millisecond))) }
+	b := NewBreaker(BreakerConfig{Now: clock})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -21,7 +25,7 @@ func TestRaceBreakerStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				if b.Allow() {
-					if (i+w)%5 == 0 {
+					if (i/8+w)%3 == 0 { // runs of 8 failures
 						b.Failure()
 					} else {
 						b.Success()
@@ -36,14 +40,14 @@ func TestRaceBreakerStress(t *testing.T) {
 	}
 	wg.Wait()
 	snap := b.Snapshot()
-	if snap.Successes == 0 {
-		t.Error("no successes recorded under stress")
+	if snap.Successes == 0 || snap.Opens == 0 || snap.Probes == 0 {
+		t.Errorf("snapshot %+v: want successes, opens and probes under stress", snap)
 	}
 }
 
 // TestRaceBudgetStress exercises concurrent earn/spend.
 func TestRaceBudgetStress(t *testing.T) {
-	budget := NewBudget(0.5, 20)
+	budget := NewBudget()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -67,8 +71,8 @@ func TestRaceBudgetStress(t *testing.T) {
 // call's state, and the budget's counters must add up to the retries the
 // loops asked for.
 func TestRaceRetryStress(t *testing.T) {
-	budget := NewBudget(0.5, 20)
-	b := Backoff{Base: time.Microsecond, Max: time.Microsecond}
+	budget := NewBudget()
+	b := Backoff{}
 	var asked [8]uint64
 	var wg sync.WaitGroup
 	for w := range asked {

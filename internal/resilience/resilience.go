@@ -36,96 +36,69 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Backoff computes per-attempt retry delays: Base doubling (Factor) up to
-// Max, with a deterministic ±Jitter/2 fraction derived from Seed and the
-// attempt number. The zero value selects the defaults.
+// The retry policy: the first retry waits backoffBase, each later one
+// backoffFactor times longer up to backoffMax, and backoffJitter of each
+// delay is randomized, centered: delay * [1-jitter/2, 1+jitter/2). A
+// retry budget earns budgetRatio tokens per first attempt and holds at
+// most budgetCap.
+const (
+	backoffBase   = 2 * time.Millisecond
+	backoffMax    = 100 * time.Millisecond
+	backoffFactor = 2
+	backoffJitter = 0.5
+
+	budgetRatio = 0.2
+	budgetCap   = 50
+)
+
+// Backoff computes per-attempt retry delays under the package's retry
+// policy, with a deterministic jitter derived from Seed and the attempt
+// number. Requests that retry against the same replica should carry
+// different seeds, or they wait out the same delays in lockstep.
 type Backoff struct {
-	// Base is the delay before the first retry (default 2ms).
-	Base time.Duration
-	// Max caps the delay (default 100ms).
-	Max time.Duration
-	// Factor multiplies the delay each attempt (default 2).
-	Factor float64
-	// Jitter is the fraction of the delay that is randomized, centered:
-	// delay * [1-Jitter/2, 1+Jitter/2). Default 0.5; negative disables.
-	Jitter float64
 	// Seed drives the deterministic jitter stream.
 	Seed uint64
-}
-
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 2 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 100 * time.Millisecond
-	}
-	if b.Factor < 1 {
-		b.Factor = 2
-	}
-	// finlint:ignore floateq zero is the unset-field sentinel, never computed
-	if b.Jitter == 0 {
-		b.Jitter = 0.5
-	}
-	if b.Jitter < 0 {
-		b.Jitter = 0
-	}
-	return b
 }
 
 // Delay returns the wait before retry number attempt (attempt 0 is the
 // first retry). It is a pure function of the policy: equal (Seed, attempt)
 // always yields an equal delay.
 func (b Backoff) Delay(attempt int) time.Duration {
-	b = b.withDefaults()
-	d := float64(b.Base)
+	d := float64(backoffBase)
 	for i := 0; i < attempt; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
+		d *= backoffFactor
+		if d >= float64(backoffMax) {
+			d = float64(backoffMax)
 			break
 		}
 	}
-	if b.Jitter > 0 {
-		h := splitmix64(b.Seed ^ (uint64(attempt)+1)*0x9e3779b97f4a7c15)
-		frac := float64(h>>11) / float64(1<<53) // [0,1)
-		d *= 1 - b.Jitter/2 + b.Jitter*frac
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	if d < 0 {
-		d = 0
+	h := splitmix64(b.Seed ^ (uint64(attempt)+1)*0x9e3779b97f4a7c15)
+	frac := float64(h>>11) / float64(1<<53) // [0,1)
+	d *= 1 - backoffJitter/2 + backoffJitter*frac
+	if d > float64(backoffMax) {
+		d = float64(backoffMax)
 	}
 	return time.Duration(d)
 }
 
 // Budget is a global retry budget in the classic earn/spend form: every
-// first attempt earns Ratio tokens (capped at Cap) and every retry spends
-// one. When the budget is dry retries are denied, which keeps a brown-out
-// from amplifying load by the retry factor. A nil *Budget allows every
-// retry.
+// first attempt earns budgetRatio tokens (capped at budgetCap) and every
+// retry spends one. When the budget is dry retries are denied, which
+// keeps a brown-out from amplifying load by the retry factor. A nil
+// *Budget allows every retry.
 type Budget struct {
 	mu     sync.Mutex
 	tokens float64
-	ratio  float64
-	cap    float64
 
 	spent  uint64
 	denied uint64
 }
 
-// NewBudget builds a budget earning ratio tokens per request, capped at
-// cap tokens (ratio 0.2, cap 50 when non-positive). The budget starts
-// full so cold-start failures can still be retried.
-func NewBudget(ratio, cap float64) *Budget {
-	if ratio <= 0 {
-		ratio = 0.2
-	}
-	if cap <= 0 {
-		cap = 50
-	}
-	return &Budget{tokens: cap, ratio: ratio, cap: cap}
+// NewBudget builds a budget earning budgetRatio (0.2) tokens per
+// request, capped at budgetCap (50) tokens. The budget starts full so
+// cold-start failures can still be retried.
+func NewBudget() *Budget {
+	return &Budget{tokens: budgetCap}
 }
 
 // OnAttempt credits the budget for one first attempt.
@@ -134,9 +107,9 @@ func (b *Budget) OnAttempt() {
 		return
 	}
 	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.cap {
-		b.tokens = b.cap
+	b.tokens += budgetRatio
+	if b.tokens > budgetCap {
+		b.tokens = budgetCap
 	}
 	b.mu.Unlock()
 }

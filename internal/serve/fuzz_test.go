@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -89,7 +90,9 @@ func FuzzDecodeRequest(f *testing.F) {
 // Every answer must carry a documented status (200, 400, 408, or 503
 // when shed), every 200 must be well-formed in its framing (json.Valid,
 // or wire.ValidColumnarResponse for FBC1), and every other status must
-// carry a JSON error.
+// carry a JSON error. The server runs at its own limits; each input is
+// bounded by a 250ms request deadline, which the granted deadline
+// context inherits.
 func FuzzPriceHandler(f *testing.F) {
 	for i, body := range contractBodies(5e-324, 5e-324, 5e-324) {
 		f.Add(uint8(i), body)
@@ -103,16 +106,13 @@ func FuzzPriceHandler(f *testing.F) {
 	f.Add(uint8(2), []byte(`{"options":[{"spot":100,"strike":100,"expiry":1}],"deadline_ms":50}`))
 	f.Add(uint8(3), []byte(`{"portfolio":[{"spot":100,"strike":105,"expiry":0.5,"quantity":2}],"grid":{"spot_shocks":[-0.1,0,0.1]}}`))
 
-	s := New(Config{
-		MaxOptions:       256,
-		MaxPaths:         1 << 14,
-		MaxScenarioCells: 256,
-		MaxDeadline:      250 * time.Millisecond,
-	})
+	s := New(Config{})
 	f.Cleanup(s.Close)
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
 		ep := pricingEndpoints[int(sel)%len(pricingEndpoints)]
-		req := httptest.NewRequest(http.MethodPost, ep.path, bytes.NewReader(body))
+		ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+		defer cancel()
+		req := httptest.NewRequestWithContext(ctx, http.MethodPost, ep.path, bytes.NewReader(body))
 		req.Header.Set("Content-Type", ep.ctype)
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)

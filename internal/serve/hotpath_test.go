@@ -158,18 +158,33 @@ func TestGreeksRejectsNegativeDeadline(t *testing.T) {
 	}
 }
 
-// TestGreeksDeadlineCappedByServerMax proves the client deadline is
-// capped by MaxDeadline: under a 1ns server maximum even a generous
-// deadline_ms times out. The per-option check consults the wall clock,
-// so the expired deadline is observed deterministically.
+// TestGreeksDeadlineCappedByServerMax proves the deadline admit grants a
+// pricing request (/greeks among them) is the client's deadline_ms
+// capped by maxDeadline (30s), and maxDeadline when the client gives
+// none.
 func TestGreeksDeadlineCappedByServerMax(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxDeadline: time.Nanosecond})
-	resp, body := postJSON(t, ts.URL+"/greeks", &wire.GreeksRequest{
-		DeadlineMS: 60000,
-		Options:    []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}},
-	})
-	if resp.StatusCode != http.StatusRequestTimeout {
-		t.Fatalf("status %d, want 408; body %s", resp.StatusCode, body)
+	s, _ := newTestServer(t, Config{})
+	for _, c := range []struct {
+		deadlineMS int64
+		want       time.Duration
+	}{
+		{60000, maxDeadline},
+		{0, maxDeadline},
+		{1500, 1500 * time.Millisecond},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/greeks", nil)
+		before := time.Now()
+		dctx, held := s.admit(httptest.NewRecorder(), req, 1, c.deadlineMS)
+		after := time.Now()
+		if dctx == nil {
+			t.Fatalf("deadline_ms %d: not admitted", c.deadlineMS)
+		}
+		got, ok := dctx.Deadline()
+		s.leave(dctx, held)
+		if !ok || got.Before(before.Add(c.want)) || got.After(after.Add(c.want)) {
+			t.Errorf("deadline_ms %d: granted deadline %v after admission, want %v",
+				c.deadlineMS, got.Sub(before), c.want)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 
 // maxBasketAssets caps a basket generator's factor count (16x the
 // library default of 4): each scenario draws and holds one value per
-// asset, so the cap bounds one request's memory like MaxOptions does.
+// asset, so the cap bounds one request's memory like maxOptions does.
 const maxBasketAssets = 64
 
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
@@ -52,7 +52,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "deadline_ms must be non-negative")
 		return
 	}
-	lim := scenario.Limits{MaxPositions: s.cfg.MaxOptions, MaxCells: s.cfg.MaxScenarioCells}
+	lim := scenario.Limits{MaxPositions: maxOptions, MaxCells: maxScenarioCells}
 	if err := req.Validate(s.cfg.Market.Volatility, lim); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -96,7 +96,7 @@ func TestScenarioSubRange(t *testing.T) {
 
 // TestScenarioRejects: malformed and over-limit requests answer 400.
 func TestScenarioRejects(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxScenarioCells: 8})
+	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name string
 		body any
@@ -104,7 +104,7 @@ func TestScenarioRejects(t *testing.T) {
 		{"empty portfolio", &scenario.Request{}},
 		{"over cell limit", &scenario.Request{
 			Portfolio: []scenario.Position{{Spot: 100, Strike: 100, Expiry: 1}},
-			Grid:      scenario.Grid{SpotShocks: []float64{-0.1, -0.05, 0, 0.05, 0.1}, VolShocks: []float64{-0.02, 0.02}},
+			Grid:      scenario.Grid{SpotShocks: make([]float64, maxScenarioCells+1)},
 		}},
 		{"negative deadline", &scenario.Request{
 			Portfolio:  []scenario.Position{{Spot: 100, Strike: 100, Expiry: 1}},

@@ -31,6 +31,26 @@ import (
 	"finbench/internal/serve/wire"
 )
 
+// The server's limits: maxUnits in-flight work units (1 unit ~ one
+// closed-form option), shared by every admitted request; admitWait, the
+// longest a request waits for admission before it is shed with 503;
+// maxOptions options per request; maxPaths Monte Carlo paths per request
+// (more are clamped); maxScenarioCells cells (grid points + generator
+// scenarios) per /scenario request; maxDeadline, the cap on a client
+// deadline and the bound of a request that supplies none; and
+// streamWriteTimeout, the longest one SSE frame write may take before the
+// subscriber is disconnected (so it never holds buffers, or the drain,
+// hostage).
+const (
+	maxUnits           = 4 << 20
+	admitWait          = 2 * time.Millisecond
+	maxOptions         = 262144
+	maxPaths           = 1 << 22
+	maxScenarioCells   = 16384
+	maxDeadline        = 30 * time.Second
+	streamWriteTimeout = 2 * time.Second
+)
+
 // Config tunes the server. Zero values select the defaults.
 type Config struct {
 	// Market is the flat market every request prices against (default
@@ -38,40 +58,16 @@ type Config struct {
 	// the default volatility and keeps its rate).
 	Market finbench.Market
 
-	// MaxUnits bounds the in-flight work units (1 unit ~ one closed-form
-	// option); default 4M. AdmitWait is the longest a request waits for
-	// admission before being shed with 503; default 2ms.
-	MaxUnits  int64
-	AdmitWait time.Duration
-
 	// CoalesceMaxBatch bounds the coalescer's queue: closed-form requests
 	// that arrive while a flush runs merge into one batch behind it (an
 	// idle coalescer prices a request at once), flushed early at this many
 	// options (default 16384). Requests that large bypass the coalescer.
 	CoalesceMaxBatch int
 
-	// MaxOptions bounds options per request (default 262144). MaxPaths
-	// caps per-request Monte Carlo paths (default 2^22).
-	MaxOptions int
-	MaxPaths   int
-
-	// MaxScenarioCells bounds scenario cells (grid points + generator
-	// scenarios) per /scenario request; default 16384.
-	MaxScenarioCells int
-
-	// MaxDeadline caps client deadlines and bounds requests that supply
-	// none; default 30s.
-	MaxDeadline time.Duration
-
 	// Stream enables the GET /stream SSE feed with the given hub
 	// configuration (nil disables — /stream answers 404). The hub's
 	// Market defaults to the server's.
 	Stream *stream.Config
-
-	// StreamWriteTimeout bounds one SSE frame write: a subscriber that
-	// cannot absorb a frame within it is disconnected so it never holds
-	// buffers (or the drain) hostage. Default 2s.
-	StreamWriteTimeout time.Duration
 }
 
 // withMarketDefaults fills the unset fields of m from def. Zero marks a
@@ -92,29 +88,8 @@ func withMarketDefaults(m, def finbench.Market) finbench.Market {
 
 func (c Config) withDefaults() Config {
 	c.Market = withMarketDefaults(c.Market, finbench.Market{Rate: 0.02, Volatility: 0.3})
-	if c.MaxUnits <= 0 {
-		c.MaxUnits = 4 << 20
-	}
-	if c.AdmitWait <= 0 {
-		c.AdmitWait = 2 * time.Millisecond
-	}
 	if c.CoalesceMaxBatch <= 0 {
 		c.CoalesceMaxBatch = 16384
-	}
-	if c.MaxOptions <= 0 {
-		c.MaxOptions = 262144
-	}
-	if c.MaxPaths <= 0 {
-		c.MaxPaths = 1 << 22
-	}
-	if c.MaxScenarioCells <= 0 {
-		c.MaxScenarioCells = 16384
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = 30 * time.Second
-	}
-	if c.StreamWriteTimeout <= 0 {
-		c.StreamWriteTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -142,7 +117,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		stats: newStats(),
-		adm:   newAdmission(cfg.MaxUnits),
+		adm:   newAdmission(maxUnits),
 		co:    coalesce.New(cfg.Market, 0, cfg.CoalesceMaxBatch, 0),
 	}
 	if cfg.Stream != nil {
@@ -286,10 +261,10 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 		s.stats.columnarRequests.Add(1)
 	}
 	n := req.NumOptions()
-	if n > s.cfg.MaxOptions {
+	if n > maxOptions {
 		wire.PutRequest(req)
 		s.writeError(w, http.StatusBadRequest,
-			"too many options: "+strconv.Itoa(n)+" > "+strconv.Itoa(s.cfg.MaxOptions))
+			"too many options: "+strconv.Itoa(n)+" > "+strconv.Itoa(maxOptions))
 		return
 	}
 	if msg := latticeTooLarge(req.Config); msg != "" {
@@ -301,8 +276,8 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	// Resolve the effective numeric parameters: defaults, then the path
 	// cap. The response reports exactly these.
 	cfg := req.Config.ToConfig()
-	if cfg.MCPaths > s.cfg.MaxPaths {
-		cfg.MCPaths = s.cfg.MaxPaths
+	if cfg.MCPaths > maxPaths {
+		cfg.MCPaths = maxPaths
 	}
 	cfg = cfg.Resolved()
 
@@ -469,7 +444,7 @@ func (s *Server) handleGreeks(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(req.Options) == 0 || len(req.Options) > s.cfg.MaxOptions {
+	if len(req.Options) == 0 || len(req.Options) > maxOptions {
 		wire.PutGreeksRequest(req)
 		s.writeError(w, http.StatusBadRequest, "option count out of range")
 		return
@@ -552,21 +527,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // admit is the one door of the POST pricing handlers, passed once the
 // body has decoded: a draining server, or a work budget that cannot take
-// the request's units within AdmitWait, answers 503 + Retry-After. An
+// the request's units within admitWait, answers 503 + Retry-After. An
 // admitted request gets a deadline context — the client's deadline_ms
-// capped by MaxDeadline — and the units it holds; the handler hands both
+// capped by maxDeadline — and the units it holds; the handler hands both
 // back with leave. A nil context means the 503 is already written.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, units, deadlineMS int64) (*deadline.Ctx, int64) {
 	if s.refuseDraining(w) {
 		return nil, 0
 	}
-	held, ok := s.adm.acquire(units, s.cfg.AdmitWait)
+	held, ok := s.adm.acquire(units, admitWait)
 	if !ok {
 		s.stats.shedAdmission.Add(1)
 		s.writeShed(w, "work budget exhausted")
 		return nil, 0
 	}
-	budget := s.cfg.MaxDeadline
+	budget := maxDeadline
 	if deadlineMS > 0 {
 		if d := time.Duration(deadlineMS) * time.Millisecond; d < budget {
 			budget = d
@@ -592,7 +567,7 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 }
 
 // Lattice sizes bound one /price request's memory and time the way
-// MaxOptions bounds its width; each cap is 16x the library default.
+// maxOptions bounds its width; each cap is 16x the library default.
 const (
 	maxBinomialSteps = 16384
 	maxGridPoints    = 4096

@@ -147,13 +147,13 @@ func TestRouterCacheCollapse(t *testing.T) {
 }
 
 // TestRouterCacheRejectedNotShared: a closed-form /price the router keys
-// but the replica rejects (400: more options than its MaxOptions) is
+// but the replica rejects (400: binomial_steps above its 16,384 cap) is
 // neither stored nor shared — each identical post reaches a replica and
 // gets that replica's own answer.
 func TestRouterCacheRejectedNotShared(t *testing.T) {
-	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{MaxOptions: 2}, router: Config{CacheBytes: 1 << 20}})
+	tp := newTopology(t, topoConfig{replicas: 1, router: Config{CacheBytes: 1 << 20}})
 
-	body := priceBody("", 3)
+	body := []byte(`{"options":[{"spot":100,"strike":100,"expiry":1}],"config":{"binomial_steps":16385}}`)
 	if _, ok := bodyKey(body); !ok {
 		t.Fatal("router does not key the request; the leader path is not exercised")
 	}
@@ -221,7 +221,6 @@ func TestRouterCacheAllBackendsDownWaitersFail(t *testing.T) {
 	tp := newTopology(t, topoConfig{replicas: 1, router: Config{
 		CacheBytes:     1 << 20,
 		HealthInterval: time.Hour, // freeze the optimistic healthy state
-		MaxAttempts:    1,
 	}})
 	tp.https[0].Close() // kill the only backend after boot
 

@@ -95,7 +95,7 @@ func (r *Router) checkAll() {
 // breaker measures the request path, the health loop the control path,
 // and either alone can exclude a replica.
 func (r *Router) checkOne(rep *replica) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/healthz", nil)
 	if err != nil {

@@ -225,11 +225,7 @@ func TestPickSkipsRefusingBreaker(t *testing.T) {
 	now := time.Now()
 	r, err := New(Config{
 		Backends: []string{"http://a.invalid", "http://b.invalid"},
-		Breaker: resilience.BreakerConfig{
-			FailureThreshold: 1,
-			OpenFor:          time.Second,
-			Now:              func() time.Time { return now },
-		},
+		Breaker:  resilience.BreakerConfig{Now: func() time.Time { return now }},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +233,9 @@ func TestPickSkipsRefusingBreaker(t *testing.T) {
 	defer r.Close()
 	// Replica 0 trips, then its open window passes and one probe takes
 	// the half-open slot. It still scores best (replica 1 carries load).
-	r.replicas[0].breaker.Failure()
+	for i := 0; i < 5; i++ {
+		r.replicas[0].breaker.Failure()
+	}
 	now = now.Add(2 * time.Second)
 	if !r.replicas[0].breaker.Allow() {
 		t.Fatal("half-open breaker refused its first probe")
@@ -300,10 +298,11 @@ func TestPickFailedReplicaOnlyAsLastResort(t *testing.T) {
 
 // TestLoneReplicaTransient5xxRetried: a lone replica that answers one
 // transient 500 gets a backoff-spaced retry on the same replica, and the
-// client sees the retry's 200 with the attempt count in its headers.
+// client sees the retry's 200 with the attempt count in its headers. The
+// router's first request is exchange 1, so its first retry waits
+// jitterSeed(1, 0)'s first delay.
 func TestLoneReplicaTransient5xxRetried(t *testing.T) {
-	const backoff = 20 * time.Millisecond
-	const maxAttempts = 3
+	backoff := resilience.Backoff{Seed: jitterSeed(1, 0)}.Delay(0)
 	arrivals := make(chan time.Time, maxAttempts) // one slot per attempt, so the handler never blocks
 	var calls atomic.Int32
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -324,8 +323,6 @@ func TestLoneReplicaTransient5xxRetried(t *testing.T) {
 	router := newRouter(t, Config{
 		Backends:       []string{stub.URL},
 		HealthInterval: time.Hour,
-		MaxAttempts:    maxAttempts,
-		Backoff:        resilience.Backoff{Base: backoff, Max: backoff, Jitter: -1},
 	})
 	front := httptest.NewServer(router)
 	defer front.Close()
@@ -352,5 +349,33 @@ func TestLoneReplicaTransient5xxRetried(t *testing.T) {
 	}
 	if got := router.Snapshot().Retries; got != 1 {
 		t.Errorf("router retries = %d, want 1", got)
+	}
+}
+
+// TestRetryJitterDecorrelated: no two exchanges of a router wait the
+// same retry delays — not successive requests, not the partitions of one
+// scattered /scenario, not a /stream subscription and the request that
+// shares its number — so exchanges retrying against one shedding replica
+// spread out instead of arriving again together. Delay is a pure
+// function of the seed and the attempt, so this is exact: no clock runs.
+func TestRetryJitterDecorrelated(t *testing.T) {
+	seen := make(map[[maxAttempts - 1]time.Duration]string)
+	add := func(name string, seed uint64) {
+		b := resilience.Backoff{Seed: seed}
+		var delays [maxAttempts - 1]time.Duration
+		for attempt := range delays {
+			delays[attempt] = b.Delay(attempt)
+		}
+		if prev, ok := seen[delays]; ok {
+			t.Fatalf("%s waits the same delays as %s: %v", name, prev, delays)
+		}
+		seen[delays] = name
+	}
+	for n := uint64(1); n <= 2048; n++ {
+		add(fmt.Sprintf("request %d", n), jitterSeed(n, 0))
+		for part := 1; part <= 3; part++ {
+			add(fmt.Sprintf("request %d partition %d", n, part), jitterSeed(n, part))
+		}
+		add(fmt.Sprintf("stream %d", n), jitterSeed(^n, 0))
 	}
 }

@@ -44,29 +44,29 @@ import (
 // (matches the backend's own request-body cap).
 const maxProxyBody = 64 << 20
 
+// The router's policy: healthTimeout bounds one health probe;
+// maxAttempts bounds attempts per request, first try included (Monte
+// Carlo requests always get exactly one); streamWriteTimeout bounds one
+// SSE frame write to a /stream client, which is disconnected when it
+// cannot absorb a frame within it. The backoff between attempts, the
+// retry budget and the breaker thresholds are resilience's.
+const (
+	healthTimeout      = 250 * time.Millisecond
+	maxAttempts        = 3
+	streamWriteTimeout = 2 * time.Second
+)
+
 // Config tunes a Router; zero values select the defaults.
 type Config struct {
 	// Backends are the replica base URLs (e.g. http://127.0.0.1:9101).
 	Backends []string
 
-	// HealthInterval is the health-check period (default 100ms);
-	// HealthTimeout bounds one probe (default 250ms).
+	// HealthInterval is the health-check period (default 100ms).
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
 
-	// MaxAttempts bounds attempts per request, first try included
-	// (default 3). Monte Carlo requests always get exactly one.
-	MaxAttempts int
-
-	// Backoff shapes the retry delays. Breaker tunes the per-replica
-	// circuit breakers.
-	Backoff resilience.Backoff
+	// Breaker carries the per-replica circuit breakers' clock (tests
+	// substitute a fake one).
 	Breaker resilience.BreakerConfig
-
-	// BudgetRatio is the global retry budget's tokens earned per request
-	// (default 0.2; the budget holds at most 50 tokens). A negative ratio
-	// disables the budget.
-	BudgetRatio float64
 
 	// Transport overrides the backend round-tripper (tests inject
 	// faults here); nil means http.DefaultTransport.
@@ -82,28 +82,14 @@ type Config struct {
 	// closed-form /price requests are cached, and only a replica's 200 is
 	// stored.
 	CacheBytes int64
-
-	// StreamWriteTimeout bounds one SSE frame write to a /stream client;
-	// a client that cannot absorb a frame within it is disconnected.
-	// Default 2s.
-	StreamWriteTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 100 * time.Millisecond
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 250 * time.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
-	}
-	if c.StreamWriteTimeout <= 0 {
-		c.StreamWriteTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -180,12 +166,10 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:    cfg,
 		client: &http.Client{Transport: cfg.Transport},
+		budget: resilience.NewBudget(),
 		start:  time.Now(),
 	}
 	r.stopped, r.stop = context.WithCancel(context.Background())
-	if cfg.BudgetRatio >= 0 {
-		r.budget = resilience.NewBudget(cfg.BudgetRatio, 0)
-	}
 	if cfg.CacheBytes > 0 {
 		r.cache = pricecache.New(cfg.CacheBytes, 0)
 	}
@@ -267,7 +251,7 @@ var errNoReplica = errors.New("no routable replica")
 // route proxies one pricing request with retry and failover; cacheable closed-form /price requests go through the
 // router-level content cache first.
 func (r *Router) route(w http.ResponseWriter, req *http.Request) {
-	r.requests.Add(1)
+	seq := r.requests.Add(1)
 	body, err := readBody(req.Body, req.ContentLength)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
@@ -317,13 +301,13 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 
 	if r.cache != nil && req.URL.Path == "/price" && ctype != wire.ColumnarContentType {
 		if cacheable {
-			r.routeCached(ctx, w, req.Method, body, key)
+			r.routeCached(ctx, w, jitterSeed(seq, 0), req.Method, body, key)
 			return
 		}
 		w.Header().Set(pricecache.Header, "bypass")
 	}
 
-	res, err := r.dispatch(ctx, req.Method, req.URL.Path, ctype, body, monteCarlo)
+	res, err := r.dispatch(ctx, jitterSeed(seq, 0), req.Method, req.URL.Path, ctype, body, monteCarlo)
 	if err != nil {
 		r.writeRouteError(w, err, res)
 		return
@@ -342,18 +326,38 @@ type routeResult struct {
 // dispatch runs the retry/failover machinery for one request and
 // returns the response to forward. On error, result.final carries the
 // last retryable backend response when there was one (so the caller can
-// still pass it through).
-func (r *Router) dispatch(ctx context.Context, method, path, ctype string, body []byte, monteCarlo bool) (*routeResult, error) {
+// still pass it through). seed is the exchange's jitterSeed.
+func (r *Router) dispatch(ctx context.Context, seed uint64, method, path, ctype string, body []byte, monteCarlo bool) (*routeResult, error) {
 	// Monte Carlo answers depend on the batch decomposition, so a
 	// second execution is not "the same answer, again" — it gets
 	// exactly one attempt.
-	attempts := r.cfg.MaxAttempts
+	attempts := maxAttempts
 	if monteCarlo {
 		attempts = 1
 	}
-
 	out := &routeResult{st: &reqState{excluded: make(map[*replica]bool)}}
-	err := resilience.Retry(ctx, attempts, r.cfg.Backoff, r.budget, func(ctx context.Context, attempt int) error {
+	err := r.retry(ctx, seed, attempts, out, func(ctx context.Context) (*backendResult, error) {
+		return r.attemptOnce(ctx, method, path, ctype, body, out.st)
+	})
+	return out, err
+}
+
+// jitterSeed is the retry-jitter seed of one exchange: request is its
+// number on the router's request counter (a /stream subscription passes
+// the complement of its number on the stream counter, so the two never
+// meet) and part its scenario partition, counted from 1, or 0. Delay is a
+// pure function of its seed and the attempt, so exchanges that shared a
+// seed and retried against the same shedding replica would wait out the
+// same delays and arrive again together; no two exchanges share one.
+func jitterSeed(request uint64, part int) uint64 {
+	return request<<16 | uint64(part)
+}
+
+// retry runs one exchange's attempts, with its backoff jitter seeded by
+// seed, counting retries and failovers and keeping the last response (or
+// retryable failure) in out.final.
+func (r *Router) retry(ctx context.Context, seed uint64, attempts int, out *routeResult, op func(context.Context) (*backendResult, error)) error {
+	return resilience.Retry(ctx, attempts, resilience.Backoff{Seed: seed}, r.budget, func(ctx context.Context, attempt int) error {
 		if attempt > 0 {
 			out.retries++
 			r.retries.Add(1)
@@ -361,7 +365,7 @@ func (r *Router) dispatch(ctx context.Context, method, path, ctype string, body 
 				r.failovers.Add(1)
 			}
 		}
-		res, err := r.attemptOnce(ctx, method, path, ctype, body, out.st)
+		res, err := op(ctx)
 		if err != nil {
 			var hf *httpFailure
 			if errors.As(err, &hf) {
@@ -372,7 +376,6 @@ func (r *Router) dispatch(ctx context.Context, method, path, ctype string, body 
 		out.final = res
 		return nil
 	})
-	return out, err
 }
 
 // writeRouteError maps a dispatch failure onto the client response.
@@ -407,10 +410,10 @@ var errUncacheable = errors.New("response not cacheable")
 // singleflight leader and stores its 200. The routed-200s-bit-identical
 // invariant makes the stored bytes exactly what any replica would
 // answer, so a hit is indistinguishable from a fresh route.
-func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, method string, body []byte, key pricecache.Key) {
+func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, seed uint64, method string, body []byte, key pricecache.Key) {
 	var lead *routeResult
 	respBody, outcome, err := r.cache.Do(ctx, key, func(ctx context.Context) ([]byte, bool, error) {
-		res, err := r.dispatch(ctx, method, "/price", "application/json", body, false)
+		res, err := r.dispatch(ctx, seed, method, "/price", "application/json", body, false)
 		lead = res
 		if err != nil {
 			return nil, false, err

@@ -29,7 +29,7 @@ import (
 // routeScenario routes one /scenario request, scattering it when there
 // is more than one routable replica and the request is splittable.
 func (r *Router) routeScenario(w http.ResponseWriter, req *http.Request) {
-	r.requests.Add(1)
+	seq := r.requests.Add(1)
 	r.scenarioRequests.Add(1)
 	body, err := readBody(req.Body, req.ContentLength)
 	if err != nil {
@@ -54,7 +54,7 @@ func (r *Router) routeScenario(w http.ResponseWriter, req *http.Request) {
 		// Undecodable (backend owns validation and answers 400), already a
 		// sub-range, or not worth splitting: one plain dispatch.
 		monteCarlo := decodable && sreq.NumGenCells() > 0
-		res, err := r.dispatch(ctx, req.Method, "/scenario", "application/json", body, monteCarlo)
+		res, err := r.dispatch(ctx, jitterSeed(seq, 0), req.Method, "/scenario", "application/json", body, monteCarlo)
 		if err != nil {
 			r.writeRouteError(w, err, res)
 			return
@@ -80,7 +80,7 @@ func (r *Router) routeScenario(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			return err
 		}
-		res, err := r.dispatch(ctx, req.Method, "/scenario", "application/json", subBody, p.MonteCarlo)
+		res, err := r.dispatch(ctx, jitterSeed(seq, i+1), req.Method, "/scenario", "application/json", subBody, p.MonteCarlo)
 		results[i] = res
 		if err != nil {
 			return err

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"finbench/internal/resilience"
 	"finbench/internal/scenario"
 	"finbench/internal/serve/wire"
 )
@@ -91,8 +90,6 @@ func TestScenarioPartitionFailover(t *testing.T) {
 	router, err := New(Config{
 		Backends:       tp.urls(),
 		HealthInterval: time.Hour,
-		MaxAttempts:    3,
-		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +131,7 @@ func TestScenarioMonteCarloPartitionSingleAttempt(t *testing.T) {
 	defer bad.Close()
 
 	router := newRouter(t, Config{
-		Backends:    []string{bad.URL},
-		MaxAttempts: 4,
-		Backoff:     resilience.Backoff{Base: time.Millisecond, Max: time.Millisecond},
+		Backends: []string{bad.URL},
 	})
 	front := httptest.NewServer(router)
 	defer front.Close()

@@ -111,8 +111,6 @@ func TestFailoverOnDeadReplica(t *testing.T) {
 	router, err := New(Config{
 		Backends:       tp.urls(),
 		HealthInterval: time.Hour, // force request-path discovery
-		MaxAttempts:    3,
-		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +144,6 @@ func TestFailoverOnDeadReplica(t *testing.T) {
 func TestHealthExcludesDeadReplica(t *testing.T) {
 	tp := newTopology(t, topoConfig{replicas: 2, router: Config{
 		HealthInterval: 10 * time.Millisecond,
-		HealthTimeout:  100 * time.Millisecond,
 	}})
 
 	tp.https[0].Close()
@@ -220,9 +217,7 @@ func TestMonteCarloSingleAttempt(t *testing.T) {
 	defer bad.Close()
 
 	router := newRouter(t, Config{
-		Backends:    []string{bad.URL},
-		MaxAttempts: 4,
-		Backoff:     resilience.Backoff{Base: time.Millisecond, Max: time.Millisecond},
+		Backends: []string{bad.URL},
 	})
 	front := httptest.NewServer(router)
 	defer front.Close()
@@ -261,8 +256,6 @@ func TestCorrupt200NeverForwarded(t *testing.T) {
 	router := newRouter(t, Config{
 		Backends:       []string{corrupt.URL, tp.https[0].URL},
 		HealthInterval: time.Hour,
-		MaxAttempts:    3,
-		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: time.Millisecond},
 	})
 	front := httptest.NewServer(router)
 	defer front.Close()
@@ -287,7 +280,8 @@ func TestCorrupt200NeverForwarded(t *testing.T) {
 
 // TestBreakerOpensAndRecovers drives a replica through fail -> breaker
 // open -> recovery -> half-open probe -> closed, observing the
-// transitions through the router's snapshot.
+// transitions through the router's snapshot. The breaker's clock is a
+// fake one that the test moves past the 1s open period.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
@@ -306,28 +300,24 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}))
 	defer flaky.Close()
 
+	var clock atomic.Int64 // nanoseconds
 	router := newRouter(t, Config{
 		Backends:       []string{flaky.URL},
 		HealthInterval: time.Hour,
-		MaxAttempts:    1, // isolate breaker behavior from retries
-		Breaker: resilience.BreakerConfig{
-			FailureThreshold: 3,
-			OpenFor:          30 * time.Millisecond,
-		},
+		Breaker:        resilience.BreakerConfig{Now: func() time.Time { return time.Unix(0, clock.Load()) }},
 	})
 	front := httptest.NewServer(router)
 	defer front.Close()
 
-	// Trip it.
-	for i := 0; i < 3; i++ {
+	// Trip it: the first request's three attempts and two of the second's
+	// are the five consecutive failures that open the breaker; the
+	// second's last attempt finds no routable replica.
+	for i := 0; i < 2; i++ {
 		post(t, front.URL, "/price", priceBody("", 1))
 	}
 	snap := router.Snapshot()
-	if snap.Replicas[0].Breaker.State != "open" {
-		t.Fatalf("breaker state %q after %d failures, want open", snap.Replicas[0].Breaker.State, 3)
-	}
-	if snap.Replicas[0].Breaker.Opens == 0 {
-		t.Fatal("no opens counted")
+	if b := snap.Replicas[0].Breaker; b.State != "open" || b.Failures != 5 || b.Opens != 1 {
+		t.Fatalf("breaker %+v after two failing requests, want open at 5 failures", b)
 	}
 	// While open the sole replica is unroutable -> fast 503.
 	resp, _ := post(t, front.URL, "/price", priceBody("", 1))
@@ -338,9 +328,10 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Error("no-replica 503 missing Retry-After")
 	}
 
-	// Recover the replica, wait out OpenFor, and watch a probe close it.
+	// Recover the replica, move the clock past the open period, and watch
+	// a probe close it.
 	failing.Store(false)
-	time.Sleep(40 * time.Millisecond)
+	clock.Add(int64(time.Second))
 	resp, body := post(t, front.URL, "/price", priceBody("", 1))
 	if resp.StatusCode != 200 {
 		t.Fatalf("probe after recovery: %d %s", resp.StatusCode, body)
@@ -376,7 +367,6 @@ func TestSlowReplicaPricedOnce(t *testing.T) {
 	router := newRouter(t, Config{
 		Backends:       backends,
 		HealthInterval: time.Hour,
-		MaxAttempts:    3,
 	})
 	front := httptest.NewServer(router)
 	defer front.Close()
@@ -405,8 +395,6 @@ func TestAllReplicasDown(t *testing.T) {
 	router := newRouter(t, Config{
 		Backends:       tp.urls(),
 		HealthInterval: 10 * time.Millisecond,
-		MaxAttempts:    2,
-		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: time.Millisecond},
 	})
 	front := httptest.NewServer(router)
 	defer front.Close()
@@ -483,7 +471,7 @@ func TestRouterStatszShape(t *testing.T) {
 // TestPassThrough4xx: a 400 from the backend is the client's fault —
 // passed through untouched, not retried.
 func TestPassThrough4xx(t *testing.T) {
-	tp := newTopology(t, topoConfig{replicas: 1, router: Config{MaxAttempts: 3}})
+	tp := newTopology(t, topoConfig{replicas: 1, router: Config{}})
 
 	resp, body := post(t, tp.front.URL, "/price", []byte(`{"options":[]}`))
 	if resp.StatusCode != http.StatusBadRequest {
@@ -543,8 +531,6 @@ func TestCorruptColumnar200NeverForwarded(t *testing.T) {
 	router := newRouter(t, Config{
 		Backends:       []string{corrupt.URL, tp.https[0].URL},
 		HealthInterval: time.Hour,
-		MaxAttempts:    3,
-		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: time.Millisecond},
 	})
 	front := httptest.NewServer(router)
 	defer front.Close()

@@ -29,8 +29,8 @@ import (
 //     the router re-subscribes elsewhere, forwards only the first hello,
 //     and the new replica's first snapshot is the client's resync.
 //   - Only the router's own stop says goodbye ("draining").
-//   - A frame write that misses StreamWriteTimeout disconnects a stalled
-//     client, the lone server's rule (stream_slow_drops).
+//   - A frame write that misses streamWriteTimeout (2s) disconnects a
+//     stalled client, the lone server's rule (stream_slow_drops).
 
 // streamRetryDelay spaces re-subscriptions after an upstream stream ends,
 // so a replica that accepts and at once ends a stream cannot spin the
@@ -39,7 +39,7 @@ const streamRetryDelay = 100 * time.Millisecond
 
 // routeStream serves one routed SSE subscription.
 func (r *Router) routeStream(w http.ResponseWriter, req *http.Request) {
-	r.streamRequests.Add(1)
+	seq := r.streamRequests.Add(1)
 	if req.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
@@ -52,24 +52,8 @@ func (r *Router) routeStream(w http.ResponseWriter, req *http.Request) {
 
 	uri := req.URL.RequestURI()
 	out := &routeResult{st: &reqState{excluded: make(map[*replica]bool)}}
-	err := resilience.Retry(ctx, r.cfg.MaxAttempts, r.cfg.Backoff, r.budget, func(ctx context.Context, attempt int) error {
-		if attempt > 0 {
-			out.retries++
-			r.retries.Add(1)
-			if len(out.st.excluded) > 0 {
-				r.failovers.Add(1)
-			}
-		}
-		res, err := r.subscribe(ctx, uri, out.st)
-		if err != nil {
-			var hf *httpFailure
-			if errors.As(err, &hf) {
-				out.final = hf.res
-			}
-			return err
-		}
-		out.final = res
-		return nil
+	err := r.retry(ctx, jitterSeed(^seq, 0), maxAttempts, out, func(ctx context.Context) (*backendResult, error) {
+		return r.subscribe(ctx, uri, out.st)
 	})
 	if err != nil {
 		r.writeRouteError(w, err, out)
@@ -195,11 +179,11 @@ func (r *Router) relay(w io.Writer, rc *http.ResponseController, upstream io.Rea
 	}
 }
 
-// writeFrame writes and flushes one frame under StreamWriteTimeout. A
+// writeFrame writes and flushes one frame under streamWriteTimeout. A
 // deadline miss is a stalled client: it is counted and, like every failed
 // write, ends the client's stream.
 func (r *Router) writeFrame(w io.Writer, rc *http.ResponseController, frame []byte) bool {
-	if err := rc.SetWriteDeadline(time.Now().Add(r.cfg.StreamWriteTimeout)); err != nil {
+	if err := rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)); err != nil {
 		return false
 	}
 	_, err := w.Write(frame)

@@ -338,18 +338,17 @@ func TestRoutedStreamRouterStopSaysGoodbye(t *testing.T) {
 
 // TestRoutedStreamSlowClientShed: a routed subscriber that stops reading
 // is disconnected by the lone server's rule — its frame write misses
-// StreamWriteTimeout — while a second subscriber on the same replica
-// keeps receiving.
+// streamWriteTimeout (2s) — while a second subscriber on the same replica
+// keeps receiving. The replica writes under the same 2s deadline and may
+// drop the stalled relay's upstream first; the router's own write to the
+// client is blocked either way, and it is that write's miss that counts.
 func TestRoutedStreamSlowClientShed(t *testing.T) {
 	hcfg := smallStreamCfg(256)
 	hcfg.SpotThreshold = -1 // every tick rewrites the universe
 	hcfg.Budget = time.Second
 	tp := newTopology(t, topoConfig{replicas: 1,
-		serve: serve.Config{Stream: &hcfg, StreamWriteTimeout: time.Minute},
-		router: Config{
-			HealthInterval:     20 * time.Millisecond,
-			StreamWriteTimeout: time.Second,
-		}})
+		serve:  serve.Config{Stream: &hcfg},
+		router: Config{HealthInterval: 20 * time.Millisecond}})
 
 	live := getStream(t, tp.front.URL, "")
 	defer live.Body.Close()

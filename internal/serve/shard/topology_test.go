@@ -438,22 +438,49 @@ func TestTopologyDeadlineBurstCancelsWork(t *testing.T) {
 }
 
 // TestTopologyAdmissionShedsWith503: with the work budget held by one
-// long Monte Carlo request, a burst that cannot be admitted within
-// AdmitWait is shed with 503 — never any other error — and the holder
-// still answers 200.
+// long request, a burst that cannot be admitted within the 2ms admission
+// wait is shed with 503 — never any other error — and the holder still
+// answers 200.
 func TestTopologyAdmissionShedsWith503(t *testing.T) {
-	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{MaxUnits: 30, AdmitWait: time.Millisecond}})
+	tp := newTopology(t, topoConfig{replicas: 1})
 	replica := tp.https[0].URL
-	rng := rand.New(rand.NewSource(4))
 	holderDone := make(chan int, 1)
-	// The holder draws the server's maximum paths, so that at
-	// GOMAXPROCS=1 it is still computing when the poll below gets a
-	// /statsz round trip through.
+	// The holder is a /scenario request of 1024 positions over 8,192
+	// cells. Admission charges one unit per (cell, position), 8,388,608
+	// units, and clamps that to the whole 4,194,304-unit budget; the
+	// holder is still computing at GOMAXPROCS=1 when the poll below gets
+	// a /statsz round trip through and the burst reaches admission. Its
+	// 200 must match the library's bytes.
+	holder := &scenario.Request{
+		Portfolio: make([]scenario.Position, 1024),
+		Grid: scenario.Grid{
+			SpotShocks: make([]float64, 32),
+			VolShocks:  make([]float64, 16),
+			RateShifts: make([]float64, 16),
+		},
+	}
+	for i := range holder.Portfolio {
+		holder.Portfolio[i] = scenario.Position{Spot: 80 + float64(i%41), Strike: 100, Expiry: 0.25 + float64(i%7)/4, Quantity: 1}
+	}
+	for i := range holder.Grid.SpotShocks {
+		holder.Grid.SpotShocks[i] = float64(i-16) / 80
+	}
+	for i := range holder.Grid.VolShocks {
+		holder.Grid.VolShocks[i] = float64(i-8) / 100
+		holder.Grid.RateShifts[i] = float64(i-8) / 800
+	}
 	go func() {
-		holderDone <- tp.price(replica, &wire.PriceRequest{
-			Method: "monte-carlo", Options: randomOptions(rng, 2, "monte-carlo"),
-			Config: wire.Config{MCPaths: 1 << 22},
-		})
+		body, err := json.Marshal(holder)
+		if err != nil {
+			t.Error(err)
+		}
+		code, _, data := tp.post(replica+"/scenario", "application/json", body)
+		if code == http.StatusOK {
+			if want, err := scenarioBytes(holder); err != nil || !bytes.Equal(data, want) {
+				t.Errorf("holder 200 differs from the library's answer (%v)", err)
+			}
+		}
+		holderDone <- code
 	}()
 	for deadline := time.Now().Add(10 * time.Second); tp.replicaStatsz(0).InFlightUnits == 0; {
 		if time.Now().After(deadline) {
@@ -775,8 +802,7 @@ func TestTopologyStreamColdAndResync(t *testing.T) {
 	hcfg := smallStreamCfg(256)
 	hcfg.SpotThreshold = -1 // every tick reprices the whole universe
 	hcfg.Budget = time.Second
-	hcfg.SubscriberBuffer = 2
-	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{Stream: &hcfg, StreamWriteTimeout: time.Minute}})
+	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{Stream: &hcfg}})
 	replica := tp.https[0].URL
 
 	subscribe := func(contracts string) (*http.Response, *stream.FrameReader) {
@@ -874,8 +900,7 @@ func TestTopologyDrainWaitsForStreams(t *testing.T) {
 	hcfg := smallStreamCfg(256)
 	hcfg.SpotThreshold = -1
 	hcfg.Budget = time.Second
-	hcfg.SubscriberBuffer = 2
-	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{Stream: &hcfg, StreamWriteTimeout: time.Second}})
+	tp := newTopology(t, topoConfig{replicas: 1, serve: serve.Config{Stream: &hcfg}})
 	// A subscriber with a small receive buffer that never reads.
 	conn, err := net.Dial("tcp", tp.https[0].Listener.Addr().String())
 	if err != nil {
@@ -912,18 +937,14 @@ func TestTopologyDrainWaitsForStreams(t *testing.T) {
 	}
 }
 
-// chaosRouter is the router configuration of the chaos tests: retries
-// with a short backoff and an unlimited retry budget, and a transport
-// that dials for every attempt, so every attempt faces the listener's
-// faults.
+// chaosRouter is the router configuration of the chaos tests: the
+// router's own retry policy, and a transport that dials for every
+// attempt, so every attempt faces the listener's faults.
 func chaosRouter(t *testing.T) Config {
 	transport := &http.Transport{DisableKeepAlives: true}
 	t.Cleanup(transport.CloseIdleConnections)
 	return Config{
 		HealthInterval: time.Hour, // routing state comes from the request path
-		MaxAttempts:    4,
-		Backoff:        resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-		BudgetRatio:    -1,
 		Transport:      transport,
 	}
 }
@@ -937,7 +958,10 @@ func chaosRouter(t *testing.T) Config {
 // replay is a hit whose stored bytes were filled under faults and must
 // still bit-match. At a 10% fault rate a request needs about 0.11
 // retries on average; more than one retry per four requests means the
-// router retries what it need not.
+// router retries what it need not. A request fails only when all three
+// of its attempts meet a fault, about 0.1% of requests; 400 requests let
+// the 99% floor allow four such failures, so sampling alone breaks it
+// about once in 16,000 bursts.
 func TestTopologyChaosAvailability(t *testing.T) {
 	table := []string{"", "", "", "binomial-tree", "greeks"}
 	for _, n := range []int{2, 3} {
@@ -949,7 +973,7 @@ func TestTopologyChaosAvailability(t *testing.T) {
 						rc.CacheBytes = 1 << 20
 					}
 					tp := newTopology(t, topoConfig{replicas: n, router: rc, faultSeed: seed})
-					const requests = 120
+					const requests = 400
 					call := tp.mixedCall(int64(seed), table, 4)
 					codes := burst(requests, 6, 0, nil, call)
 					if a := availability(codes, requests); a < 0.99 {
@@ -989,13 +1013,15 @@ func TestTopologyChaosAvailability(t *testing.T) {
 
 // TestTopologyKillMidBurst: a replica killed in the middle of a burst
 // keeps availability at ≥ 99% with every 200 bit-clean; its breaker
-// opens, and once the replica is revived on its address a probe closes
-// the breaker again.
+// opens, and once the replica is revived on its address and the breaker's
+// fake clock has moved past the 1s open period, a probe closes the
+// breaker again.
 func TestTopologyKillMidBurst(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) {
+			var clock atomic.Int64 // nanoseconds
 			rc := chaosRouter(t)
-			rc.Breaker = resilience.BreakerConfig{FailureThreshold: 1, OpenFor: 50 * time.Millisecond}
+			rc.Breaker = resilience.BreakerConfig{Now: func() time.Time { return time.Unix(0, clock.Load()) }}
 			tp := newTopology(t, topoConfig{replicas: n, router: rc})
 			const requests = 400
 			codes := burst(requests, 6, 100, func() { tp.kill(0) }, tp.mixedCall(11, []string{""}, 4))
@@ -1007,6 +1033,7 @@ func TestTopologyKillMidBurst(t *testing.T) {
 			}
 
 			tp.revive(0)
+			clock.Add(int64(time.Second))
 			tp.untilBreakerCloses(0, tp.mixedCall(12, []string{""}, 4), 0)
 		})
 	}

@@ -21,7 +21,7 @@ import (
 // `snapshot` with resync=true instead of the deltas it missed. Drain
 // ends the stream with `event: goodbye`.
 //
-// Every frame write runs under StreamWriteTimeout through the response
+// Every frame write runs under streamWriteTimeout (2s) through the response
 // controller: a stalled client is disconnected rather than allowed to
 // pin its handler (and block the server's drain) indefinitely.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -101,7 +101,7 @@ func (s *Server) writeFrame(rc *http.ResponseController, w http.ResponseWriter, 
 	if frame == nil {
 		return true
 	}
-	if err := rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout)); err != nil {
+	if err := rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)); err != nil {
 		return false
 	}
 	_, werr := w.Write(frame)

@@ -164,14 +164,12 @@ func TestDrainFinishesOpenStream(t *testing.T) {
 func TestStreamSlowClientDisconnected(t *testing.T) {
 	cfg := Config{
 		Stream: &stream.Config{
-			Universe:         2048,
-			Underlyings:      16,
-			Interval:         2 * time.Millisecond,
-			Budget:           time.Second,
-			SpotThreshold:    -1, // every tick rewrites the universe: ~0.5MB frames
-			SubscriberBuffer: 2,
+			Universe:      2048,
+			Underlyings:   16,
+			Interval:      2 * time.Millisecond,
+			Budget:        time.Second,
+			SpotThreshold: -1, // every tick rewrites the universe: ~0.5MB frames
 		},
-		StreamWriteTimeout: 200 * time.Millisecond,
 	}
 	s, ts := newTestServer(t, cfg)
 

@@ -86,16 +86,16 @@ type Config struct {
 	SpotThreshold float64
 	VolThreshold  float64
 	RateThreshold float64
-
-	// SubscriberBuffer is each subscriber's event-buffer capacity
-	// (default 8); overflow forces a snapshot resync. MaxSubscribers
-	// bounds concurrent subscriptions (default 1024).
-	SubscriberBuffer int
-	MaxSubscribers   int
-
-	// MinReprice floors the adaptive worst-movers cap (default 64).
-	MinReprice int
 }
+
+// subscriberBuffer is each subscriber's event-buffer capacity; overflow
+// forces a snapshot resync. maxSubscribers bounds concurrent
+// subscriptions. minReprice floors the adaptive worst-movers cap.
+const (
+	subscriberBuffer = 8
+	maxSubscribers   = 1024
+	minReprice       = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.Universe <= 0 {
@@ -137,15 +137,6 @@ func (c Config) withDefaults() Config {
 	// finlint:ignore floateq zero is the untouched-field sentinel; negative means always-dirty
 	if c.RateThreshold == 0 {
 		c.RateThreshold = 0.0005
-	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = 8
-	}
-	if c.MaxSubscribers <= 0 {
-		c.MaxSubscribers = 1024
-	}
-	if c.MinReprice <= 0 {
-		c.MinReprice = 64
 	}
 	return c
 }
@@ -402,7 +393,7 @@ func (h *Hub) Subscribe(ids []int) (*Sub, error) {
 	sub := &Sub{
 		ids:        make([]int32, len(ids)),
 		member:     make([]bool, n),
-		ch:         make(chan []byte, h.cfg.SubscriberBuffer),
+		ch:         make(chan []byte, subscriberBuffer),
 		gone:       make(chan struct{}),
 		needResync: true,
 	}
@@ -418,7 +409,7 @@ func (h *Hub) Subscribe(ids []int) (*Sub, error) {
 	if h.draining {
 		return nil, ErrDraining
 	}
-	if len(h.subs) >= h.cfg.MaxSubscribers {
+	if len(h.subs) >= maxSubscribers {
 		return nil, ErrTooManySubs
 	}
 	h.subs[sub] = struct{}{}
@@ -540,8 +531,8 @@ func (h *Hub) step(st *ticker.State) {
 	budgetBlown := completed < planned
 	if budgetBlown {
 		newCap := completed - completed/4
-		if newCap < h.cfg.MinReprice {
-			newCap = h.cfg.MinReprice
+		if newCap < minReprice {
+			newCap = minReprice
 		}
 		h.repriceCap.Store(int64(newCap))
 	} else if capN > 0 && time.Since(start) < h.cfg.Budget/2 {

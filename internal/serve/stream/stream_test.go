@@ -160,7 +160,7 @@ func TestMailboxSkipToLatest(t *testing.T) {
 }
 
 func TestSubscribeValidation(t *testing.T) {
-	h := manualHub(t, Config{Universe: 16, Underlyings: 4, MaxSubscribers: 2})
+	h := manualHub(t, Config{Universe: 16, Underlyings: 4})
 	if _, err := h.Subscribe([]int{16}); err != ErrBadContract {
 		t.Errorf("out-of-universe id: err = %v, want ErrBadContract", err)
 	}
@@ -174,8 +174,10 @@ func TestSubscribeValidation(t *testing.T) {
 	if s1.Subscribed() != 16 {
 		t.Errorf("nil subscription covers %d contracts, want the whole universe", s1.Subscribed())
 	}
-	if _, err := h.Subscribe([]int{0}); err != nil {
-		t.Fatal(err)
+	for i := 1; i < maxSubscribers; i++ {
+		if _, err := h.Subscribe([]int{i % 16}); err != nil {
+			t.Fatalf("subscriber %d of %d: %v", i+1, maxSubscribers, err)
+		}
 	}
 	if _, err := h.Subscribe([]int{1}); err != ErrTooManySubs {
 		t.Errorf("over the subscriber limit: err = %v, want ErrTooManySubs", err)
@@ -193,22 +195,26 @@ func TestSubscribeValidation(t *testing.T) {
 }
 
 // TestResyncAfterOverflowBitMatch is the backpressure contract end to
-// end, at the hub layer: overflow a one-slot subscriber buffer, require
+// end, at the hub layer: overflow a subscriber's buffer, require
 // the dropped delta to be replaced by a resync snapshot, and require
 // every float of that snapshot to be bit-identical to a cold
 // LevelAdvanced repricing plus scalar greeks at the entry's echoed
 // inputs — a slow reader loses granularity, never correctness.
 func TestResyncAfterOverflowBitMatch(t *testing.T) {
-	h := manualHub(t, Config{Universe: 64, Underlyings: 8,
-		SpotThreshold: -1, SubscriberBuffer: 1})
+	h := manualHub(t, Config{Universe: 64, Underlyings: 8, SpotThreshold: -1})
 	sub, err := h.Subscribe(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var st ticker.State
-	tickFrom(h, &st)
-	h.Step(&st) // initial snapshot fills the one-slot buffer
+	for i := 0; i < subscriberBuffer; i++ {
+		tickFrom(h, &st)
+		h.Step(&st) // the initial snapshot, then greeks deltas, fill the buffer
+	}
+	if got := h.eventsDropped.Load(); got != 0 {
+		t.Fatalf("%d drops before the buffer was full", got)
+	}
 	tickFrom(h, &st)
 	h.Step(&st) // greeks delta cannot fit: dropped, resync flagged
 	if got := h.eventsDropped.Load(); got == 0 {
@@ -222,6 +228,11 @@ func TestResyncAfterOverflowBitMatch(t *testing.T) {
 
 	tickFrom(h, &st)
 	h.Step(&st) // buffer has room again: the resync snapshot goes out
+	for i := 1; i < subscriberBuffer; i++ {
+		if event, ev = readFrame(t, <-sub.C()); event != EventGreeks || ev.Resync {
+			t.Fatalf("buffered event %d = %s resync=%v, want a greeks delta", i, event, ev.Resync)
+		}
+	}
 	event, ev = readFrame(t, <-sub.C())
 	if event != EventSnapshot {
 		t.Fatalf("post-overflow event = %s, want snapshot", event)
@@ -328,8 +339,7 @@ func TestDegradedCapAdaptation(t *testing.T) {
 // TestDegradedEventFlag: events emitted by a capped pass carry
 // degraded=true; clean passes do not.
 func TestDegradedEventFlag(t *testing.T) {
-	h := manualHub(t, Config{Universe: 256, Underlyings: 4,
-		SpotThreshold: -1, SubscriberBuffer: 64, MinReprice: 64})
+	h := manualHub(t, Config{Universe: 256, Underlyings: 4, SpotThreshold: -1})
 	sub, err := h.Subscribe(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +371,7 @@ func TestDegradedEventFlag(t *testing.T) {
 // — under the race detector.
 func TestFanOutRace(t *testing.T) {
 	h := New(Config{Universe: 256, Underlyings: 16, SpotThreshold: -1,
-		Interval: time.Millisecond, SubscriberBuffer: 2}, nil)
+		Interval: time.Millisecond}, nil)
 	h.Start()
 	defer h.Close()
 

@@ -304,7 +304,7 @@ func validateOption(o *Option) error {
 }
 
 // validateGreeks checks a decoded greeks request. The option-count bounds
-// stay with the server (its MaxOptions config owns them).
+// stay with the server (its maxOptions limit owns them).
 func validateGreeks(req *GreeksRequest) error {
 	if req.DeadlineMS < 0 {
 		return fmt.Errorf("negative deadline_ms %d", req.DeadlineMS)
