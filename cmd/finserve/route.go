@@ -91,6 +91,9 @@ func runRoute(args []string) int {
 	defer router.Close()
 
 	hs := newHTTPServer(*addr, router)
+	// Shutdown waits for open connections, and a routed /stream ends only
+	// when the router stops: stop it first, so every stream says goodbye.
+	hs.RegisterOnShutdown(router.Close)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "route: listening on %s fronting %d replicas\n", *addr, len(urls))

@@ -8,7 +8,7 @@
 // The cache is three mechanisms behind one call:
 //
 //   - a content-addressed store keyed by Digest (LRU eviction under a
-//     byte budget, optional TTL), holding the exact response bytes the
+//     byte budget; entries never expire), holding the exact response bytes the
 //     cold computation produced, so a hit is byte-identical to the cold
 //     200 by construction;
 //   - singleflight collapse: while a leader computes a key, identical
@@ -69,12 +69,10 @@ func (o Outcome) String() string {
 // element, map slot) charged against the byte budget on top of the body.
 const entryOverhead = 128
 
-// Cache is a content-addressed LRU+TTL response cache with singleflight
+// Cache is a content-addressed LRU response cache with singleflight
 // collapse. All methods are safe for concurrent use.
 type Cache struct {
 	maxBytes int64
-	ttl      time.Duration // 0 = entries never expire
-	now      func() time.Time
 
 	mu      sync.Mutex
 	entries map[Key]*list.Element
@@ -87,14 +85,12 @@ type Cache struct {
 	collapsed atomic.Uint64
 	inserts   atomic.Uint64
 	evictions atomic.Uint64
-	expired   atomic.Uint64
 	rejected  atomic.Uint64
 }
 
 type entry struct {
-	key     Key
-	body    []byte
-	expires time.Time // zero = never
+	key  Key
+	body []byte
 }
 
 // flight is one in-progress leader computation. Fields other than done
@@ -108,20 +104,17 @@ type flight struct {
 }
 
 // New builds a cache holding at most maxBytes of response bodies (plus a
-// fixed per-entry overhead); entries expire ttl after insertion (ttl <= 0
-// disables expiry). maxBytes must be positive — callers gate "cache off"
-// themselves with a nil *Cache.
+// fixed per-entry overhead); a non-positive maxBytes selects 64 MiB, and
+// callers gate "cache off" themselves with a nil *Cache. Entries never
+// expire: every caller serves a market fixed when its process starts.
+// ttl is ignored: it stays only until the benchmark/ package, which
+// passes it, can be corrected (ROADMAP item 1a-i).
 func New(maxBytes int64, ttl time.Duration) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	if ttl < 0 {
-		ttl = 0
-	}
 	return &Cache{
 		maxBytes: maxBytes,
-		ttl:      ttl,
-		now:      time.Now,
 		entries:  make(map[Key]*list.Element),
 		lru:      list.New(),
 		flights:  make(map[Key]*flight),
@@ -195,21 +188,14 @@ func (c *Cache) lead(ctx context.Context, key Key, f *flight, compute func(ctx c
 	return body, Miss, err
 }
 
-// lookupLocked returns a fresh entry's body and bumps its recency.
-// Expired entries are removed on sight.
+// lookupLocked returns a stored entry's body and bumps its recency.
 func (c *Cache) lookupLocked(key Key) ([]byte, bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	if !e.expires.IsZero() && c.now().After(e.expires) {
-		c.removeLocked(el)
-		c.expired.Add(1)
-		return nil, false
-	}
 	c.lru.MoveToFront(el)
-	return e.body, true
+	return el.Value.(*entry).body, true
 }
 
 // insert stores body under key, evicting least-recently-used entries
@@ -234,11 +220,7 @@ func (c *Cache) insert(key Key, body []byte) {
 		c.removeLocked(back)
 		c.evictions.Add(1)
 	}
-	e := &entry{key: key, body: body}
-	if c.ttl > 0 {
-		e.expires = c.now().Add(c.ttl)
-	}
-	c.entries[key] = c.lru.PushFront(e)
+	c.entries[key] = c.lru.PushFront(&entry{key: key, body: body})
 	c.bytes += size
 	c.inserts.Add(1)
 }
@@ -259,12 +241,10 @@ type Stats struct {
 	Collapsed uint64 `json:"collapsed"`
 	Inserts   uint64 `json:"inserts"`
 	Evictions uint64 `json:"evictions"`
-	Expired   uint64 `json:"expired"`
 	Rejected  uint64 `json:"rejected"`
 	Entries   int    `json:"entries"`
 	Bytes     int64  `json:"bytes"`
 	MaxBytes  int64  `json:"max_bytes"`
-	TTLMS     int64  `json:"ttl_ms"`
 }
 
 // Snapshot returns the current counters.
@@ -279,11 +259,9 @@ func (c *Cache) Snapshot() Stats {
 		Collapsed: c.collapsed.Load(),
 		Inserts:   c.inserts.Load(),
 		Evictions: c.evictions.Load(),
-		Expired:   c.expired.Load(),
 		Rejected:  c.rejected.Load(),
 		Entries:   entries,
 		Bytes:     bytes,
 		MaxBytes:  c.maxBytes,
-		TTLMS:     c.ttl.Milliseconds(),
 	}
 }

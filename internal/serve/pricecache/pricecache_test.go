@@ -1,6 +1,7 @@
 package pricecache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -209,58 +210,29 @@ func TestCancelledLeaderWaiterRedispatches(t *testing.T) {
 	}
 }
 
-// TestTTLExpiry: entries expire on the injected clock; an expired entry
-// is a miss and gets recomputed — and expiry during an in-flight leader
-// does not disturb the flight.
-func TestTTLExpiry(t *testing.T) {
-	c := New(1<<20, time.Minute)
-	now := time.Unix(1700000000, 0)
-	var mu sync.Mutex
-	c.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	key := testKey(0)
-	if _, o, _ := c.Do(context.Background(), key, computeBody("v1")); o != Miss {
-		t.Fatalf("first Do outcome %v", o)
+// TestReinsertAfterEviction: once a key's entry is gone (evicted by byte
+// pressure; entries never expire), the next Do leads a fresh computation;
+// a waiter parked on that flight gets the new leader's result, and the
+// re-inserted entry is a hit.
+func TestReinsertAfterEviction(t *testing.T) {
+	body := func(tag byte) []byte { return bytes.Repeat([]byte{tag}, 600) }
+	c := New(600+entryOverhead, 0) // budget fits exactly one entry
+	keyA, keyB := testKey(0), testKey(1)
+	c.Do(context.Background(), keyA, func(context.Context) ([]byte, bool, error) { return body('1'), true, nil })
+	c.Do(context.Background(), keyB, func(context.Context) ([]byte, bool, error) { return body('b'), true, nil })
+	if st := c.Snapshot(); st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("after pressure: %+v", st)
 	}
-	advance(30 * time.Second)
-	if _, o, _ := c.Do(context.Background(), key, computeBody("v2")); o != Hit {
-		t.Fatalf("fresh entry outcome %v, want Hit", o)
-	}
-	advance(31 * time.Second)
-	b, o, _ := c.Do(context.Background(), key, computeBody("v2"))
-	if o != Miss || string(b) != "v2" {
-		t.Fatalf("expired entry: outcome %v body %q, want Miss v2", o, b)
-	}
-	if st := c.Snapshot(); st.Expired != 1 {
-		t.Fatalf("expired counter = %d, want 1", st.Expired)
-	}
-}
-
-// TestTTLExpiryWithLeaderInFlight: entry expires while a leader for the
-// same key is computing (possible when the leader started on the expired
-// lookup). Waiters parked on that flight still get the leader's result;
-// the re-inserted entry carries a fresh TTL.
-func TestTTLExpiryWithLeaderInFlight(t *testing.T) {
-	c := New(1<<20, time.Minute)
-	now := time.Unix(1700000000, 0)
-	var mu sync.Mutex
-	c.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	key := testKey(0)
-	c.Do(context.Background(), key, computeBody("v1"))
-	advance(2 * time.Minute) // stored entry now expired
 
 	leaderIn := make(chan struct{})
 	leaderGo := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, o, err := c.Do(context.Background(), key, func(context.Context) ([]byte, bool, error) {
+		_, o, err := c.Do(context.Background(), keyA, func(context.Context) ([]byte, bool, error) {
 			close(leaderIn)
 			<-leaderGo
-			return []byte("v2"), true, nil
+			return body('2'), true, nil
 		})
 		if o != Miss || err != nil {
 			t.Errorf("leader outcome %v err %v", o, err)
@@ -271,9 +243,9 @@ func TestTTLExpiryWithLeaderInFlight(t *testing.T) {
 	waiterDone := make(chan struct{})
 	go func() {
 		defer close(waiterDone)
-		b, o, err := c.Do(context.Background(), key, computeBody("unused"))
-		if err != nil || o != Collapsed || string(b) != "v2" {
-			t.Errorf("waiter got %q %v %v, want v2 Collapsed nil", b, o, err)
+		b, o, err := c.Do(context.Background(), keyA, computeBody("unused"))
+		if err != nil || o != Collapsed || !bytes.Equal(b, body('2')) {
+			t.Errorf("waiter got %.8q %v %v, want the leader's body Collapsed nil", b, o, err)
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -281,10 +253,8 @@ func TestTTLExpiryWithLeaderInFlight(t *testing.T) {
 	<-leaderDone
 	<-waiterDone
 
-	// Fresh TTL on the re-inserted entry.
-	advance(30 * time.Second)
-	if b, o, _ := c.Do(context.Background(), key, computeBody("v3")); o != Hit || string(b) != "v2" {
-		t.Fatalf("re-inserted entry: outcome %v body %q", o, b)
+	if b, o, _ := c.Do(context.Background(), keyA, computeBody("v3")); o != Hit || !bytes.Equal(b, body('2')) {
+		t.Fatalf("re-inserted entry: outcome %v body %.8q, want Hit with the leader's body", o, b)
 	}
 }
 

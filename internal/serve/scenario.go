@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -29,20 +27,12 @@ const maxBasketAssets = 64
 
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	s.stats.scenarioRequests.Add(1)
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	buf := wire.GetBuffer()
-	body, err := readBody(r, buf)
-	if err != nil {
-		wire.PutBuffer(buf)
-		s.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	buf, body, ok := s.front(w, r, &s.stats.scenarioRequests)
+	if !ok {
 		return
 	}
 	var req scenario.Request
-	err = json.Unmarshal(body, &req)
+	err := json.Unmarshal(body, &req)
 	wire.PutBuffer(buf)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "decoding scenario request: "+err.Error())
@@ -76,11 +66,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 
 	base, pnl, err := scenario.EvaluateCells(dctx, &req, s.cfg.Market, rangeStart, cells)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.writeError(w, http.StatusRequestTimeout, "scenario deadline exceeded")
-		} else {
-			s.writeError(w, http.StatusBadRequest, err.Error())
-		}
+		s.writePricingError(w, err, "scenario deadline exceeded")
 		return
 	}
 	s.stats.scenarioCells.Add(uint64(cells))

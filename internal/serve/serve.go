@@ -37,18 +37,15 @@ import (
 // maxOptions options per request; maxPaths Monte Carlo paths per request
 // (more are clamped); maxScenarioCells cells (grid points + generator
 // scenarios) per /scenario request; maxDeadline, the cap on a client
-// deadline and the bound of a request that supplies none; and
-// streamWriteTimeout, the longest one SSE frame write may take before the
-// subscriber is disconnected (so it never holds buffers, or the drain,
-// hostage).
+// deadline and the bound of a request that supplies none. The SSE frame
+// write timeout is stream.WriteTimeout, shared with the router.
 const (
-	maxUnits           = 4 << 20
-	admitWait          = 2 * time.Millisecond
-	maxOptions         = 262144
-	maxPaths           = 1 << 22
-	maxScenarioCells   = 16384
-	maxDeadline        = 30 * time.Second
-	streamWriteTimeout = 2 * time.Second
+	maxUnits         = 4 << 20
+	admitWait        = 2 * time.Millisecond
+	maxOptions       = 262144
+	maxPaths         = 1 << 22
+	maxScenarioCells = 16384
+	maxDeadline      = 30 * time.Second
 )
 
 // Config tunes the server. Zero values select the defaults.
@@ -203,49 +200,64 @@ const maxBody = 64 << 20
 // maxBody are silently dropped (the truncated body then fails decode).
 func readBody(r *http.Request, buf *wire.Buffer) ([]byte, error) {
 	b := buf.B[:0]
-	for {
+	var err error
+	for len(b) < maxBody && err == nil {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
-		room := cap(b) - len(b)
-		if rem := maxBody - len(b); room > rem {
-			room = rem
-		}
-		if room == 0 {
-			buf.B = b
-			return b, nil
-		}
-		n, err := r.Body.Read(b[len(b) : len(b)+room])
+		var n int
+		n, err = r.Body.Read(b[len(b):min(cap(b), maxBody)])
 		b = b[:len(b)+n]
-		if err == io.EOF {
-			buf.B = b
-			return b, nil
-		}
-		if err != nil {
-			buf.B = b
-			return b, err
-		}
 	}
+	buf.B = b
+	if err == io.EOF {
+		err = nil
+	}
+	return b, err
 }
 
-func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.stats.priceRequests.Add(1)
+// front is where every POST handler starts: it counts the request on
+// requests, answers any other method 405, and reads the body into a
+// pooled buffer, which the caller returns with wire.PutBuffer once the
+// body is decoded. On false the error is written and nothing is held.
+func (s *Server) front(w http.ResponseWriter, r *http.Request, requests *atomic.Uint64) (*wire.Buffer, []byte, bool) {
+	requests.Add(1)
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+		return nil, nil, false
 	}
 	buf := wire.GetBuffer()
 	body, err := readBody(r, buf)
 	if err != nil {
 		wire.PutBuffer(buf)
 		s.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		return nil, nil, false
+	}
+	return buf, body, true
+}
+
+// writePricingError answers a request whose pricing failed: its deadline
+// passing or its client leaving (the context's error) is 408 with
+// timeoutMsg; any other error is the request's fault, 400 with its text.
+func (s *Server) writePricingError(w http.ResponseWriter, err error, timeoutMsg string) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		s.writeError(w, http.StatusRequestTimeout, timeoutMsg)
+		return
+	}
+	s.writeError(w, http.StatusBadRequest, err.Error())
+}
+
+func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	buf, body, ok := s.front(w, r, &s.stats.priceRequests)
+	if !ok {
 		return
 	}
 	// wire.DecodeRequest resolves the method while parsing, so the body is
 	// parsed once and every parse error reaches the client.
 	var req *wire.PriceRequest
 	var method finbench.Method
+	var err error
 	binaryFraming := r.Header.Get("Content-Type") == wire.ColumnarContentType
 	if binaryFraming {
 		req, method, err = wire.DecodeColumnarRequest(body)
@@ -299,21 +311,13 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	wire.PutRequest(req)
 	if err != nil {
 		wire.PutPriceResponse(resp)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.writeError(w, http.StatusRequestTimeout, "pricing deadline exceeded")
-		} else {
-			s.writeError(w, http.StatusBadRequest, err.Error())
-		}
+		s.writePricingError(w, err, "pricing deadline exceeded")
 		return
 	}
 	elapsed := time.Since(start)
 	resp.ElapsedUS = elapsed.Microseconds()
 	s.stats.observeLatency(method.String(), elapsed)
-	if binaryFraming {
-		s.writePriceColumnar(w, resp)
-	} else {
-		s.writePriceOK(w, resp)
-	}
+	s.writePriceOK(w, resp, binaryFraming)
 	wire.PutPriceResponse(resp)
 }
 
@@ -424,16 +428,8 @@ func (s *Server) priceHeavy(ctx context.Context, req *PriceRequest, method finbe
 
 func (s *Server) handleGreeks(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	s.stats.greeksRequests.Add(1)
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	buf := wire.GetBuffer()
-	body, err := readBody(r, buf)
-	if err != nil {
-		wire.PutBuffer(buf)
-		s.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	buf, body, ok := s.front(w, r, &s.stats.greeksRequests)
+	if !ok {
 		return
 	}
 	// DecodeGreeksRequest validates options and rejects negative
@@ -449,8 +445,6 @@ func (s *Server) handleGreeks(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "option count out of range")
 		return
 	}
-	// The deadline is checked between options so a huge batch cannot
-	// blow past an expired deadline (or a disconnected client).
 	dctx, units := s.admit(w, r, int64(len(req.Options)), req.DeadlineMS)
 	if dctx == nil {
 		wire.PutGreeksRequest(req)
@@ -459,21 +453,33 @@ func (s *Server) handleGreeks(w http.ResponseWriter, r *http.Request) {
 	defer s.leave(dctx, units)
 
 	resp := wire.GetGreeksResponse()
+	err = s.greeks(dctx, req, resp)
+	wire.PutGreeksRequest(req)
+	if err != nil {
+		wire.PutGreeksResponse(resp)
+		s.writePricingError(w, err, "greeks deadline exceeded")
+		return
+	}
+	elapsed := time.Since(start)
+	resp.ElapsedUS = elapsed.Microseconds()
+	s.stats.observeLatency("greeks", elapsed)
+	s.writeGreeksOK(w, resp)
+	wire.PutGreeksResponse(resp)
+}
+
+// greeks fills resp with each option's closed-form Greeks. The deadline
+// is checked between options, so a huge batch cannot blow past an
+// expired deadline (or a disconnected client).
+func (s *Server) greeks(dctx *deadline.Ctx, req *wire.GreeksRequest, resp *wire.GreeksResponse) error {
 	resp.SizedResults(len(req.Options))
 	for i := range req.Options {
 		if dctx.Expired() {
-			wire.PutGreeksRequest(req)
-			wire.PutGreeksResponse(resp)
-			s.writeError(w, http.StatusRequestTimeout, "greeks deadline exceeded")
-			return
+			return context.DeadlineExceeded
 		}
 		o := &req.Options[i]
 		g, err := finbench.ComputeGreeks(o.ToOption(), s.cfg.Market)
 		if err != nil {
-			wire.PutGreeksRequest(req)
-			wire.PutGreeksResponse(resp)
-			s.writeError(w, http.StatusBadRequest, err.Error())
-			return
+			return err
 		}
 		if o.Type == "put" {
 			resp.Results[i].Delta = g.DeltaPut
@@ -487,12 +493,7 @@ func (s *Server) handleGreeks(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i].Gamma = g.Gamma
 		resp.Results[i].Vega = g.Vega
 	}
-	wire.PutGreeksRequest(req)
-	elapsed := time.Since(start)
-	resp.ElapsedUS = elapsed.Microseconds()
-	s.stats.observeLatency("greeks", elapsed)
-	s.writeGreeksOK(w, resp)
-	wire.PutGreeksResponse(resp)
+	return nil
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
@@ -611,13 +612,21 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	_, _ = w.Write(append(b, '\n'))
 }
 
-// writePriceOK writes a 200 /price body through the append encoder,
-// byte-identical to writeJSON's output without the reflection walk.
-func (s *Server) writePriceOK(w http.ResponseWriter, resp *wire.PriceResponse) {
+// writePriceOK writes a 200 /price body through the append encoder of
+// the request's framing: JSON byte-identical to writeJSON's output
+// without the reflection walk or, for a binary-framed columnar request, a
+// binary response frame.
+func (s *Server) writePriceOK(w http.ResponseWriter, resp *wire.PriceResponse, columnar bool) {
 	buf := wire.GetBuffer()
-	var ok bool
-	buf.B, ok = wire.AppendPriceResponse(buf.B[:0], resp)
-	s.writeEncoded(w, buf.B, ok, headerJSON)
+	if columnar {
+		var err error
+		buf.B, err = wire.AppendColumnarResponse(buf.B[:0], resp)
+		s.writeEncoded(w, buf.B, err == nil, headerColumnar)
+	} else {
+		var ok bool
+		buf.B, ok = wire.AppendPriceResponse(buf.B[:0], resp)
+		s.writeEncoded(w, buf.B, ok, headerJSON)
+	}
 	wire.PutBuffer(buf)
 }
 
@@ -627,16 +636,6 @@ func (s *Server) writeGreeksOK(w http.ResponseWriter, resp *wire.GreeksResponse)
 	var ok bool
 	buf.B, ok = wire.AppendGreeksResponse(buf.B[:0], resp)
 	s.writeEncoded(w, buf.B, ok, headerJSON)
-	wire.PutBuffer(buf)
-}
-
-// writePriceColumnar writes the 200 of a binary-framed columnar request
-// as a binary response frame.
-func (s *Server) writePriceColumnar(w http.ResponseWriter, resp *wire.PriceResponse) {
-	buf := wire.GetBuffer()
-	var err error
-	buf.B, err = wire.AppendColumnarResponse(buf.B[:0], resp)
-	s.writeEncoded(w, buf.B, err == nil, headerColumnar)
 	wire.PutBuffer(buf)
 }
 

@@ -187,7 +187,7 @@ func TestPickTieGoesToFirstRoutableReplica(t *testing.T) {
 	}
 	defer r.Close()
 	pickOne := func() *replica {
-		st := &reqState{excluded: map[*replica]bool{}}
+		st := &routeResult{excluded: map[*replica]bool{}}
 		rep := r.pick(st)
 		if rep != nil {
 			rep.breaker.Success()
@@ -242,14 +242,14 @@ func TestPickSkipsRefusingBreaker(t *testing.T) {
 	}
 	r.replicas[1].loadUnits.Store(5)
 	for i := 0; i < 3; i++ {
-		st := &reqState{excluded: map[*replica]bool{}}
+		st := &routeResult{excluded: map[*replica]bool{}}
 		if got := r.pick(st); got != r.replicas[1] {
 			t.Fatalf("pick %d with replica 0's probe out: got %v, want replica 1", i, got)
 		}
 	}
 	// With every live replica refusing, pick finds none.
 	r.replicas[1].healthy.Store(false)
-	st := &reqState{excluded: map[*replica]bool{}}
+	st := &routeResult{excluded: map[*replica]bool{}}
 	if got := r.pick(st); got != nil {
 		t.Fatalf("only a refusing replica left: picked %v, want none", got.url)
 	}
@@ -264,7 +264,7 @@ func TestPickFailedReplicaOnlyAsLastResort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	pickOne := func(st *reqState) *replica {
+	pickOne := func(st *routeResult) *replica {
 		rep := r.pick(st)
 		if rep != nil {
 			rep.breaker.Success()
@@ -274,7 +274,7 @@ func TestPickFailedReplicaOnlyAsLastResort(t *testing.T) {
 	// Replica 0 is idle and failed this request; the others carry load.
 	r.replicas[1].loadUnits.Store(7)
 	r.replicas[2].loadUnits.Store(5)
-	st := &reqState{excluded: map[*replica]bool{r.replicas[0]: true}}
+	st := &routeResult{excluded: map[*replica]bool{r.replicas[0]: true}}
 	if got := pickOne(st); got != r.replicas[2] {
 		t.Fatalf("replica 0 failed this request: picked %v, want replica 2 (least loaded of the rest)", got.url)
 	}
@@ -291,7 +291,7 @@ func TestPickFailedReplicaOnlyAsLastResort(t *testing.T) {
 	}
 	// A fresh request ignores the first one's failures.
 	r.replicas[2].healthy.Store(true)
-	if got := pickOne(&reqState{excluded: map[*replica]bool{}}); got != r.replicas[0] {
+	if got := pickOne(&routeResult{excluded: map[*replica]bool{}}); got != r.replicas[0] {
 		t.Fatalf("fresh request: picked %v, want replica 0", got.url)
 	}
 }

@@ -2,10 +2,11 @@
 // tier: it fronts N finserve backends, health-checks them through GET
 // /healthz, scores them least-loaded (router-side in-flight plus the
 // backend's reported work units and admission-queue depth), and guards
-// each with a circuit breaker. Failed attempts fail over to a different
-// replica with the dead one excluded for the rest of the request, and
-// attempts run one after another: every request is priced by exactly one
-// replica at a time.
+// each with a circuit breaker. Every routed request, /stream
+// subscriptions included, reaches a replica through one exchange (send).
+// Failed attempts fail over to a different replica with the dead one
+// excluded for the rest of the request, and attempts run one after
+// another: every request is priced by exactly one replica at a time.
 //
 // The PR 4 bit-reproducibility invariant survives routing: every 200
 // the router forwards is byte-for-byte what one backend produced, and
@@ -46,14 +47,12 @@ const maxProxyBody = 64 << 20
 
 // The router's policy: healthTimeout bounds one health probe;
 // maxAttempts bounds attempts per request, first try included (Monte
-// Carlo requests always get exactly one); streamWriteTimeout bounds one
-// SSE frame write to a /stream client, which is disconnected when it
-// cannot absorb a frame within it. The backoff between attempts, the
-// retry budget and the breaker thresholds are resilience's.
+// Carlo requests always get exactly one). The backoff between attempts,
+// the retry budget and the breaker thresholds are resilience's; the SSE
+// frame write timeout is stream.WriteTimeout, the lone server's.
 const (
-	healthTimeout      = 250 * time.Millisecond
-	maxAttempts        = 3
-	streamWriteTimeout = 2 * time.Second
+	healthTimeout = 250 * time.Millisecond
+	maxAttempts   = 3
 )
 
 // Config tunes a Router; zero values select the defaults.
@@ -189,8 +188,11 @@ func (r *Router) Start() {
 	go r.healthLoop()
 }
 
-// Close stops the health loop and ends every routed stream with a
-// goodbye.
+// Close stops the health loop, ends every routed stream with a goodbye,
+// and answers 503 to a subscription no replica has accepted yet. It is
+// safe to call more than once. A routed stream ends only here, so an
+// http.Server serving the router must run Close when its Shutdown starts
+// (RegisterOnShutdown), not after: Shutdown waits for open streams.
 func (r *Router) Close() {
 	r.stop()
 	r.wg.Wait()
@@ -217,14 +219,31 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// reqState is the per-request routing state its sequential retry
-// attempts share.
-type reqState struct {
-	excluded map[*replica]bool // failed this request; picked only as a last resort
-	attempts int
+// exchange is one request as the router sends it to replicas: what every
+// attempt re-sends unchanged.
+type exchange struct {
+	method, uri, ctype string
+	body               []byte
+	// monteCarlo limits the exchange to one attempt: a Monte Carlo answer
+	// depends on the batch decomposition, so a second execution is not
+	// "the same answer, again".
+	monteCarlo bool
+	// subscribe marks a /stream subscription, whose 200 returns with its
+	// event stream open instead of read and checked.
+	subscribe bool
 }
 
-// backendResult is one backend response, fully read.
+// routeResult is one routed exchange: the response to forward, plus the
+// per-request routing state its sequential attempts share and the
+// response headers are built from.
+type routeResult struct {
+	final    *backendResult
+	excluded map[*replica]bool // failed this request; picked only as a last resort
+	attempts int
+	retries  int // attempts after the first, including ones that found no replica
+}
+
+// backendResult is one backend response, read unless it is a /stream 200.
 type backendResult struct {
 	status     int
 	body       []byte
@@ -235,111 +254,120 @@ type backendResult struct {
 	stream io.ReadCloser
 }
 
-// httpFailure carries a retryable backend response (503 shed/drain,
-// 429, 5xx, corrupt 200) through the retry machinery so the last one
-// can still be passed through when every attempt fails the same way.
+// httpFailure carries a failed exchange whose final response is a
+// retryable status (503 shed/drain, 429, 5xx) through the retry machinery,
+// so the last one can still be passed through when every attempt fails
+// the same way.
 type httpFailure struct {
-	res *backendResult
+	rr *routeResult
 }
 
 func (e *httpFailure) Error() string {
-	return fmt.Sprintf("replica %s answered %d", e.res.rep.url, e.res.status)
+	return fmt.Sprintf("replica %s answered %d", e.rr.final.rep.url, e.rr.final.status)
 }
 
 var errNoReplica = errors.New("no routable replica")
 
-// route proxies one pricing request with retry and failover; cacheable closed-form /price requests go through the
-// router-level content cache first.
-func (r *Router) route(w http.ResponseWriter, req *http.Request) {
-	seq := r.requests.Add(1)
+// front is where /price, /greeks and /scenario start: it numbers the
+// request on the router's request counter and reads its body. On false a
+// 400 is written.
+func (r *Router) front(w http.ResponseWriter, req *http.Request) (seq uint64, body []byte, ok bool) {
+	seq = r.requests.Add(1)
 	body, err := readBody(req.Body, req.ContentLength)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		return seq, nil, false
+	}
+	return seq, body, true
+}
+
+// withDeadline mirrors a request's deadline_ms (none when not positive)
+// onto ctx. The deadline travels in the body and the backends enforce it;
+// mirroring it here bounds retries and backoff waits too. It is
+// established before any cache wait, so a waiter parked on a slow
+// singleflight leader still honors its own deadline. Unlike the replicas
+// this is not the pooled deadline.Ctx: ctx becomes the outgoing request's
+// context, and net/http keeps using it after RoundTrip returns (the
+// RoundTripper contract lets the transport read the request from another
+// goroutine until the response body is closed, and a dial the request
+// started outlives it with the context's values), so a released-and-
+// reused Ctx could reach into an unrelated request's exchange.
+func withDeadline(ctx context.Context, deadlineMS int64) (context.Context, context.CancelFunc) {
+	if deadlineMS <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
+}
+
+// route proxies one pricing request with retry and failover; cacheable
+// closed-form /price requests go through the router-level content cache
+// first.
+func (r *Router) route(w http.ResponseWriter, req *http.Request) {
+	seq, body, ok := r.front(w, req)
+	if !ok {
 		return
 	}
-
 	// The backend switches framing on Content-Type; anything but the
 	// columnar frame type forwards as JSON (the legacy behavior).
-	ctype := "application/json"
+	ex := exchange{method: req.Method, uri: req.URL.Path, ctype: "application/json", body: body}
 	if req.Header.Get("Content-Type") == wire.ColumnarContentType {
-		ctype = wire.ColumnarContentType
+		ex.ctype = wire.ColumnarContentType
 	}
 
 	// Read the method and deadline (and, for /price, the cache key). A
 	// body that does not decode is still forwarded (the backend owns
 	// validation and answers 400). Columnar frames are closed-form by
 	// construction and carry their deadline in the header.
-	var monteCarlo, cacheable bool
+	var cacheable bool
 	var deadlineMS int64
 	var key pricecache.Key
 	switch {
-	case ctype == wire.ColumnarContentType:
+	case ex.ctype == wire.ColumnarContentType:
 		deadlineMS, _ = wire.SniffColumnarDeadline(body)
-	case req.URL.Path == "/price":
-		monteCarlo, deadlineMS, key, cacheable = sniffPrice(body, r.cache != nil)
+	case ex.uri == "/price":
+		ex.monteCarlo, deadlineMS, key, cacheable = sniffPrice(body, r.cache != nil)
 	default:
-		monteCarlo, deadlineMS = sniffJSON(body)
+		ex.monteCarlo, deadlineMS = sniffJSON(body)
 	}
+	ctx, cancel := withDeadline(req.Context(), deadlineMS)
+	defer cancel()
 
-	ctx := req.Context()
-	if deadlineMS > 0 {
-		// The deadline travels in the body and the backend enforces it;
-		// mirroring it here bounds retries and backoff waits too. It is
-		// established before any cache wait, so a waiter parked on a
-		// slow singleflight leader still honors its own deadline. Unlike
-		// the replicas this is not the pooled deadline.Ctx: ctx becomes
-		// the outgoing request's context, and net/http keeps using it
-		// after RoundTrip returns (the RoundTripper contract lets the
-		// transport read the request from another goroutine until the
-		// response body is closed, and a dial the request started
-		// outlives it with the context's values), so a released-and-
-		// reused Ctx could reach into an unrelated request's exchange.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
-		defer cancel()
-	}
-
-	if r.cache != nil && req.URL.Path == "/price" && ctype != wire.ColumnarContentType {
+	if r.cache != nil && ex.uri == "/price" && ex.ctype != wire.ColumnarContentType {
 		if cacheable {
-			r.routeCached(ctx, w, jitterSeed(seq, 0), req.Method, body, key)
+			r.routeCached(ctx, w, jitterSeed(seq, 0), &ex, key)
 			return
 		}
 		w.Header().Set(pricecache.Header, "bypass")
 	}
 
-	res, err := r.dispatch(ctx, jitterSeed(seq, 0), req.Method, req.URL.Path, ctype, body, monteCarlo)
+	res, err := r.dispatch(ctx, jitterSeed(seq, 0), &ex)
 	if err != nil {
-		r.writeRouteError(w, err, res)
+		r.writeRouteError(w, err)
 		return
 	}
 	r.passThrough(w, res)
 }
 
-// routeResult is one full routed exchange: the response to forward plus
-// the per-request routing state the response headers are built from.
-type routeResult struct {
-	final   *backendResult
-	st      *reqState
-	retries int // attempts after the first, including ones that found no replica
-}
-
-// dispatch runs the retry/failover machinery for one request and
-// returns the response to forward. On error, result.final carries the
-// last retryable backend response when there was one (so the caller can
-// still pass it through). seed is the exchange's jitterSeed.
-func (r *Router) dispatch(ctx context.Context, seed uint64, method, path, ctype string, body []byte, monteCarlo bool) (*routeResult, error) {
-	// Monte Carlo answers depend on the batch decomposition, so a
-	// second execution is not "the same answer, again" — it gets
-	// exactly one attempt.
+// dispatch runs one exchange's attempts, with its backoff jitter seeded by
+// seed (its jitterSeed), counting retries and failovers, and returns the
+// exchange with the response to forward.
+func (r *Router) dispatch(ctx context.Context, seed uint64, ex *exchange) (*routeResult, error) {
 	attempts := maxAttempts
-	if monteCarlo {
+	if ex.monteCarlo {
 		attempts = 1
 	}
-	out := &routeResult{st: &reqState{excluded: make(map[*replica]bool)}}
-	err := r.retry(ctx, seed, attempts, out, func(ctx context.Context) (*backendResult, error) {
-		return r.attemptOnce(ctx, method, path, ctype, body, out.st)
+	rr := &routeResult{excluded: make(map[*replica]bool)}
+	err := resilience.Retry(ctx, attempts, resilience.Backoff{Seed: seed}, r.budget, func(ctx context.Context, attempt int) error {
+		if attempt > 0 {
+			rr.retries++
+			r.retries.Add(1)
+			if len(rr.excluded) > 0 {
+				r.failovers.Add(1)
+			}
+		}
+		return r.send(ctx, rr, ex)
 	})
-	return out, err
+	return rr, err
 }
 
 // jitterSeed is the retry-jitter seed of one exchange: request is its
@@ -353,33 +381,8 @@ func jitterSeed(request uint64, part int) uint64 {
 	return request<<16 | uint64(part)
 }
 
-// retry runs one exchange's attempts, with its backoff jitter seeded by
-// seed, counting retries and failovers and keeping the last response (or
-// retryable failure) in out.final.
-func (r *Router) retry(ctx context.Context, seed uint64, attempts int, out *routeResult, op func(context.Context) (*backendResult, error)) error {
-	return resilience.Retry(ctx, attempts, resilience.Backoff{Seed: seed}, r.budget, func(ctx context.Context, attempt int) error {
-		if attempt > 0 {
-			out.retries++
-			r.retries.Add(1)
-			if len(out.st.excluded) > 0 {
-				r.failovers.Add(1)
-			}
-		}
-		res, err := op(ctx)
-		if err != nil {
-			var hf *httpFailure
-			if errors.As(err, &hf) {
-				out.final = hf.res
-			}
-			return err
-		}
-		out.final = res
-		return nil
-	})
-}
-
 // writeRouteError maps a dispatch failure onto the client response.
-func (r *Router) writeRouteError(w http.ResponseWriter, err error, res *routeResult) {
+func (r *Router) writeRouteError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusRequestTimeout, "routing deadline exceeded")
@@ -387,11 +390,17 @@ func (r *Router) writeRouteError(w http.ResponseWriter, err error, res *routeRes
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "no routable replica")
 	case errors.Is(err, context.Canceled):
-		// Client went away; nothing useful to write.
+		if r.stopped.Err() == nil {
+			return // the client went away; nothing useful to write
+		}
+		// The router's stop cut a /stream subscription off before a
+		// replica accepted it: come back to another router.
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "router is stopping")
 	default:
 		var hf *httpFailure
-		if errors.As(err, &hf) && res != nil && res.final != nil {
-			r.passThrough(w, res)
+		if errors.As(err, &hf) {
+			r.passThrough(w, hf.rr)
 			return
 		}
 		writeError(w, http.StatusBadGateway, "replica unreachable: "+err.Error())
@@ -399,8 +408,8 @@ func (r *Router) writeRouteError(w http.ResponseWriter, err error, res *routeRes
 }
 
 // errUncacheable marks a leader exchange whose response must not be
-// shared: any non-200 (a corrupt 200 never gets here — attemptOnce
-// refuses a body that is not JSON). The response belongs to the request
+// shared: any non-200 (a corrupt 200 never gets here — send refuses a
+// body that is not JSON). The response belongs to the request
 // that provoked it; waiters re-dispatch their own exchange.
 var errUncacheable = errors.New("response not cacheable")
 
@@ -410,10 +419,10 @@ var errUncacheable = errors.New("response not cacheable")
 // singleflight leader and stores its 200. The routed-200s-bit-identical
 // invariant makes the stored bytes exactly what any replica would
 // answer, so a hit is indistinguishable from a fresh route.
-func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, seed uint64, method string, body []byte, key pricecache.Key) {
+func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, seed uint64, ex *exchange, key pricecache.Key) {
 	var lead *routeResult
 	respBody, outcome, err := r.cache.Do(ctx, key, func(ctx context.Context) ([]byte, bool, error) {
-		res, err := r.dispatch(ctx, seed, method, "/price", "application/json", body, false)
+		res, err := r.dispatch(ctx, seed, ex)
 		lead = res
 		if err != nil {
 			return nil, false, err
@@ -424,9 +433,11 @@ func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, seed ui
 		return res.final.body, true, nil
 	})
 	switch {
-	case err == nil && outcome == pricecache.Miss:
-		// Leader with a cacheable 200: forward with full routing headers.
-		w.Header().Set(pricecache.Header, outcome.String())
+	case (err == nil && outcome == pricecache.Miss) || errors.Is(err, errUncacheable):
+		// This caller led: forward its answer, a stored 200 or one that
+		// is not shareable, with full routing headers, as the plain path
+		// would have.
+		w.Header().Set(pricecache.Header, "miss")
 		r.passThrough(w, lead)
 	case err == nil:
 		// Hit or collapsed: served from the cache; no replica involved,
@@ -435,13 +446,8 @@ func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, seed ui
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(respBody)
-	case errors.Is(err, errUncacheable):
-		// This caller led and got a non-shareable answer: forward it as
-		// the plain path would have.
-		w.Header().Set(pricecache.Header, "miss")
-		r.passThrough(w, lead)
 	default:
-		r.writeRouteError(w, err, lead)
+		r.writeRouteError(w, err)
 	}
 }
 
@@ -544,90 +550,104 @@ func (r *Router) passThrough(w http.ResponseWriter, rr *routeResult) {
 		h.Set("Retry-After", res.retryAfter)
 	}
 	h.Set("X-Finserve-Replica", res.rep.url)
-	h.Set("X-Finserve-Attempts", fmt.Sprintf("%d", rr.st.attempts))
+	h.Set("X-Finserve-Attempts", fmt.Sprintf("%d", rr.attempts))
 	h.Set("X-Finserve-Retries", fmt.Sprintf("%d", rr.retries))
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 }
 
-// attemptOnce picks a replica, sends the request, and classifies the
-// outcome: (res, nil) for responses that may be forwarded as-is (valid
-// 200s and 4xx), *httpFailure for retryable statuses, a bare error for
-// transport-level failures. It brackets the breaker: exactly one
-// Success/Failure per admission.
-func (r *Router) attemptOnce(ctx context.Context, method, path, ctype string, body []byte, st *reqState) (*backendResult, error) {
-	rep := r.pick(st)
+// send is the router's one replica exchange, under every routed path:
+// /price, /greeks, the cache leader, each scenario partition, and a
+// /stream subscription and its re-subscriptions. It picks a replica,
+// sends ex, and classifies the answer: nil for one that may be forwarded
+// as-is (a 200, a 4xx), *httpFailure for a retryable status, a bare error
+// for a transport failure; the answer, when there is one, is rr.final. A
+// pricing 200 is read and kept only if its body is whole; a
+// subscription's 200 keeps its event stream open (the caller closes it).
+// It brackets the breaker: exactly one Success/Failure per admission.
+// The replica's in-flight count covers only the exchange: an open stream
+// is not a request outstanding, and counting it would steer every routed
+// /price away from the replica for the stream's whole life.
+func (r *Router) send(ctx context.Context, rr *routeResult, ex *exchange) error {
+	rep := r.pick(rr)
 	if rep == nil {
 		r.noReplica.Add(1)
-		return nil, errNoReplica
+		return errNoReplica
 	}
-	st.attempts++
+	rr.attempts++
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
 
-	hreq, err := http.NewRequestWithContext(ctx, method, rep.url+path, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, ex.method, rep.url+ex.uri, bytes.NewReader(ex.body))
 	if err != nil {
 		rep.breaker.Success() // request construction is not the replica's fault
-		return nil, resilience.Permanent(err)
+		return resilience.Permanent(err)
 	}
-	hreq.Header.Set("Content-Type", ctype)
+	if ex.ctype != "" {
+		hreq.Header.Set("Content-Type", ex.ctype)
+	}
 
 	resp, err := r.client.Do(hreq)
 	if err != nil {
-		return nil, r.replicaFailed(ctx, st, rep, fmt.Errorf("replica %s: %w", rep.url, err))
+		return r.replicaFailed(ctx, rr, rep, fmt.Errorf("replica %s: %w", rep.url, err))
 	}
-	respBody, err := readBody(resp.Body, resp.ContentLength)
-	_ = resp.Body.Close() // the read error above is the signal that matters
-	if err != nil {
-		// Connection reset or truncated mid-body.
-		return nil, r.replicaFailed(ctx, st, rep, fmt.Errorf("replica %s: reading response: %w", rep.url, err))
-	}
-
 	res := &backendResult{
 		status:     resp.StatusCode,
-		body:       respBody,
 		contentTyp: resp.Header.Get("Content-Type"),
 		retryAfter: resp.Header.Get("Retry-After"),
 		rep:        rep,
 	}
-	if resp.StatusCode == http.StatusOK {
-		valid := json.Valid(respBody)
-		if res.contentTyp == wire.ColumnarContentType {
-			valid = wire.ValidColumnarResponse(respBody)
+	if ex.subscribe && res.status == http.StatusOK {
+		res.stream = resp.Body
+	} else {
+		res.body, err = readBody(resp.Body, resp.ContentLength)
+		_ = resp.Body.Close() // the read error above is the signal that matters
+		if err != nil {
+			// Connection reset or truncated mid-body.
+			return r.replicaFailed(ctx, rr, rep, fmt.Errorf("replica %s: reading response: %w", rep.url, err))
 		}
-		if !valid {
+		if res.status == http.StatusOK && !wholeBody(res) {
 			// A truncating fault can slip a short read past the HTTP
 			// framing; never forward a corrupt 200.
 			r.corrupt.Add(1)
-			return nil, r.replicaFailed(ctx, st, rep, fmt.Errorf("replica %s: corrupt 200 body", rep.url))
+			return r.replicaFailed(ctx, rr, rep, fmt.Errorf("replica %s: corrupt 200 body", rep.url))
 		}
-		rep.breaker.Success()
-		rep.served.Add(1)
-		return res, nil
 	}
-	if settleStatus(st, rep, resp.StatusCode) {
-		return nil, &httpFailure{res: res}
+	rr.final = res
+	if settleStatus(rr, rep, res.status) {
+		return &httpFailure{rr: rr}
 	}
-	return res, nil
+	return nil
 }
 
-// settleStatus settles rep's breaker on a non-200 answer and reports
-// whether the request fails over (rep is then excluded for the rest of
-// it). A 503 or 429 is shedding — load, not brokenness — so the breaker
-// records a success, but another replica takes the request; any other
-// 5xx is a failure. A 4xx means the request itself is at fault: a
-// success, passed through to the client.
-func settleStatus(st *reqState, rep *replica, status int) (failover bool) {
+// wholeBody reports whether a 200's body is whole in its framing.
+func wholeBody(res *backendResult) bool {
+	if res.contentTyp == wire.ColumnarContentType {
+		return wire.ValidColumnarResponse(res.body)
+	}
+	return json.Valid(res.body)
+}
+
+// settleStatus settles rep's breaker on an answer and reports whether the
+// request fails over (rep is then excluded for the rest of it). A 200 or
+// 4xx is a success, passed through to the client (a 200 also counts as
+// served). A 503 or 429 is shedding — load, not brokenness — so the
+// breaker records a success, but another replica takes the request; any
+// other 5xx is a failure.
+func settleStatus(rr *routeResult, rep *replica, status int) (failover bool) {
 	switch {
 	case status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests:
 		rep.breaker.Success()
 	case status >= 500:
 		rep.breaker.Failure()
 	default:
+		if status == http.StatusOK {
+			rep.served.Add(1)
+		}
 		rep.breaker.Success()
 		return false
 	}
-	st.excluded[rep] = true
+	rr.excluded[rep] = true
 	return true
 }
 
@@ -635,13 +655,13 @@ func settleStatus(st *reqState, rep *replica, status int) (failover bool) {
 // the attempt was cancelled (an expired deadline or a departed client is
 // not evidence the replica is broken) — and excludes it from the rest of
 // this request.
-func (r *Router) replicaFailed(ctx context.Context, st *reqState, rep *replica, err error) error {
+func (r *Router) replicaFailed(ctx context.Context, rr *routeResult, rep *replica, err error) error {
 	if ctx.Err() != nil {
 		rep.breaker.Success()
 		return err
 	}
 	rep.breaker.Failure()
-	st.excluded[rep] = true
+	rr.excluded[rep] = true
 	return err
 }
 
@@ -650,7 +670,7 @@ func (r *Router) replicaFailed(ctx context.Context, st *reqState, rep *replica, 
 // then, as a last resort, one that already failed it — a lone replica
 // with a transient 500 is still worth a backoff-spaced retry, but never
 // ahead of a live alternative. Returns nil when nothing is admissible.
-func (r *Router) pick(st *reqState) *replica {
+func (r *Router) pick(rr *routeResult) *replica {
 	// A replica whose breaker refuses (half-open with its probe slots
 	// taken, or tripped between routable() and Allow) is skipped for the
 	// rest of this pick, and the same tier is scanned again for the
@@ -664,7 +684,7 @@ func (r *Router) pick(st *reqState) *replica {
 				if !rep.routable() || slices.Contains(refused, rep) {
 					continue
 				}
-				if tier == 0 && st.excluded[rep] {
+				if tier == 0 && rr.excluded[rep] {
 					continue
 				}
 				score := rep.inflight.Load()*1_000_000 + rep.loadUnits.Load()
@@ -675,7 +695,7 @@ func (r *Router) pick(st *reqState) *replica {
 			if best == nil {
 				break
 			}
-			// finlint:ignore leakcheck the Allow admitted here is settled by attemptOnce, which calls Success/Failure on every response path of the routed attempt
+			// finlint:ignore leakcheck the Allow admitted here is settled by send, which calls Success/Failure on every response path of the routed attempt
 			if best.breaker.Allow() {
 				return best
 			}

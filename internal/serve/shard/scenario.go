@@ -3,10 +3,8 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"finbench/internal/scenario"
 )
@@ -29,34 +27,29 @@ import (
 // routeScenario routes one /scenario request, scattering it when there
 // is more than one routable replica and the request is splittable.
 func (r *Router) routeScenario(w http.ResponseWriter, req *http.Request) {
-	seq := r.requests.Add(1)
 	r.scenarioRequests.Add(1)
-	body, err := readBody(req.Body, req.ContentLength)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	seq, body, ok := r.front(w, req)
+	if !ok {
 		return
 	}
 
 	var sreq scenario.Request
 	decodable := json.Unmarshal(body, &sreq) == nil
-
-	ctx := req.Context()
-	if decodable && sreq.DeadlineMS > 0 {
-		// The deadline travels in the body and the backends enforce it;
-		// mirroring it here bounds retries and backoff waits too.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(sreq.DeadlineMS)*time.Millisecond)
-		defer cancel()
+	var deadlineMS int64
+	if decodable {
+		deadlineMS = sreq.DeadlineMS // a failed decode may have set fields
 	}
+	ctx, cancel := withDeadline(req.Context(), deadlineMS)
+	defer cancel()
 
 	parts := r.scenarioPartitions(&sreq, decodable)
 	if len(parts) < 2 {
 		// Undecodable (backend owns validation and answers 400), already a
 		// sub-range, or not worth splitting: one plain dispatch.
-		monteCarlo := decodable && sreq.NumGenCells() > 0
-		res, err := r.dispatch(ctx, jitterSeed(seq, 0), req.Method, "/scenario", "application/json", body, monteCarlo)
+		res, err := r.dispatch(ctx, jitterSeed(seq, 0), &exchange{method: req.Method, uri: "/scenario",
+			ctype: "application/json", body: body, monteCarlo: decodable && sreq.NumGenCells() > 0})
 		if err != nil {
-			r.writeRouteError(w, err, res)
+			r.writeRouteError(w, err)
 			return
 		}
 		r.passThrough(w, res)
@@ -71,8 +64,7 @@ func (r *Router) routeScenario(w http.ResponseWriter, req *http.Request) {
 	}
 	surface := make([]float64, sreq.NumCells())
 	bases := make([]float64, len(parts))
-	results := make([]*routeResult, len(parts))
-	err = scenario.Scatter(ctx, parts, func(ctx context.Context, p Partition) error {
+	err := scenario.Scatter(ctx, parts, func(ctx context.Context, p scenario.Partition) error {
 		i := indexOf[p.Start]
 		sub := sreq
 		sub.Cells = &scenario.Cells{Start: p.Start, Count: p.Count}
@@ -80,13 +72,13 @@ func (r *Router) routeScenario(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			return err
 		}
-		res, err := r.dispatch(ctx, jitterSeed(seq, i+1), req.Method, "/scenario", "application/json", subBody, p.MonteCarlo)
-		results[i] = res
+		res, err := r.dispatch(ctx, jitterSeed(seq, i+1), &exchange{method: req.Method, uri: "/scenario",
+			ctype: "application/json", body: subBody, monteCarlo: p.MonteCarlo})
 		if err != nil {
 			return err
 		}
 		if res.final.status != http.StatusOK {
-			return &httpFailure{res: res.final}
+			return &httpFailure{rr: res}
 		}
 		var out scenario.Response
 		if err := json.Unmarshal(res.final.body, &out); err != nil ||
@@ -103,16 +95,7 @@ func (r *Router) routeScenario(w http.ResponseWriter, req *http.Request) {
 		// Scatter surfaced the first failing partition in partition order:
 		// answer exactly as a plain routed failure with that partition's
 		// last backend response would be answered.
-		var hf *httpFailure
-		if errors.As(err, &hf) {
-			for _, res := range results {
-				if res != nil && res.final == hf.res {
-					r.writeRouteError(w, err, res)
-					return
-				}
-			}
-		}
-		r.writeRouteError(w, err, nil)
+		r.writeRouteError(w, err)
 		return
 	}
 	for i := 1; i < len(bases); i++ {
@@ -129,15 +112,12 @@ func (r *Router) routeScenario(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, scenario.Finalize(&sreq, bases[0], 0, surface))
 }
 
-// Partition aliases the scenario package's cell-range partition.
-type Partition = scenario.Partition
-
 // scenarioPartitions decides the scatter plan: nil (single dispatch)
 // unless the request decoded, is a whole-surface request (a `cells`
 // sub-range is already someone else's partition), passes the cheap
 // structural checks the partitioner relies on, and there are at least
 // two routable replicas to spread over.
-func (r *Router) scenarioPartitions(sreq *scenario.Request, decodable bool) []Partition {
+func (r *Router) scenarioPartitions(sreq *scenario.Request, decodable bool) []scenario.Partition {
 	if !decodable || sreq.Cells != nil || len(sreq.Portfolio) == 0 {
 		return nil
 	}

@@ -47,7 +47,7 @@ type StatszResponse struct {
 	// StreamRequests counts /stream subscriptions; StreamResubscribes the
 	// failover re-subscriptions after a replica's stream ended;
 	// StreamSlowDrops the clients disconnected for missing a frame write
-	// deadline (streamWriteTimeout, 2s).
+	// deadline (stream.WriteTimeout, 2s).
 	StreamRequests     uint64 `json:"stream_requests"`
 	StreamResubscribes uint64 `json:"stream_resubscribes"`
 	StreamSlowDrops    uint64 `json:"stream_slow_drops"`

@@ -2,11 +2,8 @@ package shard
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"time"
 
 	"finbench/internal/resilience"
@@ -19,23 +16,34 @@ import (
 // whole universe on every tick, whatever is subscribed, so splitting a
 // subscription across replicas would spread none of that cost.
 //
-// Before the first frame the router proxies like the request path: a 4xx
-// is passed through, and a 503/429, 5xx or transport error fails over
-// under attemptOnce's retry policy and breaker rule (settleStatus). The
-// client gets 200 only once a replica has.
+// Before the first frame the router proxies like the request path, through
+// the same exchange (send): a 4xx is passed through, and a 503/429, 5xx or
+// transport error fails over under the same retry policy and breaker rule
+// (settleStatus). The client gets 200 only once a replica has; a
+// subscription the router's stop cuts off first gets 503 + Retry-After.
 //
 // After it, the client's stream outlives any one replica:
 //   - A replica's goodbye (drain) or stream end (kill) is never forwarded:
 //     the router re-subscribes elsewhere, forwards only the first hello,
 //     and the new replica's first snapshot is the client's resync.
+//   - Re-subscription attempts are spaced by resubscribeDelay, jittered
+//     per stream, so streams that lost their replica together do not
+//     come back together.
 //   - Only the router's own stop says goodbye ("draining").
-//   - A frame write that misses streamWriteTimeout (2s) disconnects a
+//   - A frame write that misses stream.WriteTimeout (2s) disconnects a
 //     stalled client, the lone server's rule (stream_slow_drops).
 
-// streamRetryDelay spaces re-subscriptions after an upstream stream ends,
-// so a replica that accepts and at once ends a stream cannot spin the
-// relay.
-const streamRetryDelay = 100 * time.Millisecond
+// streamRetryFloor is the least a re-subscription waits, so a replica
+// that accepts a stream and at once ends it cannot spin the relay.
+const streamRetryFloor = 50 * time.Millisecond
+
+// resubscribeDelay is the wait before re-subscription attempt number
+// attempt (from 0) of the stream whose jitterSeed is seed:
+// streamRetryFloor plus the stream's retry backoff, so from about 52ms
+// up to at most 150ms, with a jitter that differs from stream to stream.
+func resubscribeDelay(seed uint64, attempt int) time.Duration {
+	return streamRetryFloor + resilience.Backoff{Seed: seed}.Delay(attempt)
+}
 
 // routeStream serves one routed SSE subscription.
 func (r *Router) routeStream(w http.ResponseWriter, req *http.Request) {
@@ -50,13 +58,11 @@ func (r *Router) routeStream(w http.ResponseWriter, req *http.Request) {
 	defer cancel()
 	defer context.AfterFunc(r.stopped, cancel)()
 
-	uri := req.URL.RequestURI()
-	out := &routeResult{st: &reqState{excluded: make(map[*replica]bool)}}
-	err := r.retry(ctx, jitterSeed(^seq, 0), maxAttempts, out, func(ctx context.Context) (*backendResult, error) {
-		return r.subscribe(ctx, uri, out.st)
-	})
+	seed := jitterSeed(^seq, 0)
+	ex := &exchange{method: http.MethodGet, uri: req.URL.RequestURI(), subscribe: true}
+	out, err := r.dispatch(ctx, seed, ex)
 	if err != nil {
-		r.writeRouteError(w, err, out)
+		r.writeRouteError(w, err)
 		return
 	}
 	up := out.final
@@ -80,76 +86,31 @@ func (r *Router) routeStream(w http.ResponseWriter, req *http.Request) {
 		if ctx.Err() == nil {
 			// The upstream ended on its own: fail over.
 			r.streamResubscribes.Add(1)
-			if up = r.resubscribe(ctx, uri, up.rep); up != nil {
+			if up = r.resubscribe(ctx, seed, ex, up.rep); up != nil {
 				continue
 			}
 		}
 		// The client left, or the router is stopping.
 		if r.stopped.Err() != nil {
-			r.writeFrame(w, rc, stream.MarshalFrame(stream.EventGoodbye,
-				&stream.Goodbye{Reason: "draining"}))
+			stream.WriteFrame(w, rc, stream.MarshalFrame(stream.EventGoodbye,
+				&stream.Goodbye{Reason: "draining"}), &r.streamSlowDrops)
 		}
 		return
 	}
 }
 
-// subscribe sends the subscription to the replica pick admits and
-// classifies the answer as attemptOnce does: a 200 returns with its event
-// stream open (the caller closes it); a 4xx returns read, to be passed
-// through; 503/429, 5xx and transport errors are failures to fail over.
-// The replica's in-flight count covers only this exchange: an open
-// stream is not a request outstanding, and counting it would steer every
-// routed /price away from the replica for the stream's whole life.
-func (r *Router) subscribe(ctx context.Context, uri string, st *reqState) (*backendResult, error) {
-	rep := r.pick(st)
-	if rep == nil {
-		r.noReplica.Add(1)
-		return nil, errNoReplica
-	}
-	st.attempts++
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+uri, nil)
-	if err != nil {
-		rep.breaker.Success() // request construction is not the replica's fault
-		return nil, resilience.Permanent(err)
-	}
-	rep.inflight.Add(1)
-	defer rep.inflight.Add(-1)
-	resp, err := r.client.Do(hreq)
-	if err != nil {
-		return nil, r.replicaFailed(ctx, st, rep, fmt.Errorf("replica %s: %w", rep.url, err))
-	}
-	if resp.StatusCode == http.StatusOK {
-		rep.breaker.Success()
-		rep.served.Add(1)
-		return &backendResult{status: resp.StatusCode, stream: resp.Body, rep: rep}, nil
-	}
-	body, err := readBody(resp.Body, resp.ContentLength)
-	_ = resp.Body.Close() // the read error above is the signal that matters
-	if err != nil {
-		return nil, r.replicaFailed(ctx, st, rep, fmt.Errorf("replica %s: reading response: %w", rep.url, err))
-	}
-	res := &backendResult{
-		status:     resp.StatusCode,
-		body:       body,
-		contentTyp: resp.Header.Get("Content-Type"),
-		retryAfter: resp.Header.Get("Retry-After"),
-		rep:        rep,
-	}
-	if settleStatus(st, rep, resp.StatusCode) {
-		return nil, &httpFailure{res: res}
-	}
-	return res, nil
-}
-
 // resubscribe opens the stream again after its upstream ended, preferring
 // a replica other than prev or one that failed this resubscription, and
-// keeps trying every streamRetryDelay until one answers 200. It returns
-// nil once ctx ends (the client left or the router is stopping).
-func (r *Router) resubscribe(ctx context.Context, uri string, prev *replica) *backendResult {
-	st := &reqState{excluded: map[*replica]bool{prev: true}}
-	for sleepCtx(ctx, streamRetryDelay) {
-		if res, _ := r.subscribe(ctx, uri, st); res != nil && res.stream != nil {
-			return res
+// keeps trying, resubscribeDelay apart, until one answers 200. These
+// attempts are not retries: they run outside the retry budget, so a
+// drain that ends many streams at once cannot spend the budget /price
+// retries need, and a stream outlives any number of replica losses. It
+// returns nil once ctx ends (the client left or the router is stopping).
+func (r *Router) resubscribe(ctx context.Context, seed uint64, ex *exchange, prev *replica) *backendResult {
+	rr := &routeResult{excluded: map[*replica]bool{prev: true}}
+	for attempt := 0; sleepCtx(ctx, resubscribeDelay(seed, attempt)); attempt++ {
+		if r.send(ctx, rr, ex) == nil && rr.final.stream != nil {
+			return rr.final
 		}
 	}
 	return nil
@@ -158,7 +119,7 @@ func (r *Router) resubscribe(ctx context.Context, uri string, prev *replica) *ba
 // relay copies one upstream's frames to the client until that upstream
 // ends or says goodbye (true: fail over) or a client write fails (false).
 // Only the first hello of the client's stream is forwarded.
-func (r *Router) relay(w io.Writer, rc *http.ResponseController, upstream io.Reader, helloSent *bool) bool {
+func (r *Router) relay(w http.ResponseWriter, rc *http.ResponseController, upstream io.Reader, helloSent *bool) bool {
 	fr := stream.NewFrameReader(upstream)
 	var buf []byte
 	for {
@@ -173,27 +134,10 @@ func (r *Router) relay(w io.Writer, rc *http.ResponseController, upstream io.Rea
 			*helloSent = true
 		}
 		buf = stream.AppendFrame(buf[:0], f.Event, f.Data)
-		if !r.writeFrame(w, rc, buf) {
+		if !stream.WriteFrame(w, rc, buf, &r.streamSlowDrops) {
 			return false
 		}
 	}
-}
-
-// writeFrame writes and flushes one frame under streamWriteTimeout. A
-// deadline miss is a stalled client: it is counted and, like every failed
-// write, ends the client's stream.
-func (r *Router) writeFrame(w io.Writer, rc *http.ResponseController, frame []byte) bool {
-	if err := rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)); err != nil {
-		return false
-	}
-	_, err := w.Write(frame)
-	if err == nil {
-		err = rc.Flush()
-	}
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		r.streamSlowDrops.Add(1)
-	}
-	return err == nil
 }
 
 // sleepCtx sleeps d unless ctx ends first.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -413,4 +414,64 @@ func TestRoutedStreamSlowClientShed(t *testing.T) {
 		t.Errorf("stream_slow_drops = %d, want 1 (only the stalled subscriber)", got)
 	}
 	live.Body.Close() // unstick the reader
+}
+
+// TestRoutedStreamRouterStopAnswers503: a subscription still waiting on a
+// shedding replica when the router stops is answered 503 + Retry-After,
+// not an empty 200: the stop cancels the exchange before any replica
+// accepted the stream.
+func TestRoutedStreamRouterStopAnswers503(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/healthz" {
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, `{"status":"ok","in_flight_units":0,"max_units":1,"queue_depth":0,"uptime_s":1}`)
+			return
+		}
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		// Hold the subscription until the router gives up on it, then shed.
+		select {
+		case <-req.Context().Done():
+		case <-time.After(10 * time.Second):
+		}
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, `{"error":"shed"}`, http.StatusServiceUnavailable)
+	}))
+	defer stub.Close()
+	router := newRouter(t, Config{Backends: []string{stub.URL}, HealthInterval: time.Hour})
+	front := httptest.NewServer(router)
+	defer front.Close()
+
+	type answer struct {
+		resp *http.Response
+		err  error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get(front.URL + "/stream?ids=0")
+		got <- answer{resp, err}
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the subscription never reached the replica")
+	}
+	router.Close()
+	a := <-got
+	if a.err != nil {
+		t.Fatalf("GET /stream: %v", a.err)
+	}
+	resp := a.resp
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("status %d Retry-After %q body %s, want 503 with Retry-After 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if want := `{"error":"router is stopping"}` + "\n"; string(body) != want {
+		t.Errorf("body %q, want %q", body, want)
+	}
 }

@@ -3,8 +3,6 @@ package serve
 import (
 	"errors"
 	"net/http"
-	"os"
-	"time"
 
 	"finbench/internal/serve/stream"
 )
@@ -21,9 +19,9 @@ import (
 // `snapshot` with resync=true instead of the deltas it missed. Drain
 // ends the stream with `event: goodbye`.
 //
-// Every frame write runs under streamWriteTimeout (2s) through the response
-// controller: a stalled client is disconnected rather than allowed to
-// pin its handler (and block the server's drain) indefinitely.
+// Every frame write runs under stream.WriteTimeout (2s) through the
+// response controller: a stalled client is disconnected rather than
+// allowed to pin its handler (and block the server's drain) indefinitely.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.stats.streamRequests.Add(1)
 	if r.Method != http.MethodGet {
@@ -68,8 +66,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.streamActive.Add(1)
 	defer s.streamActive.Add(-1)
 
+	slow := &s.stats.streamSlowDisconnects
 	hello := s.hub.HelloFor(sub)
-	if !s.writeFrame(rc, w, stream.MarshalFrame(stream.EventHello, &hello)) {
+	if !stream.WriteFrame(w, rc, stream.MarshalFrame(stream.EventHello, &hello), slow) {
 		return
 	}
 
@@ -82,37 +81,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		case <-sub.Gone():
 			// Drain: finish the stream explicitly inside the drain window
 			// instead of letting the connection die with the listener.
-			s.writeFrame(rc, w, stream.MarshalFrame(stream.EventGoodbye,
-				&stream.Goodbye{Reason: "draining"}))
+			stream.WriteFrame(w, rc, stream.MarshalFrame(stream.EventGoodbye,
+				&stream.Goodbye{Reason: "draining"}), slow)
 			return
 		case frame := <-sub.C():
-			if !s.writeFrame(rc, w, frame) {
+			if !stream.WriteFrame(w, rc, frame, slow) {
 				return
 			}
 		}
 	}
-}
-
-// writeFrame writes one SSE frame under the configured write deadline and
-// flushes it. A deadline miss means a stalled client: count it and report
-// failure so the handler disconnects; other write errors are ordinary
-// disconnects.
-func (s *Server) writeFrame(rc *http.ResponseController, w http.ResponseWriter, frame []byte) bool {
-	if frame == nil {
-		return true
-	}
-	if err := rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)); err != nil {
-		return false
-	}
-	_, werr := w.Write(frame)
-	if werr == nil {
-		werr = rc.Flush()
-	}
-	if werr != nil {
-		if errors.Is(werr, os.ErrDeadlineExceeded) {
-			s.stats.streamSlowDisconnects.Add(1)
-		}
-		return false
-	}
-	return true
 }

@@ -1,6 +1,13 @@
 package stream
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"errors"
+	"net/http"
+	"os"
+	"sync/atomic"
+	"time"
+)
 
 // SSE event names. A stream opens with hello, then carries snapshot and
 // greeks events; goodbye announces a server-initiated close (drain).
@@ -83,4 +90,31 @@ func MarshalFrame(event string, v any) []byte {
 		return nil
 	}
 	return AppendFrame(nil, event, data)
+}
+
+// WriteTimeout bounds one SSE frame write on either serving tier: a
+// subscriber that cannot absorb a frame within it is disconnected rather
+// than allowed to pin its handler (and block a drain) indefinitely.
+const WriteTimeout = 2 * time.Second
+
+// WriteFrame writes frame to a subscriber under WriteTimeout through its
+// response controller and flushes it, reporting whether the subscriber
+// took it; a nil frame (one MarshalFrame could not build) writes nothing
+// and reports true. A deadline miss is a stalled subscriber and is
+// counted in slow. On false the caller ends the stream.
+func WriteFrame(w http.ResponseWriter, rc *http.ResponseController, frame []byte, slow *atomic.Uint64) bool {
+	if frame == nil {
+		return true
+	}
+	if err := rc.SetWriteDeadline(time.Now().Add(WriteTimeout)); err != nil {
+		return false
+	}
+	_, err := w.Write(frame)
+	if err == nil {
+		err = rc.Flush()
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		slow.Add(1)
+	}
+	return err == nil
 }

@@ -1,7 +1,9 @@
 // Package stream is the serving tier's streaming Greeks feed: a
 // seed-deterministic market source (ticker) drives tick-driven
 // incremental repricing of a contract universe, and subscribers receive
-// Greeks deltas over bounded per-subscriber buffers.
+// Greeks deltas over bounded per-subscriber buffers. Its SSE frame codec
+// (event.go, client.go) and frame writer (WriteFrame, under WriteTimeout)
+// serve both the lone server and the router's relay.
 //
 // The robustness design, in one place:
 //

@@ -11,6 +11,9 @@
 #      request is in flight, and that request still answers 200
 #   3  after kill -9 of one of `finserve route -replicas 2`'s children,
 #      the supervisor revives it and /healthz reports both routable again
+#   4  `finserve route -backends` over a `finserve serve -stream` exits 0
+#      within 2s on SIGTERM while a routed /stream is open, and that
+#      stream ends with `event: goodbye`
 #
 # Each step waits on an observed condition (a listening port, in-flight
 # work units, a revival in the router log), never on a fixed sleep.
@@ -112,5 +115,32 @@ rc=0
 wait "$PID" || rc=$?
 PID=""
 ((rc == 0)) || fail "route exited $rc on SIGTERM"
+
+echo "==> smoke 4: SIGTERM to the router ends an open routed stream with goodbye, exit 0 within 2s"
+"$BIN" serve -stream -addr "127.0.0.1:$((PORT + 1))" >"$LOG" 2>&1 &
+SPID=$!
+"$BIN" route -addr "127.0.0.1:${PORT}" -backends "http://127.0.0.1:$((PORT + 1))" \
+	-health-interval 50ms >>"$LOG" 2>&1 &
+PID=$!
+until_ok "the replica to be routable" healthz_has '"replicas_routable":1'
+exec 5<>"/dev/tcp/127.0.0.1/${PORT}"
+printf 'GET /stream?ids=0 HTTP/1.0\r\n\r\n' >&5
+cat <&5 >"$TMP/stream.out" &
+CAT=$!
+exec 5<&-
+until_ok "the routed stream's hello" grep -q "event: hello" "$TMP/stream.out"
+t0=$(date +%s%N)
+kill -TERM "$PID"
+rc=0
+wait "$PID" || rc=$?
+PID=""
+elapsed_ms=$((($(date +%s%N) - t0) / 1000000))
+((rc == 0)) || fail "route exited $rc on SIGTERM"
+((elapsed_ms <= 2000)) || fail "route took ${elapsed_ms}ms > 2000ms to exit with a stream open"
+until_ok "the routed stream to end" eval '! kill -0 "$CAT" 2>/dev/null'
+grep -q "event: goodbye" "$TMP/stream.out" || fail "the routed stream ended without event: goodbye"
+kill -TERM "$SPID"
+wait "$SPID" || fail "serve exited non-zero on SIGTERM"
+echo "smoke: router exited in ${elapsed_ms}ms and the stream ended with goodbye"
 
 echo "smoke: all checks passed"
