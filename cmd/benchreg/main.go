@@ -16,16 +16,19 @@
 // median and MAD of wall time and throughput, each experiment's op mix,
 // and an environment fingerprint. diff compares two snapshots kernel by
 // kernel. check compares a candidate (a file, or a fresh run when
-// -candidate is omitted) against a baseline and exits 1 when any kernel's
-// median throughput drops by more than -max-slowdown AND beyond
-// -mad-factor x MAD; regressions across mismatched environment
-// fingerprints are advisory unless -strict-env is set.
+// -candidate is omitted) against a baseline and exits 1 when a baseline
+// kernel of a selected experiment is missing from the candidate, when a
+// gated kernel's allocs/op grows on the same GOOS/GOARCH/GOMAXPROCS, or
+// when any kernel's median throughput drops by more than -max-slowdown
+// AND beyond -mad-factor x MAD; throughput regressions across mismatched
+// environment fingerprints are advisory unless -strict-env is set.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"finbench/internal/bench"
@@ -190,6 +193,12 @@ func checkCmd(args []string) error {
 			return err
 		}
 	}
+	if *only != "all" {
+		// Only the selected experiment's rows are compared, so only its
+		// baseline rows must reappear.
+		keepExperiment(baseline, *only)
+		keepExperiment(candidate, *only)
+	}
 	gate := benchreg.Gate{
 		MaxSlowdown: *maxSlowdown, MADFactor: *madFactor,
 		MaxAllocIncrease: *maxAllocIncrease, AllocSlack: *allocSlack,
@@ -203,6 +212,10 @@ func checkCmd(args []string) error {
 			return err
 		}
 	}
+	if len(report.Missing) > 0 {
+		return fmt.Errorf("%d baseline kernel(s) missing from the candidate: %s",
+			len(report.Missing), strings.Join(report.Missing, "; "))
+	}
 	if report.Failed(*strictEnv) {
 		return fmt.Errorf("%d kernel(s) regressed beyond %.0f%%+%gxMAD (throughput) or +%.0f%%+%g (allocs/op)",
 			len(report.Regressions), gate.MaxSlowdown*100, gate.MADFactor,
@@ -214,4 +227,15 @@ func checkCmd(args []string) error {
 	}
 	fmt.Println("benchreg: check passed")
 	return nil
+}
+
+// keepExperiment drops every kernel of s that experiment id did not time.
+func keepExperiment(s *benchreg.Snapshot, id string) {
+	kept := s.Kernels[:0]
+	for _, k := range s.Kernels {
+		if k.Experiment == id {
+			kept = append(kept, k)
+		}
+	}
+	s.Kernels = kept
 }

@@ -14,11 +14,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"finbench"
 	"finbench/internal/bench"
+	"finbench/internal/benchreg"
+	"finbench/internal/machine"
 )
 
 func main() {
@@ -59,6 +62,23 @@ func roofline(args []string) {
 	machineName := fs.String("machine", "", "SNB-EP, KNC, or empty for both")
 	_ = fs.Parse(args) // ExitOnError: Parse exits the process on bad flags
 
+	if err := writeRoofline(os.Stdout, *machineName); err != nil {
+		fmt.Fprintf(os.Stderr, "finbench: %v\n", err)
+		os.Exit(2)
+	}
+}
+
+// writeRoofline writes the roofline chart of the named machine, or of
+// both machines when name is empty, to w.
+func writeRoofline(w io.Writer, name string) error {
+	machines := machine.Machines()
+	if name != "" {
+		m := machine.ByName(name)
+		if m == nil {
+			return fmt.Errorf("unknown machine %q (try SNB-EP or KNC)", name)
+		}
+		machines = []*machine.Machine{m}
+	}
 	const n = 50000
 	b := finbench.NewBatch(n)
 	for i := 0; i < n; i++ {
@@ -67,33 +87,20 @@ func roofline(args []string) {
 		b.Expiries[i] = 0.1 + float64(i%40)/8
 	}
 	mkt := finbench.Market{Rate: 0.02, Volatility: 0.3}
-	for _, m := range finbench.Machines() {
-		if *machineName != "" && !strings.EqualFold(m.Name, *machineName) {
-			continue
-		}
+	for _, m := range machines {
 		points := map[string][2]float64{}
 		for _, level := range []finbench.OptLevel{
 			finbench.LevelBasic, finbench.LevelIntermediate, finbench.LevelAdvanced,
 		} {
 			mix, err := finbench.ProfileBatch(b, mkt, level, m.SIMDWidthDP)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "finbench: %v\n", err)
-				os.Exit(1)
+				return err
 			}
-			pred, err := finbench.PredictThroughput(mix, m.Name)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "finbench: %v\n", err)
-				os.Exit(1)
-			}
-			points["black-scholes "+level.String()] = [2]float64{mix.ArithmeticIntensity(), pred.GFLOPs}
+			points["black-scholes "+level.String()] = [2]float64{mix.ArithmeticIntensity(), m.Predict(mix).GFLOPs}
 		}
-		chart, err := finbench.Roofline(m.Name, points)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "finbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(chart)
+		fmt.Fprintln(w, m.Roofline(points))
 	}
+	return nil
 }
 
 // report writes a single markdown document containing every experiment's
@@ -125,6 +132,7 @@ func report(args []string) {
 				fmt.Fprintf(os.Stderr, "finbench: %s measure: %v\n", e.ID, err)
 				os.Exit(1)
 			}
+			mres.Time(benchreg.DefaultOpts())
 			fmt.Fprintf(&b, "Host wall-clock:\n\n```\n%s```\n\n", mres.Table())
 		}
 	}
@@ -174,8 +182,8 @@ func run(args []string) {
 	}
 
 	for _, e := range exps {
-		runner := e.Model
-		if strings.HasPrefix(*mode, "measure") {
+		runner, measure := e.Model, strings.HasPrefix(*mode, "measure")
+		if measure {
 			if e.Measure == nil {
 				fmt.Printf("%s: no measure mode (model-only experiment)\n\n", e.ID)
 				continue
@@ -189,6 +197,9 @@ func run(args []string) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "finbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
+		}
+		if measure {
+			res.Time(benchreg.DefaultOpts())
 		}
 		if *format == "csv" {
 			fmt.Printf("# %s — %s\n%s\n", res.ID, res.Title, res.CSV())

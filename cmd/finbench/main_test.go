@@ -1,0 +1,44 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"strings"
+	"testing"
+)
+
+// The roofline charts are model output, so they are pinned byte for
+// byte: both machines together, and each machine alone as its part of
+// the pair.
+func TestRooflineGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/roofline.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var both, each bytes.Buffer
+	if err := writeRoofline(&both, ""); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(both.Bytes(), want) {
+		t.Fatalf("roofline output differs from testdata/roofline.golden:\n%s", both.String())
+	}
+	for _, name := range []string{"SNB-EP", "knc"} {
+		if err := writeRoofline(&each, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(each.Bytes(), want) {
+		t.Fatalf("SNB-EP then KNC alone differ from both together:\n%s", each.String())
+	}
+}
+
+func TestRooflineUnknownMachine(t *testing.T) {
+	var out bytes.Buffer
+	err := writeRoofline(&out, "GPU")
+	if err == nil || !strings.Contains(err.Error(), `"GPU"`) {
+		t.Fatalf("unknown machine: err = %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("unknown machine wrote a chart:\n%s", out.String())
+	}
+}

@@ -226,7 +226,6 @@ func TestDependencySet(t *testing.T) {
 		"finbench/internal/cranknicolson",
 		"finbench/internal/fault",
 		"finbench/internal/layout",
-		"finbench/internal/machine",
 		"finbench/internal/mathx",
 		"finbench/internal/montecarlo",
 		"finbench/internal/parallel",
@@ -242,7 +241,6 @@ func TestDependencySet(t *testing.T) {
 		"finbench/internal/serve/stream",
 		"finbench/internal/serve/stream/ticker",
 		"finbench/internal/serve/wire",
-		"finbench/internal/sobol",
 		"finbench/internal/vec",
 		"finbench/internal/workload",
 	}

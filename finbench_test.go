@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
-	"strings"
 	"testing"
+
+	"finbench/internal/machine"
 )
 
 var (
@@ -300,19 +301,8 @@ func TestMonteCarloPutParity(t *testing.T) {
 	}
 }
 
-func TestMachinesInfo(t *testing.T) {
-	ms := Machines()
-	if len(ms) != 2 || ms[0].Name != "SNB-EP" || ms[1].Name != "KNC" {
-		t.Fatalf("Machines() = %v", ms)
-	}
-	if ms[0].Cores != 16 || ms[1].Cores != 60 {
-		t.Fatal("core counts wrong")
-	}
-	if ms[1].PeakDPGFLOPs != 1063 || ms[0].StreamBW != 76 {
-		t.Fatal("Table I values wrong")
-	}
-}
-
+// ProfileBatch's op mix feeds the machine model: the Intermediate
+// level's mix predicts a plausible KNC throughput with a named bound.
 func TestPredictThroughput(t *testing.T) {
 	b := NewBatch(8192)
 	for i := range b.Spots {
@@ -322,40 +312,12 @@ func TestPredictThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := PredictThroughput(mix, "KNC")
-	if err != nil {
-		t.Fatal(err)
+	p := machine.KNC().Predict(mix)
+	if perSec := float64(mix.Items) / p.Sec; perSec < 1e8 || perSec > 1e10 {
+		t.Fatalf("KNC prediction %g options/s implausible", perSec)
 	}
-	if p.ItemsPerSec < 1e8 || p.ItemsPerSec > 1e10 {
-		t.Fatalf("KNC prediction %g options/s implausible", p.ItemsPerSec)
-	}
-	if p.Bound != "compute" && p.Bound != "bandwidth" {
-		t.Fatalf("bound = %q", p.Bound)
-	}
-	if _, err := PredictThroughput(mix, "GPU"); err == nil {
-		t.Fatal("unknown machine accepted")
-	}
-}
-
-func TestRooflineChart(t *testing.T) {
-	chart, err := Roofline("SNB-EP", map[string][2]float64{
-		"black-scholes": {5, 120},
-		"binomial":      {200, 300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"SNB-EP roofline", "A: ", "B: ", "peak 346"} {
-		if !strings.Contains(chart, want) {
-			t.Fatalf("chart missing %q:\n%s", want, chart)
-		}
-	}
-	// The roof line itself must be drawn.
-	if strings.Count(chart, "-") < 20 {
-		t.Fatal("roof not drawn")
-	}
-	if _, err := Roofline("nope", nil); err == nil {
-		t.Fatal("unknown machine accepted")
+	if bound := p.Bound.String(); bound != "compute" && bound != "bandwidth" {
+		t.Fatalf("bound = %q", bound)
 	}
 }
 

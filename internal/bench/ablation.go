@@ -8,7 +8,6 @@ import (
 	"finbench/internal/blackscholes"
 	"finbench/internal/layout"
 	"finbench/internal/machine"
-	"finbench/internal/montecarlo"
 	"finbench/internal/perf"
 	"finbench/internal/rng"
 	"finbench/internal/workload"
@@ -108,7 +107,7 @@ func registerAblateQMC() {
 		Units:       "abs error",
 		Description: "Pricing error of plain MC and bridge+Sobol QMC at matched path counts, against a 16x larger QMC reference.",
 		Model: func(scale float64) (*Result, error) {
-			asian := montecarlo.AsianOption{S: 100, X: 100, T: 1, Steps: 32}
+			asian := asianOption{S: 100, X: 100, T: 1, Steps: 32}
 			// Sobol points form a net only at power-of-two counts, so the
 			// scale shrinks the budgets by whole powers of two.
 			shift := int(math.Round(-math.Log2(math.Sqrt(scale))))
@@ -117,17 +116,17 @@ func registerAblateQMC() {
 			// estimate it judges: a Monte Carlo one would put its own
 			// sampling error (~n^-1/2) under every QMC row. Independent
 			// digital shifts (another seed) keep it off the rows' points.
-			ref := montecarlo.AsianQMC(asian, 16*budgets[len(budgets)-1], 8, 99, mkt)
+			ref := asianQMC(asian, 16*budgets[len(budgets)-1], 8, 99, mkt)
 			r := &Result{ID: "ablate-qmc", Title: "Asian option: MC vs bridge+Sobol QMC", Units: "abs error", Cols: []string{"MC", "QMC"}}
 			for _, nn := range budgets {
 				var mcErr float64
 				const trials = 3
 				for trial := uint64(0); trial < trials; trial++ {
-					mc := montecarlo.AsianMC(asian, nn, 7+trial, mkt)
+					mc := asianMC(asian, nn, 7+trial, mkt)
 					mcErr += math.Abs(mc.Price - ref.Price)
 				}
 				mcErr /= trials
-				qmc := montecarlo.AsianQMC(asian, nn, 3, 17, mkt)
+				qmc := asianQMC(asian, nn, 3, 17, mkt)
 				qmcErr := math.Abs(qmc.Price - ref.Price)
 				r.Rows = append(r.Rows, Row{
 					Label: fmt.Sprintf("n=%d", nn),

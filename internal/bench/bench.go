@@ -59,7 +59,8 @@ func (p Provenance) String() string {
 }
 
 // Row is one bar/line of an experiment: an optimization level (or table
-// row) with paper and modelled throughput per machine.
+// row) with paper and modelled throughput per machine, or — in Measure
+// mode — one host kernel to time.
 type Row struct {
 	Label string
 	// Paper and Model map machine name to items/second.
@@ -67,21 +68,18 @@ type Row struct {
 	Model map[string]float64
 	// Prov tags the paper values' provenance.
 	Prov Provenance
-	// Host holds the measured wall-clock throughput (Measure mode only):
-	// the median across HostReps timed repetitions, with HostMAD its
-	// median absolute deviation (see internal/benchreg).
-	Host    float64
-	HostMAD float64
-	// HostReps is the repetition count behind Host; 0 on model-only rows.
-	HostReps int
-	// HostItems is the work-item count per kernel invocation.
-	HostItems int
-	// HostAllocs is the median heap allocations per kernel invocation.
-	HostAllocs float64
+	// Run is a Measure row's kernel invocation and Items the work items
+	// one call processes; both are zero on model rows.
+	Run   func()
+	Items int
 	// GateAllocs marks rows whose allocs/op is a per-request budget the
 	// snapshot gate enforces (serve-path rows: one invocation = one
 	// request).
 	GateAllocs bool
+	// Host is the row's wall-clock timing, filled by Result.Time: the
+	// median throughput across its repetitions with the MAD as noise
+	// bound (see internal/benchreg). Zero until timed.
+	Host benchreg.Sample
 }
 
 // Result is a regenerated table/figure.
@@ -110,7 +108,8 @@ type Experiment struct {
 	// workload for quick runs (1 = full experiment size). Nil for
 	// host-only experiments (servepath) with no paper column to model.
 	Model func(scale float64) (*Result, error)
-	// Measure times the kernels on the host; nil when not applicable.
+	// Measure builds the host rows untimed, each with the kernel call
+	// Result.Time times; nil when not applicable.
 	Measure func(scale float64) (*Result, error)
 	// Mix profiles the experiment's best-optimized kernel instrumented at
 	// width 8 and returns its dynamic op mix, for recording alongside
@@ -133,7 +132,7 @@ func Experiments() []*Experiment {
 func order(id string) int {
 	for i, k := range []string{"tab1", "fig4", "fig5", "fig6", "tab2", "fig8", "ninja",
 		"ablate-tile", "ablate-rng", "ablate-qmc", "ablate-width", "servepath",
-		"scenario", "streampath"} {
+		"scenario", "streampath", "heavy"} {
 		if id == k {
 			return i
 		}
@@ -174,14 +173,14 @@ func (r *Result) Table() string {
 	fmt.Fprintf(&b, "%s — %s [%s]\n", r.ID, r.Title, r.Units)
 	hasHost := false
 	for _, row := range r.Rows {
-		if row.Host != 0 { // finlint:ignore floateq exact zero is the "absent" sentinel, never computed
+		if row.Host.Reps > 0 {
 			hasHost = true
 		}
 	}
 	if hasHost {
 		fmt.Fprintf(&b, "%-42s %12s %12s %5s\n", "level", "host", "±mad", "reps")
 		for _, row := range r.Rows {
-			fmt.Fprintf(&b, "%-42s %12s %12s %5d\n", row.Label, human(row.Host), human(row.HostMAD), row.HostReps)
+			fmt.Fprintf(&b, "%-42s %12s %12s %5d\n", row.Label, human(row.Host.OpsPerSec), human(row.Host.OpsMAD), row.Host.Reps)
 		}
 		return b.String()
 	}
@@ -240,26 +239,25 @@ func (r *Result) CSV() string {
 		for _, col := range cols {
 			fmt.Fprintf(&b, ",%g,%g", row.Paper[col], row.Model[col])
 		}
-		fmt.Fprintf(&b, ",%g,%g,%s\n", row.Host, row.HostMAD, row.Prov)
+		fmt.Fprintf(&b, ",%g,%g,%s\n", row.Host.OpsPerSec, row.Host.OpsMAD, row.Prov)
 	}
 	return b.String()
 }
 
-// Sampling configures the warmup+repetition harness behind every host
-// timing in Measure mode. benchreg snapshot runs swap in their own preset
-// (short or full) via Collect; interactive runs use the default.
-var Sampling = benchreg.DefaultOpts()
-
-// timeIt measures the wall-clock throughput of f processing items work
-// units through benchreg's warmup+repetition harness, so every host
-// number in the repo is a median with a noise bound rather than a single
-// sample.
-func timeIt(items int, f func()) benchreg.Sample {
-	return benchreg.Measure(items, f, Sampling)
+// Time times every row of r under o — benchreg's warmup+repetition
+// harness, so every host number in the repo is a median with a noise
+// bound rather than a single sample. It is the one host timer: benchreg
+// snapshots (Collect), finbench -mode measure and report -measure all
+// time their rows here.
+func (r *Result) Time(o benchreg.Opts) {
+	for i := range r.Rows {
+		row := &r.Rows[i]
+		row.Host = benchreg.Measure(row.Items, row.Run, o)
+	}
 }
 
-// hostRow builds a Measure-mode row from one timed kernel.
+// hostRow builds an untimed Measure-mode row for kernel f processing
+// items work units per call.
 func hostRow(label string, items int, f func()) Row {
-	s := timeIt(items, f)
-	return Row{Label: label, Host: s.OpsPerSec, HostMAD: s.OpsMAD, HostReps: s.Reps, HostItems: s.Items, HostAllocs: s.AllocsPerOp}
+	return Row{Label: label, Items: items, Run: f}
 }

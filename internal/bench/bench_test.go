@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"finbench/internal/benchreg"
 )
 
 // The model-vs-paper assertions below encode the paper's *stated* relations
@@ -35,7 +37,7 @@ func within(t *testing.T, what string, got, lo, hi float64) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"tab1", "fig4", "fig5", "fig6", "tab2", "fig8", "ninja",
 		"ablate-tile", "ablate-rng", "ablate-qmc", "ablate-width", "servepath",
-		"scenario", "streampath"}
+		"scenario", "streampath", "heavy"}
 	exps := Experiments()
 	if len(exps) != len(want) {
 		t.Fatalf("%d experiments registered, want %d", len(exps), len(want))
@@ -210,16 +212,14 @@ func TestHumanUnits(t *testing.T) {
 	}
 }
 
-// Measure mode smoke test: every experiment with a Measure function must
-// produce positive host throughput with a repetition count and noise
-// bound attached (timeIt routes through benchreg's median±MAD harness).
+// Measure mode smoke test: every experiment with a Measure function
+// builds its rows untimed — each with a kernel call and an item count —
+// and Time fills every row with positive host throughput, a repetition
+// count and a noise bound (benchreg's median±MAD harness).
 func TestMeasureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("host timing in -short mode")
 	}
-	prev := Sampling
-	Sampling = quickOpts
-	defer func() { Sampling = prev }()
 	for _, e := range Experiments() {
 		if e.Measure == nil {
 			continue
@@ -229,14 +229,20 @@ func TestMeasureSmoke(t *testing.T) {
 			t.Fatalf("%s measure: %v", e.ID, err)
 		}
 		for _, row := range res.Rows {
-			if row.Host <= 0 {
-				t.Errorf("%s %q: host throughput %g", e.ID, row.Label, row.Host)
+			if row.Run == nil || row.Items <= 0 || row.Host.Reps != 0 {
+				t.Errorf("%s %q: Measure must build an untimed row with a kernel and items (items=%d reps=%d)", e.ID, row.Label, row.Items, row.Host.Reps)
 			}
-			if row.HostReps != quickOpts.Reps {
-				t.Errorf("%s %q: %d reps recorded, want %d", e.ID, row.Label, row.HostReps, quickOpts.Reps)
+		}
+		res.Time(quickOpts)
+		for _, row := range res.Rows {
+			if row.Host.OpsPerSec <= 0 {
+				t.Errorf("%s %q: host throughput %g", e.ID, row.Label, row.Host.OpsPerSec)
 			}
-			if row.HostMAD < 0 || row.HostItems <= 0 {
-				t.Errorf("%s %q: bad noise/items fields (mad=%g items=%d)", e.ID, row.Label, row.HostMAD, row.HostItems)
+			if row.Host.Reps != quickOpts.Reps {
+				t.Errorf("%s %q: %d reps recorded, want %d", e.ID, row.Label, row.Host.Reps, quickOpts.Reps)
+			}
+			if row.Host.OpsMAD < 0 || row.Host.Items != row.Items {
+				t.Errorf("%s %q: bad noise/items fields (mad=%g items=%d)", e.ID, row.Label, row.Host.OpsMAD, row.Host.Items)
 			}
 		}
 	}
@@ -245,8 +251,8 @@ func TestMeasureSmoke(t *testing.T) {
 // Host-mode Table and CSV must carry the median±MAD columns.
 func TestHostTableAndCSV(t *testing.T) {
 	res := &Result{ID: "x", Title: "host fmt", Units: "options/s", Rows: []Row{
-		{Label: "Scalar reference", Host: 2.5e6, HostMAD: 1.5e4, HostReps: 5},
-		{Label: "Advanced", Host: 8e6, HostMAD: 2e4, HostReps: 5},
+		{Label: "Scalar reference", Host: benchreg.Sample{OpsPerSec: 2.5e6, OpsMAD: 1.5e4, Reps: 5}},
+		{Label: "Advanced", Host: benchreg.Sample{OpsPerSec: 8e6, OpsMAD: 2e4, Reps: 5}},
 	}}
 	table := res.Table()
 	for _, want := range []string{"host", "±mad", "reps", "2.5M", "15K", "    5"} {
@@ -312,6 +318,33 @@ func TestAblateQMCShape(t *testing.T) {
 		if i > 0 && row.Model["QMC"] >= res.Rows[i-1].Model["QMC"] {
 			prev := res.Rows[i-1]
 			t.Errorf("%s: QMC error %g did not fall from %s's %g", row.Label, row.Model["QMC"], prev.Label, prev.Model["QMC"])
+		}
+	}
+}
+
+// BenchmarkExperiments runs every Measure row of every experiment as one
+// sub-benchmark named <id>/<label>, at `benchreg run -short`'s scale
+// (0.02): the rows benchreg snapshots and finbench -mode measure time,
+// under testing.B. Run all of them once with
+// `go test -run '^$' -bench . -benchtime 1x ./internal/bench`, or one
+// experiment with -bench 'Experiments/heavy'.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range Experiments() {
+		if e.Measure == nil {
+			continue
+		}
+		res, err := e.Measure(0.02)
+		if err != nil {
+			b.Fatalf("%s measure: %v", e.ID, err)
+		}
+		for _, row := range res.Rows {
+			b.Run(e.ID+"/"+row.Label, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					row.Run()
+				}
+				b.ReportMetric(float64(row.Items)*float64(b.N)/b.Elapsed().Seconds(), "items/s")
+			})
 		}
 	}
 }

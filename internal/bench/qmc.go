@@ -1,28 +1,30 @@
-package montecarlo
+package bench
 
 import (
 	"finbench/internal/brownian"
 	"finbench/internal/mathx"
+	"finbench/internal/montecarlo"
 	"finbench/internal/parallel"
 	"finbench/internal/rng"
 	"finbench/internal/sobol"
 	"finbench/internal/workload"
 )
 
-// Quasi-Monte Carlo extensions. The paper's Brownian-bridge kernel exists
-// in finance precisely to pair with low-discrepancy points (Glasserman
-// ch. 5, the paper's bridge reference): the bridge assigns the largest
-// variance contributions to the lowest Sobol dimensions, concentrating the
-// integrand's effective dimension where the point set is most uniform.
-// These routines price with Sobol points in place of the Mersenne stream,
-// using randomized digital shifts for error estimation.
+// Quasi-Monte Carlo for the ablate-qmc experiment. The paper's
+// Brownian-bridge kernel exists in finance precisely to pair with
+// low-discrepancy points (Glasserman ch. 5, the paper's bridge
+// reference): the bridge assigns the largest variance contributions to
+// the lowest Sobol dimensions, concentrating the integrand's effective
+// dimension where the point set is most uniform. These routines price
+// with Sobol points in place of the Mersenne stream, using randomized
+// digital shifts for error estimation.
 
-// AsianOption is an arithmetic-average Asian call: payoff
+// asianOption is an arithmetic-average Asian call: payoff
 // max(mean(S_t) - X, 0) over Steps equally spaced observations — the
 // path-dependent payoff for which lattice methods blow up and Monte Carlo
 // becomes essential (Sec. II: "for the most complex options, Monte Carlo
 // approaches are employed").
-type AsianOption struct {
+type asianOption struct {
 	S, X, T float64
 	// Steps is the number of averaging dates; must be a power of two for
 	// the bridge construction.
@@ -31,7 +33,7 @@ type AsianOption struct {
 
 // payoffFromPath evaluates the discounted Asian payoff from a Wiener path
 // w (len Steps+1 including w(0)=0).
-func (a AsianOption) payoffFromPath(w []float64, mkt workload.MarketParams) float64 {
+func (a asianOption) payoffFromPath(w []float64, mkt workload.MarketParams) float64 {
 	mu := mkt.R - mkt.Sigma*mkt.Sigma/2
 	dt := a.T / float64(a.Steps)
 	var avg float64
@@ -55,11 +57,11 @@ func bridgeDepth(steps int) int {
 	return d
 }
 
-// AsianMC prices the Asian option by plain Monte Carlo: pseudo-random
+// asianMC prices the Asian option by plain Monte Carlo: pseudo-random
 // normals, bridge-constructed paths. The normals are drawn in fixed
 // blocks, block b from stream b, so the price does not depend on the
 // worker count.
-func AsianMC(a AsianOption, npaths int, seed uint64, mkt workload.MarketParams) Result {
+func asianMC(a asianOption, npaths int, seed uint64, mkt workload.MarketParams) montecarlo.Result {
 	const width = 8
 	br := brownian.New(bridgeDepth(a.Steps), a.T)
 	plen := br.PathLen()
@@ -84,16 +86,16 @@ func AsianMC(a AsianOption, npaths int, seed uint64, mkt workload.MarketParams) 
 	if variance < 0 {
 		variance = 0
 	}
-	return Result{Price: mean, StdErr: mathx.Sqrt(variance / n)}
+	return montecarlo.Result{Price: mean, StdErr: mathx.Sqrt(variance / n)}
 }
 
-// AsianQMC prices the Asian option by randomized quasi-Monte Carlo: Sobol
+// asianQMC prices the Asian option by randomized quasi-Monte Carlo: Sobol
 // points of dimension Steps, transformed to normals by the inverse CDF and
 // mapped to paths through the Brownian bridge (so Sobol dimension k drives
 // the k-th bridge refinement level — the variance-ordered pairing). The
 // estimate averages `shifts` digitally-shifted replicates; StdErr is their
 // spread.
-func AsianQMC(a AsianOption, npoints, shifts int, seed uint64, mkt workload.MarketParams) Result {
+func asianQMC(a asianOption, npoints, shifts int, seed uint64, mkt workload.MarketParams) montecarlo.Result {
 	if shifts < 2 {
 		shifts = 2
 	}
@@ -136,5 +138,5 @@ func AsianQMC(a AsianOption, npoints, shifts int, seed uint64, mkt workload.Mark
 	for _, m := range means {
 		v += (m - mean) * (m - mean)
 	}
-	return Result{Price: mean, StdErr: mathx.Sqrt(v / float64(shifts) / float64(shifts-1))}
+	return montecarlo.Result{Price: mean, StdErr: mathx.Sqrt(v / float64(shifts) / float64(shifts-1))}
 }

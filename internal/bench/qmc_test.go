@@ -1,4 +1,4 @@
-package montecarlo
+package bench
 
 import (
 	"math"
@@ -6,14 +6,18 @@ import (
 	"testing"
 
 	"finbench/internal/blackscholes"
+	"finbench/internal/workload"
 )
 
-var asian = AsianOption{S: 100, X: 100, T: 1, Steps: 32}
+var (
+	asian    = asianOption{S: 100, X: 100, T: 1, Steps: 32}
+	asianMkt = workload.MarketParams{R: 0.05, Sigma: 0.2}
+)
 
 // MC and QMC must agree on the Asian price within their joint error.
 func TestAsianMCAndQMCAgree(t *testing.T) {
-	mc := AsianMC(asian, 1<<16, 3, mkt)
-	qmc := AsianQMC(asian, 1<<12, 4, 5, mkt)
+	mc := asianMC(asian, 1<<16, 3, asianMkt)
+	qmc := asianQMC(asian, 1<<12, 4, 5, asianMkt)
 	tol := 4*(mc.StdErr+qmc.StdErr) + 1e-3
 	if math.Abs(mc.Price-qmc.Price) > tol {
 		t.Fatalf("MC %g +- %g vs QMC %g +- %g", mc.Price, mc.StdErr, qmc.Price, qmc.StdErr)
@@ -23,8 +27,8 @@ func TestAsianMCAndQMCAgree(t *testing.T) {
 // Sanity bounds: the arithmetic Asian call is worth less than the European
 // call (averaging reduces volatility) and more than zero for ATM.
 func TestAsianBounds(t *testing.T) {
-	mc := AsianMC(asian, 1<<15, 9, mkt)
-	euro, _ := blackscholes.PriceScalar(asian.S, asian.X, asian.T, mkt)
+	mc := asianMC(asian, 1<<15, 9, asianMkt)
+	euro, _ := blackscholes.PriceScalar(asian.S, asian.X, asian.T, asianMkt)
 	if mc.Price <= 0 {
 		t.Fatalf("ATM Asian call priced at %g", mc.Price)
 	}
@@ -38,15 +42,15 @@ func TestAsianBounds(t *testing.T) {
 func TestAsianQMCBeatsMC(t *testing.T) {
 	const n = 1 << 12
 	// Reference price from a large MC run.
-	ref := AsianMC(asian, 1<<18, 21, mkt)
+	ref := asianMC(asian, 1<<18, 21, asianMkt)
 
-	qmc := AsianQMC(asian, n, 4, 31, mkt)
+	qmc := asianQMC(asian, n, 4, 31, asianMkt)
 	qmcErr := math.Abs(qmc.Price - ref.Price)
 
 	var mcErr float64
 	const trials = 5
 	for trial := uint64(0); trial < trials; trial++ {
-		mc := AsianMC(asian, n, 40+trial, mkt)
+		mc := asianMC(asian, n, 40+trial, asianMkt)
 		mcErr += math.Abs(mc.Price - ref.Price)
 	}
 	mcErr /= trials
@@ -55,31 +59,31 @@ func TestAsianQMCBeatsMC(t *testing.T) {
 	}
 }
 
-// AsianMC and AsianQMC are functions of their inputs alone: reruns and
+// asianMC and asianQMC are functions of their inputs alone: reruns and
 // every worker count give the same bits.
 func TestAsianDeterministicBySeed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	a := AsianMC(asian, 4093, 5, mkt)
-	c := AsianQMC(asian, 2500, 2, 5, mkt)
+	a := asianMC(asian, 4093, 5, asianMkt)
+	c := asianQMC(asian, 2500, 2, 5, asianMkt)
 	for _, w := range []int{1, 2, 3, 8} {
 		runtime.GOMAXPROCS(w)
-		if b := AsianMC(asian, 4093, 5, mkt); b != a {
-			t.Errorf("AsianMC at %d workers: %+v, want %+v", w, b, a)
+		if b := asianMC(asian, 4093, 5, asianMkt); b != a {
+			t.Errorf("asianMC at %d workers: %+v, want %+v", w, b, a)
 		}
-		if d := AsianQMC(asian, 2500, 2, 5, mkt); d != c {
-			t.Errorf("AsianQMC at %d workers: %+v, want %+v", w, d, c)
+		if d := asianQMC(asian, 2500, 2, 5, asianMkt); d != c {
+			t.Errorf("asianQMC at %d workers: %+v, want %+v", w, d, c)
 		}
 	}
 }
 
 func BenchmarkAsianMC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		AsianMC(asian, 4096, 1, mkt)
+		asianMC(asian, 4096, 1, asianMkt)
 	}
 }
 
 func BenchmarkAsianQMC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		AsianQMC(asian, 2048, 2, 1, mkt)
+		asianQMC(asian, 2048, 2, 1, asianMkt)
 	}
 }

@@ -12,19 +12,10 @@ import (
 // and assembles a benchreg Snapshot: one record per measured kernel row,
 // plus each experiment's best-optimized op mix. CreatedAt and Mode are
 // left for the caller (cmd/benchreg) to stamp.
-//
-// The sampling options are installed in the package-level Sampling hook
-// for the duration of the run (and restored after), because the Measure
-// closures reach timeIt through it; Collect is therefore not safe for
-// concurrent use — snapshotting is a whole-process activity anyway, since
-// a co-running benchmark would corrupt the timings it exists to record.
 func Collect(scale float64, opts benchreg.Opts, only string) (*benchreg.Snapshot, error) {
 	if scale <= 0 || scale > 1 {
 		return nil, fmt.Errorf("bench: scale %g outside (0,1]", scale)
 	}
-	prev := Sampling
-	Sampling = opts
-	defer func() { Sampling = prev }()
 
 	snap := &benchreg.Snapshot{
 		Schema:         benchreg.SchemaVersion,
@@ -46,21 +37,20 @@ func Collect(scale float64, opts benchreg.Opts, only string) (*benchreg.Snapshot
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s measure: %w", e.ID, err)
 			}
+			res.Time(opts)
 			for _, row := range res.Rows {
-				if row.HostReps == 0 {
-					continue
-				}
+				s := row.Host
 				snap.Kernels = append(snap.Kernels, benchreg.Record{
 					Experiment:  e.ID,
 					Label:       row.Label,
 					Units:       res.Units,
-					Items:       row.HostItems,
-					Reps:        row.HostReps,
-					MedianSec:   secPerCall(row),
-					MADSec:      secMAD(row),
-					OpsPerSec:   row.Host,
-					OpsMAD:      row.HostMAD,
-					AllocsPerOp: row.HostAllocs,
+					Items:       s.Items,
+					Reps:        s.Reps,
+					MedianSec:   s.MedianSec,
+					MADSec:      s.MADSec,
+					OpsPerSec:   s.OpsPerSec,
+					OpsMAD:      s.OpsMAD,
+					AllocsPerOp: s.AllocsPerOp,
 					GateAllocs:  row.GateAllocs,
 				})
 			}
@@ -84,21 +74,4 @@ func Collect(scale float64, opts benchreg.Opts, only string) (*benchreg.Snapshot
 	// paths vs dispatched tasks, handoffs vs helping-join steals).
 	snap.Sched = parallel.Sched().Delta(schedBefore).Map()
 	return snap, nil
-}
-
-// secPerCall recovers the median wall seconds per kernel invocation from
-// a host row (throughput = items/sec).
-func secPerCall(row Row) float64 {
-	if row.Host <= 0 {
-		return 0
-	}
-	return float64(row.HostItems) / row.Host
-}
-
-// secMAD propagates the throughput MAD back to seconds to first order.
-func secMAD(row Row) float64 {
-	if row.Host <= 0 {
-		return 0
-	}
-	return secPerCall(row) * row.HostMAD / row.Host
 }

@@ -39,10 +39,23 @@ func TestCollectSnapshot(t *testing.T) {
 			t.Errorf("%s: incomplete record %+v", k.Key(), k)
 		}
 	}
-	for _, id := range []string{"fig4", "fig5", "fig6", "tab2", "fig8", "ablate-rng"} {
+	for _, id := range []string{"fig4", "fig5", "fig6", "tab2", "fig8", "ablate-rng", "heavy"} {
 		if !experiments[id] {
 			t.Errorf("experiment %s missing from snapshot", id)
 		}
+	}
+	// Every heavy row is one served request, so its allocs/op is gated.
+	heavy := 0
+	for _, k := range snap.Kernels {
+		if k.Experiment == "heavy" {
+			heavy++
+			if !k.GateAllocs {
+				t.Errorf("%s: heavy row not alloc-gated", k.Key())
+			}
+		}
+	}
+	if heavy != 10 {
+		t.Errorf("%d heavy rows collected, want 10", heavy)
 	}
 	// The five paper experiments carry op mixes.
 	for _, id := range []string{"fig4", "fig5", "fig6", "tab2", "fig8"} {
@@ -100,19 +113,5 @@ func TestCollectRejectsBadInputs(t *testing.T) {
 	// tab1 exists but is model-only: selecting it alone yields no kernels.
 	if _, err := Collect(0.01, quickOpts, "tab1"); err == nil || !strings.Contains(err.Error(), "no Measure") {
 		t.Errorf("model-only experiment: err = %v", err)
-	}
-}
-
-// Collect must restore the interactive sampling preset it replaces.
-func TestCollectRestoresSampling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("host timing in -short mode")
-	}
-	before := Sampling
-	if _, err := Collect(0.01, quickOpts, "fig4"); err != nil {
-		t.Fatal(err)
-	}
-	if Sampling != before {
-		t.Fatalf("Sampling left as %+v, want %+v restored", Sampling, before)
 	}
 }

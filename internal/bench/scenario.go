@@ -95,9 +95,9 @@ func measureScenario(scale float64) (*Result, error) {
 	// Row 2: the full /scenario handler stack, alloc-gated like the other
 	// serve-path rows. Same reusable-request harness as servepath so the
 	// gated count is the server's alone.
-	s := serve.New(serve.Config{})
-	defer s.Close()
-	h := s.Handler()
+	// Not closed, as in servepath: the server runs no goroutine and goes
+	// with the rows.
+	h := serve.New(serve.Config{}).Handler()
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err

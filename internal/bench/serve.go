@@ -108,10 +108,10 @@ func servePathColumnar(n int) []byte {
 
 func measureServePath(scale float64) (*Result, error) {
 	// CoalesceMaxBatch 1 makes every request bypass the coalescer (no
-	// window timer on the measured path).
-	s := serve.New(serve.Config{CoalesceMaxBatch: 1})
-	defer s.Close()
-	h := s.Handler()
+	// window timer on the measured path). The rows outlive this call, so
+	// the server is not closed: without a stream hub it runs no goroutine
+	// and goes with the rows.
+	h := serve.New(serve.Config{CoalesceMaxBatch: 1}).Handler()
 
 	batch := scaleInt(4096, scale, 16)
 	r := &Result{

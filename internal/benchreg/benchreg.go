@@ -21,14 +21,17 @@
 //   - Diff/Gate: kernel-by-kernel comparison of two snapshots with a
 //     noise-aware regression rule — a kernel regresses only when its
 //     median throughput drops by more than MaxSlowdown AND the drop
-//     exceeds MADFactor x the larger MAD of the two runs.
+//     exceeds MADFactor x the larger MAD of the two runs. A baseline
+//     kernel missing from the candidate fails outright, and a gated
+//     kernel's allocs/op may not grow beyond a small allowance.
 //
 // The package deliberately does not import internal/bench: it is a generic
 // harness over (items, func()) kernels plus plain records, and
 // internal/bench adapts its experiment registry onto it (bench.Collect).
-// That keeps the import direction acyclic while letting bench's own timeIt
-// route through the same repetition logic, so interactive `finbench run
-// -mode measure` tables and committed snapshots share one methodology.
+// That keeps the import direction acyclic while bench's Result.Time
+// routes every row through the same repetition logic, so interactive
+// `finbench run -mode measure` tables and committed snapshots share one
+// methodology.
 package benchreg
 
 // SchemaVersion is bumped whenever the snapshot JSON layout changes
@@ -54,8 +57,8 @@ type Snapshot struct {
 	Scale float64 `json:"scale"`
 	// Opts is the sampling configuration used for every kernel.
 	Opts Opts `json:"opts"`
-	// Env fingerprints the host; Diff downgrades regressions to warnings
-	// when two snapshots' fingerprints differ.
+	// Env fingerprints the host; Check downgrades throughput regressions
+	// to warnings when two snapshots' fingerprints differ.
 	Env Env `json:"env"`
 	// CalibOpsPerSec is the throughput of the fixed pure-ALU calibration
 	// kernel (Calibrate) on this run. Because the kernel touches no

@@ -67,8 +67,10 @@ func (g Gate) AllocRegression(old, new Record) bool {
 type Delta struct {
 	Key   string
 	Units string
-	// Old and New are nil when the kernel exists on only one side
-	// (removed or added kernels — reported, never gated).
+	// Old and New are nil when the kernel exists on only one side: an
+	// added kernel is reported, a baseline kernel missing from the
+	// candidate fails the check (a refactor must not drop a row out of
+	// the gate).
 	Old *Record
 	New *Record
 	// Ratio is new/old median throughput (>1 is faster); 0 when either
@@ -153,10 +155,16 @@ func diffScaled(old, new *Snapshot, g Gate, factor float64) []Delta {
 type Report struct {
 	Deltas      []Delta
 	Regressions []Delta
+	// Missing lists the keys of baseline kernels the candidate lacks.
+	Missing []string
 	// EnvMatch reports whether the two snapshots' environment
-	// fingerprints are comparable; when false, regressions are
-	// advisory (Failed returns false unless strict).
+	// fingerprints are comparable; when false, throughput regressions
+	// are advisory (Failed returns false unless strict).
 	EnvMatch bool
+	// TargetMatch reports whether both ran the same GOOS, GOARCH and
+	// GOMAXPROCS, under which allocation counts compare whatever the
+	// CPU model: allocs/op regressions gate then.
+	TargetMatch bool
 	// SpeedFactor is the candidate/baseline calibration-throughput ratio
 	// applied to the baseline before gating (1 when either snapshot
 	// lacks calibration). A factor of 0.7 means the candidate machine
@@ -182,6 +190,7 @@ func Check(baseline, candidate *Snapshot, g Gate) *Report {
 	r := &Report{
 		Deltas:           diffScaled(baseline, candidate, g, factor),
 		EnvMatch:         baseline.Env.Comparable(candidate.Env),
+		TargetMatch:      baseline.Env.sameTarget(candidate.Env),
 		SpeedFactor:      factor,
 		BaselineEnv:      baseline.Env,
 		CandidateEnv:     candidate.Env,
@@ -193,19 +202,30 @@ func Check(baseline, candidate *Snapshot, g Gate) *Report {
 		if d.Regression || d.AllocRegression {
 			r.Regressions = append(r.Regressions, d)
 		}
+		if d.New == nil {
+			r.Missing = append(r.Missing, d.Key)
+		}
 	}
 	return r
 }
 
-// Failed reports whether the check should gate (exit nonzero). With
-// strictEnv false — the default — regressions on mismatched environments
-// are warnings: a different CPU model or GOMAXPROCS shifts every kernel
-// at once, and failing on that punishes the runner, not the code.
+// Failed reports whether the check should gate (exit nonzero). A
+// baseline kernel missing from the candidate always fails. An allocs/op
+// regression fails whenever the targets match: allocation counts do not
+// depend on the CPU model. With strictEnv false — the default — a
+// throughput regression on a mismatched environment is a warning: a
+// different CPU model or GOMAXPROCS shifts every kernel at once, and
+// failing on that punishes the runner, not the code.
 func (r *Report) Failed(strictEnv bool) bool {
-	if len(r.Regressions) == 0 {
-		return false
+	if len(r.Missing) > 0 {
+		return true
 	}
-	return r.EnvMatch || strictEnv
+	for _, d := range r.Regressions {
+		if (d.AllocRegression && (r.TargetMatch || strictEnv)) || (d.Regression && (r.EnvMatch || strictEnv)) {
+			return true
+		}
+	}
+	return false
 }
 
 // deltaCells renders the shared row fields of a delta.
@@ -214,7 +234,7 @@ func deltaCells(d Delta) (oldS, newS, ratioS, allocS, verdict string) {
 	case d.Old == nil:
 		return "-", fmtOps(d.New.OpsPerSec), "-", fmtAllocs(d.New), "added"
 	case d.New == nil:
-		return fmtOps(d.Old.OpsPerSec), "-", "-", "-", "removed"
+		return fmtOps(d.Old.OpsPerSec), "-", "-", "-", "MISSING"
 	}
 	oldS = fmtOps(d.Old.OpsPerSec) + "±" + fmtOps(d.Old.OpsMAD)
 	newS = fmtOps(d.New.OpsPerSec) + "±" + fmtOps(d.New.OpsMAD)
@@ -266,15 +286,15 @@ func (r *Report) Table() string {
 		fmt.Fprintf(&b, "calibration speed factor %.3f applied to baseline (ratios are drift-corrected)\n", r.SpeedFactor)
 	}
 	if !r.EnvMatch {
-		fmt.Fprintf(&b, "note: environment fingerprints differ; regressions below are advisory\n")
+		fmt.Fprintf(&b, "note: environment fingerprints differ; throughput regressions below are advisory\n")
 	}
 	fmt.Fprintf(&b, "%-52s %-10s %18s %18s %8s %14s %s\n", "kernel", "units", "old", "new", "ratio", "allocs/op", "verdict")
 	for _, d := range r.Deltas {
 		oldS, newS, ratioS, allocS, verdict := deltaCells(d)
 		fmt.Fprintf(&b, "%-52s %-10s %18s %18s %8s %14s %s\n", d.Key, d.Units, oldS, newS, ratioS, allocS, verdict)
 	}
-	fmt.Fprintf(&b, "%d kernels compared, %d regression(s) beyond %.0f%%+%gxMAD or allocs/op +%.0f%%+%g on gated (*) rows\n",
-		len(r.Deltas), len(r.Regressions), r.Gate.MaxSlowdown*100, r.Gate.MADFactor,
+	fmt.Fprintf(&b, "%d kernels compared, %d missing, %d regression(s) beyond %.0f%%+%gxMAD or allocs/op +%.0f%%+%g on gated (*) rows\n",
+		len(r.Deltas), len(r.Missing), len(r.Regressions), r.Gate.MaxSlowdown*100, r.Gate.MADFactor,
 		r.Gate.MaxAllocIncrease*100, r.Gate.AllocSlack)
 	return b.String()
 }
@@ -289,19 +309,19 @@ func (r *Report) Markdown() string {
 		fmt.Fprintf(&b, "- calibration speed factor `%.3f` applied to baseline (ratios are drift-corrected)\n", r.SpeedFactor)
 	}
 	if !r.EnvMatch {
-		fmt.Fprintf(&b, "- **environment fingerprints differ** — deltas are advisory, not gated\n")
+		fmt.Fprintf(&b, "- **environment fingerprints differ** — throughput deltas are advisory, not gated\n")
 	}
 	fmt.Fprintf(&b, "\n| kernel | units | old (median±MAD) | new (median±MAD) | ratio | allocs/op | verdict |\n")
 	fmt.Fprintf(&b, "|---|---|---:|---:|---:|---:|---|\n")
 	for _, d := range r.Deltas {
 		oldS, newS, ratioS, allocS, verdict := deltaCells(d)
-		if strings.Contains(verdict, "REGRESSION") {
+		if strings.Contains(verdict, "REGRESSION") || verdict == "MISSING" {
 			verdict = "**" + verdict + "**"
 		}
 		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s | %s |\n", d.Key, d.Units, oldS, newS, ratioS, allocS, verdict)
 	}
-	fmt.Fprintf(&b, "\n%d kernels compared, %d regression(s) beyond %.0f%% + %gxMAD (throughput) or +%.0f%% + %g (allocs/op on gated `*` rows).\n",
-		len(r.Deltas), len(r.Regressions), r.Gate.MaxSlowdown*100, r.Gate.MADFactor,
+	fmt.Fprintf(&b, "\n%d kernels compared, %d missing, %d regression(s) beyond %.0f%% + %gxMAD (throughput) or +%.0f%% + %g (allocs/op on gated `*` rows).\n",
+		len(r.Deltas), len(r.Missing), len(r.Regressions), r.Gate.MaxSlowdown*100, r.Gate.MADFactor,
 		r.Gate.MaxAllocIncrease*100, r.Gate.AllocSlack)
 	return b.String()
 }

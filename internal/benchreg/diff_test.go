@@ -73,30 +73,84 @@ func TestGateToleratesSmallAndNoisySlowdowns(t *testing.T) {
 func TestDiffReportsAddedAndRemovedKernels(t *testing.T) {
 	base := testSnapshot()
 	cand := testSnapshot()
-	cand.Kernels = cand.Kernels[:len(cand.Kernels)-1] // drop tab2/uniform
 	cand.Kernels = append(cand.Kernels, Record{
 		Experiment: "fig6", Label: "Cache-to-cache", Units: "paths/s",
 		Items: 8192, Reps: 5, OpsPerSec: 1.4e5, OpsMAD: 900,
 	})
 	report := Check(base, cand, DefaultGate())
 	if len(report.Regressions) != 0 || report.Failed(true) {
-		t.Fatal("added/removed kernels must not gate")
+		t.Fatal("an added kernel must not gate")
 	}
-	var added, removed bool
+	added := false
 	for _, d := range report.Deltas {
-		switch {
-		case d.Old == nil && d.Key == "fig6 / Cache-to-cache":
-			added = true
-		case d.New == nil && d.Key == "tab2 / uniform DP RNG/sec":
-			removed = true
+		added = added || (d.Old == nil && d.Key == "fig6 / Cache-to-cache")
+	}
+	if !added || !strings.Contains(report.Table(), "added") {
+		t.Fatalf("added kernel not reported:\n%s", report.Table())
+	}
+
+	// A removed kernel is reported too, and it gates (see
+	// TestMissingBaselineRowFails).
+	cand = testSnapshot()
+	cand.Kernels = cand.Kernels[:len(cand.Kernels)-1] // drop tab2/uniform
+	report = Check(base, cand, DefaultGate())
+	removed := false
+	for _, d := range report.Deltas {
+		removed = removed || (d.New == nil && d.Key == "tab2 / uniform DP RNG/sec")
+	}
+	if !removed || !strings.Contains(report.Table(), "MISSING") || !report.Failed(false) {
+		t.Fatalf("removed kernel not reported as a failing MISSING row:\n%s", report.Table())
+	}
+}
+
+// A baseline row the candidate lacks fails the check on any host, and
+// the report names it: dropping one row and renaming another must not
+// quietly shrink the gate.
+func TestMissingBaselineRowFails(t *testing.T) {
+	base := testSnapshot()
+	base.Kernels = append(base.Kernels,
+		Record{Experiment: "ablate-rng", Label: "box-muller", Units: "normals/s", Items: 100000, Reps: 5, OpsPerSec: 3e7, OpsMAD: 1e5},
+		Record{Experiment: "ablate-rng", Label: "box-muller-polar", Units: "normals/s", Items: 100000, Reps: 5, OpsPerSec: 2e7, OpsMAD: 1e5})
+	cand := testSnapshot()
+	cand.Kernels = append(cand.Kernels,
+		Record{Experiment: "ablate-rng", Label: "polar", Units: "normals/s", Items: 100000, Reps: 5, OpsPerSec: 2e7, OpsMAD: 1e5})
+	for _, cpu := range []string{base.Env.CPUModel, "Other CPU"} {
+		cand.Env.CPUModel = cpu
+		report := Check(base, cand, DefaultGate())
+		if !report.Failed(false) {
+			t.Fatalf("cpu %q: candidate without two baseline rows passed:\n%s", cpu, report.Table())
+		}
+		table := report.Table()
+		for _, key := range []string{"ablate-rng / box-muller ", "ablate-rng / box-muller-polar"} {
+			if !strings.Contains(table, key) {
+				t.Errorf("cpu %q: table does not name missing row %q:\n%s", cpu, key, table)
+			}
+		}
+		if strings.Count(table, "MISSING") != 2 {
+			t.Errorf("cpu %q: want 2 MISSING verdicts:\n%s", cpu, table)
 		}
 	}
-	if !added || !removed {
-		t.Fatalf("added=%v removed=%v, want both reported", added, removed)
+}
+
+// An allocs/op regression is deterministic, so it gates whenever GOOS,
+// GOARCH and GOMAXPROCS match, whatever the CPU model; only another
+// target makes it advisory.
+func TestAllocRegressionGatesAcrossCPUModels(t *testing.T) {
+	mk := func(allocs float64, env Env) *Snapshot {
+		return &Snapshot{Schema: SchemaVersion, Env: env, Kernels: []Record{{
+			Experiment: "servepath", Label: "/greeks closed-form batch", Units: "options/s",
+			Items: 81, Reps: 5, OpsPerSec: 1e6, OpsMAD: 1e3, AllocsPerOp: allocs, GateAllocs: true}}}
 	}
-	table := report.Table()
-	if !strings.Contains(table, "added") || !strings.Contains(table, "removed") {
-		t.Fatalf("table missing added/removed verdicts:\n%s", table)
+	env := Env{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2, NumCPU: 2, CPUModel: "AMD EPYC"}
+	other := env
+	other.CPUModel = "Intel(R) Xeon(R) Processor"
+	if report := Check(mk(0, env), mk(3, other), DefaultGate()); !report.Failed(false) {
+		t.Fatalf("0→3 allocs/op on another CPU model passed:\n%s", report.Table())
+	}
+	other.GOMAXPROCS = 4
+	report := Check(mk(0, env), mk(3, other), DefaultGate())
+	if report.Failed(false) || !report.Failed(true) {
+		t.Fatalf("0→3 allocs/op at another GOMAXPROCS must be advisory unless strict:\n%s", report.Table())
 	}
 }
 

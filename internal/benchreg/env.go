@@ -9,9 +9,9 @@ import (
 
 // Env is the environment fingerprint stored in every snapshot. Two
 // snapshots are only comparable as absolute throughput when their
-// fingerprints match; the gate downgrades regressions to warnings
-// otherwise (a slower runner makes every kernel "regress" uniformly,
-// which is information about the machine, not the code).
+// fingerprints match; the gate downgrades throughput regressions to
+// warnings otherwise (a slower runner makes every kernel "regress"
+// uniformly, which is information about the machine, not the code).
 type Env struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
@@ -42,13 +42,20 @@ func Fingerprint() Env {
 // part of the key — a toolchain bump that slows a kernel is exactly the
 // kind of regression the gate exists to surface.
 func (e Env) Comparable(other Env) bool {
-	if e.GOOS != other.GOOS || e.GOARCH != other.GOARCH || e.GOMAXPROCS != other.GOMAXPROCS {
+	if !e.sameTarget(other) {
 		return false
 	}
 	if e.CPUModel != "" && other.CPUModel != "" && e.CPUModel != other.CPUModel {
 		return false
 	}
 	return true
+}
+
+// sameTarget reports whether e and other ran the same GOOS, GOARCH and
+// GOMAXPROCS: the same binary then allocates the same objects, whatever
+// the CPU model.
+func (e Env) sameTarget(other Env) bool {
+	return e.GOOS == other.GOOS && e.GOARCH == other.GOARCH && e.GOMAXPROCS == other.GOMAXPROCS
 }
 
 // String renders the fingerprint on one line for tables and logs.

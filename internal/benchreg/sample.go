@@ -18,7 +18,7 @@ type Opts struct {
 	// repetition the kernel is called back-to-back until at least this
 	// much time has elapsed, and the repetition's sample is the mean time
 	// per call. This amortizes timer granularity for sub-millisecond
-	// kernels exactly as the old single-shot timeIt did.
+	// kernels.
 	MinDuration time.Duration `json:"min_duration_ns"`
 }
 
@@ -78,8 +78,8 @@ type Sample struct {
 
 // Measure times f, which processes items work units per call, under the
 // given options and returns the median±MAD summary. It is the repo's one
-// timing method: internal/bench.timeIt and `benchreg run` both route
-// through it.
+// timing method: internal/bench's Result.Time times every experiment row
+// through it, for `benchreg run` and `finbench -mode measure` alike.
 func Measure(items int, f func(), o Opts) Sample {
 	o = o.withDefaults()
 	for i := 0; i < o.Warmup; i++ {

@@ -16,6 +16,8 @@ package machine
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 
 	"finbench/internal/perf"
@@ -72,9 +74,6 @@ type Machine struct {
 
 // Cores returns the total physical core count.
 func (m *Machine) Cores() int { return m.Sockets * m.CoresPerSocket }
-
-// Threads returns the total hardware thread count.
-func (m *Machine) Threads() int { return m.Cores() * m.SMT }
 
 // SNBEP returns the model of the dual-socket Intel Xeon E5-2680 system
 // (Table I, left column).
@@ -321,5 +320,59 @@ func TableI() string {
 	row("DRAM (GB)", fmt.Sprintf("%.0f", s.DRAMGB), fmt.Sprintf("%.0f GDDR", k.DRAMGB))
 	row("STREAM Bandwidth (GB/s)", fmt.Sprintf("%.0f", s.StreamBW), fmt.Sprintf("%.0f", k.StreamBW))
 	row("PCIe Bandwidth (GB/s)", "-", fmt.Sprintf("%.0f", k.PCIeBW))
+	return b.String()
+}
+
+// Roofline renders an ASCII roofline chart of m with the given points
+// plotted (label -> [arithmetic intensity flops/byte, GFLOP/s]). The
+// chart follows the classic log-log form: the bandwidth diagonal meeting
+// the flat compute peak.
+func (m *Machine) Roofline(points map[string][2]float64) string {
+	const width, height = 64, 16
+	// x: AI from 2^-2 to 2^8; y: GFLOP/s from peak/512 to peak*2, log2.
+	xMin, xMax := -2.0, 8.0
+	yMax := math.Log2(m.PeakDPGFLOPs * 2)
+	yMin := yMax - 10
+	grid := make([][]byte, height)
+	for r := range grid {
+		grid[r] = []byte(strings.Repeat(" ", width))
+	}
+	plot := func(ai, gf float64, ch byte) {
+		if ai <= 0 || gf <= 0 {
+			return
+		}
+		x := int((math.Log2(ai) - xMin) / (xMax - xMin) * float64(width-1))
+		y := int((yMax - math.Log2(gf)) / (yMax - yMin) * float64(height-1))
+		if x < 0 || x >= width || y < 0 || y >= height {
+			return
+		}
+		grid[y][x] = ch
+	}
+	// Roof: min(AI*BW, peak).
+	for c := 0; c < width; c++ {
+		ai := math.Exp2(xMin + float64(c)/float64(width-1)*(xMax-xMin))
+		plot(ai, min(ai*m.StreamBW, m.PeakDPGFLOPs), '-')
+	}
+	marks := []byte("ABCDEFGHIJKLMNOP")
+	labels := make([]string, 0, len(points))
+	for l := range points {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels) // deterministic marks
+	var legend strings.Builder
+	for i, label := range labels {
+		pt := points[label]
+		ch := marks[i%len(marks)]
+		plot(pt[0], pt[1], ch)
+		fmt.Fprintf(&legend, "  %c: %s (AI=%.2g, %.3g GFLOP/s)\n", ch, label, pt[0], pt[1])
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s roofline (log-log; peak %.0f GFLOP/s, STREAM %.0f GB/s)\n",
+		m.Name, m.PeakDPGFLOPs, m.StreamBW)
+	for _, row := range grid {
+		b.WriteString(string(row))
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "AI: 2^%.0f .. 2^%.0f flops/byte\n%s", xMin, xMax, legend.String())
 	return b.String()
 }

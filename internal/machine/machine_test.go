@@ -25,8 +25,8 @@ func peakFromParams(m *Machine) float64 {
 
 func TestTableIParameters(t *testing.T) {
 	s := SNBEP()
-	if s.Cores() != 16 || s.Threads() != 32 {
-		t.Fatalf("SNB-EP cores/threads = %d/%d, want 16/32", s.Cores(), s.Threads())
+	if s.Cores() != 16 || s.Cores()*s.SMT != 32 {
+		t.Fatalf("SNB-EP cores/threads = %d/%d, want 16/32", s.Cores(), s.Cores()*s.SMT)
 	}
 	if s.SIMDWidthDP != 4 || s.HasFMA || !s.OutOfOrder {
 		t.Fatalf("SNB-EP uarch flags wrong: %+v", s)
@@ -35,8 +35,8 @@ func TestTableIParameters(t *testing.T) {
 		t.Fatalf("SNB-EP Table I values wrong: %+v", s)
 	}
 	k := KNC()
-	if k.Cores() != 60 || k.Threads() != 240 {
-		t.Fatalf("KNC cores/threads = %d/%d, want 60/240", k.Cores(), k.Threads())
+	if k.Cores() != 60 || k.Cores()*k.SMT != 240 {
+		t.Fatalf("KNC cores/threads = %d/%d, want 60/240", k.Cores(), k.Cores()*k.SMT)
 	}
 	if k.SIMDWidthDP != 8 || !k.HasFMA || k.OutOfOrder {
 		t.Fatalf("KNC uarch flags wrong: %+v", k)
@@ -244,5 +244,21 @@ func TestInOrderOverheadOrdering(t *testing.T) {
 		if k.Cost[op] <= s.Cost[op] {
 			t.Errorf("cost[%v]: KNC %g <= SNB-EP %g", op, k.Cost[op], s.Cost[op])
 		}
+	}
+}
+
+func TestRooflineChart(t *testing.T) {
+	chart := SNBEP().Roofline(map[string][2]float64{
+		"black-scholes": {5, 120},
+		"binomial":      {200, 300},
+	})
+	for _, want := range []string{"SNB-EP roofline", "A: binomial", "B: black-scholes", "peak 346"} {
+		if !strings.Contains(chart, want) {
+			t.Fatalf("chart missing %q:\n%s", want, chart)
+		}
+	}
+	// The roof line itself must be drawn.
+	if strings.Count(chart, "-") < 20 {
+		t.Fatal("roof not drawn")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -118,9 +119,12 @@ func TestExchangeClassifiesAlike(t *testing.T) {
 // once) do not re-subscribe in lockstep. Across 2,048 streams no two wait
 // the same first two re-subscribe delays, and no delay is below the
 // floor that keeps an accept-and-end replica from spinning the relay.
+// The first wave itself is spread: the 2,048 first attempts span at
+// least 25ms, not the backoff's millisecond.
 // Delay is a pure function of the seed and the attempt: no clock runs.
 func TestResubscribeJitterDecorrelated(t *testing.T) {
 	seen := make(map[[2]time.Duration]string)
+	first, last := time.Duration(math.MaxInt64), time.Duration(0)
 	for n := uint64(1); n <= 2048; n++ {
 		name := fmt.Sprintf("stream %d", n)
 		var delays [2]time.Duration
@@ -134,5 +138,9 @@ func TestResubscribeJitterDecorrelated(t *testing.T) {
 			t.Fatalf("%s waits the same re-subscribe delays as %s: %v", name, prev, delays)
 		}
 		seen[delays] = name
+		first, last = min(first, delays[0]), max(last, delays[0])
+	}
+	if last-first < 25*time.Millisecond {
+		t.Fatalf("first re-subscriptions span %v..%v, want a spread of at least 25ms", first, last)
 	}
 }

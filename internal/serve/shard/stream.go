@@ -39,10 +39,20 @@ const streamRetryFloor = 50 * time.Millisecond
 
 // resubscribeDelay is the wait before re-subscription attempt number
 // attempt (from 0) of the stream whose jitterSeed is seed:
-// streamRetryFloor plus the stream's retry backoff, so from about 52ms
-// up to at most 150ms, with a jitter that differs from stream to stream.
+// streamRetryFloor, stretched by a per-stream fraction of itself, plus
+// the stream's retry backoff, so from 50ms up to at most 200ms. The
+// whole delay is jittered, not only the backoff (whose first attempt
+// varies by a millisecond), so streams that lost their replica together
+// spread even their first re-subscriptions over about 50ms.
 func resubscribeDelay(seed uint64, attempt int) time.Duration {
-	return streamRetryFloor + resilience.Backoff{Seed: seed}.Delay(attempt)
+	// A splitmix64 finalizer over another input than the backoff's, so
+	// the stretch and the backoff jitter are drawn independently.
+	x := ^seed + uint64(attempt+1)*0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	stretch := float64((x^x>>31)>>11) / (1 << 53) // [0,1)
+	return streamRetryFloor + time.Duration(stretch*float64(streamRetryFloor)) +
+		resilience.Backoff{Seed: seed}.Delay(attempt)
 }
 
 // routeStream serves one routed SSE subscription.

@@ -4,7 +4,7 @@
 # Runs, in order: go vet, a gofmt -l gate (fails on any file it
 # prints), go build, the arm64 fused multiply-add guard
 # (scripts/fusion_guard.sh), the benchreg performance gate (a fresh short-mode
-# snapshot checked against the committed baseline BENCH_3.json; see
+# snapshot checked against the committed baseline BENCH_4.json; see
 # README "Continuous benchmarking"), the tier-1 test suite (which
 # includes the in-process topology tests of internal/serve/shard: every
 # end-to-end and chaos assertion, over 1-3 replicas and three fault
@@ -18,9 +18,12 @@
 # intra-procedural passes plus the call-graph dataflow passes ctxprop,
 # detmap, leakcheck and interprocedural hotalloc; see README "Static
 # analysis & CI gate") with its self-test. The benchreg gate also
-# enforces the allocs/op budget on serve-path rows (gate_allocs records
-# in BENCH_3.json): a new per-request allocation fails the check even
-# when its wall-clock cost hides inside timing noise.
+# enforces the allocs/op budget on serve-path and heavy rows
+# (gate_allocs records in BENCH_4.json): a new per-request allocation
+# fails the check even when its wall-clock cost hides inside timing
+# noise, and a baseline row missing from the fresh snapshot fails it too.
+# After the gate, go test -bench runs every experiment row once
+# (BenchmarkExperiments in internal/bench).
 #
 # Usage: ./scripts/check.sh
 #
@@ -75,7 +78,7 @@ echo "==> arm64 fusion guard"
 echo "==> benchreg gate: short snapshot vs committed baseline"
 go build -o "$TOOL_DIR/benchreg" ./cmd/benchreg
 bench_gate() {
-	"$TOOL_DIR/benchreg" check -baseline BENCH_3.json -short \
+	"$TOOL_DIR/benchreg" check -baseline BENCH_4.json -short \
 		-max-slowdown 0.35 -mad-factor 4
 }
 if ! bench_gate; then
@@ -83,6 +86,12 @@ if ! bench_gate; then
 	sleep 10
 	bench_gate
 fi
+
+# The rows the gate timed, once more through testing.B: one iteration
+# of every row of every experiment (heavy included), so a row that
+# panics or cannot build fails here with its name.
+echo "==> go test -bench: every experiment row once"
+go test -run '^$' -bench . -benchtime 1x ./internal/bench
 
 echo "==> tier-1: go test ./..."
 go test -timeout 10m ./...
