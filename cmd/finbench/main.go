@@ -113,28 +113,9 @@ func report(args []string) {
 	_ = fs.Parse(args) // ExitOnError: Parse exits the process on bad flags
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "# finbench report\n\nWorkload scale %.2f. Model columns are predicted SNB-EP/KNC\nthroughput from measured operation mixes; see EXPERIMENTS.md for\nprovenance of the paper columns.\n\n", *scale)
-	for _, e := range bench.Experiments() {
-		if e.Model == nil {
-			// Host-only experiments (servepath) have no paper column to
-			// model; their numbers live in benchreg snapshots.
-			continue
-		}
-		res, err := e.Model(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "finbench: %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(&b, "## %s — %s\n\n%s\n```\n%s```\n\n", e.ID, e.Title, e.Description, res.Table())
-		if *measure && e.Measure != nil {
-			mres, err := e.Measure(*scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "finbench: %s measure: %v\n", e.ID, err)
-				os.Exit(1)
-			}
-			mres.Time(benchreg.DefaultOpts())
-			fmt.Fprintf(&b, "Host wall-clock:\n\n```\n%s```\n\n", mres.Table())
-		}
+	if err := writeReport(&b, *scale, *measure, benchreg.DefaultOpts()); err != nil {
+		fmt.Fprintf(os.Stderr, "finbench: %v\n", err)
+		os.Exit(1)
 	}
 	if *out == "-" {
 		fmt.Print(b.String())
@@ -145,6 +126,38 @@ func report(args []string) {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d bytes)\n", *out, b.Len())
+}
+
+// writeReport writes the report: each experiment's model table and, when
+// measure is set, its host table timed with o. Host-only experiments
+// (servepath, scenario, streampath, heavy) have no model table, so they
+// appear only with measure.
+func writeReport(w io.Writer, scale float64, measure bool, o benchreg.Opts) error {
+	fmt.Fprintf(w, "# finbench report\n\nWorkload scale %.2f. Model columns are predicted SNB-EP/KNC\nthroughput from measured operation mixes; see EXPERIMENTS.md for\nprovenance of the paper columns.\n\n", scale)
+	for _, e := range bench.Experiments() {
+		if e.Model == nil && !(measure && e.Measure != nil) {
+			continue
+		}
+		fmt.Fprintf(w, "## %s — %s\n\n%s\n", e.ID, e.Title, e.Description)
+		if e.Model != nil {
+			res, err := e.Model(scale)
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.ID, err)
+			}
+			fmt.Fprintf(w, "```\n%s```\n\n", res.Table())
+		} else {
+			fmt.Fprintln(w)
+		}
+		if measure && e.Measure != nil {
+			mres, err := e.Measure(scale)
+			if err != nil {
+				return fmt.Errorf("%s measure: %w", e.ID, err)
+			}
+			mres.Time(o)
+			fmt.Fprintf(w, "Host wall-clock:\n\n```\n%s```\n\n", mres.Table())
+		}
+	}
+	return nil
 }
 
 func list() {

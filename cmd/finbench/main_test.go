@@ -5,6 +5,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"finbench/internal/benchreg"
 )
 
 // The roofline charts are model output, so they are pinned byte for
@@ -40,5 +43,31 @@ func TestRooflineUnknownMachine(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("unknown machine wrote a chart:\n%s", out.String())
+	}
+}
+
+// report -measure prints the host tables of the experiments that have no
+// model (heavy among them); without -measure they stay out of it.
+func TestReportMeasureIncludesHostOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times every experiment's host rows once")
+	}
+	var plain, measured strings.Builder
+	if err := writeReport(&plain, 0.02, false, benchreg.Opts{}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(plain.String(), "## heavy") {
+		t.Fatal("report without -measure has a heavy section")
+	}
+	once := benchreg.Opts{Reps: 1, MinDuration: time.Nanosecond}
+	if err := writeReport(&measured, 0.02, true, once); err != nil {
+		t.Fatal(err)
+	}
+	out := measured.String()
+	for _, want := range []string{"## heavy", "## servepath", "## scenario", "## streampath",
+		"binomial-amer-put-x4", "crank-nicolson-x4", "monte-carlo-x4", "monte-carlo-x4-cold"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report -measure lacks %q", want)
+		}
 	}
 }

@@ -3,14 +3,14 @@
 // Library (VML): exp, log, erf/erfc, the cumulative normal distribution
 // (cnd) and its inverse.
 //
-// Exp, Log and InvCND are implemented from scratch (argument reduction +
-// polynomial / series / rational evaluation); Exp and Log are validated
-// against the Go standard library to tight tolerances (see mathx_test.go),
-// and Exp against a math/big e^x and InvCND against a math/big quantile,
-// each to a stated bound in ulps (exp_oracle_test.go,
-// invcnd_oracle_test.go). Every product that feeds an add in Exp, Log
-// and InvCND is written float64(a*b) + c, which the Go spec forbids
-// fusing, so their bits do not depend on the target's multiply-add.
+// Exp, Log and InvCND are implemented from scratch (Exp by Tang's table
+// method, Log by an atanh series, InvCND by Wichura's rationals); each
+// is validated against a math/big authority to a stated bound in ulps
+// (exp_oracle_test.go, log_oracle_test.go, invcnd_oracle_test.go), and
+// Exp and Log against the Go standard library too (mathx_test.go).
+// Every product that feeds an add in Exp, Log and InvCND is written
+// float64(a*b) + c, which the Go spec forbids fusing, so their bits do
+// not depend on the target's multiply-add.
 // Two call styles mirror the two Intel libraries:
 //
 //   - SVML style: per-value scalar functions (Exp, Log, Erf, CND, InvCND)
@@ -35,16 +35,19 @@ const (
 	Ln2 = 0.6931471805599453094172321214581766
 )
 
-// Exp returns e**x, computed from scratch with Cody-Waite argument
-// reduction (x = k*ln2 + r, |r| <= ln2/2) and a degree-13 Taylor polynomial
-// for exp(r). Its stated bound is 1.5 ulp from the true e^x over its
-// finite range, asserted against a math/big e^x (exp_oracle_test.go; the
-// largest error measured is 1.154 ulp).
+// Exp returns e**x, computed from scratch by Tang's table method (ACM
+// TOMS 15(2), 1989): x = (64m + j)·ln2/64 + r with |r| <= ln2/128, and
+// e^x = 2^m · 2^(j/64) · e^r, where 2^(j/64) comes from expTable as a
+// hi/lo pair and e^r − 1 from a degree-5 polynomial. Its stated bound is
+// 1.5 ulp from the true e^x over its finite range, asserted against a
+// math/big e^x (exp_oracle_test.go; the largest error measured is
+// 0.76 ulp, where the result is subnormal and rounds twice, and 0.54 ulp
+// where it is normal).
 //
-// The polynomial is scaled by 2^k. Where 2^k is a normal double the
-// scale is built from its exponent bits and applied as one multiply,
-// which is exact for a normal product and rounds a subnormal one once,
-// as math.Ldexp does; Ldexp remains only for the k at the range edges.
+// The result is scaled by 2^m. Where 2^m is a normal double the scale is
+// built from its exponent bits and applied as one multiply, which is
+// exact for a normal product and rounds a subnormal one once, as
+// math.Ldexp does; Ldexp remains only for the m at the range edges.
 func Exp(x float64) float64 {
 	switch {
 	case math.IsNaN(x):
@@ -54,40 +57,116 @@ func Exp(x float64) float64 {
 	case x < -745.1332191019412:
 		return 0
 	}
-	// Cody-Waite split of ln2 keeps the reduction exact in double precision.
 	const (
-		ln2Hi  = 6.93147180369123816490e-01
-		ln2Lo  = 1.90821492927058770002e-10
-		invLn2 = 1.44269504088896338700e+00
+		invL = 0x1.71547652b82fep+06 // 64/ln2
+		// ln2/64 = l1 + l2, l1 with its low 21 bits clear, so k*l1 is
+		// exact for every |k| < 2^21 and x - k*l1 is exact (Sterbenz).
+		l1 = 0x1.62e42feep-07
+		l2 = 0x1.a39ef35793c76p-39
+		// Adding 1.5·2^52 rounds to the nearest integer k, which lands in
+		// the low bits of the sum's mantissa.
+		shift = 0x1.8p52
+		// e^r − 1 = r + r²·(c2 + c3·r + c4·r² + c5·r³): Taylor to r⁷,
+		// Chebyshev-economized to degree 5 on |r| <= ln2/128.
+		c2 = 0x1.ffffffffff57fp-02
+		c3 = 0x1.5555555554dd4p-03
+		c4 = 0x1.55556b330443ep-05
+		c5 = 0x1.111120af69725p-07
 	)
-	k := math.Floor(float64(x*invLn2) + 0.5)
-	r := (x - float64(k*ln2Hi)) - float64(k*ln2Lo)
-	// exp(r) by Taylor series; |r| <= 0.3466 so 13 terms reach < 1e-17.
-	// Horner from the inside out, every product rounded before its add.
-	p := 1.0/479001600 + r/6227020800
-	p = 1.0/39916800 + float64(r*p)
-	p = 1.0/3628800 + float64(r*p)
-	p = 1.0/362880 + float64(r*p)
-	p = 1.0/40320 + float64(r*p)
-	p = 1.0/5040 + float64(r*p)
-	p = 1.0/720 + float64(r*p)
-	p = 1.0/120 + float64(r*p)
-	p = 1.0/24 + float64(r*p)
-	p = 1.0/6 + float64(r*p)
-	p = 1.0/2 + float64(r*p)
-	p = 1.0 + float64(r*p)
-	p = 1.0 + float64(r*p)
-	ki := int(k)
-	if ki >= -1022 && ki <= 1023 {
-		return p * math.Float64frombits(uint64(ki+1023)<<52)
+	t := float64(x*invL) + shift
+	k := int(int32(math.Float64bits(t)))
+	kf := t - shift
+	r := (x - float64(kf*l1)) - float64(kf*l2)
+	// Estrin's scheme, every product rounded before its add.
+	r2 := r * r
+	q := float64(r2*(float64(c5*r)+c4)) + (float64(c3*r) + c2)
+	p := float64(r2*q) + r
+	e := &expTable[k&63]
+	s := e[0] + (float64(e[0]*p) + e[1])
+	m := k >> 6
+	if m >= -1022 && m <= 1023 {
+		return s * math.Float64frombits(uint64(m+1023)<<52)
 	}
-	return math.Ldexp(p, ki)
+	return math.Ldexp(s, m)
+}
+
+// expTable holds 2^(j/64), j = 0..63, as the double nearest it and the
+// double nearest the remainder. TestExpTable recomputes every literal
+// from six square roots of 2^j in math/big.
+var expTable = [64][2]float64{
+	{0x1p+00, 0x0p+00},
+	{0x1.02c9a3e778061p+00, -0x1.19083535b085dp-56},
+	{0x1.059b0d3158574p+00, 0x1.d73e2a475b465p-55},
+	{0x1.0874518759bc8p+00, 0x1.186be4bb284ffp-57},
+	{0x1.0b5586cf9890fp+00, 0x1.8a62e4adc610bp-54},
+	{0x1.0e3ec32d3d1a2p+00, 0x1.03a1727c57b53p-59},
+	{0x1.11301d0125b51p+00, -0x1.6c51039449b3ap-54},
+	{0x1.1429aaea92dep+00, -0x1.32fbf9af1369ep-54},
+	{0x1.172b83c7d517bp+00, -0x1.19041b9d78a76p-55},
+	{0x1.1a35beb6fcb75p+00, 0x1.e5b4c7b4968e4p-55},
+	{0x1.1d4873168b9aap+00, 0x1.e016e00a2643cp-54},
+	{0x1.2063b88628cd6p+00, 0x1.dc775814a8495p-55},
+	{0x1.2387a6e756238p+00, 0x1.9b07eb6c70573p-54},
+	{0x1.26b4565e27cddp+00, 0x1.2bd339940e9d9p-55},
+	{0x1.29e9df51fdee1p+00, 0x1.612e8afad1255p-55},
+	{0x1.2d285a6e4030bp+00, 0x1.0024754db41d5p-54},
+	{0x1.306fe0a31b715p+00, 0x1.6f46ad23182e4p-55},
+	{0x1.33c08b26416ffp+00, 0x1.32721843659a6p-54},
+	{0x1.371a7373aa9cbp+00, -0x1.63aeabf42eae2p-54},
+	{0x1.3a7db34e59ff7p+00, -0x1.5e436d661f5e3p-56},
+	{0x1.3dea64c123422p+00, 0x1.ada0911f09ebcp-55},
+	{0x1.4160a21f72e2ap+00, -0x1.ef3691c309278p-58},
+	{0x1.44e086061892dp+00, 0x1.89b7a04ef80dp-59},
+	{0x1.486a2b5c13cdp+00, 0x1.3c1a3b69062fp-56},
+	{0x1.4bfdad5362a27p+00, 0x1.d4397afec42e2p-56},
+	{0x1.4f9b2769d2ca7p+00, -0x1.4b309d25957e3p-54},
+	{0x1.5342b569d4f82p+00, -0x1.07abe1db13cadp-55},
+	{0x1.56f4736b527dap+00, 0x1.9bb2c011d93adp-54},
+	{0x1.5ab07dd485429p+00, 0x1.6324c054647adp-54},
+	{0x1.5e76f15ad2148p+00, 0x1.ba6f93080e65ep-54},
+	{0x1.6247eb03a5585p+00, -0x1.383c17e40b497p-54},
+	{0x1.6623882552225p+00, -0x1.bb60987591c34p-54},
+	{0x1.6a09e667f3bcdp+00, -0x1.bdd3413b26456p-54},
+	{0x1.6dfb23c651a2fp+00, -0x1.bbe3a683c88abp-57},
+	{0x1.71f75e8ec5f74p+00, -0x1.16e4786887a99p-55},
+	{0x1.75feb564267c9p+00, -0x1.0245957316dd3p-54},
+	{0x1.7a11473eb0187p+00, -0x1.41577ee04992fp-55},
+	{0x1.7e2f336cf4e62p+00, 0x1.05d02ba15797ep-56},
+	{0x1.82589994cce13p+00, -0x1.d4c1dd41532d8p-54},
+	{0x1.868d99b4492edp+00, -0x1.fc6f89bd4f6bap-54},
+	{0x1.8ace5422aa0dbp+00, 0x1.6e9f156864b27p-54},
+	{0x1.8f1ae99157736p+00, 0x1.5cc13a2e3976cp-55},
+	{0x1.93737b0cdc5e5p+00, -0x1.75fc781b57ebcp-57},
+	{0x1.97d829fde4e5p+00, -0x1.d185b7c1b85d1p-54},
+	{0x1.9c49182a3f09p+00, 0x1.c7c46b071f2bep-56},
+	{0x1.a0c667b5de565p+00, -0x1.359495d1cd533p-54},
+	{0x1.a5503b23e255dp+00, -0x1.d2f6edb8d41e1p-54},
+	{0x1.a9e6b5579fdbfp+00, 0x1.0fac90ef7fd31p-54},
+	{0x1.ae89f995ad3adp+00, 0x1.7a1cd345dcc81p-54},
+	{0x1.b33a2b84f15fbp+00, -0x1.2805e3084d708p-57},
+	{0x1.b7f76f2fb5e47p+00, -0x1.5584f7e54ac3bp-56},
+	{0x1.bcc1e904bc1d2p+00, 0x1.23dd07a2d9e84p-55},
+	{0x1.c199bdd85529cp+00, 0x1.11065895048ddp-55},
+	{0x1.c67f12e57d14bp+00, 0x1.2884dff483cadp-54},
+	{0x1.cb720dcef9069p+00, 0x1.503cbd1e949dbp-56},
+	{0x1.d072d4a07897cp+00, -0x1.cbc3743797a9cp-54},
+	{0x1.d5818dcfba487p+00, 0x1.2ed02d75b3707p-55},
+	{0x1.da9e603db3285p+00, 0x1.c2300696db532p-54},
+	{0x1.dfc97337b9b5fp+00, -0x1.1a5cd4f184b5cp-54},
+	{0x1.e502ee78b3ff6p+00, 0x1.39e8980a9cc8fp-55},
+	{0x1.ea4afa2a490dap+00, -0x1.e9c23179c2893p-54},
+	{0x1.efa1bee615a27p+00, 0x1.dc7f486a4b6bp-54},
+	{0x1.f50765b6e454p+00, 0x1.9d3e12dd8a18bp-54},
+	{0x1.fa7c1819e90d8p+00, 0x1.74853f3a5931ep-55},
 }
 
 // Log returns the natural logarithm of x, computed from scratch: x is
 // decomposed as m*2^e with m in [sqrt(1/2), sqrt(2)), and log(m) is
-// evaluated via the atanh series 2*(s + s^3/3 + s^5/5 + ...) with
-// s = (m-1)/(m+1), |s| <= 0.1716.
+// evaluated via the atanh series 2*(s + s^3/3 + ... + s^17/17) with
+// s = (m-1)/(m+1), |s| <= 0.1716. Its stated bound is 8 ulp from the true
+// ln x, asserted against a math/big ln x (log_oracle_test.go; the largest
+// error measured is 6.78 ulp, just below m = sqrt(2), where the first
+// omitted term, 2s^19/19, is about 5 ulp).
 func Log(x float64) float64 {
 	switch {
 	case math.IsNaN(x) || x < 0:
@@ -104,8 +183,8 @@ func Log(x float64) float64 {
 	}
 	s := (m - 1) / (m + 1)
 	s2 := s * s
-	// 2*atanh(s): odd series; |s|<=0.1716 so s^25 term < 1e-20. Horner
-	// from the inside out, every product rounded before its add.
+	// 2*atanh(s): odd series to s^17. Horner from the inside out, every
+	// product rounded before its add.
 	ts := 2 * s
 	q := 1.0/15 + s2/17
 	q = 1.0/13 + float64(s2*q)

@@ -1,64 +1,27 @@
 package mathx
 
-// Oracle for Exp: the body this package used to run, which scaled the
-// reduced polynomial by 2^k through math.Ldexp on every call, is kept
-// here as the reference listing. Exp now builds 2^k from exponent bits
-// whenever it is a normal double and keeps Ldexp only at the edges; every
-// output must equal the listing's bit for bit.
+// Exp's bits are pinned by golden hashes and its accuracy by the math/big
+// bound of exp_oracle_test.go. The hashes cover the edges where the
+// reduction and the scaling could go wrong and a dense grid past both
+// thresholds, so a later accidental bit move fails here even when it stays
+// within the bound; TestExpTable holds the table to its definition.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
 
-// refExp is the listing: Cody-Waite reduction, the degree-13 Taylor
-// polynomial and math.Ldexp(p, k), with every product that feeds an add
-// rounded explicitly, as in Exp, so that no target may fuse it.
-func refExp(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x > 709.782712893384:
-		return math.Inf(1)
-	case x < -745.1332191019412:
-		return 0
-	}
-	const (
-		ln2Hi  = 6.93147180369123816490e-01
-		ln2Lo  = 1.90821492927058770002e-10
-		invLn2 = 1.44269504088896338700e+00
-	)
-	k := math.Floor(float64(x*invLn2) + 0.5)
-	r := (x - float64(k*ln2Hi)) - float64(k*ln2Lo)
-	p := 1.0/479001600 + r/6227020800
-	for _, c := range []float64{1.0 / 39916800, 1.0 / 3628800, 1.0 / 362880, 1.0 / 40320,
-		1.0 / 5040, 1.0 / 720, 1.0 / 120, 1.0 / 24, 1.0 / 6, 1.0 / 2, 1, 1} {
-		p = c + float64(r*p)
-	}
-	return math.Ldexp(p, int(k))
-}
-
-func sameBits(a, b float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.IsNaN(a) && math.IsNaN(b)
-	}
-	return math.Float64bits(a) == math.Float64bits(b)
-}
-
-func checkExp(t *testing.T, x float64) {
-	t.Helper()
-	if got, want := Exp(x), refExp(x); !sameBits(got, want) {
-		t.Fatalf("Exp(%v) [%#016x] = %v [%#016x], listing %v [%#016x]",
-			x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
-	}
-}
-
-// expEdges are the inputs where the two scalings could part: signed zero,
-// subnormal inputs, NaN and the infinities, both thresholds and their
-// neighbours, and the x at which the reduction's k crosses into and out
-// of the range where 2^k is a normal double (k = -1023..-1020 and
-// 1022..1024), each boundary with its neighbours on both sides.
+// expEdges are the inputs where the reduction and the scaling could
+// part from e^x: signed zero, subnormal inputs, NaN and the infinities,
+// both thresholds and their neighbours, and the x at which the 2^k of a
+// ln2-wide reduction crosses into and out of the range where it is a
+// normal double (k = -1023..-1020 and 1022..1024), each boundary with its
+// neighbours on both sides.
 func expEdges() []float64 {
 	const invLn2 = 1.44269504088896338700e+00
 	xs := []float64{
@@ -83,8 +46,6 @@ func expEdges() []float64 {
 		if k > -1019 && k < 1021 {
 			continue
 		}
-		// k*invLn2 + 0.5 crosses the integer k at x = (k-0.5)/invLn2, and
-		// k*ln2 is the middle of k's interval.
 		for _, x0 := range []float64{(k - 0.5) / invLn2, k * Ln2} {
 			lo, hi := x0, x0
 			xs = append(xs, x0)
@@ -98,29 +59,77 @@ func expEdges() []float64 {
 	return xs
 }
 
-func TestExpMatchesListingEdges(t *testing.T) {
-	for _, x := range expEdges() {
-		checkExp(t, x)
-	}
-}
-
-// A dense grid over [-746, 710], past both thresholds, plus random bit
-// patterns over the whole double range.
-func TestExpMatchesListingGrid(t *testing.T) {
+// expGrid is a dense grid over [-746, 710], past both thresholds, plus
+// random bit patterns over the whole double range and random arguments
+// in the grid's range.
+func expGrid() []float64 {
 	const n = 1 << 22
 	const lo, hi = -746.0, 710.0
+	xs := make([]float64, 0, n+1+2<<20)
 	for i := 0; i <= n; i++ {
-		checkExp(t, lo+(hi-lo)*float64(i)/n)
+		xs = append(xs, lo+(hi-lo)*float64(i)/n)
 	}
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 1<<20; i++ {
-		checkExp(t, math.Float64frombits(r.Uint64()))
-		checkExp(t, lo+(hi-lo)*r.Float64())
+		xs = append(xs, math.Float64frombits(r.Uint64()), lo+(hi-lo)*r.Float64())
+	}
+	return xs
+}
+
+// expHash returns the SHA-256 of Exp's result bits over xs.
+func expHash(xs []float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(Exp(x)))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The goldens of the table-method Exp. A change that moves them moves
+// every served price that calls Exp; it must re-derive the served goldens
+// (the root closedform_golden_test.go and mcgolden_test.go, and
+// internal/scenario/golden_test.go) with them.
+const (
+	expEdgesGolden = "b06639792324c457e5facac5a1c447b3a1e9176ecc0ad8936bbb18244161ce04"
+	expGridGolden  = "3c8be5969249f0cb30b25ce1ebb26a90ebf3920037c964ed61455154032260dd"
+)
+
+func TestExpGoldenEdges(t *testing.T) {
+	if got := expHash(expEdges()); got != expEdgesGolden {
+		t.Fatalf("SHA-256 of Exp over the edges = %s, golden %s", got, expEdgesGolden)
 	}
 }
 
-// FuzzExpOracle checks Exp against its listing everywhere and, over its
-// finite range, against the math/big bound of exp_oracle_test.go.
+func TestExpGoldenGrid(t *testing.T) {
+	if got := expHash(expGrid()); got != expGridGolden {
+		t.Fatalf("SHA-256 of Exp over the grid = %s, golden %s", got, expGridGolden)
+	}
+}
+
+// TestExpTable recomputes expTable: 2^(j/64) as six square roots of 2^j
+// at bigPrec bits, its nearest double, and the nearest double to what
+// is left.
+func TestExpTable(t *testing.T) {
+	for j, e := range expTable {
+		y := new(big.Float).SetPrec(bigPrec).SetMantExp(bigF(1), j)
+		for i := 0; i < 6; i++ {
+			y.Sqrt(y)
+		}
+		hi, _ := y.Float64()
+		lo, _ := y.Sub(y, bigF(hi)).Float64()
+		if !sameBits(e[0], hi) || !sameBits(e[1], lo) {
+			t.Errorf("expTable[%d] = {%x, %x}, want {%x, %x}", j, e[0], e[1], hi, lo)
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// FuzzExpOracle checks Exp against the math/big bound of
+// exp_oracle_test.go over its finite range, and its special values
+// everywhere else.
 func FuzzExpOracle(f *testing.F) {
 	for _, x := range expEdges() {
 		f.Add(x)
@@ -129,8 +138,21 @@ func FuzzExpOracle(f *testing.F) {
 		f.Add(x)
 	}
 	f.Fuzz(func(t *testing.T, x float64) {
-		checkExp(t, x)
-		if x >= -746 && x <= 710 {
+		got := Exp(x)
+		switch {
+		case math.IsNaN(x):
+			if !math.IsNaN(got) {
+				t.Fatalf("Exp(NaN) = %v", got)
+			}
+		case x > 710:
+			if !math.IsInf(got, 1) {
+				t.Fatalf("Exp(%v) = %v, want +Inf", x, got)
+			}
+		case x < -746:
+			if !sameBits(got, 0) {
+				t.Fatalf("Exp(%v) = %v, want +0", x, got)
+			}
+		default:
 			checkExpBound(t, x)
 		}
 	})

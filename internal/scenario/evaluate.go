@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"finbench"
+	"finbench/internal/mathx"
 	"finbench/internal/rng"
 )
 
@@ -16,7 +17,9 @@ import (
 // Exp column once and reuses it for the other rows of the range; the
 // generators' rows carry fresh scales and vols and find no reuse.
 // Per-cell P&L is the Kahan-compensated sum over positions in portfolio
-// order.
+// order. The generators take e^x from mathx.Exp, not math.Exp, whose
+// amd64 body switches on the CPU's fused multiply-add and so would give
+// one request different scenarios on different hosts.
 
 // minVol floors a simulated volatility so a near-zero Heston variance
 // still prices.
@@ -198,7 +201,7 @@ func hestonCell(gen *Generator, stream *rng.Stream, mkt finbench.Market) finbenc
 	}
 	return finbench.GridRow{
 		Market: finbench.Market{Rate: mkt.Rate, Volatility: vol},
-		Scale:  math.Exp(logS),
+		Scale:  mathx.Exp(logS),
 	}
 }
 
@@ -219,7 +222,7 @@ func jumpCell(gen *Generator, stream *rng.Stream, mkt finbench.Market) finbench.
 	}
 	h := gen.horizon()
 	sigma := mkt.Volatility
-	kbar := math.Exp(muJ+sigmaJ*sigmaJ/2) - 1
+	kbar := mathx.Exp(muJ+sigmaJ*sigmaJ/2) - 1
 
 	var z [1]float64
 	stream.NormalICDF(z[:])
@@ -228,7 +231,7 @@ func jumpCell(gen *Generator, stream *rng.Stream, mkt finbench.Market) finbench.
 	// Poisson(lambda*h) by Knuth's product-of-uniforms inversion; the
 	// draw count varies per scenario, which is fine — the stream is this
 	// cell's alone.
-	limit := math.Exp(-lambda * h)
+	limit := mathx.Exp(-lambda * h)
 	var u [1]float64
 	for p := 1.0; ; {
 		stream.Uniform(u[:])
@@ -239,7 +242,7 @@ func jumpCell(gen *Generator, stream *rng.Stream, mkt finbench.Market) finbench.
 		stream.NormalICDF(z[:])
 		logS += muJ + sigmaJ*z[0]
 	}
-	return finbench.GridRow{Market: mkt, Scale: math.Exp(logS)}
+	return finbench.GridRow{Market: mkt, Scale: mathx.Exp(logS)}
 }
 
 // basketCell draws correlated GBM terminal states for Assets factors
@@ -266,7 +269,7 @@ func basketCell(gen *Generator, stream *rng.Stream, mkt finbench.Market, positio
 	factors := make([]float64, assets)
 	for j := 0; j < assets; j++ {
 		zj := sqC*z[0] + sqI*z[j+1]
-		factors[j] = math.Exp(drift + volH*zj)
+		factors[j] = mathx.Exp(drift + volH*zj)
 	}
 	scales := make([]float64, positions)
 	for i := range scales {

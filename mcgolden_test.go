@@ -2,10 +2,6 @@ package finbench
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"math"
 	"testing"
 )
 
@@ -15,7 +11,7 @@ import (
 // else pins the served Monte Carlo bits: the serve tests and
 // regress_test.go recompute them from the library. It holds with and
 // without FMA on amd64 (GODEBUG=cpu.fma=off).
-const mcRequestGolden = "2d5e68e809fdd01a5abef0b672a94ca73a5ec8c18f341ca3b8f7424184b467e5"
+const mcRequestGolden = "67105bb7437401d5d540d95e727091c6d51de424aa9e5e333ca2fb576f2e2a42"
 
 func TestMonteCarloRequestGolden(t *testing.T) {
 	opts := []Option{
@@ -28,15 +24,11 @@ func TestMonteCarloRequestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	var b [8]byte
+	var vs []float64
 	for _, r := range res {
-		for _, v := range []float64{r.Price, r.StdErr} {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
+		vs = append(vs, r.Price, r.StdErr)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != mcRequestGolden {
+	if got := hashBits(vs); got != mcRequestGolden {
 		for i, r := range res {
 			t.Logf("option %d: %.17g ± %.17g", i, r.Price, r.StdErr)
 		}
