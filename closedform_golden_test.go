@@ -16,30 +16,16 @@ import (
 // numbers from the library, so only these hashes notice when a change to
 // a shared kernel (mathx.Exp, say) moves the served bits.
 //
-// A golden lists one hash per stdlib math.Exp body it was recorded on.
-// The closed form's CND is math.Erfc and its Erf math.Erf, and both call
-// math.Exp, whose amd64 body switches on the CPU's FMA and whose 386 body
-// is the portable Go one; so PriceScalar's and ComputeGreeks' bits differ
-// between those hosts (ROADMAP item 17: an Erf/Erfc on mathx.Exp leaves
-// one hash). On this batch the LevelAdvanced bits agree on all three.
-var (
-	closedFormRequestGolden = goldens{
-		"218d0d7d96ebd6d2f6e5ebf6301626c0c30b7120e228ffbe1d61d18eae0993e6": "amd64 with FMA",
-		"4566eba99c22b635f4e1d0611b906db0e67acf00bf0f88fe07d5439427d57238": "amd64 without FMA (GODEBUG=cpu.fma=off)",
-		"1af7f63601341de04e3db7bc351c871721099bcf5afa485671d5c1193e6d0465": "386",
-	}
-	closedFormBatchGolden = goldens{
-		"74cad8377dea991a3389308b7b32a536dfcc20c02e631cdf32003b3d93296ec5": "amd64 with and without FMA, 386",
-	}
-	closedFormGreeksGolden = goldens{
-		"2249d1b6073588b173cf2dbdbf1b20ea4cf63cb6a3d242875129df2cbadd08b6": "amd64 with FMA",
-		"2ae004146d4d56510e8ee9d24d920015ebb91b801c73d29463c9395793a8c552": "amd64 without FMA (GODEBUG=cpu.fma=off)",
-		"4261e5b3153307f3dfb94af26d534a1a351e10ea290b384255cf02b41aa038c5": "386",
-	}
+// Each golden holds on amd64 with FMA, amd64 without it
+// (GODEBUG=cpu.fma=off) and 386: the closed form's CND is mathx.Erfc,
+// whose tail reduces on mathx.Exp's table, and the Advanced pipeline's
+// erf is mathx.Erf, from its own table; every product in them is rounded
+// and nothing they call switches on the CPU.
+const (
+	closedFormRequestGolden = "e3eba154bca6f89fe3070d4d2479d343adf50a3323e53f7b22937b2952f76dbb"
+	closedFormBatchGolden   = "4fc0570422bfe5e6d6948b4684055872cc3486b4303099a4b48b273225c43825"
+	closedFormGreeksGolden  = "dec4ad2f67ab143d24c7810aa31599b44523cfe409dcc0908d5dac847f2c3599"
 )
-
-// goldens maps each accepted hash to the targets it was recorded on.
-type goldens map[string]string
 
 // wideBatch is calls and puts at S/K from 0.2 to 5 (25 ratios a factor
 // 1.1435 apart, strike 100) and expiries from 1e-3 to 10 years. The
@@ -71,10 +57,10 @@ func hashBits(vs []float64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func checkGolden(t *testing.T, what string, vs []float64, g goldens) {
+func checkGolden(t *testing.T, what string, vs []float64, golden string) {
 	t.Helper()
-	if got := hashBits(vs); g[got] == "" {
-		t.Errorf("SHA-256 of the %s = %s, goldens %v", what, got, g)
+	if got := hashBits(vs); got != golden {
+		t.Errorf("SHA-256 of the %s = %s, golden %s", what, got, golden)
 	}
 }
 

@@ -290,22 +290,24 @@ func discount(disc, t []float64, r float64) {
 
 // advancedTail is the per-valuation stage: d1/d2 from the invariant
 // columns, two erf (the cnd->erf substitution) and put-call parity. d1
-// and d2 are scratch.
+// and d2 are scratch. Every product that feeds an add or a subtraction
+// is rounded first (float64(a*b)), so arm64 fuses none of them and the
+// tail's bits are those of amd64, where nothing fuses.
 func advancedTail(call, put, s, x, t, qlog, denom, disc, d1, d2 []float64, r, sig22 float64) {
 	m := len(call)
 	put, s, x, t = put[:m], s[:m], x[:m], t[:m]
 	qlog, denom, disc, d1, d2 = qlog[:m], denom[:m], disc[:m], d1[:m], d2[:m]
 	for i := 0; i < m; i++ {
 		t := t[i]
-		d1[i] = (qlog[i] + (r+sig22)*t) * denom[i] * mathx.InvSqrt2
-		d2[i] = (qlog[i] + (r-sig22)*t) * denom[i] * mathx.InvSqrt2
+		d1[i] = (qlog[i] + float64((r+sig22)*t)) * denom[i] * mathx.InvSqrt2
+		d2[i] = (qlog[i] + float64((r-sig22)*t)) * denom[i] * mathx.InvSqrt2
 	}
 	mathx.ErfArray(d1, d1)
 	mathx.ErfArray(d2, d2)
 	for i := 0; i < m; i++ {
-		x := x[i] * disc[i]
+		x := float64(x[i] * disc[i])
 		sp := s[i]
-		c := sp*0.5*(1+d1[i]) - x*0.5*(1+d2[i])
+		c := float64(sp*0.5*(1+d1[i])) - float64(x*0.5*(1+d2[i]))
 		call[i] = c
 		put[i] = c - sp + x
 	}

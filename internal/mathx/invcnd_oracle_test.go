@@ -87,33 +87,39 @@ func bigPDF(x *big.Float) *big.Float {
 	return e.Mul(bigExp(e), bigInvSqrt2Pi)
 }
 
-// bigPhi returns the standard normal CDF. For |x| <= 9 it sums the series
-// Phi(x) = 1/2 + phi(x) * sum_n x^(2n+1)/(2n+1)!!, whose terms all share
-// x's sign; beyond, it evaluates the upper tail Q(a) = phi(a) / (a + 1/(a
-// + 2/(a + 3/(a + ...)))) of a = |x| by Laplace's continued fraction,
-// truncated at depth bigCFDepth.
+// bigPhi returns the standard normal CDF. For |x| <= 9 it is 1/2 plus
+// bigPhiCentre; beyond, it evaluates the upper tail Q(a) = phi(a) / (a +
+// 1/(a + 2/(a + 3/(a + ...)))) of a = |x| by Laplace's continued
+// fraction, truncated at depth bigCFDepth.
 func bigPhi(x *big.Float) *big.Float {
 	a := new(big.Float).Abs(x)
 	if a.Cmp(bigF(9)) <= 0 {
-		x2 := new(big.Float).SetPrec(bigPrec).Mul(x, x)
-		term := new(big.Float).SetPrec(bigPrec).Set(x)
-		sum := new(big.Float).SetPrec(bigPrec).Set(x)
-		for n := int64(1); term.Sign() != 0; n++ {
-			term.Mul(term, x2)
-			term.Quo(term, bigInt(2*n+1))
-			sum.Add(sum, term)
-			if n > 20 && term.MantExp(nil) < sum.MantExp(nil)-bigPrec-8 {
-				break
-			}
-		}
-		sum.Mul(sum, bigPDF(x))
-		return sum.Add(sum, bigF(0.5))
+		c := bigPhiCentre(x)
+		return c.Add(c, bigF(0.5))
 	}
 	q := bigTail(a, bigCFDepth)
 	if x.Sign() < 0 {
 		return q
 	}
 	return q.Sub(bigInt(1), q)
+}
+
+// bigPhiCentre returns Phi(x) - 1/2 for |x| <= 9 by the series
+// phi(x) * sum_n x^(2n+1)/(2n+1)!!, whose terms all share x's sign, so
+// it keeps its relative precision however small x is.
+func bigPhiCentre(x *big.Float) *big.Float {
+	x2 := new(big.Float).SetPrec(bigPrec).Mul(x, x)
+	term := new(big.Float).SetPrec(bigPrec).Set(x)
+	sum := new(big.Float).SetPrec(bigPrec).Set(x)
+	for n := int64(1); term.Sign() != 0; n++ {
+		term.Mul(term, x2)
+		term.Quo(term, bigInt(2*n+1))
+		sum.Add(sum, term)
+		if n > 20 && term.MantExp(nil) < sum.MantExp(nil)-bigPrec-8 {
+			break
+		}
+	}
+	return sum.Mul(sum, bigPDF(x))
 }
 
 // bigCFDepth is the continued fraction's depth; at a >= 9 it is far past

@@ -13,11 +13,12 @@ import (
 )
 
 // logBoundULP is Log's stated error bound (DESIGN §5), in units in the
-// last place of the true ln x. The largest error measured is 6.78 ulp,
-// at the double just below 2^(1/2): there |s| = |m − 1|/(m + 1) is at its
-// largest, 0.1716, and the first term Log's series omits, 2s^19/19, is
-// about 5 ulp of the result.
-const logBoundULP = 8.0
+// last place of the true ln x. The largest error measured is 2.59 ulp,
+// at x ≈ 0.7056, just below 2^(-1/2): there ln x = −ln2 + ln(2x) cancels
+// to −0.349, and the roundings of both terms (each half an ulp of a
+// result twice as large) add up. The first term Log's series omits,
+// 2s^23/23, is below 0.01 ulp.
+const logBoundULP = 3.0
 
 // bigAtanh returns atanh(s) for |s| <= 1/3 by its Taylor series
 // s + s^3/3 + s^5/5 + ..., at 64 guard bits.

@@ -3,20 +3,24 @@
 // Library (VML): exp, log, erf/erfc, the cumulative normal distribution
 // (cnd) and its inverse.
 //
-// Exp, Log and InvCND are implemented from scratch (Exp by Tang's table
-// method, Log by an atanh series, InvCND by Wichura's rationals); each
-// is validated against a math/big authority to a stated bound in ulps
-// (exp_oracle_test.go, log_oracle_test.go, invcnd_oracle_test.go), and
-// Exp and Log against the Go standard library too (mathx_test.go).
-// Every product that feeds an add in Exp, Log and InvCND is written
+// Exp, Log, Erf, Erfc and InvCND are implemented from scratch (Exp by
+// Tang's table method, Log by an atanh series, Erf by a table of
+// per-interval Taylor polynomials, Erfc as a port of the FreeBSD erfc
+// whose tail reduces on Exp's table, InvCND by Wichura's rationals);
+// each is validated against a math/big authority to a stated bound in
+// ulps (exp_oracle_test.go, log_oracle_test.go, erf_oracle_test.go,
+// invcnd_oracle_test.go), and against the Go standard library too
+// (mathx_test.go). Every product that feeds an add in them is written
 // float64(a*b) + c, which the Go spec forbids fusing, so their bits do
-// not depend on the target's multiply-add.
+// not depend on the target's multiply-add, and none calls a standard
+// library function that switches on CPU features.
 // Two call styles mirror the two Intel libraries:
 //
 //   - SVML style: per-value scalar functions (Exp, Log, Erf, CND, InvCND)
 //     that internal/vec applies lane-by-lane inside a vector "instruction".
-//   - VML style: batch array functions (ExpArray, CNDArray, ...) that
-//     process whole buffers, as used by the advanced Black-Scholes variant.
+//   - VML style: batch array functions (ExpArray, LogArray, ErfArray, ...)
+//     that process whole buffers, as used by the advanced Black-Scholes
+//     variant.
 //
 // The paper (Sec. IV-A2) replaces cnd with erf via
 // cnd(x) = (1 + erf(x/sqrt2))/2 because erf is cheaper; both forms are
@@ -57,29 +61,67 @@ func Exp(x float64) float64 {
 	case x < -745.1332191019412:
 		return 0
 	}
-	const (
-		invL = 0x1.71547652b82fep+06 // 64/ln2
-		// ln2/64 = l1 + l2, l1 with its low 21 bits clear, so k*l1 is
-		// exact for every |k| < 2^21 and x - k*l1 is exact (Sterbenz).
-		l1 = 0x1.62e42feep-07
-		l2 = 0x1.a39ef35793c76p-39
-		// Adding 1.5·2^52 rounds to the nearest integer k, which lands in
-		// the low bits of the sum's mantissa.
-		shift = 0x1.8p52
-		// e^r − 1 = r + r²·(c2 + c3·r + c4·r² + c5·r³): Taylor to r⁷,
-		// Chebyshev-economized to degree 5 on |r| <= ln2/128.
-		c2 = 0x1.ffffffffff57fp-02
-		c3 = 0x1.5555555554dd4p-03
-		c4 = 0x1.55556b330443ep-05
-		c5 = 0x1.111120af69725p-07
-	)
-	t := float64(x*invL) + shift
+	t := float64(x*expInvL) + expShift
 	k := int(int32(math.Float64bits(t)))
-	kf := t - shift
-	r := (x - float64(kf*l1)) - float64(kf*l2)
+	kf := t - expShift
+	r := (x - float64(kf*expL1)) - float64(kf*expL2)
 	// Estrin's scheme, every product rounded before its add.
 	r2 := r * r
-	q := float64(r2*(float64(c5*r)+c4)) + (float64(c3*r) + c2)
+	q := float64(r2*(float64(expC5*r)+expC4)) + (float64(expC3*r) + expC2)
+	p := float64(r2*q) + r
+	e := &expTable[k&63]
+	s := e[0] + (float64(e[0]*p) + e[1])
+	m := k >> 6
+	if m >= -1022 && m <= 1023 {
+		return s * math.Float64frombits(uint64(m+1023)<<52)
+	}
+	return math.Ldexp(s, m)
+}
+
+// Exp's constants, shared with expSum.
+const (
+	expInvL = 0x1.71547652b82fep+06 // 64/ln2
+	// ln2/64 = expL1 + expL2, expL1 with its low 21 bits clear, so
+	// k*expL1 is exact for every |k| < 2^21 and x - k*expL1 is exact
+	// (Sterbenz).
+	expL1 = 0x1.62e42feep-07
+	expL2 = 0x1.a39ef35793c76p-39
+	// Adding 1.5·2^52 rounds to the nearest integer k, which lands in
+	// the low bits of the sum's mantissa.
+	expShift = 0x1.8p52
+	// e^r − 1 = r + r²·(c2 + c3·r + c4·r² + c5·r³): Taylor to r⁷,
+	// Chebyshev-economized to degree 5 on |r| <= ln2/128.
+	expC2 = 0x1.ffffffffff57fp-02
+	expC3 = 0x1.5555555554dd4p-03
+	expC4 = 0x1.55556b330443ep-05
+	expC5 = 0x1.111120af69725p-07
+)
+
+// expSum returns e^(a+b) by Exp's method, with a+b reduced as one
+// argument: k is chosen from a+b and r = ((a − k·L1) + b) − k·L2, so
+// Erfc's tail, whose exponent is an exact a plus a small b, costs one
+// exponential rather than two and a product. a − k·L1 is exact, by
+// Sterbenz, whenever a is within a factor 2 of k·L1, which holds for
+// Erfc's |b| < 1 beside a <= −2.1. Its lines after the reduction are
+// Exp's: Exp does not call expSum(x, 0), whose two extra adds on the
+// dependency chain cost the warm Monte Carlo request 4–6 %, and the
+// shared tail is too large to inline, so a helper would cost a call.
+func expSum(a, b float64) float64 {
+	x := a + b
+	switch {
+	case math.IsNaN(x):
+		return x
+	case x > 709.782712893384:
+		return math.Inf(1)
+	case x < -745.1332191019412:
+		return 0
+	}
+	t := float64(x*expInvL) + expShift
+	k := int(int32(math.Float64bits(t)))
+	kf := t - expShift
+	r := ((a - float64(kf*expL1)) + b) - float64(kf*expL2)
+	r2 := r * r
+	q := float64(r2*(float64(expC5*r)+expC4)) + (float64(expC3*r) + expC2)
 	p := float64(r2*q) + r
 	e := &expTable[k&63]
 	s := e[0] + (float64(e[0]*p) + e[1])
@@ -162,11 +204,12 @@ var expTable = [64][2]float64{
 
 // Log returns the natural logarithm of x, computed from scratch: x is
 // decomposed as m*2^e with m in [sqrt(1/2), sqrt(2)), and log(m) is
-// evaluated via the atanh series 2*(s + s^3/3 + ... + s^17/17) with
-// s = (m-1)/(m+1), |s| <= 0.1716. Its stated bound is 8 ulp from the true
-// ln x, asserted against a math/big ln x (log_oracle_test.go; the largest
-// error measured is 6.78 ulp, just below m = sqrt(2), where the first
-// omitted term, 2s^19/19, is about 5 ulp).
+// evaluated via the atanh series 2*(s + s^3/3 + ... + s^21/21) with
+// s = (m-1)/(m+1), |s| <= 0.1716, where the first omitted term, 2s^23/23,
+// is below 0.01 ulp. Its stated bound is 3 ulp from the true ln x,
+// asserted against a math/big ln x (log_oracle_test.go; the largest
+// error measured is 2.59 ulp, at x just below sqrt(1/2), where
+// e*ln2 + log(m) cancels).
 func Log(x float64) float64 {
 	switch {
 	case math.IsNaN(x) || x < 0:
@@ -183,10 +226,12 @@ func Log(x float64) float64 {
 	}
 	s := (m - 1) / (m + 1)
 	s2 := s * s
-	// 2*atanh(s): odd series to s^17. Horner from the inside out, every
+	// 2*atanh(s): odd series to s^21. Horner from the inside out, every
 	// product rounded before its add.
 	ts := 2 * s
-	q := 1.0/15 + s2/17
+	q := 1.0/19 + s2/21
+	q = 1.0/17 + float64(s2*q)
+	q = 1.0/15 + float64(s2*q)
 	q = 1.0/13 + float64(s2*q)
 	q = 1.0/11 + float64(s2*q)
 	q = 1.0/9 + float64(s2*q)
@@ -200,17 +245,6 @@ func Log(x float64) float64 {
 // Sqrt returns the square root of x via hardware sqrt (Go compiles this to
 // a single instruction; both modelled machines also have hardware support).
 func Sqrt(x float64) float64 { return math.Sqrt(x) }
-
-// Erf returns the error function of x. It delegates to the standard
-// library's Cody-style rational minimax implementation, which is the
-// software equivalent of the SVML erf kernel the paper's optimized
-// Black-Scholes calls (Sec. IV-A2); reimplementing those 40-year-old
-// minimax coefficient tables would add risk without adding fidelity.
-func Erf(x float64) float64 { return math.Erf(x) }
-
-// Erfc returns the complementary error function 1-erf(x) with full relative
-// accuracy in the positive tail (stdlib Cody-style implementation).
-func Erfc(x float64) float64 { return math.Erfc(x) }
 
 // CND returns the standard cumulative normal distribution function
 // Phi(x) = P(Z <= x), computed as erfc(-x/sqrt2)/2 for tail accuracy.

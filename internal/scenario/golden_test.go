@@ -11,16 +11,16 @@ import (
 // The /scenario goldens: SHA-256 of the response bytes of testRequest(),
 // whole and for each generator's cells alone. The serve and shard tests
 // compare routed against lone answers, both computed by this package, so
-// only these hashes notice when a shared kernel (mathx.Exp, the grid's
-// closed form) moves the served scenarios. They hold on amd64 with and
-// without FMA (GODEBUG=cpu.fma=off) and on 386: the generators take e^x
-// from mathx.Exp.
-const scenarioGolden = "c61a90c3a1cdcd4197cfc9ad88c4460962aaa35a10b7cfadc66f6c89a28249fb"
+// only these hashes notice when a shared kernel (mathx.Exp, mathx.Log,
+// mathx.Erf, the grid's closed form) moves the served scenarios. They
+// hold on amd64 with and without FMA (GODEBUG=cpu.fma=off) and on 386:
+// the generators take e^x from mathx.Exp.
+const scenarioGolden = "b011283837ffb097b1a64daa514ab09c618e3cec251f707e5f4355b9c011cda5"
 
 var scenarioGeneratorGoldens = [...]string{
-	"f6ad284b1412bcc5d3be2fd4670df54a786c9e8d22d931a5c84575b4959206b8", // heston
-	"fa4bda62d846eb2e82b186692bc6c8eb096045d620057f3ab7e1cf5e027e48bb", // jump
-	"c886c00e90da9d7b2dfeb5b4b7c1db7a92514f53e8999d79809f3fe228d48c76", // basket
+	"699365e83d34f11c519c37d23933c0604666fbb30a5f6cdad44a5bb70c7600c7", // heston
+	"fc3e07a86ef0563c7d38b672f9b8f5e4e85f1803242d4aea49a9ca94ba03f37b", // jump
+	"028e4f7c6c5d4fa7173121866ec1cdeeaa5d613b71ee8ae75fdba94edb882964", // basket
 }
 
 func checkScenarioGolden(t *testing.T, what string, b []byte, golden string) {

@@ -4,7 +4,7 @@
 # Runs, in order: go vet, a gofmt -l gate (fails on any file it
 # prints), go build, the arm64 fused multiply-add guard
 # (scripts/fusion_guard.sh), the benchreg performance gate (a fresh short-mode
-# snapshot checked against the committed baseline BENCH_5.json; see
+# snapshot checked against the committed baseline BENCH_6.json; see
 # README "Continuous benchmarking"), the tier-1 test suite (which
 # includes the in-process topology tests of internal/serve/shard: every
 # end-to-end and chaos assertion, over 1-3 replicas and three fault
@@ -19,7 +19,7 @@
 # detmap, leakcheck and interprocedural hotalloc; see README "Static
 # analysis & CI gate") with its self-test. The benchreg gate also
 # enforces the allocs/op budget on serve-path and heavy rows
-# (gate_allocs records in BENCH_5.json): a new per-request allocation
+# (gate_allocs records in BENCH_6.json): a new per-request allocation
 # fails the check even when its wall-clock cost hides inside timing
 # noise, and a baseline row missing from the fresh snapshot fails it too.
 # After the gate, go test -bench runs every experiment row once
@@ -78,7 +78,7 @@ echo "==> arm64 fusion guard"
 echo "==> benchreg gate: short snapshot vs committed baseline"
 go build -o "$TOOL_DIR/benchreg" ./cmd/benchreg
 bench_gate() {
-	"$TOOL_DIR/benchreg" check -baseline BENCH_5.json -short \
+	"$TOOL_DIR/benchreg" check -baseline BENCH_6.json -short \
 		-max-slowdown 0.35 -mad-factor 4
 }
 if ! bench_gate; then
@@ -132,9 +132,9 @@ else
 	go test -race -count=1 -cpu 1,2,4,8 ./internal/serve/coalesce
 
 	# Seed corpora of every Fuzz target in these packages, including
-	# mathx's FuzzExpOracle (Exp against its Ldexp listing and its
-	# math/big bound) and FuzzInvCNDOracle (InvCND against a math/big
-	# quantile), montecarlo's FuzzPathSumsOracle (pathSums against its
+	# mathx's FuzzExpOracle (Exp against its math/big bound),
+	# FuzzErfOracle (Erf and Erfc against a math/big normal CDF) and
+	# FuzzInvCNDOracle (InvCND against a math/big quantile), montecarlo's FuzzPathSumsOracle (pathSums against its
 	# listing), binomial's FuzzAmericanPutOracle (the lattice walks'
 	# live window against the per-node listings) and cranknicolson's
 	# FuzzPricePutsOracle (the direct Crank-Nicolson solve against PSOR at

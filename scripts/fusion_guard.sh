@@ -11,8 +11,12 @@
 #
 # Guarded, each with every product that feeds an add written
 # float64(a*b) + c: the served Monte Carlo path's inverse normal, path
-# loop, request loop, estimate and put parity; mathx.Exp and mathx.Log,
-# which every kernel calls; and the American-put lattice walks (the
+# loop, request loop, estimate and put parity; mathx.Exp, mathx.expSum
+# (Erfc's exponential of a sum), mathx.Log, mathx.Erf and mathx.Erfc,
+# which every kernel calls; the Advanced
+# Black-Scholes tail (blackscholes.advancedTail: d1/d2, the two ErfArray
+# calls, the parity), which the served /price closed form, FBC1 bulk and
+# /scenario grid rows run; and the American-put lattice walks (the
 # binomial ladder, tiled two-level kernel and walk, into which the
 # single-level kernel inlines; the trinomial put, ladder and level loop
 # in one function); and the served Crank-Nicolson
@@ -24,15 +28,18 @@
 # relax and the PSOR coefficients inline, and the wavefront PSOR, whose
 # scalar triangles must round as the reference sweeps do. Before their
 # roundings were made explicit, arm64 fused 15 multiply-adds in
-# mathx.Exp, 8 in mathx.Log, 3 in reduceTwoLevels, 1 in the binomial
-# walk, 1 in its ladder, 1 in the Monte Carlo estimate's variance, 1 in
-# its put parity, 3 in the trinomial put, 21 in the then-served
-# PSOR Crank-Nicolson solve (10 of them in a paired sweep since deleted)
-# and 1 in the wavefront PSOR's triangle error sum. Go
-# rewrites x*2 as x+x, so a doubled product fuses too
-# unless the product is rounded first. On amd64 the explicit roundings
-# change no instruction. The rest of the hot packages (blackscholes, the
-# European lattice walks) is ROADMAP item 15(b).
+# mathx.Exp, 8 in mathx.Log, 4 in advancedTail, 3 in reduceTwoLevels, 1
+# in the binomial walk, 1 in its ladder, 1 in the Monte Carlo estimate's
+# variance, 1 in its put parity, 3 in the trinomial put, 21 in the
+# then-served PSOR Crank-Nicolson solve (10 of them in a paired sweep
+# since deleted) and 1 in the wavefront PSOR's triangle error sum; Erf
+# and Erfc were written with every such product rounded (an exact one
+# such as Erf's interval centre included, or the guard counts it). Go
+# rewrites x*2 as x+x, so a doubled
+# product fuses too unless the product is rounded first. On amd64 the
+# explicit roundings change no instruction. The rest of the hot packages
+# (the other Black-Scholes levels, the European lattice walks) is
+# ROADMAP item 15(b).
 #
 # Usage: ./scripts/fusion_guard.sh
 set -euo pipefail
@@ -43,7 +50,8 @@ GUARDED=(
 	'finserve:mathx.InvCND$' 'finserve:montecarlo.pathSums$'
 	'finserve:montecarlo.SharedStreamCtx$' 'finserve:montecarlo.estimate$'
 	'finserve:finbench.priceMonteCarlo$'
-	'finserve:mathx.Exp$' 'finserve:mathx.Log$'
+	'finserve:mathx.Exp$' 'finserve:mathx.expSum$' 'finserve:mathx.Log$'
+	'finserve:mathx.Erf$' 'finserve:mathx.Erfc$' 'finserve:blackscholes.advancedTail$'
 	'finserve:binomial.exerciseLadder$' 'finserve:binomial.americanPut$'
 	'finserve:binomial.walkAmericanPut$' 'finserve:binomial.reduceTwoLevels$'
 	'finserve:binomial.PriceAmericanPutTrinomialCtx$'
