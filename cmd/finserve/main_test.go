@@ -63,13 +63,13 @@ func TestFlagSurface(t *testing.T) {
 // package constant, so a new knob is a deliberate change to this list.
 // A struct-valued field counts by its leaves (Market is a rate and a
 // volatility); any other field is one value. serve, stream and shard
-// together hold 19.
+// together hold 18.
 func TestConfigSurface(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
 		want []string
 	}{
-		{reflect.TypeFor[serve.Config](), []string{"Market.Rate", "Market.Volatility", "CoalesceMaxBatch", "Stream"}},
+		{reflect.TypeFor[serve.Config](), []string{"Market.Rate", "Market.Volatility", "Stream"}},
 		{reflect.TypeFor[stream.Config](), []string{"Universe", "Underlyings", "Seed", "Market.Rate", "Market.Volatility",
 			"Interval", "Budget", "SpotThreshold", "VolThreshold", "RateThreshold"}},
 		{reflect.TypeFor[shard.Config](), []string{"Backends", "HealthInterval", "Breaker.Now", "Transport", "CacheBytes"}},

@@ -222,11 +222,15 @@ func discount(m Market, t float64) float64 {
 // closed-form kernel).
 type Greeks = blackscholes.Greeks
 
-// ComputeGreeks returns the closed-form sensitivities of the option
-// (European; American greeks require lattice bumping).
+// ComputeGreeks returns the closed-form sensitivities of a European
+// option; an American one answers ErrMethodStyle (its greeks would need
+// lattice bumping).
 func ComputeGreeks(o Option, m Market) (Greeks, error) {
 	if err := validate(o, m); err != nil {
 		return Greeks{}, err
+	}
+	if o.Style == American {
+		return Greeks{}, fmt.Errorf("%w: closed-form greeks are European-only", ErrMethodStyle)
 	}
 	return blackscholes.ComputeGreeks(o.Spot, o.Strike, o.Expiry, m.internal()), nil
 }

@@ -191,6 +191,11 @@ func TestComputeGreeks(t *testing.T) {
 	if _, err := ComputeGreeks(Option{}, tMkt); err == nil {
 		t.Fatal("invalid option accepted")
 	}
+	amer := tOpt
+	amer.Style = American
+	if _, err := ComputeGreeks(amer, tMkt); !errors.Is(err, ErrMethodStyle) {
+		t.Fatalf("American option: err = %v, want ErrMethodStyle", err)
+	}
 }
 
 func TestPriceBatchLevelsAgree(t *testing.T) {

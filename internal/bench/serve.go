@@ -13,11 +13,11 @@ import (
 
 // servepath: end-to-end latency and allocation budget of the serving
 // tier, measured through the real handler stack (admission control,
-// decode, kernel dispatch, encode) with the coalescer bypassed so one
-// invocation is exactly one request. Unlike the kernel experiments,
-// these rows gate allocs/op: a new per-request allocation on this path
-// multiplies by the request rate, and the snapshot diff rejects it even
-// when the wall-clock cost hides inside timing noise.
+// decode, kernel dispatch, encode); one invocation is exactly one
+// request. Unlike the kernel experiments, these rows gate allocs/op: a
+// new per-request allocation on this path multiplies by the request
+// rate, and the snapshot diff rejects it even when the wall-clock cost
+// hides inside timing noise.
 //
 // The harness itself must not allocate per invocation, or its own
 // garbage would be charged to the server and mask a regression to (or
@@ -107,11 +107,9 @@ func servePathColumnar(n int) []byte {
 }
 
 func measureServePath(scale float64) (*Result, error) {
-	// CoalesceMaxBatch 1 makes every request bypass the coalescer (no
-	// window timer on the measured path). The rows outlive this call, so
-	// the server is not closed: without a stream hub it runs no goroutine
-	// and goes with the rows.
-	h := serve.New(serve.Config{CoalesceMaxBatch: 1}).Handler()
+	// The rows outlive this call, so the server is not closed: without a
+	// stream hub it runs no goroutine and goes with the rows.
+	h := serve.New(serve.Config{}).Handler()
 
 	batch := scaleInt(4096, scale, 16)
 	r := &Result{
@@ -153,7 +151,7 @@ func measureServePath(scale float64) (*Result, error) {
 		r.Rows = append(r.Rows, row)
 	}
 	r.Notes = append(r.Notes,
-		"one invocation = one request through the full handler stack (admission, decode, kernel, encode); coalescer bypassed",
+		"one invocation = one request through the full handler stack (admission, decode, kernel, encode)",
 		"allocs/op rows are gated in benchreg snapshots: a new per-request allocation fails the check even inside timing noise",
 		"the harness reuses one request and rewinds its body between calls, so gated allocs/op counts are the server's alone")
 	return r, nil

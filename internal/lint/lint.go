@@ -122,9 +122,10 @@ type Config struct {
 	HotallocDepth int
 }
 
-// DefaultHotallocDepth reaches handler -> helper -> coalescer -> batch
-// kernel entry on the current serving tier, which is where per-request
-// work turns into per-option loops.
+// DefaultHotallocDepth reaches four calls from a handler: on the serving
+// tier's closed-form path, handlePrice -> priceClosedForm ->
+// finbench.PriceBatchCtx -> priceBatch -> blackscholes.AdvancedCtx, the
+// kernel entry where per-request work turns into per-option loops.
 const DefaultHotallocDepth = 4
 
 func (c Config) withDefaults() Config {

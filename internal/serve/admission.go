@@ -103,22 +103,30 @@ func (a *admission) acquire(units int64, wait time.Duration) (int64, bool) {
 				break
 			}
 		}
+		// A head waiter leaving may unblock the ones queued behind it.
+		a.grantLocked()
 		a.mu.Unlock()
 		return 0, false
 	}
 }
 
-// release returns units and grants queued waiters in FIFO order.
+// release returns units and grants queued waiters.
 func (a *admission) release(units int64) {
 	a.mu.Lock()
 	a.cur -= units
+	a.grantLocked()
+	a.mu.Unlock()
+}
+
+// grantLocked grants queued waiters in FIFO order while the budget has
+// room for the head. Caller holds a.mu.
+func (a *admission) grantLocked() {
 	for len(a.q) > 0 && a.cur+a.q[0].units <= a.max {
 		w := a.q[0]
 		a.q = a.q[1:]
 		a.cur += w.units
 		close(w.ready)
 	}
-	a.mu.Unlock()
 }
 
 // inFlight returns the units currently held.

@@ -1,31 +1,33 @@
 // Package coalesce merges small concurrent closed-form pricing requests
-// into SOA mega-batches. Throughput of the Advanced Black-Scholes engine
-// grows with batch size (amortized VML chunks, one parallel region per
-// batch instead of one per request), and batching is natural (group
-// commit), never bought with a wait: a ticket that finds no flush running
-// prices itself at once on its own goroutine; tickets that arrive while a
-// flush runs queue behind it, and when it ends the queue is handed, as one
-// batch, to its first ticket, whose goroutine prices it and passes the
-// flusher role on in turn. A size threshold bounds the queue: the ticket
-// that fills it prices it at once, beside the running flush.
+// into SOA mega-batches, and keeps the size-classed batch freelists
+// (GetBatch, PutBatch) the server prices each closed-form request in.
+// The server no longer coalesces: measured on two cores, merging never
+// bought throughput and serialised overlapping requests behind one
+// flusher, so each request is priced alone. The Coalescer stays only for
+// the benchmark/ package's coalescer metrics (ROADMAP item 27(d)).
+//
+// Batching is natural (group commit), never bought with a wait: a ticket
+// that finds no flush running prices itself at once on its own goroutine;
+// tickets that arrive while a flush runs queue behind it, and when it ends
+// the queue is handed, as one batch, to its first ticket, whose goroutine
+// prices it and passes the flusher role on in turn. A size threshold
+// bounds the queue: the ticket that fills it prices it at once, beside
+// the running flush.
 //
 // Correctness rests on composition independence: the LevelAdvanced engine
 // is purely elementwise, so pricing a request inside a mega-batch is
 // bit-identical to pricing it alone (pinned by
 // TestAdvancedCompositionIndependence at the repo root). Methods whose
 // results depend on batch decomposition (Monte Carlo's per-worker RNG
-// streams) must never be coalesced and are priced per-request by the
-// server instead.
+// streams) must never be coalesced.
 package coalesce // finlint:hot — the submit/flush path runs per request; allocation-free loops enforced by internal/lint
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"finbench"
-	"finbench/internal/serve/deadline"
 )
 
 // Ticket is one request's slice of a future mega-batch. The caller fills
@@ -35,12 +37,6 @@ import (
 // pool with PutTicket).
 type Ticket struct {
 	Spots, Strikes, Expiries []float64
-	// Deadline bounds the flush that prices this ticket; zero means none.
-	// It is also checked per ticket when results are distributed: a ticket
-	// whose own deadline expired while riding a flush bounded by a later
-	// deadline fails with context.DeadlineExceeded instead of returning a
-	// price after its deadline.
-	Deadline time.Time
 
 	// Calls and Puts are filled by the flush on success.
 	Calls, Puts []float64
@@ -48,23 +44,14 @@ type Ticket struct {
 	BatchN int
 	// Coalesced reports whether other tickets shared the flush.
 	Coalesced bool
-	// Err is the flush error (context cancellation), if any.
+	// Err is the flush's error, or context.Canceled when Close failed the
+	// ticket.
 	Err error
 
 	// done wakes the ticket's goroutine: to flush lead, the batch it heads,
 	// as the new flusher; with lead nil, because the ticket is complete.
 	done chan struct{}
 	lead *ticketList
-}
-
-// Stats is a snapshot of the coalescer's counters.
-type Stats struct {
-	// Flushes counts mega-batch pricings; SoloFlushes the subset that
-	// contained a single ticket.
-	Flushes, SoloFlushes uint64
-	// CoalescedTickets counts tickets that shared a flush with at least
-	// one other ticket; BatchedOptions sums options across all flushes.
-	CoalescedTickets, BatchedOptions uint64
 }
 
 // Coalescer accumulates tickets and flushes them as one batch.
@@ -79,8 +66,6 @@ type Coalescer struct {
 	// goroutine holds it, so none waits on anything but a running flush.
 	flushing bool
 	closed   bool
-
-	flushes, solo, coalesced, batched atomic.Uint64
 }
 
 // New builds a coalescer pricing against mkt. maxBatch bounds the queue:
@@ -151,16 +136,6 @@ func (c *Coalescer) Close() {
 	putTicketList(batch)
 }
 
-// Snapshot returns the current counters.
-func (c *Coalescer) Snapshot() Stats {
-	return Stats{
-		Flushes:          c.flushes.Load(),
-		SoloFlushes:      c.solo.Load(),
-		CoalescedTickets: c.coalesced.Load(),
-		BatchedOptions:   c.batched.Load(),
-	}
-}
-
 // takeLocked detaches the pending batch (nil if none). Caller holds c.mu.
 func (c *Coalescer) takeLocked() *ticketList {
 	batch := c.pending
@@ -187,15 +162,8 @@ func (c *Coalescer) handOff() {
 func (c *Coalescer) flush(batch *ticketList, holdsRole bool) {
 	tickets := batch.tickets
 	n := 0
-	var latest time.Time
-	bounded := true
 	for _, t := range tickets {
 		n += len(t.Spots)
-		if t.Deadline.IsZero() {
-			bounded = false
-		} else if t.Deadline.After(latest) {
-			latest = t.Deadline
-		}
 	}
 	mega := GetBatch(n)
 	lo := 0
@@ -205,42 +173,14 @@ func (c *Coalescer) flush(batch *ticketList, holdsRole bool) {
 		copy(mega.Expiries[lo:], t.Expiries)
 		lo += len(t.Spots)
 	}
-	// The flush deadline is the latest ticket deadline: when it fires,
-	// every ticket in the batch has expired, so failing them all is
-	// exact, not collateral damage. Tickets with earlier deadlines are
-	// re-checked individually at distribution time below.
-	ctx := context.Background()
-	var dl *deadline.Ctx
-	if bounded {
-		dl = deadline.Acquire(ctx, latest)
-		ctx = dl
-	}
-	err := finbench.PriceBatchCtx(ctx, mega, c.mkt, finbench.LevelAdvanced)
-	if dl != nil {
-		dl.Release()
-	}
+	err := finbench.PriceBatchCtx(context.Background(), mega, c.mkt, finbench.LevelAdvanced)
 
-	c.flushes.Add(1)
-	c.batched.Add(uint64(n))
-	if len(tickets) == 1 {
-		c.solo.Add(1)
-	} else {
-		c.coalesced.Add(uint64(len(tickets)))
-	}
-
-	now := time.Now()
 	lo = 0
 	for _, t := range tickets {
 		hi := lo + len(t.Spots)
-		switch {
-		case err != nil:
+		if err != nil {
 			t.Err = err
-		case !t.Deadline.IsZero() && now.After(t.Deadline):
-			// The flush beat the *latest* deadline in the batch, but this
-			// ticket's own deadline has passed: its caller asked not to
-			// receive an answer after it.
-			t.Err = context.DeadlineExceeded
-		default:
+		} else {
 			t.Calls = sizedFloats(t.Calls, hi-lo)
 			t.Puts = sizedFloats(t.Puts, hi-lo)
 			copy(t.Calls, mega.Calls[lo:hi])

@@ -3,7 +3,6 @@ package coalesce
 import (
 	"math/bits"
 	"sync"
-	"time"
 
 	"finbench"
 )
@@ -91,7 +90,6 @@ func GetTicket(n int) *Ticket {
 // hand may also be put; their slices join the freelist). The ticket and
 // its slices must not be used after.
 func PutTicket(t *Ticket) {
-	t.Deadline = time.Time{}
 	t.BatchN = 0
 	t.Coalesced = false
 	t.Err = nil

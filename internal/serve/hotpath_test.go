@@ -80,29 +80,15 @@ func onePriceBody() []byte {
 }
 
 func TestPriceHandlerAllocsSteadyState(t *testing.T) {
-	s := New(Config{CoalesceMaxBatch: 1})
+	s := New(Config{})
 	defer s.Close()
 	if got := allocsPerRequest(t, s.Handler(), "/price", "application/json", onePriceBody()); got != 0 {
 		t.Errorf("/price JSON steady state: %.2f allocs/request, want 0", got)
 	}
 }
 
-// TestPriceHandlerAllocsCoalescedSteadyState gates the path interactive
-// users actually take: default CoalesceMaxBatch, so the request goes
-// through the coalescer (ticket, queue, flush, pooled flush deadline).
-func TestPriceHandlerAllocsCoalescedSteadyState(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	if got := allocsPerRequest(t, s.Handler(), "/price", "application/json", onePriceBody()); got != 0 {
-		t.Errorf("/price JSON through the coalescer: %.2f allocs/request, want 0", got)
-	}
-	if snap := s.co.Snapshot(); snap.Flushes == 0 {
-		t.Error("no flush recorded: the request bypassed the coalescer")
-	}
-}
-
 func TestPriceHandlerAllocsColumnarSteadyState(t *testing.T) {
-	s := New(Config{CoalesceMaxBatch: 1})
+	s := New(Config{})
 	defer s.Close()
 	frame := wire.AppendColumnarRequest(nil, &wire.PriceRequest{Columnar: &wire.Columns{
 		Spots:    []float64{100},
@@ -161,7 +147,7 @@ func TestGreeksRejectsNegativeDeadline(t *testing.T) {
 // TestGreeksDeadlineCappedByServerMax proves the deadline admit grants a
 // pricing request (/greeks among them) is the client's deadline_ms
 // capped by maxDeadline (30s), and maxDeadline when the client gives
-// none.
+// none — also for a deadline_ms whose nanoseconds overflow int64.
 func TestGreeksDeadlineCappedByServerMax(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	for _, c := range []struct {
@@ -171,6 +157,7 @@ func TestGreeksDeadlineCappedByServerMax(t *testing.T) {
 		{60000, maxDeadline},
 		{0, maxDeadline},
 		{1500, 1500 * time.Millisecond},
+		{10_000_000_000_000, maxDeadline},
 	} {
 		req := httptest.NewRequest(http.MethodPost, "/greeks", nil)
 		before := time.Now()
@@ -224,70 +211,59 @@ func columnarColumns() *wire.Columns {
 
 // TestPriceColumnarBitIdenticalToJSON is the core columnar guarantee:
 // the same contracts priced through AOS JSON and the binary frame produce
-// bit-identical prices, on both the coalesced and the bypass path
-// (composition independence makes them one case). Columns have no JSON
-// form: a JSON body carrying them has no options and answers 400.
+// bit-identical prices. Columns have no JSON form: a JSON body carrying
+// them has no options and answers 400.
 func TestPriceColumnarBitIdenticalToJSON(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		maxBatch int
-	}{
-		{"coalesced", 0}, // default CoalesceMaxBatch; 4 options coalesce
-		{"bypass", 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, ts := newTestServer(t, Config{CoalesceMaxBatch: tc.maxBatch})
+	s, ts := newTestServer(t, Config{})
 
-			jsonResp, jsonBody := postJSON(t, ts.URL+"/price", columnarAOSRequest())
-			if jsonResp.StatusCode != 200 {
-				t.Fatalf("JSON AOS status %d: %s", jsonResp.StatusCode, jsonBody)
-			}
-			want := decodePrice(t, jsonBody)
+	jsonResp, jsonBody := postJSON(t, ts.URL+"/price", columnarAOSRequest())
+	if jsonResp.StatusCode != 200 {
+		t.Fatalf("JSON AOS status %d: %s", jsonResp.StatusCode, jsonBody)
+	}
+	want := decodePrice(t, jsonBody)
 
-			// Columns in a JSON body are not a framing.
-			colResp, colBody := postJSON(t, ts.URL+"/price",
-				&PriceRequest{Columnar: columnarColumns()})
-			if colResp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("JSON columnar status %d, want 400: %s", colResp.StatusCode, colBody)
-			}
+	// Columns in a JSON body are not a framing.
+	colResp, colBody := postJSON(t, ts.URL+"/price",
+		&PriceRequest{Columnar: columnarColumns()})
+	if colResp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("JSON columnar status %d, want 400: %s", colResp.StatusCode, colBody)
+	}
 
-			// Binary frame.
-			frame := wire.AppendColumnarRequest(nil, &wire.PriceRequest{Columnar: columnarColumns()})
-			resp, err := http.Post(ts.URL+"/price", wire.ColumnarContentType, bytes.NewReader(frame))
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				t.Fatalf("binary columnar status %d: %s", resp.StatusCode, raw)
-			}
-			if ct := resp.Header.Get("Content-Type"); ct != wire.ColumnarContentType {
-				t.Errorf("binary response Content-Type %q, want %q", ct, wire.ColumnarContentType)
-			}
-			bin, err := wire.DecodeColumnarResponse(raw)
-			if err != nil {
-				t.Fatalf("decoding binary response: %v", err)
-			}
-			if bin.Method != want.Method || bin.Engine != want.Engine {
-				t.Errorf("binary method/engine %q/%q, want %q/%q",
-					bin.Method, bin.Engine, want.Method, want.Engine)
-			}
-			if len(bin.Results) != len(want.Results) {
-				t.Fatalf("binary returned %d results, want %d", len(bin.Results), len(want.Results))
-			}
-			for i := range want.Results {
-				if bin.Results[i].Price != want.Results[i].Price {
-					t.Errorf("option %d: binary price %v != JSON price %v",
-						i, bin.Results[i].Price, want.Results[i].Price)
-				}
-			}
+	// Binary frame.
+	frame := wire.AppendColumnarRequest(nil, &wire.PriceRequest{Columnar: columnarColumns()})
+	resp, err := http.Post(ts.URL+"/price", wire.ColumnarContentType, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("binary columnar status %d: %s", resp.StatusCode, raw)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != wire.ColumnarContentType {
+		t.Errorf("binary response Content-Type %q, want %q", ct, wire.ColumnarContentType)
+	}
+	bin, err := wire.DecodeColumnarResponse(raw)
+	if err != nil {
+		t.Fatalf("decoding binary response: %v", err)
+	}
+	if bin.Method != want.Method || bin.Engine != want.Engine {
+		t.Errorf("binary method/engine %q/%q, want %q/%q",
+			bin.Method, bin.Engine, want.Method, want.Engine)
+	}
+	if len(bin.Results) != len(want.Results) {
+		t.Fatalf("binary returned %d results, want %d", len(bin.Results), len(want.Results))
+	}
+	for i := range want.Results {
+		if bin.Results[i].Price != want.Results[i].Price {
+			t.Errorf("option %d: binary price %v != JSON price %v",
+				i, bin.Results[i].Price, want.Results[i].Price)
+		}
+	}
 
-			// The columnar request counter saw the binary frame only.
-			if n := s.statszSnapshot().Requests["price_columnar"]; n != 1 {
-				t.Errorf("price_columnar = %d, want 1", n)
-			}
-		})
+	// The columnar request counter saw the binary frame only.
+	if n := s.statszSnapshot().Requests["price_columnar"]; n != 1 {
+		t.Errorf("price_columnar = %d, want 1", n)
 	}
 }
 

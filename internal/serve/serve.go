@@ -1,11 +1,11 @@
 // Package serve is the concurrent batch-pricing server over the finbench
-// library: an HTTP/JSON front end that coalesces small concurrent
-// closed-form requests into SOA mega-batches, propagates client deadlines
-// into the pricing kernels (cancelled work stops consuming the parallel
-// pool at chunk granularity), and sheds load at the door when a bounded
-// in-flight work budget is exhausted — its one answer to overload. Every
-// 200 response is bit-reproducible from the effective method/config it
-// reports.
+// library: an HTTP/JSON front end that prices each closed-form request
+// alone as one SOA batch on its own goroutine, propagates client
+// deadlines into the pricing kernels (cancelled work stops consuming the
+// parallel pool at chunk granularity), and sheds load at the door when a
+// bounded in-flight work budget is exhausted — its one answer to
+// overload. Every 200 response is bit-reproducible from the effective
+// method/config it reports.
 //
 // Endpoints: POST /price, POST /greeks, POST /scenario, GET /stream
 // (SSE, when a streaming hub is configured), GET /statsz, GET /healthz.
@@ -55,12 +55,6 @@ type Config struct {
 	// the default volatility and keeps its rate).
 	Market finbench.Market
 
-	// CoalesceMaxBatch bounds the coalescer's queue: closed-form requests
-	// that arrive while a flush runs merge into one batch behind it (an
-	// idle coalescer prices a request at once), flushed early at this many
-	// options (default 16384). Requests that large bypass the coalescer.
-	CoalesceMaxBatch int
-
 	// Stream enables the GET /stream SSE feed with the given hub
 	// configuration (nil disables — /stream answers 404). The hub's
 	// Market defaults to the server's.
@@ -85,9 +79,6 @@ func withMarketDefaults(m, def finbench.Market) finbench.Market {
 
 func (c Config) withDefaults() Config {
 	c.Market = withMarketDefaults(c.Market, finbench.Market{Rate: 0.02, Volatility: 0.3})
-	if c.CoalesceMaxBatch <= 0 {
-		c.CoalesceMaxBatch = 16384
-	}
 	return c
 }
 
@@ -97,7 +88,6 @@ type Server struct {
 	mux   *http.ServeMux
 	stats *stats
 	adm   *admission
-	co    *coalesce.Coalescer
 	hub   *stream.Hub // nil when streaming is disabled
 
 	draining atomic.Bool
@@ -107,15 +97,13 @@ type Server struct {
 	streamActive atomic.Int64
 }
 
-// New builds a server. Call Close when done (fails whatever is queued in
-// the coalescer and stops the streaming hub).
+// New builds a server. Call Close when done (it stops the streaming hub).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
 		stats: newStats(),
 		adm:   newAdmission(maxUnits),
-		co:    coalesce.New(cfg.Market, 0, cfg.CoalesceMaxBatch, 0),
 	}
 	if cfg.Stream != nil {
 		hcfg := *cfg.Stream
@@ -183,9 +171,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close releases background resources. The server must not be used after.
+// Close stops the streaming hub, the server's one background resource.
+// The server must not be used after.
 func (s *Server) Close() {
-	s.co.Close()
 	if s.hub != nil {
 		s.hub.Close()
 	}
@@ -321,45 +309,14 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	wire.PutPriceResponse(resp)
 }
 
-// priceClosedForm prices via the SOA batch engine: small requests go
-// through the coalescer, large ones straight to the kernel. Either way
-// the engine is LevelAdvanced, so results are bit-identical regardless of
-// batching (composition independence).
+// priceClosedForm prices the request alone as one SOA batch through the
+// LevelAdvanced engine, under the request's own deadline context: the
+// kernel checks it between chunks, so an expired or abandoned request
+// stops there and answers 408. The engine is elementwise, so each price
+// is bit-identical to pricing its option on its own.
 func (s *Server) priceClosedForm(ctx context.Context, req *PriceRequest, resp *PriceResponse) error {
 	n := req.NumOptions()
 	resp.Engine = "batch-advanced"
-	if n >= s.cfg.CoalesceMaxBatch {
-		return s.priceClosedFormBypass(ctx, req, resp)
-	}
-	t := coalesce.GetTicket(n)
-	fillInputs(t.Spots, t.Strikes, t.Expiries, req)
-	if d, ok := ctx.Deadline(); ok {
-		t.Deadline = d
-	}
-	if err := s.co.Price(t); err != nil {
-		coalesce.PutTicket(t)
-		return err
-	}
-	resp.Coalesced = t.Coalesced
-	resp.BatchOptions = t.BatchN
-	resp.SizedResults(n)
-	for i := 0; i < n; i++ {
-		if req.IsPut(i) {
-			resp.Results[i].Price = t.Puts[i]
-		} else {
-			resp.Results[i].Price = t.Calls[i]
-		}
-	}
-	coalesce.PutTicket(t)
-	return nil
-}
-
-// priceClosedFormBypass prices a request that is already a mega-batch on
-// its own, skipping the coalescer. The engine is still LevelAdvanced, so
-// results are bit-identical to the coalesced path (composition
-// independence).
-func (s *Server) priceClosedFormBypass(ctx context.Context, req *PriceRequest, resp *PriceResponse) error {
-	n := req.NumOptions()
 	b := coalesce.GetBatch(n)
 	fillInputs(b.Spots, b.Strikes, b.Expiries, req)
 	if err := finbench.PriceBatchCtx(ctx, b, s.cfg.Market, finbench.LevelAdvanced); err != nil {
@@ -405,9 +362,8 @@ func fillInputs(spots, strikes, expiries []float64, req *PriceRequest) {
 // Crank-Nicolson puts are solved one after another, each time step by
 // the direct projected solve of Brennan & Schwartz, whose elimination
 // coefficients are computed once per request; the trees are priced
-// option by option. These methods are never coalesced, split or
-// retried: Monte Carlo is one attempt on one stream, and the lattice
-// kernels gain nothing from batching across requests.
+// option by option. These methods are never split or retried: Monte
+// Carlo is one attempt on one stream.
 func (s *Server) priceHeavy(ctx context.Context, req *PriceRequest, method finbench.Method, cfg finbench.Config, resp *PriceResponse) error {
 	resp.Engine = "scalar"
 	opts := make([]finbench.Option, len(req.Options))
@@ -542,11 +498,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, units, deadlineMS
 		s.writeShed(w, "work budget exhausted")
 		return nil, 0
 	}
+	// Compared in milliseconds before converting: a deadline_ms past
+	// what a Duration holds would wrap negative as a product.
 	budget := maxDeadline
-	if deadlineMS > 0 {
-		if d := time.Duration(deadlineMS) * time.Millisecond; d < budget {
-			budget = d
-		}
+	if deadlineMS > 0 && deadlineMS < maxDeadline.Milliseconds() {
+		budget = time.Duration(deadlineMS) * time.Millisecond
 	}
 	return deadline.Acquire(r.Context(), time.Now().Add(budget)), held
 }

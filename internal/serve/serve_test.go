@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -65,8 +66,8 @@ func decodePrice(t *testing.T, data []byte) *PriceResponse {
 // verifyAgainstLibrary recomputes every result from the response's
 // effective method/config and requires bit-equality — the protocol's core
 // guarantee. Closed-form responses recompute through a 1-option
-// LevelAdvanced batch (composition independence makes that equal to any
-// coalesced mega-batch); scalar-engine responses through finbench.Price.
+// LevelAdvanced batch (composition independence makes that equal to the
+// request's own batch); scalar-engine responses through finbench.Price.
 func verifyAgainstLibrary(t *testing.T, mkt finbench.Market, req *PriceRequest, resp *PriceResponse) {
 	t.Helper()
 	method, err := wire.ParseMethod(resp.Method)
@@ -192,64 +193,106 @@ func TestPriceHeavyMethodsBitMatchLibrary(t *testing.T) {
 	}
 }
 
-// TestCoalescingMergesConcurrentRequests drives many small concurrent
-// requests through the coalescer and checks that every response
-// bit-matches the library whatever batch it rode, and that its coalesced
-// flag agrees with its batch size. Which requests overlap is the
-// scheduler's business; that overlapping tickets do merge is pinned
-// deterministically in the coalesce package.
-func TestCoalescingMergesConcurrentRequests(t *testing.T) {
+// TestConcurrentClosedFormPricedAlone fires 16 concurrent clients at
+// once, each with a few closed-form requests of its own size, in JSON
+// and in the binary frame. Every request is priced alone: each reply's
+// batch_options is its own option count, it carries no coalesced key
+// (JSON) or flag bit (FBR1), and every price bit-matches the library.
+// A server that merges overlapping requests fails here.
+func TestConcurrentClosedFormPricedAlone(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	const clients = 16
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			req := &PriceRequest{Options: []wire.Option{
-				{Type: "call", Spot: 100 + float64(c), Strike: 100, Expiry: 0.5},
-				{Type: "put", Spot: 100, Strike: 95 + float64(c), Expiry: 1},
-			}}
-			data, _ := json.Marshal(req)
-			resp, err := http.Post(ts.URL+"/price", "application/json", bytes.NewReader(data))
-			if err != nil {
-				errs[c] = err
-				return
+	const clients, rounds = 16, 8
+	for _, columnar := range []bool{false, true} {
+		name := "json"
+		if columnar {
+			name = "columnar"
+		}
+		t.Run(name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			errs := make([]error, clients)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					req := &PriceRequest{}
+					for i := 0; i <= c; i++ {
+						typ := "call"
+						if i%2 == 1 {
+							typ = "put"
+						}
+						req.Options = append(req.Options, wire.Option{
+							Type: typ, Spot: 90 + float64(c), Strike: 95 + float64(i), Expiry: 0.5 + 0.1*float64(i),
+						})
+					}
+					<-start
+					for r := 0; r < rounds && errs[c] == nil; r++ {
+						errs[c] = postAlone(t, s.cfg.Market, ts.URL, req, columnar)
+					}
+				}(c)
 			}
-			defer resp.Body.Close()
-			var buf bytes.Buffer
-			if _, err := buf.ReadFrom(resp.Body); err != nil {
-				errs[c] = err
-				return
+			close(start)
+			wg.Wait()
+			for c, err := range errs {
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+				}
 			}
-			if resp.StatusCode != 200 {
-				errs[c] = fmt.Errorf("status %d: %s", resp.StatusCode, buf.Bytes())
-				return
-			}
-			var pr PriceResponse
-			if err := json.Unmarshal(buf.Bytes(), &pr); err != nil {
-				errs[c] = err
-				return
-			}
-			if pr.Coalesced != (pr.BatchOptions > len(req.Options)) {
-				errs[c] = fmt.Errorf("coalesced=%v with batch_options=%d for a %d-option request",
-					pr.Coalesced, pr.BatchOptions, len(req.Options))
-				return
-			}
-			verifyAgainstLibrary(t, s.cfg.Market, req, &pr)
-		}(c)
+		})
 	}
-	wg.Wait()
-	for c, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", c, err)
+}
+
+// postAlone posts one closed-form request in the chosen framing and
+// checks that its reply is the request priced on its own.
+func postAlone(t *testing.T, mkt finbench.Market, url string, req *PriceRequest, columnar bool) error {
+	n := len(req.Options)
+	ctype, data := "application/json", []byte(nil)
+	if columnar {
+		cols := &wire.Columns{}
+		for _, o := range req.Options {
+			cols.Spots = append(cols.Spots, o.Spot)
+			cols.Strikes = append(cols.Strikes, o.Strike)
+			cols.Expiries = append(cols.Expiries, o.Expiry)
+			cols.Types += o.Type[:1]
+		}
+		ctype, data = wire.ColumnarContentType, wire.AppendColumnarRequest(nil, &wire.PriceRequest{Columnar: cols})
+	} else {
+		data, _ = json.Marshal(req)
+	}
+	resp, err := http.Post(url+"/price", ctype, bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != 200 {
+		return fmt.Errorf("status %d: %s", resp.StatusCode, raw)
+	}
+	var pr *PriceResponse
+	if columnar {
+		if len(raw) > 4 && raw[4] != 0 {
+			return fmt.Errorf("FBR1 flags 0x%02x, want none", raw[4])
+		}
+		if pr, err = wire.DecodeColumnarResponse(raw); err != nil {
+			return err
+		}
+	} else {
+		if bytes.Contains(raw, []byte(`"coalesced"`)) {
+			return fmt.Errorf("reply carries a coalesced key: %s", raw)
+		}
+		pr = &PriceResponse{}
+		if err := json.Unmarshal(raw, pr); err != nil {
+			return err
 		}
 	}
-	snap := s.co.Snapshot()
-	if got := snap.SoloFlushes + snap.CoalescedTickets; got != clients {
-		t.Errorf("coalescer counted %d tickets for %d requests: %+v", got, clients, snap)
+	if pr.BatchOptions != n || len(pr.Results) != n {
+		return fmt.Errorf("batch_options %d, %d results for a %d-option request", pr.BatchOptions, len(pr.Results), n)
 	}
+	verifyAgainstLibrary(t, mkt, req, pr)
+	return nil
 }
 
 func TestDeadlineExceededReturns408(t *testing.T) {
@@ -331,7 +374,7 @@ func TestStatszShape(t *testing.T) {
 		raw  json.RawMessage
 		want []string
 	}{
-		{"top level", body, []string{"coalesce", "codes", "draining", "in_flight_units", "latency_us",
+		{"top level", body, []string{"codes", "draining", "in_flight_units", "latency_us",
 			"max_units", "requests", "scenario", "sched", "shed", "uptime_s"}},
 		{"requests", top["requests"], []string{"greeks", "price", "price_columnar", "scenario", "stream"}},
 		{"codes", top["codes"], []string{"200", "400", "404", "405", "408", "503"}},
@@ -367,7 +410,7 @@ func TestStatszShape(t *testing.T) {
 // cache lives in the router): no X-Finserve-Cache header on /price and
 // no cache block in /statsz.
 func TestCacheDisabledNoHeader(t *testing.T) {
-	_, ts := newTestServer(t, Config{CoalesceMaxBatch: 1})
+	_, ts := newTestServer(t, Config{})
 	req := &PriceRequest{Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}}}
 	resp, body := postJSON(t, ts.URL+"/price", req)
 	if resp.StatusCode != http.StatusOK {
@@ -439,6 +482,19 @@ func TestBadRequests400(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestGreeksAmerican400: closed-form greeks are European; an American
+// option answers 400 naming it, never the European greeks.
+func TestGreeksAmerican400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/greeks", &wire.GreeksRequest{Options: []wire.Option{
+		{Type: "put", Spot: 80, Strike: 100, Expiry: 1},
+		{Type: "put", Style: "american", Spot: 80, Strike: 100, Expiry: 1},
+	}})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "option 1: closed-form greeks are European-only") {
+		t.Fatalf("status %d (%s), want 400 naming option 1 as European-only", resp.StatusCode, body)
 	}
 }
 
@@ -547,6 +603,32 @@ func TestAdmissionSemaphore(t *testing.T) {
 		t.Fatalf("oversized acquire: %d, %v", got, ok)
 	}
 	a.release(got)
+}
+
+// TestAdmissionHeadTimeoutGrantsQueued: a waiter queued behind a head
+// waiter that times out is granted when the head leaves, if the budget
+// has room for it, instead of waiting out its own timeout to be shed.
+func TestAdmissionHeadTimeoutGrantsQueued(t *testing.T) {
+	a := newAdmission(10)
+	held, _ := a.acquire(5, 0)
+	head, behind := make(chan bool, 1), make(chan bool, 1)
+	go func() { _, ok := a.acquire(10, 200*time.Millisecond); head <- ok }()
+	for a.queued() != 1 {
+		runtime.Gosched()
+	}
+	go func() { _, ok := a.acquire(3, 2*time.Second); behind <- ok }()
+	for a.queued() != 2 {
+		runtime.Gosched()
+	}
+	if <-head {
+		t.Fatal("head waiter for 10 units granted while 5 of 10 are held")
+	}
+	if !<-behind {
+		t.Fatal("waiter for 3 units shed although the head's timeout left room for it")
+	}
+	if got := a.inFlight(); got != held+3 {
+		t.Errorf("inFlight = %d, want %d", got, held+3)
+	}
 }
 
 func TestHealthzShape(t *testing.T) {

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"sync"
@@ -281,9 +282,10 @@ func (r *Router) front(w http.ResponseWriter, req *http.Request) (seq uint64, bo
 	return seq, body, true
 }
 
-// withDeadline mirrors a request's deadline_ms (none when not positive)
-// onto ctx. The deadline travels in the body and the backends enforce it;
-// mirroring it here bounds retries and backoff waits too. It is
+// withDeadline mirrors a request's deadline_ms (none when not positive,
+// nor when it is past what a Duration holds) onto ctx. The deadline
+// travels in the body and the backends enforce it; mirroring it here
+// bounds retries and backoff waits too. It is
 // established before any cache wait, so a waiter parked on a slow
 // singleflight leader still honors its own deadline. Unlike the replicas
 // this is not the pooled deadline.Ctx: ctx becomes the outgoing request's
@@ -293,7 +295,9 @@ func (r *Router) front(w http.ResponseWriter, req *http.Request) (seq uint64, bo
 // started outlives it with the context's values), so a released-and-
 // reused Ctx could reach into an unrelated request's exchange.
 func withDeadline(ctx context.Context, deadlineMS int64) (context.Context, context.CancelFunc) {
-	if deadlineMS <= 0 {
+	// Compared in milliseconds before converting: a larger deadline_ms
+	// would wrap negative as a product and expire at once.
+	if deadlineMS <= 0 || deadlineMS > math.MaxInt64/int64(time.Millisecond) {
 		return ctx, func() {}
 	}
 	return context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)

@@ -101,6 +101,21 @@ func TestRoutedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineNotExpired: a deadline_ms whose nanoseconds overflow
+// int64 is no deadline at the router and the 30 s cap at a replica; on
+// neither tier may it wrap into one already past (408).
+func TestHugeDeadlineNotExpired(t *testing.T) {
+	tp := newTopology(t, topoConfig{replicas: 1})
+	body := []byte(`{"options":[{"spot":100,"strike":100,"expiry":1}],"deadline_ms":10000000000000}`)
+	for _, tier := range []struct{ name, url string }{{"routed", tp.front.URL}, {"lone", tp.https[0].URL}} {
+		for _, path := range []string{"/price", "/greeks"} {
+			if resp, out := post(t, tier.url, path, body); resp.StatusCode != http.StatusOK {
+				t.Errorf("%s %s: status %d (%s), want 200", tier.name, path, resp.StatusCode, out)
+			}
+		}
+	}
+}
+
 // TestFailoverOnDeadReplica: with health checks effectively off, the
 // router discovers a dead replica on the request path, fails over, and
 // still answers 200.
@@ -473,13 +488,19 @@ func TestRouterStatszShape(t *testing.T) {
 func TestPassThrough4xx(t *testing.T) {
 	tp := newTopology(t, topoConfig{replicas: 1, router: Config{}})
 
-	resp, body := post(t, tp.front.URL, "/price", []byte(`{"options":[]}`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty options: %d %s", resp.StatusCode, body)
-	}
-	var e serve.ErrorResponse
-	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-		t.Errorf("error body not passed through: %q", body)
+	for _, c := range []struct{ path, body, want string }{
+		{"/price", `{"options":[]}`, "request has no options"},
+		{"/greeks", `{"options":[{"type":"put","style":"american","spot":80,"strike":100,"expiry":1}]}`,
+			"option 0: closed-form greeks are European-only"},
+	} {
+		resp, body := post(t, tp.front.URL, c.path, []byte(c.body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s: %d %s", c.path, c.body, resp.StatusCode, body)
+		}
+		var e serve.ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || e.Error != c.want {
+			t.Errorf("%s: error body %q not passed through, want %q", c.path, body, c.want)
+		}
 	}
 	if got := tp.router.Snapshot().Retries; got != 0 {
 		t.Errorf("4xx was retried %d times", got)

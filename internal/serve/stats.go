@@ -11,9 +11,9 @@ import (
 
 // Observability. /statsz reports everything an operator needs to see the
 // serving pipeline working: request/status counts, shed counters,
-// per-method latency quantiles from lock-free exponential
-// histograms, coalescer efficiency, and the parallel pool's scheduler
-// counters (cumulative — clients diff consecutive reads for deltas).
+// per-method latency quantiles from lock-free exponential histograms,
+// and the parallel pool's scheduler counters (cumulative — clients diff
+// consecutive reads for deltas).
 
 // histBuckets spans 1us..2^40us (~12 days) in powers of two.
 const histBuckets = 41
@@ -163,7 +163,10 @@ type StatszResponse struct {
 	MaxUnits      int64 `json:"max_units"`
 	Draining      bool  `json:"draining"`
 
-	Coalesce map[string]uint64 `json:"coalesce"`
+	// Coalesce is never set: the server holds no coalescer. The field
+	// stays only until the frozen benchmark/ package, which reads it, can
+	// be corrected (ROADMAP item 1a-i).
+	Coalesce map[string]uint64 `json:"coalesce,omitempty"`
 
 	// Scenario is the scenario engine's work counters: requests seen and
 	// cells evaluated by successful responses.
@@ -185,7 +188,6 @@ type StatszResponse struct {
 
 func (s *Server) statszSnapshot() StatszResponse {
 	st := s.stats
-	co := s.co.Snapshot()
 	out := StatszResponse{
 		UptimeS: time.Since(st.start).Seconds(),
 		Requests: map[string]uint64{
@@ -210,12 +212,6 @@ func (s *Server) statszSnapshot() StatszResponse {
 		InFlightUnits: s.adm.inFlight(),
 		MaxUnits:      s.adm.max,
 		Draining:      s.draining.Load(),
-		Coalesce: map[string]uint64{
-			"flushes":           co.Flushes,
-			"solo_flushes":      co.SoloFlushes,
-			"coalesced_tickets": co.CoalescedTickets,
-			"batched_options":   co.BatchedOptions,
-		},
 		Scenario: map[string]uint64{
 			"requests": st.scenarioRequests.Load(),
 			"cells":    st.scenarioCells.Load(),

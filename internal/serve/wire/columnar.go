@@ -34,7 +34,7 @@ import (
 //
 //	offset size  field
 //	0      4     magic "FBR1"
-//	4      1     flags: bit0 = degraded (defined, never set), bit1 = coalesced
+//	4      1     flags: bit0 = degraded (defined, never set); any other bit is refused
 //	5      1     method (1=closed-form, ... ; index into method table)
 //	6      1     engine (1=batch-advanced, 2=scalar)
 //	7      4     binomial_steps (uint32)
@@ -58,8 +58,7 @@ const (
 	colFlagTypes  = 1 << 0
 	colFlagStyles = 1 << 1
 
-	respFlagDegraded  = 1 << 0
-	respFlagCoalesced = 1 << 1
+	respFlagDegraded = 1 << 0
 )
 
 var (
@@ -185,9 +184,6 @@ func AppendColumnarResponse(dst []byte, r *PriceResponse) ([]byte, error) {
 	if r.Degraded {
 		flags |= respFlagDegraded
 	}
-	if r.Coalesced {
-		flags |= respFlagCoalesced
-	}
 	dst = append(dst, columnarRespMagic[:]...)
 	dst = append(dst, flags, methodByte, engineByte)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Config.BinomialSteps))
@@ -218,7 +214,7 @@ func DecodeColumnarResponse(data []byte) (*PriceResponse, error) {
 		return nil, fmt.Errorf("bad columnar response magic %q", string(data[:4]))
 	}
 	flags := data[4]
-	if flags&^(byte(respFlagDegraded|respFlagCoalesced)) != 0 {
+	if flags&^respFlagDegraded != 0 {
 		return nil, fmt.Errorf("unknown columnar response flags 0x%02x", flags)
 	}
 	methodByte, engineByte := data[5], data[6]
@@ -243,7 +239,6 @@ func DecodeColumnarResponse(data []byte) (*PriceResponse, error) {
 			Seed:          binary.LittleEndian.Uint64(data[23:31]),
 		},
 		Degraded:     flags&respFlagDegraded != 0,
-		Coalesced:    flags&respFlagCoalesced != 0,
 		BatchOptions: int(binary.LittleEndian.Uint32(data[31:35])),
 		ElapsedUS:    int64(binary.LittleEndian.Uint64(data[35:43])),
 		Results:      make([]Result, n),
@@ -260,7 +255,7 @@ func ValidColumnarResponse(data []byte) bool {
 	if len(data) < columnarRespHeader || [4]byte(data[:4]) != columnarRespMagic {
 		return false
 	}
-	if data[4]&^(byte(respFlagDegraded|respFlagCoalesced)) != 0 {
+	if data[4]&^respFlagDegraded != 0 {
 		return false
 	}
 	if m := data[5]; m == 0 || int(m) >= len(methodNames) {

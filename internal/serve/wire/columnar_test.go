@@ -97,7 +97,6 @@ func TestColumnarResponseRoundTrip(t *testing.T) {
 			Config:       Config{BinomialSteps: 512, GridPoints: 7, TimeSteps: 9, MCPaths: 11, Seed: 1234567890123},
 			Engine:       "batch-advanced",
 			Degraded:     true,
-			Coalesced:    true,
 			BatchOptions: 4096,
 			ElapsedUS:    987654,
 		},
@@ -115,7 +114,7 @@ func TestColumnarResponseRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		if got.Method != r.Method || got.Engine != r.Engine || got.Config != r.Config ||
-			got.Degraded != r.Degraded || got.Coalesced != r.Coalesced ||
+			got.Degraded != r.Degraded ||
 			got.BatchOptions != r.BatchOptions || got.ElapsedUS != r.ElapsedUS {
 			t.Fatalf("case %d: metadata diverges: %+v vs %+v", i, got, r)
 		}
@@ -141,13 +140,22 @@ func TestColumnarResponseValidation(t *testing.T) {
 	if ValidColumnarResponse(frame[:len(frame)-1]) {
 		t.Error("accepted truncated frame")
 	}
-	bad := append([]byte{}, frame...)
-	bad[5] = 99
-	if ValidColumnarResponse(bad) {
-		t.Error("accepted unknown method byte")
-	}
-	if _, err := DecodeColumnarResponse(bad); err == nil {
-		t.Error("decoded unknown method byte")
+	for _, c := range []struct {
+		name string
+		off  int
+		set  byte
+	}{
+		{"unknown method byte", 5, 99},
+		{"undefined flag bit1", 4, 1 << 1},
+	} {
+		bad := append([]byte{}, frame...)
+		bad[c.off] = c.set
+		if ValidColumnarResponse(bad) {
+			t.Errorf("accepted %s", c.name)
+		}
+		if _, err := DecodeColumnarResponse(bad); err == nil {
+			t.Errorf("decoded %s", c.name)
+		}
 	}
 	if _, err := AppendColumnarResponse(nil, &PriceResponse{Method: "nope", Engine: "scalar"}); err == nil {
 		t.Error("encoded unknown method")

@@ -47,9 +47,6 @@ func AppendPriceResponse(dst []byte, r *PriceResponse) ([]byte, bool) {
 	if r.Degraded {
 		b = append(b, `,"degraded":true`...)
 	}
-	if r.Coalesced {
-		b = append(b, `,"coalesced":true`...)
-	}
 	if r.BatchOptions != 0 {
 		b = append(b, `,"batch_options":`...)
 		b = strconv.AppendInt(b, int64(r.BatchOptions), 10)

@@ -44,7 +44,6 @@ func goldenPriceResponses() []*PriceResponse {
 			Config:       Config{BinomialSteps: 512, GridPoints: 1024, TimeSteps: 2048, MCPaths: 65536, Seed: math.MaxUint64},
 			Engine:       "batch-advanced",
 			Degraded:     true,
-			Coalesced:    true,
 			BatchOptions: 4096,
 			ElapsedUS:    -1,
 		},

@@ -134,10 +134,8 @@ type PriceResponse struct {
 	// Degraded is never set by this server; the field and its encodings
 	// (JSON key, FBC1 flag bit0) stay defined so existing clients decode.
 	Degraded bool `json:"degraded,omitempty"`
-	// Coalesced reports whether the request was merged with concurrent
-	// requests into one mega-batch; BatchOptions is the size of the batch
-	// actually priced (>= len(Results) when coalesced).
-	Coalesced    bool  `json:"coalesced,omitempty"`
+	// BatchOptions is the size of the batch priced: a closed-form
+	// request is priced alone, so it is the request's own option count.
 	BatchOptions int   `json:"batch_options,omitempty"`
 	ElapsedUS    int64 `json:"elapsed_us"`
 }
@@ -314,6 +312,10 @@ func validateGreeks(req *GreeksRequest) error {
 		if err := validateOption(o); err != nil {
 			// finlint:ignore hotalloc cold validation-failure return, not a per-iteration allocation
 			return fmt.Errorf("option %d: %w", i, err)
+		}
+		if o.Style == "american" {
+			// finlint:ignore hotalloc cold validation-failure return, not a per-iteration allocation
+			return fmt.Errorf("option %d: closed-form greeks are European-only", i)
 		}
 	}
 	return nil

@@ -52,11 +52,11 @@ fi
 echo "==> go build ./..."
 go build ./...
 
-# No fused multiply-add on arm64 in the 17 functions written with
-# explicit roundings (the served Monte Carlo path, mathx.Exp/Log, the
-# American-put lattice walks and the served Crank-Nicolson solve in
-# cmd/finserve; the Fig. 8 PSOR rungs in cmd/finbench; the list is
-# GUARDED in scripts/fusion_guard.sh): cross-compiled, counted in go tool
+# No fused multiply-add on arm64 in the 24 functions written with
+# explicit roundings (the served Monte Carlo path, mathx.Exp/Log/Erf/Erfc
+# and the Black-Scholes Advanced tail, the American-put lattice walks and
+# the served Crank-Nicolson solve in cmd/finserve; the Fig. 8 PSOR rungs
+# in cmd/finbench; the list is GUARDED in scripts/fusion_guard.sh): cross-compiled, counted in go tool
 # objdump, no emulator needed.
 echo "==> arm64 fusion guard"
 ./scripts/fusion_guard.sh
@@ -65,8 +65,11 @@ echo "==> arm64 fusion guard"
 # against the committed baseline. This runs BEFORE the heavy test stages
 # so the measurement happens on a cool machine — minutes of race/fuzz
 # saturation right before timing skews every kernel at once. Calibration
-# normalization (see internal/benchreg) cancels uniform speed drift, and
-# the threshold is looser than the tool's 10% default because a single
+# normalization (see internal/benchreg) rescales by a register-only ALU
+# kernel, so it cancels drift in compute-bound rows but not in
+# bandwidth-bound ones: on the 2-vCPU Xeon host whole captures ran fig4's
+# full-batch rows, fig5 basic and fig6 streamed at ~0.5x while the
+# calibration moved < 10%. The threshold is looser than the tool's 10% default because a single
 # short-mode run on a shared/loaded machine can legitimately drift ~15%;
 # a real regression (a kernel losing its vectorization or layout
 # optimization) is far larger. One retry absorbs transient load spikes.
@@ -127,8 +130,10 @@ else
 	# The root package's grid kernel shares its column cache across the
 	# forked Black-Scholes workers.
 	go test -race -count=1 -run 'Grid' .
-	# The coalescer's flusher-role hand-off runs on request goroutines, so
-	# worker count is a test dimension for it as for the kernels.
+	# The server no longer coalesces, but benchmark/ still drives the
+	# coalescer, whose flusher-role hand-off runs on the submitting
+	# goroutines: worker count stays a test dimension while the package
+	# does (ROADMAP 27(d)).
 	go test -race -count=1 -cpu 1,2,4,8 ./internal/serve/coalesce
 
 	# Seed corpora of every Fuzz target in these packages, including
